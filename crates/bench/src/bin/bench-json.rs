@@ -1,6 +1,6 @@
 //! `bench-json` — the repo's perf-regression harness.
 //!
-//! Runs the microbench groups (buddy, uffd, ws_file, prefetch,
+//! Runs the microbench groups (buddy, vm, uffd, ws_file, prefetch,
 //! prefetch_lanes, timeline) plus the end-to-end `fault_path` group and
 //! the `cluster` concurrent-serving group, and emits one JSON object
 //! with the median wall-clock ns per operation of each benchmark. CI runs this binary with
@@ -25,8 +25,10 @@
 
 use std::time::Instant;
 
+use functionbench::FunctionId;
 use guest_mem::{GuestMemory, PageIdx, PageRun, Uffd, PAGE_SIZE};
 use guest_os::BuddyAllocator;
+use microvm::{MicroVm, Snapshot, VmConfig};
 use sim_core::{SimDuration, SimTime};
 use sim_storage::{Disk, FileStore, SnapshotFrameCache};
 use vhive_core::{
@@ -155,6 +157,25 @@ fn bench_buddy(r: &mut Report) {
         for p in blocks {
             buddy.free(p).unwrap();
         }
+    });
+}
+
+/// What every cold start pays before a byte of guest memory moves: the
+/// checked VMM-state read + checksum, a clone of the captured guest
+/// shell, and an empty 256 MB guest memory registered with uffd. A
+/// restore that went back to re-booting the guest would land at ~7x.
+fn bench_restore_shell(r: &mut Report) {
+    if !r.wants("vm/restore_shell") {
+        return;
+    }
+    let fs = FileStore::new();
+    let (mut vm, _) = MicroVm::boot(FunctionId::helloworld, VmConfig::default());
+    vm.pause();
+    let snapshot = Snapshot::capture(&vm, &fs, "bench/restore");
+    drop(vm);
+    r.add("vm/restore_shell", || {
+        let vm = snapshot.restore_shell(&fs).expect("snapshot restores");
+        assert!(vm.is_lazy());
     });
 }
 
@@ -408,7 +429,6 @@ fn bench_fault_path(r: &mut Report, fs: &FileStore, pages: &[PageIdx]) {
 /// starts are served by frame aliasing (cache hits must grow every
 /// batch, and extent installs must stop reading the store).
 fn bench_cluster(r: &mut Report) {
-    use functionbench::FunctionId;
     use vhive_cluster::{ClusterOrchestrator, ColdRequest};
     use vhive_core::ColdPolicy;
 
@@ -572,7 +592,7 @@ fn bench_cluster(r: &mut Report) {
 /// invariant (`goodput + shed + expired == offered`) on every measured
 /// pass.
 fn bench_router(r: &mut Report) {
-    use functionbench::{FunctionId, InvocationEvent};
+    use functionbench::InvocationEvent;
     use sim_core::SimDuration;
     use vhive_core::{route_workload, FunctionCosts, RouterConfig};
 
@@ -730,7 +750,6 @@ fn bench_frame_cache_dedup(r: &mut Report, fs: &FileStore, pages: &[PageIdx]) {
 fn bench_fault_recovery(r: &mut Report) {
     use std::sync::Arc;
 
-    use functionbench::FunctionId;
     use sim_storage::{FaultInjector, FaultKind, FaultPlan, FaultRule, FaultScope};
     use vhive_cluster::{ClusterOrchestrator, ColdRequest};
     use vhive_core::{ColdPolicy, Orchestrator};
@@ -997,6 +1016,7 @@ fn main() {
         None => eprintln!("running microbench groups (64 MB working set, {WS_PAGES} pages)..."),
     }
     bench_buddy(&mut report);
+    bench_restore_shell(&mut report);
     bench_uffd(&mut report, &fs);
     bench_ws_file(&mut report, &fs, &pages);
     bench_prefetch(&mut report, &fs, &pages);

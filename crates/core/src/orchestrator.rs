@@ -1920,6 +1920,45 @@ mod tests {
     }
 
     #[test]
+    fn regenerated_and_rebuilt_snapshots_carry_a_fresh_boot_shell() {
+        // Restores clone the shell their snapshot captured, so every
+        // path that replaces a snapshot must leave one that matches a
+        // boot at the new generation.
+        fn assert_fresh_boot_shell(o: &Orchestrator, f: FunctionId, generation: u64) {
+            let config = o.vm_config(f, generation);
+            let snapshot = &o.state(f).snapshot;
+            assert_eq!(snapshot.config, config);
+            let mut restored = snapshot.restore_shell(o.fs()).unwrap();
+            let mut oracle = MicroVm::restore_shell(f, config);
+            assert_eq!(restored.content_label(), oracle.content_label());
+            let (got, want) = (restored.guest_shell(), oracle.guest_shell());
+            assert_eq!(got.space.regions(), want.space.regions());
+            assert_eq!(
+                got.space.heap().state_fingerprint(),
+                want.space.heap().state_fingerprint()
+            );
+            let input = InputGenerator::new(f, 3).input(0);
+            assert_eq!(restored.invocation_ops(&input), oracle.invocation_ops(&input));
+        }
+
+        let f = FunctionId::pyaes;
+        let mut o = orch_with(f);
+        o.invoke_record(f);
+        o.invoke_cold(f, ColdPolicy::Reap);
+        o.regenerate_snapshot(f);
+        assert_fresh_boot_shell(&o, f, 1);
+
+        // Failover: a survivor sharing the seed rebuilds from the lost
+        // shard's exported registry state.
+        o.invoke_record(f);
+        let meta = o.export_rebuild_meta(f).unwrap();
+        let mut survivor = Orchestrator::new(7);
+        survivor.rebuild_from(f, meta);
+        assert_fresh_boot_shell(&survivor, f, 1);
+        assert!(survivor.invoke_cold(f, ColdPolicy::Reap).verified_pages > 0);
+    }
+
+    #[test]
     fn pad_working_set_issues_constant_write_count() {
         // Regression guard for the bulk pad path: padding N pages must
         // cost exactly two store writes (one per artifact), not O(N).

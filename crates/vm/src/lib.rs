@@ -25,5 +25,5 @@ pub mod vmm;
 pub use boot::BootCostModel;
 pub use snapshot::{verify_restored, verify_restored_cached, verify_restored_tracked, Snapshot};
 pub use vcpu::{run_lazy, run_resident, ExecutionTrace, FaultHandler, TimedOp};
-pub use vm::{MicroVm, VmConfig};
+pub use vm::{GuestShell, MicroVm, VmConfig};
 pub use vmm::VmmState;

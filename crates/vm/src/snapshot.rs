@@ -5,12 +5,21 @@
 //! never-touched pages — the file is effectively sparse). Restore loads
 //! the VMM state, then maps guest memory *lazily*: no page content moves
 //! until a fault or a REAP prefetch asks for it.
+//!
+//! The guest's own structures (address space with its heap free lists,
+//! kernel model, installed program — a [`GuestShell`]) are captured too and
+//! handed back on restore: a restored guest is the one that was paused,
+//! not a re-boot. They travel in memory beside the file handles; the VMM
+//! state file stays the on-disk artifact whose read and checksum every
+//! restore pays and every injected storage fault can hit.
+
+use std::sync::Arc;
 
 use functionbench::FunctionId;
 use guest_mem::{PageIdx, PageRun, PAGE_SIZE};
 use sim_storage::{FileId, FileStore, StorageError};
 
-use crate::vm::{MicroVm, VmConfig};
+use crate::vm::{GuestShell, MicroVm, VmConfig};
 use crate::vmm::VmmState;
 
 /// A captured VM snapshot: handles to its two files plus metadata.
@@ -30,6 +39,8 @@ pub struct Snapshot {
     pub resident_at_capture: u64,
     /// Fingerprint of the VMM state for restore validation.
     pub vmm_checksum: u64,
+    /// The paused guest's structures; every restore starts from a clone.
+    pub shell: Arc<GuestShell>,
 }
 
 /// Transient write attempts per capture operation before giving up.
@@ -89,6 +100,7 @@ impl Snapshot {
             mem_bytes: mem.size_bytes(),
             resident_at_capture: mem.resident_pages(),
             vmm_checksum: vmm.checksum(),
+            shell: Arc::new(vm.guest_shell().clone()),
         }
     }
 
@@ -134,15 +146,20 @@ impl Snapshot {
         fs.read_into(self.mem_file, run.file_offset(), buf);
     }
 
-    /// Builds the restored VM shell: VMM state deserialized, guest memory
-    /// mapped empty for lazy paging.
+    /// Builds the restored VM shell: VMM state read and validated, the
+    /// captured guest structures cloned, guest memory mapped empty for
+    /// lazy paging.
     ///
     /// # Errors
     ///
-    /// Fails if the VMM state file is corrupt.
+    /// Fails if the VMM state file is corrupt or unreadable.
     pub fn restore_shell(&self, fs: &FileStore) -> Result<MicroVm, String> {
         let _vmm = self.load_vmm_state(fs)?;
-        Ok(MicroVm::restore_shell(self.function, self.config))
+        Ok(MicroVm::from_shell(
+            self.function,
+            self.config,
+            GuestShell::clone(&self.shell),
+        ))
     }
 }
 
@@ -394,6 +411,78 @@ mod tests {
         // Every installed page matches the snapshot exactly.
         let verified = verify_restored(&vm, &snap, &fs).expect("contents must match");
         assert_eq!(verified, trace.uffd_faults);
+    }
+
+    /// Everything of a VM's guest structures that later behaviour depends
+    /// on, in comparable form.
+    fn shell_signature(vm: &MicroVm) -> (u64, Vec<guest_os::RegionDesc>, Vec<guest_os::TouchChunk>, Vec<guest_os::TouchChunk>) {
+        let shell = vm.guest_shell();
+        (
+            shell.space.heap().state_fingerprint(),
+            shell.space.regions().to_vec(),
+            shell.kernel.conn_plan(),
+            shell.kernel.rpc_plan(),
+        )
+    }
+
+    #[test]
+    fn restore_equals_reboot_for_every_function() {
+        for f in FunctionId::ALL {
+            for seed in [1, 0xC0FFEE] {
+                let config = VmConfig {
+                    seed,
+                    ..VmConfig::default()
+                };
+                let fs = FileStore::new();
+                let (mut booted, _) = MicroVm::boot(f, config);
+                booted.pause();
+                let snap = Snapshot::capture(&booted, &fs, "s");
+                drop(booted);
+                let mut restored = snap.restore_shell(&fs).unwrap();
+                let mut oracle = MicroVm::restore_shell(f, config);
+                assert!(restored.is_lazy());
+                assert_eq!(restored.footprint_bytes(), 0);
+                assert_eq!(restored.content_label(), oracle.content_label());
+                assert_eq!(restored.uffd().region_base(), oracle.uffd().region_base());
+                let at_snapshot = shell_signature(&restored);
+                assert_eq!(at_snapshot, shell_signature(&oracle), "{f} seed {seed}");
+                let inputs = InputGenerator::new(f, seed);
+                for seq in 0..8 {
+                    let input = inputs.input(seq);
+                    assert_eq!(
+                        restored.invocation_ops(&input),
+                        oracle.invocation_ops(&input),
+                        "{f} seed {seed} input {seq}"
+                    );
+                    // §4.4: transient allocations (video_processing's mats
+                    // included) are freed, so the free lists are back at
+                    // the snapshot state for the next invocation.
+                    assert_eq!(shell_signature(&restored).0, at_snapshot.0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn capture_after_invocations_carries_the_boot_shell() {
+        // The clone-on-restore design relies on this: a VM that has
+        // served requests pauses with the same guest structures it
+        // booted with.
+        for f in [FunctionId::helloworld, FunctionId::video_processing] {
+            let fs = FileStore::new();
+            let (mut vm, _) = MicroVm::boot(f, VmConfig::default());
+            let at_boot = shell_signature(&vm);
+            let inputs = InputGenerator::new(f, 9);
+            for seq in 0..3 {
+                let ops = vm.invocation_ops(&inputs.input(seq));
+                let label = vm.content_label();
+                crate::vcpu::run_resident(&ops, vm.uffd_mut().memory_mut(), label);
+            }
+            vm.pause();
+            let snap = Snapshot::capture(&vm, &fs, "s");
+            let restored = snap.restore_shell(&fs).unwrap();
+            assert_eq!(shell_signature(&restored), at_boot, "{f}");
+        }
     }
 
     #[test]

@@ -30,6 +30,23 @@ impl Default for VmConfig {
     }
 }
 
+/// The guest-side structures of a booted VM: everything a snapshot holds
+/// besides page contents. Booting builds it ([`FunctionProgram::install`]
+/// replays the boot-time heap allocations); [`crate::Snapshot::capture`]
+/// takes a copy from the paused VM and every restore clones that copy, so
+/// a restored guest is the captured one (§2.3) rather than a fresh boot
+/// assumed equal to it. §4.4 is why the copy stays valid across
+/// invocations: each one returns the heap free lists to this state.
+#[derive(Debug, Clone)]
+pub struct GuestShell {
+    /// Guest-physical layout, including the buddy heap's free lists.
+    pub space: AddressSpace,
+    /// Guest kernel model (boot, RPC and connection touch plans).
+    pub kernel: GuestKernel,
+    /// The installed function's resolved page sets.
+    pub program: FunctionProgram,
+}
+
 /// A Firecracker-style microVM running one serverless function.
 ///
 /// # Example
@@ -46,9 +63,7 @@ impl Default for VmConfig {
 pub struct MicroVm {
     function: FunctionId,
     config: VmConfig,
-    space: AddressSpace,
-    kernel: GuestKernel,
-    program: FunctionProgram,
+    shell: GuestShell,
     uffd: Uffd,
     lazy: bool,
     content_label: u64,
@@ -68,15 +83,15 @@ fn region_base(function: FunctionId, seed: u64) -> u64 {
 }
 
 impl MicroVm {
-    /// Builds the VM's guest structures (address space, kernel, installed
-    /// function program) without touching memory. Deterministic per
-    /// (function, seed): restoring a snapshot rebuilds exactly this state.
-    fn shell(function: FunctionId, config: VmConfig) -> (AddressSpace, GuestKernel, FunctionProgram, Vec<GuestOp>) {
+    /// Boots the guest structures (address space, kernel, installed
+    /// function program) without touching memory, returning them with the
+    /// boot op stream. Deterministic per (function, config).
+    fn shell(function: FunctionId, config: VmConfig) -> (GuestShell, Vec<GuestOp>) {
         let pages = config.mem_mib * 1024 * 1024 / 4096;
         let mut space = AddressSpace::new(pages, LayoutSpec::default());
         let kernel = GuestKernel::new(&space);
         let (program, boot_ops) = FunctionProgram::install(function, &mut space, &kernel);
-        (space, kernel, program, boot_ops)
+        (GuestShell { space, kernel, program }, boot_ops)
     }
 
     /// Boots a VM from scratch: builds the guest, then replays the boot op
@@ -84,7 +99,7 @@ impl MicroVm {
     /// populating memory with deterministic contents. Returns the booted
     /// VM and the boot execution trace (for boot-latency experiments).
     pub fn boot(function: FunctionId, config: VmConfig) -> (MicroVm, ExecutionTrace) {
-        let (space, kernel, program, boot_ops) = Self::shell(function, config);
+        let (shell, boot_ops) = Self::shell(function, config);
         let label = content_label(function, config.seed);
         let mem = GuestMemory::new(config.mem_mib * 1024 * 1024);
         let mut uffd = Uffd::register(mem, region_base(function, config.seed));
@@ -92,9 +107,7 @@ impl MicroVm {
         let vm = MicroVm {
             function,
             config,
-            space,
-            kernel,
-            program,
+            shell,
             uffd,
             lazy: false,
             content_label: label,
@@ -103,26 +116,36 @@ impl MicroVm {
         (vm, trace)
     }
 
-    /// Builds a *restored* VM around an empty, uffd-registered guest
-    /// memory: the Firecracker snapshot-load path (§2.3) — VMM state is
-    /// deserialized, memory is mapped but unpopulated, every first touch
-    /// will fault.
-    pub fn restore_shell(function: FunctionId, config: VmConfig) -> MicroVm {
-        let (space, kernel, program, _boot_ops) = Self::shell(function, config);
-        let label = content_label(function, config.seed);
+    /// Builds a *restored* VM around `shell` and an empty, uffd-registered
+    /// guest memory: the Firecracker snapshot-load path (§2.3) — guest
+    /// state is deserialized, memory is mapped but unpopulated, every
+    /// first touch will fault.
+    pub(crate) fn from_shell(function: FunctionId, config: VmConfig, shell: GuestShell) -> MicroVm {
         let mem = GuestMemory::new(config.mem_mib * 1024 * 1024);
         let uffd = Uffd::register(mem, region_base(function, config.seed));
         MicroVm {
             function,
             config,
-            space,
-            kernel,
-            program,
+            shell,
             uffd,
             lazy: true,
-            content_label: label,
+            content_label: content_label(function, config.seed),
             paused: false,
         }
+    }
+
+    /// A restored VM whose guest structures are *re-booted* rather than
+    /// taken from a snapshot. No product path calls this —
+    /// [`crate::Snapshot::restore_shell`] clones the captured
+    /// [`GuestShell`] — it is the reference the restore-equals-re-boot
+    /// tests compare against.
+    pub fn restore_shell(function: FunctionId, config: VmConfig) -> MicroVm {
+        Self::from_shell(function, config, Self::shell(function, config).0)
+    }
+
+    /// The guest structures a snapshot of this VM carries.
+    pub fn guest_shell(&self) -> &GuestShell {
+        &self.shell
     }
 
     /// The function this VM runs.
@@ -152,8 +175,8 @@ impl MicroVm {
 
     /// Generates the guest op stream for serving `input`.
     pub fn invocation_ops(&mut self, input: &InvocationInput) -> Vec<GuestOp> {
-        self.program
-            .invocation_ops(&mut self.space, &self.kernel, input)
+        let GuestShell { space, kernel, program } = &mut self.shell;
+        program.invocation_ops(space, kernel, input)
     }
 
     /// The uffd channel (monitor side).
@@ -193,12 +216,12 @@ impl MicroVm {
 
     /// The installed function program (for working-set introspection).
     pub fn program(&self) -> &FunctionProgram {
-        &self.program
+        &self.shell.program
     }
 
     /// The guest kernel model.
     pub fn kernel(&self) -> &GuestKernel {
-        &self.kernel
+        &self.shell.kernel
     }
 }
 
