@@ -1,7 +1,7 @@
 //! `bench-json` — the repo's perf-regression harness.
 //!
-//! Runs the microbench groups (buddy, vm, uffd, ws_file, prefetch,
-//! prefetch_lanes, timeline) plus the end-to-end `fault_path` group and
+//! Runs the microbench groups (buddy, vm, parcopy, uffd, ws_file,
+//! prefetch, prefetch_lanes, timeline) plus the end-to-end `fault_path` group and
 //! the `cluster` concurrent-serving group, and emits one JSON object
 //! with the median wall-clock ns per operation of each benchmark. CI runs this binary with
 //! `--check BENCH_fault_path.json` and fails when any group regresses
@@ -176,6 +176,22 @@ fn bench_restore_shell(r: &mut Report) {
     r.add("vm/restore_shell", || {
         let vm = snapshot.restore_shell(&fs).expect("snapshot restores");
         assert!(vm.is_lazy());
+    });
+}
+
+/// The copy every `FileStore::read_at` and contiguous `install_run`
+/// makes: one page appended to a reused buffer. One op is 2048 of them
+/// (8 MB — a cache-thrashing cold start's worth), so that a thread spawn
+/// per call (~35 µs each) reads as ~70 ms against the gate's 1 ms floor.
+fn bench_parcopy(r: &mut Report) {
+    let page = vec![0xA5u8; PAGE_SIZE];
+    let mut buf = Vec::new();
+    r.add("parcopy/extend_4k", || {
+        buf.clear();
+        for _ in 0..2048 {
+            sim_core::extend_par(&mut buf, std::hint::black_box(&page));
+        }
+        assert_eq!(buf.len(), 2048 * PAGE_SIZE);
     });
 }
 
@@ -1017,6 +1033,7 @@ fn main() {
     }
     bench_buddy(&mut report);
     bench_restore_shell(&mut report);
+    bench_parcopy(&mut report);
     bench_uffd(&mut report, &fs);
     bench_ws_file(&mut report, &fs, &pages);
     bench_prefetch(&mut report, &fs, &pages);

@@ -2,10 +2,15 @@
 //!
 //! The functional layer of the reproduction moves real bytes — installing
 //! a 64 MB working set is at minimum one large memcpy, and a single core
-//! cannot saturate memory bandwidth. These helpers split bulk copies
-//! across a few scoped threads (no pools, no globals, deterministic
-//! results) and fall back to plain `copy_from_slice` below a threshold
-//! where thread-spawn overhead would dominate.
+//! cannot saturate memory bandwidth. The three entry points here
+//! ([`copy_par`], [`extend_par`], [`extend_scatter`]) only describe their
+//! copy as `(source, destination)` jobs; one private helper, `copy_lanes`,
+//! decides whether to spawn. Below [`PAR_THRESHOLD_BYTES`] in total, or on
+//! a 1-vCPU host, the jobs run on the caller's thread and no thread is
+//! created — most callers move 4-16 KB at a time, where a spawn costs far
+//! more than the copy. At or above it the bytes are dealt into equal
+//! contiguous shares, one scoped thread each (no pools, no globals,
+//! deterministic results).
 //!
 //! This is a *bandwidth* utility, deliberately dumb: lanes are scoped
 //! `std::thread`s that die at the end of the call. Architectural
@@ -39,12 +44,60 @@ fn host_lanes() -> usize {
     })
 }
 
-fn lanes_for(bytes: usize) -> usize {
-    if bytes < PAR_THRESHOLD_BYTES {
-        1
-    } else {
-        host_lanes()
+/// One copy: `src` lands in the equal-length `dst`.
+type Job<'a> = (&'a [u8], &'a mut [MaybeUninit<u8>]);
+
+#[cfg(test)]
+thread_local! {
+    /// Threads `copy_lanes` has spawned on behalf of this thread.
+    static LANES_SPAWNED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+fn write_job((src, dst): Job<'_>) {
+    debug_assert_eq!(src.len(), dst.len());
+    // SAFETY: `src` and `dst` are distinct borrows of equal length (every
+    // caller builds jobs that way), so the regions cannot overlap and the
+    // write stays inside `dst`, initializing all of it.
+    unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), dst.as_mut_ptr() as *mut u8, src.len()) };
+}
+
+/// Performs every job, `total` bytes in all: on the caller's thread when
+/// that is small or the host has one usable core, otherwise as
+/// `host_lanes()` contiguous shares of `total / lanes` bytes (a job that
+/// straddles a share boundary is split there), one scoped thread each.
+/// On return every `dst` is fully initialized.
+fn copy_lanes<'a>(total: usize, jobs: impl Iterator<Item = Job<'a>>) {
+    let lanes = if total < PAR_THRESHOLD_BYTES { 1 } else { host_lanes() };
+    if lanes == 1 {
+        jobs.for_each(write_job);
+        return;
     }
+    let share = total.div_ceil(lanes);
+    std::thread::scope(|s| {
+        let spawn = |lane: Vec<Job<'a>>| {
+            #[cfg(test)]
+            LANES_SPAWNED.with(|n| n.set(n.get() + 1));
+            s.spawn(move || lane.into_iter().for_each(write_job));
+        };
+        let mut lane = Vec::new();
+        let mut room = share;
+        for (mut src, mut dst) in jobs {
+            while src.len() >= room {
+                let (src_head, src_rest) = src.split_at(room);
+                let (dst_head, dst_rest) = dst.split_at_mut(room);
+                lane.push((src_head, dst_head));
+                spawn(std::mem::take(&mut lane));
+                (src, dst, room) = (src_rest, dst_rest, share);
+            }
+            if !src.is_empty() {
+                room -= src.len();
+                lane.push((src, dst));
+            }
+        }
+        if !lane.is_empty() {
+            spawn(lane);
+        }
+    });
 }
 
 /// Copies `src` into `dst` (equal lengths), splitting across up to
@@ -55,103 +108,38 @@ fn lanes_for(bytes: usize) -> usize {
 /// Panics if the slice lengths differ.
 pub fn copy_par(dst: &mut [u8], src: &[u8]) {
     assert_eq!(dst.len(), src.len(), "copy_par needs equal lengths");
-    let lanes = lanes_for(dst.len());
-    if lanes == 1 {
-        dst.copy_from_slice(src);
-        return;
-    }
-    let chunk = dst.len().div_ceil(lanes);
-    std::thread::scope(|s| {
-        for (d, c) in dst.chunks_mut(chunk).zip(src.chunks(chunk)) {
-            s.spawn(move || d.copy_from_slice(c));
-        }
-    });
+    // SAFETY: `u8` and `MaybeUninit<u8>` share a layout, and `copy_lanes`
+    // only writes initialized bytes through this view, so `dst` never
+    // holds an uninitialized byte.
+    let dst = unsafe { &mut *(dst as *mut [u8] as *mut [MaybeUninit<u8>]) };
+    copy_lanes(src.len(), std::iter::once((src, dst)));
 }
 
 /// Appends `src` to `vec` with one reservation and a (possibly parallel)
 /// copy into the spare capacity — no intermediate zero-fill of the new
 /// region, unlike `resize`-then-overwrite.
 pub fn extend_par(vec: &mut Vec<u8>, src: &[u8]) {
-    vec.reserve(src.len());
-    let start = vec.len();
-    let spare = &mut vec.spare_capacity_mut()[..src.len()];
-    let lanes = lanes_for(src.len());
-    let chunk = src.len().div_ceil(lanes.max(1)).max(1);
-    std::thread::scope(|s| {
-        for (d, c) in spare.chunks_mut(chunk).zip(src.chunks(chunk)) {
-            s.spawn(move || {
-                // SAFETY: `d` and `c` are disjoint, equal-length chunks;
-                // writing `c.len()` initialized bytes through `d`'s base
-                // pointer initializes exactly that region.
-                unsafe {
-                    std::ptr::copy_nonoverlapping(
-                        c.as_ptr(),
-                        d.as_mut_ptr() as *mut u8,
-                        c.len(),
-                    );
-                }
-            });
-        }
-    });
-    // SAFETY: every byte of `spare[..src.len()]` was initialized by the
-    // lane copies above, so the new length is fully initialized.
-    unsafe { vec.set_len(start + src.len()) };
+    extend_scatter(vec, &[src]);
 }
 
 /// Appends the concatenation of `parts` to `vec` with one reservation,
-/// fanning the parts across copy lanes (each part lands at its exact
+/// fanning the bytes across copy lanes (each part lands at its exact
 /// offset, so lane order is irrelevant). The scatter-gather core of the
 /// WS-file builder.
 pub fn extend_scatter(vec: &mut Vec<u8>, parts: &[&[u8]]) {
     let total: usize = parts.iter().map(|p| p.len()).sum();
     vec.reserve(total);
     let start = vec.len();
-    {
-        // Pair every part with its destination chunk of spare capacity.
-        let mut spare = &mut vec.spare_capacity_mut()[..total];
-        let mut jobs: Vec<(&[u8], &mut [MaybeUninit<u8>])> = Vec::with_capacity(parts.len());
-        for part in parts {
-            let (dst, rest) = spare.split_at_mut(part.len());
-            spare = rest;
-            jobs.push((part, dst));
-        }
-        let lanes = lanes_for(total).min(jobs.len().max(1));
-        let per_lane = total.div_ceil(lanes).max(1);
-        std::thread::scope(|s| {
-            // Greedy contiguous grouping: consecutive jobs until a lane
-            // holds ~total/lanes bytes.
-            let mut jobs = jobs.into_iter();
-            loop {
-                let mut lane_jobs = Vec::new();
-                let mut lane_bytes = 0;
-                for (src, dst) in jobs.by_ref() {
-                    lane_bytes += src.len();
-                    lane_jobs.push((src, dst));
-                    if lane_bytes >= per_lane {
-                        break;
-                    }
-                }
-                if lane_jobs.is_empty() {
-                    break;
-                }
-                s.spawn(move || {
-                    for (src, dst) in lane_jobs {
-                        // SAFETY: disjoint equal-length regions; every
-                        // byte of `dst` is initialized by this copy.
-                        unsafe {
-                            std::ptr::copy_nonoverlapping(
-                                src.as_ptr(),
-                                dst.as_mut_ptr() as *mut u8,
-                                src.len(),
-                            );
-                        }
-                    }
-                });
-            }
-        });
-    }
+    // Pair every part with its destination chunk of spare capacity.
+    let mut spare = &mut vec.spare_capacity_mut()[..total];
+    let jobs = parts.iter().map(|part| {
+        let (dst, rest) = std::mem::take(&mut spare).split_at_mut(part.len());
+        spare = rest;
+        (*part, dst)
+    });
+    copy_lanes(total, jobs);
     // SAFETY: the jobs covered `spare[..total]` exactly (split_at_mut
-    // partitions it), and every job initialized its region.
+    // partitions it), and `copy_lanes` initialized every job's region.
     unsafe { vec.set_len(start + total) };
 }
 
@@ -214,4 +202,35 @@ mod tests {
         assert_eq!(v2, vec![1, 2]);
     }
 
+    /// Threads spawned on this thread's behalf while `f` ran.
+    fn spawned_by(f: impl FnOnce()) -> usize {
+        let before = LANES_SPAWNED.with(|n| n.get());
+        f();
+        LANES_SPAWNED.with(|n| n.get()) - before
+    }
+
+    #[test]
+    fn small_copies_never_spawn_and_large_ones_use_every_lane() {
+        let small = vec![5u8; PAR_THRESHOLD_BYTES - 1];
+        let (head, tail) = small.split_at(4096);
+        let mut dst = vec![0u8; small.len()];
+        let mut v = Vec::new();
+        assert_eq!(spawned_by(|| copy_par(&mut dst, &small)), 0);
+        assert_eq!(spawned_by(|| extend_par(&mut v, head)), 0);
+        assert_eq!(spawned_by(|| extend_par(&mut v, &small)), 0);
+        assert_eq!(spawned_by(|| extend_scatter(&mut v, &[head, tail])), 0);
+        assert_eq!(spawned_by(|| extend_scatter(&mut v, &[])), 0);
+
+        // One usable core keeps even large copies on the caller's thread.
+        let lanes = if host_lanes() == 1 { 0 } else { host_lanes() };
+        let big = vec![9u8; PAR_THRESHOLD_BYTES];
+        let mut dst = vec![0u8; big.len()];
+        assert_eq!(spawned_by(|| copy_par(&mut dst, &big)), lanes);
+        assert_eq!(spawned_by(|| extend_par(&mut v, &big)), lanes);
+        // Many small parts that only together cross the threshold.
+        let parts: Vec<&[u8]> = big.chunks(4096).collect();
+        assert_eq!(spawned_by(|| extend_scatter(&mut v, &parts)), lanes);
+        assert_eq!(dst, big);
+        assert!(v.ends_with(&big));
+    }
 }
