@@ -16,9 +16,10 @@
 //!   [`generation`](FileStore::generation) at load time.
 //! * The **content store** holds each distinct byte string once, as a
 //!   [`guest_mem::FrameBytes`] (`Arc<Vec<u8>>`) buffer keyed by a 64-bit
-//!   FNV-1a hash of the bytes (verified byte-for-byte on every match, so
-//!   a hash collision can never alias two different extents). A content
-//!   entry lives exactly as long as index entries reference it.
+//!   hash of the bytes (FNV-1a fed a word at a time; in-memory only, and
+//!   verified byte-for-byte on every match, so a hash collision can never
+//!   alias two different extents). A content entry lives exactly as long
+//!   as index entries reference it.
 //!
 //! * The **first** cold start of a function misses: the extent is read
 //!   from the [`FileStore`] once. If an identical extent is already
@@ -181,6 +182,23 @@ struct ContentEntry {
     keys: Vec<ExtentKey>,
     prev: u32,
     next: u32,
+}
+
+/// Dedup key of a loaded extent: FNV-1a absorbing eight bytes per
+/// multiply, the `len % 8` tail byte by byte. Every missed extent is
+/// hashed, so the canonical one-multiply-per-byte feed cost more than
+/// the read it follows. The value never leaves this process and every
+/// match is byte-compared, so it only has to be deterministic and
+/// depend on every byte — artifact, VMM and telemetry checksums stay
+/// canonical FNV-1a.
+fn content_hash(bytes: &[u8]) -> u64 {
+    let mut h = sim_core::hash::Fnv1a64::new();
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        h.write_u64_word(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+    }
+    h.write(words.remainder());
+    h.finish()
 }
 
 /// All mutable cache state under one lock: the hit path updates LRU
@@ -484,7 +502,7 @@ impl SnapshotFrameCache {
         let raw = fs
             .try_read_at(file, offset, len as usize)
             .ok_or(FrameCacheGone(file))?;
-        let hash = sim_core::hash::fnv1a64(&raw);
+        let hash = content_hash(&raw);
         let bytes: FrameBytes = std::sync::Arc::new(raw);
         if fs.generation(file) != Some(generation) {
             // A rewrite landed between the generation check and the read:
@@ -699,6 +717,23 @@ mod tests {
         }
         let st = cache.stats();
         assert_eq!((st.entries, st.content_entries, st.bytes), (0, 0, 0));
+    }
+
+    #[test]
+    fn extents_differing_in_the_unaligned_tail_do_not_dedup() {
+        // 13 bytes: one whole hash word plus a 5-byte tail.
+        let fs = FileStore::new();
+        let cache = SnapshotFrameCache::new();
+        let (a, b) = (fs.create("a"), fs.create("b"));
+        fs.write_at(a, 0, b"same prefix 0");
+        fs.write_at(b, 0, b"same prefix 1");
+        let got_a = cache.get_or_load(&fs, a, 0, 13).unwrap();
+        let got_b = cache.get_or_load(&fs, b, 0, 13).unwrap();
+        assert_eq!(&got_a[..], b"same prefix 0");
+        assert_eq!(&got_b[..], b"same prefix 1");
+        let st = cache.stats();
+        assert_eq!((st.content_entries, st.admitted, st.deduped), (2, 2, 0));
+        assert_ne!(content_hash(&got_a), content_hash(&got_b));
     }
 
     #[test]
