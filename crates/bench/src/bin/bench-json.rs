@@ -1,8 +1,8 @@
 //! `bench-json` — the repo's perf-regression harness.
 //!
 //! Runs the microbench groups (buddy, vm, parcopy, uffd, ws_file,
-//! prefetch, prefetch_lanes, timeline) plus the end-to-end `fault_path` group and
-//! the `cluster` concurrent-serving group, and emits one JSON object
+//! prefetch, prefetch_lanes, timeline) plus the end-to-end `fault_path`
+//! group and the `cluster` concurrent-serving group, and emits one JSON object
 //! with the median wall-clock ns per operation of each benchmark. CI runs this binary with
 //! `--check BENCH_fault_path.json` and fails when any group regresses
 //! more than [`REGRESSION_FACTOR`]x *and* by more than

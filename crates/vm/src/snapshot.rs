@@ -155,11 +155,8 @@ impl Snapshot {
     /// Fails if the VMM state file is corrupt or unreadable.
     pub fn restore_shell(&self, fs: &FileStore) -> Result<MicroVm, String> {
         let _vmm = self.load_vmm_state(fs)?;
-        Ok(MicroVm::from_shell(
-            self.function,
-            self.config,
-            GuestShell::clone(&self.shell),
-        ))
+        let shell = GuestShell::clone(&self.shell);
+        Ok(MicroVm::from_shell(self.function, self.config, shell))
     }
 }
 
