@@ -37,9 +37,9 @@ use std::collections::HashMap;
 
 use functionbench::FunctionId;
 use sim_core::{SimTime, TokenBucket};
-use vhive_core::{Disposition, ShedReason};
+use vhive_core::{ColdRequest, Disposition, ShedReason};
 
-use crate::orchestrator::{ColdRequest, ShardHealth};
+use crate::orchestrator::ShardHealth;
 
 /// What to do when a shard's admission queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

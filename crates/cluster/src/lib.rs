@@ -63,9 +63,9 @@ pub mod orchestrator;
 pub mod sweep;
 
 pub use admission::{AdmissionConfig, RateLimit, ShedPolicy};
-pub use orchestrator::{ClusterBatch, ClusterOrchestrator, ColdRequest, ShardHealth};
+pub use orchestrator::{ClusterBatch, ClusterOrchestrator, ShardHealth};
 pub use sweep::{cluster_concurrent, shard_lane_sweep, ClusterScalePoint};
-pub use vhive_core::{Disposition, ShedReason};
+pub use vhive_core::{ColdRequest, Disposition, ShedReason};
 
 use functionbench::FunctionId;
 

@@ -6,13 +6,13 @@ use std::time::{Duration, Instant};
 
 use functionbench::FunctionId;
 use sim_core::metrics::labeled;
-use sim_core::{Deadline, MetricsRegistry, SimDuration, SimTime, TokenBucket};
+use sim_core::{MetricsRegistry, SimDuration, SimTime, TokenBucket};
 use sim_storage::{
     DeviceProfile, DiskStats, FaultInjector, FaultKind, FaultPlan, FaultRule, FaultScope,
-    FileStore, FrameCacheDelta, FrameCacheStats, SnapshotFrameCache,
+    FileStore, FrameCacheStats, SnapshotFrameCache,
 };
 use vhive_core::{
-    BreakerPolicy, ColdAbort, ColdPolicy, Disposition, HostCostModel, InstanceFiles,
+    BreakerPolicy, ColdAbort, ColdPolicy, ColdRequest, Disposition, HostCostModel, InstanceFiles,
     InvocationOutcome, Orchestrator, PreparedCold, RegisterInfo, ReapFiles,
 };
 use vhive_telemetry::TelemetrySink;
@@ -35,61 +35,6 @@ pub enum ShardHealth {
     /// Storage unreachable; requests are routed past it and its functions
     /// rebuilt on survivors.
     Dead,
-}
-
-/// One cold invocation of a concurrent batch
-/// ([`ClusterOrchestrator::invoke_concurrent`]).
-#[derive(Debug, Clone, Copy)]
-pub struct ColdRequest {
-    /// The function to invoke (also selects the home shard).
-    pub function: FunctionId,
-    /// Restore policy.
-    pub policy: ColdPolicy,
-    /// When `true`, the instance models an *independent* function with
-    /// its own snapshot identity (shadow files, §6.5's concurrency
-    /// methodology); `false` runs against the function's real snapshot
-    /// files, sharing page-cache state with its siblings.
-    pub independent: bool,
-    /// Arrival time on the shared timeline.
-    pub arrival: SimTime,
-    /// Optional virtual-time latency budget, relative to `arrival`. A
-    /// request carrying one resolves to an explicit [`Disposition`]: it
-    /// can be shed at admission, aborted mid-recovery once
-    /// retries/injected delays exhaust the budget (its seq rolled
-    /// back), or served and classified
-    /// [`Disposition::DeadlineExceeded`] if its simulated completion
-    /// lands past the expiry instant. `None` = no deadline (the
-    /// historical behavior).
-    pub deadline: Option<SimDuration>,
-}
-
-impl ColdRequest {
-    /// A request against the function's real snapshot files, arriving at
-    /// time zero.
-    pub fn shared(function: FunctionId, policy: ColdPolicy) -> Self {
-        ColdRequest {
-            function,
-            policy,
-            independent: false,
-            arrival: SimTime::ZERO,
-            deadline: None,
-        }
-    }
-
-    /// A request modeling an independent function (fresh shadow
-    /// identity), arriving at time zero.
-    pub fn independent(function: FunctionId, policy: ColdPolicy) -> Self {
-        ColdRequest {
-            independent: true,
-            ..ColdRequest::shared(function, policy)
-        }
-    }
-
-    /// Attaches a virtual-time latency budget (relative to arrival).
-    pub fn with_deadline(mut self, budget: SimDuration) -> Self {
-        self.deadline = Some(budget);
-        self
-    }
 }
 
 /// Result of one concurrent batch: per-request outcomes plus the shared
@@ -694,7 +639,11 @@ impl ClusterOrchestrator {
             let mut requeue: Vec<usize> = Vec::new();
             for (i, shard_idx, res) in results {
                 match res {
-                    Ok(p) => {
+                    Ok(mut p) => {
+                        // Failover happened (if at all) before this
+                        // shard's prepare: the flags are final.
+                        p.recovery_mut().rerouted = rerouted[i];
+                        p.recovery_mut().rebuilt = rebuilt[i];
                         if p.recovery().transient_retries > 0
                             && self.health[shard_idx] == ShardHealth::Healthy
                         {
@@ -704,46 +653,22 @@ impl ClusterOrchestrator {
                         served_by[i] = shard_idx;
                         slots[i] = Some(p);
                     }
-                    Err(ColdAbort::Shard(_)) => {
-                        // The shard's store is unreachable: declare it dead
-                        // (replacing any scoped injector with a full
-                        // blackout) and re-queue the request.
-                        if self.health[shard_idx] != ShardHealth::Dead {
-                            self.fail_shard(shard_idx);
+                    Err(abort) => match self.shards[shard_idx].finish_unserved(&reqs[i], abort) {
+                        // Shed by the shard's breaker or out of budget
+                        // mid-recovery: no seq is held, the request
+                        // resolves here (no requeue).
+                        Ok(unserved) => dispositions[i] = unserved,
+                        Err(_) => {
+                            // The shard's store is unreachable: declare it
+                            // dead (replacing any scoped injector with a
+                            // full blackout) and re-queue the request.
+                            if self.health[shard_idx] != ShardHealth::Dead {
+                                self.fail_shard(shard_idx);
+                            }
+                            rerouted[i] = true;
+                            requeue.push(i);
                         }
-                        rerouted[i] = true;
-                        requeue.push(i);
-                    }
-                    Err(ColdAbort::Deadline(e)) => {
-                        // Budget exhausted mid-recovery: the seq was
-                        // rolled back on the shard; the request resolves
-                        // here (no requeue).
-                        dispositions[i] = Disposition::DeadlineExceeded;
-                        self.shards[shard_idx].emit_unserved(
-                            reqs[i].function,
-                            reqs[i].policy,
-                            reqs[i].arrival + e.budget,
-                            Disposition::DeadlineExceeded,
-                        );
-                    }
-                    Err(ColdAbort::Shed {
-                        reason,
-                        retry_after,
-                    }) => {
-                        // Shed on the shard (open circuit breaker): no
-                        // seq consumed, resolves here.
-                        let shed = Disposition::Shed {
-                            reason,
-                            retry_after,
-                        };
-                        dispositions[i] = shed;
-                        self.shards[shard_idx].emit_unserved(
-                            reqs[i].function,
-                            reqs[i].policy,
-                            reqs[i].arrival,
-                            shed,
-                        );
-                    }
+                    },
                 }
             }
             // Failed requests go back in input order; the next round's
@@ -770,15 +695,6 @@ impl ClusterOrchestrator {
                 ),
             }
         }
-        for (j, p) in prepared.iter_mut().enumerate() {
-            let i = served[j];
-            if rerouted[i] {
-                p.recovery_mut().rerouted = true;
-            }
-            if rebuilt[i] {
-                p.recovery_mut().rebuilt = true;
-            }
-        }
         if let Some(m) = &self.metrics {
             m.add(
                 "reroutes_total",
@@ -792,40 +708,15 @@ impl ClusterOrchestrator {
         let results = tl.run(programs);
         let disk_stats = tl.disk_stats();
 
-        // Per-request frame-cache attribution and virtual completion
-        // times, captured before `into_outcome` consumes the runs.
-        let deltas: Vec<FrameCacheDelta> = prepared.iter().map(|p| p.cache_delta()).collect();
-        let ends: Vec<SimTime> = results.iter().map(|r| r.end).collect();
+        // Finish in request order on the shard that actually served each
+        // request, so its span carries that shard's tag.
         let mut makespan = SimDuration::ZERO;
-        let outcomes: Vec<InvocationOutcome> = prepared
-            .into_iter()
-            .zip(results)
-            .map(|(p, r)| {
-                makespan = makespan.max(r.end - SimTime::ZERO);
-                p.into_outcome(r, disk_stats)
-            })
-            .collect();
-        // Telemetry: one span per served request, in request order,
-        // tagged with the shard that actually served it and charged the
-        // frame-cache lookups its own prepare pass performed (a no-op
-        // without an attached sink or registry). A served request whose
-        // simulated completion (including retry backoff) lands past its
-        // deadline keeps its outcome — byte-identical to the layer-off
-        // run — but is classified DeadlineExceeded against goodput.
-        for (j, outcome) in outcomes.iter().enumerate() {
-            let i = served[j];
-            if let Some(budget) = reqs[i].deadline {
-                let completion = ends[j] + outcome.recovery.retry_delay;
-                if Deadline::new(reqs[i].arrival, budget).expired_at(completion) {
-                    dispositions[i] = Disposition::DeadlineExceeded;
-                }
-            }
-            self.shards[served_by[i]].emit_telemetry_disposed(
-                outcome,
-                deltas[j],
-                ends[j],
-                dispositions[i],
-            );
+        let mut outcomes: Vec<InvocationOutcome> = Vec::with_capacity(prepared.len());
+        for ((p, r), &i) in prepared.into_iter().zip(results).zip(&served) {
+            makespan = makespan.max(r.end - SimTime::ZERO);
+            let (disposition, outcome) = self.shards[served_by[i]].finish(p, r, disk_stats);
+            dispositions[i] = disposition;
+            outcomes.push(outcome);
         }
         if overload_aware {
             if let Some(m) = &self.metrics {
@@ -845,27 +736,19 @@ impl ClusterOrchestrator {
     }
 }
 
-/// Runs one lane's shards sequentially: every request's functional pass +
-/// program compilation, in input order per shard. Returns
+/// Runs one lane's shards sequentially: every request's
+/// [`Orchestrator::prepare`], in input order per shard. Returns
 /// `(request index, shard index, prepared-or-aborted)` — a shard that
 /// cannot serve (storage blackout, persistent faults) yields
 /// [`ColdAbort::Shard`] for the caller's failover round instead of
 /// panicking the lane; a request whose deadline budget runs out
 /// mid-recovery or that an open circuit breaker sheds yields the
-/// matching abort and resolves without a retry. Shadow (`independent`)
-/// requests have no fallible twin; they model concurrency experiments
-/// and keep the panicking path.
+/// matching abort and resolves without a retry.
 fn prepare_lane(work: Vec<ShardWork<'_>>) -> Vec<(usize, usize, Result<PreparedCold, ColdAbort>)> {
     let mut out = Vec::with_capacity(work.iter().map(|(_, _, w)| w.len()).sum());
     for (shard_idx, shard, reqs) in work {
         for (i, r) in reqs {
-            let res = if r.independent {
-                Ok(shard.prepare_cold_shadow(r.function, r.policy, r.arrival))
-            } else {
-                let deadline = r.deadline.map(|b| Deadline::new(r.arrival, b));
-                shard.try_prepare_cold_within(r.function, r.policy, r.arrival, deadline)
-            };
-            out.push((i, shard_idx, res));
+            out.push((i, shard_idx, shard.prepare(&r)));
         }
     }
     out

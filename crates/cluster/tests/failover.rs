@@ -8,9 +8,11 @@
 use std::sync::Arc;
 
 use functionbench::FunctionId;
-use sim_storage::{FaultInjector, FaultKind, FaultPlan, FaultRule, FaultScope};
-use vhive_cluster::{ClusterOrchestrator, ColdRequest, ShardHealth};
-use vhive_core::{ColdPolicy, InvocationOutcome, RecoveryReport};
+use sim_core::{Deadline, SimDuration, SimTime};
+use sim_storage::{FaultInjector, FaultKind, FaultPlan, FaultRule, FaultScope, FileStore};
+use vhive_cluster::{ClusterOrchestrator, ColdRequest, Disposition, ShardHealth};
+use vhive_core::{ColdPolicy, InvocationOutcome, Orchestrator, RecoveryReport};
+use vhive_telemetry::{scan, TelemetrySink};
 
 const FUNCS: [FunctionId; 2] = [FunctionId::helloworld, FunctionId::pyaes];
 
@@ -222,4 +224,119 @@ fn ws_scoped_blackout_falls_back_without_killing_the_shard() {
     for (out, rout) in batch.outcomes.iter().zip(&reference.outcomes) {
         assert_eq!(normalized(out), normalized(rout));
     }
+}
+
+/// Two independent REAP requests per function (§6.5's methodology:
+/// every instance its own snapshot identity).
+fn independent_batch() -> Vec<ColdRequest> {
+    FUNCS
+        .iter()
+        .flat_map(|&f| [ColdRequest::independent(f, ColdPolicy::Reap); 2])
+        .collect()
+}
+
+/// Independent requests recover like shared ones: a transient fault is
+/// retried *and reported* — in the ledger and in the shard's health.
+#[test]
+fn independent_requests_report_their_transient_retries() {
+    let seed = 27;
+    let mut r = prepared_cluster(seed, 2);
+    let reference = r.invoke_concurrent(&independent_batch());
+
+    let mut c = prepared_cluster(seed, 2);
+    let idx = c.route_of(FUNCS[0]);
+    attach(
+        &c,
+        idx,
+        FaultRule::new(
+            FaultScope::NameContains(format!("snapshots/{}/vmm_state", FUNCS[0])),
+            FaultKind::TransientError,
+        )
+        .count(2),
+    );
+    let batch = c.invoke_concurrent(&independent_batch());
+
+    assert_eq!(batch.outcomes[0].recovery.transient_retries, 2);
+    assert_eq!(batch.outcomes[0].recovery.retry_delay, SimDuration::from_micros(300));
+    assert_eq!(batch.shard_health[idx], ShardHealth::Degraded);
+    assert!(!batch.shard_health.contains(&ShardHealth::Dead));
+    assert_eq!(batch.outcomes.len(), reference.outcomes.len());
+    for (out, rout) in batch.outcomes.iter().zip(&reference.outcomes) {
+        assert_eq!(normalized(out), normalized(rout));
+    }
+}
+
+/// A store that blacks out under independent requests — the batch is
+/// what discovers it — fails them over like any other request instead
+/// of panicking the shard lane.
+#[test]
+fn independent_requests_fail_over_off_a_blacked_out_home() {
+    let seed = 28;
+    let mut r = prepared_cluster(seed, 3);
+    let reference = r.invoke_concurrent(&independent_batch());
+
+    let mut c = prepared_cluster(seed, 3);
+    let dead = c.shard_of(FUNCS[0]);
+    attach(&c, dead, FaultRule::new(FaultScope::Any, FaultKind::Blackout));
+    let reqs = independent_batch();
+    let batch = c.invoke_concurrent(&reqs);
+
+    assert_eq!(batch.shard_health[dead], ShardHealth::Dead);
+    assert_eq!(batch.dispositions.len(), reqs.len(), "every request resolved");
+    assert!(batch.dispositions.iter().all(|d| *d == Disposition::Completed));
+    assert_eq!(batch.served, (0..reqs.len()).collect::<Vec<_>>());
+    // Both requests of the dead shard's function were handed back; the
+    // first to re-route rebuilds it on the survivor.
+    assert!(batch.outcomes[0].recovery.rerouted && batch.outcomes[0].recovery.rebuilt);
+    assert!(batch.outcomes[1].recovery.rerouted && !batch.outcomes[1].recovery.rebuilt);
+    for (out, rout) in batch.outcomes.iter().zip(&reference.outcomes) {
+        assert_eq!(normalized(out), normalized(rout));
+    }
+}
+
+/// One answer for the same event: a deadline that runs out mid-recovery
+/// yields the same unserved span — stamped at the expiry instant — from
+/// a single node and from a 1-shard cluster. The plan is the Delay →
+/// Transient pair of `crates/core/tests/failure_injection.rs`.
+#[test]
+fn mid_recovery_expiry_spans_agree_between_node_and_cluster() {
+    let f = FUNCS[0];
+    let budget = SimDuration::from_millis(1);
+    let plan = || {
+        let rule = |file: &str, kind| FaultRule::new(FaultScope::NameContains(file.into()), kind).count(1);
+        Arc::new(FaultInjector::new(
+            FaultPlan::new()
+                .rule(rule("vmm_state", FaultKind::Delay(SimDuration::from_millis(2))))
+                .rule(rule("ws_pages", FaultKind::TransientError)),
+        ))
+    };
+
+    let node_sink = TelemetrySink::new(FileStore::new());
+    let mut node = Orchestrator::new(29);
+    node.register(f);
+    node.invoke_record(f);
+    node.fs().attach_injector(plan());
+    node.set_telemetry(Some(node_sink.clone()));
+    let deadline = Deadline::new(SimTime::ZERO, budget);
+    let (disposition, outcome) = node.invoke_cold_within(f, ColdPolicy::Reap, Some(deadline));
+    assert_eq!(disposition, Disposition::DeadlineExceeded);
+    assert!(outcome.is_none());
+
+    let cluster_sink = TelemetrySink::new(FileStore::new());
+    let mut cluster = ClusterOrchestrator::new(29, 1);
+    cluster.register(f);
+    cluster.invoke_record(f);
+    cluster.shard(0).fs().attach_injector(plan());
+    cluster.set_telemetry(Some(cluster_sink.clone()));
+    let batch = cluster.invoke_concurrent(&[ColdRequest::shared(f, ColdPolicy::Reap).with_deadline(budget)]);
+    assert_eq!(batch.dispositions, [Disposition::DeadlineExceeded]);
+    assert!(batch.outcomes.is_empty());
+
+    node_sink.flush();
+    cluster_sink.flush();
+    let (node_spans, _) = scan(node_sink.store());
+    let (cluster_spans, _) = scan(cluster_sink.store());
+    assert_eq!(node_spans.len(), 1);
+    assert_eq!(node_spans[0].vt_ns, budget.as_nanos(), "stamped at the expiry instant");
+    assert_eq!(node_spans, cluster_spans);
 }

@@ -47,8 +47,9 @@ impl Default for BreakerPolicy {
     }
 }
 
-/// One function's breaker. Driven by the orchestrator's overload-aware
-/// invoke path: [`admit`](Self::admit) before work,
+/// One function's breaker. Driven by
+/// [`Orchestrator::prepare`](crate::Orchestrator::prepare):
+/// [`admit`](Self::admit) before work,
 /// [`record_success`](Self::record_success) /
 /// [`record_failure`](Self::record_failure) after.
 #[derive(Debug, Clone)]

@@ -71,7 +71,7 @@ pub use detect::{contiguity, working_set_overlap, ContiguityStats, Misprediction
 pub use invocation::{Breakdown, ColdPolicy, InstanceFiles, InstanceProgram, Phase, TimedStep};
 pub use monitor::{Monitor, MonitorMode, MonitorStats, PrefetchError};
 pub use orchestrator::{InvocationOutcome, Orchestrator, PreparedCold, RegisterInfo};
-pub use overload::{ColdAbort, DeadlineExpired, Disposition, ShedReason};
+pub use overload::{ColdAbort, ColdRequest, DeadlineExpired, Disposition, ShedReason};
 pub use policy::{simulate_worker, FunctionCosts, KeepWarmPolicy, WorkerReport};
 pub use recovery::{AttemptError, RebuildMeta, RecoveryReport, RetryPolicy, ShardUnavailable};
 pub use rerandomize::{restore_rerandomized, LayoutPermutation, RerandomizedRun};

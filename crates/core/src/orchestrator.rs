@@ -33,7 +33,7 @@ use crate::invocation::{
     InstanceProgram,
 };
 use crate::monitor::{Monitor, MonitorMode, MonitorStats, PrefetchError};
-use crate::overload::{ColdAbort, DeadlineExpired, Disposition, ShedReason};
+use crate::overload::{ColdAbort, ColdRequest, DeadlineExpired, Disposition, ShedReason};
 use crate::recovery::{AttemptError, RebuildMeta, RecoveryReport, RetryPolicy, ShardUnavailable};
 use crate::timeline::Timeline;
 use crate::ws_file::{read_trace_file, read_trace_runs, ReapFiles};
@@ -68,8 +68,6 @@ pub struct FunctionalRun {
     pub footprint_bytes: u64,
     /// Input sequence number used.
     pub input_seq: u64,
-    /// REAP files written (record mode only).
-    pub recorded: Option<ReapFiles>,
     /// Frame-cache lookups this invocation resolved (monitor prefetch +
     /// demand serves + restore verification), attributed per request.
     /// Zero with the cache disabled.
@@ -77,10 +75,8 @@ pub struct FunctionalRun {
 }
 
 /// A cold invocation after its functional pass, ready for the timed
-/// pass. Produced by [`Orchestrator::prepare_record`],
-/// [`Orchestrator::prepare_cold`] and
-/// [`Orchestrator::prepare_cold_shadow`]; completed by
-/// [`PreparedCold::into_outcome`] once the timed result is known.
+/// pass. Produced by [`Orchestrator::prepare`]; completed by
+/// [`Orchestrator::finish`] once the timed result is known.
 ///
 /// Splitting prepare from finish lets a caller run the timed pass on a
 /// timeline of its choosing — in particular the cluster layer merges the
@@ -95,20 +91,12 @@ pub struct PreparedCold {
     run: FunctionalRun,
     misprediction: Option<MispredictionReport>,
     recovery: RecoveryReport,
+    /// The request's deadline, for [`Orchestrator::finish`] to classify
+    /// the completion against.
+    deadline: Option<Deadline>,
 }
 
 impl PreparedCold {
-    /// The invoked function.
-    pub fn function(&self) -> FunctionId {
-        self.function
-    }
-
-    /// The policy the invocation actually ran under (a quarantined
-    /// artifact downgrades prefetch policies to Vanilla).
-    pub fn policy(&self) -> ColdPolicy {
-        self.policy
-    }
-
     /// Recovery work done so far for this invocation.
     pub fn recovery(&self) -> &RecoveryReport {
         &self.recovery
@@ -118,19 +106,6 @@ impl PreparedCold {
     /// rebuild flags here after failover.
     pub fn recovery_mut(&mut self) -> &mut RecoveryReport {
         &mut self.recovery
-    }
-
-    /// The compiled timed program (arrival embedded).
-    pub fn program(&self) -> &InstanceProgram {
-        &self.program
-    }
-
-    /// Per-request frame-cache attribution accumulated while preparing
-    /// this invocation (zero with the cache disabled). Captured before
-    /// [`into_outcome`](Self::into_outcome) consumes the run, so span
-    /// emitters can charge the request its own hits/misses/races.
-    pub fn cache_delta(&self) -> FrameCacheDelta {
-        self.run.cache_delta
     }
 
     /// Moves the compiled program out (leaving an empty stand-in), so
@@ -147,7 +122,8 @@ impl PreparedCold {
     }
 
     /// Completes the invocation with the timed result of its program and
-    /// the disk counters of the timeline it ran on.
+    /// the disk counters of the timeline it ran on — the outcome alone;
+    /// [`Orchestrator::finish`] also classifies it and emits its span.
     pub fn into_outcome(
         self,
         result: crate::timeline::InstanceResult,
@@ -232,11 +208,20 @@ struct FunctionState {
 #[derive(Debug)]
 enum RecoverAbort {
     /// The final attempt's error, for the caller's quarantine/failover
-    /// decision — exactly what the unbudgeted loop returns.
+    /// decision.
     Attempt(AttemptError),
     /// Committing to the next retry (or absorbing an injected delay)
     /// would exceed the request's deadline budget.
     DeadlineExhausted,
+}
+
+impl std::fmt::Display for RecoverAbort {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RecoverAbort::Attempt(e) => e.fmt(f),
+            RecoverAbort::DeadlineExhausted => f.write_str("deadline exhausted mid-recovery"),
+        }
+    }
 }
 
 /// The orchestrator: control plane + data-plane router of one worker.
@@ -264,8 +249,6 @@ pub struct Orchestrator {
     /// When false, monitors copy from the store as they did before the
     /// cache existed (the equivalence proptests pin both paths).
     frame_cache_enabled: bool,
-    /// Bounded-backoff schedule for transient storage faults.
-    retry_policy: RetryPolicy,
     /// When true, prefetch invocations digest-check the REAP artifacts
     /// against their record-time digests before use (catches *silent*
     /// corruption of the stored bytes; off by default).
@@ -283,10 +266,8 @@ pub struct Orchestrator {
     /// outcomes and per-instance counters only — simulated results are
     /// byte-identical with metrics on or off.
     metrics: Option<MetricsRegistry>,
-    /// Circuit-breaker policy for the overload-aware invoke paths (off
-    /// by default; see [`set_breaker`](Self::set_breaker)). Only
-    /// `try_prepare_cold_within` consults breakers — the legacy paths
-    /// are byte-identical with or without a policy set.
+    /// Circuit-breaker policy (off by default; see
+    /// [`set_breaker`](Self::set_breaker)).
     breaker_policy: Option<BreakerPolicy>,
     /// Per-function breakers, created lazily under `breaker_policy`.
     breakers: HashMap<FunctionId, CircuitBreaker>,
@@ -336,7 +317,6 @@ impl Orchestrator {
             next_shadow_tag: 0,
             frame_cache,
             frame_cache_enabled: true,
-            retry_policy: RetryPolicy::default(),
             verify_artifacts: false,
             telemetry: None,
             telemetry_shard: 0,
@@ -347,21 +327,18 @@ impl Orchestrator {
         }
     }
 
-    /// Arms (or disarms, with `None`) per-function circuit breakers on
-    /// the overload-aware invoke paths
-    /// ([`try_prepare_cold_within`](Self::try_prepare_cold_within)):
-    /// after `failure_threshold` consecutive failures — quarantine
-    /// fallbacks, shard blackouts, mid-recovery deadline aborts — the
-    /// function trips open and sheds until the virtual-time cooldown
-    /// admits a half-open probe. Off by default; the legacy
-    /// `invoke_cold`/`try_prepare_cold` paths never consult breakers.
+    /// Arms (or disarms, with `None`) per-function circuit breakers in
+    /// [`prepare`](Self::prepare): after `failure_threshold` consecutive
+    /// failures — quarantine fallbacks, shard blackouts, mid-recovery
+    /// deadline aborts — the function trips open and sheds until the
+    /// virtual-time cooldown admits a half-open probe. Off by default.
     pub fn set_breaker(&mut self, policy: Option<BreakerPolicy>) {
         self.breaker_policy = policy;
         self.breakers.clear();
     }
 
-    /// `f`'s breaker state, if breakers are armed and `f` has been seen
-    /// by the overload-aware path.
+    /// `f`'s breaker state, if breakers are armed and `f` has been
+    /// requested since.
     pub fn breaker_state(&self, f: FunctionId) -> Option<BreakerState> {
         self.breakers.get(&f).map(|b| b.state())
     }
@@ -369,16 +346,6 @@ impl Orchestrator {
     /// Times `f`'s breaker has tripped open (0 if never seen).
     pub fn breaker_trips(&self, f: FunctionId) -> u64 {
         self.breakers.get(&f).map_or(0, |b| b.trips())
-    }
-
-    /// Sets the transient-fault retry schedule (see [`RetryPolicy`]).
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry_policy = policy;
-    }
-
-    /// The transient-fault retry schedule in use.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry_policy
     }
 
     /// Enables digest verification of REAP artifacts before every
@@ -508,44 +475,8 @@ impl Orchestrator {
     /// the span's virtual completion time falls back to the outcome's
     /// latency (an arrival at virtual zero).
     pub fn emit_telemetry(&self, outcome: &InvocationOutcome) {
-        self.emit_telemetry_attributed(
-            outcome,
-            FrameCacheDelta::default(),
-            SimTime::ZERO + outcome.latency,
-        );
-    }
-
-    /// [`emit_telemetry`](Self::emit_telemetry) with real per-request
-    /// frame-cache attribution and the invocation's virtual completion
-    /// time `vt` on its timeline — the cluster layer threads both through
-    /// for concurrent batches.
-    pub fn emit_telemetry_attributed(
-        &self,
-        outcome: &InvocationOutcome,
-        delta: FrameCacheDelta,
-        vt: SimTime,
-    ) {
-        self.emit_telemetry_disposed(outcome, delta, vt, Disposition::Completed);
-    }
-
-    /// [`emit_telemetry_attributed`](Self::emit_telemetry_attributed)
-    /// with an explicit overload disposition — the overload-aware paths
-    /// stamp `deadline_exceeded` on late completions; everything else is
-    /// `completed`.
-    pub fn emit_telemetry_disposed(
-        &self,
-        outcome: &InvocationOutcome,
-        delta: FrameCacheDelta,
-        vt: SimTime,
-        disposition: Disposition,
-    ) {
-        self.record_invocation_metrics(outcome, delta);
-        if disposition == Disposition::DeadlineExceeded {
-            if let Some(m) = &self.metrics {
-                m.inc("deadline_exceeded_total");
-            }
-        }
-        self.emit_span(outcome, delta, vt, disposition);
+        let served = Some((outcome, FrameCacheDelta::default()));
+        self.emit(outcome.function, Self::policy_label(outcome), served, SimTime::ZERO + outcome.latency, Disposition::Completed);
     }
 
     /// Emits the span + metrics of a request that produced **no**
@@ -553,14 +484,26 @@ impl Orchestrator {
     /// carries identity and the disposition label with zero phase and
     /// latency columns (no work was billed), so the disposition table is
     /// complete — every request appears exactly once in telemetry.
-    pub fn emit_unserved(
+    pub fn emit_unserved(&self, f: FunctionId, requested: ColdPolicy, vt: SimTime, disposition: Disposition) {
+        self.emit(f, format!("{requested:?}"), None, vt, disposition);
+    }
+
+    /// Records the metrics and the span of one resolved request, stamped
+    /// at virtual time `vt` — the only place a [`SpanRecord`] is built.
+    /// `served` carries the outcome and the frame-cache lookups charged
+    /// to it; an unserved request has neither.
+    fn emit(
         &self,
         f: FunctionId,
-        requested: ColdPolicy,
+        policy: String,
+        served: Option<(&InvocationOutcome, FrameCacheDelta)>,
         vt: SimTime,
         disposition: Disposition,
     ) {
         if let Some(m) = &self.metrics {
+            if let Some((outcome, delta)) = served {
+                Self::record_invocation_metrics(m, &policy, outcome, delta);
+            }
             match disposition {
                 Disposition::Shed { reason, .. } => {
                     m.inc(&labeled("overload_shed_total", &[("reason", reason.label())]));
@@ -572,68 +515,49 @@ impl Orchestrator {
         let Some(sink) = &self.telemetry else {
             return;
         };
-        sink.record(SpanRecord {
+        let span = SpanRecord {
             function: f.to_string(),
-            policy: format!("{requested:?}"),
+            policy,
             shard: self.telemetry_shard,
             cold: true,
             vt_ns: vt.as_nanos(),
             disposition: disposition.label().to_string(),
             ..SpanRecord::default()
-        });
-    }
-
-    /// Builds and records the span for `outcome`, charging it `delta` and
-    /// stamping virtual completion time `vt`.
-    fn emit_span(
-        &self,
-        outcome: &InvocationOutcome,
-        delta: FrameCacheDelta,
-        vt: SimTime,
-        disposition: Disposition,
-    ) {
-        let Some(sink) = &self.telemetry else {
-            return;
         };
-        sink.record(SpanRecord {
-            function: outcome.function.to_string(),
-            policy: Self::policy_label(outcome),
-            shard: self.telemetry_shard,
-            seq: outcome.seq,
-            cold: outcome.policy.is_some(),
-            recorded: outcome.recorded,
-            vt_ns: vt.as_nanos(),
-            load_vmm_ns: outcome.breakdown.load_vmm.as_nanos(),
-            fetch_ws_ns: outcome.breakdown.fetch_ws.as_nanos(),
-            install_ws_ns: outcome.breakdown.install_ws.as_nanos(),
-            conn_restore_ns: outcome.breakdown.conn_restore.as_nanos(),
-            processing_ns: outcome.breakdown.processing.as_nanos(),
-            record_finish_ns: outcome.breakdown.record_finish.as_nanos(),
-            latency_ns: outcome.latency.as_nanos(),
-            cache_hits: delta.hits,
-            cache_misses: delta.misses,
-            cache_raced: delta.raced,
-            transient_retries: outcome.recovery.transient_retries,
-            corrupt_reloads: outcome.recovery.corrupt_reloads,
-            retry_delay_ns: outcome.recovery.retry_delay.as_nanos(),
-            quarantined: outcome.recovery.quarantined,
-            fallback_vanilla: outcome.recovery.fallback_vanilla,
-            rebuilt: outcome.recovery.rebuilt,
-            rerouted: outcome.recovery.rerouted,
-            disposition: disposition.label().to_string(),
+        sink.record(match served {
+            None => span,
+            Some((outcome, delta)) => SpanRecord {
+                seq: outcome.seq,
+                cold: outcome.policy.is_some(),
+                recorded: outcome.recorded,
+                load_vmm_ns: outcome.breakdown.load_vmm.as_nanos(),
+                fetch_ws_ns: outcome.breakdown.fetch_ws.as_nanos(),
+                install_ws_ns: outcome.breakdown.install_ws.as_nanos(),
+                conn_restore_ns: outcome.breakdown.conn_restore.as_nanos(),
+                processing_ns: outcome.breakdown.processing.as_nanos(),
+                record_finish_ns: outcome.breakdown.record_finish.as_nanos(),
+                latency_ns: outcome.latency.as_nanos(),
+                cache_hits: delta.hits,
+                cache_misses: delta.misses,
+                cache_raced: delta.raced,
+                transient_retries: outcome.recovery.transient_retries,
+                corrupt_reloads: outcome.recovery.corrupt_reloads,
+                retry_delay_ns: outcome.recovery.retry_delay.as_nanos(),
+                quarantined: outcome.recovery.quarantined,
+                fallback_vanilla: outcome.recovery.fallback_vanilla,
+                rebuilt: outcome.recovery.rebuilt,
+                rerouted: outcome.recovery.rerouted,
+                ..span
+            },
         });
     }
 
-    /// Records a completed invocation into the metrics registry (no-op
-    /// without one): end-to-end and per-phase latency histograms keyed by
-    /// policy, recovery-event counters, and the request's frame-cache
+    /// Records a completed invocation into the metrics registry:
+    /// end-to-end and per-phase latency histograms keyed by policy,
+    /// recovery-event counters, and the request's frame-cache
     /// attribution.
-    fn record_invocation_metrics(&self, outcome: &InvocationOutcome, delta: FrameCacheDelta) {
-        let Some(m) = &self.metrics else {
-            return;
-        };
-        let policy = Self::policy_label(outcome);
-        let by_policy = [("policy", policy.as_str())];
+    fn record_invocation_metrics(m: &MetricsRegistry, policy: &str, outcome: &InvocationOutcome, delta: FrameCacheDelta) {
+        let by_policy = [("policy", policy)];
         m.observe(
             &labeled("invocation_latency_ns", &by_policy),
             outcome.latency.as_nanos(),
@@ -649,7 +573,7 @@ impl Orchestrator {
         ] {
             if !d.is_zero() {
                 m.observe(
-                    &labeled("phase_ns", &[("phase", phase), ("policy", policy.as_str())]),
+                    &labeled("phase_ns", &[("phase", phase), ("policy", policy)]),
                     d.as_nanos(),
                 );
             }
@@ -671,7 +595,6 @@ impl Orchestrator {
             }
         }
     }
-
 
     /// The host cost model.
     pub fn costs(&self) -> &HostCostModel {
@@ -810,20 +733,19 @@ impl Orchestrator {
     }
 
     /// Runs the functional pass of one cold invocation in the given
-    /// monitor mode, retrying transient faults per the orchestrator's
-    /// [`RetryPolicy`]. Record mode writes the REAP files and stores
-    /// them.
+    /// monitor mode through the recovery loop — transient faults retry,
+    /// but there is no budget and no quarantine fallback
+    /// ([`prepare`](Self::prepare) is the fallible path). Record mode
+    /// writes the REAP files and stores them.
     ///
     /// # Panics
     ///
     /// Panics if `f` is unregistered, if prefetch mode is requested
     /// without recorded files, if restoration fails verification, or on
-    /// an unrecoverable storage fault — the fallible twin is the recovery
-    /// loop inside [`try_prepare_cold`](Self::try_prepare_cold).
+    /// an unrecoverable storage fault.
     pub fn functional_cold(&mut self, f: FunctionId, mode: MonitorMode) -> FunctionalRun {
         let seq = self.acquire_seq(f);
-        let mut recovery = RecoveryReport::default();
-        self.functional_recovering(f, mode, seq, &mut recovery)
+        self.recover(f, mode, seq, &mut RecoveryReport::default(), None)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -835,53 +757,32 @@ impl Orchestrator {
         seq
     }
 
-    /// Returns `f`'s consumed seq if the invocation moves to another
-    /// shard, and renders the failure as a [`ShardUnavailable`]. The
-    /// re-routed request then completes with the seq it would have had
-    /// fault-free.
-    fn surrender_seq(&mut self, f: FunctionId, seq: u64, e: AttemptError) -> ShardUnavailable {
+    /// Returns `f`'s consumed seq when its request leaves this shard
+    /// unserved (failover, or a deadline that ran out mid-recovery): the
+    /// next admitted request of `f` — here or on the shard it re-routes
+    /// to — completes with the seq it would have had fault-free.
+    fn surrender_seq(&mut self, f: FunctionId, seq: u64) {
         let st = self.state_mut(f);
         if st.next_seq == seq + 1 {
             st.next_seq = seq;
         }
-        ShardUnavailable {
-            function: f,
-            detail: e.to_string(),
-        }
     }
 
-    /// Retry loop around [`functional_attempt`](Self::functional_attempt):
-    /// transient faults back off (virtual time, accumulated in
-    /// `recovery.retry_delay`) up to the policy's bound; a corrupt-artifact
-    /// parse gets one reload (wire corruption heals on a re-read, stored
-    /// corruption persists into the caller's quarantine path); everything
-    /// else returns immediately for the caller to handle.
-    fn functional_recovering(
-        &mut self,
-        f: FunctionId,
-        mode: MonitorMode,
-        seq: u64,
-        recovery: &mut RecoveryReport,
-    ) -> Result<FunctionalRun, AttemptError> {
-        self.functional_recovering_within(f, mode, seq, recovery, None)
-            .map_err(|e| match e {
-                RecoverAbort::Attempt(e) => e,
-                RecoverAbort::DeadlineExhausted => {
-                    unreachable!("no budget was set")
-                }
-            })
-    }
-
-    /// [`functional_recovering`](Self::functional_recovering) with an
-    /// optional virtual-time budget. Retry backoff *and* injected device
-    /// delays (drained after every failed attempt, so `FaultKind::Delay`
-    /// spikes consume the same budget backoff does) accumulate in
-    /// `recovery.retry_delay`; once committing to the next retry would
-    /// exceed the budget the loop aborts with
+    /// The recovery loop around
+    /// [`functional_attempt`](Self::functional_attempt): transient faults
+    /// back off (virtual time, accumulated in `recovery.retry_delay`) up
+    /// to [`RetryPolicy`]'s bound; a corrupt-artifact parse gets one
+    /// reload (wire corruption heals on a re-read, stored corruption
+    /// persists into the caller's quarantine path); everything else
+    /// returns immediately for the caller to handle.
+    ///
+    /// With a virtual-time `budget`, injected device delays are drained
+    /// after every failed attempt (so `FaultKind::Delay` spikes consume
+    /// the same budget backoff does), and once committing to the next
+    /// retry would exceed it the loop aborts with
     /// [`RecoverAbort::DeadlineExhausted`] instead of backing off.
-    /// Without a budget the loop behaves exactly as it always has —
-    /// delays drain only at completion.
-    fn functional_recovering_within(
+    /// Without one, delays drain only at completion.
+    fn recover(
         &mut self,
         f: FunctionId,
         mode: MonitorMode,
@@ -889,6 +790,7 @@ impl Orchestrator {
         recovery: &mut RecoveryReport,
         budget: Option<SimDuration>,
     ) -> Result<FunctionalRun, RecoverAbort> {
+        let retry = RetryPolicy::default();
         let mut transient_attempts = 0u32;
         let mut corrupt_retried = false;
         loop {
@@ -908,8 +810,8 @@ impl Orchestrator {
                 || matches!(&err, AttemptError::Prefetch(PrefetchError::Storage(se))
                     if se.class() == FaultClass::Transient);
             if transient {
-                if transient_attempts < self.retry_policy.max_retries {
-                    let backoff = self.retry_policy.delay_for(transient_attempts);
+                if transient_attempts < retry.max_retries {
+                    let backoff = retry.delay_for(transient_attempts);
                     if budget.is_some_and(|b| recovery.retry_delay + backoff > b) {
                         return Err(RecoverAbort::DeadlineExhausted);
                     }
@@ -1015,7 +917,7 @@ impl Orchestrator {
         }
         touched.extend(functionbench::behavior::touched_pages(&ops));
 
-        let recorded = if mode == MonitorMode::Record {
+        if mode == MonitorMode::Record {
             let files = monitor.finish_record(&format!("snapshots/{f}"));
             // (Re-)recording rewrites the WS artifacts in place (same
             // FileIds): release any extents cached from the previous
@@ -1032,10 +934,7 @@ impl Orchestrator {
             st.quarantined = false;
             st.recorded_seq = Some(seq);
             st.artifact_digest = Some(digest);
-            Some(files)
-        } else {
-            None
-        };
+        }
 
         if let Some(m) = &self.metrics {
             // Cold instances use a fresh VM, so the instance counters are
@@ -1055,7 +954,6 @@ impl Orchestrator {
             verified_pages: verified,
             footprint_bytes: vm.footprint_bytes(),
             input_seq: seq,
-            recorded,
             cache_delta: monitor.cache_delta() + verify_delta,
         })
     }
@@ -1336,171 +1234,69 @@ impl Orchestrator {
         files
     }
 
-    /// Runs the functional pass for one cold invocation under `policy`:
-    /// prefetch mode when the policy uses a recorded working set (which
-    /// must exist), on-demand lazy paging otherwise.
-    fn functional_for_policy(&mut self, f: FunctionId, policy: ColdPolicy) -> FunctionalRun {
-        let mode = if policy.uses_ws() {
-            assert!(
-                self.has_ws(f),
-                "{f}: record a working set first (invoke_record)"
-            );
-            MonitorMode::Prefetch
-        } else {
-            MonitorMode::OnDemand
-        };
-        self.functional_cold(f, mode)
-    }
-
-    /// Prepares a record-mode cold invocation (functional pass + compiled
-    /// program) without running the timed pass — see [`PreparedCold`].
-    pub fn prepare_record(&mut self, f: FunctionId, arrival: SimTime) -> PreparedCold {
-        self.try_prepare_record(f, arrival)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`prepare_record`](Self::prepare_record):
-    /// transient storage faults retry with backoff; an unreachable store
-    /// returns [`ShardUnavailable`] (seq rolled back) for the cluster
-    /// layer to re-route.
+    /// Prepares one cold invocation — the functional pass under the full
+    /// recovery policy, then the compiled program — without running the
+    /// timed pass (see [`PreparedCold`]). Every cold start takes this
+    /// path:
     ///
-    /// # Errors
-    ///
-    /// [`ShardUnavailable`] when the snapshot store is blacked out or
-    /// persistently faulting.
-    pub fn try_prepare_record(
-        &mut self,
-        f: FunctionId,
-        arrival: SimTime,
-    ) -> Result<PreparedCold, ShardUnavailable> {
-        let seq = self.acquire_seq(f);
-        let mut recovery = RecoveryReport::default();
-        let run = match self.functional_recovering(f, MonitorMode::Record, seq, &mut recovery) {
-            Ok(run) => run,
-            Err(e) => return Err(self.surrender_seq(f, seq, e)),
-        };
-        self.drain_injected_delay(f, &mut recovery);
-        let reap = run.recorded;
-        let files = self.instance_files(f);
-        let program = self.cold_program(f, ColdPolicy::Vanilla, true, &run, files, reap, arrival);
-        Ok(PreparedCold {
-            program,
-            function: f,
-            policy: ColdPolicy::Vanilla,
-            recorded: true,
-            run,
-            misprediction: None,
-            recovery,
-        })
-    }
-
-    /// Prepares one cold invocation under `policy` (functional pass,
-    /// misprediction bookkeeping, compiled program) without running the
-    /// timed pass — see [`PreparedCold`].
-    ///
-    /// # Panics
-    ///
-    /// As [`invoke_cold`](Self::invoke_cold).
-    pub fn prepare_cold(&mut self, f: FunctionId, policy: ColdPolicy, arrival: SimTime) -> PreparedCold {
-        self.try_prepare_cold(f, policy, arrival)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`prepare_cold`](Self::prepare_cold), running the
-    /// full recovery policy:
-    ///
+    /// * `req.function`'s circuit breaker (if [armed](Self::set_breaker))
+    ///   is consulted before any work, and told afterwards how it went;
     /// * transient storage faults retry with bounded virtual-time backoff
-    ///   ([`RetryPolicy`]);
+    ///   ([`RetryPolicy`]); backoff and injected delays consume
+    ///   `req.deadline`;
     /// * corrupt or unreachable REAP artifacts are quarantined and the
     ///   request falls back to a Vanilla cold start off the intact
     ///   snapshot, reusing its input seq (the function is flagged for
-    ///   re-record, which §7.2's auto-re-record serves next);
-    /// * an unreachable snapshot store (shard blackout) returns
-    ///   [`ShardUnavailable`] with the seq rolled back, so the cluster
-    ///   layer can re-route the request to a surviving shard.
+    ///   re-record, which §7.2's auto-re-record serves next).
     ///
-    /// The completed invocation's simulated outcome is byte-identical to
-    /// a fault-free run of its effective policy — recovery work shows up
-    /// only in [`InvocationOutcome::recovery`].
-    ///
-    /// # Errors
-    ///
-    /// [`ShardUnavailable`] when the snapshot store itself is
-    /// unreachable.
-    pub fn try_prepare_cold(
-        &mut self,
-        f: FunctionId,
-        policy: ColdPolicy,
-        arrival: SimTime,
-    ) -> Result<PreparedCold, ShardUnavailable> {
-        self.prepare_cold_guarded(f, policy, arrival, None)
-            .map_err(|e| match e {
-                ColdAbort::Shard(e) => e,
-                ColdAbort::Deadline(_) | ColdAbort::Shed { .. } => {
-                    unreachable!("no deadline was set")
-                }
-            })
-    }
-
-    /// The overload-aware twin of
-    /// [`try_prepare_cold`](Self::try_prepare_cold): consults `f`'s
-    /// circuit breaker (if [armed](Self::set_breaker)) before any work,
-    /// and threads the request's virtual-time deadline budget through
-    /// the recovery loop — retry backoff and injected delays consume
-    /// it, and exhausting it mid-recovery aborts with the consumed seq
-    /// rolled back, exactly like a [`ShardUnavailable`] failover.
-    ///
-    /// With no deadline and no breaker armed this is byte-identical to
-    /// the legacy path (pinned by the overload proptests). Note a
-    /// *completed* preparation may still finish past the deadline once
-    /// simulated: callers compare the timed completion against
-    /// [`Deadline::expires_at`] to classify late completions.
+    /// `req.independent` changes what the program runs against (fresh
+    /// [`shadow_files`](Self::shadow_files) identities) and skips the
+    /// misprediction / auto-re-record bookkeeping; it does not change
+    /// recovery. The completed invocation's simulated outcome is
+    /// byte-identical to a fault-free run of its effective policy —
+    /// recovery work shows up only in [`InvocationOutcome::recovery`].
     ///
     /// # Errors
     ///
-    /// [`ColdAbort::Shard`] as the legacy path;
+    /// [`ColdAbort::Shed`] when the breaker was open (no seq consumed);
     /// [`ColdAbort::Deadline`] when the budget ran out mid-recovery;
-    /// [`ColdAbort::Shed`] when the breaker was open.
-    pub fn try_prepare_cold_within(
-        &mut self,
-        f: FunctionId,
-        policy: ColdPolicy,
-        arrival: SimTime,
-        deadline: Option<Deadline>,
-    ) -> Result<PreparedCold, ColdAbort> {
-        let now = deadline.map_or(arrival, |d| d.arrival);
+    /// [`ColdAbort::Shard`] when the snapshot store itself is unreachable
+    /// (shard blackout), for the cluster layer to re-route. The last two
+    /// roll the consumed seq back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the function is unregistered or a prefetch policy is
+    /// used before [`invoke_record`](Self::invoke_record).
+    pub fn prepare(&mut self, req: &ColdRequest) -> Result<PreparedCold, ColdAbort> {
+        let f = req.function;
         if let Some(bp) = self.breaker_policy {
             let breaker = self
                 .breakers
                 .entry(f)
                 .or_insert_with(|| CircuitBreaker::new(bp));
-            if let Err(retry_after) = breaker.admit(now) {
+            if let Err(retry_after) = breaker.admit(req.arrival) {
                 return Err(ColdAbort::Shed {
                     reason: ShedReason::BreakerOpen,
                     retry_after: Some(retry_after),
                 });
             }
         }
-        let res = self.prepare_cold_guarded(f, policy, arrival, deadline);
-        if self.breaker_policy.is_some() {
+        let res = self.prepare_admitted(req, false);
+        // `breakers` holds `f` exactly when a policy is armed.
+        if let Some(breaker) = self.breakers.get_mut(&f) {
             // Quarantine fallbacks, shard blackouts and deadline aborts
             // all count as failures; a clean (or merely retried) cold
             // start resets the run.
             let failure = match &res {
-                Ok(p) => p.recovery().fallback_vanilla || p.recovery().quarantined,
+                Ok(p) => p.recovery.fallback_vanilla || p.recovery.quarantined,
                 Err(ColdAbort::Shard(_) | ColdAbort::Deadline(_)) => true,
                 Err(ColdAbort::Shed { .. }) => false,
             };
-            let tripped = {
-                let breaker = self.breakers.get_mut(&f).expect("breaker armed above");
-                if failure {
-                    breaker.record_failure(now)
-                } else {
-                    breaker.record_success();
-                    false
-                }
-            };
-            if tripped {
+            if !failure {
+                breaker.record_success();
+            } else if breaker.record_failure(req.arrival) {
+                // Tripped open on this failure.
                 if let Some(m) = &self.metrics {
                     let fname = f.to_string();
                     m.inc(&labeled("breaker_trips_total", &[("function", &fname)]));
@@ -1510,61 +1306,55 @@ impl Orchestrator {
         res
     }
 
-    /// The recovery state machine shared by
-    /// [`try_prepare_cold`](Self::try_prepare_cold) (no deadline) and
-    /// [`try_prepare_cold_within`](Self::try_prepare_cold_within).
-    fn prepare_cold_guarded(
-        &mut self,
-        f: FunctionId,
-        policy: ColdPolicy,
-        arrival: SimTime,
-        deadline: Option<Deadline>,
-    ) -> Result<PreparedCold, ColdAbort> {
-        if policy.uses_ws() && self.auto_rerecord && self.needs_rerecord(f) {
-            // §7.2 fallback: refresh the stale working set. Re-record
-            // runs unbudgeted — its cost is the artifact refresh, not
-            // this request's latency; a late completion is still
-            // classified against the deadline by the caller.
-            return self.try_prepare_record(f, arrival).map_err(ColdAbort::Shard);
-        }
-        let budget = deadline.map(|d| d.remaining(arrival));
+    /// [`prepare`](Self::prepare) past the breaker: the recovery state
+    /// machine and the one place a [`PreparedCold`] is built. `record`
+    /// makes it a record pass — faults served on demand *and* the REAP
+    /// files written (§5.2.1), compiled as a Vanilla program plus the
+    /// record epilogue.
+    fn prepare_admitted(&mut self, req: &ColdRequest, record: bool) -> Result<PreparedCold, ColdAbort> {
+        let &ColdRequest { function: f, policy, independent, arrival, deadline } = req;
+        // §7.2 fallback: a stale working set is refreshed by the next
+        // prefetch request of the function itself.
+        let record = record
+            || (policy.uses_ws() && !independent && self.auto_rerecord && self.needs_rerecord(f));
+        let mut effective = if record { ColdPolicy::Vanilla } else { policy };
+        // A record pass runs unbudgeted — its cost is the artifact
+        // refresh, not this request's latency; `finish` still classifies
+        // a late completion against the deadline.
+        let budget = if record { None } else { deadline };
         let mut recovery = RecoveryReport::default();
-        let mut effective = policy;
-        if policy.uses_ws() {
+        if effective.uses_ws() {
             assert!(
                 self.has_ws(f),
                 "{f}: record a working set first (invoke_record)"
             );
-            if self.state(f).quarantined {
-                effective = ColdPolicy::Vanilla;
-                recovery.quarantined = true;
-                recovery.fallback_vanilla = true;
-            } else if self.verify_artifacts && !self.artifacts_intact(f) {
-                // Silent corruption of the stored bytes: quarantine before
-                // the corrupt artifacts reach the prefetch path at all.
+            // Silent corruption of the stored bytes is quarantined here,
+            // before the corrupt artifacts reach the prefetch path at all.
+            if !self.state(f).quarantined && self.verify_artifacts && !self.artifacts_intact(f) {
                 self.quarantine(f);
-                effective = ColdPolicy::Vanilla;
-                recovery.quarantined = true;
-                recovery.fallback_vanilla = true;
             }
         }
         let seq = self.acquire_seq(f);
         let run = loop {
-            let mode = if effective.uses_ws() {
+            if effective.uses_ws() && self.state(f).quarantined {
+                // Quarantined — just now, or by an earlier request still
+                // awaiting re-record: serve this one Vanilla off the
+                // intact snapshot, same seq.
+                effective = ColdPolicy::Vanilla;
+                recovery.quarantined = true;
+                recovery.fallback_vanilla = true;
+            }
+            let mode = if record {
+                MonitorMode::Record
+            } else if effective.uses_ws() {
                 MonitorMode::Prefetch
             } else {
                 MonitorMode::OnDemand
             };
-            match self.functional_recovering_within(f, mode, seq, &mut recovery, budget) {
+            match self.recover(f, mode, seq, &mut recovery, budget) {
                 Ok(run) => break run,
                 Err(RecoverAbort::DeadlineExhausted) => {
-                    // Roll back the consumed seq exactly like a shard
-                    // failover: the next admitted request of `f`
-                    // completes with the seq this one surrendered.
-                    let st = self.state_mut(f);
-                    if st.next_seq == seq + 1 {
-                        st.next_seq = seq;
-                    }
+                    self.surrender_seq(f, seq);
                     return Err(ColdAbort::Deadline(DeadlineExpired {
                         function: f,
                         spent: recovery.retry_delay,
@@ -1574,27 +1364,30 @@ impl Orchestrator {
                 Err(RecoverAbort::Attempt(e @ AttemptError::Restore(..))) => {
                     // The snapshot itself is unreachable: nothing this
                     // shard can serve. Hand the request back for failover.
-                    return Err(ColdAbort::Shard(self.surrender_seq(f, seq, e)));
+                    self.surrender_seq(f, seq);
+                    return Err(ColdAbort::Shard(ShardUnavailable {
+                        function: f,
+                        detail: e.to_string(),
+                    }));
                 }
                 Err(RecoverAbort::Attempt(AttemptError::Prefetch(e))) => {
                     // Artifact trouble (corrupt bytes survived the reload,
-                    // artifact storage gone, retries exhausted): quarantine
-                    // and serve this request Vanilla off the intact
-                    // snapshot, same seq.
+                    // artifact storage gone, retries exhausted).
                     assert!(
                         effective.uses_ws(),
                         "prefetch fault without a prefetch policy: {e}"
                     );
                     self.quarantine(f);
-                    effective = ColdPolicy::Vanilla;
-                    recovery.quarantined = true;
-                    recovery.fallback_vanilla = true;
                 }
             }
         };
         self.drain_injected_delay(f, &mut recovery);
-        let reap = self.state(f).reap;
-        let misprediction = if effective.uses_ws() {
+        let (files, reap) = if independent {
+            self.shadow_files(f)
+        } else {
+            (self.instance_files(f), self.state(f).reap)
+        };
+        let misprediction = if effective.uses_ws() && !independent {
             let recorded_pages: BTreeSet<PageIdx> = read_trace_file(
                 &self.fs,
                 reap.expect("ws present").trace_file,
@@ -1614,42 +1407,88 @@ impl Orchestrator {
         } else {
             None
         };
-        let files = self.instance_files(f);
-        let program = self.cold_program(f, effective, false, &run, files, reap, arrival);
+        let program = self.cold_program(f, effective, record, &run, files, reap, arrival);
         Ok(PreparedCold {
             program,
             function: f,
             policy: effective,
-            recorded: false,
+            recorded: record,
             run,
             misprediction,
             recovery,
+            deadline: deadline.map(|b| Deadline::new(arrival, b)),
         })
     }
 
-    /// Like [`prepare_cold`](Self::prepare_cold), but the compiled program
-    /// runs against freshly allocated [`shadow_files`](Self::shadow_files)
-    /// identities: the instance models an *independent* function with its
-    /// own snapshot (§6.5's concurrency methodology). Misprediction and
-    /// re-record bookkeeping are skipped — the instance stands in for a
-    /// different function than the one whose behaviour it borrows.
-    ///
-    /// # Panics
-    ///
-    /// As [`invoke_cold`](Self::invoke_cold).
+    /// [`prepare`](Self::prepare) for a shared request whose deadline is
+    /// given as an absolute [`Deadline`].
+    pub fn try_prepare_cold_within(&mut self, f: FunctionId, policy: ColdPolicy, arrival: SimTime, deadline: Option<Deadline>) -> Result<PreparedCold, ColdAbort> {
+        let deadline = deadline.map(|d| d.remaining(arrival));
+        self.prepare(&ColdRequest { arrival, deadline, ..ColdRequest::shared(f, policy) })
+    }
+
+    /// [`prepare`](Self::prepare) for an independent request without a
+    /// deadline (§6.5's concurrency methodology); panics where
+    /// [`invoke_cold`](Self::invoke_cold) does.
     pub fn prepare_cold_shadow(&mut self, f: FunctionId, policy: ColdPolicy, arrival: SimTime) -> PreparedCold {
-        let run = self.functional_for_policy(f, policy);
-        let (files, reap) = self.shadow_files(f);
-        let program = self.cold_program(f, policy, false, &run, files, reap, arrival);
-        PreparedCold {
-            program,
-            function: f,
-            policy,
-            recorded: false,
-            run,
-            misprediction: None,
-            recovery: RecoveryReport::default(),
-        }
+        let req = ColdRequest { arrival, ..ColdRequest::independent(f, policy) };
+        self.prepare(&req).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Completes a prepared invocation with the timed result of its
+    /// program and the disk counters of the timeline it ran on: builds
+    /// the outcome, classifies it against the request's deadline and
+    /// emits its span on this orchestrator's sink and registry.
+    ///
+    /// The true virtual completion is the timed finish plus the recovery
+    /// time spent off-timeline (retry backoff, injected delays); past the
+    /// expiry instant the outcome is kept — byte-identical to the
+    /// deadline-off run — but is not goodput.
+    pub fn finish(&self, prepared: PreparedCold, result: crate::timeline::InstanceResult, disk_stats: DiskStats) -> (Disposition, InvocationOutcome) {
+        let (delta, deadline) = (prepared.run.cache_delta, prepared.deadline);
+        let outcome = prepared.into_outcome(result, disk_stats);
+        let completion = result.end + outcome.recovery.retry_delay;
+        let disposition = match deadline {
+            Some(d) if d.expired_at(completion) => Disposition::DeadlineExceeded,
+            _ => Disposition::Completed,
+        };
+        self.emit(outcome.function, Self::policy_label(&outcome), Some((&outcome, delta)), result.end, disposition);
+        (disposition, outcome)
+    }
+
+    /// Resolves a request [`prepare`](Self::prepare) refused: its
+    /// explicit disposition and its unserved span — stamped at arrival
+    /// when shed, at the expiry instant when the deadline ran out
+    /// mid-recovery.
+    ///
+    /// # Errors
+    ///
+    /// [`ShardUnavailable`] is not a resolution: the caller re-routes
+    /// the request (or, with nowhere to route, gives up).
+    pub fn finish_unserved(&self, req: &ColdRequest, abort: ColdAbort) -> Result<Disposition, ShardUnavailable> {
+        let (vt, disposition) = match abort {
+            ColdAbort::Shard(e) => return Err(e),
+            ColdAbort::Deadline(e) => (req.arrival + e.budget, Disposition::DeadlineExceeded),
+            ColdAbort::Shed { reason, retry_after } => (req.arrival, Disposition::Shed { reason, retry_after }),
+        };
+        self.emit_unserved(req.function, req.policy, vt, disposition);
+        Ok(disposition)
+    }
+
+    /// The single-node serving sequence: a refused request resolves
+    /// through [`finish_unserved`](Self::finish_unserved); a prepared one
+    /// runs alone on a fresh timeline and finishes. An explicit `record`
+    /// pass skips the breaker — it is what repairs a quarantined function.
+    fn serve(&mut self, req: &ColdRequest, record: bool) -> (Disposition, Option<InvocationOutcome>) {
+        let prepared = if record { self.prepare_admitted(req, true) } else { self.prepare(req) };
+        let mut prepared = match prepared {
+            Ok(p) => p,
+            // A single node has nowhere to re-route an unreachable store.
+            Err(abort) => return (self.finish_unserved(req, abort).unwrap_or_else(|e| panic!("{e}")), None),
+        };
+        let (results, disk) = self.run_timed(vec![prepared.take_program()]);
+        let (disposition, outcome) = self.finish(prepared, results[0], disk);
+        (disposition, Some(outcome))
     }
 
     /// First cold invocation of a function under REAP: serves faults on
@@ -1657,93 +1496,45 @@ impl Orchestrator {
     /// [`invoke_cold`](Self::invoke_cold) calls with prefetch policies use
     /// the recorded files.
     pub fn invoke_record(&mut self, f: FunctionId) -> InvocationOutcome {
-        let mut prepared = self.prepare_record(f, SimTime::ZERO);
-        let (results, disk) = self.run_timed(vec![prepared.take_program()]);
-        let delta = prepared.cache_delta();
-        let outcome = prepared.into_outcome(results[0], disk);
-        self.emit_telemetry_attributed(&outcome, delta, results[0].end);
-        outcome
+        let (_, outcome) = self.serve(&ColdRequest::shared(f, ColdPolicy::Vanilla), true);
+        outcome.expect("a record pass is never shed and carries no deadline")
     }
 
     /// One cold invocation under `policy`.
     ///
     /// # Panics
     ///
-    /// Panics if the function is unregistered or a prefetch policy is used
-    /// before [`invoke_record`](Self::invoke_record).
+    /// Panics if the function is unregistered, a prefetch policy is used
+    /// before [`invoke_record`](Self::invoke_record), the snapshot store
+    /// is unreachable (use the cluster layer for failover), or an armed
+    /// circuit breaker sheds the request — there is no outcome to return;
+    /// [`invoke_cold_within`](Self::invoke_cold_within) reports it.
     pub fn invoke_cold(&mut self, f: FunctionId, policy: ColdPolicy) -> InvocationOutcome {
-        let mut prepared = self.prepare_cold(f, policy, SimTime::ZERO);
-        let (results, disk) = self.run_timed(vec![prepared.take_program()]);
-        let delta = prepared.cache_delta();
-        let outcome = prepared.into_outcome(results[0], disk);
-        self.emit_telemetry_attributed(&outcome, delta, results[0].end);
-        outcome
+        let (disposition, outcome) = self.invoke_cold_within(f, policy, None);
+        outcome.unwrap_or_else(|| panic!("{f}: {disposition}"))
     }
 
     /// One cold invocation under `policy` with an optional virtual-time
-    /// deadline: the overload-aware single-node invoke. Always resolves
-    /// to an explicit [`Disposition`]:
-    ///
-    /// * `Completed` — served, and (with a deadline) its virtual
-    ///   completion (timed finish + recovery retry delay) landed at or
-    ///   before the expiry instant;
-    /// * `Shed` — the function's circuit breaker was open; no seq was
-    ///   consumed and no outcome exists;
-    /// * `DeadlineExceeded` — either the budget ran out mid-recovery
-    ///   (seq rolled back, no outcome) or the run completed late (the
-    ///   outcome is returned — byte-identical to the deadline-off run —
-    ///   but does not count as goodput).
+    /// deadline. Always resolves to an explicit [`Disposition`]; there is
+    /// no outcome when the breaker shed the request or the budget ran out
+    /// mid-recovery, and a late completion keeps its outcome but is
+    /// `DeadlineExceeded`, not goodput.
     ///
     /// # Panics
     ///
-    /// As [`invoke_cold`](Self::invoke_cold), plus on an unrecoverable
-    /// shard blackout (single-node callers have nowhere to re-route; use
-    /// the cluster layer for failover).
-    pub fn invoke_cold_within(
-        &mut self,
-        f: FunctionId,
-        policy: ColdPolicy,
-        deadline: Option<Deadline>,
-    ) -> (Disposition, Option<InvocationOutcome>) {
+    /// As [`invoke_cold`](Self::invoke_cold), shedding aside.
+    pub fn invoke_cold_within(&mut self, f: FunctionId, policy: ColdPolicy, deadline: Option<Deadline>) -> (Disposition, Option<InvocationOutcome>) {
         let arrival = deadline.map_or(SimTime::ZERO, |d| d.arrival);
-        let mut prepared = match self.try_prepare_cold_within(f, policy, arrival, deadline) {
-            Ok(p) => p,
-            Err(ColdAbort::Shed { reason, retry_after }) => {
-                let d = Disposition::Shed { reason, retry_after };
-                self.emit_unserved(f, policy, arrival, d);
-                return (d, None);
-            }
-            Err(ColdAbort::Deadline(_)) => {
-                self.emit_unserved(f, policy, arrival, Disposition::DeadlineExceeded);
-                return (Disposition::DeadlineExceeded, None);
-            }
-            Err(ColdAbort::Shard(e)) => panic!("{e}"),
-        };
-        let (results, disk) = self.run_timed(vec![prepared.take_program()]);
-        let delta = prepared.cache_delta();
-        let outcome = prepared.into_outcome(results[0], disk);
-        // True virtual completion = timed finish + recovery time spent
-        // off-timeline (retry backoff, injected delays).
-        let completion = results[0].end + outcome.recovery.retry_delay;
-        let disposition = match deadline {
-            Some(d) if d.expired_at(completion) => Disposition::DeadlineExceeded,
-            _ => Disposition::Completed,
-        };
-        self.emit_telemetry_disposed(&outcome, delta, results[0].end, disposition);
-        (disposition, Some(outcome))
+        let req = ColdRequest { arrival, deadline: deadline.map(|d| d.budget), ..ColdRequest::shared(f, policy) };
+        self.serve(&req, false)
     }
 
     /// One warm invocation: the instance is memory-resident; no VMM load,
     /// no connection restoration, no uffd faults (Fig 2's warm bars).
     pub fn invoke_warm(&mut self, f: FunctionId) -> InvocationOutcome {
         let config = self.vm_config(f, self.state(f).generation);
-        let (input, seq) = {
-            let st = self.state_mut(f);
-            let input = st.inputs.input(st.next_seq);
-            let seq = st.next_seq;
-            st.next_seq += 1;
-            (input, seq)
-        };
+        let seq = self.acquire_seq(f);
+        let input = self.state(f).inputs.input(seq);
         // Boot (or reuse) the warm instance.
         if self.state(f).warm.is_none() {
             let (vm, _) = MicroVm::boot(f, config);
@@ -1767,12 +1558,12 @@ impl Orchestrator {
             verified_pages: 0,
             footprint_bytes: footprint,
             input_seq: seq,
-            recorded: None,
             cache_delta: FrameCacheDelta::default(),
         };
         let outcome =
             outcome_of(f, None, false, run, results[0], disk, None, RecoveryReport::default());
-        self.emit_telemetry_attributed(&outcome, FrameCacheDelta::default(), results[0].end);
+        let served = Some((&outcome, FrameCacheDelta::default()));
+        self.emit(f, Self::policy_label(&outcome), served, results[0].end, Disposition::Completed);
         outcome
     }
 }
@@ -2147,9 +1938,10 @@ mod tests {
         a.invoke_record(f);
         b.invoke_record(f);
         let via_invoke = a.invoke_cold(f, ColdPolicy::Reap);
-        let mut prepared = b.prepare_cold(f, ColdPolicy::Reap, SimTime::ZERO);
+        let mut prepared = b.prepare(&ColdRequest::shared(f, ColdPolicy::Reap)).unwrap();
         let (results, disk) = b.run_timed(vec![prepared.take_program()]);
-        let via_prepare = prepared.into_outcome(results[0], disk);
+        let (disposition, via_prepare) = b.finish(prepared, results[0], disk);
+        assert_eq!(disposition, Disposition::Completed);
         assert_eq!(format!("{via_invoke:?}"), format!("{via_prepare:?}"));
     }
 }

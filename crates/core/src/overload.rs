@@ -1,9 +1,9 @@
-//! Overload dispositions: what finally happened to a request.
+//! The cold-start request ([`ColdRequest`]) and its overload
+//! dispositions: what finally happened to it.
 //!
 //! PR 7's recovery machinery guarantees no request is *dropped*; this
 //! module guarantees none is *silently hung* either. Every request
-//! served through an overload-aware path resolves to exactly one
-//! [`Disposition`]:
+//! resolves to exactly one [`Disposition`]:
 //!
 //! * [`Completed`](Disposition::Completed) — served within its deadline
 //!   (or with no deadline set);
@@ -22,9 +22,68 @@
 use std::fmt;
 
 use functionbench::FunctionId;
-use sim_core::SimDuration;
+use sim_core::{SimDuration, SimTime};
 
+use crate::invocation::ColdPolicy;
 use crate::recovery::ShardUnavailable;
+
+/// One cold invocation, as [`Orchestrator::prepare`](crate::Orchestrator::prepare)
+/// and the cluster's `invoke_concurrent` take it.
+#[derive(Debug, Clone, Copy)]
+pub struct ColdRequest {
+    /// The function to invoke (also selects the home shard).
+    pub function: FunctionId,
+    /// Restore policy.
+    pub policy: ColdPolicy,
+    /// When `true`, the instance models an *independent* function with
+    /// its own snapshot identity (shadow files, §6.5's concurrency
+    /// methodology) and the misprediction / auto-re-record bookkeeping
+    /// is skipped — it stands in for a different function than the one
+    /// whose behaviour it borrows. `false` runs against the function's
+    /// real snapshot files, sharing page-cache state with its siblings.
+    /// Recovery (retries, quarantine fallback, failover, deadlines) is
+    /// the same either way.
+    pub independent: bool,
+    /// Arrival time on the timeline the request is served on.
+    pub arrival: SimTime,
+    /// Optional virtual-time latency budget, relative to `arrival`. A
+    /// request carrying one resolves to an explicit [`Disposition`]: it
+    /// can be shed at admission, aborted mid-recovery once
+    /// retries/injected delays exhaust the budget (its seq rolled
+    /// back), or served and classified
+    /// [`Disposition::DeadlineExceeded`] if its simulated completion
+    /// lands past the expiry instant. `None` = no deadline.
+    pub deadline: Option<SimDuration>,
+}
+
+impl ColdRequest {
+    /// A request against the function's real snapshot files, arriving at
+    /// time zero.
+    pub fn shared(function: FunctionId, policy: ColdPolicy) -> Self {
+        ColdRequest {
+            function,
+            policy,
+            independent: false,
+            arrival: SimTime::ZERO,
+            deadline: None,
+        }
+    }
+
+    /// A request modeling an independent function (fresh shadow
+    /// identity), arriving at time zero.
+    pub fn independent(function: FunctionId, policy: ColdPolicy) -> Self {
+        ColdRequest {
+            independent: true,
+            ..ColdRequest::shared(function, policy)
+        }
+    }
+
+    /// Attaches a virtual-time latency budget (relative to arrival).
+    pub fn with_deadline(mut self, budget: SimDuration) -> Self {
+        self.deadline = Some(budget);
+        self
+    }
+}
 
 /// Why a request was shed before any work was done on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -141,11 +200,12 @@ impl fmt::Display for DeadlineExpired {
 
 impl std::error::Error for DeadlineExpired {}
 
-/// Why an overload-aware cold start did not produce a `PreparedCold`.
+/// Why [`Orchestrator::prepare`](crate::Orchestrator::prepare) did not
+/// produce a `PreparedCold`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ColdAbort {
     /// The shard's snapshot store is unreachable — re-route (seq rolled
-    /// back), exactly as on the legacy path.
+    /// back).
     Shard(ShardUnavailable),
     /// The virtual-time budget ran out mid-recovery (seq rolled back).
     Deadline(DeadlineExpired),
