@@ -44,6 +44,15 @@ const STRIDE: u64 = 64;
 const SEG_LEN: u64 = 2048;
 const GUEST_BYTES: u64 = 256 * 1024 * 1024;
 const REGION_BASE: u64 = 0x7f00_0000_0000;
+/// The serving set of the cluster, router, recovery and Vanilla
+/// timed-pass groups: light functions that spread over the shard space
+/// (8-20 MB working set each).
+const SERVING_SET: [FunctionId; 4] = [
+    FunctionId::helloworld,
+    FunctionId::chameleon,
+    FunctionId::pyaes,
+    FunctionId::json_serdes,
+];
 
 /// Fragmented working set (fault-order page list).
 fn ws_layout() -> Vec<PageIdx> {
@@ -448,13 +457,7 @@ fn bench_cluster(r: &mut Report) {
     use vhive_cluster::{ClusterOrchestrator, ColdRequest};
     use vhive_core::ColdPolicy;
 
-    // Light functions that spread over the shard space (8-20 MB WS each).
-    let funcs = [
-        FunctionId::helloworld,
-        FunctionId::chameleon,
-        FunctionId::pyaes,
-        FunctionId::json_serdes,
-    ];
+    let funcs = SERVING_SET;
     let reqs: Vec<ColdRequest> = (0..64)
         .map(|i| ColdRequest::independent(funcs[i % funcs.len()], ColdPolicy::Reap))
         .collect();
@@ -616,12 +619,7 @@ fn bench_router(r: &mut Report) {
     if !r.wants(name) {
         return;
     }
-    let funcs = [
-        FunctionId::helloworld,
-        FunctionId::chameleon,
-        FunctionId::pyaes,
-        FunctionId::json_serdes,
-    ];
+    let funcs = SERVING_SET;
     let mut costs = std::collections::HashMap::new();
     for f in funcs {
         costs.insert(
@@ -797,12 +795,7 @@ fn bench_fault_recovery(r: &mut Report) {
 
     let dead_name = "cluster/invoke_cold_64fn_1shard_dead";
     if r.wants(dead_name) {
-        let funcs = [
-            FunctionId::helloworld,
-            FunctionId::chameleon,
-            FunctionId::pyaes,
-            FunctionId::json_serdes,
-        ];
+        let funcs = SERVING_SET;
         let mut cluster = ClusterOrchestrator::new(0xC10_5732, 4);
         for f in funcs {
             cluster.register(f);
@@ -941,6 +934,33 @@ fn bench_timeline(r: &mut Report, fs: &FileStore) {
     });
 }
 
+/// The timed pass of one `vanilla_fault` benchmark op: 16 independent
+/// Vanilla cold starts (~57k `FaultRead` steps, ~13k of which miss and
+/// admit a 32-page readahead cluster) merged onto one fresh timeline.
+fn bench_timeline_vanilla_batch(r: &mut Report) {
+    use vhive_core::{ColdPolicy, ColdRequest, Orchestrator};
+
+    let name = "timeline/vanilla_batch_16fn";
+    if !r.wants(name) {
+        return;
+    }
+    let mut orch = Orchestrator::new(0xC10_5732);
+    for f in SERVING_SET {
+        orch.register(f);
+    }
+    let programs: Vec<InstanceProgram> = (0..16)
+        .map(|i| {
+            orch.prepare(&ColdRequest::independent(SERVING_SET[i % SERVING_SET.len()], ColdPolicy::Vanilla))
+                .expect("no faults injected")
+                .take_program()
+        })
+        .collect();
+    r.add(name, || {
+        let results = orch.timeline().run(programs.clone());
+        assert_eq!(results.len(), 16);
+    });
+}
+
 /// Pulls `"name": {"median_ns": N, "samples": M}` triples out of a
 /// baseline JSON emitted by this binary (hand-rolled: the build container
 /// has no serde_json).
@@ -1041,6 +1061,7 @@ fn main() {
     bench_frame_cache(&mut report, &fs, &pages);
     bench_fault_path(&mut report, &fs, &pages);
     bench_timeline(&mut report, &fs);
+    bench_timeline_vanilla_batch(&mut report);
     bench_cluster(&mut report);
     bench_router(&mut report);
     bench_fault_recovery(&mut report);

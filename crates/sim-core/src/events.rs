@@ -4,16 +4,39 @@
 //! Ties are broken by insertion order (FIFO) so that simulations are fully
 //! deterministic regardless of heap internals.
 
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Key {
+/// One pending event. Ordered by `(time, seq)` alone — reversed, so the
+/// max-heap pops the earliest — and never by its payload.
+#[derive(Debug)]
+struct Entry<E> {
     time: SimTime,
     seq: u64,
+    event: E,
 }
+
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.time, other.seq).cmp(&(self.time, self.seq))
+    }
+}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<E> Eq for Entry<E> {}
 
 /// A time-ordered, FIFO-tiebroken event queue.
 ///
@@ -31,8 +54,7 @@ struct Key {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<(Key, u64)>>,
-    items: Vec<Option<E>>,
+    heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
 }
 
@@ -47,7 +69,6 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            items: Vec::new(),
             next_seq: 0,
         }
     }
@@ -56,24 +77,17 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = self.items.len() as u64;
-        self.items.push(Some(event));
-        self.heap.push(Reverse((Key { time, seq }, slot)));
+        self.heap.push(Entry { time, seq, event });
     }
 
     /// Removes and returns the earliest event, FIFO among equal timestamps.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let Reverse((key, slot)) = self.heap.pop()?;
-        let ev = self.items[slot as usize]
-            .take()
-            .expect("event slot already consumed");
-        self.maybe_compact();
-        Some((key.time, ev))
+        self.heap.pop().map(|e| (e.time, e.event))
     }
 
     /// Time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((key, _))| key.time)
+        self.heap.peek().map(|e| e.time)
     }
 
     /// Number of pending events.
@@ -89,17 +103,8 @@ impl<E> EventQueue<E> {
     /// Drops all pending events.
     pub fn clear(&mut self) {
         self.heap.clear();
-        self.items.clear();
         // next_seq deliberately *not* reset: determinism only needs FIFO
         // within a queue's lifetime, and monotone seq keeps invariants simple.
-    }
-
-    fn maybe_compact(&mut self) {
-        // Reclaim the slot vector once the heap drains, so long-running
-        // simulations do not grow memory without bound.
-        if self.heap.is_empty() {
-            self.items.clear();
-        }
     }
 }
 
@@ -191,14 +196,16 @@ mod tests {
     }
 
     #[test]
-    fn slot_storage_reclaimed_after_drain() {
+    fn consumed_events_hold_no_storage() {
+        // A queue that never drains (the timeline's steady state) must
+        // stay as small as its pending set, however many events pass.
         let mut q = EventQueue::new();
-        for round in 0..4 {
-            for i in 0..2000u64 {
-                q.push(t(i), i * round);
-            }
-            while q.pop().is_some() {}
-            assert!(q.items.is_empty(), "slots reclaimed after drain");
+        q.push(t(0), 0u64);
+        for i in 1..100_000u64 {
+            q.push(t(i), i);
+            assert_eq!(q.pop(), Some((t(i - 1), i - 1)));
         }
+        assert_eq!(q.len(), 1);
+        assert!(q.heap.capacity() <= 8, "capacity {}", q.heap.capacity());
     }
 }

@@ -286,11 +286,6 @@ impl Disk {
         self.cache.drop_caches();
     }
 
-    /// Access to the page cache (e.g. to drop a single regenerated file).
-    pub fn cache_mut(&mut self) -> &mut PageCache {
-        &mut self.cache
-    }
-
     /// Cumulative counters.
     pub fn stats(&self) -> DiskStats {
         self.stats

@@ -5,25 +5,40 @@
 //! binds, but we model LRU anyway so cache-pressure experiments are
 //! possible. Granularity is one 4 KB page of a given file.
 //!
-//! Recency is an intrusive doubly-linked list threaded through a node
-//! slab: probe, insert and evict are all O(1), with no ordered stamp
-//! index to maintain (the previous `BTreeMap`-by-stamp design paid
-//! O(log n) per touch on the hottest path of the disk model).
+//! **Index.** Each file owns a chunked dense table: an ordered directory
+//! of 512-page leaves, allocated on first touch, whose `u32` slots hold
+//! the page's LRU node (or a null marker). A probe resolves the
+//! file (one hash of the [`FileId`]), then the leaf (one ordered lookup
+//! among the file's touched leaves), then indexes. A run admission —
+//! the 32-page readahead cluster behind every Vanilla fault miss —
+//! resolves the file once per call and the leaf once per 512 pages, so
+//! an admitted page costs one slot load, one node write and one list
+//! link: no per-page hashing.
+//!
+//! **Recency** is an intrusive doubly-linked list threaded through a
+//! node slab: probe, insert and evict are O(1) per page, and a node
+//! remembers its table slot so eviction never consults the directory.
+//!
+//! **Memory** is bounded by what was touched, not by page numbers: 2 KB
+//! per leaf touched since the last [`PageCache::drop_caches`] plus 12
+//! bytes per resident page — page `1 << 40` costs one leaf. A fully
+//! touched 256 MB guest-memory file is 128 leaves, 256 KB.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::file_store::FileId;
 
-/// Key of one cached page: (file, page index within file).
-type PageKey = (FileId, u64);
-
-/// Null link in the LRU list.
+/// Null link in the LRU list; also "not resident" in an index slot.
 const NIL: u32 = u32::MAX;
 
-/// One LRU node: its key plus prev/next links (MRU towards `head`).
+/// Pages per index leaf (2 KB of `u32` slots).
+const LEAF_PAGES: u64 = 512;
+
+/// One LRU node: the index slot that points at it plus prev/next links
+/// (MRU towards `head`).
 #[derive(Debug, Clone, Copy)]
 struct Node {
-    key: PageKey,
+    slot: u32,
     prev: u32,
     next: u32,
 }
@@ -47,8 +62,14 @@ struct Node {
 #[derive(Debug, Clone)]
 pub struct PageCache {
     capacity_pages: usize,
-    /// page -> node index in `nodes`.
-    pages: HashMap<PageKey, u32>,
+    /// file -> its leaf directory in `dirs`.
+    files: HashMap<FileId, u32>,
+    /// Per file: leaf number (`page / LEAF_PAGES`) -> first slot of that
+    /// leaf in `slots`.
+    dirs: Vec<BTreeMap<u64, u32>>,
+    /// The leaves, back to back: page slot -> node index in `nodes`, or
+    /// NIL when the page is not resident.
+    slots: Vec<u32>,
     nodes: Vec<Node>,
     /// Recycled node indices.
     free: Vec<u32>,
@@ -71,7 +92,9 @@ impl PageCache {
         assert!(capacity_pages > 0, "page cache needs nonzero capacity");
         PageCache {
             capacity_pages,
-            pages: HashMap::new(),
+            files: HashMap::new(),
+            dirs: Vec::new(),
+            slots: Vec::new(),
             nodes: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -114,118 +137,144 @@ impl PageCache {
         self.head = n;
     }
 
-    /// Refreshes recency of an existing page or admits a new one.
-    fn touch(&mut self, key: PageKey) {
-        if let Some(&n) = self.pages.get(&key) {
-            if self.head != n {
-                self.unlink(n);
-                self.link_front(n);
-            }
+    /// Makes resident node `n` the most recently used.
+    fn refresh(&mut self, n: u32) {
+        if self.head != n {
+            self.unlink(n);
+            self.link_front(n);
+        }
+    }
+
+    /// Index of `file`'s leaf directory, created on first touch.
+    fn dir_of(&mut self, file: FileId) -> usize {
+        let dirs = &mut self.dirs;
+        *self.files.entry(file).or_insert_with(|| {
+            dirs.push(BTreeMap::new());
+            (dirs.len() - 1) as u32
+        }) as usize
+    }
+
+    /// First slot of leaf number `leaf` in directory `dir`, allocated on
+    /// first touch.
+    fn leaf_of(&mut self, dir: usize, leaf: u64) -> usize {
+        let slots = &mut self.slots;
+        *self.dirs[dir].entry(leaf).or_insert_with(|| {
+            let base = u32::try_from(slots.len()).expect("page-cache index exceeds 2^32 slots");
+            slots.resize(slots.len() + LEAF_PAGES as usize, NIL);
+            base
+        }) as usize
+    }
+
+    /// LRU node of the page, if it is resident.
+    fn node_of(&self, file: FileId, page: u64) -> Option<u32> {
+        let dir = &self.dirs[*self.files.get(&file)? as usize];
+        let base = *dir.get(&(page / LEAF_PAGES))?;
+        let n = self.slots[base as usize + (page % LEAF_PAGES) as usize];
+        (n != NIL).then_some(n)
+    }
+
+    /// Refreshes recency of the page at `slot` or admits it.
+    fn touch(&mut self, slot: usize) {
+        let n = self.slots[slot];
+        if n != NIL {
+            self.refresh(n);
             return;
         }
+        let node = Node {
+            slot: slot as u32,
+            prev: NIL,
+            next: NIL,
+        };
         let n = match self.free.pop() {
             Some(n) => {
-                self.nodes[n as usize].key = key;
+                self.nodes[n as usize] = node;
                 n
             }
             None => {
-                self.nodes.push(Node {
-                    key,
-                    prev: NIL,
-                    next: NIL,
-                });
+                self.nodes.push(node);
                 (self.nodes.len() - 1) as u32
             }
         };
-        self.pages.insert(key, n);
+        self.slots[slot] = n;
         self.link_front(n);
         self.evict_if_needed();
     }
 
     /// True if the page is cached; updates recency and hit/miss counters.
     pub fn probe(&mut self, file: FileId, page: u64) -> bool {
-        if self.pages.contains_key(&(file, page)) {
-            self.touch((file, page));
-            self.hits += 1;
-            true
-        } else {
-            self.misses += 1;
-            false
+        match self.node_of(file, page) {
+            Some(n) => {
+                self.refresh(n);
+                self.hits += 1;
+                true
+            }
+            None => {
+                self.misses += 1;
+                false
+            }
         }
     }
 
     /// True if the page is cached, without touching recency or counters.
     pub fn contains(&self, file: FileId, page: u64) -> bool {
-        self.pages.contains_key(&(file, page))
-    }
-
-    /// True if the whole run `[first, first + count)` is cached, without
-    /// touching recency or counters.
-    pub fn contains_run(&self, file: FileId, first: u64, count: u64) -> bool {
-        (first..first + count).all(|p| self.contains(file, p))
+        self.node_of(file, page).is_some()
     }
 
     /// Inserts one page (refreshes recency if present).
     pub fn insert(&mut self, file: FileId, page: u64) {
-        self.touch((file, page));
+        self.insert_run(file, page, 1);
     }
 
     /// Inserts a contiguous run `[first, first + count)` of pages, most
     /// recent last — the bulk admission the readahead and buffered-read
-    /// paths use.
+    /// paths use. The file is resolved once, each leaf the run crosses
+    /// once; pages are then admitted (and, at capacity, evicted) one by
+    /// one in ascending order, exactly as `count` single inserts would.
     pub fn insert_run(&mut self, file: FileId, first: u64, count: u64) {
-        for p in first..first + count {
-            self.touch((file, p));
+        let dir = self.dir_of(file);
+        let room = self.capacity_pages.saturating_sub(self.resident_pages());
+        self.nodes.reserve(room.min(count as usize));
+        let end = first + count;
+        let mut page = first;
+        while page < end {
+            let leaf = page / LEAF_PAGES;
+            let stop = end.min((leaf + 1) * LEAF_PAGES);
+            let slot = self.leaf_of(dir, leaf) + (page % LEAF_PAGES) as usize;
+            for s in slot..slot + (stop - page) as usize {
+                self.touch(s);
+            }
+            page = stop;
         }
     }
 
-    /// Backwards-compatible alias of [`insert_run`](Self::insert_run).
-    pub fn insert_range(&mut self, file: FileId, first: u64, count: u64) {
-        self.insert_run(file, first, count);
-    }
-
     fn evict_if_needed(&mut self) {
-        while self.pages.len() > self.capacity_pages {
+        while self.resident_pages() > self.capacity_pages {
             let victim = self.tail;
             debug_assert_ne!(victim, NIL, "nonempty cache over capacity");
             self.unlink(victim);
-            let key = self.nodes[victim as usize].key;
-            self.pages.remove(&key);
+            self.slots[self.nodes[victim as usize].slot as usize] = NIL;
             self.free.push(victim);
             self.evictions += 1;
         }
     }
 
     /// Drops every cached page — the `echo 3 > /proc/sys/vm/drop_caches`
-    /// step in the paper's methodology (§4.1). All structural state (map,
-    /// node slab, free list, LRU links) is reset so a drop→refill cycle
-    /// starts from a pristine cache; counters survive.
+    /// step in the paper's methodology (§4.1). All structural state
+    /// (directories, leaves, node slab, free list, LRU links) is reset so
+    /// a drop→refill cycle starts from a pristine cache; counters survive.
     pub fn drop_caches(&mut self) {
-        self.pages.clear();
+        self.files.clear();
+        self.dirs.clear();
+        self.slots.clear();
         self.nodes.clear();
         self.free.clear();
         self.head = NIL;
         self.tail = NIL;
     }
 
-    /// Drops cached pages of a single file (e.g. when a snapshot file is
-    /// regenerated).
-    pub fn drop_file(&mut self, file: FileId) {
-        let mut cursor = self.head;
-        while cursor != NIL {
-            let node = self.nodes[cursor as usize];
-            if node.key.0 == file {
-                self.unlink(cursor);
-                self.pages.remove(&node.key);
-                self.free.push(cursor);
-            }
-            cursor = node.next;
-        }
-    }
-
     /// Number of cached pages.
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.nodes.len() - self.free.len()
     }
 
     /// Probe hits so far.
@@ -308,8 +357,6 @@ mod tests {
         for p in 0..4 {
             assert!(!c.contains(a, p), "page {p} should be evicted");
         }
-        assert!(c.contains_run(a, 4, 8));
-        assert!(!c.contains_run(a, 3, 8));
     }
 
     #[test]
@@ -350,36 +397,20 @@ mod tests {
     }
 
     #[test]
-    fn drop_file_is_selective() {
-        let (a, b) = two_files();
-        let mut c = PageCache::new(16);
+    fn sparse_pages_cost_a_leaf_each() {
+        let (a, _) = two_files();
+        let mut c = PageCache::new(4);
+        c.insert(a, 1 << 40);
         c.insert(a, 0);
-        c.insert(b, 0);
-        c.drop_file(a);
+        assert!(c.probe(a, 1 << 40));
+        assert!(c.probe(a, 0));
+        assert!(!c.probe(a, (1 << 40) + 1), "same leaf, never admitted");
+        assert_eq!(c.slots.len(), 2 * LEAF_PAGES as usize, "two leaves");
+        // Evict through both.
+        c.insert_run(a, 100_000, 4);
         assert!(!c.contains(a, 0));
-        assert!(c.contains(b, 0));
-        // LRU list stays consistent: more inserts + evictions work.
-        for p in 0..20 {
-            c.insert(b, p);
-        }
-        assert_eq!(c.resident_pages(), 16);
-    }
-
-    #[test]
-    fn drop_file_interleaved_keeps_order() {
-        let (a, b) = two_files();
-        let mut c = PageCache::new(16);
-        // Interleave the two files in the recency list.
-        for p in 0..4 {
-            c.insert(a, p);
-            c.insert(b, p);
-        }
-        c.drop_file(a);
-        assert_eq!(c.resident_pages(), 4);
-        // Survivors keep their relative LRU order: b0 is the victim.
-        c.insert_run(b, 100, 13);
-        assert!(!c.contains(b, 0), "b0 was LRU");
-        assert!(c.contains(b, 3));
+        assert!(!c.contains(a, 1 << 40));
+        assert_eq!((c.resident_pages(), c.evictions()), (4, 2));
     }
 
     #[test]
@@ -396,7 +427,7 @@ mod tests {
 
     #[test]
     fn heavy_churn_stays_consistent() {
-        // Regression guard for the O(1) eviction path: map and list must
+        // Regression guard for the O(1) eviction path: index and list must
         // stay in lockstep under sustained overflow.
         let (a, _) = two_files();
         let mut c = PageCache::new(64);

@@ -1,8 +1,95 @@
 //! Property tests for the storage substrate.
 
+use std::collections::VecDeque;
+
 use proptest::prelude::*;
 use sim_core::SimTime;
-use sim_storage::{Access, Disk, FileStore, PageCache, SnapshotFrameCache, PAGE_SIZE};
+use sim_storage::{
+    Access, Disk, DiskStats, FileId, FileStore, PageCache, ReadOutcome, SnapshotFrameCache,
+    PAGE_SIZE,
+};
+
+/// The reference [`PageCache`] is checked against: residency as a plain
+/// deque in recency order (front = LRU), every operation a linear search.
+struct NaiveLru {
+    capacity: usize,
+    order: VecDeque<(FileId, u64)>,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+}
+
+impl NaiveLru {
+    fn insert(&mut self, key: (FileId, u64)) {
+        self.order.retain(|&k| k != key);
+        self.order.push_back(key);
+        if self.order.len() > self.capacity {
+            self.order.pop_front();
+            self.evictions += 1;
+        }
+    }
+
+    fn probe(&mut self, key: (FileId, u64)) -> bool {
+        let hit = self.order.contains(&key);
+        if hit {
+            self.insert(key);
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        hit
+    }
+}
+
+/// The timed front end over the new index reads exactly as it did over
+/// the hash-map index: every number below was recorded from the parent
+/// commit's `Disk` with this same sequence.
+#[test]
+fn disk_sequence_matches_the_parent_commit() {
+    let fs = FileStore::new();
+    let (mem, ws) = (fs.create("mem"), fs.create("ws"));
+    let mut d = Disk::ssd();
+    let mut now = SimTime::ZERO;
+    let mut hits = 0;
+    // Strided faults wrapping over 400 pages: misses that admit 32-page
+    // clusters over partly resident pages, and readahead hits.
+    for i in 0..96u64 {
+        let out = d.fault_read_page(now, mem, (i * 13) % 400, 65_536);
+        hits += u64::from(out.cache_hit);
+        now = out.ready;
+    }
+    assert_eq!((hits, now.as_nanos()), (75, 3_271_895));
+    // A buffered read half inside what the faults left resident.
+    let partial = d.read_buffered(now, mem, 380 * PAGE_SIZE, 100 * PAGE_SIZE);
+    let miss = |ready_ns, device_bytes| ReadOutcome {
+        ready: SimTime::from_nanos(ready_ns),
+        cache_hit: false,
+        device_bytes,
+    };
+    assert_eq!(partial, miss(4_603_571, 237_568));
+    // Write-back populates the cache; the read behind it is a pure hit.
+    let written = d.write(partial.ready, ws, 3 * PAGE_SIZE + 17, 64 * PAGE_SIZE);
+    let reread = d.read_buffered(written, ws, 4 * PAGE_SIZE, 60 * PAGE_SIZE);
+    assert_eq!(written.as_nanos(), 5_227_694);
+    assert_eq!(
+        (reread.cache_hit, reread.ready.as_nanos()),
+        (true, 5_347_694)
+    );
+    // After a flush the first page misses again and readahead stops at EOF.
+    d.drop_caches();
+    let cold = d.fault_read_page(reread.ready, mem, 390, 400);
+    assert_eq!(cold, miss(5_481_713, 10 * PAGE_SIZE));
+    assert_eq!(
+        d.stats(),
+        DiskStats {
+            device_bytes_read: 3_031_040,
+            device_bytes_written: 262_144,
+            useful_bytes_read: 1_052_672,
+            device_reads: 23,
+            cache_hits: 76,
+        }
+    );
+}
 
 proptest! {
     /// Read-after-write always returns the written bytes, regardless of
@@ -68,6 +155,50 @@ proptest! {
         }
         if let Some(p) = last_inserted {
             prop_assert!(c.contains(f, p), "most recent insert must survive");
+        }
+    }
+
+    /// The dense run-admitting index is observably the naive LRU: same
+    /// probe answers, counters and residency after every operation. Runs
+    /// overlap resident pages and outgrow small capacities; the page
+    /// window straddles the index's 512-page leaf boundary.
+    #[test]
+    fn page_cache_matches_naive_lru(
+        cap in 1usize..64,
+        ops in proptest::collection::vec((0u8..16, 0usize..3, 0u64..256, 1u64..41), 1..300)
+    ) {
+        const BASE: u64 = 384;
+        let fs = FileStore::new();
+        let files = [fs.create("a"), fs.create("b"), fs.create("c")];
+        let mut cache = PageCache::new(cap);
+        let mut naive = NaiveLru { capacity: cap, order: VecDeque::new(), hits: 0, misses: 0, evictions: 0 };
+        for (kind, file, page, len) in ops {
+            let (f, page) = (files[file], BASE + page);
+            match kind {
+                0..=5 => prop_assert_eq!(cache.probe(f, page), naive.probe((f, page))),
+                6..=9 => {
+                    cache.insert(f, page);
+                    naive.insert((f, page));
+                }
+                10..=14 => {
+                    cache.insert_run(f, page, len);
+                    (page..page + len).for_each(|p| naive.insert((f, p)));
+                }
+                _ => {
+                    cache.drop_caches();
+                    naive.order.clear();
+                }
+            }
+            prop_assert_eq!(cache.resident_pages(), naive.order.len());
+            prop_assert_eq!(
+                (cache.hits(), cache.misses(), cache.evictions()),
+                (naive.hits, naive.misses, naive.evictions)
+            );
+            for &f in &files {
+                for p in BASE..BASE + 256 + 40 {
+                    prop_assert_eq!(cache.contains(f, p), naive.order.contains(&(f, p)), "page {}", p);
+                }
+            }
         }
     }
 
