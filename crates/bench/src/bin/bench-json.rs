@@ -188,6 +188,24 @@ fn bench_restore_shell(r: &mut Report) {
     });
 }
 
+/// A re-deploy: boot, pause and capture into a store that already holds
+/// the previous capture of the same function — what every `deploy_churn`
+/// round and every §7.3 snapshot regeneration pays. Boot is ~135 ms of it
+/// (first-touch faults on the fresh arena + the deterministic fill);
+/// capture should be one write per file byte into retained capacity.
+fn bench_boot_capture_redeploy(r: &mut Report) {
+    if !r.wants("vm/boot_capture_redeploy") {
+        return;
+    }
+    let fs = FileStore::new();
+    r.add("vm/boot_capture_redeploy", || {
+        let (mut vm, _) = MicroVm::boot(FunctionId::helloworld, VmConfig::default());
+        vm.pause();
+        let snapshot = Snapshot::capture(&vm, &fs, "bench/redeploy");
+        assert_eq!(fs.len(snapshot.mem_file), GUEST_BYTES);
+    });
+}
+
 /// The copy every `FileStore::read_at` and contiguous `install_run`
 /// makes: one page appended to a reused buffer. One op is 2048 of them
 /// (8 MB — a cache-thrashing cold start's worth), so that a thread spawn
@@ -1066,6 +1084,10 @@ fn main() {
     bench_router(&mut report);
     bench_fault_recovery(&mut report);
     bench_telemetry(&mut report);
+    // Last, so every group above still runs after the allocation history
+    // it was baselined under (this one frees six boots' worth of
+    // 150-256 MB allocations).
+    bench_boot_capture_redeploy(&mut report);
     assert!(
         !report.entries.is_empty(),
         "--filter matched no benchmark group"

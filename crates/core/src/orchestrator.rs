@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use functionbench::{FunctionId, GuestOp, InputGenerator};
 use guest_mem::{PageBitmap, PageIdx, PageRun};
-use sim_core::hash::fnv1a64;
+use sim_core::hash::fnv1a64_words;
 use microvm::{
     run_lazy, run_resident, verify_restored_tracked, BootCostModel, ExecutionTrace, FaultHandler,
     MicroVm, Snapshot, VmConfig,
@@ -958,17 +958,14 @@ impl Orchestrator {
         })
     }
 
-    /// FNV-1a digests of the (trace, ws) artifact bytes, via the plain
-    /// (injection-free) read path — these hash what is *stored*, so
-    /// injected wire faults never poison the reference digests.
+    /// Digests of the (trace, ws) artifact bytes, hashed where they lie
+    /// through the plain (injection-free) read path — these hash what is
+    /// *stored*, so injected wire faults never poison the reference
+    /// digests. They never leave the process and are only ever compared
+    /// with a recomputation by this function, so the word-wise feed does.
     fn artifact_digests(&self, reap: ReapFiles) -> (u64, u64) {
-        let trace = self
-            .fs
-            .read_at(reap.trace_file, 0, self.fs.len(reap.trace_file) as usize);
-        let ws = self
-            .fs
-            .read_at(reap.ws_file, 0, self.fs.len(reap.ws_file) as usize);
-        (fnv1a64(&trace), fnv1a64(&ws))
+        let digest = |file| self.fs.with_range(file, 0, self.fs.len(file), fnv1a64_words);
+        (digest(reap.trace_file), digest(reap.ws_file))
     }
 
     /// True if `f`'s stored artifacts still hash to their record-time
@@ -1708,6 +1705,26 @@ mod tests {
         o.invoke_record(f);
         let reap = o.invoke_cold(f, ColdPolicy::Reap);
         assert!(reap.latency < vanilla.latency);
+    }
+
+    #[test]
+    fn regenerated_memory_file_holds_nothing_of_the_previous_generation() {
+        // Capture lays the image down by extension over the capacity the
+        // store kept from generation 0; where generation 1 has a gap,
+        // generation 0's bytes must not show through.
+        let f = FunctionId::helloworld;
+        let mut o = orch_with(f);
+        o.regenerate_snapshot(f);
+        let (mut vm, _) = MicroVm::boot(f, o.vm_config(f, 1));
+        vm.pause();
+        let fresh_fs = FileStore::new();
+        let fresh = Snapshot::capture(&vm, &fresh_fs, "fresh");
+        let reused = o.state(f).snapshot.mem_file;
+        assert_eq!(o.fs().len(reused), fresh.mem_bytes);
+        let same = o.fs().with_range(reused, 0, fresh.mem_bytes, |got| {
+            fresh_fs.with_range(fresh.mem_file, 0, fresh.mem_bytes, |want| got == want)
+        });
+        assert!(same, "re-capture must equal a capture into an empty store");
     }
 
     #[test]

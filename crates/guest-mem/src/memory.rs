@@ -663,34 +663,40 @@ impl GuestMemory {
         Ok(out)
     }
 
-    /// Copies a whole resident run into `buf` (one bounds check; per-page
-    /// copies only when frames are scattered by eviction).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::NotResident`] for the first missing page or
-    /// [`MemError::OutOfBounds`].
+    /// Borrows a resident run's bytes where they lie: one
+    /// `(first page, bytes)` chunk per maximal stretch of the run whose
+    /// frames are adjacent in the arena, in ascending page order. A bulk
+    /// install is one chunk; a shared alias, or a frame eviction scattered
+    /// into a recycled slot, is a one-page chunk of its own. The chunks
+    /// tile `run` exactly — snapshot capture writes each straight to the
+    /// memory file, so no frame byte is staged on the way.
     ///
     /// # Panics
     ///
-    /// Panics if `buf` is not exactly `run.len` pages.
-    pub fn read_run_into(&self, run: PageRun, buf: &mut [u8]) -> Result<(), MemError> {
-        assert_eq!(buf.len() as u64, run.byte_len(), "buffer must match run");
-        if !self.contains_run(run) {
-            return Err(MemError::OutOfBounds(run.first.base_addr()));
-        }
-        if !self.resident.all_set_in(run) {
-            let missing = run
-                .iter()
-                .find(|&p| !self.resident.get(p))
-                .expect("some page is missing");
-            return Err(MemError::NotResident(missing));
-        }
-        for (i, page) in run.iter().enumerate() {
-            let frame = self.frame(page).expect("residency checked");
-            buf[i * PAGE_SIZE..(i + 1) * PAGE_SIZE].copy_from_slice(frame);
-        }
-        Ok(())
+    /// Panics if `run` leaves the region or any of its pages is not
+    /// resident: a hole must never read as zeros.
+    pub fn run_chunks(&self, run: PageRun) -> impl Iterator<Item = (PageIdx, &[u8])> + '_ {
+        assert!(self.contains_run(run), "{run} leaves the region");
+        assert!(self.resident.all_set_in(run), "{run} is not fully resident");
+        let first = run.first.as_u64();
+        let slots = &self.slots[first as usize..(first + run.len) as usize];
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            let slot = *slots.get(at)?;
+            let page = PageIdx::new(first + at as u64);
+            let start = at;
+            at += 1;
+            if slot & SHARED_BIT != 0 {
+                return Some((page, self.frame(page).expect("residency checked")));
+            }
+            // Private slots stay below SHARED_BIT, so `slot + n` can only
+            // equal another private slot.
+            while slots.get(at) == Some(&(slot + (at - start) as u32)) {
+                at += 1;
+            }
+            let base = slot as usize * PAGE_SIZE;
+            Some((page, &self.arena[base..base + (at - start) * PAGE_SIZE]))
+        })
     }
 
     /// Writes `bytes` at `addr` (pages must be resident: real hardware
@@ -1041,23 +1047,81 @@ mod tests {
         );
     }
 
+    /// The chunks of `run`, checked to tile it exactly and to concatenate
+    /// to the per-page bytes; returns each chunk's length in pages.
+    fn chunk_pages(mem: &GuestMemory, run: PageRun) -> Vec<u64> {
+        let mut next = run.first.as_u64();
+        let mut lens = Vec::new();
+        for (first, bytes) in mem.run_chunks(run) {
+            assert_eq!(first.as_u64(), next, "chunks ascend without gap or overlap");
+            assert!(!bytes.is_empty() && bytes.len() % PAGE_SIZE == 0);
+            for (i, frame) in bytes.chunks(PAGE_SIZE).enumerate() {
+                assert_eq!(Some(frame), mem.page_bytes(PageIdx::new(next + i as u64)));
+            }
+            lens.push((bytes.len() / PAGE_SIZE) as u64);
+            next += lens.last().unwrap();
+        }
+        assert_eq!(next, run.end().as_u64(), "chunks cover the whole run");
+        lens
+    }
+
     #[test]
-    fn install_zero_run_and_read_run_into() {
+    fn run_chunks_of_a_bulk_install_is_one_borrowed_chunk() {
+        let mut mem = GuestMemory::new(16 * 4096);
+        let zeros = PageRun::new(PageIdx::new(9), 2);
+        mem.install_zero_run(zeros).unwrap();
+        let (_, bytes) = mem.run_chunks(zeros).next().unwrap();
+        assert_eq!(bytes, &[0u8; 2 * PAGE_SIZE][..]);
+        let data: Vec<u8> = (0..4 * PAGE_SIZE).map(|i| (i / PAGE_SIZE + 1) as u8).collect();
+        let run = PageRun::new(PageIdx::new(2), 4);
+        mem.install_run(run, &data).unwrap();
+        assert_eq!(chunk_pages(&mem, run), vec![4]);
+        let (first, bytes) = mem.run_chunks(run).next().unwrap();
+        assert_eq!((first, bytes), (PageIdx::new(2), &data[..]));
+        // A sub-run borrows just its stretch; an empty run yields nothing.
+        assert_eq!(chunk_pages(&mem, PageRun::new(PageIdx::new(3), 2)), vec![2]);
+        assert_eq!(mem.run_chunks(PageRun::new(PageIdx::new(3), 0)).count(), 0);
+        // Two installs that happen to be adjacent in pages *and* arena merge.
+        mem.install_zero_run(PageRun::new(PageIdx::new(6), 2)).unwrap();
+        assert_eq!(chunk_pages(&mem, PageRun::new(PageIdx::new(2), 6)), vec![6]);
+    }
+
+    #[test]
+    fn run_chunks_tile_scattered_and_aliased_frames() {
+        let mut mem = GuestMemory::new(16 * 4096);
+        for i in 0..8u64 {
+            mem.install_page(PageIdx::new(i), &page_of(i as u8 + 1)).unwrap();
+        }
+        // Evict 2 and 5 and reinstall: the free list is LIFO, so the two
+        // pages come back in each other's slots.
+        mem.evict_page(PageIdx::new(2));
+        mem.evict_page(PageIdx::new(5));
+        mem.install_page(PageIdx::new(2), &page_of(0x22)).unwrap(); // slot 5
+        mem.install_page(PageIdx::new(5), &page_of(0x55)).unwrap(); // slot 2
+        // An alias in the middle, over an evicted private page.
+        mem.evict_page(PageIdx::new(6));
+        let src = shared_buf(2, 0xAA);
+        mem.alias_run(PageRun::new(PageIdx::new(6), 1), &src, 1).unwrap();
+        let run = PageRun::new(PageIdx::new(0), 8);
+        assert_eq!(chunk_pages(&mem, run), vec![2, 1, 2, 1, 1, 1]);
+        // Adjacent aliases of one buffer still come a page at a time.
+        mem.alias_run(PageRun::new(PageIdx::new(8), 2), &src, 0).unwrap();
+        assert_eq!(chunk_pages(&mem, PageRun::new(PageIdx::new(7), 3)), vec![1, 1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not fully resident")]
+    fn run_chunks_refuses_a_hole() {
         let mut mem = GuestMemory::new(8 * 4096);
         mem.install_zero_run(PageRun::new(PageIdx::new(2), 3)).unwrap();
-        let mut buf = vec![0xFFu8; 3 * PAGE_SIZE];
-        mem.read_run_into(PageRun::new(PageIdx::new(2), 3), &mut buf)
-            .unwrap();
-        assert!(buf.iter().all(|&b| b == 0));
-        // Missing page named on partial runs.
-        let err = mem
-            .read_run_into(PageRun::new(PageIdx::new(4), 2), &mut buf[..2 * PAGE_SIZE])
-            .unwrap_err();
-        assert_eq!(err, MemError::NotResident(PageIdx::new(5)));
-        let err = mem
-            .read_run_into(PageRun::new(PageIdx::new(7), 2), &mut buf[..2 * PAGE_SIZE])
-            .unwrap_err();
-        assert!(matches!(err, MemError::OutOfBounds(_)));
+        let _ = mem.run_chunks(PageRun::new(PageIdx::new(4), 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "leaves the region")]
+    fn run_chunks_refuses_out_of_bounds() {
+        let mem = GuestMemory::new(8 * 4096);
+        let _ = mem.run_chunks(PageRun::new(PageIdx::new(7), 2));
     }
 
     #[test]
@@ -1210,18 +1274,6 @@ mod tests {
         mem.recycle();
         assert_eq!(Arc::strong_count(&src), 1, "recycle drops every alias");
         assert_eq!(mem.resident_pages(), 0);
-    }
-
-    #[test]
-    fn read_run_into_spans_aliased_and_private_frames() {
-        let mut mem = GuestMemory::new(8 * 4096);
-        let src = shared_buf(1, 0xAA);
-        mem.install_page(PageIdx::new(0), &page_of(0xBB)).unwrap();
-        mem.alias_run(PageRun::new(PageIdx::new(1), 1), &src, 0).unwrap();
-        let mut buf = vec![0u8; 2 * PAGE_SIZE];
-        mem.read_run_into(PageRun::new(PageIdx::new(0), 2), &mut buf).unwrap();
-        assert!(buf[..PAGE_SIZE].iter().all(|&b| b == 0xBB));
-        assert!(buf[PAGE_SIZE..].iter().all(|&b| b == 0xAA));
     }
 
     #[test]

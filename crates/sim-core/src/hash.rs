@@ -26,6 +26,24 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
+/// In-process content fingerprint: FNV-1a absorbing eight bytes per
+/// multiply ([`Fnv1a64::write_u64_word`] per little-endian 8-byte chunk),
+/// the `len % 8` tail byte by byte. An eighth of canonical FNV-1a's
+/// multiplies, and a *different* value: use it only where the result never
+/// leaves the process and is compared with a recomputation by this same
+/// function (the frame cache's dedup key, the orchestrator's record-time
+/// artifact digests). Persisted checksums — VMM state, WS/trace artifact
+/// headers, telemetry — stay on [`fnv1a64`].
+pub fn fnv1a64_words(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a64::new();
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        h.write_u64_word(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+    }
+    h.write(words.remainder());
+    h.finish()
+}
+
 /// FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
@@ -154,6 +172,30 @@ mod tests {
             h.write_u64_word(w);
         }
         assert_eq!(h.finish(), legacy);
+    }
+
+    #[test]
+    fn word_hash_matches_frame_cache_derivation_and_not_canonical_fnv() {
+        // The frame cache's private `content_hash` carried this loop; its
+        // dedup keys (and the artifact digests) must not move.
+        let data: Vec<u8> = (0..4097u32).map(|i| (i.wrapping_mul(31) >> 3) as u8).collect();
+        for len in (0..=17).chain([4095, 4096, 4097]) {
+            let bytes = &data[..len];
+            let mut legacy = FNV_OFFSET;
+            for w in bytes[..len - len % 8].chunks(8) {
+                legacy ^= u64::from_le_bytes(w.try_into().unwrap());
+                legacy = legacy.wrapping_mul(FNV_PRIME);
+            }
+            for &b in &bytes[len - len % 8..] {
+                legacy ^= b as u64;
+                legacy = legacy.wrapping_mul(FNV_PRIME);
+            }
+            assert_eq!(fnv1a64_words(bytes), legacy, "len {len}");
+        }
+        // Below one word the two feeds coincide; from 8 bytes on they do
+        // not, so the word feed can never stand in for a persisted checksum.
+        assert_eq!(fnv1a64_words(&data[..7]), fnv1a64(&data[..7]));
+        assert_ne!(fnv1a64_words(&data[..8]), fnv1a64(&data[..8]));
     }
 
     #[test]

@@ -184,23 +184,6 @@ struct ContentEntry {
     next: u32,
 }
 
-/// Dedup key of a loaded extent: FNV-1a absorbing eight bytes per
-/// multiply, the `len % 8` tail byte by byte. Every missed extent is
-/// hashed, so the canonical one-multiply-per-byte feed cost more than
-/// the read it follows. The value never leaves this process and every
-/// match is byte-compared, so it only has to be deterministic and
-/// depend on every byte — artifact, VMM and telemetry checksums stay
-/// canonical FNV-1a.
-fn content_hash(bytes: &[u8]) -> u64 {
-    let mut h = sim_core::hash::Fnv1a64::new();
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        h.write_u64_word(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
-    }
-    h.write(words.remainder());
-    h.finish()
-}
-
 /// All mutable cache state under one lock: the hit path updates LRU
 /// recency, so even lookups write.
 #[derive(Debug)]
@@ -502,7 +485,9 @@ impl SnapshotFrameCache {
         let raw = fs
             .try_read_at(file, offset, len as usize)
             .ok_or(FrameCacheGone(file))?;
-        let hash = content_hash(&raw);
+        // Dedup key: in-process only and byte-compared on every match, so
+        // the cheap word feed does — every missed extent is hashed.
+        let hash = sim_core::hash::fnv1a64_words(&raw);
         let bytes: FrameBytes = std::sync::Arc::new(raw);
         if fs.generation(file) != Some(generation) {
             // A rewrite landed between the generation check and the read:
@@ -733,7 +718,8 @@ mod tests {
         assert_eq!(&got_b[..], b"same prefix 1");
         let st = cache.stats();
         assert_eq!((st.content_entries, st.admitted, st.deduped), (2, 2, 0));
-        assert_ne!(content_hash(&got_a), content_hash(&got_b));
+        use sim_core::hash::fnv1a64_words as key;
+        assert_ne!(key(&got_a), key(&got_b), "distinct dedup keys, not just a byte compare");
     }
 
     #[test]

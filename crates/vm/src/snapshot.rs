@@ -2,9 +2,14 @@
 //!
 //! Capture writes the VMM state file and a *plain guest memory file* whose
 //! byte at offset `o` is the guest-physical byte at address `o` (zero for
-//! never-touched pages — the file is effectively sparse). Restore loads
-//! the VMM state, then maps guest memory *lazily*: no page content moves
-//! until a fault or a REAP prefetch asks for it.
+//! never-touched pages). The image is laid down in one ascending pass that
+//! writes each file byte once: every resident run goes to the store
+//! straight from the guest's frame arena
+//! ([`guest_mem::GuestMemory::run_chunks`]), the store zero-fills the gap
+//! before a run when that write lands past EOF, and one final `set_len`
+//! zero-fills the tail. Restore loads the VMM state, then maps guest memory
+//! *lazily*: no page content moves until a fault or a REAP prefetch asks
+//! for it.
 //!
 //! The guest's own structures (address space with its heap free lists,
 //! kernel model, installed program — a [`GuestShell`]) are captured too and
@@ -43,18 +48,19 @@ pub struct Snapshot {
     pub shell: Arc<GuestShell>,
 }
 
-/// Transient write attempts per capture operation before giving up.
-/// Capture writes are idempotent (fixed offsets), so torn and transient
-/// faults heal on reissue — the same policy the WS artifact writer uses.
+/// Transient attempts per capture operation before giving up. Capture
+/// operations are idempotent (fixed offsets, fixed length), so torn and
+/// transient faults heal on reissue — the same policy the WS artifact
+/// writer uses.
 const CAPTURE_WRITE_RETRIES: u32 = 3;
 
-/// Reissues an idempotent capture write through transient/torn faults;
+/// Reissues an idempotent capture operation through transient/torn faults;
 /// panics on anything that cannot heal (dead file, blackout) or once the
 /// retry budget is exhausted.
-fn capture_write(fs: &FileStore, id: FileId, offset: u64, bytes: &[u8]) {
+fn capture_retry(mut op: impl FnMut() -> Result<(), StorageError>) {
     let mut last: Result<(), StorageError> = Ok(());
     for _ in 0..CAPTURE_WRITE_RETRIES {
-        last = fs.try_write_at(id, offset, bytes);
+        last = op();
         match &last {
             Ok(()) => return,
             Err(StorageError::ShortWrite { .. }) | Err(StorageError::Transient { .. }) => {}
@@ -79,19 +85,19 @@ impl Snapshot {
         assert!(vm.is_paused(), "snapshot requires a paused VM");
         let vmm = vm.vmm_state();
         let vmm_file = fs.create(&format!("{prefix}/vmm_state"));
-        capture_write(fs, vmm_file, 0, vmm.as_bytes());
+        capture_retry(|| fs.try_write_at(vmm_file, 0, vmm.as_bytes()));
 
         let mem = vm.memory();
         let mem_file = fs.create(&format!("{prefix}/guest_mem"));
-        fs.set_len(mem_file, mem.size_bytes());
-        // One write per maximal resident run, not per page.
-        let mut buf = Vec::new();
+        // Ascending, so each write lands at or past EOF: the store zero-fills
+        // the gap and appends the run, borrowed from the arena — no staging
+        // copy, no byte written twice.
         for run in mem.resident_runs() {
-            buf.resize(run.byte_len() as usize, 0);
-            mem.read_run_into(run, &mut buf)
-                .expect("resident run has bytes");
-            capture_write(fs, mem_file, run.file_offset(), &buf);
+            for (first, bytes) in mem.run_chunks(run) {
+                capture_retry(|| fs.try_write_at(mem_file, first.file_offset(), bytes));
+            }
         }
+        capture_retry(|| fs.try_set_len(mem_file, mem.size_bytes()));
         Snapshot {
             function: vm.function(),
             config: vm.config(),
@@ -331,6 +337,7 @@ mod tests {
     use crate::vcpu::{run_lazy, FaultHandler};
     use functionbench::{FunctionId, InputGenerator};
     use guest_mem::{FaultEvent, MemError, Uffd};
+    use sim_storage::{FaultInjector, FaultKind, FaultPlan, FaultRule, FaultScope};
 
     /// A minimal baseline monitor: serves each fault from the memory file.
     struct FileBacked<'a> {
@@ -348,10 +355,19 @@ mod tests {
 
     fn booted_snapshot(f: FunctionId) -> (Snapshot, FileStore) {
         let fs = FileStore::new();
-        let (mut vm, _) = MicroVm::boot(f, VmConfig::default());
-        vm.pause();
+        let vm = paused(f, VmConfig::default().seed);
         let snap = Snapshot::capture(&vm, &fs, &format!("snapshots/{f}"));
         (snap, fs)
+    }
+
+    fn paused(f: FunctionId, seed: u64) -> MicroVm {
+        let config = VmConfig {
+            seed,
+            ..VmConfig::default()
+        };
+        let (mut vm, _) = MicroVm::boot(f, config);
+        vm.pause();
+        vm
     }
 
     #[test]
@@ -387,6 +403,100 @@ mod tests {
             }
         }
         assert!(found_zero, "some pages should be untouched zeros");
+    }
+
+    /// True if the two stores hold byte-identical memory files.
+    fn same_image((a, a_fs): (&Snapshot, &FileStore), (b, b_fs): (&Snapshot, &FileStore)) -> bool {
+        a_fs.with_range(a.mem_file, 0, a.mem_bytes, |x| {
+            b_fs.with_range(b.mem_file, 0, b.mem_bytes, |y| x == y)
+        })
+    }
+
+    #[test]
+    fn capture_lays_down_the_exact_image_one_write_per_chunk() {
+        let light = [
+            FunctionId::helloworld,
+            FunctionId::chameleon,
+            FunctionId::pyaes,
+            FunctionId::json_serdes,
+        ];
+        for f in FunctionId::ALL {
+            for seed in [1, 0xC0FFEE] {
+                let vm = paused(f, seed);
+                let mem = vm.memory();
+                let fs = FileStore::new();
+                let snap = Snapshot::capture(&vm, &fs, "s");
+                assert_eq!(fs.len(snap.mem_file), mem.size_bytes());
+                fs.with_range(snap.mem_file, 0, mem.size_bytes(), |image| {
+                    for (p, got) in image.chunks(PAGE_SIZE).enumerate() {
+                        let want = mem.page_bytes(PageIdx::new(p as u64));
+                        assert!(
+                            got == want.unwrap_or(&[0; PAGE_SIZE]),
+                            "{f} seed {seed}: page {p} (resident: {})",
+                            want.is_some()
+                        );
+                    }
+                });
+                // One store write for the VMM state and one per arena
+                // chunk — for a fresh boot, one per resident run, so a
+                // fault plan's skip/count window over the memory file
+                // addresses runs.
+                let runs = mem.resident_runs();
+                let chunks: usize = runs.iter().map(|&r| mem.run_chunks(r).count()).sum();
+                assert_eq!(fs.write_calls(), 1 + chunks as u64, "{f} seed {seed}");
+                if light.contains(&f) {
+                    assert_eq!(chunks, runs.len(), "{f} seed {seed}");
+                }
+            }
+        }
+    }
+
+    fn capture_under(vm: &MicroVm, kind: FaultKind, skip: u64, count: u64) -> (Snapshot, FileStore) {
+        let fs = FileStore::new();
+        let rule = FaultRule::new(FaultScope::NameContains("guest_mem".into()), kind);
+        let plan = FaultPlan::new().rule(rule.skip(skip).count(count));
+        fs.attach_injector(Arc::new(FaultInjector::new(plan)));
+        let snap = Snapshot::capture(vm, &fs, "s");
+        assert_eq!(fs.injector().unwrap().stats().total(), count);
+        (snap, fs)
+    }
+
+    #[test]
+    fn capture_heals_torn_and_transient_faults() {
+        let vm = paused(FunctionId::helloworld, 1);
+        let clean_fs = FileStore::new();
+        let clean = Snapshot::capture(&vm, &clean_fs, "s");
+        let last = vm.memory().resident_runs().len() as u64;
+        for (kind, skip, count) in [
+            // A torn *extending* write: the prefix is appended past the
+            // zero-filled gap, the retry overwrites it and appends the rest.
+            (FaultKind::ShortWrite, 3, 1),
+            (FaultKind::TransientError, 3, 2),
+            // The final `set_len` is under the same retry policy.
+            (FaultKind::TransientError, last, 2),
+        ] {
+            let (snap, fs) = capture_under(&vm, kind.clone(), skip, count);
+            assert!(
+                same_image((&snap, &fs), (&clean, &clean_fs)),
+                "{kind:?} at op {skip}"
+            );
+            assert_eq!(verify_restored(&vm, &snap, &fs), Ok(snap.resident_at_capture));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot capture failed after 3 attempts")]
+    fn capture_gives_up_after_the_retry_budget() {
+        let vm = paused(FunctionId::helloworld, 1);
+        capture_under(&vm, FaultKind::TransientError, 3, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot capture failed after 3 attempts")]
+    fn capture_gives_up_on_a_set_len_that_never_heals() {
+        let vm = paused(FunctionId::helloworld, 1);
+        let last = vm.memory().resident_runs().len() as u64;
+        capture_under(&vm, FaultKind::TransientError, last, 3);
     }
 
     #[test]
