@@ -188,11 +188,10 @@ fn chaos_telemetry_case(seed: u64) {
     }
 }
 
-/// One corrupted-v1 case: corrupted *v1-format* artifact bytes — a
-/// garbage magic, or a v1 header whose page count promises far more
-/// bytes than the file holds — fed through concurrent batches quarantine
-/// the working set and fall back to Vanilla identically at shard counts
-/// 1, 2 and 3.
+/// One corrupted-artifact case: a garbage magic, or a valid header whose
+/// extent count promises far more bytes than the file holds — fed through
+/// concurrent batches quarantine the working set and fall back to
+/// Vanilla identically at shard counts 1, 2 and 3.
 fn corrupted_v1_case(seed: u64, bad_magic: bool, hit_trace: bool) {
     let run = |shards: usize| -> String {
         let mut c = prepared_cluster(seed, shards);
@@ -205,9 +204,9 @@ fn corrupted_v1_case(seed: u64, bad_magic: bool, hit_trace: bool) {
                 hdr.extend_from_slice(b"NOTREAP!");
                 hdr.extend_from_slice(&0u64.to_le_bytes());
             } else {
-                // Valid v1 magic, absurd count: parses, then fails the
+                // Valid magic, absurd count: parses, then fails the
                 // length validation (truncated artifact).
-                hdr.extend_from_slice(if hit_trace { b"REAPTRC1" } else { b"REAPWSF1" });
+                hdr.extend_from_slice(if hit_trace { b"REAPTRC2" } else { b"REAPWSF2" });
                 hdr.extend_from_slice(&(1u64 << 32).to_le_bytes());
             }
             fs.write_at(id, 0, &hdr);

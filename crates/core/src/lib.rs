@@ -59,7 +59,6 @@ pub mod overload;
 pub mod policy;
 pub mod recovery;
 pub mod report;
-pub mod rerandomize;
 pub mod router;
 pub mod scale;
 pub mod timeline;
@@ -72,13 +71,12 @@ pub use invocation::{Breakdown, ColdPolicy, InstanceFiles, InstanceProgram, Phas
 pub use monitor::{Monitor, MonitorMode, MonitorStats, PrefetchError};
 pub use orchestrator::{InvocationOutcome, Orchestrator, PreparedCold, RegisterInfo};
 pub use overload::{ColdAbort, ColdRequest, DeadlineExpired, Disposition, ShedReason};
-pub use policy::{simulate_worker, FunctionCosts, KeepWarmPolicy, WorkerReport};
+pub use policy::{FunctionCosts, KeepWarmPolicy};
 pub use recovery::{AttemptError, RebuildMeta, RecoveryReport, RetryPolicy, ShardUnavailable};
-pub use rerandomize::{restore_rerandomized, LayoutPermutation, RerandomizedRun};
 pub use router::{route_workload, RouterConfig, RouterReport};
 pub use scale::{concurrency_sweep, lane_sweep, ScalePoint};
 pub use timeline::{InstanceResult, Timeline};
 pub use ws_file::{
     read_trace_file, read_trace_runs, read_ws_extents, read_ws_file, read_ws_layout,
-    write_reap_files, write_reap_files_runs, write_reap_files_v1, ReapFiles, WsError, WsLayout,
+    write_reap_files, write_reap_files_runs, ReapFiles, WsError, WsLayout,
 };

@@ -267,10 +267,10 @@ impl<'a> Monitor<'a> {
     /// count is gated on the host's `available_parallelism`, so results
     /// never depend on it; only wall-clock time does.
     ///
-    /// Irregular layouts (extents overlapping each other or leaving the
-    /// guest region — possible only in corrupt or legacy-v1 artifacts)
-    /// fall back to the sequential path wholesale, preserving its
-    /// first-extent-wins and error semantics exactly.
+    /// A layout that names pages outside the guest region (possible only
+    /// in a corrupt artifact; overlapping extents never parse) falls back
+    /// to the sequential path wholesale, preserving its error semantics
+    /// exactly.
     ///
     /// With a frame cache attached, a *warm* cache routes to the cached
     /// sequential path (hits are refcount bumps — no copies left for the
@@ -316,14 +316,12 @@ impl<'a> Monitor<'a> {
         // — so this split is deterministic.
         let mut jobs: Vec<(PageRun, u64)> = Vec::with_capacity(layout.extents.len());
         let mut resident: Vec<(PageIdx, u64)> = Vec::new();
-        let mut seen = guest_mem::PageBitmap::new(uffd.memory().num_pages());
         for &(run, data_at) in &layout.extents {
-            if !uffd.memory().contains_run(run) || seen.any_set_in(run) {
-                // Out-of-bounds or self-overlapping layout: replay the
-                // sequential semantics verbatim.
+            if !uffd.memory().contains_run(run) {
+                // Out-of-bounds layout: replay the sequential semantics
+                // verbatim.
                 return self.prefetch(uffd, files);
             }
-            seen.set_run(run);
             let mut cursor = run.first;
             while let Some(missing) = uffd.next_missing_run(cursor, run) {
                 for page in PageRun::new(cursor, missing.first.as_u64() - cursor.as_u64()).iter() {

@@ -1,16 +1,13 @@
-//! Keep-warm policy simulation: the provider-side economics that motivate
+//! Keep-warm policy: the provider-side economics that motivate
 //! snapshotting (§1, §2.1).
 //!
 //! Providers keep an instance warm for 8–20 minutes after its last
-//! invocation, then deallocate; the next invocation is a cold start. This
-//! module replays an arrival stream against that policy and reports the
-//! warm-memory cost over time and the cold-start rate — the two quantities
-//! snapshots/REAP trade against each other.
+//! invocation, then deallocate; the next invocation is a cold start.
+//! [`crate::router`] replays an arrival stream against that policy and
+//! reports the warm-memory cost and the cold-start rate — the two
+//! quantities snapshots/REAP trade against each other.
 
-use std::collections::HashMap;
-
-use functionbench::{FunctionId, InvocationEvent};
-use sim_core::{SimDuration, SimTime};
+use sim_core::SimDuration;
 
 /// The keep-alive policy: how long an idle instance stays warm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +26,7 @@ impl Default for KeepWarmPolicy {
     }
 }
 
-/// Per-function costs the worker simulation needs (obtained from real
+/// Per-function costs the router replay needs (obtained from real
 /// [`crate::Orchestrator`] measurements or the spec table).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FunctionCosts {
@@ -39,233 +36,4 @@ pub struct FunctionCosts {
     pub warm_latency: SimDuration,
     /// Memory a warm instance pins (booted footprint).
     pub warm_bytes: u64,
-}
-
-/// Aggregate report of one worker simulation.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct WorkerReport {
-    /// Total invocations processed.
-    pub invocations: u64,
-    /// Invocations served by a warm instance.
-    pub warm_hits: u64,
-    /// Invocations that cold-started.
-    pub cold_starts: u64,
-    /// Time-averaged warm memory across the simulated horizon, bytes.
-    pub mean_warm_bytes: f64,
-    /// Peak warm memory, bytes.
-    pub peak_warm_bytes: u64,
-    /// Total latency across all invocations.
-    pub total_latency: SimDuration,
-    /// Simulated horizon.
-    pub horizon: SimDuration,
-}
-
-impl WorkerReport {
-    /// Fraction of invocations that cold-started.
-    pub fn cold_rate(&self) -> f64 {
-        if self.invocations == 0 {
-            0.0
-        } else {
-            self.cold_starts as f64 / self.invocations as f64
-        }
-    }
-
-    /// Mean per-invocation latency.
-    pub fn mean_latency(&self) -> SimDuration {
-        if self.invocations == 0 {
-            SimDuration::ZERO
-        } else {
-            self.total_latency / self.invocations
-        }
-    }
-}
-
-/// Replays `events` (any order; they are sorted internally) against the
-/// keep-warm policy. `costs` must contain every function that appears.
-///
-/// Instances are deallocated lazily at their idle deadline, so warm-memory
-/// accounting integrates exact rectangle areas between state changes.
-///
-/// # Panics
-///
-/// Panics if an event references a function missing from `costs`.
-pub fn simulate_worker(events: &[InvocationEvent], policy: KeepWarmPolicy, costs: &HashMap<FunctionId, FunctionCosts>) -> WorkerReport {
-    #[derive(Clone, Copy)]
-    enum Change {
-        Invoke(FunctionId),
-        Expire(FunctionId, SimTime /* scheduled-at token */),
-    }
-    // Build a timeline of invocations; expirations are discovered on the
-    // fly, so use an event queue.
-    let mut queue: sim_core::EventQueue<Change> = sim_core::EventQueue::new();
-    let mut sorted: Vec<&InvocationEvent> = events.iter().collect();
-    sorted.sort_by_key(|e| e.at);
-    for e in &sorted {
-        queue.push(e.at, Change::Invoke(e.function));
-    }
-
-    // warm_until[f] = Some(deadline) while an instance is warm.
-    let mut warm_until: HashMap<FunctionId, SimTime> = HashMap::new();
-    let mut report = WorkerReport::default();
-    let mut warm_bytes: u64 = 0;
-    let mut area: f64 = 0.0; // byte-seconds
-    let mut last_change = SimTime::ZERO;
-    let mut last_event_time = SimTime::ZERO;
-
-    while let Some((now, change)) = queue.pop() {
-        area += warm_bytes as f64 * (now - last_change).as_secs_f64();
-        last_change = now;
-        last_event_time = last_event_time.max(now);
-        match change {
-            Change::Invoke(f) => {
-                let cost = costs
-                    .get(&f)
-                    .unwrap_or_else(|| panic!("no costs for {f}"));
-                report.invocations += 1;
-                let still_warm = warm_until.get(&f).is_some_and(|&dl| dl >= now);
-                if still_warm {
-                    report.warm_hits += 1;
-                    report.total_latency += cost.warm_latency;
-                } else {
-                    report.cold_starts += 1;
-                    report.total_latency += cost.cold_latency;
-                    warm_bytes += cost.warm_bytes;
-                    report.peak_warm_bytes = report.peak_warm_bytes.max(warm_bytes);
-                }
-                // (Re)arm the keep-alive.
-                let deadline = now + policy.idle_timeout;
-                warm_until.insert(f, deadline);
-                queue.push(deadline, Change::Expire(f, deadline));
-            }
-            Change::Expire(f, token) => {
-                // Only the *latest* armed deadline deallocates.
-                if warm_until.get(&f) == Some(&token) {
-                    warm_until.remove(&f);
-                    let cost = costs.get(&f).expect("was warm, has costs");
-                    warm_bytes = warm_bytes.saturating_sub(cost.warm_bytes);
-                }
-            }
-        }
-    }
-
-    report.horizon = last_event_time - SimTime::ZERO;
-    let horizon_secs = report.horizon.as_secs_f64();
-    report.mean_warm_bytes = if horizon_secs > 0.0 {
-        area / horizon_secs
-    } else {
-        warm_bytes as f64
-    };
-    report
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use functionbench::FunctionId;
-
-    fn costs_for(f: FunctionId, warm_mb: u64) -> HashMap<FunctionId, FunctionCosts> {
-        let mut m = HashMap::new();
-        m.insert(
-            f,
-            FunctionCosts {
-                cold_latency: SimDuration::from_millis(232),
-                warm_latency: SimDuration::from_millis(1),
-                warm_bytes: warm_mb * 1024 * 1024,
-            },
-        );
-        m
-    }
-
-    fn ev(f: FunctionId, secs: u64) -> InvocationEvent {
-        InvocationEvent {
-            at: SimTime::ZERO + SimDuration::from_secs(secs),
-            function: f,
-            seq: 0,
-        }
-    }
-
-    #[test]
-    fn back_to_back_invocations_stay_warm() {
-        let f = FunctionId::helloworld;
-        let events: Vec<_> = (0..10).map(|i| ev(f, i * 60)).collect(); // every minute
-        let policy = KeepWarmPolicy {
-            idle_timeout: SimDuration::from_secs(600),
-        };
-        let r = simulate_worker(&events, policy, &costs_for(f, 150));
-        assert_eq!(r.invocations, 10);
-        assert_eq!(r.cold_starts, 1, "only the first is cold");
-        assert_eq!(r.warm_hits, 9);
-        assert!(r.cold_rate() < 0.11);
-    }
-
-    #[test]
-    fn sparse_invocations_always_cold() {
-        let f = FunctionId::helloworld;
-        // Every 20 minutes with a 10-minute keep-alive: always cold.
-        let events: Vec<_> = (0..5).map(|i| ev(f, i * 1200)).collect();
-        let policy = KeepWarmPolicy::default();
-        let r = simulate_worker(&events, policy, &costs_for(f, 150));
-        assert_eq!(r.cold_starts, 5);
-        assert_eq!(r.warm_hits, 0);
-        // Memory is only pinned 10 of every 20 minutes: ~75 MB average.
-        let mean_mb = r.mean_warm_bytes / 1e6;
-        assert!(
-            (60.0..100.0).contains(&mean_mb),
-            "mean warm {mean_mb:.0} MB"
-        );
-    }
-
-    #[test]
-    fn longer_keepalive_trades_memory_for_cold_rate() {
-        let f = FunctionId::helloworld;
-        let events: Vec<_> = (0..20).map(|i| ev(f, i * 700)).collect(); // ~12 min apart
-        let short = simulate_worker(
-            &events,
-            KeepWarmPolicy {
-                idle_timeout: SimDuration::from_secs(480),
-            },
-            &costs_for(f, 150),
-        );
-        let long = simulate_worker(
-            &events,
-            KeepWarmPolicy {
-                idle_timeout: SimDuration::from_secs(1200),
-            },
-            &costs_for(f, 150),
-        );
-        assert!(long.cold_rate() < short.cold_rate());
-        assert!(long.mean_warm_bytes > short.mean_warm_bytes);
-    }
-
-    #[test]
-    fn expirations_do_not_double_free() {
-        let f = FunctionId::helloworld;
-        // Re-invocation before expiry re-arms; the stale expire token must
-        // not deallocate the fresh instance.
-        let events = vec![ev(f, 0), ev(f, 300), ev(f, 660)];
-        let policy = KeepWarmPolicy::default(); // 600s
-        let r = simulate_worker(&events, policy, &costs_for(f, 100));
-        assert_eq!(r.cold_starts, 1);
-        assert_eq!(r.warm_hits, 2);
-        assert_eq!(r.peak_warm_bytes, 100 * 1024 * 1024);
-    }
-
-    #[test]
-    fn multiple_functions_accumulate_memory() {
-        let a = FunctionId::helloworld;
-        let b = FunctionId::pyaes;
-        let mut costs = costs_for(a, 150);
-        costs.extend(costs_for(b, 160));
-        let events = vec![ev(a, 0), ev(b, 1)];
-        let r = simulate_worker(&events, KeepWarmPolicy::default(), &costs);
-        assert_eq!(r.cold_starts, 2);
-        assert_eq!(r.peak_warm_bytes, 310 * 1024 * 1024);
-    }
-
-    #[test]
-    fn report_helpers() {
-        let r = WorkerReport::default();
-        assert_eq!(r.cold_rate(), 0.0);
-        assert_eq!(r.mean_latency(), SimDuration::ZERO);
-    }
 }

@@ -8,10 +8,11 @@
 //! request queues (the Knative queue-proxy role). Idle instances are
 //! reclaimed after a keep-alive window.
 //!
-//! Like [`crate::policy`], the router works at the timing level: it takes
-//! per-function costs measured by the real [`crate::Orchestrator`] and
-//! replays an arrival stream, so queueing delay, scaling behaviour, and
-//! memory cost can be studied over hours of virtual time.
+//! The router works at the timing level: it takes per-function costs
+//! ([`crate::policy::FunctionCosts`]) measured by the real
+//! [`crate::Orchestrator`] and replays an arrival stream, so queueing
+//! delay, scaling behaviour, and memory cost can be studied over hours of
+//! virtual time.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -122,6 +123,10 @@ pub fn route_workload(events: &[InvocationEvent], config: RouterConfig, costs: &
     }
     let mut pools: HashMap<FunctionId, Pool> = HashMap::new();
     let mut report = RouterReport::default();
+    // Instances alive across all pools and the memory they pin: each
+    // instance counts its own function's footprint from cold start to
+    // reclamation.
+    let (mut alive, mut mem) = (0u64, 0u64);
 
     // Helper to account one dispatch.
     fn dispatch(now: SimTime, arrived: SimTime, exec: SimDuration, f: FunctionId, queue: &mut EventQueue<Ev>, report: &mut RouterReport) {
@@ -141,6 +146,8 @@ pub fn route_workload(events: &[InvocationEvent], config: RouterConfig, costs: &
                 while let Some(&idle_since) = pool.idle.front() {
                     if now - idle_since > config.keep_warm.idle_timeout {
                         pool.idle.pop_front();
+                        alive -= 1;
+                        mem -= cost.warm_bytes;
                     } else {
                         break;
                     }
@@ -153,6 +160,8 @@ pub fn route_workload(events: &[InvocationEvent], config: RouterConfig, costs: &
                     dispatch(now, arrived, cost.warm_latency, f, &mut queue, &mut report);
                 } else if pool.alive() < config.max_instances {
                     pool.busy += 1;
+                    alive += 1;
+                    mem += cost.warm_bytes;
                     report.cold_starts += 1;
                     dispatch(now, arrived, cost.cold_latency, f, &mut queue, &mut report);
                 } else if config.max_queue_depth.is_some_and(|d| pool.queue.len() >= d) {
@@ -163,13 +172,6 @@ pub fn route_workload(events: &[InvocationEvent], config: RouterConfig, costs: &
                     report.queued += 1;
                     report.queue_depth_hwm = report.queue_depth_hwm.max(pool.queue.len() as u64);
                 }
-                // Memory/instance accounting.
-                let (alive, mem): (u64, u64) = pools
-                    .values()
-                    .zip(std::iter::repeat(()))
-                    .map(|(p, ())| p.alive() as u64)
-                    .zip(std::iter::repeat(cost.warm_bytes))
-                    .fold((0, 0), |(a, m), (n, b)| (a + n, m + n * b));
                 report.peak_instances = report.peak_instances.max(alive);
                 report.peak_memory_bytes = report.peak_memory_bytes.max(mem);
             }
@@ -363,6 +365,32 @@ mod tests {
         let r = route_workload(&events, config, &costs());
         assert_eq!(r.invocations, 4);
         assert_eq!(r.expired, 0);
+    }
+
+    #[test]
+    fn each_pool_pins_its_own_functions_memory() {
+        let cost = |warm_bytes| FunctionCosts {
+            cold_latency: SimDuration::from_secs(10),
+            warm_latency: SimDuration::from_secs(10),
+            warm_bytes,
+        };
+        let costs = HashMap::from([(FunctionId::helloworld, cost(100)), (FunctionId::pyaes, cost(1))]);
+        let at = |ms, function| InvocationEvent {
+            at: SimTime::ZERO + SimDuration::from_millis(ms),
+            function,
+            seq: 0,
+        };
+        // Two long-running instances overlap; an hour later the first
+        // function's idle instance is reclaimed before its next cold start.
+        let events = [
+            at(0, FunctionId::helloworld),
+            at(1, FunctionId::pyaes),
+            at(3_600_000, FunctionId::helloworld),
+        ];
+        let r = route_workload(&events, RouterConfig::default(), &costs);
+        assert_eq!(r.cold_starts, 3);
+        assert_eq!(r.peak_instances, 2);
+        assert_eq!(r.peak_memory_bytes, 101);
     }
 
     #[test]

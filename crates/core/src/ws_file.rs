@@ -8,28 +8,22 @@
 //! Both are real byte formats with magic numbers and validation, stored in
 //! the [`FileStore`] next to the snapshot.
 //!
-//! Two format versions exist:
-//!
-//! * **v1** (`REAPTRC1`/`REAPWSF1`) — one 8-byte offset per page. Still
-//!   parsed for backward compatibility with artifacts recorded by older
-//!   builds.
-//! * **v2** (`REAPTRC2`/`REAPWSF2`) — *extent-coalesced*: consecutive
-//!   pages of the fault order are stored as `(offset, len)` extents, so
-//!   building and parsing do one copy per extent instead of per page.
-//!   All new artifacts are written as v2.
+//! The format (`REAPTRC2`/`REAPWSF2`) is *extent-coalesced*: consecutive
+//! pages of the fault order are stored as `(offset, len)` extents, so
+//! building and parsing do one copy per extent instead of per page. Any
+//! other magic — the retired one-offset-per-page format included — is
+//! [`WsError::BadMagic`].
 
 use guest_mem::{coalesce_ordered, PageIdx, PageRun, PAGE_SIZE};
 use sim_storage::{FileId, FileStore, StorageError};
 use std::fmt;
 
-const TRACE_MAGIC_V1: &[u8; 8] = b"REAPTRC1";
-const WS_MAGIC_V1: &[u8; 8] = b"REAPWSF1";
-const TRACE_MAGIC_V2: &[u8; 8] = b"REAPTRC2";
-const WS_MAGIC_V2: &[u8; 8] = b"REAPWSF2";
+const TRACE_MAGIC: &[u8; 8] = b"REAPTRC2";
+const WS_MAGIC: &[u8; 8] = b"REAPWSF2";
 
-/// Fixed header: 8 bytes of magic + count (pages in v1, extents in v2).
+/// Fixed header: 8 bytes of magic + extent count.
 const HEADER_BYTES: u64 = 16;
-/// Bytes per v2 extent table entry: offset + length-in-pages.
+/// Bytes per extent table entry: offset + length-in-pages.
 const EXTENT_BYTES: u64 = 16;
 
 /// Errors from parsing REAP files.
@@ -46,9 +40,9 @@ pub enum WsError {
     },
     /// An offset is not page-aligned.
     MisalignedOffset(u64),
-    /// A v2 extent covers zero pages (names its offset).
+    /// An extent covers zero pages (names its offset).
     EmptyExtent(u64),
-    /// Two v2 extents overlap (names both offsets).
+    /// Two extents overlap (names both offsets).
     OverlappingExtents(u64, u64),
     /// The underlying store failed while reading the artifact (dead file,
     /// injected transient fault, shard blackout). Unlike the format
@@ -135,7 +129,7 @@ fn extent_table(magic: &[u8; 8], runs: &[PageRun], total_bytes: u64) -> Vec<u8> 
 
 /// Writes the trace + WS files for `runs` (recorded fault order, already
 /// coalesced). The page data lands via one scatter-gather store operation
-/// ([`FileStore::gather_into`]) straight from the guest memory file — a
+/// ([`FileStore::try_gather_into`]) straight from the guest memory file — a
 /// single destination copy, no intermediate buffer and no per-page reads.
 ///
 /// Returns the stored file handles. Existing files under the same prefix
@@ -192,12 +186,12 @@ pub fn try_write_reap_files_runs(
         extents,
     };
 
-    let trace_buf = extent_table(TRACE_MAGIC_V2, runs, files.trace_bytes());
+    let trace_buf = extent_table(TRACE_MAGIC, runs, files.trace_bytes());
     retry_write(|| fs.try_write_at(files.trace_file, 0, &trace_buf))?;
 
     // WS file: same header + extent table, then the page data gathered
     // from the memory file in one store operation.
-    let header = extent_table(WS_MAGIC_V2, runs, files.trace_bytes());
+    let header = extent_table(WS_MAGIC, runs, files.trace_bytes());
     retry_write(|| fs.try_write_at(files.ws_file, 0, &header))?;
     let parts: Vec<(FileId, u64, u64)> = runs
         .iter()
@@ -213,56 +207,12 @@ pub fn write_reap_files(fs: &FileStore, prefix: &str, mem_file: FileId, trace: &
     write_reap_files_runs(fs, prefix, mem_file, &coalesce_ordered(trace.iter().copied()))
 }
 
-/// Writes the *legacy v1* (one offset per page) artifacts. Kept so the
-/// format back-compat path stays exercisable; new code writes v2.
-pub fn write_reap_files_v1(fs: &FileStore, prefix: &str, mem_file: FileId, trace: &[PageIdx]) -> ReapFiles {
-    let count = trace.len() as u64;
-
-    let mut trace_buf = vec![0u8; (HEADER_BYTES + count * 8) as usize];
-    trace_buf[..8].copy_from_slice(TRACE_MAGIC_V1);
-    put_u64(&mut trace_buf, 8, count);
-    for (i, page) in trace.iter().enumerate() {
-        put_u64(&mut trace_buf, 16 + i * 8, page.file_offset());
-    }
-    let trace_file = fs.create(&format!("{prefix}/ws_trace"));
-    fs.write_at(trace_file, 0, &trace_buf);
-
-    let mut ws_buf = vec![0u8; (HEADER_BYTES + count * 8 + count * PAGE_SIZE as u64) as usize];
-    ws_buf[..8].copy_from_slice(WS_MAGIC_V1);
-    put_u64(&mut ws_buf, 8, count);
-    let data_base = (HEADER_BYTES + count * 8) as usize;
-    for (i, page) in trace.iter().enumerate() {
-        put_u64(&mut ws_buf, 16 + i * 8, page.file_offset());
-        fs.read_into(
-            mem_file,
-            page.file_offset(),
-            &mut ws_buf[data_base + i * PAGE_SIZE..data_base + (i + 1) * PAGE_SIZE],
-        );
-    }
-    let ws_file = fs.create(&format!("{prefix}/ws_pages"));
-    fs.write_at(ws_file, 0, &ws_buf);
-
-    ReapFiles {
-        trace_file,
-        ws_file,
-        pages: count,
-        extents: count,
-    }
-}
-
-/// Format version, dispatched on the magic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Version {
-    V1,
-    V2,
-}
-
+/// Validates the fixed header against `magic`; returns the extent count.
 fn parse_header(
     fs: &FileStore,
     file: FileId,
-    v1_magic: &[u8; 8],
-    v2_magic: &[u8; 8],
-) -> Result<(Version, u64), WsError> {
+    magic: &[u8; 8],
+) -> Result<u64, WsError> {
     let len = fs.checked_len(file)?;
     if len < HEADER_BYTES {
         return Err(WsError::Truncated {
@@ -271,18 +221,13 @@ fn parse_header(
         });
     }
     let head = fs.checked_read_at(file, 0, HEADER_BYTES as usize)?;
-    let version = if &head[..8] == v2_magic {
-        Version::V2
-    } else if &head[..8] == v1_magic {
-        Version::V1
-    } else {
+    if &head[..8] != magic {
         return Err(WsError::BadMagic);
-    };
-    let count = u64::from_le_bytes(head[8..16].try_into().expect("8 bytes"));
-    Ok((version, count))
+    }
+    Ok(u64::from_le_bytes(head[8..16].try_into().expect("8 bytes")))
 }
 
-/// Reads and validates a v2 extent table: aligned offsets, no zero-length
+/// Reads and validates an extent table: aligned offsets, no zero-length
 /// extents, byte ranges that fit in u64 arithmetic, no overlaps.
 fn read_extents(fs: &FileStore, file: FileId, extents: u64) -> Result<Vec<PageRun>, WsError> {
     let actual = fs.checked_len(file)?;
@@ -333,38 +278,14 @@ fn read_extents(fs: &FileStore, file: FileId, extents: u64) -> Result<Vec<PageRu
     Ok(runs)
 }
 
-/// Reads a v1 per-page offset table.
-fn read_offsets(fs: &FileStore, file: FileId, count: u64) -> Result<Vec<PageIdx>, WsError> {
-    let bytes = fs.checked_read_at(file, HEADER_BYTES, (count * 8) as usize)?;
-    let mut pages = Vec::with_capacity(count as usize);
-    for chunk in bytes.chunks_exact(8) {
-        let off = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-        if off % PAGE_SIZE as u64 != 0 {
-            return Err(WsError::MisalignedOffset(off));
-        }
-        pages.push(PageIdx::new(off / PAGE_SIZE as u64));
-    }
-    Ok(pages)
-}
-
-/// Parses a trace file (v1 or v2) into extents in fault order.
+/// Parses a trace file into extents in fault order.
 ///
 /// # Errors
 ///
 /// Returns [`WsError`] on magic/length/alignment/extent violations.
 pub fn read_trace_runs(fs: &FileStore, trace_file: FileId) -> Result<Vec<PageRun>, WsError> {
-    let (version, count) = parse_header(fs, trace_file, TRACE_MAGIC_V1, TRACE_MAGIC_V2)?;
-    match version {
-        Version::V2 => read_extents(fs, trace_file, count),
-        Version::V1 => {
-            let expected = HEADER_BYTES + count * 8;
-            let actual = fs.checked_len(trace_file)?;
-            if actual < expected {
-                return Err(WsError::Truncated { expected, actual });
-            }
-            Ok(coalesce_ordered(read_offsets(fs, trace_file, count)?))
-        }
-    }
+    let count = parse_header(fs, trace_file, TRACE_MAGIC)?;
+    read_extents(fs, trace_file, count)
 }
 
 /// Parses a trace file into page indices (fault order).
@@ -391,67 +312,40 @@ pub struct WsLayout {
     pub pages: u64,
 }
 
-/// Parses and validates a WS file's header and extent table (v1 or v2)
+/// Parses and validates a WS file's header and extent table
 /// without touching the page data — the zero-copy parse.
 ///
 /// # Errors
 ///
 /// Returns [`WsError`] on magic/length/alignment/extent violations.
 pub fn read_ws_layout(fs: &FileStore, ws_file: FileId) -> Result<WsLayout, WsError> {
-    let (version, count) = parse_header(fs, ws_file, WS_MAGIC_V1, WS_MAGIC_V2)?;
-    match version {
-        Version::V2 => {
-            let runs = read_extents(fs, ws_file, count)?;
-            let pages: u128 = runs.iter().map(|r| r.len as u128).sum();
-            let expected = HEADER_BYTES as u128
-                + count as u128 * EXTENT_BYTES as u128
-                + pages * PAGE_SIZE as u128;
-            let actual = fs.checked_len(ws_file)?;
-            if (actual as u128) < expected {
-                return Err(WsError::Truncated {
-                    expected: expected.min(u64::MAX as u128) as u64,
-                    actual,
-                });
-            }
-            let pages = pages as u64;
-            let mut data_at = HEADER_BYTES + count * EXTENT_BYTES;
-            let extents = runs
-                .into_iter()
-                .map(|run| {
-                    let at = data_at;
-                    data_at += run.byte_len();
-                    (run, at)
-                })
-                .collect();
-            Ok(WsLayout { extents, pages })
-        }
-        Version::V1 => {
-            let expected = HEADER_BYTES + count * 8 + count * PAGE_SIZE as u64;
-            let actual = fs.checked_len(ws_file)?;
-            if actual < expected {
-                return Err(WsError::Truncated { expected, actual });
-            }
-            let pages = read_offsets(fs, ws_file, count)?;
-            let data_base = HEADER_BYTES + count * 8;
-            let extents = pages
-                .into_iter()
-                .enumerate()
-                .map(|(i, page)| {
-                    (
-                        PageRun::single(page),
-                        data_base + i as u64 * PAGE_SIZE as u64,
-                    )
-                })
-                .collect();
-            Ok(WsLayout {
-                extents,
-                pages: count,
-            })
-        }
+    let count = parse_header(fs, ws_file, WS_MAGIC)?;
+    let runs = read_extents(fs, ws_file, count)?;
+    let pages: u128 = runs.iter().map(|r| r.len as u128).sum();
+    let expected = HEADER_BYTES as u128
+        + count as u128 * EXTENT_BYTES as u128
+        + pages * PAGE_SIZE as u128;
+    let actual = fs.checked_len(ws_file)?;
+    if (actual as u128) < expected {
+        return Err(WsError::Truncated {
+            expected: expected.min(u64::MAX as u128) as u64,
+            actual,
+        });
     }
+    let pages = pages as u64;
+    let mut data_at = HEADER_BYTES + count * EXTENT_BYTES;
+    let extents = runs
+        .into_iter()
+        .map(|run| {
+            let at = data_at;
+            data_at += run.byte_len();
+            (run, at)
+        })
+        .collect();
+    Ok(WsLayout { extents, pages })
 }
 
-/// Parses a WS file (v1 or v2) into `(extent, contents)` pairs — one
+/// Parses a WS file into `(extent, contents)` pairs — one
 /// buffer per extent.
 ///
 /// # Errors
@@ -574,33 +468,17 @@ mod tests {
     }
 
     #[test]
-    fn v1_artifacts_still_parse() {
-        // Format back-compat: files written by the legacy per-page writer
-        // must read identically through the new extent-aware readers.
+    fn v1_magic_is_rejected() {
+        // The retired per-page format differed in the magic's version
+        // digit; a file carrying it is not parsed, whatever follows.
         let fs = FileStore::new();
-        let pages = [8u64, 9, 10, 3, 50];
-        let mem = mem_with_pages(&fs, &pages);
-        let trace: Vec<PageIdx> = pages.iter().map(|&p| PageIdx::new(p)).collect();
-        let files = write_reap_files_v1(&fs, "s", mem, &trace);
-        // The v1 header is one count per *page*.
-        assert_eq!(fs.len(files.trace_file), 16 + 5 * 8);
-
-        assert_eq!(read_trace_file(&fs, files.trace_file).unwrap(), trace);
-        assert_eq!(
-            read_trace_runs(&fs, files.trace_file).unwrap(),
-            vec![
-                PageRun::new(PageIdx::new(8), 3),
-                PageRun::new(PageIdx::new(3), 1),
-                PageRun::new(PageIdx::new(50), 1)
-            ],
-            "v1 offsets coalesce on read"
-        );
-        let ws = read_ws_file(&fs, files.ws_file).unwrap();
-        assert_eq!(ws.len(), 5);
-        for (i, (page, data)) in ws.iter().enumerate() {
-            assert_eq!(*page, trace[i]);
-            assert_eq!(data, &fs.read_at(mem, page.file_offset(), PAGE_SIZE));
-        }
+        let mem = mem_with_pages(&fs, &[8, 9, 3]);
+        let trace = vec![PageIdx::new(8), PageIdx::new(9), PageIdx::new(3)];
+        let files = write_reap_files(&fs, "s", mem, &trace);
+        fs.write_at(files.trace_file, 7, b"1");
+        fs.write_at(files.ws_file, 7, b"1");
+        assert_eq!(read_trace_runs(&fs, files.trace_file), Err(WsError::BadMagic));
+        assert_eq!(read_ws_layout(&fs, files.ws_file), Err(WsError::BadMagic));
     }
 
     #[test]
@@ -654,7 +532,7 @@ mod tests {
         let fs = FileStore::new();
         let f = fs.create("bad");
         let mut buf = vec![0u8; 32];
-        buf[..8].copy_from_slice(TRACE_MAGIC_V2);
+        buf[..8].copy_from_slice(TRACE_MAGIC);
         put_u64(&mut buf, 8, 1);
         put_u64(&mut buf, 16, 123); // not page aligned
         put_u64(&mut buf, 24, 1);
@@ -667,7 +545,7 @@ mod tests {
         let fs = FileStore::new();
         let f = fs.create("bad");
         let mut buf = vec![0u8; 32];
-        buf[..8].copy_from_slice(TRACE_MAGIC_V2);
+        buf[..8].copy_from_slice(TRACE_MAGIC);
         put_u64(&mut buf, 8, 1);
         put_u64(&mut buf, 16, 5 * PAGE_SIZE as u64);
         put_u64(&mut buf, 24, 0); // empty extent
@@ -678,7 +556,7 @@ mod tests {
         );
         // Same rule guards WS files.
         let w = fs.create("badws");
-        buf[..8].copy_from_slice(WS_MAGIC_V2);
+        buf[..8].copy_from_slice(WS_MAGIC);
         fs.write_at(w, 0, &buf);
         assert_eq!(
             read_ws_extents(&fs, w),
@@ -694,7 +572,7 @@ mod tests {
         let fs = FileStore::new();
         let f = fs.create("bad");
         let mut buf = vec![0u8; 32];
-        buf[..8].copy_from_slice(TRACE_MAGIC_V2);
+        buf[..8].copy_from_slice(TRACE_MAGIC);
         put_u64(&mut buf, 8, 1);
         put_u64(&mut buf, 16, 0);
         put_u64(&mut buf, 24, u64::MAX / 2);
@@ -704,7 +582,7 @@ mod tests {
             Err(WsError::Truncated { .. })
         ));
         let w = fs.create("badws");
-        buf[..8].copy_from_slice(WS_MAGIC_V2);
+        buf[..8].copy_from_slice(WS_MAGIC);
         fs.write_at(w, 0, &buf);
         assert!(matches!(
             read_ws_layout(&fs, w),
@@ -717,7 +595,7 @@ mod tests {
         let fs = FileStore::new();
         let f = fs.create("bad");
         let mut buf = vec![0u8; 48];
-        buf[..8].copy_from_slice(TRACE_MAGIC_V2);
+        buf[..8].copy_from_slice(TRACE_MAGIC);
         put_u64(&mut buf, 8, 2);
         // [10, 14) then [12, 13): overlap.
         put_u64(&mut buf, 16, 10 * PAGE_SIZE as u64);

@@ -92,22 +92,28 @@ fn wire_corruption_of_ws_metadata_heals_with_one_reload() {
 fn stored_corruption_quarantines_and_falls_back_to_vanilla() {
     let baseline = prepared(13).invoke_cold(F, ColdPolicy::Vanilla);
 
-    let mut o = prepared(13);
-    // Scribble the stored WS header magic: corruption that persists
-    // across reloads (unlike wire corruption).
-    let ws = o.fs().open(&format!("snapshots/{F}/ws_pages")).unwrap();
-    o.fs().write_at(ws, 0, &[0xA5, 0x5A, 0xA5, 0x5A]);
-    let faulted = o.invoke_cold(F, ColdPolicy::Reap);
+    // Scribbles on the stored WS header magic: corruption that persists
+    // across reloads (unlike wire corruption). The second turns the
+    // version digit into the retired v1 format's — also just a bad magic.
+    let scribbles: [(u64, &[u8]); 2] = [(0, &[0xA5, 0x5A, 0xA5, 0x5A]), (7, b"1")];
+    let faulted = scribbles.map(|(at, bytes)| {
+        let mut o = prepared(13);
+        let ws = o.fs().open(&format!("snapshots/{F}/ws_pages")).unwrap();
+        o.fs().write_at(ws, at, bytes);
+        let faulted = o.invoke_cold(F, ColdPolicy::Reap);
 
-    assert_eq!(faulted.recovery.corrupt_reloads, 1, "one reload attempted");
-    assert!(faulted.recovery.quarantined);
-    assert!(faulted.recovery.fallback_vanilla);
-    assert_eq!(faulted.policy, Some(ColdPolicy::Vanilla));
-    assert!(o.is_quarantined(F));
-    assert!(o.needs_rerecord(F), "quarantine schedules a re-record");
-    // The fallback reuses the seq and is byte-identical to a fault-free
-    // Vanilla cold start.
-    assert_eq!(normalized(&faulted), normalized(&baseline));
+        assert_eq!(faulted.recovery.corrupt_reloads, 1, "one reload attempted");
+        assert!(faulted.recovery.quarantined);
+        assert!(faulted.recovery.fallback_vanilla);
+        assert_eq!(faulted.policy, Some(ColdPolicy::Vanilla));
+        assert!(o.is_quarantined(F));
+        assert!(o.needs_rerecord(F), "quarantine schedules a re-record");
+        // The fallback reuses the seq and is byte-identical to a fault-free
+        // Vanilla cold start.
+        assert_eq!(normalized(&faulted), normalized(&baseline));
+        format!("{faulted:?}")
+    });
+    assert_eq!(faulted[0], faulted[1], "recovery ledgers included");
 }
 
 #[test]

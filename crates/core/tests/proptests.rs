@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use sim_core::{SimDuration, SimTime};
 use sim_storage::{Disk, FileStore};
 use vhive_core::{
-    read_trace_file, read_trace_runs, read_ws_file, write_reap_files, write_reap_files_v1,
+    read_trace_file, read_trace_runs, read_ws_file, write_reap_files,
     InstanceProgram, Phase, TimedStep, Timeline,
 };
 
@@ -46,32 +46,6 @@ proptest! {
             let expect = fs.read_at(mem, page.file_offset(), PAGE_SIZE);
             prop_assert_eq!(data, &expect);
         }
-    }
-
-    /// v1 artifacts written by the legacy per-page writer parse to the
-    /// same pages and contents through the new extent-aware readers.
-    #[test]
-    fn v1_and_v2_readers_agree(raw in proptest::collection::vec(0u64..4096, 0..100)) {
-        let mut seen = std::collections::HashSet::new();
-        let pages: Vec<u64> = raw.into_iter().filter(|&p| seen.insert(p)).collect();
-        let fs = FileStore::new();
-        let mem = fs.create("mem");
-        for &p in &pages {
-            let mut data = vec![0u8; PAGE_SIZE];
-            guest_mem::checksum::fill_deterministic(&mut data, 7, p);
-            fs.write_at(mem, p * PAGE_SIZE as u64, &data);
-        }
-        let trace: Vec<PageIdx> = pages.iter().map(|&p| PageIdx::new(p)).collect();
-        let v1 = write_reap_files_v1(&fs, "v1", mem, &trace);
-        let v2 = write_reap_files(&fs, "v2", mem, &trace);
-        prop_assert_eq!(
-            read_trace_file(&fs, v1.trace_file).unwrap(),
-            read_trace_file(&fs, v2.trace_file).unwrap()
-        );
-        prop_assert_eq!(
-            read_ws_file(&fs, v1.ws_file).unwrap(),
-            read_ws_file(&fs, v2.ws_file).unwrap()
-        );
     }
 
     /// Corrupting any single byte of the WS header is always detected.
@@ -248,41 +222,6 @@ proptest! {
             observe(installed, &m, &uffd)
         };
 
-        let sequential = run_prefetch(1);
-        for lanes in 2..=4 {
-            prop_assert_eq!(&run_prefetch(lanes), &sequential, "lanes={}", lanes);
-        }
-    }
-
-    /// Same equivalence over *legacy v1* artifacts, where the trace may
-    /// name a page twice — the layout self-overlaps and the lane engine
-    /// must take its sequential fallback without changing any observable.
-    #[test]
-    fn laned_prefetch_equals_sequential_on_v1_duplicates(
-        trace_pages in proptest::collection::vec(0u64..PROP_PAGES, 1..30),
-    ) {
-        let (snap, _snap_fs) = shared_snapshot();
-        let fs = FileStore::new();
-        let mem_file = fs.create("prop/mem");
-        let mut buf = vec![0u8; PAGE_SIZE];
-        for &p in &trace_pages {
-            guest_mem::checksum::fill_deterministic(&mut buf, 0xA11E, p);
-            fs.write_at(mem_file, p * PAGE_SIZE as u64, &buf);
-        }
-        let trace: Vec<PageIdx> = trace_pages.iter().map(|&p| PageIdx::new(p)).collect();
-        let files = vhive_core::write_reap_files_v1(&fs, "prop/v1", mem_file, &trace);
-
-        let base = GuestMemory::new(PROP_PAGES * PAGE_SIZE as u64);
-        let run_prefetch = |lanes: usize| {
-            let mut uffd = Uffd::register(base.clone(), REGION_BASE);
-            let mut m = Monitor::new(snap, &fs, MonitorMode::Prefetch);
-            let installed = if lanes == 1 {
-                m.prefetch(&mut uffd, &files).unwrap()
-            } else {
-                m.prefetch_lanes(&mut uffd, &files, lanes).unwrap()
-            };
-            observe(installed, &m, &uffd)
-        };
         let sequential = run_prefetch(1);
         for lanes in 2..=4 {
             prop_assert_eq!(&run_prefetch(lanes), &sequential, "lanes={}", lanes);

@@ -5,7 +5,7 @@
 //! the paper measures in Fig 4 (snapshot-restored instances touch 8–99 MB
 //! of their 256 MB guest memory).
 //!
-//! Residency and dirty state are word-packed bitmaps and frame bytes live
+//! Residency is a word-packed bitmap and frame bytes live
 //! in a single slab arena (one growing allocation, no per-page boxes), so
 //! the batched fault path of §5.2 can install a whole [`PageRun`] with one
 //! bounds check and one copy.
@@ -18,7 +18,7 @@
 //!   buffer owned elsewhere (the snapshot frame cache), installed by
 //!   [`GuestMemory::alias_run`] with *zero* byte copies. A guest write to
 //!   a shared frame breaks copy-on-write: the page silently gets a
-//!   private copy first, so residency, dirty tracking and every observable
+//!   private copy first, so residency and every observable
 //!   byte behave exactly as if the page had been copied in eagerly.
 
 use std::fmt;
@@ -65,8 +65,7 @@ const SHARED_BIT: u32 = 1 << 31;
 pub type FrameBytes = Arc<Vec<u8>>;
 
 /// Guest physical memory: a fixed-size region of lazily-populated 4 KB
-/// frames, with KVM-style dirty-page tracking (the mechanism behind
-/// Firecracker's *diff snapshots*).
+/// frames.
 ///
 /// # Example
 ///
@@ -97,10 +96,6 @@ pub struct GuestMemory {
     /// Shared entries freed by CoW breaks/eviction, reusable by aliases.
     free_shared: Vec<u32>,
     resident: PageBitmap,
-    /// Pages written since the last [`clear_dirty`](Self::clear_dirty)
-    /// (installs count as writes, as KVM's dirty log sees them).
-    dirty: PageBitmap,
-    dirty_tracking: bool,
     /// CoW breaks this instance has performed: guest writes that turned a
     /// shared frame-cache alias into a private copy.
     cow_breaks: u64,
@@ -123,52 +118,7 @@ impl GuestMemory {
             shared: Vec::new(),
             free_shared: Vec::new(),
             resident: PageBitmap::new(pages),
-            dirty: PageBitmap::new(pages),
-            dirty_tracking: false,
             cow_breaks: 0,
-        }
-    }
-
-    /// Enables KVM-style dirty logging: subsequent installs and writes are
-    /// recorded until [`clear_dirty`](Self::clear_dirty).
-    pub fn set_dirty_tracking(&mut self, enabled: bool) {
-        self.dirty_tracking = enabled;
-    }
-
-    /// True if dirty logging is on.
-    pub fn dirty_tracking(&self) -> bool {
-        self.dirty_tracking
-    }
-
-    /// Pages dirtied since tracking was last cleared, ascending.
-    pub fn dirty_pages(&self) -> impl Iterator<Item = PageIdx> + '_ {
-        self.dirty.iter()
-    }
-
-    /// Maximal runs of dirty pages, ascending.
-    pub fn dirty_runs(&self) -> Vec<PageRun> {
-        self.dirty.runs()
-    }
-
-    /// Number of dirty pages.
-    pub fn dirty_count(&self) -> u64 {
-        self.dirty.count()
-    }
-
-    /// Clears the dirty log (after capturing a diff snapshot).
-    pub fn clear_dirty(&mut self) {
-        self.dirty.clear_all();
-    }
-
-    fn mark_dirty(&mut self, page: PageIdx) {
-        if self.dirty_tracking {
-            self.dirty.set(page);
-        }
-    }
-
-    fn mark_dirty_run(&mut self, run: PageRun) {
-        if self.dirty_tracking {
-            self.dirty.set_run(run);
         }
     }
 
@@ -341,7 +291,6 @@ impl GuestMemory {
         self.arena[base..base + PAGE_SIZE].copy_from_slice(data);
         self.slots[page.as_u64() as usize] = slot;
         self.resident.set(page);
-        self.mark_dirty(page);
         Ok(())
     }
 
@@ -397,7 +346,6 @@ impl GuestMemory {
             }
         }
         self.resident.set_run(run);
-        self.mark_dirty_run(run);
         Ok(())
     }
 
@@ -444,7 +392,6 @@ impl GuestMemory {
             }
         }
         self.resident.set_run(run);
-        self.mark_dirty_run(run);
         Ok(())
     }
 
@@ -525,7 +472,6 @@ impl GuestMemory {
                 slot += 1;
             }
             self.resident.set_run(run);
-            self.mark_dirty_run(run);
         }
         Ok(())
     }
@@ -533,8 +479,8 @@ impl GuestMemory {
     /// Zero-copy alias install: maps `run.len` pages straight onto the
     /// refcounted buffer `src` starting at byte
     /// `src_page_offset * PAGE_SIZE`, without copying a single frame byte.
-    /// The pages become resident (and dirty, if tracking — exactly like
-    /// [`install_run`](Self::install_run)); a later guest write breaks
+    /// The pages become resident exactly like
+    /// [`install_run`](Self::install_run)'s; a later guest write breaks
     /// copy-on-write for just the written page. This is how repeat cold
     /// starts share one cached snapshot extent across instances and
     /// shards.
@@ -567,7 +513,6 @@ impl GuestMemory {
             self.slots[page.as_u64() as usize] = SHARED_BIT | entry;
         }
         self.resident.set_run(run);
-        self.mark_dirty_run(run);
         Ok(())
     }
 
@@ -620,7 +565,6 @@ impl GuestMemory {
             }
         }
         self.resident.set_run(run);
-        self.mark_dirty_run(run);
         Ok(())
     }
 
@@ -636,8 +580,6 @@ impl GuestMemory {
         self.shared.clear();
         self.free_shared.clear();
         self.resident.clear_all();
-        self.dirty.clear_all();
-        self.dirty_tracking = false;
     }
 
     /// Reads `len` bytes at `addr`.
@@ -737,7 +679,6 @@ impl GuestMemory {
             cur = cur.add(take as u64);
             written += take;
         }
-        self.mark_dirty_run(span);
         Ok(())
     }
 
@@ -1149,36 +1090,6 @@ mod tests {
         assert!(!mem.is_run_resident(PageRun::new(PageIdx::new(4), 2)));
     }
 
-    #[test]
-    fn dirty_tracking_records_installs_and_writes() {
-        let mut mem = GuestMemory::new(8 * 4096);
-        mem.install_page(PageIdx::new(0), &page_of(1)).unwrap();
-        assert_eq!(mem.dirty_count(), 0, "tracking off by default");
-        mem.set_dirty_tracking(true);
-        assert!(mem.dirty_tracking());
-        mem.install_page(PageIdx::new(2), &page_of(2)).unwrap();
-        mem.write(GuestAddr::new(5), &[9, 9]).unwrap(); // page 0
-        let dirty: Vec<u64> = mem.dirty_pages().map(|p| p.as_u64()).collect();
-        assert_eq!(dirty, vec![0, 2]);
-        mem.clear_dirty();
-        assert_eq!(mem.dirty_count(), 0);
-        // Writes after clearing are tracked afresh.
-        mem.write(GuestAddr::new(2 * 4096), &[1]).unwrap();
-        assert_eq!(mem.dirty_count(), 1);
-    }
-
-    #[test]
-    fn dirty_tracking_spanning_write_marks_all_pages() {
-        let mut mem = GuestMemory::new(4 * 4096);
-        mem.install_page(PageIdx::new(0), &page_of(0)).unwrap();
-        mem.install_page(PageIdx::new(1), &page_of(0)).unwrap();
-        mem.set_dirty_tracking(true);
-        mem.write(GuestAddr::new(4090), &[7u8; 20]).unwrap();
-        let dirty: Vec<u64> = mem.dirty_pages().map(|p| p.as_u64()).collect();
-        assert_eq!(dirty, vec![0, 1]);
-        assert_eq!(mem.dirty_runs(), vec![PageRun::new(PageIdx::new(0), 2)]);
-    }
-
     fn shared_buf(pages: usize, byte: u8) -> FrameBytes {
         Arc::new(vec![byte; pages * PAGE_SIZE])
     }
@@ -1241,7 +1152,6 @@ mod tests {
         let mut mem = GuestMemory::new(8 * 4096);
         let src = shared_buf(3, 0x11);
         mem.alias_run(PageRun::new(PageIdx::new(0), 3), &src, 0).unwrap();
-        mem.set_dirty_tracking(true);
         mem.write(PageIdx::new(1).base_addr().add(5), &[0xFF, 0xFE]).unwrap();
         // Only the written page went private; the source is untouched.
         assert_eq!(mem.aliased_pages(), 2);
@@ -1249,9 +1159,6 @@ mod tests {
         assert!(src.iter().all(|&b| b == 0x11), "shared source never mutated");
         let got = mem.read(PageIdx::new(1).base_addr(), 8).unwrap();
         assert_eq!(got, vec![0x11, 0x11, 0x11, 0x11, 0x11, 0xFF, 0xFE, 0x11]);
-        // Dirty semantics identical to a private-frame write.
-        let dirty: Vec<u64> = mem.dirty_pages().map(|p| p.as_u64()).collect();
-        assert_eq!(dirty, vec![1]);
         // Neighbouring aliases still serve the shared bytes.
         assert_eq!(mem.read(PageIdx::new(2).base_addr(), 1).unwrap(), vec![0x11]);
         // Exactly one CoW break was counted; reads break nothing.

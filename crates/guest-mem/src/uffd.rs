@@ -308,8 +308,8 @@ impl Uffd {
 
     /// Monitor-side bulk `UFFDIO_COPY` with caller-filled contents: the
     /// run's frames are reserved first, then `fill` populates them in
-    /// place (e.g. one `FileStore::read_into` straight from the snapshot
-    /// file — no intermediate buffer).
+    /// place (e.g. one `FileStore::read_ranges_into` job straight from the
+    /// snapshot file — no intermediate buffer).
     ///
     /// Unlike [`copy_run`](Self::copy_run) the entire run must be missing.
     ///

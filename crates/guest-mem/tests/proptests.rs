@@ -11,16 +11,12 @@ use proptest::prelude::*;
 /// per page, per-page installs only.
 struct RefMemory {
     frames: Vec<Option<Box<[u8]>>>,
-    dirty: std::collections::BTreeSet<u64>,
-    tracking: bool,
 }
 
 impl RefMemory {
     fn new(pages: u64) -> Self {
         RefMemory {
             frames: (0..pages).map(|_| None).collect(),
-            dirty: std::collections::BTreeSet::new(),
-            tracking: false,
         }
     }
 
@@ -32,9 +28,6 @@ impl RefMemory {
             return Err(MemError::AlreadyResident(PageIdx::new(page)));
         }
         self.frames[page as usize] = Some(data.to_vec().into_boxed_slice());
-        if self.tracking {
-            self.dirty.insert(page);
-        }
         Ok(())
     }
 

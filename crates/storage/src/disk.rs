@@ -22,7 +22,6 @@ use sim_core::{MultiServer, SimDuration, SimTime};
 
 use crate::device::DeviceProfile;
 use crate::file_store::FileId;
-use crate::io_trace::{IoKind, IoRecord, IoTrace};
 use crate::page_cache::PageCache;
 use crate::PAGE_SIZE;
 
@@ -78,7 +77,6 @@ pub struct Disk {
     /// Fixed syscall/setup cost of an `O_DIRECT` read.
     direct_setup_cost: SimDuration,
     stats: DiskStats,
-    trace: Option<IoTrace>,
 }
 
 impl Disk {
@@ -95,29 +93,6 @@ impl Disk {
             direct_setup_cost: SimDuration::from_micros(5),
             profile,
             stats: DiskStats::default(),
-            trace: None,
-        }
-    }
-
-    /// Starts recording every request into an [`IoTrace`].
-    pub fn enable_tracing(&mut self) {
-        self.trace = Some(IoTrace::new());
-    }
-
-    /// Stops tracing and returns the log (empty if tracing was off).
-    pub fn take_trace(&mut self) -> IoTrace {
-        self.trace.take().unwrap_or_default()
-    }
-
-    fn record(&mut self, at: SimTime, done: SimTime, kind: IoKind, useful: u64, device: u64) {
-        if let Some(trace) = &mut self.trace {
-            trace.push(IoRecord {
-                at,
-                done,
-                kind,
-                useful_bytes: useful,
-                device_bytes: device,
-            });
         }
     }
 
@@ -178,7 +153,6 @@ impl Disk {
         if self.cache.probe(file, page) {
             self.stats.cache_hits += 1;
             let ready = now + self.hit_cost;
-            self.record(now, ready, IoKind::FaultHit, PAGE_SIZE, 0);
             return ReadOutcome {
                 ready,
                 cache_hit: true,
@@ -201,7 +175,6 @@ impl Disk {
         self.stats.device_bytes_read += cluster_bytes;
         self.stats.device_reads += 1;
         let ready = t_page + self.page_path_cost;
-        self.record(now, ready, IoKind::FaultMiss, PAGE_SIZE, cluster_bytes);
         ReadOutcome {
             ready,
             cache_hit: false,
@@ -225,7 +198,6 @@ impl Disk {
         if uncached == 0 {
             self.stats.cache_hits += 1;
             let ready = now + self.hit_cost * total_pages;
-            self.record(now, ready, IoKind::Buffered, len, 0);
             return ReadOutcome {
                 ready,
                 cache_hit: true,
@@ -239,7 +211,6 @@ impl Disk {
         self.stats.device_bytes_read += bytes;
         self.stats.device_reads += 1;
         let ready = t_bus + path_cost;
-        self.record(now, ready, IoKind::Buffered, len, bytes);
         ReadOutcome {
             ready,
             cache_hit: false,
@@ -257,7 +228,6 @@ impl Disk {
         self.stats.device_bytes_read += len;
         self.stats.device_reads += 1;
         let ready = t_bus + self.direct_setup_cost;
-        self.record(now, ready, IoKind::Direct, len, len);
         ReadOutcome {
             ready,
             cache_hit: false,
@@ -276,7 +246,6 @@ impl Disk {
         let pages = (offset + len - 1) / PAGE_SIZE - first + 1;
         self.cache.insert_run(file, first, pages);
         self.stats.device_bytes_written += len;
-        self.record(now, t_bus, IoKind::Write, len, len);
         t_bus
     }
 
@@ -442,28 +411,6 @@ mod tests {
         assert_eq!(d.stats().device_bytes_written, 8 * PAGE_SIZE);
         let read = d.read_buffered(done, f, 0, 8 * PAGE_SIZE);
         assert!(read.cache_hit, "freshly written data is cached");
-    }
-
-    #[test]
-    fn tracing_captures_request_shapes() {
-        let (mut d, f) = setup();
-        d.enable_tracing();
-        let a = d.fault_read_page(SimTime::ZERO, f, 100, 16384); // miss
-        let b = d.fault_read_page(a.ready, f, 101, 16384); // readahead hit
-        let c = d.read_direct(b.ready, f, 0, 8 * 1024 * 1024, Access::Sequential);
-        let _ = d.write(c.ready, f, 0, 4096);
-        let trace = d.take_trace();
-        assert_eq!(trace.len(), 4);
-        assert_eq!(trace.of_kind(crate::IoKind::FaultMiss).count(), 1);
-        assert_eq!(trace.of_kind(crate::IoKind::FaultHit).count(), 1);
-        assert_eq!(trace.of_kind(crate::IoKind::Direct).count(), 1);
-        assert_eq!(trace.of_kind(crate::IoKind::Write).count(), 1);
-        // Amplification: fault miss moved a 128 KB cluster for 4 KB.
-        assert!(trace.amplification() > 1.0);
-        // take_trace() disables tracing.
-        let out = d.fault_read_page(SimTime::ZERO + SimDuration::from_secs(1), f, 500, 16384);
-        let _ = out;
-        assert!(d.take_trace().is_empty());
     }
 
     #[test]

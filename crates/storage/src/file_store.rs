@@ -480,24 +480,6 @@ impl FileStore {
         Ok(fd.data.len() as u64)
     }
 
-    /// Copies `len` bytes at `offset` into `buf` (zero-filling past EOF).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not refer to a live file.
-    pub fn read_into(&self, id: FileId, offset: u64, buf: &mut [u8]) {
-        self.counters.reads.fetch_add(1, Ordering::Relaxed);
-        self.metric_read(buf.len() as u64);
-        let inner = self.inner.read();
-        let data = &inner.files[&id].data;
-        let start = (offset as usize).min(data.len());
-        let end = (offset as usize + buf.len()).min(data.len());
-        let covered = end - start;
-        sim_core::copy_par(&mut buf[..covered], &data[start..end]);
-        // Zero-fill only the past-EOF tail (sparse-file semantics).
-        buf[covered..].fill(0);
-    }
-
     /// Borrows `[offset, offset + len)` of the file's bytes zero-copy,
     /// clamped to EOF, and passes the slice to `f` under the store's read
     /// lock. `f` must not call mutating store methods (deadlock).
@@ -517,14 +499,14 @@ impl FileStore {
 
     /// Serves independent ranges of one file concurrently: copies each
     /// `(offset, destination)` job's bytes into its buffer (zero-filling
-    /// past EOF, as [`read_into`](Self::read_into)), fanning the jobs
+    /// past EOF, as [`read_at`](Self::read_at)), fanning the jobs
     /// across up to `lanes` scoped threads partitioned by byte weight
     /// ([`sim_core::partition_by_weight`]). The store's read lock is taken
     /// **once** for the whole batch, so lanes contend on memory bandwidth
     /// only — the `preadv`-per-lane of the prefetch pipeline.
     ///
     /// Accounted as one read operation per job (identical counters to a
-    /// sequential loop of [`read_into`](Self::read_into) calls).
+    /// sequential loop of [`read_at`](Self::read_at) calls).
     ///
     /// # Panics
     ///
@@ -581,21 +563,17 @@ impl FileStore {
     /// Source ranges past EOF read as zeros (sparse-file semantics, as
     /// [`read_at`](Self::read_at)).
     ///
+    /// # Errors
+    ///
+    /// Dead handles and injected faults surface as typed errors. An
+    /// injected torn gather leaves only a prefix of the assembled bytes in
+    /// place; retrying the identical call repairs it (gather always
+    /// rewrites everything from `dst_offset`).
+    ///
     /// # Panics
     ///
-    /// Panics if `dst` or any source is dead, if `dst_offset` is past the
-    /// destination's EOF, or if `dst` appears among the sources.
-    pub fn gather_into(&self, dst: FileId, dst_offset: u64, parts: &[(FileId, u64, u64)]) {
-        self.try_gather_into(dst, dst_offset, parts)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible twin of [`gather_into`](Self::gather_into): dead handles
-    /// and injected faults surface as typed errors. An injected torn
-    /// gather leaves only a prefix of the assembled bytes in place;
-    /// retrying the identical call repairs it (gather always rewrites
-    /// everything from `dst_offset`). Contract violations (offset past
-    /// EOF, destination among sources) still panic.
+    /// Panics if `dst_offset` is past the destination's EOF or if `dst`
+    /// appears among the sources (contract violations, not faults).
     pub fn try_gather_into(
         &self,
         dst: FileId,
@@ -726,7 +704,7 @@ impl FileStore {
 
     /// The file's content generation: bumped on every mutation
     /// ([`write_at`](Self::write_at), [`append`](Self::append),
-    /// [`set_len`](Self::set_len), [`gather_into`](Self::gather_into) and
+    /// [`set_len`](Self::set_len), [`try_gather_into`](Self::try_gather_into) and
     /// re-[`create`](Self::create) truncation). `None` if the file was
     /// deleted — or covered by an injected blackout, so cache layers treat
     /// a blacked-out shard's files exactly like unregistered ones. Cache
@@ -775,8 +753,9 @@ impl FileStore {
         self.counters.writes.load(Ordering::Relaxed)
     }
 
-    /// Read operations (`read_at` + `read_into`) issued so far, across
-    /// all handles to this store.
+    /// Read operations (`read_at` + `with_range`, one per
+    /// `read_ranges_into` job) issued so far, across all handles to this
+    /// store.
     pub fn read_calls(&self) -> u64 {
         self.counters.reads.load(Ordering::Relaxed)
     }
@@ -795,8 +774,7 @@ mod tests {
         fs.set_metrics(Some(m.clone()));
         fs.write_at(id, 0, b"0123456789");
         let _ = fs.read_at(id, 0, 4);
-        let mut buf = [0u8; 3];
-        fs.read_into(id, 1, &mut buf);
+        fs.with_range(id, 1, 3, |_| ());
         assert_eq!(m.counter("storage_write_bytes_total"), 10);
         assert_eq!(m.counter("storage_read_bytes_total"), 7);
         assert_eq!(m.counter("storage_faults_injected_total"), 0);
@@ -846,7 +824,7 @@ mod tests {
         assert_eq!(fs.read_at(id, 0, 4), vec![b'a', b'b', 0, 0]);
         assert_eq!(fs.read_at(id, 100, 2), vec![0, 0]);
         let mut buf = [0xFFu8; 4];
-        fs.read_into(id, 1, &mut buf);
+        fs.read_ranges_into(id, vec![(1, &mut buf[..])], 1);
         assert_eq!(buf, [b'b', 0, 0, 0]);
     }
 
@@ -916,12 +894,12 @@ mod tests {
         fs.write_at(b, 0, b"abcdef");
         fs.write_at(dst, 0, b"HDR:");
         let writes_before = fs.write_calls();
-        fs.gather_into(dst, 4, &[(a, 2, 3), (b, 0, 2), (a, 0, 1)]);
+        fs.try_gather_into(dst, 4, &[(a, 2, 3), (b, 0, 2), (a, 0, 1)]).unwrap();
         assert_eq!(fs.write_calls() - writes_before, 1, "one store op");
         assert_eq!(fs.read_at(dst, 0, 10), b"HDR:234ab0");
         assert_eq!(fs.len(dst), 10);
         // Gather replaces everything from the offset on.
-        fs.gather_into(dst, 4, &[(b, 5, 1)]);
+        fs.try_gather_into(dst, 4, &[(b, 5, 1)]).unwrap();
         assert_eq!(fs.read_at(dst, 0, 5), b"HDR:f");
         assert_eq!(fs.len(dst), 5);
     }
@@ -932,7 +910,7 @@ mod tests {
         let a = fs.create("a");
         let dst = fs.create("dst");
         fs.write_at(a, 0, b"xy");
-        fs.gather_into(dst, 0, &[(a, 0, 4), (a, 10, 2)]);
+        fs.try_gather_into(dst, 0, &[(a, 0, 4), (a, 10, 2)]).unwrap();
         assert_eq!(fs.read_at(dst, 0, 6), b"xy\0\0\0\0");
     }
 
@@ -1013,7 +991,7 @@ mod tests {
         assert!(g3 > g2);
         let src = fs.create("src");
         fs.write_at(src, 0, b"xy");
-        fs.gather_into(id, 0, &[(src, 0, 2)]);
+        fs.try_gather_into(id, 0, &[(src, 0, 2)]).unwrap();
         let g4 = fs.generation(id).unwrap();
         assert!(g4 > g3);
         // Re-creating (truncating) the same name bumps too.
@@ -1153,8 +1131,7 @@ mod tests {
         fs2.append(id, b"d");
         assert_eq!(fs.write_calls(), 2, "clone's ops are counted too");
         let _ = fs.read_at(id, 0, 4);
-        let mut buf = [0u8; 2];
-        fs2.read_into(id, 0, &mut buf);
+        fs2.with_range(id, 0, 2, |_| ());
         assert_eq!(fs.read_calls(), 2);
     }
 }

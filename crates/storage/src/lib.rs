@@ -38,7 +38,6 @@ pub mod fault;
 pub mod file_store;
 pub mod fio;
 pub mod frame_cache;
-pub mod io_trace;
 pub mod page_cache;
 
 pub use device::{DeviceProfile, DiskKind};
@@ -49,7 +48,6 @@ pub use fault::{
 };
 pub use file_store::{FileId, FileStore};
 pub use frame_cache::{FrameCacheDelta, FrameCacheGone, FrameCacheStats, SnapshotFrameCache};
-pub use io_trace::{IoKind, IoRecord, IoTrace};
 pub use page_cache::PageCache;
 
 /// Page size used throughout the reproduction (x86-64 base pages).

@@ -21,7 +21,7 @@
 use std::sync::Arc;
 
 use functionbench::FunctionId;
-use guest_mem::{PageIdx, PageRun, PAGE_SIZE};
+use guest_mem::{PageIdx, PAGE_SIZE};
 use sim_storage::{FileId, FileStore, StorageError};
 
 use crate::vm::{GuestShell, MicroVm, VmConfig};
@@ -141,17 +141,6 @@ impl Snapshot {
         fs.read_at(self.mem_file, page.file_offset(), PAGE_SIZE)
     }
 
-    /// Copies a whole run of pages from the guest memory file into `buf`
-    /// with a single read — the batched monitor's serve path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf` is not exactly `run.len` pages.
-    pub fn read_run_into(&self, fs: &FileStore, run: PageRun, buf: &mut [u8]) {
-        assert_eq!(buf.len() as u64, run.byte_len(), "buffer must match run");
-        fs.read_into(self.mem_file, run.file_offset(), buf);
-    }
-
     /// Builds the restored VM shell: VMM state read and validated, the
     /// captured guest structures cloned, guest memory mapped empty for
     /// lazy paging.
@@ -163,91 +152,6 @@ impl Snapshot {
         let _vmm = self.load_vmm_state(fs)?;
         let shell = GuestShell::clone(&self.shell);
         Ok(MicroVm::from_shell(self.function, self.config, shell))
-    }
-}
-
-/// A diff (incremental) snapshot: only the pages dirtied since a base
-/// snapshot, as Firecracker's diff-snapshot support captures via KVM dirty
-/// logging.
-#[derive(Debug, Clone)]
-pub struct DiffSnapshot {
-    /// The base this diff applies on top of.
-    pub base_mem_file: FileId,
-    /// File holding `[count u64][offsets…][pages…]` of dirtied pages.
-    pub diff_file: FileId,
-    /// Pages captured in the diff.
-    pub dirty_pages: u64,
-    /// Updated VMM state file.
-    pub vmm_file: FileId,
-}
-
-impl Snapshot {
-    /// Captures a *diff* snapshot of `vm` on top of this (base) snapshot:
-    /// only pages dirtied since dirty tracking was last cleared are
-    /// written. The VM must be paused and have dirty tracking enabled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the VM is not paused or dirty tracking is disabled.
-    pub fn capture_diff(&self, vm: &MicroVm, fs: &FileStore, prefix: &str) -> DiffSnapshot {
-        assert!(vm.is_paused(), "diff snapshot requires a paused VM");
-        let mem = vm.memory();
-        assert!(
-            mem.dirty_tracking(),
-            "diff snapshot requires dirty tracking"
-        );
-        let vmm = vm.vmm_state();
-        let vmm_file = fs.create(&format!("{prefix}/vmm_state.diff"));
-        fs.write_at(vmm_file, 0, vmm.as_bytes());
-
-        let dirty: Vec<PageIdx> = mem.dirty_pages().collect();
-        let diff_file = fs.create(&format!("{prefix}/mem.diff"));
-        let mut header = Vec::with_capacity(8 + dirty.len() * 8);
-        header.extend_from_slice(&(dirty.len() as u64).to_le_bytes());
-        for p in &dirty {
-            header.extend_from_slice(&p.file_offset().to_le_bytes());
-        }
-        fs.write_at(diff_file, 0, &header);
-        let data_base = header.len() as u64;
-        for (i, p) in dirty.iter().enumerate() {
-            let bytes = mem.page_bytes(*p).expect("dirty page is resident");
-            fs.write_at(diff_file, data_base + i as u64 * PAGE_SIZE as u64, bytes);
-        }
-        DiffSnapshot {
-            base_mem_file: self.mem_file,
-            diff_file,
-            dirty_pages: dirty.len() as u64,
-            vmm_file,
-        }
-    }
-
-    /// Applies a diff snapshot onto this base's memory file, producing the
-    /// merged full snapshot state in place (Firecracker's
-    /// "rebase-snap"-style merge).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the diff does not reference this snapshot's memory file
-    /// or is malformed.
-    pub fn apply_diff(&self, fs: &FileStore, diff: &DiffSnapshot) {
-        assert_eq!(
-            diff.base_mem_file, self.mem_file,
-            "diff applies to a different base"
-        );
-        let count_bytes = fs.read_at(diff.diff_file, 0, 8);
-        let count = u64::from_le_bytes(count_bytes.try_into().expect("8 bytes"));
-        assert_eq!(count, diff.dirty_pages, "corrupt diff header");
-        let offsets = fs.read_at(diff.diff_file, 8, (count * 8) as usize);
-        let data_base = 8 + count * 8;
-        for (i, chunk) in offsets.chunks_exact(8).enumerate() {
-            let off = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-            let page = fs.read_at(
-                diff.diff_file,
-                data_base + i as u64 * PAGE_SIZE as u64,
-                PAGE_SIZE,
-            );
-            fs.write_at(self.mem_file, off, &page);
-        }
     }
 }
 
@@ -299,34 +203,38 @@ pub fn verify_restored_tracked(
 ) -> Result<u64, String> {
     let mem = vm.memory();
     let mut verified = 0;
-    let mut staged = Vec::new();
     // One file read (or one cache lookup) per maximal resident run; the
     // comparison stays per page so the error names the exact mismatching
     // frame.
     for run in mem.resident_runs() {
-        let cached;
-        let expect: &[u8] = if let Some(cache) = cache {
-            cached = cache
+        // `expect` may stop short of the run (a borrow clamps at EOF):
+        // bytes past its end are zeros, as every read past EOF is.
+        let compare = |expect: &[u8]| -> Result<u64, String> {
+            for (i, page) in run.iter().enumerate() {
+                let got = mem.page_bytes(page).expect("resident page");
+                let start = (i * PAGE_SIZE).min(expect.len());
+                let want = &expect[start..(start + PAGE_SIZE).min(expect.len())];
+                let (head, tail) = got.split_at(want.len());
+                if head != want || tail.iter().any(|&b| b != 0) {
+                    let mut file_page = [0u8; PAGE_SIZE];
+                    file_page[..want.len()].copy_from_slice(want);
+                    return Err(format!(
+                        "page {page} differs from snapshot (restored checksum {:x}, file {:x})",
+                        guest_mem::fnv1a64(got),
+                        guest_mem::fnv1a64(&file_page),
+                    ));
+                }
+            }
+            Ok(run.len)
+        };
+        verified += if let Some(cache) = cache {
+            let cached = cache
                 .get_or_load_tracked(fs, snapshot.mem_file, run.file_offset(), run.byte_len(), delta)
                 .map_err(|gone| format!("verify source vanished: {gone}"))?;
-            &cached
+            compare(&cached)?
         } else {
-            staged.resize(run.byte_len() as usize, 0);
-            snapshot.read_run_into(fs, run, &mut staged);
-            &staged
+            fs.with_range(snapshot.mem_file, run.file_offset(), run.byte_len(), compare)?
         };
-        for (i, page) in run.iter().enumerate() {
-            let got = mem.page_bytes(page).expect("resident page");
-            let want = &expect[i * PAGE_SIZE..(i + 1) * PAGE_SIZE];
-            if got != want {
-                return Err(format!(
-                    "page {page} differs from snapshot (restored checksum {:x}, file {:x})",
-                    guest_mem::fnv1a64(got),
-                    guest_mem::fnv1a64(want),
-                ));
-            }
-            verified += 1;
-        }
     }
     Ok(verified)
 }
@@ -593,70 +501,35 @@ mod tests {
     }
 
     #[test]
-    fn diff_snapshot_captures_only_dirty_pages() {
+    fn uncached_verify_reads_zeros_past_a_truncated_memory_file() {
         let f = FunctionId::helloworld;
-        let fs = FileStore::new();
-        let (mut vm, _) = MicroVm::boot(f, VmConfig::default());
-        vm.pause();
-        let base = Snapshot::capture(&vm, &fs, "snap/base");
-        vm.resume();
+        let (snap, fs) = booted_snapshot(f);
+        let mut vm = snap.restore_shell(&fs).unwrap();
+        let ops = vm.invocation_ops(&InputGenerator::new(f, 1).input(1));
+        let mut handler = FileBacked {
+            snapshot: &snap,
+            fs: &fs,
+        };
+        run_lazy(&ops, vm.uffd_mut(), &mut handler);
+        let runs = vm.memory().resident_runs();
 
-        // Track dirt while serving one invocation on the (warm) VM.
-        vm.uffd_mut().memory_mut().set_dirty_tracking(true);
-        let input = InputGenerator::new(f, 5).input(1);
-        let ops = vm.invocation_ops(&input);
-        let label = vm.content_label();
-        let trace = crate::vcpu::run_resident(&ops, vm.uffd_mut().memory_mut(), label);
-        assert!(trace.minor_faults > 0, "invocation populates fresh pages");
+        let reads_before = fs.read_calls();
+        let uncached = verify_restored(&vm, &snap, &fs).unwrap();
+        assert_eq!(fs.read_calls() - reads_before, runs.len() as u64, "one read per resident run");
+        let cache = sim_storage::SnapshotFrameCache::new();
+        assert_eq!(verify_restored_cached(&vm, &snap, &fs, Some(&cache)), Ok(uncached));
+        assert_eq!(uncached, vm.memory().resident_pages());
 
-        vm.pause();
-        let diff = base.capture_diff(&vm, &fs, "snap/base");
-        // The diff holds exactly the freshly-populated pages — a tiny
-        // fraction of the 150 MB base.
-        assert_eq!(diff.dirty_pages, trace.minor_faults);
-        assert!(diff.dirty_pages < 2000);
-        assert!(fs.len(diff.diff_file) < 10 * 1024 * 1024);
-    }
-
-    #[test]
-    fn diff_apply_merges_into_base() {
-        let f = FunctionId::helloworld;
-        let fs = FileStore::new();
-        let (mut vm, _) = MicroVm::boot(f, VmConfig::default());
-        vm.pause();
-        let base = Snapshot::capture(&vm, &fs, "snap/base");
-        vm.resume();
-        vm.uffd_mut().memory_mut().set_dirty_tracking(true);
-        let input = InputGenerator::new(f, 6).input(1);
-        let ops = vm.invocation_ops(&input);
-        let label = vm.content_label();
-        crate::vcpu::run_resident(&ops, vm.uffd_mut().memory_mut(), label);
-        vm.pause();
-        let diff = base.capture_diff(&vm, &fs, "snap/base");
-
-        // Before the merge, a dirty page's file content is stale (zeros);
-        // after apply_diff, the base file matches the VM exactly.
-        let first_dirty = vm.memory().dirty_pages().next().expect("dirty pages");
-        base.apply_diff(&fs, &diff);
-        let merged = base.read_page(&fs, first_dirty);
-        assert_eq!(
-            merged.as_slice(),
-            vm.memory().page_bytes(first_dirty).unwrap(),
-            "merged base must hold the dirtied contents"
-        );
-        // Every resident page of the VM now matches the merged file.
-        let verified = verify_restored(&vm, &base, &fs).unwrap();
-        assert_eq!(verified, vm.memory().resident_pages());
-    }
-
-    #[test]
-    #[should_panic(expected = "requires dirty tracking")]
-    fn diff_without_tracking_panics() {
-        let fs = FileStore::new();
-        let (mut vm, _) = MicroVm::boot(FunctionId::helloworld, VmConfig::default());
-        vm.pause();
-        let base = Snapshot::capture(&vm, &fs, "s");
-        let _ = base.capture_diff(&vm, &fs, "s");
+        // Cut the file in the middle of a resident run: the borrow clamps
+        // there, and the pages past it must still compare against zeros.
+        let run = *runs.iter().find(|r| r.len >= 2).expect("a multi-page run");
+        let cut = PageIdx::new(run.first.as_u64() + run.len / 2);
+        assert!(vm.memory().page_bytes(cut).unwrap().iter().any(|&b| b != 0));
+        fs.try_set_len(snap.mem_file, cut.file_offset()).unwrap();
+        let err = verify_restored(&vm, &snap, &fs).unwrap_err();
+        let zero_page = guest_mem::fnv1a64(&[0u8; PAGE_SIZE]);
+        assert!(err.starts_with(&format!("page {cut} differs from snapshot")), "{err}");
+        assert!(err.ends_with(&format!("file {zero_page:x})")), "{err}");
     }
 
     #[test]

@@ -2,7 +2,12 @@
 //! silently served.
 
 use functionbench::FunctionId;
-use vhive_core::{read_trace_file, read_ws_file, ColdPolicy, Orchestrator, WsError};
+use guest_mem::PAGE_SIZE;
+use microvm::{MicroVm, Snapshot, VmConfig};
+use vhive_core::{
+    read_trace_file, read_ws_file, ColdPolicy, Monitor, MonitorMode, Orchestrator, PrefetchError,
+    ReapFiles, WsError,
+};
 
 #[test]
 fn corrupt_ws_file_is_rejected() {
@@ -10,10 +15,32 @@ fn corrupt_ws_file_is_rejected() {
     let mut orch = Orchestrator::new(31);
     orch.register(f);
     orch.invoke_record(f);
-    let ws = orch.fs().open(&format!("snapshots/{f}/ws_pages")).unwrap();
-    // Clobber the magic.
-    orch.fs().write_at(ws, 0, b"GARBAGE!");
-    assert_eq!(read_ws_file(orch.fs(), ws), Err(WsError::BadMagic));
+    let fs = orch.fs();
+    let ws = fs.open(&format!("snapshots/{f}/ws_pages")).unwrap();
+    let (mut vm, _) = MicroVm::boot(f, VmConfig::default());
+    vm.pause();
+    let snap = Snapshot::capture(&vm, fs, "probe");
+    // A clobbered magic, then a table that is well-formed except that its
+    // two extents, [10, 14) and [12, 13), overlap.
+    let mut overlapping = b"REAPWSF2".to_vec();
+    for word in [2, 10 * PAGE_SIZE as u64, 4, 12 * PAGE_SIZE as u64, 1] {
+        overlapping.extend_from_slice(&word.to_le_bytes());
+    }
+    let overlap = WsError::OverlappingExtents(10 * PAGE_SIZE as u64, 12 * PAGE_SIZE as u64);
+    for (bytes, expect) in [(b"GARBAGE!".to_vec(), WsError::BadMagic), (overlapping, overlap)] {
+        fs.write_at(ws, 0, &bytes);
+        assert_eq!(read_ws_file(fs, ws), Err(expect.clone()));
+        // Sequential (one lane is `Monitor::prefetch`) and laned prefetch
+        // both refuse it before any install.
+        let files = ReapFiles { trace_file: ws, ws_file: ws, pages: 0, extents: 0 };
+        for lanes in [1, 4] {
+            let mut vm = snap.restore_shell(fs).unwrap();
+            let mut m = Monitor::new(&snap, fs, MonitorMode::Prefetch);
+            let got = m.prefetch_lanes(vm.uffd_mut(), &files, lanes);
+            assert_eq!(got, Err(PrefetchError::Artifact(expect.clone())), "lanes={lanes}");
+            assert_eq!(vm.memory().resident_pages(), 0, "lanes={lanes}");
+        }
+    }
 }
 
 #[test]
