@@ -546,7 +546,7 @@ fn bench_cluster(r: &mut Report) {
 
     // Budget-starved twin: the cache is warmed to its natural working
     // set, then capped at half of it. Every measured batch must stay
-    // within the budget (the LRU evicts under pressure — asserted) while
+    // within the budget (the cache evicts under pressure — asserted) while
     // the simulated outcomes stay untouched; the median shows what cold
     // starts cost when the reuse layer can only hold half the fleet.
     let budget_name = "cluster/invoke_cold_64fn_budgeted";

@@ -393,9 +393,9 @@ impl Orchestrator {
     }
 
     /// Caps the frame cache's deduplicated content bytes (`None` =
-    /// unbounded, the default). Over-budget LRU content entries are
-    /// evicted immediately and on every later admission; evicted extents
-    /// simply re-read the store on their next cold start, so simulated
+    /// unbounded, the default). Over-budget content entries are evicted
+    /// (second chance) immediately and on every later admission; evicted
+    /// extents simply re-read the store on their next cold start, so simulated
     /// outcomes are byte-identical at any budget (pinned by the
     /// cache-equivalence proptests) — only resident cache bytes and
     /// wall-clock change.
@@ -909,13 +909,7 @@ impl Orchestrator {
             verify_restored_tracked(&vm, &snapshot, &fs, cache.as_deref(), &mut verify_delta)
                 .expect("lossless restoration");
 
-        let mut touched: BTreeSet<PageIdx> = BTreeSet::new();
-        for op in &conn_ops {
-            if let GuestOp::Touch(c) = op {
-                touched.extend(c.iter());
-            }
-        }
-        touched.extend(functionbench::behavior::touched_pages(&ops));
+        let touched = functionbench::behavior::touched_pages(conn_ops.iter().chain(&ops));
 
         if mode == MonitorMode::Record {
             let files = monitor.finish_record(&format!("snapshots/{f}"));

@@ -40,14 +40,16 @@ pub enum GuestOp {
 }
 
 /// Collects the distinct pages a stream of ops touches.
-pub fn touched_pages(ops: &[GuestOp]) -> BTreeSet<PageIdx> {
-    let mut set = BTreeSet::new();
-    for op in ops {
-        if let GuestOp::Touch(chunk) = op {
-            set.extend(chunk.iter());
-        }
-    }
-    set
+pub fn touched_pages<'a>(ops: impl IntoIterator<Item = &'a GuestOp>) -> BTreeSet<PageIdx> {
+    // One `collect`: std sorts the pages and bulk-builds the tree, several
+    // times cheaper than an insert per page.
+    ops.into_iter()
+        .filter_map(|op| match op {
+            GuestOp::Touch(chunk) => Some(chunk),
+            GuestOp::Compute(_) => None,
+        })
+        .flat_map(TouchChunk::iter)
+        .collect()
 }
 
 /// Total compute across a stream of ops.

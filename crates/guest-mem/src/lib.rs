@@ -24,7 +24,7 @@ pub mod run;
 pub mod uffd;
 
 pub use checksum::fnv1a64;
-pub use memory::{FrameBytes, GuestMemory, MemError};
+pub use memory::{FrameBytes, GuestMemory, MemError, RunChunk};
 pub use page::{GuestAddr, PageIdx, PAGE_SIZE};
 pub use run::{coalesce_ordered, push_coalesced, PageBitmap, PageRun};
 pub use uffd::{FaultEvent, RunInstall, TouchOutcome, Uffd, UffdStats};

@@ -64,6 +64,19 @@ const SHARED_BIT: u32 = 1 << 31;
 /// until a guest write forces a CoW break.
 pub type FrameBytes = Arc<Vec<u8>>;
 
+/// One stretch of a resident run as [`GuestMemory::run_chunks`] yields it.
+#[derive(Debug, Clone, Copy)]
+pub struct RunChunk<'a> {
+    /// The pages the chunk covers.
+    pub run: PageRun,
+    /// Their bytes, borrowed where they lie.
+    pub bytes: &'a [u8],
+    /// For a stretch of shared aliases: the buffer every page of the chunk
+    /// aliases and the page offset within it of the chunk's first page
+    /// (`None` for private arena frames).
+    pub source: Option<(&'a FrameBytes, u32)>,
+}
+
 /// Guest physical memory: a fixed-size region of lazily-populated 4 KB
 /// frames.
 ///
@@ -572,7 +585,8 @@ impl GuestMemory {
     /// non-resident and the arena's allocation is retained for the next
     /// tenant — the memory-pool reuse a warm orchestrator applies between
     /// restores so each instance does not re-fault its arena in from the
-    /// OS. Dirty state and tracking are reset too.
+    /// OS. Shared aliases are released (their refcounts drop) with the
+    /// rest.
     pub fn recycle(&mut self) {
         self.slots.fill(NO_SLOT);
         self.arena.clear();
@@ -605,39 +619,64 @@ impl GuestMemory {
         Ok(out)
     }
 
-    /// Borrows a resident run's bytes where they lie: one
-    /// `(first page, bytes)` chunk per maximal stretch of the run whose
-    /// frames are adjacent in the arena, in ascending page order. A bulk
-    /// install is one chunk; a shared alias, or a frame eviction scattered
-    /// into a recycled slot, is a one-page chunk of its own. The chunks
-    /// tile `run` exactly — snapshot capture writes each straight to the
-    /// memory file, so no frame byte is staged on the way.
+    /// Borrows a resident run's bytes where they lie: one [`RunChunk`] per
+    /// maximal stretch of the run whose frames are adjacent in their
+    /// backing store, in ascending page order. A bulk install is one chunk
+    /// of the arena; consecutive pages aliasing consecutive pages of *one*
+    /// shared buffer are one chunk carrying that buffer (so a reader can
+    /// recognise a whole cached extent by identity instead of by bytes); a
+    /// frame scattered into a recycled slot, a CoW-broken page, or a change
+    /// of shared buffer or offset starts a new chunk. The chunks tile `run`
+    /// exactly — snapshot capture writes each straight to the memory file,
+    /// so no frame byte is staged on the way.
     ///
     /// # Panics
     ///
     /// Panics if `run` leaves the region or any of its pages is not
     /// resident: a hole must never read as zeros.
-    pub fn run_chunks(&self, run: PageRun) -> impl Iterator<Item = (PageIdx, &[u8])> + '_ {
+    pub fn run_chunks(&self, run: PageRun) -> impl Iterator<Item = RunChunk<'_>> + '_ {
         assert!(self.contains_run(run), "{run} leaves the region");
         assert!(self.resident.all_set_in(run), "{run} is not fully resident");
         let first = run.first.as_u64();
         let slots = &self.slots[first as usize..(first + run.len) as usize];
+        let shared_entry = |slot: u32| {
+            let (src, off) = self.shared[(slot & !SHARED_BIT) as usize]
+                .as_ref()
+                .expect("slot points at a live shared frame");
+            (src, *off)
+        };
         let mut at = 0;
         std::iter::from_fn(move || {
+            // Every slot here is resident (checked above), so none is
+            // `NO_SLOT` and `SHARED_BIT` alone tells the flavours apart.
             let slot = *slots.get(at)?;
-            let page = PageIdx::new(first + at as u64);
             let start = at;
             at += 1;
-            if slot & SHARED_BIT != 0 {
-                return Some((page, self.frame(page).expect("residency checked")));
-            }
-            // Private slots stay below SHARED_BIT, so `slot + n` can only
-            // equal another private slot.
-            while slots.get(at) == Some(&(slot + (at - start) as u32)) {
-                at += 1;
-            }
-            let base = slot as usize * PAGE_SIZE;
-            Some((page, &self.arena[base..base + (at - start) * PAGE_SIZE]))
+            let (backing, base, source) = if slot & SHARED_BIT != 0 {
+                let (src, off) = shared_entry(slot);
+                while slots.get(at).is_some_and(|&next| {
+                    next & SHARED_BIT != 0 && {
+                        let (next_src, next_off) = shared_entry(next);
+                        Arc::ptr_eq(src, next_src) && next_off == off + (at - start) as u32
+                    }
+                }) {
+                    at += 1;
+                }
+                (&src[..], off, Some((src, off)))
+            } else {
+                // Private slots stay below SHARED_BIT, so `slot + n` can
+                // only equal another private slot.
+                while slots.get(at) == Some(&(slot + (at - start) as u32)) {
+                    at += 1;
+                }
+                (&self.arena[..], slot, None)
+            };
+            let base = base as usize * PAGE_SIZE;
+            Some(RunChunk {
+                run: PageRun::new(PageIdx::new(first + start as u64), (at - start) as u64),
+                bytes: &backing[base..base + (at - start) * PAGE_SIZE],
+                source,
+            })
         })
     }
 
@@ -993,14 +1032,19 @@ mod tests {
     fn chunk_pages(mem: &GuestMemory, run: PageRun) -> Vec<u64> {
         let mut next = run.first.as_u64();
         let mut lens = Vec::new();
-        for (first, bytes) in mem.run_chunks(run) {
-            assert_eq!(first.as_u64(), next, "chunks ascend without gap or overlap");
-            assert!(!bytes.is_empty() && bytes.len() % PAGE_SIZE == 0);
+        for RunChunk { run: pages, bytes, source } in mem.run_chunks(run) {
+            assert_eq!(pages.first.as_u64(), next, "chunks ascend without gap or overlap");
+            assert!(!pages.is_empty() && bytes.len() as u64 == pages.byte_len());
             for (i, frame) in bytes.chunks(PAGE_SIZE).enumerate() {
-                assert_eq!(Some(frame), mem.page_bytes(PageIdx::new(next + i as u64)));
+                let page = PageIdx::new(next + i as u64);
+                assert_eq!(Some(frame), mem.page_bytes(page));
+                // Every page of a chunk shares the chunk's source.
+                let aliased = mem.aliased_source(page);
+                assert_eq!(aliased.is_some(), source.is_some());
+                assert!(aliased.iter().all(|a| Arc::ptr_eq(a, source.unwrap().0)));
             }
-            lens.push((bytes.len() / PAGE_SIZE) as u64);
-            next += lens.last().unwrap();
+            lens.push(pages.len);
+            next += pages.len;
         }
         assert_eq!(next, run.end().as_u64(), "chunks cover the whole run");
         lens
@@ -1011,14 +1055,15 @@ mod tests {
         let mut mem = GuestMemory::new(16 * 4096);
         let zeros = PageRun::new(PageIdx::new(9), 2);
         mem.install_zero_run(zeros).unwrap();
-        let (_, bytes) = mem.run_chunks(zeros).next().unwrap();
-        assert_eq!(bytes, &[0u8; 2 * PAGE_SIZE][..]);
+        let chunk = mem.run_chunks(zeros).next().unwrap();
+        assert_eq!(chunk.bytes, &[0u8; 2 * PAGE_SIZE][..]);
         let data: Vec<u8> = (0..4 * PAGE_SIZE).map(|i| (i / PAGE_SIZE + 1) as u8).collect();
         let run = PageRun::new(PageIdx::new(2), 4);
         mem.install_run(run, &data).unwrap();
         assert_eq!(chunk_pages(&mem, run), vec![4]);
-        let (first, bytes) = mem.run_chunks(run).next().unwrap();
-        assert_eq!((first, bytes), (PageIdx::new(2), &data[..]));
+        let chunk = mem.run_chunks(run).next().unwrap();
+        assert_eq!((chunk.run, chunk.bytes), (run, &data[..]));
+        assert!(chunk.source.is_none(), "arena frames have no shared source");
         // A sub-run borrows just its stretch; an empty run yields nothing.
         assert_eq!(chunk_pages(&mem, PageRun::new(PageIdx::new(3), 2)), vec![2]);
         assert_eq!(mem.run_chunks(PageRun::new(PageIdx::new(3), 0)).count(), 0);
@@ -1045,9 +1090,52 @@ mod tests {
         mem.alias_run(PageRun::new(PageIdx::new(6), 1), &src, 1).unwrap();
         let run = PageRun::new(PageIdx::new(0), 8);
         assert_eq!(chunk_pages(&mem, run), vec![2, 1, 2, 1, 1, 1]);
-        // Adjacent aliases of one buffer still come a page at a time.
+        // Adjacent aliases of consecutive pages of one buffer are one chunk.
         mem.alias_run(PageRun::new(PageIdx::new(8), 2), &src, 0).unwrap();
-        assert_eq!(chunk_pages(&mem, PageRun::new(PageIdx::new(7), 3)), vec![1, 1, 1]);
+        assert_eq!(chunk_pages(&mem, PageRun::new(PageIdx::new(7), 3)), vec![1, 2]);
+    }
+
+    #[test]
+    fn run_chunks_coalesce_an_aliased_run_and_split_where_identity_breaks() {
+        let mut mem = GuestMemory::new(32 * 4096);
+        let (a, b) = (shared_buf(6, 0xA1), shared_buf(6, 0xB2));
+        let whole = PageRun::new(PageIdx::new(4), 6);
+        mem.alias_run(whole, &a, 0).unwrap();
+        // Each chunk as (first page, pages, source: (is it `a`?, offset)).
+        let sources = |mem: &GuestMemory, run| {
+            chunk_pages(mem, run);
+            let chunks = mem.run_chunks(run).map(|c| {
+                let src = c.source.map(|(s, off)| (Arc::ptr_eq(s, &a), off));
+                (c.run.first.as_u64(), c.run.len, src)
+            });
+            chunks.collect::<Vec<_>>()
+        };
+        // One alias install is one chunk, carrying its buffer at offset 0.
+        assert_eq!(sources(&mem, whole), vec![(4, 6, Some((true, 0)))]);
+        // A sub-run starts mid-buffer and says so.
+        assert_eq!(
+            sources(&mem, PageRun::new(PageIdx::new(6), 3)),
+            vec![(6, 3, Some((true, 2)))]
+        );
+        // A CoW break splits the stretch around the now-private page.
+        mem.write(PageIdx::new(7).base_addr(), &[1]).unwrap();
+        assert_eq!(
+            sources(&mem, whole),
+            vec![(4, 3, Some((true, 0))), (7, 1, None), (8, 2, Some((true, 4)))]
+        );
+        // A change of buffer splits, and so does a jump in the offset
+        // within one buffer — even where the bytes are equal.
+        mem.alias_run(PageRun::new(PageIdx::new(10), 2), &b, 0).unwrap();
+        mem.alias_run(PageRun::new(PageIdx::new(12), 2), &b, 3).unwrap();
+        mem.alias_run(PageRun::new(PageIdx::new(14), 1), &b, 5).unwrap();
+        assert_eq!(
+            sources(&mem, PageRun::new(PageIdx::new(8), 7)),
+            vec![
+                (8, 2, Some((true, 4))),
+                (10, 2, Some((false, 0))),
+                (12, 3, Some((false, 3)))
+            ]
+        );
     }
 
     #[test]

@@ -32,8 +32,9 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// multiplies, and a *different* value: use it only where the result never
 /// leaves the process and is compared with a recomputation by this same
 /// function (the frame cache's dedup key, the orchestrator's record-time
-/// artifact digests). Persisted checksums — VMM state, WS/trace artifact
-/// headers, telemetry — stay on [`fnv1a64`].
+/// artifact digests, the snapshot's in-memory VMM-state fingerprint).
+/// Persisted checksums — WS/trace artifact headers, telemetry — stay on
+/// [`fnv1a64`].
 pub fn fnv1a64_words(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a64::new();
     let mut words = bytes.chunks_exact(8);

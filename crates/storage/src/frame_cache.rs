@@ -33,22 +33,42 @@
 //!
 //! The content store is capacity-budgeted
 //! ([`SnapshotFrameCache::set_budget`]): when deduped bytes exceed the
-//! budget, whole content entries are evicted in LRU order (an intrusive
-//! doubly-linked list threaded through the content slab, the same O(1)
-//! design as [`crate::PageCache`]). Eviction only drops the *cache's*
-//! reference: guest memories aliasing the buffer keep it alive through
-//! their own `Arc` clones, so an evicted extent can never free or
-//! mutate live guest frames — the next cold start simply re-reads the
-//! store. The default budget is unbounded, matching the pre-budget
-//! behaviour.
+//! budget, whole content entries are evicted by **second chance**
+//! (CLOCK): a hand sweeps the content slab, an entry hit since the hand
+//! last passed it has its reference bit cleared and is spared, the first
+//! unreferenced one goes. Eviction only drops the *cache's* reference:
+//! guest memories aliasing the buffer keep it alive through their own
+//! `Arc` clones, so an evicted extent can never free or mutate live guest
+//! frames — the next cold start simply re-reads the store. The default
+//! budget is unbounded, matching the pre-budget behaviour.
+//!
+//! Only a lookup that *finds its key* sets the bit. A populating miss
+//! never does, not even one that deduplicates onto live content: within a
+//! cold start the verify pass deduplicates onto exactly what its own
+//! prefetch admitted a moment earlier, and that correlated reference says
+//! nothing about reuse. Counted, it hands every extent streaming through
+//! a tight budget a second lap, and how much of a function then survives
+//! until its next turn hinges on which functions the lanes happen to
+//! pair — the same requests hit 14 % or 45 % of their lookups by arrival
+//! order alone.
+//!
+//! ## Hits do not write
+//!
+//! The state sits behind a reader-writer lock. A hit — the only thing a
+//! steady-state cold start does here, ~2k times per request — takes the
+//! *shared* lock, validates the generation, sets the entry's reference
+//! bit (one relaxed store, skipped when already set), bumps an atomic
+//! counter and clones the `Arc`: concurrent lanes never queue on each
+//! other and nothing is relinked. Misses, dedup, invalidation, budget
+//! changes and eviction take the exclusive lock.
 //!
 //! ## Staleness is structurally impossible
 //!
 //! Every index entry records the backing file's content generation at
 //! load time and re-validates it on each lookup: a rewritten file
-//! (re-record, `pad_working_set`, snapshot re-generation, diff-snapshot
-//! merge — anything that mutates bytes) makes all of its cached extents
-//! misses automatically, so a stale byte can never be served even if a
+//! (re-record, `pad_working_set`, snapshot re-generation — anything that
+//! mutates bytes) makes all of its cached extents misses automatically,
+//! so a stale byte can never be served even if a
 //! caller forgets to invalidate. The load path re-checks the generation
 //! *after* reading the store too, so a rewrite landing mid-read can
 //! never publish freshly-written bytes under the pre-write generation
@@ -66,9 +86,10 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use guest_mem::FrameBytes;
-use parking_lot::Mutex;
+use parking_lot::RwLock;
 
 use crate::file_store::{FileId, FileStore};
 
@@ -169,23 +190,21 @@ impl std::error::Error for FrameCacheGone {}
 /// An extent's identity: `(file, byte offset, byte len)`.
 type ExtentKey = (FileId, u64, u64);
 
-/// Null link in the content-entry LRU list.
-const NIL: u32 = u32::MAX;
-
 /// One deduplicated byte string: the bytes, the extents mapping onto
-/// them (the refcount is `keys.len()`), and intrusive LRU links (MRU
-/// towards `head`).
+/// them (the refcount is `keys.len()`), and its second-chance bit.
 #[derive(Debug)]
 struct ContentEntry {
     hash: u64,
     bytes: FrameBytes,
     keys: Vec<ExtentKey>,
-    prev: u32,
-    next: u32,
+    /// Set by every hit on an extent mapped here, cleared when the
+    /// eviction hand passes. Only ever a hint to the sweep — it publishes
+    /// no data — so hits set it `Relaxed` under the shared lock.
+    referenced: AtomicBool,
 }
 
-/// All mutable cache state under one lock: the hit path updates LRU
-/// recency, so even lookups write.
+/// Everything but the hit counter, behind the reader-writer lock: hits
+/// only read it.
 #[derive(Debug)]
 struct Inner {
     /// Extent -> (content generation at load time, content slab index).
@@ -197,15 +216,12 @@ struct Inner {
     /// collision).
     by_hash: HashMap<(u64, u64), Vec<u32>>,
     free: Vec<u32>,
-    /// Most recently used content entry, or NIL.
-    head: u32,
-    /// Least recently used content entry (eviction victim), or NIL.
-    tail: u32,
+    /// The eviction hand: the slab slot the next sweep looks at first.
+    hand: usize,
     /// Bytes held by live content entries (deduped content once).
     bytes: u64,
     /// Capacity budget in bytes; `u64::MAX` = unbounded.
     budget: u64,
-    hits: u64,
     misses: u64,
     raced: u64,
     invalidated: u64,
@@ -215,49 +231,19 @@ struct Inner {
 }
 
 impl Inner {
-    /// Unlinks content entry `n` from the LRU list (it must be linked).
-    fn unlink(&mut self, n: u32) {
-        let (prev, next) = {
-            let e = self.slab[n as usize].as_ref().expect("linked entry");
-            (e.prev, e.next)
-        };
-        if prev != NIL {
-            self.slab[prev as usize].as_mut().expect("live prev").next = next;
-        } else {
-            self.head = next;
-        }
-        if next != NIL {
-            self.slab[next as usize].as_mut().expect("live next").prev = prev;
-        } else {
-            self.tail = prev;
-        }
+    fn entry(&self, n: u32) -> &ContentEntry {
+        self.slab[n as usize].as_ref().expect("live entry")
     }
 
-    /// Links content entry `n` at the MRU end.
-    fn link_front(&mut self, n: u32) {
-        {
-            let e = self.slab[n as usize].as_mut().expect("live entry");
-            e.prev = NIL;
-            e.next = self.head;
+    /// Serves content entry `n` to a lookup: marks it referenced and hands
+    /// out its buffer. The load skips the store when the bit is already
+    /// set, so lanes hitting one entry share its cache line read-only.
+    fn reference(&self, n: u32) -> FrameBytes {
+        let entry = self.entry(n);
+        if !entry.referenced.load(Ordering::Relaxed) {
+            entry.referenced.store(true, Ordering::Relaxed);
         }
-        if self.head != NIL {
-            self.slab[self.head as usize].as_mut().expect("live head").prev = n;
-        } else {
-            self.tail = n;
-        }
-        self.head = n;
-    }
-
-    /// Refreshes recency of content entry `n`.
-    fn touch(&mut self, n: u32) {
-        if self.head != n {
-            self.unlink(n);
-            self.link_front(n);
-        }
-    }
-
-    fn bytes_of(&self, n: u32) -> FrameBytes {
-        self.slab[n as usize].as_ref().expect("live entry").bytes.clone()
+        entry.bytes.clone()
     }
 
     /// Drops `key`'s index entry (if any); the content entry goes with it
@@ -281,11 +267,10 @@ impl Inner {
     }
 
     /// Frees content entry `idx` (which must have no extent mappings
-    /// left): unlinks it, drops its hash-bucket slot, releases the bytes
-    /// accounting and recycles the slab slot. Guest memories still
-    /// aliasing the buffer keep it alive through their own `Arc` clones.
+    /// left): drops its hash-bucket slot, releases the bytes accounting
+    /// and recycles the slab slot. Guest memories still aliasing the
+    /// buffer keep it alive through their own `Arc` clones.
     fn drop_content(&mut self, idx: u32) {
-        self.unlink(idx);
         let entry = self.slab[idx as usize].take().expect("live entry");
         debug_assert!(entry.keys.is_empty(), "content freed while mapped");
         let bucket_key = (entry.hash, entry.bytes.len() as u64);
@@ -306,23 +291,27 @@ impl Inner {
         self.detach(key);
         let bucket_key = (hash, bytes.len() as u64);
         let existing = self.by_hash.get(&bucket_key).and_then(|bucket| {
-            bucket.iter().copied().find(|&i| {
-                self.slab[i as usize].as_ref().expect("live entry").bytes[..] == bytes[..]
-            })
+            bucket
+                .iter()
+                .copied()
+                .find(|&i| self.entry(i).bytes[..] == bytes[..])
         });
         let idx = match existing {
             Some(idx) => {
+                // The reference bit stays as found: only a lookup that
+                // finds its key earns the second chance (module docs,
+                // "Bounded growth").
                 self.deduped += 1;
-                self.touch(idx);
                 idx
             }
             None => {
+                self.bytes += bytes.len() as u64;
+                // Admitted unreferenced, for the same reason.
                 let entry = ContentEntry {
                     hash,
                     bytes,
                     keys: Vec::new(),
-                    prev: NIL,
-                    next: NIL,
+                    referenced: AtomicBool::new(false),
                 };
                 let idx = match self.free.pop() {
                     Some(i) => {
@@ -335,36 +324,40 @@ impl Inner {
                     }
                 };
                 self.by_hash.entry(bucket_key).or_default().push(idx);
-                self.bytes += self.bytes_of(idx).len() as u64;
-                self.link_front(idx);
                 self.admitted += 1;
                 idx
             }
         };
-        self.slab[idx as usize].as_mut().expect("live entry").keys.push(key);
+        let entry = self.slab[idx as usize].as_mut().expect("live entry");
+        entry.keys.push(key);
+        let out = entry.bytes.clone();
         self.index.insert(key, (generation, idx));
-        let out = self.bytes_of(idx);
         self.evict_to_budget();
         out
     }
 
-    /// Evicts LRU content entries (and all of their extent mappings)
-    /// until the deduped bytes fit the budget. The entry just returned
+    /// Second chance: sweeps the hand over the content slab until the
+    /// deduped bytes fit the budget, sparing (and un-referencing) every
+    /// entry looked up since the hand last passed it and evicting the
+    /// rest with all of their extent mappings. The entry just returned
     /// to a caller may evict itself — the caller holds its own `Arc`, so
     /// that is a pass-through serve, not a correctness hazard.
     fn evict_to_budget(&mut self) {
+        // `bytes > budget >= 0` means a live entry exists, and one lap
+        // clears every reference bit, so the sweep ends within two laps.
         while self.bytes > self.budget {
-            let victim = self.tail;
-            if victim == NIL {
-                break;
+            let at = self.hand;
+            self.hand = (at + 1) % self.slab.len();
+            let Some(entry) = self.slab[at].as_mut() else {
+                continue;
+            };
+            if std::mem::take(entry.referenced.get_mut()) {
+                continue;
             }
-            let keys = std::mem::take(
-                &mut self.slab[victim as usize].as_mut().expect("live tail").keys,
-            );
-            for k in keys {
+            for k in std::mem::take(&mut entry.keys) {
                 self.index.remove(&k);
             }
-            self.drop_content(victim);
+            self.drop_content(at as u32);
             self.evicted += 1;
         }
     }
@@ -377,22 +370,23 @@ impl Inner {
 /// `Arc`.
 #[derive(Debug)]
 pub struct SnapshotFrameCache {
-    inner: Mutex<Inner>,
+    inner: RwLock<Inner>,
+    /// Lookups served from a live cached extent; outside the lock so a
+    /// hit never needs it exclusively.
+    hits: AtomicU64,
 }
 
 impl Default for SnapshotFrameCache {
     fn default() -> Self {
         SnapshotFrameCache {
-            inner: Mutex::new(Inner {
+            inner: RwLock::new(Inner {
                 index: HashMap::new(),
                 slab: Vec::new(),
                 by_hash: HashMap::new(),
                 free: Vec::new(),
-                head: NIL,
-                tail: NIL,
+                hand: 0,
                 bytes: 0,
                 budget: u64::MAX,
-                hits: 0,
                 misses: 0,
                 raced: 0,
                 invalidated: 0,
@@ -400,6 +394,7 @@ impl Default for SnapshotFrameCache {
                 deduped: 0,
                 evicted: 0,
             }),
+            hits: AtomicU64::new(0),
         }
     }
 }
@@ -413,16 +408,16 @@ impl SnapshotFrameCache {
 
     /// Caps the deduplicated content bytes the cache may hold; `None`
     /// restores the unbounded default. Shrinking below the current
-    /// occupancy evicts LRU content entries immediately.
+    /// occupancy evicts content entries immediately.
     pub fn set_budget(&self, budget_bytes: Option<u64>) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.write();
         inner.budget = budget_bytes.unwrap_or(u64::MAX);
         inner.evict_to_budget();
     }
 
     /// The current budget (`None` = unbounded).
     pub fn budget(&self) -> Option<u64> {
-        let budget = self.inner.lock().budget;
+        let budget = self.inner.read().budget;
         (budget != u64::MAX).then_some(budget)
     }
 
@@ -470,13 +465,13 @@ impl SnapshotFrameCache {
         let key = (file, offset, len);
         let generation = fs.generation(file).ok_or(FrameCacheGone(file))?;
         {
-            let mut inner = self.inner.lock();
+            // The hit path: shared lock only, nothing relinked.
+            let inner = self.inner.read();
             if let Some(&(cached_gen, idx)) = inner.index.get(&key) {
                 if cached_gen == generation {
-                    inner.touch(idx);
-                    inner.hits += 1;
+                    self.hits.fetch_add(1, Ordering::Relaxed);
                     delta.hits += 1;
-                    return Ok(inner.bytes_of(idx));
+                    return Ok(inner.reference(idx));
                 }
             }
         }
@@ -494,19 +489,18 @@ impl SnapshotFrameCache {
             // publishing would pin possibly-new bytes under the old
             // generation. Serve what we read, cache nothing; the next
             // lookup reloads under the new generation.
-            self.inner.lock().raced += 1;
+            self.inner.write().raced += 1;
             delta.raced += 1;
             return Ok(bytes);
         }
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.write();
         if let Some(&(cached_gen, idx)) = inner.index.get(&key) {
             if cached_gen == generation {
                 // A concurrent identical load won the publish; coalesce
                 // onto its entry so both lanes serve one allocation.
-                inner.touch(idx);
                 inner.raced += 1;
                 delta.raced += 1;
-                return Ok(inner.bytes_of(idx));
+                return Ok(inner.reference(idx));
             }
         }
         inner.misses += 1;
@@ -515,13 +509,13 @@ impl SnapshotFrameCache {
     }
 
     /// Looks up an extent without loading on miss (tests/introspection);
-    /// recency and counters are untouched.
+    /// reference bits and counters are untouched.
     pub fn peek(&self, file: FileId, offset: u64, len: u64) -> Option<FrameBytes> {
-        let inner = self.inner.lock();
+        let inner = self.inner.read();
         inner
             .index
             .get(&(file, offset, len))
-            .map(|&(_, idx)| inner.bytes_of(idx))
+            .map(|&(_, idx)| inner.entry(idx).bytes.clone())
     }
 
     /// True if a lookup of this extent would hit: a live entry exists
@@ -533,7 +527,7 @@ impl SnapshotFrameCache {
             return false;
         };
         self.inner
-            .lock()
+            .read()
             .index
             .get(&(file, offset, len))
             .is_some_and(|&(g, _)| g == generation)
@@ -546,13 +540,17 @@ impl SnapshotFrameCache {
     /// as long as those mappings live. Returns the number of index
     /// entries dropped.
     pub fn invalidate_file(&self, file: FileId) -> u64 {
-        let mut inner = self.inner.lock();
-        let keys: Vec<ExtentKey> = inner
+        let mut inner = self.inner.write();
+        let mut keys: Vec<ExtentKey> = inner
             .index
             .keys()
             .filter(|&&(f, _, _)| f == file)
             .copied()
             .collect();
+        // Freed slab slots are reused in the order they were freed, and
+        // slab order is eviction order: detach in key order, not in the
+        // hash map's, so what a budget evicts next repeats run to run.
+        keys.sort_unstable();
         for &k in &keys {
             inner.detach(k);
         }
@@ -563,25 +561,24 @@ impl SnapshotFrameCache {
     /// Drops everything — the frame-cache analogue of
     /// `echo 3 > /proc/sys/vm/drop_caches` (the paper's flush-before-
     /// measure methodology, §4.1). All structural state (index, content
-    /// slab, hash buckets, LRU links) is reset; counters and the budget
-    /// survive.
+    /// slab, hash buckets, eviction hand) is reset; counters and the
+    /// budget survive.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.write();
         inner.invalidated += inner.index.len() as u64;
         inner.index.clear();
         inner.slab.clear();
         inner.by_hash.clear();
         inner.free.clear();
-        inner.head = NIL;
-        inner.tail = NIL;
+        inner.hand = 0;
         inner.bytes = 0;
     }
 
     /// Current counters.
     pub fn stats(&self) -> FrameCacheStats {
-        let inner = self.inner.lock();
+        let inner = self.inner.read();
         FrameCacheStats {
-            hits: inner.hits,
+            hits: self.hits.load(Ordering::Relaxed),
             misses: inner.misses,
             raced: inner.raced,
             invalidated: inner.invalidated,
@@ -722,36 +719,76 @@ mod tests {
         assert_ne!(key(&got_a), key(&got_b), "distinct dedup keys, not just a byte compare");
     }
 
+    /// (The name predates second chance — it is the id the test floor
+    /// tracks; "LRU" here is the approximation CLOCK makes of it.)
     #[test]
     fn budget_evicts_lru_content_and_bounds_bytes() {
         let fs = FileStore::new();
         let cache = SnapshotFrameCache::new();
         let f = fs.create("f");
-        // Four 16-byte extents with distinct contents.
-        for i in 0..4u8 {
+        // Five 16-byte extents with distinct contents.
+        for i in 0..5u8 {
             fs.write_at(f, i as u64 * 16, &[i + 1; 16]);
         }
         cache.set_budget(Some(32));
         let a = cache.get_or_load(&fs, f, 0, 16).unwrap();
         cache.get_or_load(&fs, f, 16, 16).unwrap();
-        // Touch extent 0 so extent 1 is the LRU victim.
+        // Hit extent 0: the hand meets it first, but it has earned its
+        // second chance, so extent 1 is the victim.
         cache.get_or_load(&fs, f, 0, 16).unwrap();
         cache.get_or_load(&fs, f, 32, 16).unwrap();
         let st = cache.stats();
-        assert_eq!(st.evicted, 1, "third admit evicts the LRU entry");
+        assert_eq!(st.evicted, 1, "third admit evicts one entry");
         assert!(st.bytes <= 32, "budget bounds deduped bytes");
         assert!(cache.peek(f, 0, 16).is_some(), "touched entry survives");
-        assert!(cache.peek(f, 16, 16).is_none(), "LRU entry evicted");
+        assert!(cache.peek(f, 16, 16).is_none(), "unreferenced entry evicted");
+        // The hand moves on: extent 2, admitted unreferenced and never hit,
+        // is next; extent 0 stays until the hand comes round again.
+        cache.get_or_load(&fs, f, 64, 16).unwrap();
+        assert_eq!(cache.stats().evicted, 2);
+        assert!(cache.peek(f, 32, 16).is_none());
+        assert!(cache.peek(f, 0, 16).is_some());
         // The evicted extent reloads as a fresh miss; the caller's old
-        // buffer was never freed or mutated (it holds its own Arc).
+        // buffer was never freed or mutated (it holds its own Arc). The
+        // hand wraps onto extent 0, whose chance is spent: no hit since
+        // the bit was cleared, so this time it goes.
         assert_eq!(&a[..], &[1u8; 16]);
         let st_before = cache.stats();
         cache.get_or_load(&fs, f, 16, 16).unwrap();
         assert_eq!(cache.stats().misses, st_before.misses + 1);
+        assert_eq!(cache.stats().evicted, 3);
+        assert!(cache.peek(f, 0, 16).is_none(), "a second chance is not a third");
         // Lifting the budget stops eviction.
         cache.set_budget(None);
         cache.get_or_load(&fs, f, 48, 16).unwrap();
-        assert_eq!(cache.stats().evicted, 2, "unbounded again: no new evictions");
+        assert_eq!(cache.stats().evicted, 3, "unbounded again: no new evictions");
+    }
+
+    #[test]
+    fn a_dedup_does_not_earn_the_second_chance() {
+        let fs = FileStore::new();
+        let cache = SnapshotFrameCache::new();
+        // One cold start's view of an extent: the WS file's copy and the
+        // memory file's, byte-identical.
+        let (ws, mem) = (fs.create("ws"), fs.create("mem"));
+        fs.write_at(ws, 0, &[1u8; 16]);
+        fs.write_at(mem, 0, &[1u8; 16]);
+        fs.write_at(mem, 16, &[2u8; 16]);
+        fs.write_at(mem, 32, &[3u8; 16]);
+        cache.set_budget(Some(32));
+        // Prefetch admits, verify deduplicates onto it: two keys, one
+        // content entry, and no hit yet.
+        cache.get_or_load(&fs, ws, 0, 16).unwrap();
+        cache.get_or_load(&fs, mem, 0, 16).unwrap();
+        cache.get_or_load(&fs, mem, 16, 16).unwrap();
+        let st = cache.stats();
+        assert_eq!((st.hits, st.deduped, st.content_entries, st.bytes), (0, 1, 2, 32));
+        // The next admission finds the shared entry first and unreferenced:
+        // it goes, with both of its keys.
+        cache.get_or_load(&fs, mem, 32, 16).unwrap();
+        assert_eq!(cache.stats().evicted, 1);
+        assert!(cache.peek(ws, 0, 16).is_none() && cache.peek(mem, 0, 16).is_none());
+        assert!(cache.peek(mem, 16, 16).is_some() && cache.peek(mem, 32, 16).is_some());
     }
 
     #[test]
@@ -911,5 +948,105 @@ mod tests {
         assert_eq!(st.hits + st.misses + st.raced, THREADS * ITERS);
         assert_eq!(st.misses, 1, "one extent, one populating miss");
         assert_eq!((st.entries, st.content_entries, st.bytes), (1, 1, 4096));
+    }
+
+    /// Lanes doing everything at once to one cache: lookups, in-place
+    /// rewrites, invalidations, budget flips. Seeded per thread; the
+    /// interleaving is whatever the scheduler makes of it, which is why CI
+    /// runs this ten times. Each extent holds its file's version counter
+    /// at its last rewrite, repeated as `u64` words, and a writer
+    /// publishes that version only once the write has landed — so any
+    /// lookup begun after the publish must serve it or something newer.
+    #[test]
+    fn frame_cache_stress() {
+        use std::sync::{Barrier, Mutex};
+        const THREADS: u64 = 4;
+        const OPS: u64 = 4000;
+        const FILES: usize = 3;
+        const EXTENTS: u64 = 64;
+        const LEN: u64 = 64;
+        const TINY_BUDGET: u64 = 8 * LEN;
+
+        let fill = |version: u64| version.to_le_bytes().repeat(LEN as usize / 8);
+        let fs = FileStore::new();
+        let cache = SnapshotFrameCache::new();
+        let files: Vec<FileId> = (0..FILES).map(|i| fs.create(&format!("f{i}"))).collect();
+        for &f in &files {
+            fs.write_at(f, 0, &fill(0).repeat(EXTENTS as usize));
+        }
+        // Per file: the writers' version counter, and per extent the last
+        // version whose write has completed.
+        let versions: Vec<Mutex<u64>> = (0..FILES).map(|_| Mutex::new(0)).collect();
+        let published: Vec<Vec<AtomicU64>> = (0..FILES)
+            .map(|_| (0..EXTENTS).map(|_| AtomicU64::new(0)).collect())
+            .collect();
+        // The uniform version an extent's bytes carry.
+        let version_of = |bytes: &[u8]| {
+            let word = u64::from_le_bytes(bytes[..8].try_into().unwrap());
+            assert!(
+                bytes.len() as u64 == LEN && bytes.chunks(8).all(|w| w == word.to_le_bytes()),
+                "torn extent: {bytes:?}"
+            );
+            word
+        };
+
+        let start = Barrier::new(THREADS as usize);
+        let lookups: u64 = std::thread::scope(|s| {
+            let lanes: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (fs, cache, files, start) = (&fs, &cache, &files, &start);
+                    let (versions, published) = (&versions, &published);
+                    s.spawn(move || {
+                        let mut rng = sim_core::DetRng::new(0x57E55).fork(t);
+                        let mut lookups = 0;
+                        start.wait();
+                        for _ in 0..OPS {
+                            let f = rng.gen_range(FILES as u64) as usize;
+                            let e = rng.gen_range(EXTENTS);
+                            match rng.gen_range(128) {
+                                0..=1 => {
+                                    let mut version = versions[f].lock().unwrap();
+                                    *version += 1;
+                                    fs.write_at(files[f], e * LEN, &fill(*version));
+                                    published[f][e as usize].store(*version, Ordering::SeqCst);
+                                }
+                                2 => {
+                                    cache.invalidate_file(files[f]);
+                                }
+                                3 => cache.set_budget(rng.gen_bool(0.5).then_some(TINY_BUDGET)),
+                                _ => {
+                                    let floor = published[f][e as usize].load(Ordering::SeqCst);
+                                    let got = cache.get_or_load(fs, files[f], e * LEN, LEN).unwrap();
+                                    let served = version_of(&got);
+                                    assert!(served >= floor, "stale: served {served}, floor {floor}");
+                                    lookups += 1;
+                                }
+                            }
+                        }
+                        lookups
+                    })
+                })
+                .collect();
+            lanes.into_iter().map(|lane| lane.join().expect("lane panicked")).sum()
+        });
+
+        let st = cache.stats();
+        assert_eq!(st.hits + st.misses + st.raced, lookups, "{st:?}");
+        assert_eq!(st.admitted + st.deduped, st.misses, "{st:?}");
+        // Quiescent: the budget binds, the structure is consistent, and
+        // every extent serves exactly what its file now holds.
+        cache.set_budget(Some(TINY_BUDGET));
+        let st = cache.stats();
+        assert!(st.bytes <= TINY_BUDGET && st.content_entries <= st.entries, "{st:?}");
+        cache.set_budget(None);
+        for (f, &file) in files.iter().enumerate() {
+            for e in 0..EXTENTS {
+                let got = cache.get_or_load(&fs, file, e * LEN, LEN).unwrap();
+                assert_eq!(version_of(&got), published[f][e as usize].load(Ordering::SeqCst));
+            }
+        }
+        let st = cache.stats();
+        assert_eq!(st.entries, FILES as u64 * EXTENTS);
+        assert_eq!(st.bytes, st.content_entries * LEN);
     }
 }

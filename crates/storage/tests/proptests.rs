@@ -41,6 +41,119 @@ impl NaiveLru {
     }
 }
 
+/// An extent in the model's terms: `(file index, offset, len)`.
+type ModelKey = (usize, u64, u64);
+
+/// One deduplicated byte string of [`NaiveSecondChance`].
+struct NaiveContent {
+    bytes: Vec<u8>,
+    /// Extents mapped onto the bytes, each with the file version it was
+    /// loaded at.
+    keys: Vec<(ModelKey, u64)>,
+    referenced: bool,
+}
+
+/// The reference [`SnapshotFrameCache`] is checked against: second chance
+/// over a vector of slots (freed slots reused last-freed-first), every
+/// lookup, dedup and byte count a linear scan.
+#[derive(Default)]
+struct NaiveSecondChance {
+    slots: Vec<Option<NaiveContent>>,
+    free: Vec<usize>,
+    hand: usize,
+    budget: Option<u64>,
+    hits: u64,
+    misses: u64,
+    evicted: u64,
+}
+
+impl NaiveSecondChance {
+    fn live(&self) -> impl Iterator<Item = &NaiveContent> {
+        self.slots.iter().flatten()
+    }
+
+    fn bytes(&self) -> u64 {
+        self.live().map(|c| c.bytes.len() as u64).sum()
+    }
+
+    fn keys(&self) -> Vec<ModelKey> {
+        self.live().flat_map(|c| c.keys.iter().map(|&(k, _)| k)).collect()
+    }
+
+    fn detach(&mut self, key: ModelKey) {
+        let Some(at) = self
+            .slots
+            .iter()
+            .position(|c| c.as_ref().is_some_and(|c| c.keys.iter().any(|&(k, _)| k == key)))
+        else {
+            return;
+        };
+        let content = self.slots[at].as_mut().unwrap();
+        content.keys.retain(|&(k, _)| k != key);
+        if content.keys.is_empty() {
+            self.slots[at] = None;
+            self.free.push(at);
+        }
+    }
+
+    /// One `get_or_load` of `key`, whose file is at `version` and holds
+    /// `content` there.
+    fn lookup(&mut self, key: ModelKey, version: u64, content: &[u8]) {
+        if let Some(hit) = self
+            .slots
+            .iter_mut()
+            .flatten()
+            .find(|c| c.keys.contains(&(key, version)))
+        {
+            hit.referenced = true;
+            self.hits += 1;
+            return;
+        }
+        self.misses += 1;
+        self.detach(key);
+        match self.slots.iter_mut().flatten().find(|c| c.bytes == content) {
+            // A dedup maps one more extent onto live bytes; only a hit
+            // sets the reference bit.
+            Some(same) => same.keys.push((key, version)),
+            None => {
+                let fresh = Some(NaiveContent {
+                    bytes: content.to_vec(),
+                    keys: vec![(key, version)],
+                    referenced: false,
+                });
+                match self.free.pop() {
+                    Some(at) => self.slots[at] = fresh,
+                    None => self.slots.push(fresh),
+                }
+            }
+        }
+        self.evict();
+    }
+
+    fn evict(&mut self) {
+        while self.budget.is_some_and(|b| self.bytes() > b) {
+            let at = self.hand;
+            self.hand = (at + 1) % self.slots.len();
+            match &mut self.slots[at] {
+                None => {}
+                Some(c) if c.referenced => c.referenced = false,
+                Some(_) => {
+                    self.slots[at] = None;
+                    self.free.push(at);
+                    self.evicted += 1;
+                }
+            }
+        }
+    }
+
+    fn invalidate_file(&mut self, file: usize) {
+        let mut keys = self.keys();
+        keys.retain(|k| k.0 == file);
+        keys.sort_unstable();
+        keys.into_iter().for_each(|k| self.detach(k));
+    }
+}
+
 /// The timed front end over the new index reads exactly as it did over
 /// the hash-map index: every number below was recorded from the parent
 /// commit's `Disk` with this same sequence.
@@ -197,6 +310,79 @@ proptest! {
             for &f in &files {
                 for p in BASE..BASE + 256 + 40 {
                     prop_assert_eq!(cache.contains(f, p), naive.order.contains(&(f, p)), "page {}", p);
+                }
+            }
+        }
+    }
+
+    /// The reader-writer-locked, slab-swept frame cache is observably the
+    /// naive second chance: same resident extents, bytes, evictions and
+    /// counters after every lookup, in-place rewrite, invalidation and
+    /// budget change. Fill bytes come from a pool of four and lengths from
+    /// two, so content deduplicates across extents and files; a rewrite
+    /// makes every cached extent of its file stale at once.
+    #[test]
+    fn frame_cache_matches_naive_second_chance(
+        ops in proptest::collection::vec((0u8..16, 0usize..3, 0u64..6, 0u8..4, any::<bool>()), 1..250)
+    ) {
+        const SLOT: u64 = 32;
+        const SLOTS: u64 = 6;
+        let fs = FileStore::new();
+        let files = [fs.create("a"), fs.create("b"), fs.create("c")];
+        // What each file holds, and how many times it has been rewritten.
+        let mut contents = vec![vec![0u8; (SLOT * SLOTS) as usize]; files.len()];
+        let mut versions = [0u64; 3];
+        for &f in &files {
+            fs.set_len(f, SLOT * SLOTS);
+        }
+        let cache = SnapshotFrameCache::new();
+        let mut naive = NaiveSecondChance::default();
+        let mut lookups = 0;
+        for (kind, file, slot, fill, long) in ops {
+            let len = if long { SLOT } else { SLOT / 2 };
+            match kind {
+                0..=8 => {
+                    let at = (slot * SLOT) as usize;
+                    let want = &contents[file][at..at + len as usize];
+                    let got = cache.get_or_load(&fs, files[file], slot * SLOT, len).unwrap();
+                    prop_assert_eq!(&got[..], want);
+                    naive.lookup((file, slot * SLOT, len), versions[file], want);
+                    lookups += 1;
+                }
+                9..=11 => {
+                    let at = (slot * SLOT) as usize;
+                    contents[file][at..at + len as usize].fill(fill);
+                    fs.write_at(files[file], slot * SLOT, &vec![fill; len as usize]);
+                    versions[file] += 1;
+                }
+                12 => {
+                    let dropped = naive.keys().iter().filter(|k| k.0 == file).count();
+                    prop_assert_eq!(cache.invalidate_file(files[file]), dropped as u64);
+                    naive.invalidate_file(file);
+                }
+                _ => {
+                    // A budget of 0..=5 half-slots, or none.
+                    naive.budget = (kind < 15).then_some(slot * SLOT / 2);
+                    cache.set_budget(naive.budget);
+                    naive.evict();
+                }
+            }
+            let st = cache.stats();
+            prop_assert_eq!((st.hits, st.misses, st.raced), (naive.hits, naive.misses, 0));
+            prop_assert_eq!(st.hits + st.misses + st.raced, lookups);
+            prop_assert_eq!((st.bytes, st.evicted), (naive.bytes(), naive.evicted));
+            prop_assert_eq!(st.content_entries as usize, naive.live().count());
+            let resident = naive.keys();
+            prop_assert_eq!(st.entries as usize, resident.len());
+            for (i, &f) in files.iter().enumerate() {
+                for slot in 0..SLOTS {
+                    for len in [SLOT / 2, SLOT] {
+                        prop_assert_eq!(
+                            cache.peek(f, slot * SLOT, len).is_some(),
+                            resident.contains(&(i, slot * SLOT, len)),
+                            "file {} slot {} len {}", i, slot, len
+                        );
+                    }
                 }
             }
         }

@@ -21,7 +21,7 @@
 use std::sync::Arc;
 
 use functionbench::FunctionId;
-use guest_mem::{PageIdx, PAGE_SIZE};
+use guest_mem::{PageIdx, PageRun, PAGE_SIZE};
 use sim_storage::{FileId, FileStore, StorageError};
 
 use crate::vm::{GuestShell, MicroVm, VmConfig};
@@ -93,8 +93,8 @@ impl Snapshot {
         // the gap and appends the run, borrowed from the arena — no staging
         // copy, no byte written twice.
         for run in mem.resident_runs() {
-            for (first, bytes) in mem.run_chunks(run) {
-                capture_retry(|| fs.try_write_at(mem_file, first.file_offset(), bytes));
+            for chunk in mem.run_chunks(run) {
+                capture_retry(|| fs.try_write_at(mem_file, chunk.run.file_offset(), chunk.bytes));
             }
         }
         capture_retry(|| fs.try_set_len(mem_file, mem.size_bytes()));
@@ -167,10 +167,14 @@ pub fn verify_restored(vm: &MicroVm, snapshot: &Snapshot, fs: &FileStore) -> Res
 }
 
 /// [`verify_restored`] with the expected bytes optionally served through a
-/// shared [`sim_storage::SnapshotFrameCache`]: repeat cold starts of the same function
-/// verify the same resident runs, so the snapshot-file reads collapse to
-/// refcount bumps after the first pass. Every page is still compared —
-/// only the host-side copy of the expected bytes disappears.
+/// shared [`sim_storage::SnapshotFrameCache`]: repeat cold starts of the
+/// same function verify the same extents, so the snapshot-file reads
+/// collapse to refcount bumps after the first pass — and a stretch of guest
+/// pages that still aliases, from its first page on, the very buffer the
+/// cache resolves for that extent of the *memory file* is verified by
+/// identity, without reading a byte. Everything else (a CoW-broken or
+/// copied page, an alias that starts mid-buffer, content that did not
+/// deduplicate) is compared page by page.
 ///
 /// # Errors
 ///
@@ -202,39 +206,58 @@ pub fn verify_restored_tracked(
     delta: &mut sim_storage::FrameCacheDelta,
 ) -> Result<u64, String> {
     let mem = vm.memory();
-    let mut verified = 0;
-    // One file read (or one cache lookup) per maximal resident run; the
-    // comparison stays per page so the error names the exact mismatching
-    // frame.
-    for run in mem.resident_runs() {
-        // `expect` may stop short of the run (a borrow clamps at EOF):
-        // bytes past its end are zeros, as every read past EOF is.
-        let compare = |expect: &[u8]| -> Result<u64, String> {
-            for (i, page) in run.iter().enumerate() {
-                let got = mem.page_bytes(page).expect("resident page");
-                let start = (i * PAGE_SIZE).min(expect.len());
-                let want = &expect[start..(start + PAGE_SIZE).min(expect.len())];
-                let (head, tail) = got.split_at(want.len());
-                if head != want || tail.iter().any(|&b| b != 0) {
-                    let mut file_page = [0u8; PAGE_SIZE];
-                    file_page[..want.len()].copy_from_slice(want);
-                    return Err(format!(
-                        "page {page} differs from snapshot (restored checksum {:x}, file {:x})",
-                        guest_mem::fnv1a64(got),
-                        guest_mem::fnv1a64(&file_page),
-                    ));
-                }
+    // The comparison is per page so the error names the exact mismatching
+    // frame. `expect` may stop short of the run (a borrow clamps at EOF):
+    // bytes past its end are zeros, as every read past EOF is.
+    let compare = |run: PageRun, expect: &[u8]| -> Result<u64, String> {
+        for (i, page) in run.iter().enumerate() {
+            let got = mem.page_bytes(page).expect("resident page");
+            let start = (i * PAGE_SIZE).min(expect.len());
+            let want = &expect[start..(start + PAGE_SIZE).min(expect.len())];
+            let (head, tail) = got.split_at(want.len());
+            if head != want || tail.iter().any(|&b| b != 0) {
+                let mut file_page = [0u8; PAGE_SIZE];
+                file_page[..want.len()].copy_from_slice(want);
+                return Err(format!(
+                    "page {page} differs from snapshot (restored checksum {:x}, file {:x})",
+                    guest_mem::fnv1a64(got),
+                    guest_mem::fnv1a64(&file_page),
+                ));
             }
-            Ok(run.len)
+        }
+        Ok(run.len)
+    };
+    let mut verified = 0;
+    for run in mem.resident_runs() {
+        let Some(cache) = cache else {
+            // One file read per maximal resident run, compared where the
+            // store holds it.
+            verified += fs.with_range(snapshot.mem_file, run.file_offset(), run.byte_len(), |expect| {
+                compare(run, expect)
+            })?;
+            continue;
         };
-        verified += if let Some(cache) = cache {
-            let cached = cache
-                .get_or_load_tracked(fs, snapshot.mem_file, run.file_offset(), run.byte_len(), delta)
+        // One lookup per chunk, keyed like the install that produced it, so
+        // the expected bytes of an aliased extent are the buffer it
+        // aliases. Identity never trusts the WS file: the cache resolves
+        // this key from the *memory file* at its current generation, and
+        // two keys share an allocation only because `attach` byte-compared
+        // them when it deduplicated.
+        for chunk in mem.run_chunks(run) {
+            let expected = cache
+                .get_or_load_tracked(
+                    fs,
+                    snapshot.mem_file,
+                    chunk.run.file_offset(),
+                    chunk.run.byte_len(),
+                    delta,
+                )
                 .map_err(|gone| format!("verify source vanished: {gone}"))?;
-            compare(&cached)?
-        } else {
-            fs.with_range(snapshot.mem_file, run.file_offset(), run.byte_len(), compare)?
-        };
+            verified += match chunk.source {
+                Some((src, 0)) if Arc::ptr_eq(src, &expected) => chunk.run.len,
+                _ => compare(chunk.run, &expected)?,
+            };
+        }
     }
     Ok(verified)
 }

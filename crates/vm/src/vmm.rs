@@ -7,7 +7,7 @@
 //! they are real bytes so the snapshot round-trip is verifiable, and the
 //! file's size feeds the Load-VMM latency component of Fig 2/7.
 
-use guest_mem::fnv1a64;
+use sim_core::hash::fnv1a64_words;
 
 /// Serialized VMM + emulated-device state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,9 +59,11 @@ impl VmmState {
         Ok(VmmState { bytes })
     }
 
-    /// Content fingerprint.
+    /// Content fingerprint. In-process only: [`crate::Snapshot`] keeps the
+    /// capture-time value in memory and compares it with a recomputation
+    /// by this same function on every restore, so the word-wise feed does.
     pub fn checksum(&self) -> u64 {
-        fnv1a64(&self.bytes)
+        fnv1a64_words(&self.bytes)
     }
 }
 
