@@ -1,9 +1,10 @@
 //! # vhive-bench
 //!
 //! The benchmark harness: one binary per table/figure of the paper's
-//! evaluation, plus ablations. Every binary prints the regenerated
-//! figure as a text table with the paper's reported numbers alongside,
-//! and a CSV block for post-processing.
+//! evaluation, plus ablations, the golden-file reports and the host-time
+//! micro gate. Every figure binary prints the regenerated figure as a
+//! text table with the paper's reported numbers alongside, and a CSV
+//! block for post-processing.
 //!
 //! | binary | reproduces |
 //! |---|---|
@@ -25,6 +26,13 @@
 //! | `ablation_install` | REAP install batching ablation |
 //! | `ablation_remote` | §7.1 — snapshots on remote storage |
 //! | `ablation_fallback` | §7.2 — re-record fallback on/off |
+//! | `ablation_record_window` | §8.2 — invocation-window recording vs profiling-style estimation |
+//! | `chaos_sweep` | fault-invariance witness: seeded batches through a healing fault plan, CSV byte-identical faults on/off |
+//! | `overload_sweep` | goodput vs offered load with admission on/off (`OVERLOAD_golden.txt`) |
+//! | `telemetry_report` | exact-percentile latency tables over a telemetry store (`TELEMETRY_golden.txt`) |
+//! | `metrics_report` | windowed rollup queries, registry exposition, report `--diff` (`METRICS*_golden.txt`) |
+//! | `wsdump` | developer tool: dump a function's REAP trace / WS file structure |
+//! | `bench-json` | host-time micro gate: the three groups the `benchmark/` package cannot reach (4-shard steady state, transient-fault retry, dead-shard failover) |
 
 pub mod diff;
 

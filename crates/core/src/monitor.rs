@@ -20,7 +20,7 @@
 //!
 //! Serving is run-length batched end-to-end: a run of consecutive faults
 //! is one snapshot-file read installed straight into the guest frames
-//! ([`guest_mem::Uffd::copy_run_with`]), the trace is recorded as
+//! ([`guest_mem::Uffd::copy_run`]), the trace is recorded as
 //! coalesced [`PageRun`]s, and prefetch installs one WS-file extent at a
 //! time.
 //!
@@ -180,11 +180,6 @@ impl<'a> Monitor<'a> {
     /// record mode.
     pub fn trace_runs(&self) -> &[PageRun] {
         &self.trace
-    }
-
-    /// Recorded trace expanded to pages (fault order).
-    pub fn trace_pages(&self) -> Vec<PageIdx> {
-        self.trace.iter().flat_map(|r| r.iter()).collect()
     }
 
     /// Translates a fault's host virtual address to a guest page using the
@@ -487,7 +482,6 @@ mod tests {
             m.handle_fault(vm.uffd_mut(), ev).unwrap();
         }
         let expect: Vec<PageIdx> = [0u64, 7, 3, 42].iter().map(|&p| PageIdx::new(p)).collect();
-        assert_eq!(m.trace_pages(), expect);
         assert_eq!(m.stats().demand_served, 4);
 
         let files = m.finish_record("snap/hw");

@@ -94,11 +94,6 @@ impl Timeline {
         self.disk.stats()
     }
 
-    /// The underlying disk (e.g. to flush caches between invocations).
-    pub fn disk_mut(&mut self) -> &mut Disk {
-        &mut self.disk
-    }
-
     /// Runs all programs to completion and returns per-instance results in
     /// input order.
     pub fn run(&mut self, programs: Vec<InstanceProgram>) -> Vec<InstanceResult> {

@@ -581,21 +581,6 @@ impl GuestMemory {
         Ok(())
     }
 
-    /// Returns the instance's frames to the pool: every page becomes
-    /// non-resident and the arena's allocation is retained for the next
-    /// tenant — the memory-pool reuse a warm orchestrator applies between
-    /// restores so each instance does not re-fault its arena in from the
-    /// OS. Shared aliases are released (their refcounts drop) with the
-    /// rest.
-    pub fn recycle(&mut self) {
-        self.slots.fill(NO_SLOT);
-        self.arena.clear();
-        self.free_slots.clear();
-        self.shared.clear();
-        self.free_shared.clear();
-        self.resident.clear_all();
-    }
-
     /// Reads `len` bytes at `addr`.
     ///
     /// # Errors
@@ -1266,9 +1251,8 @@ mod tests {
         // The freed shared entry is reused by the next alias.
         mem.alias_run(PageRun::new(PageIdx::new(4), 1), &src, 1).unwrap();
         assert_eq!(mem.shared.len(), 2, "freed entry reused, table did not grow");
-        mem.recycle();
-        assert_eq!(Arc::strong_count(&src), 1, "recycle drops every alias");
-        assert_eq!(mem.resident_pages(), 0);
+        drop(mem);
+        assert_eq!(Arc::strong_count(&src), 1, "dropping the memory drops every alias");
     }
 
     #[test]

@@ -241,12 +241,6 @@ impl PageBitmap {
         removed
     }
 
-    /// Empties the set.
-    pub fn clear_all(&mut self) {
-        self.words.fill(0);
-        self.ones = 0;
-    }
-
     /// True if every page of `run` is a member.
     pub fn all_set_in(&self, run: PageRun) -> bool {
         run.first.as_u64() + run.len <= self.pages

@@ -129,11 +129,6 @@ impl Uffd {
         &mut self.mem
     }
 
-    /// Consumes the channel, returning the guest memory (deregistration).
-    pub fn into_memory(self) -> GuestMemory {
-        self.mem
-    }
-
     /// Fault counters.
     pub fn stats(&self) -> UffdStats {
         self.stats
@@ -301,35 +296,6 @@ impl Uffd {
                     }
                 }
                 Ok(result)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Monitor-side bulk `UFFDIO_COPY` with caller-filled contents: the
-    /// run's frames are reserved first, then `fill` populates them in
-    /// place (e.g. one `FileStore::read_ranges_into` job straight from the
-    /// snapshot file — no intermediate buffer).
-    ///
-    /// Unlike [`copy_run`](Self::copy_run) the entire run must be missing.
-    ///
-    /// # Errors
-    ///
-    /// [`MemError::AlreadyResident`] / [`MemError::OutOfBounds`] as
-    /// [`GuestMemory::install_run_with`]; nothing installed on error.
-    pub fn copy_run_with(
-        &mut self,
-        run: PageRun,
-        fill: impl FnOnce(&mut [u8]),
-    ) -> Result<(), MemError> {
-        match self.mem.install_run_with(run, fill) {
-            Ok(()) => {
-                self.stats.copies += run.len;
-                Ok(())
-            }
-            Err(e @ MemError::AlreadyResident(_)) => {
-                self.stats.copy_eexist += 1;
-                Err(e)
             }
             Err(e) => Err(e),
         }
@@ -556,15 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn into_memory_returns_installed_state() {
-        let mut u = setup();
-        u.copy(PageIdx::new(4), &[3u8; PAGE_SIZE]).unwrap();
-        let mem = u.into_memory();
-        assert_eq!(mem.resident_pages(), 1);
-        assert!(mem.is_resident(PageIdx::new(4)));
-    }
-
-    #[test]
     fn resident_touch_raises_nothing() {
         let mut u = setup();
         u.copy(PageIdx::new(0), &[0u8; PAGE_SIZE]).unwrap();
@@ -611,19 +568,6 @@ mod tests {
         // The resident page kept its original contents.
         assert_eq!(u.memory().page_bytes(PageIdx::new(3)).unwrap()[0], 1);
         assert_eq!(u.memory().page_bytes(PageIdx::new(2)).unwrap()[0], 9);
-    }
-
-    #[test]
-    fn copy_run_with_fills_in_place() {
-        let mut u = setup();
-        let run = PageRun::new(PageIdx::new(1), 2);
-        u.copy_run_with(run, |buf| buf.fill(0x42)).unwrap();
-        assert_eq!(u.stats().copies, 2);
-        assert!(u.memory().is_run_resident(run));
-        // Resident target is EEXIST, counted once per batched attempt.
-        let err = u.copy_run_with(run, |buf| buf.fill(0)).unwrap_err();
-        assert!(matches!(err, MemError::AlreadyResident(_)));
-        assert_eq!(u.stats().copy_eexist, 1);
     }
 
     #[test]

@@ -238,10 +238,10 @@ proptest! {
     }
 
     /// Equivalence: serving random touch-run sequences through the
-    /// batched path (`next_missing_run`/`raise_run`/`copy_run_with`/
-    /// `wake_run`) produces *identical* `UffdStats`, resident sets and
-    /// page contents to the per-page protocol
-    /// (`touch_page`/`poll`/`copy`/`wake`) the old replay used.
+    /// batched path (`next_missing_run`/`raise_run`/`copy_run`/
+    /// `wake_run`, what `Monitor::serve_run` calls) produces *identical*
+    /// `UffdStats`, resident sets and page contents to the per-page
+    /// protocol (`touch_page`/`poll`/`copy`/`wake`) the old replay used.
     #[test]
     fn run_path_matches_per_page_uffd(
         touches in proptest::collection::vec((0u64..128, 1u64..24), 1..60)
@@ -274,17 +274,12 @@ proptest! {
                 let ev = batched.raise_run(missing);
                 let first = batched.page_of_fault(ev);
                 prop_assert_eq!(first, missing.first);
-                batched
-                    .copy_run_with(missing, |buf| {
-                        for (i, page) in missing.iter().enumerate() {
-                            guest_mem::checksum::fill_deterministic(
-                                &mut buf[i * PAGE_SIZE..(i + 1) * PAGE_SIZE],
-                                LABEL,
-                                page.as_u64(),
-                            );
-                        }
-                    })
-                    .unwrap();
+                let data: Vec<u8> = missing
+                    .iter()
+                    .flat_map(|page| page_content(LABEL, page.as_u64()))
+                    .collect();
+                let install = batched.copy_run(missing, &data).unwrap();
+                prop_assert_eq!(install.eexist, 0, "a missing run installs whole");
                 batched.wake_run(missing.len);
                 cursor = missing.end();
             }

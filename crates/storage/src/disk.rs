@@ -259,17 +259,6 @@ impl Disk {
     pub fn stats(&self) -> DiskStats {
         self.stats
     }
-
-    /// Resets the counters (queue state is preserved).
-    pub fn reset_stats(&mut self) {
-        self.stats = DiskStats::default();
-    }
-
-    /// Device-bus utilization over `[0, horizon]` — how much of the peak
-    /// bandwidth the workload extracted.
-    pub fn bus_utilization(&self, horizon: SimTime) -> f64 {
-        self.bus.utilization(horizon)
-    }
 }
 
 #[cfg(test)]
@@ -399,8 +388,6 @@ mod tests {
         assert_eq!(st.device_bytes_read, 32 * PAGE_SIZE);
         assert_eq!(st.cache_hits, 1);
         assert_eq!(st.device_reads, 1);
-        d.reset_stats();
-        assert_eq!(d.stats(), DiskStats::default());
     }
 
     #[test]

@@ -64,6 +64,20 @@ struct StoreCounters {
     reads: AtomicU64,
 }
 
+/// Owned copy of `[offset, offset + len)` of a file's bytes: the part
+/// inside the file is copied and everything past EOF reads as zeros
+/// (sparse-file semantics). The arithmetic saturates, so no offset or
+/// length can index out of range.
+fn read_zero_padded(data: &[u8], offset: u64, len: usize) -> Vec<u8> {
+    let offset = usize::try_from(offset).unwrap_or(usize::MAX);
+    let start = offset.min(data.len());
+    let end = offset.saturating_add(len).min(data.len());
+    let mut out = Vec::new();
+    sim_core::extend_par(&mut out, &data[start..end]);
+    out.resize(len, 0);
+    out
+}
+
 /// A shared, in-memory "filesystem".
 ///
 /// Cloning a `FileStore` yields another handle to the same files (the
@@ -379,14 +393,7 @@ impl FileStore {
         self.counters.reads.fetch_add(1, Ordering::Relaxed);
         self.metric_read(len as u64);
         let inner = self.inner.read();
-        let data = &inner.files[&id].data;
-        let start = (offset as usize).min(data.len());
-        let end = (offset as usize + len).min(data.len());
-        let mut out = Vec::new();
-        sim_core::extend_par(&mut out, &data[start..end]);
-        // Zero-fill only the past-EOF tail (sparse-file semantics).
-        out.resize(len, 0);
-        out
+        read_zero_padded(&inner.files[&id].data, offset, len)
     }
 
     /// Non-panicking twin of [`read_at`](Self::read_at): returns `None`
@@ -405,16 +412,9 @@ impl FileStore {
                 return None;
             }
         }
-        let data = &fd.data;
         self.counters.reads.fetch_add(1, Ordering::Relaxed);
         self.metric_read(len as u64);
-        let start = (offset as usize).min(data.len());
-        let end = (offset as usize + len).min(data.len());
-        let mut out = Vec::new();
-        sim_core::extend_par(&mut out, &data[start..end]);
-        // Zero-fill only the past-EOF tail (sparse-file semantics).
-        out.resize(len, 0);
-        Some(out)
+        Some(read_zero_padded(&fd.data, offset, len))
     }
 
     /// Fault-aware read: like [`read_at`](Self::read_at) but returns a
@@ -450,13 +450,7 @@ impl FileStore {
         }
         self.counters.reads.fetch_add(1, Ordering::Relaxed);
         self.metric_read(len as u64);
-        let data = &fd.data;
-        let start = (offset as usize).min(data.len());
-        let end = (offset as usize + len).min(data.len());
-        let mut out = Vec::new();
-        sim_core::extend_par(&mut out, &data[start..end]);
-        // Zero-fill only the past-EOF tail (sparse-file semantics).
-        out.resize(len, 0);
+        let mut out = read_zero_padded(&fd.data, offset, len);
         if corrupt {
             FaultInjector::corrupt(&mut out);
         }
@@ -826,6 +820,24 @@ mod tests {
         let mut buf = [0xFFu8; 4];
         fs.read_ranges_into(id, vec![(1, &mut buf[..])], 1);
         assert_eq!(buf, [b'b', 0, 0, 0]);
+    }
+
+    #[test]
+    fn reads_at_absurd_offsets_return_zeros() {
+        let fs = FileStore::new();
+        let id = fs.create("f");
+        fs.write_at(id, 0, b"abcde");
+        for offset in [u64::MAX, u64::MAX - 3, usize::MAX as u64 - 1] {
+            assert_eq!(fs.read_at(id, offset, 4), vec![0; 4]);
+            assert_eq!(fs.try_read_at(id, offset, 4), Some(vec![0; 4]));
+            assert_eq!(fs.checked_read_at(id, offset, 4), Ok(vec![0; 4]));
+            fs.with_range(id, offset, 4, |src| assert!(src.is_empty()));
+            let mut buf = [0xFFu8; 4];
+            fs.read_ranges_into(id, vec![(offset, &mut buf[..])], 1);
+            assert_eq!(buf, [0; 4]);
+        }
+        // A length that overflows from inside the file clamps to EOF.
+        fs.with_range(id, 3, u64::MAX, |src| assert_eq!(src, b"de"));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! counters; per-page fault costs in the timed pass) is unchanged.
 
 use functionbench::GuestOp;
-use guest_mem::{FaultEvent, GuestMemory, MemError, PageBitmap, PageIdx, PageRun, Uffd, PAGE_SIZE};
+use guest_mem::{FaultEvent, GuestMemory, MemError, PageBitmap, PageRun, Uffd, PAGE_SIZE};
 use sim_core::SimDuration;
 
 /// One entry of the timed trace consumed by the latency simulation.
@@ -57,12 +57,7 @@ pub struct ExecutionTrace {
 }
 
 impl ExecutionTrace {
-    /// The faulted pages, in fault order (the REAP *trace* of §5.1).
-    pub fn faulted_pages(&self) -> Vec<PageIdx> {
-        self.faulted_runs().iter().flat_map(|r| r.iter()).collect()
-    }
-
-    /// The faulted runs, in fault order.
+    /// The faulted runs, in fault order (the REAP *trace* of §5.1).
     pub fn faulted_runs(&self) -> Vec<PageRun> {
         self.ops
             .iter()
@@ -201,6 +196,7 @@ pub fn run_lazy(ops: &[GuestOp], uffd: &mut Uffd, handler: &mut dyn FaultHandler
 #[cfg(test)]
 mod tests {
     use super::*;
+    use guest_mem::PageIdx;
     use guest_os::TouchChunk;
 
     struct ZeroFill;
@@ -262,15 +258,6 @@ mod tests {
         assert_eq!(trace.pages_touched, 4);
         assert_eq!(trace.minor_faults, 0);
         assert_eq!(uffd.stats().wakes, 4);
-        assert_eq!(
-            trace.faulted_pages(),
-            vec![
-                PageIdx::new(0),
-                PageIdx::new(1),
-                PageIdx::new(2),
-                PageIdx::new(3)
-            ]
-        );
         // The two chunks produced one coalesced run each: [0..3) and [3..4).
         assert_eq!(
             trace.faulted_runs(),
@@ -291,7 +278,7 @@ mod tests {
         }
         let trace = run_lazy(&ops(), &mut uffd, &mut ZeroFill);
         assert_eq!(trace.uffd_faults, 1, "only page 3 faults");
-        assert_eq!(trace.faulted_pages(), vec![PageIdx::new(3)]);
+        assert_eq!(trace.faulted_runs(), vec![PageRun::single(PageIdx::new(3))]);
     }
 
     #[test]
