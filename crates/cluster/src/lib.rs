@@ -25,8 +25,8 @@
 //!   when their timed programs meet on the shared disk.
 //! * **Concurrent serving** — [`ClusterOrchestrator::invoke_concurrent`]
 //!   fans a batch's *functional* passes across scoped threads, one lane
-//!   per shard group, gated on the host's `available_parallelism` exactly
-//!   like the prefetch-lane pipeline ([`sim_core::effective_lanes`]).
+//!   per shard group, gated on the host's `available_parallelism`
+//!   ([`sim_core::effective_lanes`]).
 //!   Shard state never crosses threads, so outcomes are deterministic and
 //!   **shard-count invariant** (pinned by this crate's proptests).
 //! * **One shared disk** — the *timed* pass of a batch merges every

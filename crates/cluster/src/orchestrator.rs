@@ -348,15 +348,6 @@ impl ClusterOrchestrator {
         }
     }
 
-    /// Broadcasts the *functional* prefetch-lane count to every shard
-    /// (wall-clock knob only; see
-    /// [`Orchestrator::set_prefetch_lanes`]).
-    pub fn set_prefetch_lanes(&mut self, lanes: usize) {
-        for shard in &mut self.shards {
-            shard.set_prefetch_lanes(lanes);
-        }
-    }
-
     /// The cluster-wide snapshot frame cache (all shards share one
     /// instance; see [`Orchestrator::frame_cache`]).
     pub fn frame_cache(&self) -> &Arc<SnapshotFrameCache> {
@@ -492,10 +483,9 @@ impl ClusterOrchestrator {
     /// The *functional* passes fan out across scoped threads — shards are
     /// dealt into contiguous, request-count-balanced lanes
     /// ([`sim_core::partition_by_weight`]) and the lane count is gated on
-    /// the host's parallelism ([`sim_core::effective_lanes`]), exactly
-    /// like the prefetch pipeline. Each thread touches only its own
-    /// shards' state, so results are deterministic and shard-count
-    /// invariant.
+    /// the host's parallelism ([`sim_core::effective_lanes`]). Each
+    /// thread touches only its own shards' state, so results are
+    /// deterministic and shard-count invariant.
     ///
     /// The *timed* passes are then merged onto **one** timeline over one
     /// shared disk (and one shared CPU pool): simulated queueing under

@@ -55,8 +55,7 @@ pub struct HostCostModel {
     /// many extent fetches in flight while installs drain on the monitor
     /// thread, modeling the overlap the lane pipeline buys (swept by
     /// `fig7`'s lane table). This knob changes simulated latency by
-    /// design; the *functional* lane count
-    /// ([`crate::Orchestrator::set_prefetch_lanes`]) never does.
+    /// design.
     pub prefetch_lanes: usize,
 }
 

@@ -77,6 +77,6 @@ pub use router::{route_workload, RouterConfig, RouterReport};
 pub use scale::{concurrency_sweep, lane_sweep, ScalePoint};
 pub use timeline::{InstanceResult, Timeline};
 pub use ws_file::{
-    read_trace_file, read_trace_runs, read_ws_extents, read_ws_file, read_ws_layout,
-    write_reap_files, write_reap_files_runs, ReapFiles, WsError, WsLayout,
+    read_trace_file, read_trace_runs, read_ws_file, read_ws_layout, write_reap_files,
+    write_reap_files_runs, ReapFiles, WsError, WsLayout,
 };

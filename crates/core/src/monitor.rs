@@ -57,7 +57,7 @@ pub enum PrefetchError {
     Artifact(WsError),
     /// Installing prefetched pages into guest memory failed (monitor
     /// invariant violation — not recoverable by policy).
-    Install(String),
+    Install(MemError),
 }
 
 impl PrefetchError {
@@ -77,7 +77,7 @@ impl fmt::Display for PrefetchError {
         match self {
             PrefetchError::Storage(e) => write!(f, "prefetch storage fault: {e}"),
             PrefetchError::Artifact(e) => write!(f, "corrupt REAP artifact: {e}"),
-            PrefetchError::Install(s) => write!(f, "prefetch install failed: {s}"),
+            PrefetchError::Install(e) => write!(f, "prefetch install failed: {e}"),
         }
     }
 }
@@ -238,7 +238,7 @@ impl<'a> Monitor<'a> {
                         uffd.copy_run(run, src)
                     })
             }
-            .map_err(|e| PrefetchError::Install(e.to_string()))?;
+            .map_err(PrefetchError::Install)?;
             self.stats.prefetched += install.installed;
             self.stats.eexist_races += install.eexist;
         }
@@ -247,116 +247,16 @@ impl<'a> Monitor<'a> {
         Ok(self.stats.prefetched)
     }
 
-    /// Lane-parallel prefetch (the ROADMAP's "parallel prefetch lanes"):
-    /// behaves exactly like [`prefetch`](Self::prefetch) — byte-identical
-    /// guest memory, identical [`MonitorStats`]/[`guest_mem::UffdStats`] —
-    /// but serves the WS file's extents across up to `lanes` concurrent
-    /// fetch lanes, the way REAP's monitor goroutines overlap working-set
-    /// I/O with execution (§5.2).
-    ///
-    /// Each lane *fuses* fetch and install: frames for every missing
-    /// extent are reserved up front ([`Uffd::copy_runs_with`]), then the
-    /// lanes copy file bytes straight into the frames under one store
-    /// read lock ([`FileStore::read_ranges_into`]) — a single scatter
-    /// copy instead of a fetch-all-then-install-all double pass. Lane
-    /// count is gated on the host's `available_parallelism`, so results
-    /// never depend on it; only wall-clock time does.
-    ///
-    /// A layout that names pages outside the guest region (possible only
-    /// in a corrupt artifact; overlapping extents never parse) falls back
-    /// to the sequential path wholesale, preserving its error semantics
-    /// exactly.
-    ///
-    /// With a frame cache attached, a *warm* cache routes to the cached
-    /// sequential path (hits are refcount bumps — no copies left for the
-    /// lanes to overlap), while a cold or invalidated cache keeps the
-    /// laned fusion for the real reads it still pays.
-    ///
-    /// # Errors
-    ///
-    /// As [`prefetch`](Self::prefetch).
+    // Pinned by benchmark/src/layers.rs:472 (`monitor.prefetch` span); leaves
+    // with the next `benchmark/`-only PR.
+    #[doc(hidden)]
     pub fn prefetch_lanes(
         &mut self,
         uffd: &mut Uffd,
         files: &ReapFiles,
-        lanes: usize,
+        _lanes: usize,
     ) -> Result<u64, PrefetchError> {
-        if lanes <= 1 {
-            return self.prefetch(uffd, files);
-        }
-        if let Some(cache) = self.cache {
-            let layout = read_ws_layout(self.fs, files.ws_file).map_err(PrefetchError::from_ws)?;
-            if layout
-                .extents
-                .iter()
-                .all(|&(run, at)| cache.contains_current(self.fs, files.ws_file, at, run.byte_len()))
-            {
-                // Warm cache: every install is a refcount bump — there
-                // are no copies for the lanes to parallelize, so the
-                // cached sequential path is the fast path.
-                return self.prefetch(uffd, files);
-            }
-            // Cold (or stale) cache: the extents still pay real reads and
-            // copies, so keep the laned fetch+install fusion below. The
-            // cache stays unpopulated this pass and fills on the next
-            // sequential serve — stats are identical on every route
-            // (pinned by the lane- and cache-equivalence proptests).
-        }
-        let layout = read_ws_layout(self.fs, files.ws_file).map_err(PrefetchError::from_ws)?;
-
-        // Split every extent into its missing sub-runs (bulk-installed by
-        // the lanes) and its already-resident pages (served per page so
-        // EEXIST races are counted exactly as the sequential path counts
-        // them). Residency is static during prefetch — the vCPU is halted
-        // — so this split is deterministic.
-        let mut jobs: Vec<(PageRun, u64)> = Vec::with_capacity(layout.extents.len());
-        let mut resident: Vec<(PageIdx, u64)> = Vec::new();
-        for &(run, data_at) in &layout.extents {
-            if !uffd.memory().contains_run(run) {
-                // Out-of-bounds layout: replay the sequential semantics
-                // verbatim.
-                return self.prefetch(uffd, files);
-            }
-            let mut cursor = run.first;
-            while let Some(missing) = uffd.next_missing_run(cursor, run) {
-                for page in PageRun::new(cursor, missing.first.as_u64() - cursor.as_u64()).iter() {
-                    resident.push((page, data_at + (page.as_u64() - run.first.as_u64()) * PAGE_SIZE as u64));
-                }
-                jobs.push((missing, data_at + (missing.first.as_u64() - run.first.as_u64()) * PAGE_SIZE as u64));
-                cursor = missing.end();
-            }
-            for page in PageRun::new(cursor, run.end().as_u64() - cursor.as_u64()).iter() {
-                resident.push((page, data_at + (page.as_u64() - run.first.as_u64()) * PAGE_SIZE as u64));
-            }
-        }
-
-        let runs: Vec<PageRun> = jobs.iter().map(|&(run, _)| run).collect();
-        let fs = self.fs;
-        let ws_file = files.ws_file;
-        let installed = uffd
-            .copy_runs_with(&runs, |bufs| {
-                let lane_jobs: Vec<(u64, &mut [u8])> = bufs
-                    .into_iter()
-                    .map(|(i, buf)| (jobs[i].1, buf))
-                    .collect();
-                fs.read_ranges_into(ws_file, lane_jobs, lanes);
-            })
-            .map_err(|e| PrefetchError::Install(e.to_string()))?;
-        self.stats.prefetched += installed;
-
-        // Attempt the resident pages exactly as the sequential per-page
-        // fallback would: the kernel answers EEXIST, contents survive.
-        for &(page, data_at) in &resident {
-            let data = self.fs.read_at(ws_file, data_at, PAGE_SIZE);
-            match uffd.copy(page, &data) {
-                Err(MemError::AlreadyResident(_)) => self.stats.eexist_races += 1,
-                Ok(()) => unreachable!("page {page} was resident during the split"),
-                Err(e) => return Err(PrefetchError::Install(e.to_string())),
-            }
-        }
-        uffd.wake();
-        self.prefetch_done = true;
-        Ok(self.stats.prefetched)
+        self.prefetch(uffd, files)
     }
 
     /// Finishes a record-mode invocation: writes the trace + WS files next
@@ -599,46 +499,7 @@ mod tests {
     }
 
     #[test]
-    fn laned_prefetch_matches_sequential_exactly() {
-        let (snap, fs) = snapshot_fixture();
-        let files = {
-            let mut vm = snap.restore_shell(&fs).unwrap();
-            let mut m = Monitor::new(&snap, &fs, MonitorMode::Record);
-            let first = vm.uffd_mut().inject_first_fault();
-            vm.uffd_mut().poll().unwrap();
-            m.handle_fault(vm.uffd_mut(), first).unwrap();
-            for p in [10u64, 11, 12, 50, 51, 200] {
-                let ev = fault_on(vm.uffd_mut(), p);
-                m.handle_fault(vm.uffd_mut(), ev).unwrap();
-            }
-            m.finish_record("snap/hw")
-        };
-
-        // Reference: the sequential path, with page 50 pre-faulted so a
-        // mixed extent exercises the EEXIST split.
-        let run_with = |lanes: usize| {
-            let mut vm = snap.restore_shell(&fs).unwrap();
-            let first = vm.uffd_mut().inject_first_fault();
-            vm.uffd_mut().poll().unwrap();
-            let mut warmup = Monitor::new(&snap, &fs, MonitorMode::OnDemand);
-            warmup.handle_fault(vm.uffd_mut(), first).unwrap();
-            let ev = fault_on(vm.uffd_mut(), 50);
-            warmup.handle_fault(vm.uffd_mut(), ev).unwrap();
-            let mut m = Monitor::new(&snap, &fs, MonitorMode::Prefetch);
-            let installed = m.prefetch_lanes(vm.uffd_mut(), &files, lanes).unwrap();
-            let verified = microvm::verify_restored(&vm, &snap, &fs).unwrap();
-            (installed, m.stats(), vm.uffd().stats(), verified)
-        };
-
-        let baseline = run_with(1);
-        assert_eq!(baseline.1.eexist_races, 2, "pages 0 and 50 were resident");
-        for lanes in 2..=4 {
-            assert_eq!(run_with(lanes), baseline, "lanes={lanes}");
-        }
-    }
-
-    #[test]
-    fn cached_prefetch_matches_uncached_and_lanes_keep_cold_path() {
+    fn cached_prefetch_matches_uncached() {
         use sim_storage::SnapshotFrameCache;
 
         let (snap, fs) = snapshot_fixture();
@@ -655,26 +516,22 @@ mod tests {
             m.finish_record("snap/hw")
         };
 
-        let run_prefetch = |cache: Option<&SnapshotFrameCache>, lanes: usize| {
+        let run_prefetch = |cache: Option<&SnapshotFrameCache>| {
             let mut vm = snap.restore_shell(&fs).unwrap();
             let mut m = Monitor::with_cache(&snap, &fs, MonitorMode::Prefetch, cache);
-            let installed = m.prefetch_lanes(vm.uffd_mut(), &files, lanes).unwrap();
+            let installed = m.prefetch(vm.uffd_mut(), &files).unwrap();
             let verified = microvm::verify_restored(&vm, &snap, &fs).unwrap();
             (installed, m.stats(), vm.uffd().stats(), verified)
         };
 
-        let reference = run_prefetch(None, 1);
+        let reference = run_prefetch(None);
         let cache = SnapshotFrameCache::new();
-        // Cold cache + lanes > 1 takes the laned pipeline: identical
-        // result, and nothing populated (the lanes copy, not the cache).
-        assert_eq!(run_prefetch(Some(&cache), 3), reference);
-        assert_eq!(cache.stats().entries, 0, "laned cold pass does not populate");
-        // Sequential cached pass populates...
-        assert_eq!(run_prefetch(Some(&cache), 1), reference);
+        // The cold cached pass populates...
+        assert_eq!(run_prefetch(Some(&cache)), reference);
         let populated = cache.stats();
         assert!(populated.entries > 0 && populated.misses > 0);
-        // ...and a warm cache routes lanes>1 to the aliasing hit path.
-        assert_eq!(run_prefetch(Some(&cache), 3), reference);
+        // ...and the warm pass aliases what it cached.
+        assert_eq!(run_prefetch(Some(&cache)), reference);
         let warm = cache.stats();
         assert_eq!(warm.misses, populated.misses, "warm pass reads nothing");
         assert!(warm.hits > populated.hits, "warm pass aliases cached extents");

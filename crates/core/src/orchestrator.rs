@@ -16,13 +16,13 @@ use guest_mem::{PageBitmap, PageIdx, PageRun};
 use sim_core::hash::fnv1a64_words;
 use microvm::{
     run_lazy, run_resident, verify_restored_tracked, BootCostModel, ExecutionTrace, FaultHandler,
-    MicroVm, Snapshot, VmConfig,
+    MicroVm, RestoreError, Snapshot, VmConfig,
 };
 use sim_core::metrics::labeled;
 use sim_core::{Deadline, MetricsRegistry, SimDuration, SimTime};
 use sim_storage::{
     DeviceProfile, Disk, DiskStats, FaultClass, FileStore, FrameCacheDelta, FrameCacheStats,
-    SnapshotFrameCache, StorageError,
+    SnapshotFrameCache,
 };
 
 use crate::breaker::{BreakerPolicy, BreakerState, CircuitBreaker};
@@ -233,10 +233,6 @@ pub struct Orchestrator {
     seed: u64,
     auto_rerecord: bool,
     rerecord_threshold: f64,
-    /// Functional prefetch lanes (real threads in the functional pass;
-    /// never affects simulated outcomes — see
-    /// [`set_prefetch_lanes`](Self::set_prefetch_lanes)).
-    prefetch_lanes: usize,
     /// Monotonic shadow-identity allocator (see
     /// [`shadow_files`](Self::shadow_files)): every shadow set minted by
     /// this orchestrator gets a fresh tag, so concurrent experiments can
@@ -313,7 +309,6 @@ impl Orchestrator {
             seed,
             auto_rerecord: false,
             rerecord_threshold: 0.5,
-            prefetch_lanes: 1,
             next_shadow_tag: 0,
             frame_cache,
             frame_cache_enabled: true,
@@ -366,21 +361,11 @@ impl Orchestrator {
         self.rerecord_threshold = threshold;
     }
 
-    /// Sets the *functional* prefetch lane count: how many real threads
-    /// the [`Monitor`] fans WS-file installs across during the functional
-    /// pass ([`Monitor::prefetch_lanes`]), gated on the host's
-    /// `available_parallelism`. This is a wall-clock knob only — guest
-    /// memory, [`MonitorStats`] and every [`InvocationOutcome`] field are
-    /// identical for any lane count (pinned by the lane-equivalence
-    /// proptests). The *modeled* lane count of the timed pass is the
-    /// separate [`HostCostModel::prefetch_lanes`] knob.
-    pub fn set_prefetch_lanes(&mut self, lanes: usize) {
-        self.prefetch_lanes = lanes.max(1);
-    }
-
-    /// The functional prefetch lane count.
+    // Pinned by benchmark/src/layers.rs:569 (the replay twin's lane count);
+    // leaves with the next `benchmark/`-only PR.
+    #[doc(hidden)]
     pub fn prefetch_lanes(&self) -> usize {
-        self.prefetch_lanes
+        1
     }
 
     /// Enables/disables the snapshot frame cache on the functional paths
@@ -771,9 +756,10 @@ impl Orchestrator {
     /// The recovery loop around
     /// [`functional_attempt`](Self::functional_attempt): transient faults
     /// back off (virtual time, accumulated in `recovery.retry_delay`) up
-    /// to [`RetryPolicy`]'s bound; a corrupt-artifact parse gets one
-    /// reload (wire corruption heals on a re-read, stored corruption
-    /// persists into the caller's quarantine path); everything else
+    /// to [`RetryPolicy`]'s bound; a corrupt read — of the WS artifacts
+    /// or of the VMM state — gets one reload per invocation (wire
+    /// corruption heals on a re-read, stored corruption persists into the
+    /// caller's quarantine or shard-surrender path); everything else
     /// returns immediately for the caller to handle.
     ///
     /// With a virtual-time `budget`, injected device delays are drained
@@ -806,9 +792,12 @@ impl Orchestrator {
                     return Err(RecoverAbort::DeadlineExhausted);
                 }
             }
-            let transient = matches!(&err, AttemptError::Restore(FaultClass::Transient, _))
-                || matches!(&err, AttemptError::Prefetch(PrefetchError::Storage(se))
-                    if se.class() == FaultClass::Transient);
+            let transient = matches!(
+                &err,
+                AttemptError::Restore(RestoreError::Storage(se))
+                | AttemptError::Prefetch(PrefetchError::Storage(se))
+                    if se.class() == FaultClass::Transient
+            );
             if transient {
                 if transient_attempts < retry.max_retries {
                     let backoff = retry.delay_for(transient_attempts);
@@ -822,12 +811,16 @@ impl Orchestrator {
                 }
                 return Err(RecoverAbort::Attempt(err));
             }
-            if matches!(&err, AttemptError::Prefetch(PrefetchError::Artifact(_)))
-                && !corrupt_retried
-            {
+            let corrupt = matches!(
+                &err,
+                AttemptError::Restore(RestoreError::Corrupt(_))
+                    | AttemptError::Prefetch(PrefetchError::Artifact(_))
+            );
+            if corrupt && !corrupt_retried {
                 // One reload: corruption injected on the wire heals on a
                 // re-read (its fault budget is spent); corruption in the
-                // stored bytes persists and falls through to quarantine.
+                // stored bytes persists and falls through (artifacts are
+                // quarantined, a corrupt snapshot surrenders the shard).
                 corrupt_retried = true;
                 recovery.corrupt_reloads += 1;
                 continue;
@@ -853,16 +846,7 @@ impl Orchestrator {
             // the registry for the whole invocation.
             (Arc::clone(&st.snapshot), st.reap, st.inputs.input(seq))
         };
-        let mut vm = match snapshot.restore_shell(&fs) {
-            Ok(vm) => vm,
-            Err(msg) => {
-                // A classified storage fault is recoverable; anything else
-                // (a VMM state checksum mismatch) is a correctness bug.
-                let class = StorageError::classify_str(&msg)
-                    .unwrap_or_else(|| panic!("snapshot restore failed: {msg}"));
-                return Err(AttemptError::Restore(class, msg));
-            }
-        };
+        let mut vm = snapshot.restore_shell(&fs).map_err(AttemptError::Restore)?;
         let mut monitor = Monitor::with_cache(&snapshot, &fs, mode, cache.as_deref());
 
         // §5.2.1: the hypervisor injects the first fault at byte zero so
@@ -878,7 +862,7 @@ impl Orchestrator {
         if mode == MonitorMode::Prefetch {
             let files = reap.expect("prefetch mode requires recorded REAP files");
             monitor
-                .prefetch_lanes(vm.uffd_mut(), &files, self.prefetch_lanes)
+                .prefetch(vm.uffd_mut(), &files)
                 .map_err(AttemptError::Prefetch)?;
             // The trace artifact feeds misprediction detection (and
             // ParallelPF's timed program) through infallible readers
@@ -1353,8 +1337,8 @@ impl Orchestrator {
                     }));
                 }
                 Err(RecoverAbort::Attempt(e @ AttemptError::Restore(..))) => {
-                    // The snapshot itself is unreachable: nothing this
-                    // shard can serve. Hand the request back for failover.
+                    // The snapshot itself is unreachable or corrupt: nothing
+                    // this shard can serve. Hand the request back for failover.
                     self.surrender_seq(f, seq);
                     return Err(ColdAbort::Shard(ShardUnavailable {
                         function: f,

@@ -14,8 +14,12 @@
 //!   persists), then the artifact is quarantined, the in-flight request
 //!   falls back to a Vanilla cold start off the intact snapshot, and the
 //!   function is flagged for automatic re-record;
-//! * **unavailable storage at restore time** means the whole shard is
-//!   unreachable — the request is handed back as [`ShardUnavailable`] so
+//! * **a corrupt VMM state read** gets the same single reload; a mismatch
+//!   that survives it is stored corruption of the snapshot itself, which
+//!   nothing on this shard can serve around;
+//! * **an unrestorable snapshot** (storage unavailable at restore time, or
+//!   stored corruption) means the shard cannot serve the function — the
+//!   request is handed back as [`ShardUnavailable`] so
 //!   the cluster layer can re-route it to a surviving shard (the consumed
 //!   input sequence number is rolled back first, so the re-routed request
 //!   completes with the seq it would have had fault-free).
@@ -23,8 +27,8 @@
 use std::fmt;
 
 use functionbench::FunctionId;
+use microvm::RestoreError;
 use sim_core::SimDuration;
-use sim_storage::FaultClass;
 
 use crate::monitor::PrefetchError;
 
@@ -101,11 +105,9 @@ impl RetryPolicy {
 /// (quarantine + Vanilla fallback, or shard failover).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AttemptError {
-    /// Snapshot restore failed with a classified storage fault (the
-    /// rendered message is kept for diagnostics). Unclassifiable restore
-    /// failures — a VMM state checksum mismatch — are a correctness bug,
-    /// not an injected fault, and panic instead.
-    Restore(FaultClass, String),
+    /// Snapshot restore failed: the store could not serve the VMM state
+    /// file, or its bytes arrived corrupt.
+    Restore(RestoreError),
     /// Working-set prefetch failed (corrupt artifact bytes, artifact
     /// storage fault, or install error).
     Prefetch(PrefetchError),
@@ -114,9 +116,7 @@ pub enum AttemptError {
 impl fmt::Display for AttemptError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            AttemptError::Restore(_, detail) => {
-                write!(f, "snapshot restore failed: {detail}")
-            }
+            AttemptError::Restore(e) => write!(f, "snapshot restore failed: {e}"),
             AttemptError::Prefetch(e) => write!(f, "WS file prefetch failed: {e}"),
         }
     }
@@ -125,7 +125,7 @@ impl fmt::Display for AttemptError {
 impl std::error::Error for AttemptError {}
 
 /// A cold start could not complete on this shard: its snapshot store is
-/// unreachable (blackout) or persistently faulting. The consumed input
+/// unreachable (blackout), persistently faulting or corrupt. The consumed input
 /// seq was rolled back; the cluster layer re-routes the request to a
 /// surviving shard.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -167,6 +167,7 @@ pub struct RebuildMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use guest_mem::MemError;
 
     #[test]
     fn default_report_is_clean() {
@@ -186,9 +187,10 @@ mod tests {
 
     #[test]
     fn attempt_error_messages_keep_legacy_prefixes() {
-        let e = AttemptError::Restore(FaultClass::Transient, "x".into());
-        assert!(e.to_string().starts_with("snapshot restore failed"));
-        let e = AttemptError::Prefetch(PrefetchError::Install("y".into()));
+        let e = AttemptError::Restore(RestoreError::Corrupt("x".into()));
+        assert_eq!(e.to_string(), "snapshot restore failed: x");
+        let page = guest_mem::PageIdx::new(3);
+        let e = AttemptError::Prefetch(PrefetchError::Install(MemError::AlreadyResident(page)));
         assert!(e.to_string().contains("WS file prefetch"));
     }
 }

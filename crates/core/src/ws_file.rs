@@ -15,6 +15,7 @@
 //! [`WsError::BadMagic`].
 
 use guest_mem::{coalesce_ordered, PageIdx, PageRun, PAGE_SIZE};
+use sim_storage::fault::retry_idempotent;
 use sim_storage::{FileId, FileStore, StorageError};
 use std::fmt;
 
@@ -143,35 +144,12 @@ pub fn write_reap_files_runs(
     try_write_reap_files_runs(fs, prefix, mem_file, runs).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Transient write attempts per artifact operation before giving up —
-/// torn and transiently-failed writes are simply reissued (every write
-/// here is idempotent: fixed offsets, gather rewrites its whole tail).
-const WRITE_RETRIES: u32 = 3;
-
-fn retry_write(
-    mut op: impl FnMut() -> Result<(), StorageError>,
-) -> Result<(), StorageError> {
-    let mut last = Ok(());
-    for _ in 0..WRITE_RETRIES {
-        last = op();
-        match &last {
-            Ok(()) => return Ok(()),
-            // Torn and transient writes heal on reissue; dead files and
-            // blackouts never do.
-            Err(StorageError::ShortWrite { .. }) | Err(StorageError::Transient { .. }) => {}
-            Err(_) => return last,
-        }
-    }
-    last
-}
-
 /// Fallible twin of [`write_reap_files_runs`]: surfaces storage faults as
 /// typed errors instead of panicking. Transient and torn writes are
-/// retried up to `WRITE_RETRIES` times per operation (all artifact
-/// writes are idempotent); with no injected faults the store-op counts
-/// are identical to the panicking path (one `write_at` per table, one
-/// gather).
-pub fn try_write_reap_files_runs(
+/// reissued ([`retry_idempotent`]: every artifact write is idempotent —
+/// fixed offsets, gather rewrites its whole tail); with no injected
+/// faults the store-op counts are one `write_at` per table and one gather.
+fn try_write_reap_files_runs(
     fs: &FileStore,
     prefix: &str,
     mem_file: FileId,
@@ -187,17 +165,17 @@ pub fn try_write_reap_files_runs(
     };
 
     let trace_buf = extent_table(TRACE_MAGIC, runs, files.trace_bytes());
-    retry_write(|| fs.try_write_at(files.trace_file, 0, &trace_buf))?;
+    retry_idempotent(|| fs.try_write_at(files.trace_file, 0, &trace_buf))?;
 
     // WS file: same header + extent table, then the page data gathered
     // from the memory file in one store operation.
     let header = extent_table(WS_MAGIC, runs, files.trace_bytes());
-    retry_write(|| fs.try_write_at(files.ws_file, 0, &header))?;
+    retry_idempotent(|| fs.try_write_at(files.ws_file, 0, &header))?;
     let parts: Vec<(FileId, u64, u64)> = runs
         .iter()
         .map(|r| (mem_file, r.file_offset(), r.byte_len()))
         .collect();
-    retry_write(|| fs.try_gather_into(files.ws_file, header.len() as u64, &parts))?;
+    retry_idempotent(|| fs.try_gather_into(files.ws_file, header.len() as u64, &parts))?;
     Ok(files)
 }
 
@@ -351,7 +329,7 @@ pub fn read_ws_layout(fs: &FileStore, ws_file: FileId) -> Result<WsLayout, WsErr
 /// # Errors
 ///
 /// Returns [`WsError`] on magic/length/alignment/extent violations.
-pub fn read_ws_extents(fs: &FileStore, ws_file: FileId) -> Result<Vec<(PageRun, Vec<u8>)>, WsError> {
+fn read_ws_extents(fs: &FileStore, ws_file: FileId) -> Result<Vec<(PageRun, Vec<u8>)>, WsError> {
     let layout = read_ws_layout(fs, ws_file)?;
     Ok(layout
         .extents

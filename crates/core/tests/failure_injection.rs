@@ -89,6 +89,58 @@ fn wire_corruption_of_ws_metadata_heals_with_one_reload() {
 }
 
 #[test]
+fn wire_corruption_of_vmm_state_heals_with_one_reload() {
+    let baseline = prepared(12).invoke_cold(F, ColdPolicy::Reap);
+
+    let mut o = prepared(12);
+    // Corrupt exactly one read of the VMM state file: the checksum
+    // mismatches, the reload re-reads pristine stored bytes (budget spent).
+    attach(
+        &o,
+        FaultRule::new(
+            FaultScope::NameContains("vmm_state".into()),
+            FaultKind::CorruptRead,
+        )
+        .count(1),
+    );
+    let faulted = o.invoke_cold(F, ColdPolicy::Reap);
+
+    assert_eq!(faulted.recovery.corrupt_reloads, 1);
+    assert!(!faulted.recovery.quarantined, "wire corruption must heal");
+    assert_eq!(faulted.policy, Some(ColdPolicy::Reap));
+    assert!(!o.is_quarantined(F));
+    assert_eq!(normalized(&faulted), normalized(&baseline));
+}
+
+#[test]
+fn stored_corruption_of_vmm_state_surrenders_the_shard() {
+    let baseline = prepared(13).invoke_cold(F, ColdPolicy::Reap);
+
+    // A scribble on the stored VMM state persists across the reload: the
+    // snapshot itself is bad, so there is nothing to fall back to here.
+    let mut o = prepared(13);
+    let vmm = o.fs().open(&format!("snapshots/{F}/vmm_state")).unwrap();
+    let byte = o.fs().read_at(vmm, 32, 1)[0];
+    o.fs().write_at(vmm, 32, &[byte ^ 0xFF]);
+    let err = o
+        .prepare(&ColdRequest::shared(F, ColdPolicy::Reap))
+        .expect_err("a corrupt snapshot cannot restore");
+    assert!(
+        matches!(&err, ColdAbort::Shard(e) if e.function == F && e.detail.contains("checksum mismatch")),
+        "{err}"
+    );
+    assert!(!o.is_quarantined(F), "the REAP artifacts are not at fault");
+
+    // The seq was surrendered: the function's next request (here after the
+    // file is repaired; in a cluster, on the shard it was rebuilt on) runs
+    // with it and matches the fault-free run.
+    o.fs().write_at(vmm, 32, &[byte]);
+    let replayed = o.invoke_cold(F, ColdPolicy::Reap);
+    assert_eq!(replayed.seq, baseline.seq);
+    assert_eq!(normalized(&replayed), normalized(&baseline));
+}
+
+#[test]
 fn stored_corruption_quarantines_and_falls_back_to_vanilla() {
     let baseline = prepared(13).invoke_cold(F, ColdPolicy::Vanilla);
 
@@ -348,8 +400,9 @@ fn generous_budget_completes_with_identical_bytes() {
 #[test]
 #[should_panic(expected = "snapshot restore failed")]
 fn vmm_checksum_mismatch_stays_fatal() {
-    // A corrupt VMM state file is a correctness bug, not a recoverable
-    // storage fault: restore must still fail loudly.
+    // A VMM state file corrupt in the store surrenders the shard; the
+    // infallible single-node form has nowhere to hand the request and
+    // fails loudly.
     let mut o = prepared(19);
     let vmm = o.fs().open(&format!("snapshots/{F}/vmm_state")).unwrap();
     let byte = o.fs().read_at(vmm, 32, 1)[0];

@@ -128,130 +128,8 @@ proptest! {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Prefetch-lane equivalence: the lane engine must be indistinguishable
-// from the sequential prefetch path in everything but wall-clock time.
-// ---------------------------------------------------------------------------
-
 use functionbench::FunctionId;
-use guest_mem::{GuestMemory, PageBitmap, PageRun, Uffd};
-use microvm::{MicroVm, Snapshot, VmConfig};
-use vhive_core::{write_reap_files_runs, ColdPolicy, Monitor, MonitorMode, Orchestrator};
-
-/// One shared snapshot for monitor construction (prefetch never touches
-/// it; the monitor only reads the WS artifacts handed to it).
-fn shared_snapshot() -> &'static (Snapshot, FileStore) {
-    static SNAP: std::sync::OnceLock<(Snapshot, FileStore)> = std::sync::OnceLock::new();
-    SNAP.get_or_init(|| {
-        let fs = FileStore::new();
-        let (mut vm, _) = MicroVm::boot(FunctionId::helloworld, VmConfig::default());
-        vm.pause();
-        let snap = Snapshot::capture(&vm, &fs, "prop/snap");
-        (snap, fs)
-    })
-}
-
-const PROP_PAGES: u64 = 2048;
-const REGION_BASE: u64 = 0x7f00_0000_0000;
-
-/// Everything observable about a prefetch: its return value, both stat
-/// blocks, and a checksum view of the resulting guest memory.
-fn observe(installed: u64, m: &Monitor<'_>, uffd: &Uffd) -> (u64, String, String, Vec<(u64, u64)>) {
-    let mem = uffd.memory();
-    let sums: Vec<(u64, u64)> = mem
-        .resident_iter()
-        .map(|p| (p.as_u64(), mem.page_checksum(p).unwrap()))
-        .collect();
-    (installed, format!("{:?}", m.stats()), format!("{:?}", uffd.stats()), sums)
-}
-
-proptest! {
-    /// Lane-parallel prefetch produces byte-identical guest memory and
-    /// identical `MonitorStats`/`UffdStats` versus the sequential path,
-    /// for lane counts 1-4, over adversarial extent layouts (fragmented,
-    /// out-of-order, abutting) and pre-resident pages (EEXIST races).
-    #[test]
-    fn laned_prefetch_equals_sequential(
-        raw_extents in proptest::collection::vec((0u64..PROP_PAGES, 1u64..9), 1..40),
-        resident in proptest::collection::vec(0u64..PROP_PAGES, 0..24),
-    ) {
-        let (snap, _snap_fs) = shared_snapshot();
-        let fs = FileStore::new();
-        let mem_file = fs.create("prop/mem");
-
-        // Keep extents inside the region and mutually disjoint (the v2
-        // format rejects overlaps), preserving sample order as the fault
-        // order.
-        let mut claimed = PageBitmap::new(PROP_PAGES);
-        let mut runs: Vec<PageRun> = Vec::new();
-        for (first, len) in raw_extents {
-            let len = len.min(PROP_PAGES - first.min(PROP_PAGES - 1));
-            let run = PageRun::new(PageIdx::new(first), len.max(1));
-            if run.end().as_u64() <= PROP_PAGES && !claimed.any_set_in(run) {
-                claimed.set_run(run);
-                runs.push(run);
-            }
-        }
-        prop_assume!(!runs.is_empty());
-        let mut buf = vec![0u8; PAGE_SIZE];
-        for run in &runs {
-            for p in run.iter() {
-                guest_mem::checksum::fill_deterministic(&mut buf, 0xA11E, p.as_u64());
-                fs.write_at(mem_file, p.file_offset(), &buf);
-            }
-        }
-        let files = write_reap_files_runs(&fs, "prop/ws", mem_file, &runs);
-
-        // Pre-resident pages model racing installs; give them contents
-        // that differ from the WS file so a wrong overwrite is caught by
-        // the checksum comparison.
-        let mut base = GuestMemory::new(PROP_PAGES * PAGE_SIZE as u64);
-        for &p in &resident {
-            guest_mem::checksum::fill_deterministic(&mut buf, 0x0DD, p);
-            let _ = base.install_page(PageIdx::new(p), &buf); // dup picks are benign
-        }
-
-        let run_prefetch = |lanes: usize| {
-            let mut uffd = Uffd::register(base.clone(), REGION_BASE);
-            let mut m = Monitor::new(snap, &fs, MonitorMode::Prefetch);
-            let installed = if lanes == 1 {
-                m.prefetch(&mut uffd, &files).unwrap()
-            } else {
-                m.prefetch_lanes(&mut uffd, &files, lanes).unwrap()
-            };
-            observe(installed, &m, &uffd)
-        };
-
-        let sequential = run_prefetch(1);
-        for lanes in 2..=4 {
-            prop_assert_eq!(&run_prefetch(lanes), &sequential, "lanes={}", lanes);
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(proptest::test_runner::ProptestConfig { cases: 4 })]
-
-    /// End-to-end determinism: the orchestrator's *functional* lane knob
-    /// is invisible in simulated time — record + REAP invocations render
-    /// byte-identical `InvocationOutcome`s for any lane count.
-    #[test]
-    fn functional_lane_count_never_changes_outcomes(
-        seed in 0u64..10_000,
-        lanes in 2usize..5,
-    ) {
-        let f = FunctionId::helloworld;
-        let run_with = |l: usize| {
-            let mut o = Orchestrator::new(seed);
-            o.set_prefetch_lanes(l);
-            o.register(f);
-            let rec = o.invoke_record(f);
-            let reap = o.invoke_cold(f, ColdPolicy::Reap);
-            format!("{rec:?}\n{reap:?}")
-        };
-        prop_assert_eq!(run_with(1), run_with(lanes), "lanes={}", lanes);
-    }
-}
+use vhive_core::{ColdPolicy, Orchestrator};
 
 proptest! {
     #![proptest_config(proptest::test_runner::ProptestConfig { cases: 3 })]

@@ -301,46 +301,6 @@ impl Uffd {
         }
     }
 
-    /// Monitor-side bulk `UFFDIO_COPY` over *several* disjoint runs with
-    /// caller-filled contents — the prefetch-lane entry point. All runs'
-    /// frames are reserved first, then `fill` receives every
-    /// `(run index, buffer)` pair at once and may populate them from
-    /// parallel lanes (see [`GuestMemory::install_runs_with`]). Returns
-    /// the number of pages installed, accounted as that many copies.
-    ///
-    /// Unlike [`copy_run`](Self::copy_run) there is no per-page EEXIST
-    /// fallback: the install is all-or-nothing, and a batch touching any
-    /// resident page fails with one `copy_eexist` tick. Callers that may
-    /// race with other installs must split resident pages out first (as
-    /// the monitor's lane prefetcher does).
-    ///
-    /// # Errors
-    ///
-    /// [`MemError::AlreadyResident`] / [`MemError::OutOfBounds`] as
-    /// [`GuestMemory::install_runs_with`]; nothing installed on error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the runs overlap each other.
-    pub fn copy_runs_with(
-        &mut self,
-        runs: &[PageRun],
-        fill: impl FnOnce(Vec<(usize, &mut [u8])>),
-    ) -> Result<u64, MemError> {
-        match self.mem.install_runs_with(runs, fill) {
-            Ok(()) => {
-                let total: u64 = runs.iter().map(|r| r.len).sum();
-                self.stats.copies += total;
-                Ok(total)
-            }
-            Err(e @ MemError::AlreadyResident(_)) => {
-                self.stats.copy_eexist += 1;
-                Err(e)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
     /// Monitor-side zero-copy bulk install: like
     /// [`copy_run`](Self::copy_run), but the run's frames become shared
     /// aliases of the refcounted `src` buffer (starting at page
@@ -568,27 +528,6 @@ mod tests {
         // The resident page kept its original contents.
         assert_eq!(u.memory().page_bytes(PageIdx::new(3)).unwrap()[0], 1);
         assert_eq!(u.memory().page_bytes(PageIdx::new(2)).unwrap()[0], 9);
-    }
-
-    #[test]
-    fn copy_runs_with_counts_like_per_run_copies() {
-        let mut u = setup();
-        let runs = [PageRun::new(PageIdx::new(2), 3), PageRun::new(PageIdx::new(10), 2)];
-        let installed = u
-            .copy_runs_with(&runs, |bufs| {
-                for (i, buf) in bufs {
-                    buf.fill(0x10 + i as u8);
-                }
-            })
-            .unwrap();
-        assert_eq!(installed, 5);
-        assert_eq!(u.stats().copies, 5);
-        assert!(u.memory().is_run_resident(runs[0]));
-        assert_eq!(u.memory().page_bytes(PageIdx::new(11)).unwrap()[0], 0x11);
-        // A colliding batch is EEXIST, counted once per attempt.
-        let err = u.copy_runs_with(&runs, |_| {}).unwrap_err();
-        assert!(matches!(err, MemError::AlreadyResident(_)));
-        assert_eq!(u.stats().copy_eexist, 1);
     }
 
     #[test]

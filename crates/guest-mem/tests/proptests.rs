@@ -50,12 +50,6 @@ impl RefMemory {
         Ok(())
     }
 
-    fn evict(&mut self, page: u64) -> bool {
-        self.frames
-            .get_mut(page as usize)
-            .is_some_and(|f| f.take().is_some())
-    }
-
     fn resident(&self) -> Vec<u64> {
         self.frames
             .iter()
@@ -182,11 +176,11 @@ proptest! {
 
     /// Equivalence: the bitmap/slab `GuestMemory` behaves exactly like the
     /// per-page boxed-frame model under arbitrary interleavings of
-    /// single-page installs, bulk run installs and evictions — same
-    /// success/error results, same resident set, same bytes.
+    /// single-page installs and bulk run installs — same success/error
+    /// results, same resident set, same bytes.
     #[test]
     fn memory_matches_per_page_reference(
-        ops in proptest::collection::vec((0u8..3, 0u64..96, 1u64..9), 1..120)
+        ops in proptest::collection::vec((0u8..2, 0u64..96, 1u64..9), 1..120)
     ) {
         const PAGES: u64 = 80;
         let mut mem = GuestMemory::new(PAGES * PAGE_SIZE as u64);
@@ -201,7 +195,7 @@ proptest! {
                     let want = reference.install(page, &data);
                     prop_assert_eq!(got, want, "install_page({})", page);
                 }
-                1 => {
+                _ => {
                     // Bulk install; may overlap residents or leave bounds.
                     let first = raw_page % PAGES;
                     let len = raw_len; // may extend past the region
@@ -212,11 +206,6 @@ proptest! {
                     let got = mem.install_run(PageRun::new(PageIdx::new(first), len), &data);
                     let want = reference.install_run(first, &data);
                     prop_assert_eq!(got, want, "install_run({}, {})", first, len);
-                }
-                _ => {
-                    let got = mem.evict_page(PageIdx::new(raw_page));
-                    let want = reference.evict(raw_page);
-                    prop_assert_eq!(got, want, "evict({})", raw_page);
                 }
             }
         }

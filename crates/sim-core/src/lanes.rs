@@ -1,25 +1,25 @@
-//! Prefetch-lane scheduling: deterministic partitioning of weighted work
-//! across a bounded number of parallel lanes.
+//! Lane scheduling: deterministic partitioning of weighted work across a
+//! bounded number of parallel lanes.
 //!
-//! REAP's monitor overlaps working-set I/O with execution by running its
-//! fetch and install work on concurrent goroutines (§5.2). The functional
-//! layer of this reproduction does the same with scoped threads: a WS
-//! layout's extents are split across *lanes*, each lane serving its
-//! extents independently (fetch fused with install — one copy from file
-//! bytes into guest frames). This module owns the lane arithmetic so the
-//! storage, memory and monitor layers all agree on it:
+//! Two users share this arithmetic: the cluster deals a batch's shards
+//! into serving lanes (one scoped thread each, `vhive-cluster`'s
+//! `invoke_concurrent`), and the timed pass deals a working set's extents
+//! into the fetch chunks of a modeled lane pipeline (`vhive-core`'s
+//! `invocation::lane_chunks`, sized by `HostCostModel::prefetch_lanes`):
 //!
-//! * [`effective_lanes`] gates a requested lane count on the host's
+//! * [`effective_lanes`] gates a requested *thread* count on the host's
 //!   `available_parallelism` (exactly like [`crate::parcopy`]'s copy
 //!   fan-out) — on a 1-vCPU container everything stays serial;
-//! * [`partition_by_weight`] deals weighted items (extents, keyed by byte
-//!   length) into contiguous, order-preserving, byte-balanced lanes.
+//! * [`partition_by_weight`] deals weighted items (shards keyed by
+//!   request count, extents keyed by byte length) into contiguous,
+//!   order-preserving, weight-balanced lanes.
 //!
 //! Partitioning is pure arithmetic over the item weights — the same
-//! inputs yield the same lanes on every host — so lane *count* can never
-//! leak into simulated-time outcomes; only wall-clock speed changes.
+//! inputs yield the same lanes on every host — so the host's core count
+//! can never leak into simulated-time outcomes; only wall-clock speed
+//! changes.
 
-/// Upper bound on prefetch lanes. Matches [`crate::parcopy::MAX_LANES`]'s
+/// Upper bound on thread lanes. Matches [`crate::parcopy::MAX_LANES`]'s
 /// rationale: a handful of streams saturates memory bandwidth, and the
 /// simulator often runs in small containers.
 pub const MAX_PREFETCH_LANES: usize = 8;
@@ -52,7 +52,7 @@ pub fn effective_lanes(requested: usize) -> usize {
 ///
 /// Contiguity is deliberate: extents are stored back-to-back in the WS
 /// file, so a contiguous index range per lane is a contiguous byte range
-/// per lane — each lane issues one sequential file scan instead of
+/// per lane — each modeled lane is one sequential file scan instead of
 /// strided reads.
 ///
 /// Zero-weight items ride along with their neighbours; an empty `weights`

@@ -14,10 +14,9 @@
 //!
 //! This is a *bandwidth* utility, deliberately dumb: lanes are scoped
 //! `std::thread`s that die at the end of the call. Architectural
-//! parallelism (overlapping fetch with install across the cold-start
-//! pipeline — "prefetch lanes") lives above this layer: see
-//! [`crate::lanes`] for the lane scheduler and `vhive-core`'s
-//! `Monitor::prefetch_lanes` for the pipeline itself.
+//! parallelism lives above this layer: see [`crate::lanes`] for the lane
+//! arithmetic the cluster's shard lanes and the modeled prefetch pipeline
+//! (`vhive-core`'s `TimedStep::PipelinedPrefetch`) share.
 
 use std::mem::MaybeUninit;
 

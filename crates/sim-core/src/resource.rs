@@ -144,17 +144,6 @@ impl MultiServer {
         self.last_completion
     }
 
-    /// Mean utilization of the servers over `[SimTime::ZERO, horizon]`.
-    ///
-    /// Returns 0 for a zero horizon.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        let total = horizon.as_nanos() as f64 * self.servers as f64;
-        if total == 0.0 {
-            return 0.0;
-        }
-        (self.busy.as_nanos() as f64 / total).min(1.0)
-    }
-
     /// Resets queue state and statistics (servers all free at time zero).
     pub fn reset(&mut self) {
         *self = MultiServer::new(self.name, self.servers);
@@ -295,13 +284,10 @@ mod tests {
     }
 
     #[test]
-    fn utilization_and_reset() {
+    fn reset_clears_statistics() {
         let mut r = MultiServer::new("d", 2);
         r.submit(SimTime::ZERO, us(100));
-        let horizon = SimTime::ZERO + us(100);
-        let u = r.utilization(horizon);
-        assert!((u - 0.5).abs() < 1e-9, "one of two servers busy: {u}");
-        assert_eq!(r.utilization(SimTime::ZERO), 0.0);
+        assert_eq!((r.completed(), r.busy_time()), (1, us(100)));
         r.reset();
         assert_eq!(r.completed(), 0);
         assert_eq!(r.busy_time(), SimDuration::ZERO);

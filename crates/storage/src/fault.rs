@@ -34,11 +34,6 @@ use crate::file_store::FileId;
 
 /// Typed storage failure, as surfaced by the `try_*`/`checked_*` methods of
 /// [`crate::FileStore`].
-///
-/// The `Display` rendering of each variant is **stable**: upper layers that
-/// only see stringly-typed errors (e.g. snapshot restore, which funnels
-/// through `Result<_, String>`) classify faults by these prefixes via
-/// [`StorageError::classify_str`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageError {
     /// The [`FileId`] no longer refers to a live file (deleted /
@@ -78,9 +73,8 @@ pub enum StorageError {
     },
 }
 
-/// Coarse classification of a [`StorageError`], recoverable from its
-/// `Display` rendering — the lingua franca across `Result<_, String>`
-/// boundaries.
+/// Coarse classification of a [`StorageError`]: what a caller can do
+/// about it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultClass {
     /// Retry on the same store is expected to succeed.
@@ -100,22 +94,6 @@ impl StorageError {
                 FaultClass::Transient
             }
             StorageError::Unavailable { .. } => FaultClass::Unavailable,
-        }
-    }
-
-    /// Classifies a stringly-typed error that may embed a rendered
-    /// `StorageError` (snapshot restore and prefetch plumb errors as
-    /// `String`). Returns `None` for strings that carry no storage-fault
-    /// marker.
-    pub fn classify_str(msg: &str) -> Option<FaultClass> {
-        if msg.contains("transient storage fault") || msg.contains("torn write") {
-            Some(FaultClass::Transient)
-        } else if msg.contains("unavailable (storage blackout)") {
-            Some(FaultClass::Unavailable)
-        } else if msg.contains("dead file#") {
-            Some(FaultClass::Gone)
-        } else {
-            None
         }
     }
 }
@@ -140,6 +118,25 @@ impl fmt::Display for StorageError {
 }
 
 impl std::error::Error for StorageError {}
+
+/// Reissues an *idempotent* store write (fixed offset, fixed length, or a
+/// gather that rewrites its whole tail) through the faults a reissue heals
+/// — [`StorageError::ShortWrite`] and [`StorageError::Transient`] — for up
+/// to three attempts. Returns the last error: a healable one means the
+/// budget ran out, any other (dead file, blackout) ended the loop at once.
+pub fn retry_idempotent(
+    mut op: impl FnMut() -> Result<(), StorageError>,
+) -> Result<(), StorageError> {
+    let mut last = Ok(());
+    for _ in 0..3 {
+        last = op();
+        match &last {
+            Err(StorageError::ShortWrite { .. }) | Err(StorageError::Transient { .. }) => {}
+            _ => break,
+        }
+    }
+    last
+}
 
 /// What an armed [`FaultRule`] does to a matching operation.
 #[derive(Debug, Clone, PartialEq)]
@@ -557,7 +554,7 @@ mod tests {
     }
 
     #[test]
-    fn classify_round_trips_through_display() {
+    fn class_of_every_variant() {
         let fs = FileStore::new();
         let id = fs.create("f");
         for (err, class) in [
@@ -579,14 +576,8 @@ mod tests {
                 FaultClass::Gone,
             ),
         ] {
-            assert_eq!(err.class(), class);
-            assert_eq!(
-                StorageError::classify_str(&format!("outer context: {err}")),
-                Some(class),
-                "{err}"
-            );
+            assert_eq!(err.class(), class, "{err}");
         }
-        assert_eq!(StorageError::classify_str("unrelated message"), None);
     }
 
     #[test]

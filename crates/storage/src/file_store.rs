@@ -491,21 +491,10 @@ impl FileStore {
         f(&data[start..end])
     }
 
-    /// Serves independent ranges of one file concurrently: copies each
-    /// `(offset, destination)` job's bytes into its buffer (zero-filling
-    /// past EOF, as [`read_at`](Self::read_at)), fanning the jobs
-    /// across up to `lanes` scoped threads partitioned by byte weight
-    /// ([`sim_core::partition_by_weight`]). The store's read lock is taken
-    /// **once** for the whole batch, so lanes contend on memory bandwidth
-    /// only — the `preadv`-per-lane of the prefetch pipeline.
-    ///
-    /// Accounted as one read operation per job (identical counters to a
-    /// sequential loop of [`read_at`](Self::read_at) calls).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not refer to a live file.
-    pub fn read_ranges_into(&self, id: FileId, jobs: Vec<(u64, &mut [u8])>, lanes: usize) {
+    // Pinned by benchmark/src/layers.rs:659 (`storage.range_read_gbps`);
+    // leaves with the next `benchmark/`-only PR.
+    #[doc(hidden)]
+    pub fn read_ranges_into(&self, id: FileId, jobs: Vec<(u64, &mut [u8])>, _lanes: usize) {
         self.counters
             .reads
             .fetch_add(jobs.len() as u64, Ordering::Relaxed);
@@ -515,7 +504,7 @@ impl FileStore {
         self.metric_read(jobs.iter().map(|(_, b)| b.len() as u64).sum());
         let inner = self.inner.read();
         let data = &inner.files[&id].data;
-        let copy_one = |offset: u64, buf: &mut [u8]| {
+        for (offset, buf) in jobs {
             let start = (offset as usize).min(data.len());
             let end = (offset as usize)
                 .saturating_add(buf.len())
@@ -523,31 +512,7 @@ impl FileStore {
             let covered = end - start;
             buf[..covered].copy_from_slice(&data[start..end]);
             buf[covered..].fill(0);
-        };
-        let lanes = sim_core::effective_lanes(lanes).min(jobs.len());
-        if lanes == 1 {
-            for (offset, buf) in jobs {
-                copy_one(offset, buf);
-            }
-            return;
         }
-        let weights: Vec<u64> = jobs.iter().map(|(_, b)| b.len() as u64).collect();
-        let ranges = sim_core::partition_by_weight(&weights, lanes);
-        let mut jobs = jobs;
-        std::thread::scope(|s| {
-            let copy_one = &copy_one;
-            // Peel lane chunks off the tail so each thread owns a disjoint
-            // slice of the job list.
-            for &(start, end) in ranges.iter().rev() {
-                let lane_jobs = jobs.split_off(start);
-                debug_assert_eq!(lane_jobs.len(), end - start);
-                s.spawn(move || {
-                    for (offset, buf) in lane_jobs {
-                        copy_one(offset, buf);
-                    }
-                });
-            }
-        });
     }
 
     /// Scatter-gather write: assembles `parts` (ranges of other files)
@@ -947,22 +912,20 @@ mod tests {
         fs.write_at(id, 0, &data);
         // Mixed in-bounds / cross-EOF / past-EOF ranges.
         let ranges = [(0u64, 100usize), (4096, 4096), (9_990, 100), (20_000, 8)];
-        for lanes in [1usize, 2, 4, 9] {
-            let mut bufs: Vec<Vec<u8>> = ranges.iter().map(|&(_, l)| vec![0xFF; l]).collect();
-            let reads_before = fs.read_calls();
-            let jobs: Vec<(u64, &mut [u8])> = ranges
-                .iter()
-                .zip(bufs.iter_mut())
-                .map(|(&(off, _), b)| (off, b.as_mut_slice()))
-                .collect();
-            fs.read_ranges_into(id, jobs, lanes);
-            assert_eq!(fs.read_calls() - reads_before, ranges.len() as u64);
-            for (&(off, len), buf) in ranges.iter().zip(&bufs) {
-                assert_eq!(buf, &fs.read_at(id, off, len), "range at {off} (lanes={lanes})");
-            }
+        let mut bufs: Vec<Vec<u8>> = ranges.iter().map(|&(_, l)| vec![0xFF; l]).collect();
+        let reads_before = fs.read_calls();
+        let jobs: Vec<(u64, &mut [u8])> = ranges
+            .iter()
+            .zip(bufs.iter_mut())
+            .map(|(&(off, _), b)| (off, b.as_mut_slice()))
+            .collect();
+        fs.read_ranges_into(id, jobs, 1);
+        assert_eq!(fs.read_calls() - reads_before, ranges.len() as u64);
+        for (&(off, len), buf) in ranges.iter().zip(&bufs) {
+            assert_eq!(buf, &fs.read_at(id, off, len), "range at {off}");
         }
         // Empty batch is a no-op.
-        fs.read_ranges_into(id, Vec::new(), 4);
+        fs.read_ranges_into(id, Vec::new(), 1);
     }
 
     #[test]

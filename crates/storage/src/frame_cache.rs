@@ -518,21 +518,6 @@ impl SnapshotFrameCache {
             .map(|&(_, idx)| inner.entry(idx).bytes.clone())
     }
 
-    /// True if a lookup of this extent would hit: a live entry exists
-    /// *and* its recorded generation matches the store's current one.
-    /// Lets callers choose between the zero-copy hit path and a
-    /// copy-parallelizing cold path without perturbing the counters.
-    pub fn contains_current(&self, fs: &FileStore, file: FileId, offset: u64, len: u64) -> bool {
-        let Some(generation) = fs.generation(file) else {
-            return false;
-        };
-        self.inner
-            .read()
-            .index
-            .get(&(file, offset, len))
-            .is_some_and(|&(g, _)| g == generation)
-    }
-
     /// Drops every cached extent of `file` (re-record, padding and
     /// snapshot re-generation rewrite artifacts in place; generation
     /// validation already makes the old bytes unservable — this releases
@@ -875,26 +860,6 @@ mod tests {
         assert_eq!(cache.stats().entries, 2);
         assert_eq!(cache.stats().content_entries, 2, "different lengths never dedup");
         assert_eq!(cache.stats().misses, 2);
-    }
-
-    #[test]
-    fn contains_current_tracks_liveness_and_generation() {
-        let fs = FileStore::new();
-        let cache = SnapshotFrameCache::new();
-        let f = fs.create("f");
-        fs.write_at(f, 0, b"abcd");
-        assert!(!cache.contains_current(&fs, f, 0, 4), "nothing cached yet");
-        let misses_before = cache.stats().misses;
-        cache.get_or_load(&fs, f, 0, 4).unwrap();
-        assert!(cache.contains_current(&fs, f, 0, 4));
-        // The probe itself never perturbs hit/miss counters.
-        assert_eq!(cache.stats().misses, misses_before + 1);
-        assert_eq!(cache.stats().hits, 0);
-        // A rewrite makes the entry non-current; a dead file too.
-        fs.write_at(f, 0, b"ABCD");
-        assert!(!cache.contains_current(&fs, f, 0, 4));
-        fs.delete(f);
-        assert!(!cache.contains_current(&fs, f, 0, 4));
     }
 
     #[test]

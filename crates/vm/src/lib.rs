@@ -23,7 +23,9 @@ pub mod vm;
 pub mod vmm;
 
 pub use boot::BootCostModel;
-pub use snapshot::{verify_restored, verify_restored_cached, verify_restored_tracked, Snapshot};
+pub use snapshot::{
+    verify_restored, verify_restored_cached, verify_restored_tracked, RestoreError, Snapshot,
+};
 pub use vcpu::{run_lazy, run_resident, ExecutionTrace, FaultHandler, TimedOp};
 pub use vm::{GuestShell, MicroVm, VmConfig};
 pub use vmm::VmmState;

@@ -18,11 +18,13 @@
 //! state file stays the on-disk artifact whose read and checksum every
 //! restore pays and every injected storage fault can hit.
 
+use std::fmt;
 use std::sync::Arc;
 
 use functionbench::FunctionId;
 use guest_mem::{PageIdx, PageRun, PAGE_SIZE};
-use sim_storage::{FileId, FileStore, StorageError};
+use sim_storage::fault::retry_idempotent;
+use sim_storage::{FaultClass, FileId, FileStore, StorageError};
 
 use crate::vm::{GuestShell, MicroVm, VmConfig};
 use crate::vmm::VmmState;
@@ -48,27 +50,39 @@ pub struct Snapshot {
     pub shell: Arc<GuestShell>,
 }
 
-/// Transient attempts per capture operation before giving up. Capture
-/// operations are idempotent (fixed offsets, fixed length), so torn and
-/// transient faults heal on reissue — the same policy the WS artifact
-/// writer uses.
-const CAPTURE_WRITE_RETRIES: u32 = 3;
+/// Why a snapshot's VMM state could not be restored — typed so recovery
+/// can tell a store that failed (retry, or route elsewhere) from bytes
+/// that arrived wrong (reload once, then give the shard up).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RestoreError {
+    /// The store failed while reading the state file.
+    Storage(StorageError),
+    /// The bytes read are not the state captured: wrong length, or a
+    /// checksum mismatch. Either corruption injected on the read path,
+    /// which a reload heals, or corruption of the stored file.
+    Corrupt(String),
+}
 
-/// Reissues an idempotent capture operation through transient/torn faults;
-/// panics on anything that cannot heal (dead file, blackout) or once the
-/// retry budget is exhausted.
-fn capture_retry(mut op: impl FnMut() -> Result<(), StorageError>) {
-    let mut last: Result<(), StorageError> = Ok(());
-    for _ in 0..CAPTURE_WRITE_RETRIES {
-        last = op();
-        match &last {
-            Ok(()) => return,
-            Err(StorageError::ShortWrite { .. }) | Err(StorageError::Transient { .. }) => {}
-            Err(e) => panic!("snapshot capture failed: {e}"),
+impl fmt::Display for RestoreError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RestoreError::Storage(e) => e.fmt(f),
+            RestoreError::Corrupt(why) => f.write_str(why),
         }
     }
-    if let Err(e) = last {
-        panic!("snapshot capture failed after {CAPTURE_WRITE_RETRIES} attempts: {e}");
+}
+
+impl std::error::Error for RestoreError {}
+
+/// One idempotent capture operation (fixed offset, fixed length) under
+/// [`retry_idempotent`]; panics on a fault that cannot heal (dead file,
+/// blackout) or that outlasted the helper's three attempts.
+fn capture_op(op: impl FnMut() -> Result<(), StorageError>) {
+    if let Err(e) = retry_idempotent(op) {
+        match e.class() {
+            FaultClass::Transient => panic!("snapshot capture failed after 3 attempts: {e}"),
+            _ => panic!("snapshot capture failed: {e}"),
+        }
     }
 }
 
@@ -85,7 +99,7 @@ impl Snapshot {
         assert!(vm.is_paused(), "snapshot requires a paused VM");
         let vmm = vm.vmm_state();
         let vmm_file = fs.create(&format!("{prefix}/vmm_state"));
-        capture_retry(|| fs.try_write_at(vmm_file, 0, vmm.as_bytes()));
+        capture_op(|| fs.try_write_at(vmm_file, 0, vmm.as_bytes()));
 
         let mem = vm.memory();
         let mem_file = fs.create(&format!("{prefix}/guest_mem"));
@@ -94,10 +108,10 @@ impl Snapshot {
         // copy, no byte written twice.
         for run in mem.resident_runs() {
             for chunk in mem.run_chunks(run) {
-                capture_retry(|| fs.try_write_at(mem_file, chunk.run.file_offset(), chunk.bytes));
+                capture_op(|| fs.try_write_at(mem_file, chunk.run.file_offset(), chunk.bytes));
             }
         }
-        capture_retry(|| fs.try_set_len(mem_file, mem.size_bytes()));
+        capture_op(|| fs.try_set_len(mem_file, mem.size_bytes()));
         Snapshot {
             function: vm.function(),
             config: vm.config(),
@@ -119,18 +133,17 @@ impl Snapshot {
     ///
     /// # Errors
     ///
-    /// Returns an error if the file is corrupt, cannot be read (the
-    /// rendered [`sim_storage::StorageError`] is embedded so callers can
-    /// classify transient faults and blackouts), or does not match the
-    /// checksum recorded at capture.
-    pub fn load_vmm_state(&self, fs: &FileStore) -> Result<VmmState, String> {
-        let len = fs.checked_len(self.vmm_file).map_err(|e| e.to_string())?;
+    /// [`RestoreError::Storage`] if the file cannot be read,
+    /// [`RestoreError::Corrupt`] if it is not a state blob or does not
+    /// match the checksum recorded at capture.
+    pub fn load_vmm_state(&self, fs: &FileStore) -> Result<VmmState, RestoreError> {
+        let len = fs.checked_len(self.vmm_file).map_err(RestoreError::Storage)?;
         let bytes = fs
             .checked_read_at(self.vmm_file, 0, len as usize)
-            .map_err(|e| e.to_string())?;
-        let state = VmmState::from_bytes(bytes)?;
+            .map_err(RestoreError::Storage)?;
+        let state = VmmState::from_bytes(bytes).map_err(RestoreError::Corrupt)?;
         if state.checksum() != self.vmm_checksum {
-            return Err("VMM state checksum mismatch".to_string());
+            return Err(RestoreError::Corrupt("VMM state checksum mismatch".to_string()));
         }
         Ok(state)
     }
@@ -148,7 +161,7 @@ impl Snapshot {
     /// # Errors
     ///
     /// Fails if the VMM state file is corrupt or unreadable.
-    pub fn restore_shell(&self, fs: &FileStore) -> Result<MicroVm, String> {
+    pub fn restore_shell(&self, fs: &FileStore) -> Result<MicroVm, RestoreError> {
         let _vmm = self.load_vmm_state(fs)?;
         let shell = GuestShell::clone(&self.shell);
         Ok(MicroVm::from_shell(self.function, self.config, shell))
@@ -559,8 +572,9 @@ mod tests {
     fn corrupt_vmm_state_detected() {
         let (snap, fs) = booted_snapshot(FunctionId::helloworld);
         fs.write_at(snap.vmm_file, 10, b"corruption");
-        assert!(snap.load_vmm_state(&fs).is_err());
-        assert!(snap.restore_shell(&fs).is_err());
+        let err = snap.load_vmm_state(&fs).unwrap_err();
+        assert_eq!(err, RestoreError::Corrupt("VMM state checksum mismatch".to_string()));
+        assert_eq!(snap.restore_shell(&fs).unwrap_err(), err);
     }
 
     #[test]

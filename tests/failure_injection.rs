@@ -30,16 +30,13 @@ fn corrupt_ws_file_is_rejected() {
     for (bytes, expect) in [(b"GARBAGE!".to_vec(), WsError::BadMagic), (overlapping, overlap)] {
         fs.write_at(ws, 0, &bytes);
         assert_eq!(read_ws_file(fs, ws), Err(expect.clone()));
-        // Sequential (one lane is `Monitor::prefetch`) and laned prefetch
-        // both refuse it before any install.
+        // Prefetch refuses it before any install.
         let files = ReapFiles { trace_file: ws, ws_file: ws, pages: 0, extents: 0 };
-        for lanes in [1, 4] {
-            let mut vm = snap.restore_shell(fs).unwrap();
-            let mut m = Monitor::new(&snap, fs, MonitorMode::Prefetch);
-            let got = m.prefetch_lanes(vm.uffd_mut(), &files, lanes);
-            assert_eq!(got, Err(PrefetchError::Artifact(expect.clone())), "lanes={lanes}");
-            assert_eq!(vm.memory().resident_pages(), 0, "lanes={lanes}");
-        }
+        let mut vm = snap.restore_shell(fs).unwrap();
+        let mut m = Monitor::new(&snap, fs, MonitorMode::Prefetch);
+        let got = m.prefetch(vm.uffd_mut(), &files);
+        assert_eq!(got, Err(PrefetchError::Artifact(expect)));
+        assert_eq!(vm.memory().resident_pages(), 0);
     }
 }
 
