@@ -1,16 +1,25 @@
-//! `metrics-report`: the fleet metrics layer's query surface.
+//! `metrics-report`: the telemetry and fleet-metrics query surface.
 //!
-//! Three modes:
+//! Four modes, one flag parser (an unknown flag or a missing value is an
+//! error in every mode):
 //!
-//! * **Windowed rollup query** (default) — synthesize (or reuse) a span
-//!   store, build the windowed rollup (`telemetry/rollup-` batches), and
-//!   answer a percentile query over a window range by merging histogram
-//!   buckets — the raw span batches are never rescanned (asserted with
-//!   read accounting). Prints the windowed percentile table and the
+//! * **Windowed rollup query** (default) — synthesize a span store, build
+//!   the windowed rollup (`telemetry/rollup-` batches), and answer a
+//!   percentile query over a window range by merging histogram buckets —
+//!   the raw span batches are never rescanned (asserted with read
+//!   accounting). Prints the windowed percentile table and the
 //!   per-policy virtual-time attribution table.
+//! * **`--exact`** — the `startled`-style report stage: scan the columnar
+//!   span batches, group by function × policy × shard, and print
+//!   Min/P50/P95/P99/Max (exact nearest-rank, never interpolated). The
+//!   spans are the seeded synthetic stream (`--synth N`, scales to
+//!   millions in seconds; `golden-smoke` byte-diffs this output) or
+//!   `--invoke N` real cold invocations per policy round-robined through
+//!   a telemetry-attached [`ClusterOrchestrator`] — slower, but the
+//!   percentiles are the simulator's own.
 //! * **`--expose`** — run a small deterministic cluster workload with a
 //!   [`MetricsRegistry`] attached and print its Prometheus-style text
-//!   exposition (the `metrics-smoke` CI job byte-diffs this output).
+//!   exposition (`golden-smoke` byte-diffs this output too).
 //! * **`--diff baseline.txt current.txt`** — compare two saved report
 //!   files group by group and flag P99 trend regressions (exit code 1 if
 //!   any; `--factor F` tunes the gate, default 1.25).
@@ -18,44 +27,136 @@
 //! Flags: `--synth N` (default 10000), `--seed S` (default 42),
 //! `--shards K` (default 3), `--functions a,b,c`, `--window-ms W`
 //! (default 1000), `--window A..B` (window-index range, default all),
+//! `--exact`, `--invoke N` (with `--exact`, instead of `--synth`),
 //! `--expose`, `--diff A B`, `--factor F`.
 
+use functionbench::FunctionId;
 use sim_core::MetricsRegistry;
 use sim_storage::FileStore;
 use vhive_bench::diff::{diff_reports, parse_report_groups, DEFAULT_FACTOR};
 use vhive_cluster::ClusterOrchestrator;
 use vhive_core::ColdPolicy;
-use vhive_telemetry::{attribution_report, build_rollups, synthesize, window_report, TelemetrySink};
+use vhive_telemetry::{
+    attribution_report, build_rollups, latency_report, synthesize, window_report, TelemetrySink,
+};
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| panic!("{name} needs a value"))
-            .clone()
-    })
+const USAGE: &str = "supported: --synth N, --seed S, --shards K, --functions a,b,c, \
+                     --window-ms W, --window A..B, --exact [--invoke N], --expose, \
+                     --diff A B [--factor F]";
+
+#[derive(Debug, Clone, PartialEq)]
+enum Mode {
+    Window,
+    Exact,
+    Expose,
+    Diff(String, String),
+}
+
+/// The parsed command line; `Default` is what a bare run uses.
+#[derive(Debug, Clone, PartialEq)]
+struct Args {
+    mode: Mode,
+    /// Synthetic spans to generate; 10000 when neither this nor `invoke` is given.
+    synth: Option<u64>,
+    invoke: Option<u64>,
+    seed: u64,
+    shards: u32,
+    functions: String,
+    window_ms: u64,
+    window: (u64, u64),
+    factor: f64,
+}
+
+impl Default for Args {
+    fn default() -> Self {
+        Args {
+            mode: Mode::Window,
+            synth: None,
+            invoke: None,
+            seed: 42,
+            shards: 3,
+            functions: "helloworld,chameleon,pyaes,json_serdes".into(),
+            window_ms: 1000,
+            window: (0, u64::MAX),
+            factor: DEFAULT_FACTOR,
+        }
+    }
+}
+
+fn num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: cannot parse {value:?}"))
+}
+
+fn set_mode(a: &mut Args, mode: Mode) -> Result<(), String> {
+    if a.mode != Mode::Window {
+        return Err("--exact, --expose and --diff are mutually exclusive".into());
+    }
+    a.mode = mode;
+    Ok(())
+}
+
+/// Strict: every argument is a known flag or the value of one.
+fn parse(args: &[String]) -> Result<Args, String> {
+    let mut a = Args::default();
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--exact" => set_mode(&mut a, Mode::Exact)?,
+            "--expose" => set_mode(&mut a, Mode::Expose)?,
+            "--diff" => set_mode(&mut a, Mode::Diff(value()?.clone(), value()?.clone()))?,
+            "--synth" => a.synth = Some(num(flag, value()?)?),
+            "--invoke" => a.invoke = Some(num(flag, value()?)?),
+            "--seed" => a.seed = num(flag, value()?)?,
+            "--shards" => a.shards = num(flag, value()?)?,
+            "--functions" => a.functions = value()?.clone(),
+            "--window-ms" => a.window_ms = num(flag, value()?)?,
+            "--window" => {
+                let (lo, hi) = value()?.split_once("..").ok_or("--window wants A..B")?;
+                a.window = (num(flag, lo)?, num(flag, hi)?);
+            }
+            "--factor" => a.factor = num(flag, value()?)?,
+            other => return Err(format!("unknown argument {other}")),
+        }
+    }
+    if a.invoke.is_some() && (a.synth.is_some() || a.mode != Mode::Exact) {
+        return Err("--invoke needs --exact and excludes --synth".into());
+    }
+    if a.shards == 0 || a.window_ms == 0 {
+        return Err("--shards and --window-ms must be at least 1".into());
+    }
+    Ok(a)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--diff") {
-        run_diff(&args);
-        return;
+    let a = parse(&args).unwrap_or_else(|e| {
+        eprintln!("metrics_report: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    match &a.mode {
+        Mode::Window => run_window_query(&a),
+        Mode::Exact => run_exact(&a),
+        Mode::Expose => run_expose(&a),
+        Mode::Diff(baseline, current) => run_diff(baseline, current, a.factor),
     }
-    if args.iter().any(|a| a == "--expose") {
-        run_expose(&args);
-        return;
-    }
-    run_window_query(&args);
+}
+
+/// The seeded synthetic span stream, flushed into a fresh store, and its
+/// length.
+fn synth_store(a: &Args) -> (FileStore, u64) {
+    let store = FileStore::new();
+    let names: Vec<&str> = a.functions.split(',').filter(|s| !s.is_empty()).collect();
+    let n = a.synth.unwrap_or(10_000);
+    synthesize(&TelemetrySink::new(store.clone()), a.seed, n, a.shards, &names);
+    (store, n)
 }
 
 /// `--diff baseline current [--factor F]`: trend regression between two
 /// saved reports.
-fn run_diff(args: &[String]) {
-    let i = args.iter().position(|a| a == "--diff").expect("checked");
-    let baseline_path = args.get(i + 1).expect("--diff needs two file paths");
-    let current_path = args.get(i + 2).expect("--diff needs two file paths");
-    let factor: f64 =
-        flag_value(args, "--factor").map_or(DEFAULT_FACTOR, |v| v.parse().expect("--factor F"));
+fn run_diff(baseline_path: &str, current_path: &str, factor: f64) {
     let read = |path: &str| {
         std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
     };
@@ -82,16 +183,12 @@ fn run_diff(args: &[String]) {
 }
 
 /// `--expose`: deterministic cluster workload → Prometheus exposition.
-fn run_expose(args: &[String]) {
-    let seed: u64 = flag_value(args, "--seed").map_or(42, |v| v.parse().expect("--seed N"));
-    let shards: usize = flag_value(args, "--shards").map_or(3, |v| v.parse().expect("--shards K"));
+fn run_expose(a: &Args) {
+    let shards = a.shards as usize;
     let registry = MetricsRegistry::new();
-    let mut c = ClusterOrchestrator::new(seed, shards);
+    let mut c = ClusterOrchestrator::new(a.seed, shards);
     c.set_metrics(Some(registry.clone()));
-    let funcs = [
-        functionbench::FunctionId::helloworld,
-        functionbench::FunctionId::pyaes,
-    ];
+    let funcs = [FunctionId::helloworld, FunctionId::pyaes];
     for f in funcs {
         c.register(f);
         c.invoke_record(f);
@@ -108,29 +205,62 @@ fn run_expose(args: &[String]) {
     print!("{}", registry.expose());
 }
 
-/// Default mode: windowed rollup query + attribution, no raw rescan.
-fn run_window_query(args: &[String]) {
-    let synth: u64 = flag_value(args, "--synth").map_or(10_000, |v| v.parse().expect("--synth N"));
-    let seed: u64 = flag_value(args, "--seed").map_or(42, |v| v.parse().expect("--seed N"));
-    let shards: u32 = flag_value(args, "--shards").map_or(3, |v| v.parse().expect("--shards K"));
-    let window_ms: u64 =
-        flag_value(args, "--window-ms").map_or(1000, |v| v.parse().expect("--window-ms W"));
-    let functions = flag_value(args, "--functions")
-        .unwrap_or_else(|| "helloworld,chameleon,pyaes,json_serdes".into());
-    let (lo, hi) = flag_value(args, "--window").map_or((0, u64::MAX), |v| {
-        let (a, b) = v.split_once("..").expect("--window A..B");
-        (
-            a.parse().expect("--window A..B"),
-            b.parse().expect("--window A..B"),
-        )
-    });
-    assert!(shards > 0, "--shards must be at least 1");
-    assert!(window_ms > 0, "--window-ms must be at least 1");
+/// `--exact`: exact percentiles straight from the span batches.
+fn run_exact(a: &Args) {
+    let (seed, shards) = (a.seed, a.shards);
+    let (store, source, n) = if let Some(n) = a.invoke {
+        // Real invocations: every function recorded once, then N cold
+        // starts round-robined over the four policies (plus a warm hit
+        // each round so the warm floor shows up in the table).
+        let store = FileStore::new();
+        let sink = TelemetrySink::new(store.clone());
+        let funcs = [FunctionId::helloworld, FunctionId::pyaes];
+        let mut c = ClusterOrchestrator::new(seed, shards as usize);
+        c.set_telemetry(Some(sink.clone()));
+        for f in funcs {
+            c.register(f);
+            c.invoke_record(f);
+        }
+        for i in 0..n {
+            let f = funcs[(i % funcs.len() as u64) as usize];
+            c.invoke_cold(f, ColdPolicy::ALL[(i % 4) as usize]);
+            c.invoke_warm(f);
+        }
+        sink.flush();
+        (store, "invoked", n)
+    } else {
+        let (store, n) = synth_store(a);
+        (store, "synthetic", n)
+    };
 
-    let store = FileStore::new();
-    let sink = TelemetrySink::new(store.clone());
-    let names: Vec<&str> = functions.split(',').filter(|s| !s.is_empty()).collect();
-    synthesize(&sink, seed, synth, shards, &names);
+    let report = latency_report(&store);
+    eprintln!(
+        "(scanned {} spans across {} batches, {} dropped)",
+        report.scan.rows, report.scan.batches_ok, report.scan.batches_dropped
+    );
+    if let Some(warn) = report.scan.drop_warning() {
+        println!("{warn}");
+    }
+    vhive_bench::emit(
+        &format!(
+            "Telemetry report: {n} {source} spans, {shards} shards, seed {seed}, \
+             {} groups, {} batches ok, {} dropped",
+            report.groups.len(),
+            report.scan.batches_ok,
+            report.scan.batches_dropped
+        ),
+        "Exact nearest-rank percentiles per function x policy x shard,\n\
+         scanned from checksummed columnar batches (corrupt or truncated\n\
+         batches are dropped, never parsed). Same API as\n\
+         vhive_telemetry::latency_report.",
+        &report.table(),
+    );
+}
+
+/// Default mode: windowed rollup query + attribution, no raw rescan.
+fn run_window_query(a: &Args) {
+    let (seed, window_ms, (lo, hi)) = (a.seed, a.window_ms, a.window);
+    let (store, synth) = synth_store(a);
 
     let (built, scan) = build_rollups(&store, window_ms * 1_000_000);
     if let Some(warn) = scan.drop_warning() {
@@ -139,6 +269,9 @@ fn run_window_query(args: &[String]) {
     let reads_before = store.read_calls();
     let report = window_report(&store, lo, hi);
     let query_reads = store.read_calls() - reads_before;
+    if let Some(warn) = report.scan.drop_warning() {
+        println!("{warn}");
+    }
     assert!(
         query_reads <= built.batches,
         "window query read {query_reads} files but only {} rollup batches exist — \
@@ -187,4 +320,47 @@ fn run_window_query(args: &[String]) {
          pipelining).",
         &attribution.table(),
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_str(line: &str) -> Result<Args, String> {
+        parse(&line.split_whitespace().map(String::from).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn defaults_of_both_report_modes() {
+        assert_eq!(parse_str("").unwrap(), Args::default());
+        let exact = Args {
+            mode: Mode::Exact,
+            ..Args::default()
+        };
+        assert_eq!(parse_str("--exact").unwrap(), exact);
+        let golden = parse_str("--exact --synth 1000000 --seed 7 --shards 4").unwrap();
+        assert_eq!((golden.synth, golden.seed, golden.shards), (Some(1_000_000), 7, 4));
+        assert_eq!(parse_str("--window 2..5").unwrap().window, (2, 5));
+    }
+
+    #[test]
+    fn unknown_flags_and_missing_values_are_errors_in_every_mode() {
+        for mode in ["", "--exact", "--expose", "--diff a.txt b.txt"] {
+            let unknown = parse_str(&format!("{mode} --sead 7")).unwrap_err();
+            assert!(unknown.contains("--sead"), "{mode}: {unknown}");
+            let missing = parse_str(&format!("{mode} --seed")).unwrap_err();
+            assert!(missing.contains("--seed needs a value"), "{mode}: {missing}");
+        }
+        assert!(parse_str("--diff only_one.txt").is_err());
+        assert!(parse_str("--seed seven").is_err());
+        assert!(parse_str("stray").is_err());
+    }
+
+    #[test]
+    fn invoke_lives_under_exact_and_excludes_synth() {
+        assert_eq!(parse_str("--exact --invoke 40").unwrap().invoke, Some(40));
+        assert!(parse_str("--invoke 40").is_err());
+        assert!(parse_str("--exact --synth 10 --invoke 40").is_err());
+        assert!(parse_str("--exact --expose").is_err());
+    }
 }

@@ -29,8 +29,7 @@
 //! | `ablation_record_window` | §8.2 — invocation-window recording vs profiling-style estimation |
 //! | `chaos_sweep` | fault-invariance witness: seeded batches through a healing fault plan, CSV byte-identical faults on/off |
 //! | `overload_sweep` | goodput vs offered load with admission on/off (`OVERLOAD_golden.txt`) |
-//! | `telemetry_report` | exact-percentile latency tables over a telemetry store (`TELEMETRY_golden.txt`) |
-//! | `metrics_report` | windowed rollup queries, registry exposition, report `--diff` (`METRICS*_golden.txt`) |
+//! | `metrics_report` | windowed rollup queries, `--exact` percentile tables over a telemetry store, registry exposition, report `--diff` (`TELEMETRY_golden.txt`, `METRICS*_golden.txt`) |
 //! | `wsdump` | developer tool: dump a function's REAP trace / WS file structure |
 //! | `bench-json` | host-time micro gate: the three groups the `benchmark/` package cannot reach (4-shard steady state, transient-fault retry, dead-shard failover) |
 

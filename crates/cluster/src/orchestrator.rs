@@ -12,7 +12,7 @@ use sim_storage::{
     FileStore, FrameCacheStats, SnapshotFrameCache,
 };
 use vhive_core::{
-    BreakerPolicy, ColdAbort, ColdPolicy, ColdRequest, Disposition, HostCostModel, InstanceFiles,
+    ColdAbort, ColdPolicy, ColdRequest, Disposition, HostCostModel, InstanceFiles,
     InvocationOutcome, Orchestrator, PreparedCold, RegisterInfo, ReapFiles,
 };
 use vhive_telemetry::TelemetrySink;
@@ -160,17 +160,6 @@ impl ClusterOrchestrator {
     /// The attached admission configuration, if any.
     pub fn admission(&self) -> Option<AdmissionConfig> {
         self.admission
-    }
-
-    /// Arms (or disarms, with `None`) per-function circuit breakers on
-    /// every shard (see [`vhive_core::Orchestrator::set_breaker`]).
-    /// Batch requests shed by an open breaker resolve to
-    /// [`Disposition::Shed`] with the cooldown remaining as the retry
-    /// hint.
-    pub fn set_breaker(&mut self, policy: Option<BreakerPolicy>) {
-        for shard in &mut self.shards {
-            shard.set_breaker(policy);
-        }
     }
 
     /// Number of shards.
@@ -338,13 +327,6 @@ impl ClusterOrchestrator {
     pub fn update_costs(&mut self, update: impl Fn(&mut HostCostModel)) {
         for shard in &mut self.shards {
             update(shard.costs_mut());
-        }
-    }
-
-    /// Broadcasts §7.2's auto-re-record setting to every shard.
-    pub fn set_auto_rerecord(&mut self, enabled: bool, threshold: f64) {
-        for shard in &mut self.shards {
-            shard.set_auto_rerecord(enabled, threshold);
         }
     }
 

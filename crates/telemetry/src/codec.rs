@@ -1,165 +1,36 @@
-//! The columnar batch codec.
-//!
-//! A batch is a self-contained byte blob holding N spans in per-column
-//! contiguous encoding (the otlp2parquet OTLP→column-batch shape), closed
-//! by a checksummed footer:
+//! The span-batch codec: N spans in per-column contiguous encoding (the
+//! otlp2parquet OTLP→column-batch shape) inside the crate's shared
+//! checksummed frame (magics, column headers and footer: `frame.rs`).
 //!
 //! ```text
-//! ┌──────────────┐ 0
-//! │ magic "VTB1" │
-//! ├──────────────┤ 4
-//! │ rows   u32   │
-//! ├──────────────┤ 8
-//! │ cols   u32   │  (= 25, the fixed span schema)
-//! ├──────────────┤ 12
-//! │ column 0     │  kind u8 │ payload_len u32 │ payload
-//! │ column 1     │  str  payload: per row u32 len + bytes
-//! │  ...         │  u32  payload: rows × 4 B LE
-//! │ column 24    │  u64  payload: rows × 8 B LE
-//! ├──────────────┤  bool payload: rows × 1 B (0/1)
-//! │ checksum u64 │  FNV-1a 64 over every byte above
-//! ├──────────────┤
-//! │ magic "VTBE" │
-//! └──────────────┘
+//! magic "VTB1" │ rows u32 │ cols u32 (= 25, the fixed span schema)
+//! 25 columns, one per `SpanRecord` field in declaration order:
+//!   str  payload: per row u32 len + bytes     u32  payload: rows × 4 B LE
+//!   u64  payload: rows × 8 B LE               bool payload: rows × 1 B (0/1)
+//! checksum u64 │ magic "VTBE"
 //! ```
 //!
-//! All integers are little-endian. [`decode_batch`] verifies the trailing
-//! magic and the checksum **before** parsing anything, so a truncated tail
-//! or flipped byte anywhere in the blob surfaces as a typed
-//! [`BatchError`] — never a panic, never silently wrong columns. Readers
-//! drop the bad batch and keep the rest of the store.
+//! [`decode_batch`] verifies the trailing magic and the checksum
+//! **before** parsing anything, so a truncated tail or flipped byte
+//! anywhere in the blob surfaces as a typed [`BatchError`] — never a
+//! panic, never silently wrong columns. Readers drop the bad batch and
+//! keep the rest of the store.
 
+use crate::frame::{Format, FrameReader, FrameWriter};
 use crate::span::SpanRecord;
-use sim_core::hash::fnv1a64;
 
 /// Leading magic of a columnar batch.
 pub const BATCH_MAGIC: &[u8; 4] = b"VTB1";
 /// Trailing magic, after the footer checksum.
 pub const FOOTER_MAGIC: &[u8; 4] = b"VTBE";
 
-const KIND_STR: u8 = 0;
-const KIND_U32: u8 = 1;
-const KIND_U64: u8 = 2;
-const KIND_BOOL: u8 = 3;
-
-/// `(kind, accessor index)` for every column, in encoding order. The
-/// accessor index selects within the per-kind accessor functions below.
-const SCHEMA: &[(u8, usize)] = &[
-    (KIND_STR, 0),  // function
-    (KIND_STR, 1),  // policy
-    (KIND_U32, 0),  // shard
-    (KIND_U64, 0),  // seq
-    (KIND_BOOL, 0), // cold
-    (KIND_BOOL, 1), // recorded
-    (KIND_U64, 1),  // vt_ns
-    (KIND_U64, 2),  // load_vmm_ns
-    (KIND_U64, 3),  // fetch_ws_ns
-    (KIND_U64, 4),  // install_ws_ns
-    (KIND_U64, 5),  // conn_restore_ns
-    (KIND_U64, 6),  // processing_ns
-    (KIND_U64, 7),  // record_finish_ns
-    (KIND_U64, 8),  // latency_ns
-    (KIND_U64, 9),  // cache_hits
-    (KIND_U64, 10), // cache_misses
-    (KIND_U64, 11), // cache_raced
-    (KIND_U64, 12), // transient_retries
-    (KIND_U64, 13), // corrupt_reloads
-    (KIND_U64, 14), // retry_delay_ns
-    (KIND_BOOL, 2), // quarantined
-    (KIND_BOOL, 3), // fallback_vanilla
-    (KIND_BOOL, 4), // rebuilt
-    (KIND_BOOL, 5), // rerouted
-    (KIND_STR, 2),  // disposition
-];
-
-/// Number of columns in a span batch.
-pub const COLUMNS: usize = SCHEMA.len();
-
-fn str_col(r: &SpanRecord, i: usize) -> &str {
-    match i {
-        0 => &r.function,
-        1 => &r.policy,
-        _ => &r.disposition,
-    }
-}
-
-fn str_col_mut(r: &mut SpanRecord, i: usize) -> &mut String {
-    match i {
-        0 => &mut r.function,
-        1 => &mut r.policy,
-        _ => &mut r.disposition,
-    }
-}
-
-fn u64_col(r: &SpanRecord, i: usize) -> u64 {
-    match i {
-        0 => r.seq,
-        1 => r.vt_ns,
-        2 => r.load_vmm_ns,
-        3 => r.fetch_ws_ns,
-        4 => r.install_ws_ns,
-        5 => r.conn_restore_ns,
-        6 => r.processing_ns,
-        7 => r.record_finish_ns,
-        8 => r.latency_ns,
-        9 => r.cache_hits,
-        10 => r.cache_misses,
-        11 => r.cache_raced,
-        12 => r.transient_retries,
-        13 => r.corrupt_reloads,
-        _ => r.retry_delay_ns,
-    }
-}
-
-fn u64_col_mut(r: &mut SpanRecord, i: usize) -> &mut u64 {
-    match i {
-        0 => &mut r.seq,
-        1 => &mut r.vt_ns,
-        2 => &mut r.load_vmm_ns,
-        3 => &mut r.fetch_ws_ns,
-        4 => &mut r.install_ws_ns,
-        5 => &mut r.conn_restore_ns,
-        6 => &mut r.processing_ns,
-        7 => &mut r.record_finish_ns,
-        8 => &mut r.latency_ns,
-        9 => &mut r.cache_hits,
-        10 => &mut r.cache_misses,
-        11 => &mut r.cache_raced,
-        12 => &mut r.transient_retries,
-        13 => &mut r.corrupt_reloads,
-        _ => &mut r.retry_delay_ns,
-    }
-}
-
-fn bool_col(r: &SpanRecord, i: usize) -> bool {
-    match i {
-        0 => r.cold,
-        1 => r.recorded,
-        2 => r.quarantined,
-        3 => r.fallback_vanilla,
-        4 => r.rebuilt,
-        _ => r.rerouted,
-    }
-}
-
-fn bool_col_mut(r: &mut SpanRecord, i: usize) -> &mut bool {
-    match i {
-        0 => &mut r.cold,
-        1 => &mut r.recorded,
-        2 => &mut r.quarantined,
-        3 => &mut r.fallback_vanilla,
-        4 => &mut r.rebuilt,
-        _ => &mut r.rerouted,
-    }
-}
-
-fn u32_col(r: &SpanRecord, _i: usize) -> u32 {
-    r.shard
-}
-
-fn u32_col_mut(r: &mut SpanRecord, _i: usize) -> &mut u32 {
-    &mut r.shard
-}
+const FORMAT: Format = Format {
+    magic: BATCH_MAGIC,
+    footer_magic: FOOTER_MAGIC,
+    header: 0,
+    cols: COLUMNS,
+    row_bytes: 192,
+};
 
 /// Why a batch failed to decode. Every variant means the whole batch is
 /// untrustworthy; readers drop it and continue with the next one.
@@ -167,9 +38,10 @@ fn u32_col_mut(r: &mut SpanRecord, _i: usize) -> &mut u32 {
 pub enum BatchError {
     /// Shorter than the fixed header + footer.
     TooShort,
-    /// Leading magic is not `VTB1`.
+    /// Leading magic is not the format's (`VTB1` / `VTR1`).
     BadMagic,
-    /// Trailing magic is not `VTBE` (classic truncated-tail signature).
+    /// Trailing magic is not the format's (`VTBE` / `VTRE`; the classic
+    /// truncated-tail signature).
     BadFooterMagic,
     /// Footer checksum does not match the batch bytes.
     ChecksumMismatch {
@@ -178,7 +50,7 @@ pub enum BatchError {
         /// Checksum recomputed over the batch bytes.
         computed: u64,
     },
-    /// Column count or a column payload disagrees with the span schema.
+    /// Column count or a column payload disagrees with the schema.
     BadLayout(&'static str),
 }
 
@@ -199,199 +71,68 @@ impl std::fmt::Display for BatchError {
 
 impl std::error::Error for BatchError {}
 
-/// Encodes spans into one columnar batch blob.
-pub fn encode_batch(spans: &[SpanRecord]) -> Vec<u8> {
-    let rows = spans.len();
-    let mut out = Vec::with_capacity(16 + rows * 64);
-    out.extend_from_slice(BATCH_MAGIC);
-    out.extend_from_slice(&(rows as u32).to_le_bytes());
-    out.extend_from_slice(&(COLUMNS as u32).to_le_bytes());
-    let mut payload = Vec::new();
-    for &(kind, idx) in SCHEMA {
-        payload.clear();
-        match kind {
-            KIND_STR => {
-                for r in spans {
-                    let s = str_col(r, idx).as_bytes();
-                    payload.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                    payload.extend_from_slice(s);
-                }
-            }
-            KIND_U32 => {
-                for r in spans {
-                    payload.extend_from_slice(&u32_col(r, idx).to_le_bytes());
-                }
-            }
-            KIND_U64 => {
-                for r in spans {
-                    payload.extend_from_slice(&u64_col(r, idx).to_le_bytes());
-                }
-            }
-            _ => {
-                for r in spans {
-                    payload.push(bool_col(r, idx) as u8);
-                }
-            }
+/// The span schema: one column per listed field, in encoding order; a
+/// column's kind is its field's type.
+macro_rules! span_schema {
+    ($($field:ident),*) => {
+        /// Number of columns in a span batch.
+        pub const COLUMNS: usize = [$(stringify!($field)),*].len();
+
+        /// Encodes spans into one columnar batch blob.
+        pub fn encode_batch(spans: &[SpanRecord]) -> Vec<u8> {
+            let mut w = FrameWriter::new(&FORMAT, &[], spans.len());
+            $(w.column(spans.iter().map(|r| &r.$field));)*
+            w.finish()
         }
-        out.push(kind);
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
-    }
-    let checksum = fnv1a64(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out.extend_from_slice(FOOTER_MAGIC);
-    out
+
+        /// Decodes one batch blob, verifying the footer checksum first.
+        ///
+        /// Never panics: any truncation, bit flip or layout disagreement
+        /// returns a [`BatchError`].
+        pub fn decode_batch(data: &[u8]) -> Result<Vec<SpanRecord>, BatchError> {
+            let (mut r, _) = FrameReader::open(&FORMAT, data)?;
+            let mut spans = vec![SpanRecord::default(); r.rows];
+            $(r.column(&mut spans, |s, v| s.$field = v)?;)*
+            r.finish()?;
+            Ok(spans)
+        }
+    };
 }
 
-fn rd_u32(b: &[u8], off: usize) -> Option<u32> {
-    b.get(off..off + 4).map(|s| {
-        let mut a = [0u8; 4];
-        a.copy_from_slice(s);
-        u32::from_le_bytes(a)
-    })
-}
-
-fn rd_u64(b: &[u8], off: usize) -> Option<u64> {
-    b.get(off..off + 8).map(|s| {
-        let mut a = [0u8; 8];
-        a.copy_from_slice(s);
-        u64::from_le_bytes(a)
-    })
-}
-
-/// Decodes one batch blob, verifying the footer checksum first.
-///
-/// Never panics: any truncation, bit flip or layout disagreement returns
-/// a [`BatchError`].
-pub fn decode_batch(data: &[u8]) -> Result<Vec<SpanRecord>, BatchError> {
-    const HEADER: usize = 12;
-    const FOOTER: usize = 12;
-    if data.len() < HEADER + FOOTER {
-        return Err(BatchError::TooShort);
-    }
-    if &data[..4] != BATCH_MAGIC {
-        return Err(BatchError::BadMagic);
-    }
-    let body_end = data.len() - FOOTER;
-    if &data[body_end + 8..] != FOOTER_MAGIC {
-        return Err(BatchError::BadFooterMagic);
-    }
-    let stored = rd_u64(data, body_end).ok_or(BatchError::TooShort)?;
-    let computed = fnv1a64(&data[..body_end]);
-    if stored != computed {
-        return Err(BatchError::ChecksumMismatch { stored, computed });
-    }
-    let rows = rd_u32(data, 4).ok_or(BatchError::TooShort)? as usize;
-    let cols = rd_u32(data, 8).ok_or(BatchError::TooShort)? as usize;
-    if cols != COLUMNS {
-        return Err(BatchError::BadLayout("column count"));
-    }
-    let mut spans = vec![SpanRecord::default(); rows];
-    let mut off = HEADER;
-    for &(kind, idx) in SCHEMA {
-        let got_kind = *data.get(off).ok_or(BatchError::BadLayout("column header"))?;
-        if got_kind != kind {
-            return Err(BatchError::BadLayout("column kind"));
-        }
-        let len = rd_u32(data, off + 1).ok_or(BatchError::BadLayout("column header"))? as usize;
-        off += 5;
-        let payload = data
-            .get(off..off + len)
-            .ok_or(BatchError::BadLayout("column payload"))?;
-        off += len;
-        match kind {
-            KIND_STR => {
-                let mut p = 0usize;
-                for r in &mut spans {
-                    let slen = rd_u32(payload, p).ok_or(BatchError::BadLayout("string length"))?
-                        as usize;
-                    p += 4;
-                    let bytes = payload
-                        .get(p..p + slen)
-                        .ok_or(BatchError::BadLayout("string bytes"))?;
-                    p += slen;
-                    *str_col_mut(r, idx) = String::from_utf8(bytes.to_vec())
-                        .map_err(|_| BatchError::BadLayout("string utf-8"))?;
-                }
-                if p != payload.len() {
-                    return Err(BatchError::BadLayout("string column tail"));
-                }
-            }
-            KIND_U32 => {
-                if payload.len() != rows * 4 {
-                    return Err(BatchError::BadLayout("u32 column size"));
-                }
-                for (k, r) in spans.iter_mut().enumerate() {
-                    *u32_col_mut(r, idx) = rd_u32(payload, k * 4).expect("sized above");
-                }
-            }
-            KIND_U64 => {
-                if payload.len() != rows * 8 {
-                    return Err(BatchError::BadLayout("u64 column size"));
-                }
-                for (k, r) in spans.iter_mut().enumerate() {
-                    *u64_col_mut(r, idx) = rd_u64(payload, k * 8).expect("sized above");
-                }
-            }
-            _ => {
-                if payload.len() != rows {
-                    return Err(BatchError::BadLayout("bool column size"));
-                }
-                for (k, r) in spans.iter_mut().enumerate() {
-                    match payload[k] {
-                        0 => *bool_col_mut(r, idx) = false,
-                        1 => *bool_col_mut(r, idx) = true,
-                        _ => return Err(BatchError::BadLayout("bool value")),
-                    }
-                }
-            }
-        }
-    }
-    if off != data.len() - FOOTER {
-        return Err(BatchError::BadLayout("trailing bytes before footer"));
-    }
-    Ok(spans)
-}
+span_schema!(
+    function,
+    policy,
+    shard,
+    seq,
+    cold,
+    recorded,
+    vt_ns,
+    load_vmm_ns,
+    fetch_ws_ns,
+    install_ws_ns,
+    conn_restore_ns,
+    processing_ns,
+    record_finish_ns,
+    latency_ns,
+    cache_hits,
+    cache_misses,
+    cache_raced,
+    transient_retries,
+    corrupt_reloads,
+    retry_delay_ns,
+    quarantined,
+    fallback_vanilla,
+    rebuilt,
+    rerouted,
+    disposition
+);
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample(n: u64) -> Vec<SpanRecord> {
-        (0..n)
-            .map(|i| SpanRecord {
-                function: format!("fn-{}", i % 5),
-                policy: if i % 2 == 0 { "Reap" } else { "Vanilla" }.to_string(),
-                shard: (i % 3) as u32,
-                seq: i,
-                cold: i % 4 != 0,
-                recorded: i % 7 == 0,
-                vt_ns: i * 1_000_003,
-                load_vmm_ns: i * 11,
-                fetch_ws_ns: i * 13,
-                install_ws_ns: i * 17,
-                conn_restore_ns: i * 19,
-                processing_ns: i * 23,
-                record_finish_ns: i * 29,
-                latency_ns: i * 31,
-                cache_hits: i % 9,
-                cache_misses: i % 4,
-                cache_raced: i % 2,
-                transient_retries: i % 3,
-                corrupt_reloads: i % 2,
-                retry_delay_ns: i * 37,
-                quarantined: i % 11 == 0,
-                fallback_vanilla: i % 13 == 0,
-                rebuilt: i % 17 == 0,
-                rerouted: i % 19 == 0,
-                disposition: if i % 6 == 0 {
-                    "deadline_exceeded".to_string()
-                } else {
-                    "completed".to_string()
-                },
-            })
-            .collect()
-    }
+    use crate::frame::{assert_every_flip_caught, assert_every_truncation_rejected};
+    use crate::span::sample;
+    use sim_core::hash::fnv1a64;
 
     #[test]
     fn round_trip_identity() {
@@ -402,27 +143,22 @@ mod tests {
         }
     }
 
+    /// The format did not move: constants from the encoder at 7af3f74.
+    #[test]
+    fn golden_bytes() {
+        let blob = encode_batch(&sample(8));
+        assert_eq!(blob.len(), 1449);
+        assert_eq!(fnv1a64(&blob), 0x8555_863b_a64c_2357);
+    }
+
     #[test]
     fn truncation_at_every_length_is_an_error_not_a_panic() {
-        let blob = encode_batch(&sample(8));
-        for cut in 0..blob.len() {
-            assert!(decode_batch(&blob[..cut]).is_err(), "cut at {cut}");
-        }
+        assert_every_truncation_rejected(&encode_batch(&sample(8)), decode_batch);
     }
 
     #[test]
     fn every_single_byte_flip_is_caught() {
-        let spans = sample(4);
-        let blob = encode_batch(&spans);
-        for pos in 0..blob.len() {
-            let mut bad = blob.clone();
-            bad[pos] ^= 0xA5;
-            assert_ne!(
-                decode_batch(&bad).ok(),
-                Some(spans.clone()),
-                "flip at {pos} must not decode to the original"
-            );
-        }
+        assert_every_flip_caught(&encode_batch(&sample(4)), &sample(4), decode_batch);
     }
 
     #[test]

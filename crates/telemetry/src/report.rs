@@ -1,5 +1,6 @@
 //! Percentile reports over flushed spans — the programmatic query API the
-//! fleet router consumes, and the table the `telemetry-report` CLI prints.
+//! fleet router consumes, and the table `metrics_report` prints (exact
+//! here, windowed estimates in [`crate::rollup`]; one row type, one table).
 
 use std::collections::BTreeMap;
 
@@ -19,8 +20,12 @@ pub struct GroupKey {
     pub shard: u32,
 }
 
-/// Latency distribution of one group, exact nearest-rank percentiles in
-/// virtual nanoseconds.
+/// Latency distribution of one group in virtual nanoseconds. From
+/// [`latency_report`] every field is exact (nearest-rank percentiles);
+/// from [`window_report`](crate::rollup::window_report) `count`/`min`/`max`
+/// are exact and the percentiles carry the log-bucket error bound
+/// (`exact ≤ est ≤ exact · (1 + 1/32)`, see
+/// [`sim_core::metrics::LogHistogram::value_at_percentile`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupStats {
     /// Invocations in the group.
@@ -60,16 +65,18 @@ fn nearest_rank(sorted: &[u64], p: f64) -> u64 {
 /// percentiles per `(function, policy, shard)`. Bad batches are dropped
 /// (counted in [`LatencyReport::scan`]), never fatal.
 pub fn latency_report(store: &FileStore) -> LatencyReport {
-    let mut groups: BTreeMap<(String, String, u32), Vec<u64>> = BTreeMap::new();
+    let mut groups: BTreeMap<GroupKey, Vec<u64>> = BTreeMap::new();
     let scan = for_each_span(store, |s| {
-        groups
-            .entry((s.function.clone(), s.policy.clone(), s.shard))
-            .or_default()
-            .push(s.latency_ns);
+        let key = GroupKey {
+            function: s.function.clone(),
+            policy: s.policy.clone(),
+            shard: s.shard,
+        };
+        groups.entry(key).or_default().push(s.latency_ns);
     });
     let groups = groups
         .into_iter()
-        .map(|((function, policy, shard), mut lat)| {
+        .map(|(key, mut lat)| {
             lat.sort_unstable();
             let stats = GroupStats {
                 count: lat.len() as u64,
@@ -79,58 +86,61 @@ pub fn latency_report(store: &FileStore) -> LatencyReport {
                 p99_ns: nearest_rank(&lat, 99.0),
                 max_ns: *lat.last().expect("non-empty group"),
             };
-            (
-                GroupKey {
-                    function,
-                    policy,
-                    shard,
-                },
-                stats,
-            )
+            (key, stats)
         })
         .collect();
     LatencyReport { groups, scan }
 }
 
-impl LatencyReport {
-    /// Renders the report as a Min/P50/P95/P99/Max table, milliseconds
-    /// with 3 decimals, one row per `(function, policy, shard)` group.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(&[
-            "function", "policy", "shard", "count", "min_ms", "p50_ms", "p95_ms", "p99_ms",
-            "max_ms",
-        ]);
-        t.numeric();
-        let ms = |ns: u64| format!("{:.3}", ns as f64 / 1e6);
-        for (key, st) in &self.groups {
-            t.row_owned(vec![
-                key.function.clone(),
-                key.policy.clone(),
-                key.shard.to_string(),
-                st.count.to_string(),
-                ms(st.min_ns),
-                ms(st.p50_ns),
-                ms(st.p95_ns),
-                ms(st.p99_ns),
-                ms(st.max_ns),
-            ]);
+/// The queries both reports answer over their `(GroupKey, GroupStats)`
+/// rows, written once.
+macro_rules! group_queries {
+    ($report:ty) => {
+        impl $report {
+            /// Renders the report as a Min/P50/P95/P99/Max table,
+            /// milliseconds with 3 decimals, one row per
+            /// `(function, policy, shard)` group.
+            pub fn table(&self) -> Table {
+                let mut t = Table::new(&[
+                    "function", "policy", "shard", "count", "min_ms", "p50_ms", "p95_ms",
+                    "p99_ms", "max_ms",
+                ]);
+                t.numeric();
+                let ms = |ns: u64| format!("{:.3}", ns as f64 / 1e6);
+                for (key, st) in &self.groups {
+                    t.row_owned(vec![
+                        key.function.clone(),
+                        key.policy.clone(),
+                        key.shard.to_string(),
+                        st.count.to_string(),
+                        ms(st.min_ns),
+                        ms(st.p50_ns),
+                        ms(st.p95_ns),
+                        ms(st.p99_ns),
+                        ms(st.max_ns),
+                    ]);
+                }
+                t
+            }
+
+            /// Stats for one group, if present.
+            pub fn group(&self, function: &str, policy: &str, shard: u32) -> Option<&GroupStats> {
+                self.groups
+                    .iter()
+                    .find(|(k, _)| k.function == function && k.policy == policy && k.shard == shard)
+                    .map(|(_, s)| s)
+            }
+
+            /// Total spans the report covers.
+            pub fn total_count(&self) -> u64 {
+                self.groups.iter().map(|(_, s)| s.count).sum()
+            }
         }
-        t
-    }
-
-    /// Stats for one group, if present.
-    pub fn group(&self, function: &str, policy: &str, shard: u32) -> Option<&GroupStats> {
-        self.groups
-            .iter()
-            .find(|(k, _)| k.function == function && k.policy == policy && k.shard == shard)
-            .map(|(_, s)| s)
-    }
-
-    /// Total spans aggregated.
-    pub fn total_count(&self) -> u64 {
-        self.groups.iter().map(|(_, s)| s.count).sum()
-    }
+    };
 }
+
+group_queries!(LatencyReport);
+group_queries!(crate::rollup::WindowReport);
 
 #[cfg(test)]
 mod tests {

@@ -9,43 +9,32 @@
 //! this with read accounting on a 1M-span store).
 //!
 //! Rollup batches persist beside span batches as
-//! `telemetry/rollup-NNNNNNNN` files in a checksummed columnar format:
+//! `telemetry/rollup-NNNNNNNN` files, in the same checksummed frame
+//! (`frame.rs`) under their own magics and schema:
 //!
 //! ```text
-//! ┌───────────────┐ 0
-//! │ magic "VTR1"  │
-//! ├───────────────┤ 4
-//! │ window_ns u64 │  fixed window width the batch was built with
-//! ├───────────────┤ 12
-//! │ rows    u32   │
-//! ├───────────────┤ 16
-//! │ cols    u32   │  (= 15, the fixed rollup schema)
-//! ├───────────────┤ 20
-//! │ column 0      │  kind u8 │ payload_len u32 │ payload
-//! │  ...          │  u64  payload: rows × 8 B LE   (window, count, …)
-//! │ column 14     │  str  payload: per row u32 len + bytes
-//! ├───────────────┤  u32  payload: rows × 4 B LE   (shard)
-//! │ checksum u64  │  hist payload: per row u32 pairs + (u16, u64) pairs
-//! ├───────────────┤
-//! │ magic "VTRE"  │
-//! └───────────────┘
+//! magic "VTR1" │ window_ns u64 (the width the batch was built with)
+//!              │ rows u32 │ cols u32 (= 15, the fixed rollup schema)
+//! 15 columns: window u64, function str, policy str, shard u32,
+//!   count, sum, min, max u64, six phase sums u64 (span-column order),
+//!   hist (kind 4) payload: per row u32 pairs + (u16 bucket, u64 n) pairs
+//! checksum u64 │ magic "VTRE"
 //! ```
 //!
-//! All integers little-endian; the FNV-1a 64 checksum covers every byte
-//! above it. [`decode_rollup_batch`] verifies trailing magic and checksum
-//! **before** parsing, so truncation or byte flips surface as a typed
-//! [`BatchError`] — readers drop the bad batch and keep the rest, exactly
-//! like span batches.
+//! [`decode_rollup_batch`] fails with a typed [`BatchError`] on any
+//! truncation or byte flip, and scans drop the bad batch and keep the
+//! rest — exactly like span batches.
 
 use std::collections::BTreeMap;
 
-use sim_core::hash::fnv1a64;
 use sim_core::metrics::{LogHistogram, NUM_BUCKETS};
 use sim_storage::FileStore;
 
 use crate::codec::BatchError;
-use crate::reader::{for_each_span, ScanStats};
-use crate::report::GroupKey;
+use crate::frame::{rd_u16, rd_u32, rd_u64, Format, FrameReader, FrameWriter, Put, Take};
+use crate::reader::{for_each_batch_file, for_each_span, ScanStats};
+use crate::report::{GroupKey, GroupStats};
+use crate::sink::write_batch_file;
 use crate::span::SpanRecord;
 
 /// Store-name prefix of every rollup batch file.
@@ -62,10 +51,16 @@ pub const ROLLUP_MAGIC: &[u8; 4] = b"VTR1";
 /// Trailing magic, after the footer checksum.
 pub const ROLLUP_FOOTER_MAGIC: &[u8; 4] = b"VTRE";
 
-const KIND_STR: u8 = 0;
-const KIND_U32: u8 = 1;
-const KIND_U64: u8 = 2;
-const KIND_HIST: u8 = 4;
+/// Number of columns in a rollup batch.
+pub const COLUMNS: usize = 15;
+
+const FORMAT: Format = Format {
+    magic: ROLLUP_MAGIC,
+    footer_magic: ROLLUP_FOOTER_MAGIC,
+    header: 8,
+    cols: COLUMNS,
+    row_bytes: 128,
+};
 
 /// Per-phase virtual-time sums of one rollup cell, in span-column order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -178,9 +173,7 @@ impl RollupBuilder {
             phases: PhaseSums::default(),
         });
         cell.latency.record(s.latency_ns);
-        let mut p = cell.phases;
-        p += PhaseSums::of(s);
-        cell.phases = p;
+        cell.phases += PhaseSums::of(s);
     }
 
     /// Number of distinct cells so far.
@@ -199,101 +192,66 @@ impl RollupBuilder {
     }
 }
 
+/// The histogram column: a cell's sparse `(bucket, count)` pairs.
+impl Put for Vec<(u16, u64)> {
+    const KIND: u8 = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&(self.len() as u32).to_le_bytes());
+        for (idx, n) in self {
+            out.extend_from_slice(&idx.to_le_bytes());
+            out.extend_from_slice(&n.to_le_bytes());
+        }
+    }
+}
+
+impl Take for Vec<(u16, u64)> {
+    const SIZE: &'static str = "histogram column tail";
+    fn take(payload: &mut &[u8]) -> Result<Self, BatchError> {
+        let pairs = rd_u32(payload).ok_or(BatchError::BadLayout("histogram length"))? as usize;
+        if pairs > NUM_BUCKETS {
+            return Err(BatchError::BadLayout("histogram pair count"));
+        }
+        (0..pairs)
+            .map(|_| rd_u16(payload).zip(rd_u64(payload)))
+            .collect::<Option<_>>()
+            .ok_or(BatchError::BadLayout("histogram pair"))
+    }
+}
+
 /// Encodes rollup rows into one columnar batch blob.
 pub fn encode_rollup_batch(window_ns: u64, rows: &[(RollupKey, RollupCell)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(20 + rows.len() * 96);
-    out.extend_from_slice(ROLLUP_MAGIC);
-    out.extend_from_slice(&window_ns.to_le_bytes());
-    out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(COLUMNS as u32).to_le_bytes());
-    let mut payload = Vec::new();
-    for (col, &kind) in SCHEMA.iter().enumerate() {
-        payload.clear();
-        for (key, cell) in rows {
-            match col {
-                0 => payload.extend_from_slice(&key.window.to_le_bytes()),
-                1 => {
-                    let s = key.function.as_bytes();
-                    payload.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                    payload.extend_from_slice(s);
-                }
-                2 => {
-                    let s = key.policy.as_bytes();
-                    payload.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                    payload.extend_from_slice(s);
-                }
-                3 => payload.extend_from_slice(&key.shard.to_le_bytes()),
-                4 => payload.extend_from_slice(&cell.latency.count().to_le_bytes()),
-                5 => payload.extend_from_slice(&cell.latency.sum().to_le_bytes()),
-                6 => payload.extend_from_slice(&cell.latency.min().unwrap_or(0).to_le_bytes()),
-                7 => payload.extend_from_slice(&cell.latency.max().unwrap_or(0).to_le_bytes()),
-                8 => payload.extend_from_slice(&cell.phases.load_vmm_ns.to_le_bytes()),
-                9 => payload.extend_from_slice(&cell.phases.fetch_ws_ns.to_le_bytes()),
-                10 => payload.extend_from_slice(&cell.phases.install_ws_ns.to_le_bytes()),
-                11 => payload.extend_from_slice(&cell.phases.conn_restore_ns.to_le_bytes()),
-                12 => payload.extend_from_slice(&cell.phases.processing_ns.to_le_bytes()),
-                13 => payload.extend_from_slice(&cell.phases.record_finish_ns.to_le_bytes()),
-                _ => {
-                    let pairs = cell.latency.to_sparse();
-                    payload.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
-                    for (idx, n) in pairs {
-                        payload.extend_from_slice(&idx.to_le_bytes());
-                        payload.extend_from_slice(&n.to_le_bytes());
-                    }
-                }
-            }
-        }
-        out.push(kind);
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
-    }
-    let checksum = fnv1a64(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out.extend_from_slice(ROLLUP_FOOTER_MAGIC);
-    out
+    let mut w = FrameWriter::new(&FORMAT, &window_ns.to_le_bytes(), rows.len());
+    w.column(rows.iter().map(|(k, _)| &k.window));
+    w.column(rows.iter().map(|(k, _)| &k.function));
+    w.column(rows.iter().map(|(k, _)| &k.policy));
+    w.column(rows.iter().map(|(k, _)| &k.shard));
+    w.column(rows.iter().map(|(_, c)| c.latency.count()));
+    w.column(rows.iter().map(|(_, c)| c.latency.sum()));
+    w.column(rows.iter().map(|(_, c)| c.latency.min().unwrap_or(0)));
+    w.column(rows.iter().map(|(_, c)| c.latency.max().unwrap_or(0)));
+    w.column(rows.iter().map(|(_, c)| &c.phases.load_vmm_ns));
+    w.column(rows.iter().map(|(_, c)| &c.phases.fetch_ws_ns));
+    w.column(rows.iter().map(|(_, c)| &c.phases.install_ws_ns));
+    w.column(rows.iter().map(|(_, c)| &c.phases.conn_restore_ns));
+    w.column(rows.iter().map(|(_, c)| &c.phases.processing_ns));
+    w.column(rows.iter().map(|(_, c)| &c.phases.record_finish_ns));
+    w.column(rows.iter().map(|(_, c)| c.latency.to_sparse()));
+    w.finish()
 }
 
-/// `kind` per column, in encoding order: window, function, policy, shard,
-/// count, sum, min, max, six phase sums, histogram buckets.
-const SCHEMA: &[u8] = &[
-    KIND_U64,
-    KIND_STR,
-    KIND_STR,
-    KIND_U32,
-    KIND_U64,
-    KIND_U64,
-    KIND_U64,
-    KIND_U64,
-    KIND_U64,
-    KIND_U64,
-    KIND_U64,
-    KIND_U64,
-    KIND_U64,
-    KIND_U64,
-    KIND_HIST,
-];
-
-/// Number of columns in a rollup batch.
-pub const COLUMNS: usize = SCHEMA.len();
-
-fn rd_u16(b: &[u8], off: usize) -> Option<u16> {
-    b.get(off..off + 2).map(|s| u16::from_le_bytes([s[0], s[1]]))
-}
-
-fn rd_u32(b: &[u8], off: usize) -> Option<u32> {
-    b.get(off..off + 4).map(|s| {
-        let mut a = [0u8; 4];
-        a.copy_from_slice(s);
-        u32::from_le_bytes(a)
-    })
-}
-
-fn rd_u64(b: &[u8], off: usize) -> Option<u64> {
-    b.get(off..off + 8).map(|s| {
-        let mut a = [0u8; 8];
-        a.copy_from_slice(s);
-        u64::from_le_bytes(a)
-    })
+/// One decoded row before its histogram is rebuilt and cross-checked.
+#[derive(Clone, Default)]
+struct RawRow {
+    window: u64,
+    function: String,
+    policy: String,
+    shard: u32,
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+    phases: PhaseSums,
+    buckets: Vec<(u16, u64)>,
 }
 
 /// Decodes one rollup batch, verifying footer magic and checksum first.
@@ -302,156 +260,44 @@ fn rd_u64(b: &[u8], off: usize) -> Option<u64> {
 /// back as a typed [`BatchError`].
 #[allow(clippy::type_complexity)]
 pub fn decode_rollup_batch(data: &[u8]) -> Result<(u64, Vec<(RollupKey, RollupCell)>), BatchError> {
-    const HEADER: usize = 20;
-    const FOOTER: usize = 12;
-    if data.len() < HEADER + FOOTER {
-        return Err(BatchError::TooShort);
-    }
-    if &data[..4] != ROLLUP_MAGIC {
-        return Err(BatchError::BadMagic);
-    }
-    let body_end = data.len() - FOOTER;
-    if &data[body_end + 8..] != ROLLUP_FOOTER_MAGIC {
-        return Err(BatchError::BadFooterMagic);
-    }
-    let stored = rd_u64(data, body_end).ok_or(BatchError::TooShort)?;
-    let computed = fnv1a64(&data[..body_end]);
-    if stored != computed {
-        return Err(BatchError::ChecksumMismatch { stored, computed });
-    }
-    let window_ns = rd_u64(data, 4).ok_or(BatchError::TooShort)?;
+    let (mut cols, mut header) = FrameReader::open(&FORMAT, data)?;
+    let window_ns = rd_u64(&mut header).ok_or(BatchError::TooShort)?;
     if window_ns == 0 {
         return Err(BatchError::BadLayout("zero window width"));
     }
-    let rows = rd_u32(data, 12).ok_or(BatchError::TooShort)? as usize;
-    let cols = rd_u32(data, 16).ok_or(BatchError::TooShort)? as usize;
-    if cols != COLUMNS {
-        return Err(BatchError::BadLayout("column count"));
-    }
-    let mut keys = vec![
-        RollupKey {
-            window: 0,
-            function: String::new(),
-            policy: String::new(),
-            shard: 0,
-        };
-        rows
-    ];
-    let mut counts = vec![0u64; rows];
-    let mut sums = vec![0u64; rows];
-    let mut mins = vec![0u64; rows];
-    let mut maxs = vec![0u64; rows];
-    let mut phases = vec![PhaseSums::default(); rows];
-    let mut hists: Vec<Vec<(u16, u64)>> = vec![Vec::new(); rows];
-    let mut off = HEADER;
-    for (col, &kind) in SCHEMA.iter().enumerate() {
-        let got_kind = *data.get(off).ok_or(BatchError::BadLayout("column header"))?;
-        if got_kind != kind {
-            return Err(BatchError::BadLayout("column kind"));
-        }
-        let len = rd_u32(data, off + 1).ok_or(BatchError::BadLayout("column header"))? as usize;
-        off += 5;
-        let payload = data
-            .get(off..off + len)
-            .ok_or(BatchError::BadLayout("column payload"))?;
-        off += len;
-        match kind {
-            KIND_STR => {
-                let mut p = 0usize;
-                for k in &mut keys {
-                    let slen =
-                        rd_u32(payload, p).ok_or(BatchError::BadLayout("string length"))? as usize;
-                    p += 4;
-                    let bytes = payload
-                        .get(p..p + slen)
-                        .ok_or(BatchError::BadLayout("string bytes"))?;
-                    p += slen;
-                    let s = String::from_utf8(bytes.to_vec())
-                        .map_err(|_| BatchError::BadLayout("string utf-8"))?;
-                    if col == 1 {
-                        k.function = s;
-                    } else {
-                        k.policy = s;
-                    }
-                }
-                if p != payload.len() {
-                    return Err(BatchError::BadLayout("string column tail"));
-                }
-            }
-            KIND_U32 => {
-                if payload.len() != rows * 4 {
-                    return Err(BatchError::BadLayout("u32 column size"));
-                }
-                for (i, k) in keys.iter_mut().enumerate() {
-                    k.shard = rd_u32(payload, i * 4).expect("sized above");
-                }
-            }
-            KIND_U64 => {
-                if payload.len() != rows * 8 {
-                    return Err(BatchError::BadLayout("u64 column size"));
-                }
-                for i in 0..rows {
-                    let v = rd_u64(payload, i * 8).expect("sized above");
-                    match col {
-                        0 => keys[i].window = v,
-                        4 => counts[i] = v,
-                        5 => sums[i] = v,
-                        6 => mins[i] = v,
-                        7 => maxs[i] = v,
-                        8 => phases[i].load_vmm_ns = v,
-                        9 => phases[i].fetch_ws_ns = v,
-                        10 => phases[i].install_ws_ns = v,
-                        11 => phases[i].conn_restore_ns = v,
-                        12 => phases[i].processing_ns = v,
-                        _ => phases[i].record_finish_ns = v,
-                    }
-                }
-            }
-            _ => {
-                let mut p = 0usize;
-                for h in &mut hists {
-                    let pairs =
-                        rd_u32(payload, p).ok_or(BatchError::BadLayout("histogram length"))?
-                            as usize;
-                    p += 4;
-                    if pairs > NUM_BUCKETS {
-                        return Err(BatchError::BadLayout("histogram pair count"));
-                    }
-                    h.reserve(pairs);
-                    for _ in 0..pairs {
-                        let idx =
-                            rd_u16(payload, p).ok_or(BatchError::BadLayout("histogram pair"))?;
-                        let n =
-                            rd_u64(payload, p + 2).ok_or(BatchError::BadLayout("histogram pair"))?;
-                        p += 10;
-                        h.push((idx, n));
-                    }
-                }
-                if p != payload.len() {
-                    return Err(BatchError::BadLayout("histogram column tail"));
-                }
-            }
-        }
-    }
-    if off != data.len() - FOOTER {
-        return Err(BatchError::BadLayout("trailing bytes before footer"));
-    }
-    let mut out = Vec::with_capacity(rows);
-    for i in 0..rows {
-        let latency = LogHistogram::from_sparse(&hists[i], sums[i], mins[i], maxs[i])
+    let mut rows = vec![RawRow::default(); cols.rows];
+    cols.column(&mut rows, |r, v| r.window = v)?;
+    cols.column(&mut rows, |r, v| r.function = v)?;
+    cols.column(&mut rows, |r, v| r.policy = v)?;
+    cols.column(&mut rows, |r, v| r.shard = v)?;
+    cols.column(&mut rows, |r, v| r.count = v)?;
+    cols.column(&mut rows, |r, v| r.sum = v)?;
+    cols.column(&mut rows, |r, v| r.min = v)?;
+    cols.column(&mut rows, |r, v| r.max = v)?;
+    cols.column(&mut rows, |r, v| r.phases.load_vmm_ns = v)?;
+    cols.column(&mut rows, |r, v| r.phases.fetch_ws_ns = v)?;
+    cols.column(&mut rows, |r, v| r.phases.install_ws_ns = v)?;
+    cols.column(&mut rows, |r, v| r.phases.conn_restore_ns = v)?;
+    cols.column(&mut rows, |r, v| r.phases.processing_ns = v)?;
+    cols.column(&mut rows, |r, v| r.phases.record_finish_ns = v)?;
+    cols.column(&mut rows, |r, v| r.buckets = v)?;
+    cols.finish()?;
+    let rows = rows.into_iter().map(|r| {
+        let latency = LogHistogram::from_sparse(&r.buckets, r.sum, r.min, r.max)
             .ok_or(BatchError::BadLayout("inconsistent histogram"))?;
-        if latency.count() != counts[i] {
+        if latency.count() != r.count {
             return Err(BatchError::BadLayout("count / histogram mismatch"));
         }
-        out.push((
-            keys[i].clone(),
-            RollupCell {
-                latency,
-                phases: phases[i],
-            },
-        ));
-    }
-    Ok((window_ns, out))
+        let key = RollupKey {
+            window: r.window,
+            function: r.function,
+            policy: r.policy,
+            shard: r.shard,
+        };
+        let phases = r.phases;
+        Ok((key, RollupCell { latency, phases }))
+    });
+    Ok((window_ns, rows.collect::<Result<_, _>>()?))
 }
 
 /// What a rollup build wrote.
@@ -461,6 +307,9 @@ pub struct RollupBuildStats {
     pub cells: u64,
     /// Rollup batch files written.
     pub batches: u64,
+    /// Rollup batches dropped because the store would not take them; the
+    /// rollup then covers fewer cells than `cells`.
+    pub dropped_batches: u64,
     /// Spans folded in.
     pub spans: u64,
 }
@@ -483,29 +332,17 @@ pub fn build_rollups(store: &FileStore, window_ns: u64) -> (RollupBuildStats, Sc
     let rows = builder.finish();
     let mut stats = RollupBuildStats {
         cells: rows.len() as u64,
-        batches: 0,
-        spans: scan.spans,
+        spans: scan.rows,
+        ..RollupBuildStats::default()
     };
     for chunk in rows.chunks(DEFAULT_ROLLUP_ROWS) {
         let blob = encode_rollup_batch(window_ns, chunk);
-        let name = format!("{ROLLUP_PREFIX}{:08}", stats.batches);
-        let id = store.create(&name);
-        store.append(id, &blob);
-        stats.batches += 1;
+        match write_batch_file(store, ROLLUP_PREFIX, stats.batches, &blob) {
+            Ok(()) => stats.batches += 1,
+            Err(_) => stats.dropped_batches += 1,
+        }
     }
     (stats, scan)
-}
-
-/// What a rollup scan saw.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RollupScanStats {
-    /// Rollup batches that decoded cleanly.
-    pub batches_ok: u64,
-    /// Rollup batches dropped (checksum/layout/read failure, or a window
-    /// width disagreeing with the first good batch).
-    pub batches_dropped: u64,
-    /// Rows yielded.
-    pub rows: u64,
 }
 
 /// Streams every rollup row in the store, in batch order. Returns the
@@ -514,59 +351,17 @@ pub struct RollupScanStats {
 pub fn for_each_rollup_row(
     store: &FileStore,
     mut visit: impl FnMut(&RollupKey, &RollupCell),
-) -> (Option<u64>, RollupScanStats) {
-    let mut stats = RollupScanStats::default();
+) -> (Option<u64>, ScanStats) {
     let mut window_ns: Option<u64> = None;
-    for name in store.list() {
-        if !name.starts_with(ROLLUP_PREFIX) {
-            continue;
+    let stats = for_each_batch_file(store, ROLLUP_PREFIX, |blob| {
+        let (w, rows) = decode_rollup_batch(blob).ok()?;
+        if *window_ns.get_or_insert(w) != w {
+            return None;
         }
-        let Some(id) = store.open(&name) else {
-            stats.batches_dropped += 1;
-            continue;
-        };
-        let len = store.len(id);
-        let Some(blob) = store.try_read_at(id, 0, len as usize) else {
-            stats.batches_dropped += 1;
-            continue;
-        };
-        match decode_rollup_batch(&blob) {
-            Ok((w, rows)) => {
-                if *window_ns.get_or_insert(w) != w {
-                    stats.batches_dropped += 1;
-                    continue;
-                }
-                stats.batches_ok += 1;
-                stats.rows += rows.len() as u64;
-                for (k, c) in &rows {
-                    visit(k, c);
-                }
-            }
-            Err(_) => stats.batches_dropped += 1,
-        }
-    }
+        rows.iter().for_each(|(k, c)| visit(k, c));
+        Some(rows.len() as u64)
+    });
     (window_ns, stats)
-}
-
-/// Latency estimate of one group over a window range, from merged
-/// histogram buckets. `count`/`min`/`max`/`mean` are exact; the
-/// percentiles carry the log-bucket error bound
-/// (`exact ≤ est ≤ exact · (1 + 1/32)`, see
-/// [`sim_core::metrics::LogHistogram::value_at_percentile`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WindowGroupStats {
-    /// Invocations covered.
-    pub count: u64,
-    /// Exact minimum latency, ns.
-    pub min_ns: u64,
-    /// Estimated median, ns.
-    pub p50_ns: u64,
-    /// Estimated 95th percentile, ns.
-    pub p95_ns: u64,
-    /// Estimated 99th percentile, ns.
-    pub p99_ns: u64,
-    /// Exact maximum latency, ns.
-    pub max_ns: u64,
 }
 
 /// A windowed percentile report, answered from rollup batches alone.
@@ -577,71 +372,34 @@ pub struct WindowReport {
     pub window_ns: Option<u64>,
     /// Queried half-open window range `[lo, hi)`.
     pub windows: (u64, u64),
-    /// Per-group estimates over the range, ordered by group key, plus the
-    /// merged histogram each was computed from.
-    pub groups: Vec<(GroupKey, WindowGroupStats, LogHistogram)>,
+    /// Per-group estimates over the range (from merged histogram
+    /// buckets), ordered by group key.
+    pub groups: Vec<(GroupKey, GroupStats)>,
     /// Rollup batch counters of the underlying scan.
-    pub scan: RollupScanStats,
-}
-
-impl WindowReport {
-    /// Stats for one group, if present.
-    pub fn group(&self, function: &str, policy: &str, shard: u32) -> Option<&WindowGroupStats> {
-        self.groups
-            .iter()
-            .find(|(k, _, _)| k.function == function && k.policy == policy && k.shard == shard)
-            .map(|(_, s, _)| s)
-    }
-
-    /// Total spans covered by the queried range.
-    pub fn total_count(&self) -> u64 {
-        self.groups.iter().map(|(_, s, _)| s.count).sum()
-    }
-
-    /// Renders the report as a table, milliseconds with 3 decimals.
-    pub fn table(&self) -> sim_core::Table {
-        let mut t = sim_core::Table::new(&[
-            "function", "policy", "shard", "count", "min_ms", "p50_ms", "p95_ms", "p99_ms",
-            "max_ms",
-        ]);
-        t.numeric();
-        let ms = |ns: u64| format!("{:.3}", ns as f64 / 1e6);
-        for (key, st, _) in &self.groups {
-            t.row_owned(vec![
-                key.function.clone(),
-                key.policy.clone(),
-                key.shard.to_string(),
-                st.count.to_string(),
-                ms(st.min_ns),
-                ms(st.p50_ns),
-                ms(st.p95_ns),
-                ms(st.p99_ns),
-                ms(st.max_ns),
-            ]);
-        }
-        t
-    }
+    pub scan: ScanStats,
 }
 
 /// Answers a percentile query over windows `[lo_window, hi_window)` by
 /// merging rollup cells per `(function, policy, shard)` — reads rollup
 /// batches only, never the raw span batches.
 pub fn window_report(store: &FileStore, lo_window: u64, hi_window: u64) -> WindowReport {
-    let mut merged: BTreeMap<(String, String, u32), LogHistogram> = BTreeMap::new();
+    let mut merged: BTreeMap<GroupKey, LogHistogram> = BTreeMap::new();
     let (window_ns, scan) = for_each_rollup_row(store, |k, c| {
         if k.window < lo_window || k.window >= hi_window {
             return;
         }
-        merged
-            .entry((k.function.clone(), k.policy.clone(), k.shard))
-            .or_default()
-            .merge(&c.latency);
+        let key = GroupKey {
+            function: k.function.clone(),
+            policy: k.policy.clone(),
+            shard: k.shard,
+        };
+        merged.entry(key).or_default().merge(&c.latency);
     });
     let groups = merged
         .into_iter()
         .filter(|(_, h)| h.count() > 0)
-        .map(|((function, policy, shard), h)| {
-            let stats = WindowGroupStats {
+        .map(|(key, h)| {
+            let stats = GroupStats {
                 count: h.count(),
                 min_ns: h.min().unwrap_or(0),
                 p50_ns: h.value_at_percentile(50.0).unwrap_or(0),
@@ -649,15 +407,7 @@ pub fn window_report(store: &FileStore, lo_window: u64, hi_window: u64) -> Windo
                 p99_ns: h.value_at_percentile(99.0).unwrap_or(0),
                 max_ns: h.max().unwrap_or(0),
             };
-            (
-                GroupKey {
-                    function,
-                    policy,
-                    shard,
-                },
-                stats,
-                h,
-            )
+            (key, stats)
         })
         .collect();
     WindowReport {
@@ -671,8 +421,11 @@ pub fn window_report(store: &FileStore, lo_window: u64, hi_window: u64) -> Windo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{assert_every_flip_caught, assert_every_truncation_rejected};
     use crate::sink::TelemetrySink;
+    use crate::span::sample;
     use crate::synth::synthesize;
+    use sim_core::hash::fnv1a64;
 
     fn seeded_store(n: u64) -> FileStore {
         let store = FileStore::new();
@@ -684,6 +437,13 @@ mod tests {
             &["helloworld", "pyaes", "chameleon", "json"],
         );
         store
+    }
+
+    /// Rollup rows of the fixed span sample, in 2 ms windows.
+    fn sample_rows() -> Vec<(RollupKey, RollupCell)> {
+        let mut builder = RollupBuilder::new(2_000_000);
+        sample(8).iter().for_each(|s| builder.add(s));
+        builder.finish()
     }
 
     #[test]
@@ -699,29 +459,20 @@ mod tests {
         assert_eq!(decoded, rows);
     }
 
+    /// The format did not move: constants from the encoder at 7af3f74.
+    #[test]
+    fn golden_bytes() {
+        let blob = encode_rollup_batch(2_000_000, &sample_rows());
+        assert_eq!(blob.len(), 1095);
+        assert_eq!(fnv1a64(&blob), 0xf90e_6d79_c3c3_9ddc);
+    }
+
     #[test]
     fn rollup_truncation_and_flips_are_errors_not_panics() {
-        let store = seeded_store(500);
-        let mut builder = RollupBuilder::new(DEFAULT_WINDOW_NS);
-        for_each_span(&store, |s| builder.add(s));
-        let rows = builder.finish();
-        let blob = encode_rollup_batch(DEFAULT_WINDOW_NS, &rows);
-        for cut in 0..blob.len().min(64) {
-            assert!(decode_rollup_batch(&blob[..cut]).is_err(), "cut {cut}");
-        }
-        for cut in blob.len().saturating_sub(32)..blob.len() {
-            assert!(decode_rollup_batch(&blob[..cut]).is_err(), "cut {cut}");
-        }
-        let step = (blob.len() / 97).max(1);
-        for pos in (0..blob.len()).step_by(step) {
-            let mut bad = blob.clone();
-            bad[pos] ^= 0xA5;
-            assert_ne!(
-                decode_rollup_batch(&bad).ok(),
-                Some((DEFAULT_WINDOW_NS, rows.clone())),
-                "flip at {pos} must not decode to the original"
-            );
-        }
+        let original = (2_000_000, sample_rows());
+        let blob = encode_rollup_batch(original.0, &original.1);
+        assert_every_truncation_rejected(&blob, decode_rollup_batch);
+        assert_every_flip_caught(&blob, &original, decode_rollup_batch);
     }
 
     #[test]
@@ -772,8 +523,7 @@ mod tests {
         let total: u64 = rows.iter().map(|(_, c)| c.latency.count()).sum();
         for (i, chunk) in rows.chunks(rows.len() / 3).enumerate() {
             let blob = encode_rollup_batch(DEFAULT_WINDOW_NS, chunk);
-            let id = store.create(&format!("{ROLLUP_PREFIX}{i:08}"));
-            store.append(id, &blob);
+            write_batch_file(&store, ROLLUP_PREFIX, i as u64, &blob).unwrap();
         }
         let id = store.open(&format!("{ROLLUP_PREFIX}{:08}", 1)).unwrap();
         store.write_at(id, 30, &[0x5A]);

@@ -1,9 +1,10 @@
 //! The telemetry sink: buffered span recording, flushed as columnar
 //! batches into a [`FileStore`].
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use sim_storage::FileStore;
+use sim_storage::fault::retry_idempotent;
+use sim_storage::{FileStore, StorageError};
 
 use crate::codec::encode_batch;
 use crate::span::SpanRecord;
@@ -19,6 +20,23 @@ struct State {
     buf: Vec<SpanRecord>,
     next_batch: u64,
     flushed_spans: u64,
+    dropped_batches: u64,
+}
+
+/// Writes one batch as the file `{prefix}{index:08}` — the one write
+/// behind span flushes and rollup builds. A fixed-offset write of a
+/// freshly created file, so reissuing it heals a transient fault or a
+/// torn write; an `Err` means the retry budget ran out (or the store is
+/// unavailable) and the caller drops the batch — telemetry never takes
+/// the serving path down with it.
+pub(crate) fn write_batch_file(
+    store: &FileStore,
+    prefix: &str,
+    index: u64,
+    blob: &[u8],
+) -> Result<(), StorageError> {
+    let id = store.create(&format!("{prefix}{index:08}"));
+    retry_idempotent(|| store.try_write_at(id, 0, blob))
 }
 
 #[derive(Debug)]
@@ -66,9 +84,13 @@ impl TelemetrySink {
         &self.inner.store
     }
 
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.inner.state.lock().expect("telemetry sink poisoned")
+    }
+
     /// Records one span, flushing a batch if the buffer filled up.
     pub fn record(&self, span: SpanRecord) {
-        let mut st = self.inner.state.lock().expect("telemetry sink poisoned");
+        let mut st = self.state();
         st.buf.push(span);
         if st.buf.len() >= self.inner.batch_rows {
             self.flush_locked(&mut st);
@@ -78,7 +100,7 @@ impl TelemetrySink {
     /// Flushes any buffered spans as one final (possibly short) batch.
     /// Returns the number of spans flushed by this call.
     pub fn flush(&self) -> u64 {
-        let mut st = self.inner.state.lock().expect("telemetry sink poisoned");
+        let mut st = self.state();
         let n = st.buf.len() as u64;
         if n > 0 {
             self.flush_locked(&mut st);
@@ -86,28 +108,34 @@ impl TelemetrySink {
         n
     }
 
+    /// A batch the store refuses is dropped and counted; its file name is
+    /// reused by the next flush.
     fn flush_locked(&self, st: &mut State) {
         let blob = encode_batch(&st.buf);
-        let name = format!("{BATCH_PREFIX}{:08}", st.next_batch);
-        let id = self.inner.store.create(&name);
-        self.inner.store.append(id, &blob);
-        st.next_batch += 1;
-        st.flushed_spans += st.buf.len() as u64;
+        match write_batch_file(&self.inner.store, BATCH_PREFIX, st.next_batch, &blob) {
+            Ok(()) => {
+                st.next_batch += 1;
+                st.flushed_spans += st.buf.len() as u64;
+            }
+            Err(_) => st.dropped_batches += 1,
+        }
         st.buf.clear();
     }
 
     /// Spans buffered but not yet flushed.
     pub fn buffered(&self) -> usize {
-        self.inner.state.lock().expect("telemetry sink poisoned").buf.len()
+        self.state().buf.len()
     }
 
-    /// Spans flushed to the store so far.
+    /// Spans written to the store so far.
     pub fn flushed_spans(&self) -> u64 {
-        self.inner
-            .state
-            .lock()
-            .expect("telemetry sink poisoned")
-            .flushed_spans
+        self.state().flushed_spans
+    }
+
+    /// Batches dropped because the store would not take them (a write
+    /// fault that outlasted the retry budget, or a blackout).
+    pub fn dropped_batches(&self) -> u64 {
+        self.state().dropped_batches
     }
 }
 

@@ -70,3 +70,42 @@ pub struct SpanRecord {
     /// existed.
     pub disposition: String,
 }
+
+/// A fixed span stream exercising every column, for the codec tests (the
+/// golden-bytes tests pin its first eight spans' encoding).
+#[cfg(test)]
+pub(crate) fn sample(n: u64) -> Vec<SpanRecord> {
+    (0..n)
+        .map(|i| SpanRecord {
+            function: format!("fn-{}", i % 5),
+            policy: if i % 2 == 0 { "Reap" } else { "Vanilla" }.to_string(),
+            shard: (i % 3) as u32,
+            seq: i,
+            cold: i % 4 != 0,
+            recorded: i % 7 == 0,
+            vt_ns: i * 1_000_003,
+            load_vmm_ns: i * 11,
+            fetch_ws_ns: i * 13,
+            install_ws_ns: i * 17,
+            conn_restore_ns: i * 19,
+            processing_ns: i * 23,
+            record_finish_ns: i * 29,
+            latency_ns: i * 31,
+            cache_hits: i % 9,
+            cache_misses: i % 4,
+            cache_raced: i % 2,
+            transient_retries: i % 3,
+            corrupt_reloads: i % 2,
+            retry_delay_ns: i * 37,
+            quarantined: i % 11 == 0,
+            fallback_vanilla: i % 13 == 0,
+            rebuilt: i % 17 == 0,
+            rerouted: i % 19 == 0,
+            disposition: if i % 6 == 0 {
+                "deadline_exceeded".to_string()
+            } else {
+                "completed".to_string()
+            },
+        })
+        .collect()
+}

@@ -1,6 +1,6 @@
 //! Deterministic synthetic span generation.
 //!
-//! The `telemetry-report` CLI and the report-scan bench need *millions*
+//! `metrics_report --exact` and the report-scan bench need *millions*
 //! of spans; running that many real functional passes would take hours.
 //! This generator emits a [`DetRng`]-driven stream whose shape mirrors
 //! the reproduction (the Fig 7 policy ladder as per-policy base

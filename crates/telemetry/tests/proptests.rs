@@ -1,7 +1,8 @@
-//! Property tests over the columnar batch codec:
+//! Property tests over the columnar batch codecs:
 //!
 //! * **round trip** — encode→decode is the identity for arbitrary span
-//!   batches (all columns, including empty strings and zero rows);
+//!   batches (all columns, including empty strings and zero rows) and
+//!   for the rollup rows built from them at arbitrary window widths;
 //! * **truncated tail** — every proper prefix of a batch fails to decode
 //!   with a typed error, never a panic;
 //! * **corrupt batch** — any single byte flip is rejected, and at the
@@ -11,7 +12,10 @@
 use proptest::prelude::*;
 use sim_core::DetRng;
 use sim_storage::FileStore;
-use vhive_telemetry::{decode_batch, encode_batch, scan, SpanRecord, TelemetrySink};
+use vhive_telemetry::{
+    decode_batch, decode_rollup_batch, encode_batch, encode_rollup_batch, scan, RollupBuilder,
+    SpanRecord, TelemetrySink,
+};
 
 /// Deterministic pseudo-arbitrary spans: every column exercised, string
 /// lengths 0..24, counters spanning the u64 range.
@@ -72,6 +76,16 @@ proptest! {
         let spans = gen_spans(seed, n);
         let blob = encode_batch(&spans);
         prop_assert_eq!(decode_batch(&blob).unwrap(), spans);
+    }
+
+    /// Rollup rows survive encode → decode, window width included.
+    #[test]
+    fn rollup_round_trip_identity(seed in 0u64..1_000_000, n in 0usize..96, window_ns in 1u64..u64::MAX) {
+        let mut builder = RollupBuilder::new(window_ns);
+        gen_spans(seed, n).iter().for_each(|s| builder.add(s));
+        let rows = builder.finish();
+        let blob = encode_rollup_batch(window_ns, &rows);
+        prop_assert_eq!(decode_rollup_batch(&blob).unwrap(), (window_ns, rows));
     }
 
     /// Every truncation point yields a typed error — never a panic,

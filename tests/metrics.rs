@@ -238,7 +238,7 @@ fn million_span_window_query_never_rescans_raw_spans() {
     assert!(query_reads > 0, "query must have read the rollup batches");
     assert_eq!(report.scan.batches_dropped, 0);
     assert!(report.total_count() > 0, "mid-stream windows must hold spans");
-    for (key, stats, _) in &report.groups {
+    for (key, stats) in &report.groups {
         assert!(stats.p99_ns >= stats.p50_ns, "{key:?}");
         assert!(stats.p99_ns <= stats.max_ns, "{key:?}");
     }

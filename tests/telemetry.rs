@@ -11,11 +11,15 @@
 //!   of shard geometry and lane interleaving (sorted-dump comparison,
 //!   shard column masked);
 //! * **span fidelity** — spans mirror their outcomes field-for-field on
-//!   the single-orchestrator path.
+//!   the single-orchestrator path;
+//! * **write faults stay out of serving** — a transient fault on the
+//!   telemetry store heals inside the sink, a blackout costs batches
+//!   (counted), and neither moves or fails a cold start.
 
 use functionbench::FunctionId;
 use proptest::prelude::*;
-use sim_storage::FileStore;
+use sim_storage::{FaultInjector, FaultKind, FaultPlan, FaultRule, FaultScope, FileStore};
+use std::sync::Arc;
 use vhive_cluster::{ClusterOrchestrator, ColdRequest};
 use vhive_core::{ColdPolicy, Orchestrator};
 use vhive_telemetry::{scan, SpanRecord, TelemetrySink};
@@ -241,4 +245,39 @@ fn concurrent_spans_carry_nonzero_cache_deltas() {
         .map(|s| s.cache_hits + s.cache_misses + s.cache_raced)
         .sum();
     assert!(reap_total > 0, "REAP spans must carry cache deltas");
+}
+
+/// The telemetry store may fail; serving may not notice. One transient
+/// write fault heals inside the sink's retried write (same outcomes,
+/// every span on disk, nothing dropped); a blacked-out store drops every
+/// batch and counts it, and both cold starts still complete and verify.
+#[test]
+fn telemetry_write_fault_never_reaches_serving() {
+    let f = FunctionId::helloworld;
+    let run = |rule: Option<FaultRule>| {
+        let mut o = Orchestrator::new(0xFA17);
+        o.register(f);
+        o.invoke_record(f);
+        let tstore = FileStore::new();
+        if let Some(rule) = rule {
+            tstore.attach_injector(Arc::new(FaultInjector::new(FaultPlan::new().rule(rule))));
+        }
+        let sink = TelemetrySink::with_batch_rows(tstore, 1);
+        o.set_telemetry(Some(sink.clone()));
+        let outcomes = [ColdPolicy::Reap, ColdPolicy::Vanilla].map(|p| o.invoke_cold(f, p));
+        assert!(outcomes.iter().all(|out| out.verified_pages > 0));
+        (format!("{outcomes:?}"), sink)
+    };
+    let (clean, _) = run(None);
+
+    let (healed, sink) =
+        run(Some(FaultRule::new(FaultScope::Any, FaultKind::TransientError).count(1)));
+    assert_eq!(healed, clean);
+    assert_eq!(sink.dropped_batches(), 0);
+    let (spans, stats) = scan(sink.store());
+    assert_eq!((spans.len(), stats.batches_dropped), (2, 0));
+
+    let (dark, sink) = run(Some(FaultRule::new(FaultScope::Any, FaultKind::Blackout)));
+    assert_eq!(dark, clean);
+    assert_eq!((sink.dropped_batches(), sink.flushed_spans()), (2, 0));
 }
