@@ -33,24 +33,38 @@
 //!
 //! The content store is capacity-budgeted
 //! ([`SnapshotFrameCache::set_budget`]): when deduped bytes exceed the
-//! budget, whole content entries are evicted by **second chance**
-//! (CLOCK): a hand sweeps the content slab, an entry hit since the hand
-//! last passed it has its reference bit cleared and is spared, the first
-//! unreferenced one goes. Eviction only drops the *cache's* reference:
-//! guest memories aliasing the buffer keep it alive through their own
-//! `Arc` clones, so an evicted extent can never free or mutate live guest
-//! frames — the next cold start simply re-reads the store. The default
-//! budget is unbounded, matching the pre-budget behaviour.
+//! budget, whole content entries are evicted by **bimodal insertion**
+//! (BIP, Qureshi et al., ISCA 2007) over an admission-order queue. A new
+//! content entry goes in at the queue's evict-first end, except every
+//! 32nd admission (a counter, not a coin), which goes in at its protected
+//! end. Eviction pops the evict-first end: an entry hit since it was
+//! queued loses its reference bit and moves to the protected end, any
+//! other entry goes.
+//!
+//! Why: every invocation of a function touches the same working set (the
+//! paper's §4), so a budget below the footprint sees a *loop* over working
+//! sets, on which any recency order evicts each function's extents just
+//! before its next turn. Under BIP a streaming admission evicts itself and
+//! the resident working sets stay, keeping about budget / footprint of a
+//! loop, as Belady's MIN does (`tests/belady.rs`); the protected
+//! admissions are what let a *new* loop displace a stale resident set.
+//!
+//! Eviction only drops the *cache's* reference: guest memories aliasing
+//! the buffer keep it alive through their own `Arc` clones, so an evicted
+//! extent can never free or mutate live guest frames — the next cold
+//! start simply re-reads the store. The default budget is unbounded.
+//! Queue slots left by invalidation are skipped when popped, and the
+//! queue is compacted once it holds more than twice the live entries, so
+//! invalidate/reload churn under an unbounded budget (which never pops)
+//! cannot grow it.
 //!
 //! Only a lookup that *finds its key* sets the bit. A populating miss
 //! never does, not even one that deduplicates onto live content: within a
 //! cold start the verify pass deduplicates onto exactly what its own
 //! prefetch admitted a moment earlier, and that correlated reference says
-//! nothing about reuse. Counted, it hands every extent streaming through
-//! a tight budget a second lap, and how much of a function then survives
-//! until its next turn hinges on which functions the lanes happen to
-//! pair — the same requests hit 14 % or 45 % of their lookups by arrival
-//! order alone.
+//! nothing about reuse. Counted, it would move every extent streaming
+//! through a tight budget to the protected end, ahead of the working sets
+//! that are actually reused.
 //!
 //! ## Hits do not write
 //!
@@ -84,7 +98,7 @@
 //! from different shards never collide — and identical bytes from
 //! *different* shards still collapse onto one content entry.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -190,16 +204,25 @@ impl std::error::Error for FrameCacheGone {}
 /// An extent's identity: `(file, byte offset, byte len)`.
 type ExtentKey = (FileId, u64, u64);
 
+/// One admission in this many goes in at the protected end of the
+/// eviction queue (BIP's ε = 1/32); the rest go in at the evict-first end.
+const PROTECTED_EVERY: u64 = 32;
+
 /// One deduplicated byte string: the bytes, the extents mapping onto
-/// them (the refcount is `keys.len()`), and its second-chance bit.
+/// them (the refcount is `keys.len()`), and its reference bit.
 #[derive(Debug)]
 struct ContentEntry {
     hash: u64,
     bytes: FrameBytes,
     keys: Vec<ExtentKey>,
-    /// Set by every hit on an extent mapped here, cleared when the
-    /// eviction hand passes. Only ever a hint to the sweep — it publishes
-    /// no data — so hits set it `Relaxed` under the shared lock.
+    /// The entry's admission number: its queue slot is `(slab index,
+    /// stamp)`, so a slot left behind by a dropped entry never matches
+    /// the entry that later reuses its slab index.
+    stamp: u64,
+    /// Set by every hit on an extent mapped here, cleared when eviction
+    /// pops the entry and moves it to the protected end. Only ever a hint
+    /// to eviction — it publishes no data — so hits set it `Relaxed`
+    /// under the shared lock.
     referenced: AtomicBool,
 }
 
@@ -216,8 +239,10 @@ struct Inner {
     /// collision).
     by_hash: HashMap<(u64, u64), Vec<u32>>,
     free: Vec<u32>,
-    /// The eviction hand: the slab slot the next sweep looks at first.
-    hand: usize,
+    /// Eviction order, `(slab index, stamp)`: front = evict-first end,
+    /// back = protected end. Every live entry is queued exactly once;
+    /// slots of dropped entries linger until popped or compacted.
+    queue: VecDeque<(u32, u64)>,
     /// Bytes held by live content entries (deduped content once).
     bytes: u64,
     /// Capacity budget in bytes; `u64::MAX` = unbounded.
@@ -233,6 +258,11 @@ struct Inner {
 impl Inner {
     fn entry(&self, n: u32) -> &ContentEntry {
         self.slab[n as usize].as_ref().expect("live entry")
+    }
+
+    /// Live content entries: every slab slot is live or on the free list.
+    fn live(&self) -> u64 {
+        (self.slab.len() - self.free.len()) as u64
     }
 
     /// Serves content entry `n` to a lookup: marks it referenced and hands
@@ -269,7 +299,9 @@ impl Inner {
     /// Frees content entry `idx` (which must have no extent mappings
     /// left): drops its hash-bucket slot, releases the bytes accounting
     /// and recycles the slab slot. Guest memories still aliasing the
-    /// buffer keep it alive through their own `Arc` clones.
+    /// buffer keep it alive through their own `Arc` clones. Its queue slot
+    /// goes stale; the queue is compacted once it exceeds twice the live
+    /// entries (amortised O(1): half of them must drop before the next).
     fn drop_content(&mut self, idx: u32) {
         let entry = self.slab[idx as usize].take().expect("live entry");
         debug_assert!(entry.keys.is_empty(), "content freed while mapped");
@@ -281,6 +313,11 @@ impl Inner {
         }
         self.bytes -= entry.bytes.len() as u64;
         self.free.push(idx);
+        if self.queue.len() as u64 > 2 * self.live() {
+            let slab = &self.slab;
+            self.queue
+                .retain(|&(i, stamp)| slab[i as usize].as_ref().is_some_and(|e| e.stamp == stamp));
+        }
     }
 
     /// Maps `key` (valid at `generation`) onto `bytes`, deduplicating
@@ -298,8 +335,8 @@ impl Inner {
         });
         let idx = match existing {
             Some(idx) => {
-                // The reference bit stays as found: only a lookup that
-                // finds its key earns the second chance (module docs,
+                // Neither the reference bit nor the queue moves: only a
+                // lookup that finds its key earns anything (module docs,
                 // "Bounded growth").
                 self.deduped += 1;
                 idx
@@ -307,10 +344,12 @@ impl Inner {
             None => {
                 self.bytes += bytes.len() as u64;
                 // Admitted unreferenced, for the same reason.
+                let stamp = self.admitted;
                 let entry = ContentEntry {
                     hash,
                     bytes,
                     keys: Vec::new(),
+                    stamp,
                     referenced: AtomicBool::new(false),
                 };
                 let idx = match self.free.pop() {
@@ -324,6 +363,11 @@ impl Inner {
                     }
                 };
                 self.by_hash.entry(bucket_key).or_default().push(idx);
+                if (stamp + 1).is_multiple_of(PROTECTED_EVERY) {
+                    self.queue.push_back((idx, stamp));
+                } else {
+                    self.queue.push_front((idx, stamp));
+                }
                 self.admitted += 1;
                 idx
             }
@@ -336,28 +380,33 @@ impl Inner {
         out
     }
 
-    /// Second chance: sweeps the hand over the content slab until the
-    /// deduped bytes fit the budget, sparing (and un-referencing) every
-    /// entry looked up since the hand last passed it and evicting the
-    /// rest with all of their extent mappings. The entry just returned
-    /// to a caller may evict itself — the caller holds its own `Arc`, so
-    /// that is a pass-through serve, not a correctness hazard.
+    /// Pops the evict-first end until the deduped bytes fit the budget:
+    /// stale slots are dropped, an entry looked up since it was queued
+    /// loses its reference bit and moves to the protected end, and any
+    /// other entry is evicted with all of its extent mappings. The entry
+    /// just returned to a caller usually evicts itself — the caller holds
+    /// its own `Arc`, so that is a pass-through serve, not a correctness
+    /// hazard.
     fn evict_to_budget(&mut self) {
-        // `bytes > budget >= 0` means a live entry exists, and one lap
-        // clears every reference bit, so the sweep ends within two laps.
+        // `bytes > budget >= 0` means a live entry exists, every live
+        // entry is queued once, and one lap clears every reference bit,
+        // so this ends within two laps.
         while self.bytes > self.budget {
-            let at = self.hand;
-            self.hand = (at + 1) % self.slab.len();
-            let Some(entry) = self.slab[at].as_mut() else {
+            let (idx, stamp) = self.queue.pop_front().expect("live entries are queued");
+            let Some(entry) = self.slab[idx as usize]
+                .as_mut()
+                .filter(|e| e.stamp == stamp)
+            else {
                 continue;
             };
             if std::mem::take(entry.referenced.get_mut()) {
+                self.queue.push_back((idx, stamp));
                 continue;
             }
             for k in std::mem::take(&mut entry.keys) {
                 self.index.remove(&k);
             }
-            self.drop_content(at as u32);
+            self.drop_content(idx);
             self.evicted += 1;
         }
     }
@@ -384,7 +433,7 @@ impl Default for SnapshotFrameCache {
                 slab: Vec::new(),
                 by_hash: HashMap::new(),
                 free: Vec::new(),
-                hand: 0,
+                queue: VecDeque::new(),
                 bytes: 0,
                 budget: u64::MAX,
                 misses: 0,
@@ -526,16 +575,14 @@ impl SnapshotFrameCache {
     /// entries dropped.
     pub fn invalidate_file(&self, file: FileId) -> u64 {
         let mut inner = self.inner.write();
-        let mut keys: Vec<ExtentKey> = inner
+        // Hash-map order is fine: eviction follows the queue's admission
+        // order, so nothing observable depends on which slots free first.
+        let keys: Vec<ExtentKey> = inner
             .index
             .keys()
             .filter(|&&(f, _, _)| f == file)
             .copied()
             .collect();
-        // Freed slab slots are reused in the order they were freed, and
-        // slab order is eviction order: detach in key order, not in the
-        // hash map's, so what a budget evicts next repeats run to run.
-        keys.sort_unstable();
         for &k in &keys {
             inner.detach(k);
         }
@@ -546,7 +593,7 @@ impl SnapshotFrameCache {
     /// Drops everything — the frame-cache analogue of
     /// `echo 3 > /proc/sys/vm/drop_caches` (the paper's flush-before-
     /// measure methodology, §4.1). All structural state (index, content
-    /// slab, hash buckets, eviction hand) is reset; counters and the
+    /// slab, hash buckets, eviction queue) is reset; counters and the
     /// budget survive.
     pub fn clear(&self) {
         let mut inner = self.inner.write();
@@ -555,7 +602,7 @@ impl SnapshotFrameCache {
         inner.slab.clear();
         inner.by_hash.clear();
         inner.free.clear();
-        inner.hand = 0;
+        inner.queue.clear();
         inner.bytes = 0;
     }
 
@@ -571,9 +618,15 @@ impl SnapshotFrameCache {
             deduped: inner.deduped,
             evicted: inner.evicted,
             entries: inner.index.len() as u64,
-            content_entries: inner.slab.iter().filter(|e| e.is_some()).count() as u64,
+            content_entries: inner.live(),
             bytes: inner.bytes,
         }
+    }
+
+    /// Eviction-queue slots, live and stale.
+    #[cfg(test)]
+    fn queue_len(&self) -> usize {
+        self.inner.read().queue.len()
     }
 }
 
@@ -704,10 +757,8 @@ mod tests {
         assert_ne!(key(&got_a), key(&got_b), "distinct dedup keys, not just a byte compare");
     }
 
-    /// (The name predates second chance — it is the id the test floor
-    /// tracks; "LRU" here is the approximation CLOCK makes of it.)
     #[test]
-    fn budget_evicts_lru_content_and_bounds_bytes() {
+    fn budget_evicts_the_newest_unreferenced_entry_first() {
         let fs = FileStore::new();
         let cache = SnapshotFrameCache::new();
         let f = fs.create("f");
@@ -715,38 +766,64 @@ mod tests {
         for i in 0..5u8 {
             fs.write_at(f, i as u64 * 16, &[i + 1; 16]);
         }
+        let resident = |e: u64| cache.peek(f, e * 16, 16).is_some();
         cache.set_budget(Some(32));
         let a = cache.get_or_load(&fs, f, 0, 16).unwrap();
         cache.get_or_load(&fs, f, 16, 16).unwrap();
-        // Hit extent 0: the hand meets it first, but it has earned its
-        // second chance, so extent 1 is the victim.
-        cache.get_or_load(&fs, f, 0, 16).unwrap();
+        // The cache is full: the next admission goes in at the
+        // evict-first end and, never hit, is the victim — a stream passes
+        // through without displacing what is resident.
         cache.get_or_load(&fs, f, 32, 16).unwrap();
         let st = cache.stats();
-        assert_eq!(st.evicted, 1, "third admit evicts one entry");
+        assert_eq!(st.evicted, 1);
         assert!(st.bytes <= 32, "budget bounds deduped bytes");
-        assert!(cache.peek(f, 0, 16).is_some(), "touched entry survives");
-        assert!(cache.peek(f, 16, 16).is_none(), "unreferenced entry evicted");
-        // The hand moves on: extent 2, admitted unreferenced and never hit,
-        // is next; extent 0 stays until the hand comes round again.
-        cache.get_or_load(&fs, f, 64, 16).unwrap();
-        assert_eq!(cache.stats().evicted, 2);
-        assert!(cache.peek(f, 32, 16).is_none());
-        assert!(cache.peek(f, 0, 16).is_some());
-        // The evicted extent reloads as a fresh miss; the caller's old
-        // buffer was never freed or mutated (it holds its own Arc). The
-        // hand wraps onto extent 0, whose chance is spent: no hit since
-        // the bit was cleared, so this time it goes.
-        assert_eq!(&a[..], &[1u8; 16]);
-        let st_before = cache.stats();
+        assert!(resident(0) && resident(1) && !resident(2));
+        // Extent 1, the newer, is at the evict-first end; hit it and
+        // shrink: it loses its bit and moves to the protected end, and
+        // extent 0 goes.
         cache.get_or_load(&fs, f, 16, 16).unwrap();
-        assert_eq!(cache.stats().misses, st_before.misses + 1);
-        assert_eq!(cache.stats().evicted, 3);
-        assert!(cache.peek(f, 0, 16).is_none(), "a second chance is not a third");
+        cache.set_budget(Some(16));
+        assert_eq!(cache.stats().evicted, 2);
+        assert!(resident(1) && !resident(0));
+        // The evicted extent reloads as a fresh miss; the caller's old
+        // buffer was never freed or mutated (it holds its own Arc).
+        assert_eq!(&a[..], &[1u8; 16]);
+        let misses = cache.stats().misses;
+        cache.set_budget(Some(32));
+        cache.get_or_load(&fs, f, 0, 16).unwrap();
+        assert_eq!(cache.stats().misses, misses + 1);
         // Lifting the budget stops eviction.
         cache.set_budget(None);
         cache.get_or_load(&fs, f, 48, 16).unwrap();
-        assert_eq!(cache.stats().evicted, 3, "unbounded again: no new evictions");
+        assert_eq!(
+            cache.stats().evicted,
+            2,
+            "unbounded again: no new evictions"
+        );
+    }
+
+    #[test]
+    fn every_32nd_admission_goes_in_at_the_protected_end() {
+        let fs = FileStore::new();
+        let cache = SnapshotFrameCache::new();
+        let f = fs.create("f");
+        for e in 0..32u64 {
+            fs.write_at(f, e * 8, &e.to_le_bytes());
+        }
+        let resident = |e: u64| cache.peek(f, e * 8, 8).is_some();
+        cache.set_budget(Some(2 * 8));
+        // Admissions 1-31 go in at the evict-first end: two fill the
+        // cache, the other 29 stream through, each evicting itself.
+        for e in 0..31 {
+            cache.get_or_load(&fs, f, e * 8, 8).unwrap();
+        }
+        assert!(resident(0) && resident(1));
+        assert_eq!(cache.stats().evicted, 29);
+        // The 32nd goes in at the protected end and displaces the
+        // resident entry at the evict-first end (the newer of the two):
+        // this is how a new loop takes the cache from a stale one.
+        cache.get_or_load(&fs, f, 31 * 8, 8).unwrap();
+        assert!(resident(31) && resident(0) && !resident(1));
     }
 
     #[test]
@@ -759,21 +836,53 @@ mod tests {
         fs.write_at(ws, 0, &[1u8; 16]);
         fs.write_at(mem, 0, &[1u8; 16]);
         fs.write_at(mem, 16, &[2u8; 16]);
-        fs.write_at(mem, 32, &[3u8; 16]);
-        cache.set_budget(Some(32));
         // Prefetch admits, verify deduplicates onto it: two keys, one
-        // content entry, and no hit yet.
+        // content entry, and no hit. Then an entry admitted later, and hit.
         cache.get_or_load(&fs, ws, 0, 16).unwrap();
         cache.get_or_load(&fs, mem, 0, 16).unwrap();
         cache.get_or_load(&fs, mem, 16, 16).unwrap();
+        cache.get_or_load(&fs, mem, 16, 16).unwrap();
         let st = cache.stats();
-        assert_eq!((st.hits, st.deduped, st.content_entries, st.bytes), (0, 1, 2, 32));
-        // The next admission finds the shared entry first and unreferenced:
-        // it goes, with both of its keys.
-        cache.get_or_load(&fs, mem, 32, 16).unwrap();
+        assert_eq!(
+            (st.hits, st.deduped, st.content_entries, st.bytes),
+            (1, 1, 2, 32)
+        );
+        // Shrinking to one entry moves the hit entry from the evict-first
+        // end to the protected end and finds the shared entry
+        // unreferenced: it goes, with both of its keys. Had the dedup set
+        // the bit, both would have been spared once and the hit entry,
+        // first in line again, would have gone.
+        cache.set_budget(Some(16));
         assert_eq!(cache.stats().evicted, 1);
         assert!(cache.peek(ws, 0, 16).is_none() && cache.peek(mem, 0, 16).is_none());
-        assert!(cache.peek(mem, 16, 16).is_some() && cache.peek(mem, 32, 16).is_some());
+        assert!(cache.peek(mem, 16, 16).is_some());
+    }
+
+    #[test]
+    fn invalidate_and_reload_churn_keeps_the_queue_bounded() {
+        let fs = FileStore::new();
+        let cache = SnapshotFrameCache::new();
+        let (churned, kept) = (fs.create("churned"), fs.create("kept"));
+        fs.write_at(kept, 0, &[7u8; 16]);
+        cache.get_or_load(&fs, kept, 0, 16).unwrap();
+        // `deploy_churn`'s shape under an unbounded budget, which never
+        // pops the queue: a re-record drops a file's extents, and the next
+        // cold start reloads them as new content.
+        for round in 0..10_000u64 {
+            let words: Vec<u8> = (0..8).flat_map(|w| (round * 8 + w).to_le_bytes()).collect();
+            fs.write_at(churned, 0, &words);
+            cache.invalidate_file(churned);
+            for e in 0..4 {
+                cache.get_or_load(&fs, churned, e * 16, 16).unwrap();
+            }
+            let live = cache.stats().content_entries as usize;
+            assert_eq!(live, 5);
+            assert!(
+                cache.queue_len() <= 2 * live + 1,
+                "round {round}: {} slots",
+                cache.queue_len()
+            );
+        }
     }
 
     #[test]
@@ -915,15 +1024,26 @@ mod tests {
         assert_eq!((st.entries, st.content_entries, st.bytes), (1, 1, 4096));
     }
 
+    #[test]
+    fn frame_cache_stress() {
+        stress(true);
+    }
+
+    #[test]
+    fn frame_cache_stress_budgeted() {
+        stress(false);
+    }
+
     /// Lanes doing everything at once to one cache: lookups, in-place
-    /// rewrites, invalidations, budget flips. Seeded per thread; the
+    /// rewrites, invalidations, budget changes — flipped between tiny and
+    /// none, or (`flip_budget` false) held tiny throughout so eviction
+    /// runs beside every other operation. Seeded per thread; the
     /// interleaving is whatever the scheduler makes of it, which is why CI
-    /// runs this ten times. Each extent holds its file's version counter
+    /// runs these ten times. Each extent holds its file's version counter
     /// at its last rewrite, repeated as `u64` words, and a writer
     /// publishes that version only once the write has landed — so any
     /// lookup begun after the publish must serve it or something newer.
-    #[test]
-    fn frame_cache_stress() {
+    fn stress(flip_budget: bool) {
         use std::sync::{Barrier, Mutex};
         const THREADS: u64 = 4;
         const OPS: u64 = 4000;
@@ -935,6 +1055,9 @@ mod tests {
         let fill = |version: u64| version.to_le_bytes().repeat(LEN as usize / 8);
         let fs = FileStore::new();
         let cache = SnapshotFrameCache::new();
+        if !flip_budget {
+            cache.set_budget(Some(TINY_BUDGET));
+        }
         let files: Vec<FileId> = (0..FILES).map(|i| fs.create(&format!("f{i}"))).collect();
         for &f in &files {
             fs.write_at(f, 0, &fill(0).repeat(EXTENTS as usize));
@@ -978,7 +1101,9 @@ mod tests {
                                 2 => {
                                     cache.invalidate_file(files[f]);
                                 }
-                                3 => cache.set_budget(rng.gen_bool(0.5).then_some(TINY_BUDGET)),
+                                3 => cache.set_budget(
+                                    (rng.gen_bool(0.5) || !flip_budget).then_some(TINY_BUDGET),
+                                ),
                                 _ => {
                                     let floor = published[f][e as usize].load(Ordering::SeqCst);
                                     let got = cache.get_or_load(fs, files[f], e * LEN, LEN).unwrap();
@@ -998,6 +1123,10 @@ mod tests {
         let st = cache.stats();
         assert_eq!(st.hits + st.misses + st.raced, lookups, "{st:?}");
         assert_eq!(st.admitted + st.deduped, st.misses, "{st:?}");
+        assert!(
+            flip_budget || (st.bytes <= TINY_BUDGET && st.evicted > 0),
+            "{st:?}"
+        );
         // Quiescent: the budget binds, the structure is consistent, and
         // every extent serves exactly what its file now holds.
         cache.set_budget(Some(TINY_BUDGET));

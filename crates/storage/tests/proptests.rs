@@ -44,7 +44,7 @@ impl NaiveLru {
 /// An extent in the model's terms: `(file index, offset, len)`.
 type ModelKey = (usize, u64, u64);
 
-/// One deduplicated byte string of [`NaiveSecondChance`].
+/// One deduplicated byte string of [`NaiveBimodal`].
 struct NaiveContent {
     bytes: Vec<u8>,
     /// Extents mapped onto the bytes, each with the file version it was
@@ -53,56 +53,46 @@ struct NaiveContent {
     referenced: bool,
 }
 
-/// The reference [`SnapshotFrameCache`] is checked against: second chance
-/// over a vector of slots (freed slots reused last-freed-first), every
-/// lookup, dedup and byte count a linear scan.
+/// The reference [`SnapshotFrameCache`] is checked against: bimodal
+/// insertion over a deque of live content in eviction order (front =
+/// evict-first end, back = protected end), every lookup, dedup and byte
+/// count a linear scan. Content dropped by invalidation leaves the deque
+/// at once, where the cache leaves a stale slot to skip.
 #[derive(Default)]
-struct NaiveSecondChance {
-    slots: Vec<Option<NaiveContent>>,
-    free: Vec<usize>,
-    hand: usize,
+struct NaiveBimodal {
+    queue: VecDeque<NaiveContent>,
+    admitted: u64,
     budget: Option<u64>,
     hits: u64,
     misses: u64,
     evicted: u64,
 }
 
-impl NaiveSecondChance {
-    fn live(&self) -> impl Iterator<Item = &NaiveContent> {
-        self.slots.iter().flatten()
-    }
-
+impl NaiveBimodal {
     fn bytes(&self) -> u64 {
-        self.live().map(|c| c.bytes.len() as u64).sum()
+        self.queue.iter().map(|c| c.bytes.len() as u64).sum()
     }
 
     fn keys(&self) -> Vec<ModelKey> {
-        self.live().flat_map(|c| c.keys.iter().map(|&(k, _)| k)).collect()
+        self.queue
+            .iter()
+            .flat_map(|c| c.keys.iter().map(|&(k, _)| k))
+            .collect()
     }
 
     fn detach(&mut self, key: ModelKey) {
-        let Some(at) = self
-            .slots
-            .iter()
-            .position(|c| c.as_ref().is_some_and(|c| c.keys.iter().any(|&(k, _)| k == key)))
-        else {
-            return;
-        };
-        let content = self.slots[at].as_mut().unwrap();
-        content.keys.retain(|&(k, _)| k != key);
-        if content.keys.is_empty() {
-            self.slots[at] = None;
-            self.free.push(at);
+        for c in &mut self.queue {
+            c.keys.retain(|&(k, _)| k != key);
         }
+        self.queue.retain(|c| !c.keys.is_empty());
     }
 
     /// One `get_or_load` of `key`, whose file is at `version` and holds
     /// `content` there.
     fn lookup(&mut self, key: ModelKey, version: u64, content: &[u8]) {
         if let Some(hit) = self
-            .slots
+            .queue
             .iter_mut()
-            .flatten()
             .find(|c| c.keys.contains(&(key, version)))
         {
             hit.referenced = true;
@@ -111,19 +101,21 @@ impl NaiveSecondChance {
         }
         self.misses += 1;
         self.detach(key);
-        match self.slots.iter_mut().flatten().find(|c| c.bytes == content) {
-            // A dedup maps one more extent onto live bytes; only a hit
-            // sets the reference bit.
+        match self.queue.iter_mut().find(|c| c.bytes == content) {
+            // A dedup maps one more extent onto live bytes; it neither
+            // sets the reference bit nor moves the content.
             Some(same) => same.keys.push((key, version)),
             None => {
-                let fresh = Some(NaiveContent {
+                let fresh = NaiveContent {
                     bytes: content.to_vec(),
                     keys: vec![(key, version)],
                     referenced: false,
-                });
-                match self.free.pop() {
-                    Some(at) => self.slots[at] = fresh,
-                    None => self.slots.push(fresh),
+                };
+                self.admitted += 1;
+                if self.admitted.is_multiple_of(32) {
+                    self.queue.push_back(fresh);
+                } else {
+                    self.queue.push_front(fresh);
                 }
             }
         }
@@ -132,25 +124,21 @@ impl NaiveSecondChance {
 
     fn evict(&mut self) {
         while self.budget.is_some_and(|b| self.bytes() > b) {
-            let at = self.hand;
-            self.hand = (at + 1) % self.slots.len();
-            match &mut self.slots[at] {
-                None => {}
-                Some(c) if c.referenced => c.referenced = false,
-                Some(_) => {
-                    self.slots[at] = None;
-                    self.free.push(at);
-                    self.evicted += 1;
-                }
+            let mut c = self.queue.pop_front().unwrap();
+            if c.referenced {
+                c.referenced = false;
+                self.queue.push_back(c);
+            } else {
+                self.evicted += 1;
             }
         }
     }
 
     fn invalidate_file(&mut self, file: usize) {
-        let mut keys = self.keys();
-        keys.retain(|k| k.0 == file);
-        keys.sort_unstable();
-        keys.into_iter().for_each(|k| self.detach(k));
+        for c in &mut self.queue {
+            c.keys.retain(|&(k, _)| k.0 != file);
+        }
+        self.queue.retain(|c| !c.keys.is_empty());
     }
 }
 
@@ -315,14 +303,15 @@ proptest! {
         }
     }
 
-    /// The reader-writer-locked, slab-swept frame cache is observably the
-    /// naive second chance: same resident extents, bytes, evictions and
-    /// counters after every lookup, in-place rewrite, invalidation and
-    /// budget change. Fill bytes come from a pool of four and lengths from
-    /// two, so content deduplicates across extents and files; a rewrite
-    /// makes every cached extent of its file stale at once.
+    /// The reader-writer-locked, stamp-queued frame cache is observably
+    /// the naive bimodal insertion: same resident extents, bytes,
+    /// evictions and counters after every lookup, in-place rewrite,
+    /// invalidation and budget change. Fill bytes come from a pool of four
+    /// and lengths from two, so content deduplicates across extents and
+    /// files; a rewrite makes every cached extent of its file stale at
+    /// once.
     #[test]
-    fn frame_cache_matches_naive_second_chance(
+    fn frame_cache_matches_naive_bimodal(
         ops in proptest::collection::vec((0u8..16, 0usize..3, 0u64..6, 0u8..4, any::<bool>()), 1..250)
     ) {
         const SLOT: u64 = 32;
@@ -336,7 +325,7 @@ proptest! {
             fs.set_len(f, SLOT * SLOTS);
         }
         let cache = SnapshotFrameCache::new();
-        let mut naive = NaiveSecondChance::default();
+        let mut naive = NaiveBimodal::default();
         let mut lookups = 0;
         for (kind, file, slot, fill, long) in ops {
             let len = if long { SLOT } else { SLOT / 2 };
@@ -371,7 +360,7 @@ proptest! {
             prop_assert_eq!((st.hits, st.misses, st.raced), (naive.hits, naive.misses, 0));
             prop_assert_eq!(st.hits + st.misses + st.raced, lookups);
             prop_assert_eq!((st.bytes, st.evicted), (naive.bytes(), naive.evicted));
-            prop_assert_eq!(st.content_entries as usize, naive.live().count());
+            prop_assert_eq!(st.content_entries as usize, naive.queue.len());
             let resident = naive.keys();
             prop_assert_eq!(st.entries as usize, resident.len());
             for (i, &f) in files.iter().enumerate() {
