@@ -1,11 +1,11 @@
-//! Chaos sweep: concurrent cold-start batches served through a seeded,
+//! `chaos`: concurrent cold-start batches served through a seeded,
 //! *healing* fault plan — transient restore faults, one wire-corrupted
 //! WS read, an injected latency spike, and a whole shard killed before
 //! the first batch. The pinned invariant (same one the chaos proptests
 //! assert): **simulated outcomes are fault-invariant** — running with
 //! `--faults on` and `--faults off` must print byte-identical CSV
 //! columns, because every injected fault either retries, reloads, or
-//! re-routes without touching the timed pass. The `chaos-smoke` CI job
+//! re-routes without touching the timed pass. CI's `golden-smoke` job
 //! diffs exactly that. Recovery work and shard health go to stderr as
 //! machine-parseable CSV blocks (see below) so CI can assert on recovery
 //! counts; wall-clock stays in parenthesized comment lines that no
@@ -37,42 +37,12 @@ use sim_storage::{FaultInjector, FaultKind, FaultPlan, FaultRule, FaultScope};
 use vhive_cluster::{ClusterOrchestrator, ColdRequest};
 use vhive_core::ColdPolicy;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let seed: u64 = args
-        .iter()
-        .position(|a| a == "--seed")
-        .map(|i| {
-            args.get(i + 1)
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("--seed needs an unsigned integer"))
-        })
-        .unwrap_or(0xC0_FFEE);
-    let faults_on = args
-        .iter()
-        .position(|a| a == "--faults")
-        .map(|i| match args.get(i + 1).map(String::as_str) {
-            Some("on") => true,
-            Some("off") => false,
-            _ => panic!("--faults needs on|off"),
-        })
-        .unwrap_or(true);
-    let mut skip_value = false;
-    for a in &args {
-        if skip_value {
-            skip_value = false;
-            continue;
-        }
-        match a.as_str() {
-            "--seed" | "--faults" => skip_value = true,
-            "--quick" => {}
-            other if other.starts_with("--") => {
-                panic!("unknown flag {other}; supported: --quick, --seed N, --faults on|off")
-            }
-            _ => {}
-        }
-    }
+use crate::cli::Args;
+
+/// `chaos [--quick] [--seed N] [--faults on|off]`.
+pub fn run(a: &Args) -> Result<(), String> {
+    let (quick, faults_on) = (a.quick, a.faults);
+    let seed = a.seed.unwrap_or(0xC0_FFEE);
 
     // One shared request per function, distinct functions per batch:
     // same-function shared requests alias page-cache state (FileIds),
@@ -207,7 +177,7 @@ fn main() {
     }
     eprintln!("--- end health csv ---");
 
-    vhive_bench::emit(
+    crate::emit(
         &format!("Chaos sweep: {rounds} REAP batches, {shards} shards, seed {seed:#x}"),
         "Simulated columns are fault-invariant: rerun with --faults off and\n\
          the CSV block below is byte-identical (recovery retries, reloads\n\
@@ -215,4 +185,5 @@ fn main() {
          never the timed pass). Recovery + health details are on stderr.",
         &t,
     );
+    Ok(())
 }

@@ -1,8 +1,8 @@
 //! Trend-regression diffing between two saved report files.
 //!
-//! `metrics_report --diff baseline.txt current.txt` compares the CSV
+//! `vhive-bench metrics --diff baseline.txt current.txt` compares the CSV
 //! block two report runs printed (the `--- csv ---` fence every harness
-//! binary emits) group by group and flags tail-latency regressions:
+//! subcommand emits) group by group and flags tail-latency regressions:
 //! a group whose current P99 exceeds the baseline P99 by more than the
 //! allowed factor. Groups present on only one side are reported too —
 //! a vanished group usually means the workload changed, not the code.

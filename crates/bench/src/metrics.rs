@@ -1,7 +1,5 @@
-//! `metrics-report`: the telemetry and fleet-metrics query surface.
-//!
-//! Four modes, one flag parser (an unknown flag or a missing value is an
-//! error in every mode):
+//! `metrics`: the telemetry and fleet-metrics query surface, in four
+//! modes:
 //!
 //! * **Windowed rollup query** (default) — synthesize a span store, build
 //!   the windowed rollup (`telemetry/rollup-` batches), and answer a
@@ -33,137 +31,53 @@
 use functionbench::FunctionId;
 use sim_core::MetricsRegistry;
 use sim_storage::FileStore;
-use vhive_bench::diff::{diff_reports, parse_report_groups, DEFAULT_FACTOR};
 use vhive_cluster::ClusterOrchestrator;
 use vhive_core::ColdPolicy;
 use vhive_telemetry::{
     attribution_report, build_rollups, latency_report, synthesize, window_report, TelemetrySink,
 };
 
-const USAGE: &str = "supported: --synth N, --seed S, --shards K, --functions a,b,c, \
-                     --window-ms W, --window A..B, --exact [--invoke N], --expose, \
-                     --diff A B [--factor F]";
+use crate::cli::{Args, Mode};
+use crate::diff::{diff_reports, parse_report_groups};
 
-#[derive(Debug, Clone, PartialEq)]
-enum Mode {
-    Window,
-    Exact,
-    Expose,
-    Diff(String, String),
-}
+const SEED: u64 = 42;
+const SHARDS: u32 = 3;
 
-/// The parsed command line; `Default` is what a bare run uses.
-#[derive(Debug, Clone, PartialEq)]
-struct Args {
-    mode: Mode,
-    /// Synthetic spans to generate; 10000 when neither this nor `invoke` is given.
-    synth: Option<u64>,
-    invoke: Option<u64>,
-    seed: u64,
-    shards: u32,
-    functions: String,
-    window_ms: u64,
-    window: (u64, u64),
-    factor: f64,
-}
-
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            mode: Mode::Window,
-            synth: None,
-            invoke: None,
-            seed: 42,
-            shards: 3,
-            functions: "helloworld,chameleon,pyaes,json_serdes".into(),
-            window_ms: 1000,
-            window: (0, u64::MAX),
-            factor: DEFAULT_FACTOR,
-        }
-    }
-}
-
-fn num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("{flag}: cannot parse {value:?}"))
-}
-
-fn set_mode(a: &mut Args, mode: Mode) -> Result<(), String> {
-    if a.mode != Mode::Window {
-        return Err("--exact, --expose and --diff are mutually exclusive".into());
-    }
-    a.mode = mode;
-    Ok(())
-}
-
-/// Strict: every argument is a known flag or the value of one.
-fn parse(args: &[String]) -> Result<Args, String> {
-    let mut a = Args::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
-        match flag.as_str() {
-            "--exact" => set_mode(&mut a, Mode::Exact)?,
-            "--expose" => set_mode(&mut a, Mode::Expose)?,
-            "--diff" => set_mode(&mut a, Mode::Diff(value()?.clone(), value()?.clone()))?,
-            "--synth" => a.synth = Some(num(flag, value()?)?),
-            "--invoke" => a.invoke = Some(num(flag, value()?)?),
-            "--seed" => a.seed = num(flag, value()?)?,
-            "--shards" => a.shards = num(flag, value()?)?,
-            "--functions" => a.functions = value()?.clone(),
-            "--window-ms" => a.window_ms = num(flag, value()?)?,
-            "--window" => {
-                let (lo, hi) = value()?.split_once("..").ok_or("--window wants A..B")?;
-                a.window = (num(flag, lo)?, num(flag, hi)?);
-            }
-            "--factor" => a.factor = num(flag, value()?)?,
-            other => return Err(format!("unknown argument {other}")),
-        }
-    }
-    if a.invoke.is_some() && (a.synth.is_some() || a.mode != Mode::Exact) {
-        return Err("--invoke needs --exact and excludes --synth".into());
-    }
-    if a.shards == 0 || a.window_ms == 0 {
-        return Err("--shards and --window-ms must be at least 1".into());
-    }
-    Ok(a)
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let a = parse(&args).unwrap_or_else(|e| {
-        eprintln!("metrics_report: {e}\n{USAGE}");
-        std::process::exit(2);
-    });
+/// `metrics [--exact [--invoke N] | --expose | --diff A B [--factor F]] [flags]`.
+pub fn run(a: &Args) -> Result<(), String> {
     match &a.mode {
-        Mode::Window => run_window_query(&a),
-        Mode::Exact => run_exact(&a),
-        Mode::Expose => run_expose(&a),
-        Mode::Diff(baseline, current) => run_diff(baseline, current, a.factor),
+        Mode::Window => run_window_query(a),
+        Mode::Exact => run_exact(a),
+        Mode::Expose => run_expose(a),
+        Mode::Diff(baseline, current) => return run_diff(baseline, current, a.factor),
     }
+    Ok(())
 }
 
 /// The seeded synthetic span stream, flushed into a fresh store, and its
 /// length.
 fn synth_store(a: &Args) -> (FileStore, u64) {
     let store = FileStore::new();
-    let names: Vec<&str> = a.functions.split(',').filter(|s| !s.is_empty()).collect();
+    let names: Vec<&str> = a.span_functions.split(',').filter(|s| !s.is_empty()).collect();
     let n = a.synth.unwrap_or(10_000);
-    synthesize(&TelemetrySink::new(store.clone()), a.seed, n, a.shards, &names);
+    let (seed, shards) = (a.seed.unwrap_or(SEED), a.shards.unwrap_or(SHARDS));
+    synthesize(&TelemetrySink::new(store.clone()), seed, n, shards, &names);
     (store, n)
 }
 
 /// `--diff baseline current [--factor F]`: trend regression between two
 /// saved reports.
-fn run_diff(baseline_path: &str, current_path: &str, factor: f64) {
+fn run_diff(baseline_path: &str, current_path: &str, factor: f64) -> Result<(), String> {
     let read = |path: &str| {
-        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let groups = parse_report_groups(&text);
+        if groups.is_empty() {
+            return Err(format!("{path}: no report CSV found"));
+        }
+        Ok(groups)
     };
-    let baseline = parse_report_groups(&read(baseline_path));
-    let current = parse_report_groups(&read(current_path));
-    assert!(!baseline.is_empty(), "{baseline_path}: no report CSV found");
-    assert!(!current.is_empty(), "{current_path}: no report CSV found");
+    let baseline = read(baseline_path)?;
+    let current = read(current_path)?;
     let out = diff_reports(&baseline, &current, factor);
     println!(
         "== Metrics diff: {} baseline groups vs {} current, factor {factor} ==",
@@ -180,13 +94,14 @@ fn run_diff(baseline_path: &str, current_path: &str, factor: f64) {
         println!("{} P99 regression(s) beyond x{factor}", out.regressions);
         std::process::exit(1);
     }
+    Ok(())
 }
 
 /// `--expose`: deterministic cluster workload → Prometheus exposition.
 fn run_expose(a: &Args) {
-    let shards = a.shards as usize;
+    let shards = a.shards.unwrap_or(SHARDS) as usize;
     let registry = MetricsRegistry::new();
-    let mut c = ClusterOrchestrator::new(a.seed, shards);
+    let mut c = ClusterOrchestrator::new(a.seed.unwrap_or(SEED), shards);
     c.set_metrics(Some(registry.clone()));
     let funcs = [FunctionId::helloworld, FunctionId::pyaes];
     for f in funcs {
@@ -207,7 +122,7 @@ fn run_expose(a: &Args) {
 
 /// `--exact`: exact percentiles straight from the span batches.
 fn run_exact(a: &Args) {
-    let (seed, shards) = (a.seed, a.shards);
+    let (seed, shards) = (a.seed.unwrap_or(SEED), a.shards.unwrap_or(SHARDS));
     let (store, source, n) = if let Some(n) = a.invoke {
         // Real invocations: every function recorded once, then N cold
         // starts round-robined over the four policies (plus a warm hit
@@ -241,7 +156,7 @@ fn run_exact(a: &Args) {
     if let Some(warn) = report.scan.drop_warning() {
         println!("{warn}");
     }
-    vhive_bench::emit(
+    crate::emit(
         &format!(
             "Telemetry report: {n} {source} spans, {shards} shards, seed {seed}, \
              {} groups, {} batches ok, {} dropped",
@@ -259,7 +174,7 @@ fn run_exact(a: &Args) {
 
 /// Default mode: windowed rollup query + attribution, no raw rescan.
 fn run_window_query(a: &Args) {
-    let (seed, window_ms, (lo, hi)) = (a.seed, a.window_ms, a.window);
+    let (seed, window_ms, (lo, hi)) = (a.seed.unwrap_or(SEED), a.window_ms, a.window);
     let (store, synth) = synth_store(a);
 
     let (built, scan) = build_rollups(&store, window_ms * 1_000_000);
@@ -288,7 +203,7 @@ fn run_window_query(a: &Args) {
     } else {
         format!("[{lo}..{hi})")
     };
-    vhive_bench::emit(
+    crate::emit(
         &format!(
             "Windowed metrics: {synth} spans, {window_ms} ms windows, range {window_label}, \
              {} of {} spans covered, seed {seed}",
@@ -309,7 +224,7 @@ fn run_window_query(a: &Args) {
         }
     });
     let attribution = attribution_report(cells.iter().map(|(k, c)| (k, c)));
-    vhive_bench::emit(
+    crate::emit(
         &format!(
             "Virtual-time attribution, range {window_label}: where each policy's \
              latency goes"
@@ -320,47 +235,4 @@ fn run_window_query(a: &Args) {
          pipelining).",
         &attribution.table(),
     );
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn parse_str(line: &str) -> Result<Args, String> {
-        parse(&line.split_whitespace().map(String::from).collect::<Vec<_>>())
-    }
-
-    #[test]
-    fn defaults_of_both_report_modes() {
-        assert_eq!(parse_str("").unwrap(), Args::default());
-        let exact = Args {
-            mode: Mode::Exact,
-            ..Args::default()
-        };
-        assert_eq!(parse_str("--exact").unwrap(), exact);
-        let golden = parse_str("--exact --synth 1000000 --seed 7 --shards 4").unwrap();
-        assert_eq!((golden.synth, golden.seed, golden.shards), (Some(1_000_000), 7, 4));
-        assert_eq!(parse_str("--window 2..5").unwrap().window, (2, 5));
-    }
-
-    #[test]
-    fn unknown_flags_and_missing_values_are_errors_in_every_mode() {
-        for mode in ["", "--exact", "--expose", "--diff a.txt b.txt"] {
-            let unknown = parse_str(&format!("{mode} --sead 7")).unwrap_err();
-            assert!(unknown.contains("--sead"), "{mode}: {unknown}");
-            let missing = parse_str(&format!("{mode} --seed")).unwrap_err();
-            assert!(missing.contains("--seed needs a value"), "{mode}: {missing}");
-        }
-        assert!(parse_str("--diff only_one.txt").is_err());
-        assert!(parse_str("--seed seven").is_err());
-        assert!(parse_str("stray").is_err());
-    }
-
-    #[test]
-    fn invoke_lives_under_exact_and_excludes_synth() {
-        assert_eq!(parse_str("--exact --invoke 40").unwrap().invoke, Some(40));
-        assert!(parse_str("--invoke 40").is_err());
-        assert!(parse_str("--exact --synth 10 --invoke 40").is_err());
-        assert!(parse_str("--exact --expose").is_err());
-    }
 }

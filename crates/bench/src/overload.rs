@@ -1,10 +1,10 @@
-//! Overload sweep: goodput vs offered load, with the admission layer on
+//! `overload`: goodput vs offered load, with the admission layer on
 //! and off. Each load point offers `base × load` deadline-carrying REAP
 //! cold starts in one concurrent burst; the shared timed disk makes the
 //! un-shed storm contend itself past its deadlines, while the admission
 //! layer (bounded per-shard queues + per-function token buckets) sheds
 //! early so the survivors finish inside budget. The pinned claims the
-//! `overload-smoke` CI job asserts on this stdout:
+//! `golden-smoke` CI job asserts on this stdout:
 //!
 //! * **no hangs** — every offered request resolves to an explicit
 //!   disposition (`completed + shed_* + deadline_exceeded == offered`,
@@ -26,6 +26,8 @@ use vhive_cluster::{
     ShedReason,
 };
 use vhive_core::ColdPolicy;
+
+use crate::cli::Args;
 
 /// Deadline budget carried by every request. Generous for an uncontended
 /// cold start, hopeless for a request queued behind a 10× storm on the
@@ -79,43 +81,10 @@ fn burst(funcs: &[FunctionId], load: usize) -> Vec<ColdRequest> {
         .collect()
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let seed: u64 = args
-        .iter()
-        .position(|a| a == "--seed")
-        .map(|i| {
-            args.get(i + 1)
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("--seed needs an unsigned integer"))
-        })
-        .unwrap_or(0xC0_FFEE);
-    let admission_arg = args
-        .iter()
-        .position(|a| a == "--admission")
-        .map(|i| match args.get(i + 1).map(String::as_str) {
-            Some("on") => "on",
-            Some("off") => "off",
-            Some("both") => "both",
-            _ => panic!("--admission needs on|off|both"),
-        })
-        .unwrap_or("both");
-    let mut skip_value = false;
-    for a in &args {
-        if skip_value {
-            skip_value = false;
-            continue;
-        }
-        match a.as_str() {
-            "--seed" | "--admission" => skip_value = true,
-            "--quick" => {}
-            other if other.starts_with("--") => {
-                panic!("unknown flag {other}; supported: --quick, --seed N, --admission on|off|both")
-            }
-            _ => {}
-        }
-    }
+/// `overload [--quick] [--seed N] [--admission on|off|both]`.
+pub fn run(a: &Args) -> Result<(), String> {
+    let (quick, admission_arg) = (a.quick, a.admission);
+    let seed = a.seed.unwrap_or(0xC0_FFEE);
 
     let funcs: &[FunctionId] = if quick {
         &[FunctionId::helloworld, FunctionId::pyaes]
@@ -218,7 +187,7 @@ fn main() {
         }
     }
 
-    vhive_bench::emit(
+    crate::emit(
         &format!(
             "Overload sweep: {} functions, {shards} shards, {:.0} ms budget, seed {seed:#x}",
             funcs.len(),
@@ -232,4 +201,5 @@ fn main() {
         ),
         &t,
     );
+    Ok(())
 }

@@ -1,4 +1,4 @@
-//! Developer tool: inspect a function's REAP artifacts.
+//! `wsdump`, a developer tool: inspect a function's REAP artifacts.
 //!
 //! Records a working set for the named function (default `helloworld`)
 //! and dumps the trace/WS file structure: sizes, fault-order prefix,
@@ -11,11 +11,11 @@ use sim_core::Table;
 use vhive_core::detect::contiguity;
 use vhive_core::{read_trace_file, Orchestrator};
 
-fn main() {
-    let f: FunctionId = std::env::args()
-        .nth(1)
-        .map(|a| a.parse().unwrap_or_else(|e| panic!("{e}")))
-        .unwrap_or(FunctionId::helloworld);
+use crate::cli::Args;
+
+/// `wsdump [FUNCTION]`.
+pub fn run(a: &Args) -> Result<(), String> {
+    let f = a.functions.first().copied().unwrap_or(FunctionId::helloworld);
     let mut orch = Orchestrator::new(0xD0_D0);
     orch.register(f);
     let record = orch.invoke_record(f);
@@ -60,4 +60,5 @@ fn main() {
         "contiguity: mean region {:.2} pages over {} regions",
         stats.mean_run, stats.regions
     );
+    Ok(())
 }

@@ -64,7 +64,7 @@ pub mod sweep;
 
 pub use admission::{AdmissionConfig, RateLimit, ShedPolicy};
 pub use orchestrator::{ClusterBatch, ClusterOrchestrator, ShardHealth};
-pub use sweep::{cluster_concurrent, shard_lane_sweep, ClusterScalePoint};
+pub use sweep::{cluster_concurrent, shard_sweep, ClusterScalePoint};
 pub use vhive_core::{ColdRequest, Disposition, ShedReason};
 
 use functionbench::FunctionId;

@@ -12,7 +12,7 @@ use sim_storage::{
     FileStore, FrameCacheStats, SnapshotFrameCache,
 };
 use vhive_core::{
-    ColdAbort, ColdPolicy, ColdRequest, Disposition, HostCostModel, InstanceFiles,
+    ColdAbort, ColdPolicy, ColdRequest, Disposition, InstanceFiles,
     InvocationOutcome, Orchestrator, PreparedCold, RegisterInfo, ReapFiles,
 };
 use vhive_telemetry::TelemetrySink;
@@ -313,21 +313,6 @@ impl ClusterOrchestrator {
         self.shards[index].fs().detach_injector();
         self.health[index] = ShardHealth::Healthy;
         self.note_health_transition("healthy");
-    }
-
-    /// The shared host cost model (shards are kept uniform; reads come
-    /// from shard 0).
-    pub fn costs(&self) -> &HostCostModel {
-        self.shards[0].costs()
-    }
-
-    /// Applies `update` to **every** shard's cost model, keeping the
-    /// cluster uniform (the lane sweeps use this to set
-    /// [`HostCostModel::prefetch_lanes`]).
-    pub fn update_costs(&mut self, update: impl Fn(&mut HostCostModel)) {
-        for shard in &mut self.shards {
-            update(shard.costs_mut());
-        }
     }
 
     /// The cluster-wide snapshot frame cache (all shards share one
@@ -775,15 +760,6 @@ mod tests {
         let batch = c.invoke_concurrent(&[]);
         assert!(batch.outcomes.is_empty());
         assert_eq!(batch.makespan, SimDuration::ZERO);
-    }
-
-    #[test]
-    fn update_costs_reaches_every_shard() {
-        let mut c = ClusterOrchestrator::new(7, 3);
-        c.update_costs(|costs| costs.prefetch_lanes = 4);
-        for k in 0..c.num_shards() {
-            assert_eq!(c.shard(k).costs().prefetch_lanes, 4);
-        }
     }
 
     #[test]

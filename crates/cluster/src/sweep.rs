@@ -1,17 +1,10 @@
 //! Cluster-scale concurrency sweeps: the Fig 9 methodology (§6.5) run
-//! through the sharded control plane, sweeping shard count × modeled
-//! prefetch lanes.
+//! through the sharded control plane, sweeping the shard count.
 //!
-//! Two different axes move here, and they are deliberately orthogonal:
-//!
-//! * **lanes** ([`vhive_core::HostCostModel::prefetch_lanes`]) change the
-//!   compiled timed programs, so *simulated* latency moves — the overlap
-//!   the lane pipeline buys shrinks as concurrency saturates the shared
-//!   disk bus;
-//! * **shards** change only where control-plane work runs, so *simulated*
-//!   latency is invariant (one shared disk either way — pinned by
-//!   proptests) while the *wall-clock* serving time drops with available
-//!   cores ([`ClusterScalePoint::serve_wall`]).
+//! Shards change only where control-plane work runs, so *simulated*
+//! latency is invariant (one shared disk either way — pinned by
+//! proptests) while the *wall-clock* serving time drops with available
+//! cores ([`ClusterScalePoint::serve_wall`]).
 
 use std::time::Duration;
 
@@ -26,16 +19,12 @@ use crate::{ClusterOrchestrator, ColdRequest};
 pub struct ClusterScalePoint {
     /// Shard count of the cluster that served the batch.
     pub shards: usize,
-    /// Modeled prefetch lanes the timed programs ran with.
-    pub model_lanes: usize,
     /// Number of concurrently-arriving instances.
     pub concurrency: usize,
     /// Restore policy.
     pub policy: ColdPolicy,
     /// Mean per-instance cold-start latency (simulated).
     pub mean_latency: SimDuration,
-    /// Slowest instance (simulated).
-    pub max_latency: SimDuration,
     /// Simulated makespan (all instances done).
     pub makespan: SimDuration,
     /// Aggregate useful disk throughput in MB/s (§6.5's metric).
@@ -69,19 +58,15 @@ pub fn cluster_concurrent(
     let batch = cluster.invoke_concurrent(&reqs);
 
     let mut stats = OnlineStats::new();
-    let mut max_latency = SimDuration::ZERO;
     for out in &batch.outcomes {
         stats.add(out.latency.as_secs_f64());
-        max_latency = max_latency.max(out.latency);
     }
     let secs = batch.makespan.as_secs_f64().max(1e-9);
     ClusterScalePoint {
         shards: cluster.num_shards(),
-        model_lanes: cluster.costs().prefetch_lanes,
         concurrency: n,
         policy,
         mean_latency: SimDuration::from_secs_f64(stats.mean()),
-        max_latency,
         makespan: batch.makespan,
         useful_mbps: batch.disk_stats.useful_bytes_read as f64 / secs / 1e6,
         device_mbps: batch.disk_stats.device_bytes_read as f64 / secs / 1e6,
@@ -89,39 +74,35 @@ pub fn cluster_concurrent(
     }
 }
 
-/// The full shard × lane sweep: for every shard count a fresh cluster is
-/// built (same seed, same functions, working sets recorded), then every
-/// modeled lane count is applied cluster-wide and one concurrent batch of
-/// `n` instances is served. Points come back in `(shard, lane)`
-/// lexicographic order.
+/// The full shard sweep: for every shard count a fresh cluster is built
+/// (same seed, same functions, working sets recorded) and serves one
+/// concurrent batch of `n` instances. Points come back in `shard_counts`
+/// order.
 ///
 /// # Panics
 ///
 /// As [`cluster_concurrent`]; additionally if `shard_counts` contains
 /// zero.
-pub fn shard_lane_sweep(
+pub fn shard_sweep(
     seed: u64,
     funcs: &[FunctionId],
     policy: ColdPolicy,
     shard_counts: &[usize],
-    lane_counts: &[usize],
     n: usize,
 ) -> Vec<ClusterScalePoint> {
-    let mut points = Vec::with_capacity(shard_counts.len() * lane_counts.len());
-    for &shards in shard_counts {
-        let mut cluster = ClusterOrchestrator::new(seed, shards);
-        for &f in funcs {
-            cluster.register(f);
-            if policy.uses_ws() {
-                cluster.invoke_record(f);
+    shard_counts
+        .iter()
+        .map(|&shards| {
+            let mut cluster = ClusterOrchestrator::new(seed, shards);
+            for &f in funcs {
+                cluster.register(f);
+                if policy.uses_ws() {
+                    cluster.invoke_record(f);
+                }
             }
-        }
-        for &lanes in lane_counts {
-            cluster.update_costs(|c| c.prefetch_lanes = lanes.max(1));
-            points.push(cluster_concurrent(&mut cluster, funcs, policy, n));
-        }
-    }
-    points
+            cluster_concurrent(&mut cluster, funcs, policy, n)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -137,33 +118,30 @@ mod tests {
             c.invoke_record(f);
         }
         let p = cluster_concurrent(&mut c, &funcs, ColdPolicy::Reap, 8);
-        assert_eq!((p.shards, p.model_lanes, p.concurrency), (2, 1, 8));
+        assert_eq!((p.shards, p.concurrency), (2, 8));
         assert!(p.mean_latency > SimDuration::ZERO);
-        assert!(p.max_latency >= p.mean_latency);
-        assert!(p.makespan >= p.max_latency);
+        assert!(p.makespan >= p.mean_latency);
         assert!(p.useful_mbps > 0.0);
     }
 
     #[test]
-    fn simulated_results_are_shard_invariant_but_lanes_move_them() {
-        // The core contract of the sweep in one test: across shard
-        // counts the simulated point is identical; across lane counts it
-        // is not (the programs change).
+    fn simulated_results_are_shard_invariant() {
+        // The core contract of the sweep: across shard counts the
+        // simulated point is identical.
         let funcs = [FunctionId::helloworld];
-        let pts = shard_lane_sweep(5, &funcs, ColdPolicy::Reap, &[1, 2], &[1, 4], 4);
-        assert_eq!(pts.len(), 4);
+        let pts = shard_sweep(5, &funcs, ColdPolicy::Reap, &[1, 2, 4], 4);
+        assert_eq!(pts.len(), 3);
         let key = |p: &ClusterScalePoint| {
             (
                 p.mean_latency,
-                p.max_latency,
                 p.makespan,
                 p.useful_mbps.to_bits(),
                 p.device_mbps.to_bits(),
             )
         };
-        assert_eq!(key(&pts[0]), key(&pts[2]), "1-shard vs 2-shard, lanes=1");
-        assert_eq!(key(&pts[1]), key(&pts[3]), "1-shard vs 2-shard, lanes=4");
-        assert_ne!(key(&pts[0]), key(&pts[1]), "lane count must move the model");
+        for p in &pts[1..] {
+            assert_eq!(key(&pts[0]), key(p), "1-shard vs {}-shard", p.shards);
+        }
     }
 
     #[test]

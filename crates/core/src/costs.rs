@@ -47,16 +47,6 @@ pub struct HostCostModel {
     /// Per-page cost of building the WS file after the recorded
     /// invocation completes (copying pages into the compact file).
     pub ws_build_per_page: SimDuration,
-    /// Modeled prefetch lanes for the REAP timed pass. `1` (the default)
-    /// reproduces the paper's design exactly: one sequential `O_DIRECT`
-    /// WS-file read, then the eager install — fetch and install strictly
-    /// sequential. Values above 1 switch the compiled program to a
-    /// [`crate::TimedStep::PipelinedPrefetch`] step that keeps up to this
-    /// many extent fetches in flight while installs drain on the monitor
-    /// thread, modeling the overlap the lane pipeline buys (swept by
-    /// `fig7`'s lane table). This knob changes simulated latency by
-    /// design.
-    pub prefetch_lanes: usize,
 }
 
 impl Default for HostCostModel {
@@ -72,7 +62,6 @@ impl Default for HostCostModel {
             install_serial_per_page: SimDuration::from_micros(35),
             record_fault_extra: SimDuration::from_micros(12),
             ws_build_per_page: SimDuration::from_micros(3),
-            prefetch_lanes: 1,
         }
     }
 }

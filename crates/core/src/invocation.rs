@@ -192,23 +192,6 @@ pub enum TimedStep {
         /// Serialized per-page install cost.
         per_item_cpu: SimDuration,
     },
-    /// The prefetch-lane engine: the WS file's page data split into at
-    /// most `lanes` byte-balanced chunks, each fetched with its own
-    /// `O_DIRECT` read, all in flight at once; each chunk's eager install
-    /// chains onto the monitor thread as its fetch completes — fetch
-    /// overlapped with install instead of the strictly sequential
-    /// read-everything-then-install-everything of the single-lane REAP
-    /// design.
-    PipelinedPrefetch {
-        /// The WS file.
-        file: FileId,
-        /// `(byte offset in the WS file, pages)` per lane chunk.
-        extents: Vec<(u64, u64)>,
-        /// Maximum chunk fetches in flight.
-        lanes: usize,
-        /// Per-page install cost on the monitor thread.
-        per_page_cpu: SimDuration,
-    },
 }
 
 /// A complete timed program for one instance.
@@ -240,31 +223,8 @@ pub struct ColdRunSpec<'a> {
     /// Page indices for the Parallel-PFs fan-out (from the trace file);
     /// ignored by other policies.
     pub pf_pages: Vec<u64>,
-    /// WS-file extents as `(byte offset, pages)` (from the WS layout);
-    /// consulted only when `costs.prefetch_lanes > 1` under
-    /// [`ColdPolicy::Reap`] to build the pipelined-prefetch step.
-    pub ws_extents: Vec<(u64, u64)>,
     /// Arrival time.
     pub arrival: SimTime,
-}
-
-/// Coalesces the WS layout's extents — whose page data is stored
-/// back-to-back in the WS file — into at most `lanes` byte-balanced fetch
-/// chunks, one contiguous read per lane
-/// ([`sim_core::partition_by_weight`]). Pure arithmetic: identical on
-/// every host, so the compiled program depends only on the cost model.
-fn lane_chunks(extents: &[(u64, u64)], lanes: usize) -> Vec<(u64, u64)> {
-    let weights: Vec<u64> = extents
-        .iter()
-        .map(|&(_, pages)| pages * PAGE_SIZE as u64)
-        .collect();
-    sim_core::partition_by_weight(&weights, lanes)
-        .into_iter()
-        .map(|(s, e)| {
-            let pages = extents[s..e].iter().map(|&(_, p)| p).sum();
-            (extents[s].0, pages)
-        })
-        .collect()
 }
 
 fn push_trace(steps: &mut Vec<TimedStep>, trace: &ExecutionTrace, costs: &HostCostModel, files: &InstanceFiles, recording: bool) {
@@ -341,39 +301,23 @@ pub fn build_cold_program(spec: &ColdRunSpec<'_>) -> InstanceProgram {
                 offset: 0,
                 len: reap.trace_bytes(),
             });
-            if spec.policy == ColdPolicy::Reap
-                && costs.prefetch_lanes > 1
-                && !spec.ws_extents.is_empty()
-            {
-                // Lane pipeline: per-lane O_DIRECT chunk fetches overlap
-                // the eager installs. The whole overlapped stretch is
-                // accounted to FetchWs (install time hides behind I/O).
-                steps.push(TimedStep::PipelinedPrefetch {
+            if spec.policy == ColdPolicy::Reap {
+                // §5.2.3: one big O_DIRECT read, bypassing the page cache.
+                steps.push(TimedStep::DirectRead {
                     file: reap.ws_file,
-                    extents: lane_chunks(&spec.ws_extents, costs.prefetch_lanes),
-                    lanes: costs.prefetch_lanes,
-                    per_page_cpu: costs.install_batch_per_page,
+                    offset: 0,
+                    len: reap.ws_bytes(),
+                    sequential: true,
                 });
             } else {
-                if spec.policy == ColdPolicy::Reap {
-                    // §5.2.3: one big O_DIRECT read, bypassing the page
-                    // cache.
-                    steps.push(TimedStep::DirectRead {
-                        file: reap.ws_file,
-                        offset: 0,
-                        len: reap.ws_bytes(),
-                        sequential: true,
-                    });
-                } else {
-                    steps.push(TimedStep::BufferedRead {
-                        file: reap.ws_file,
-                        offset: 0,
-                        len: reap.ws_bytes(),
-                    });
-                }
-                steps.push(TimedStep::Phase(Phase::InstallWs));
-                steps.push(TimedStep::Cpu(costs.install_batch_per_page * reap.pages));
+                steps.push(TimedStep::BufferedRead {
+                    file: reap.ws_file,
+                    offset: 0,
+                    len: reap.ws_bytes(),
+                });
             }
+            steps.push(TimedStep::Phase(Phase::InstallWs));
+            steps.push(TimedStep::Cpu(costs.install_batch_per_page * reap.pages));
         }
     }
 
@@ -506,7 +450,6 @@ mod tests {
                 conn_trace: conn,
                 proc_trace: proc,
                 pf_pages: vec![1, 2],
-                ws_extents: Vec::new(),
                 arrival: SimTime::ZERO,
             },
             costs,
@@ -542,34 +485,6 @@ mod tests {
             .steps
             .iter()
             .any(|s| matches!(s, TimedStep::Phase(Phase::InstallWs))));
-    }
-
-    #[test]
-    fn laned_reap_program_uses_pipelined_prefetch() {
-        let (mut spec, _) = spec_for(ColdPolicy::Reap, false);
-        let costs: &'static HostCostModel = Box::leak(Box::new(HostCostModel {
-            prefetch_lanes: 4,
-            ..HostCostModel::default()
-        }));
-        spec.costs = costs;
-        spec.ws_extents = vec![(32, 1), (32 + 4096, 1)];
-        let prog = build_cold_program(&spec);
-        assert!(prog.steps.iter().any(|s| matches!(
-            s,
-            TimedStep::PipelinedPrefetch { lanes: 4, extents, .. } if extents.len() == 2
-        )));
-        // The pipelined step replaces both the big read and the serial
-        // install phase.
-        assert!(!prog.steps.iter().any(|s| matches!(s, TimedStep::DirectRead { .. })));
-        assert!(!prog
-            .steps
-            .iter()
-            .any(|s| matches!(s, TimedStep::Phase(Phase::InstallWs))));
-        // Without extents, the same knob falls back to the sequential
-        // program shape.
-        spec.ws_extents = Vec::new();
-        let prog = build_cold_program(&spec);
-        assert!(prog.steps.iter().any(|s| matches!(s, TimedStep::DirectRead { .. })));
     }
 
     #[test]

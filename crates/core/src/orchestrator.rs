@@ -586,11 +586,6 @@ impl Orchestrator {
         &self.costs
     }
 
-    /// Mutable cost model (for ablations).
-    pub fn costs_mut(&mut self) -> &mut HostCostModel {
-        &mut self.costs
-    }
-
     /// The backing file store.
     pub fn fs(&self) -> &FileStore {
         &self.fs
@@ -1091,20 +1086,6 @@ impl Orchestrator {
         } else {
             Vec::new()
         };
-        // The pipelined-prefetch step needs the WS file's extent layout;
-        // shadow WS files share the real file's layout (only cache
-        // identity differs), so it always comes from the real artifacts.
-        let ws_extents = if policy == ColdPolicy::Reap && self.costs.prefetch_lanes > 1 {
-            let real = self.state(f).reap.expect("Reap needs a recorded WS file");
-            crate::ws_file::read_ws_layout(&self.fs, real.ws_file)
-                .expect("WS file readable")
-                .extents
-                .into_iter()
-                .map(|(run, data_at)| (data_at, run.len))
-                .collect()
-        } else {
-            Vec::new()
-        };
         build_cold_program(&ColdRunSpec {
             policy,
             record,
@@ -1114,7 +1095,6 @@ impl Orchestrator {
             conn_trace: &run.conn_trace,
             proc_trace: &run.proc_trace,
             pf_pages,
-            ws_extents,
             arrival,
         })
     }

@@ -1,4 +1,4 @@
-//! Reporting helpers shared by the figure binaries.
+//! Reporting helpers shared by the figure subcommands.
 
 use sim_core::stats::geo_mean;
 use sim_core::SimDuration;

@@ -21,13 +21,8 @@ pub struct ScalePoint {
     pub concurrency: usize,
     /// Restore policy.
     pub policy: ColdPolicy,
-    /// Modeled prefetch lanes the timed pass ran with
-    /// ([`crate::HostCostModel::prefetch_lanes`]; 1 = the paper's design).
-    pub model_lanes: usize,
     /// Mean per-instance cold-start latency.
     pub mean_latency: SimDuration,
-    /// Slowest instance.
-    pub max_latency: SimDuration,
     /// Makespan (all instances done).
     pub makespan: SimDuration,
     /// Aggregate *useful* disk throughput in MB/s (the §6.5 metric:
@@ -63,21 +58,17 @@ pub fn run_concurrent(orch: &mut Orchestrator, f: FunctionId, policy: ColdPolicy
     let (results, disk) = orch.run_timed(programs);
 
     let mut stats = OnlineStats::new();
-    let mut max_latency = SimDuration::ZERO;
     let mut makespan = SimDuration::ZERO;
     for r in &results {
         let l = r.latency();
         stats.add(l.as_secs_f64());
-        max_latency = max_latency.max(l);
         makespan = makespan.max(r.end - SimTime::ZERO);
     }
     let secs = makespan.as_secs_f64().max(1e-9);
     ScalePoint {
         concurrency: n,
         policy,
-        model_lanes: orch.costs().prefetch_lanes,
         mean_latency: SimDuration::from_secs_f64(stats.mean()),
-        max_latency,
         makespan,
         useful_mbps: disk.useful_bytes_read as f64 / secs / 1e6,
         device_mbps: disk.device_bytes_read as f64 / secs / 1e6,
@@ -90,29 +81,6 @@ pub fn concurrency_sweep(orch: &mut Orchestrator, f: FunctionId, policy: ColdPol
         .iter()
         .map(|&n| run_concurrent(orch, f, policy, n))
         .collect()
-}
-
-/// The ROADMAP's lane-aware sweep (Fig 9b): the same concurrency level
-/// re-run while sweeping the *modeled* prefetch-lane count
-/// ([`crate::HostCostModel::prefetch_lanes`]) — how much of the lane
-/// pipeline's overlap survives once `concurrency` instances contend for
-/// the shared disk bus. The orchestrator's original lane setting is
-/// restored afterwards.
-///
-/// # Panics
-///
-/// As [`run_concurrent`].
-pub fn lane_sweep(orch: &mut Orchestrator, f: FunctionId, policy: ColdPolicy, concurrency: usize, lanes: &[usize]) -> Vec<ScalePoint> {
-    let original = orch.costs().prefetch_lanes;
-    let points = lanes
-        .iter()
-        .map(|&l| {
-            orch.costs_mut().prefetch_lanes = l.max(1);
-            run_concurrent(orch, f, policy, concurrency)
-        })
-        .collect();
-    orch.costs_mut().prefetch_lanes = original;
-    points
 }
 
 /// §6.3's robustness check: a cold invocation while `n_warm` warm,
@@ -213,25 +181,6 @@ mod tests {
             p.useful_mbps
         );
         assert!(p.device_mbps > 1.5 * p.useful_mbps);
-    }
-
-    #[test]
-    fn lane_sweep_overlaps_install_at_low_concurrency() {
-        let f = FunctionId::helloworld;
-        let mut o = prepared(f);
-        let points = lane_sweep(&mut o, f, ColdPolicy::Reap, 1, &[1, 4]);
-        assert_eq!(points[0].model_lanes, 1);
-        assert_eq!(points[1].model_lanes, 4);
-        // Solo instance: the pipelined fetch hides the install (Fig 7b's
-        // 55 -> 50 ms on helloworld).
-        assert!(
-            points[1].mean_latency < points[0].mean_latency,
-            "lanes=4 {:.1} ms should beat lanes=1 {:.1} ms solo",
-            points[1].mean_latency.as_millis_f64(),
-            points[0].mean_latency.as_millis_f64()
-        );
-        // The sweep must not leak its lane setting into the orchestrator.
-        assert_eq!(o.costs().prefetch_lanes, 1);
     }
 
     #[test]

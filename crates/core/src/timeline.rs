@@ -30,23 +30,12 @@ impl InstanceResult {
     }
 }
 
-/// One queued fetch of the fan-out engines: a byte range plus the pages
-/// its serialized install covers and the access pattern it is issued
-/// with.
-#[derive(Debug, Clone, Copy)]
-struct FetchItem {
-    offset: u64,
-    len: u64,
-    install_pages: u64,
-    access: Access,
-}
-
-/// In-flight state of a fan-out step ([`TimedStep::ParallelPageReads`] or
-/// [`TimedStep::PipelinedPrefetch`]): up to `width` fetches outstanding,
-/// installs chained on one monitor thread (`install_free`).
+/// In-flight state of a [`TimedStep::ParallelPageReads`] step: up to
+/// `concurrency` 4 KB page fetches outstanding, installs chained on one
+/// monitor thread (`install_free`).
 #[derive(Debug)]
 struct ParState {
-    pending: std::collections::VecDeque<FetchItem>,
+    pending: std::collections::VecDeque<u64>,
     outstanding: usize,
     install_free: SimTime,
     per_page_cpu: SimDuration,
@@ -68,9 +57,8 @@ struct InstState {
 #[derive(Debug, Clone, Copy)]
 enum Ev {
     Advance(usize),
-    /// A fan-out fetch completed for instance `.0`, covering `.1` pages
-    /// of serialized install work.
-    ParDone(usize, u64),
+    /// A fan-out page fetch completed for instance `.0`.
+    ParDone(usize),
 }
 
 /// The event-driven host simulator.
@@ -118,9 +106,7 @@ impl Timeline {
         while let Some((now, ev)) = queue.pop() {
             match ev {
                 Ev::Advance(i) => self.advance(&mut instances[i], i, now, &mut queue),
-                Ev::ParDone(i, pages) => {
-                    self.parallel_completion(&mut instances[i], i, pages, now, &mut queue)
-                }
+                Ev::ParDone(i) => self.parallel_completion(&mut instances[i], i, now, &mut queue),
             }
         }
 
@@ -208,98 +194,48 @@ impl Timeline {
                     concurrency,
                     per_item_cpu,
                 } => {
-                    let items = pages
-                        .iter()
-                        .map(|&page| FetchItem {
-                            offset: page * PAGE_SIZE,
-                            len: PAGE_SIZE,
-                            install_pages: 1,
-                            access: Access::Random,
-                        })
-                        .collect();
-                    if self.launch_fanout(inst, i, now, queue, *file, items, *concurrency, *per_item_cpu) {
-                        return;
+                    if pages.is_empty() {
+                        inst.pc += 1;
+                        continue;
                     }
-                }
-                TimedStep::PipelinedPrefetch {
-                    file,
-                    extents,
-                    lanes,
-                    per_page_cpu,
-                } => {
-                    // Each lane chunk is an independent stream starting at
-                    // its own file position: one seek each, then a bulk
-                    // transfer on the shared bus.
-                    let items = extents
-                        .iter()
-                        .map(|&(offset, pages)| FetchItem {
-                            offset,
-                            len: pages * PAGE_SIZE,
-                            install_pages: pages,
-                            access: Access::Random,
-                        })
-                        .collect();
-                    if self.launch_fanout(inst, i, now, queue, *file, items, *lanes, *per_page_cpu) {
-                        return;
+                    let mut par = ParState {
+                        pending: pages.iter().copied().collect(),
+                        outstanding: 0,
+                        install_free: now,
+                        per_page_cpu: *per_item_cpu,
+                        file: *file,
+                    };
+                    let first_wave = (*concurrency).min(par.pending.len()).max(1);
+                    for _ in 0..first_wave {
+                        let page = par.pending.pop_front().expect("non-empty");
+                        self.fetch_page(&mut par, i, page, now, queue);
                     }
+                    inst.par = Some(par);
+                    return;
                 }
             }
         }
     }
 
-    /// Starts a fan-out step: submits the first wave of up to `width`
-    /// fetches. Returns false (and skips the step) when there is nothing
-    /// to fetch.
-    #[allow(clippy::too_many_arguments)]
-    fn launch_fanout(
-        &mut self,
-        inst: &mut InstState,
-        i: usize,
-        now: SimTime,
-        queue: &mut EventQueue<Ev>,
-        file: sim_storage::FileId,
-        items: Vec<FetchItem>,
-        width: usize,
-        per_page_cpu: SimDuration,
-    ) -> bool {
-        if items.is_empty() {
-            inst.pc += 1;
-            return false;
-        }
-        let mut par = ParState {
-            pending: items.into(),
-            outstanding: 0,
-            install_free: now,
-            per_page_cpu,
-            file,
-        };
-        let first_wave = width.min(par.pending.len()).max(1);
-        for _ in 0..first_wave {
-            let item = par.pending.pop_front().expect("non-empty");
-            let out = self
-                .disk
-                .read_direct(now, par.file, item.offset, item.len, item.access);
-            par.outstanding += 1;
-            queue.push(out.ready, Ev::ParDone(i, item.install_pages));
-        }
-        inst.par = Some(par);
-        true
+    /// Submits one 4 KB `O_DIRECT` page fetch of a fan-out step.
+    fn fetch_page(&mut self, par: &mut ParState, i: usize, page: u64, now: SimTime, queue: &mut EventQueue<Ev>) {
+        let out = self
+            .disk
+            .read_direct(now, par.file, page * PAGE_SIZE, PAGE_SIZE, Access::Random);
+        par.outstanding += 1;
+        queue.push(out.ready, Ev::ParDone(i));
     }
 
     /// One parallel fetch completed: chain its serialized install, launch
     /// the next fetch, and advance the instance when everything drains.
-    fn parallel_completion(&mut self, inst: &mut InstState, i: usize, pages: u64, now: SimTime, queue: &mut EventQueue<Ev>) {
+    fn parallel_completion(&mut self, inst: &mut InstState, i: usize, now: SimTime, queue: &mut EventQueue<Ev>) {
         let par = inst.par.as_mut().expect("parallel state active");
         par.outstanding -= 1;
         // Installs are serialized on the monitor thread (§6.2's Parallel
-        // PFs bottleneck; the lane pipeline's monitor drain).
-        par.install_free = par.install_free.max(now) + par.per_page_cpu * pages;
-        if let Some(item) = par.pending.pop_front() {
-            let out = self
-                .disk
-                .read_direct(now, par.file, item.offset, item.len, item.access);
-            par.outstanding += 1;
-            queue.push(out.ready, Ev::ParDone(i, item.install_pages));
+        // PFs bottleneck).
+        par.install_free = par.install_free.max(now) + par.per_page_cpu;
+        if let Some(page) = par.pending.pop_front() {
+            self.fetch_page(par, i, page, now, queue);
         } else if par.outstanding == 0 {
             let resume = par.install_free.max(now);
             inst.par = None;
@@ -435,75 +371,6 @@ mod tests {
         assert!(r.latency() < SimDuration::from_micros(125) * 64);
         // Sequential-read sanity: exactly 64 device reads happened.
         assert_eq!(tl.disk_stats().device_reads, 64);
-    }
-
-    #[test]
-    fn pipelined_prefetch_beats_sequential_fetch_then_install() {
-        // 8 MB of WS data in 4 lane chunks vs one big read followed by a
-        // serial install of the same pages.
-        let (fs, _) = files();
-        let ws = fs.create("ws");
-        let total_pages = 2048u64;
-        let per_page = SimDuration::from_micros(3);
-        let chunk_pages = total_pages / 4;
-        let chunks: Vec<(u64, u64)> = (0..4)
-            .map(|i| (32 + i * chunk_pages * PAGE_SIZE, chunk_pages))
-            .collect();
-        let pipelined = InstanceProgram {
-            arrival: SimTime::ZERO,
-            steps: vec![
-                TimedStep::Phase(Phase::FetchWs),
-                TimedStep::PipelinedPrefetch {
-                    file: ws,
-                    extents: chunks,
-                    lanes: 4,
-                    per_page_cpu: per_page,
-                },
-            ],
-        };
-        let sequential = InstanceProgram {
-            arrival: SimTime::ZERO,
-            steps: vec![
-                TimedStep::Phase(Phase::FetchWs),
-                TimedStep::DirectRead {
-                    file: ws,
-                    offset: 32,
-                    len: total_pages * PAGE_SIZE,
-                    sequential: true,
-                },
-                TimedStep::Phase(Phase::InstallWs),
-                TimedStep::Cpu(per_page * total_pages),
-            ],
-        };
-        let mut tl = Timeline::new(Disk::ssd(), 48);
-        let piped = tl.run(vec![pipelined]).remove(0);
-        let mut tl = Timeline::new(Disk::ssd(), 48);
-        let serial = tl.run(vec![sequential]).remove(0);
-        // The pipeline hides (most of) the install behind the fetch.
-        assert!(
-            piped.latency() < serial.latency(),
-            "pipelined {:?} >= sequential {:?}",
-            piped.latency(),
-            serial.latency()
-        );
-        // But it can never beat the fetch bound itself.
-        assert!(piped.latency() > serial.breakdown.fetch_ws / 2);
-        // Empty chunk list is a no-op step.
-        let empty = InstanceProgram {
-            arrival: SimTime::ZERO,
-            steps: vec![
-                TimedStep::Phase(Phase::FetchWs),
-                TimedStep::PipelinedPrefetch {
-                    file: ws,
-                    extents: vec![],
-                    lanes: 4,
-                    per_page_cpu: per_page,
-                },
-                TimedStep::Cpu(ms(1)),
-            ],
-        };
-        let mut tl = Timeline::new(Disk::ssd(), 2);
-        assert_eq!(tl.run(vec![empty]).remove(0).latency(), ms(1));
     }
 
     #[test]

@@ -1,32 +1,29 @@
 //! Lane scheduling: deterministic partitioning of weighted work across a
-//! bounded number of parallel lanes.
+//! bounded number of serving threads.
 //!
-//! Two users share this arithmetic: the cluster deals a batch's shards
-//! into serving lanes (one scoped thread each, `vhive-cluster`'s
-//! `invoke_concurrent`), and the timed pass deals a working set's extents
-//! into the fetch chunks of a modeled lane pipeline (`vhive-core`'s
-//! `invocation::lane_chunks`, sized by `HostCostModel::prefetch_lanes`):
+//! The cluster deals a batch's busy shards into serving lanes, one scoped
+//! thread each (`vhive-cluster`'s `invoke_concurrent`):
 //!
 //! * [`effective_lanes`] gates a requested *thread* count on the host's
 //!   `available_parallelism` (exactly like [`crate::parcopy`]'s copy
 //!   fan-out) — on a 1-vCPU container everything stays serial;
 //! * [`partition_by_weight`] deals weighted items (shards keyed by
-//!   request count, extents keyed by byte length) into contiguous,
-//!   order-preserving, weight-balanced lanes.
+//!   request count) into contiguous, order-preserving, weight-balanced
+//!   lanes.
 //!
 //! Partitioning is pure arithmetic over the item weights — the same
 //! inputs yield the same lanes on every host — so the host's core count
 //! can never leak into simulated-time outcomes; only wall-clock speed
 //! changes.
 
-/// Upper bound on thread lanes. Matches [`crate::parcopy::MAX_LANES`]'s
-/// rationale: a handful of streams saturates memory bandwidth, and the
+/// Upper bound on serving threads. Matches [`crate::parcopy::MAX_LANES`]'s
+/// rationale: a handful of threads saturates a small host, and the
 /// simulator often runs in small containers.
-pub const MAX_PREFETCH_LANES: usize = 8;
+pub const MAX_SERVING_LANES: usize = 8;
 
 /// Usable parallelism of the host, cached once (queried via
 /// `std::thread::available_parallelism`, capped at
-/// [`MAX_PREFETCH_LANES`]).
+/// [`MAX_SERVING_LANES`]).
 pub fn host_parallelism() -> usize {
     use std::sync::OnceLock;
     static LANES: OnceLock<usize> = OnceLock::new();
@@ -34,7 +31,7 @@ pub fn host_parallelism() -> usize {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
-            .min(MAX_PREFETCH_LANES)
+            .min(MAX_SERVING_LANES)
     })
 }
 
@@ -50,10 +47,9 @@ pub fn effective_lanes(requested: usize) -> usize {
 /// closes once it holds ≥ `total/lanes`). Returns one `(start, end)`
 /// index range per non-empty lane.
 ///
-/// Contiguity is deliberate: extents are stored back-to-back in the WS
-/// file, so a contiguous index range per lane is a contiguous byte range
-/// per lane — each modeled lane is one sequential file scan instead of
-/// strided reads.
+/// Contiguity is deliberate: a lane's items are one slice, so the caller
+/// can hand each thread a disjoint `split_off` of its work list without
+/// reordering it.
 ///
 /// Zero-weight items ride along with their neighbours; an empty `weights`
 /// yields no lanes.
@@ -93,7 +89,7 @@ mod tests {
         assert_eq!(effective_lanes(1), 1);
         let host = host_parallelism();
         assert!(effective_lanes(usize::MAX) == host);
-        assert!((1..=MAX_PREFETCH_LANES).contains(&host));
+        assert!((1..=MAX_SERVING_LANES).contains(&host));
     }
 
     #[test]
@@ -115,7 +111,7 @@ mod tests {
 
     #[test]
     fn partition_balances_bytes() {
-        // 16 equal extents over 4 lanes: exactly 4 each.
+        // 16 equal items over 4 lanes: exactly 4 each.
         let weights = [10u64; 16];
         let parts = partition_by_weight(&weights, 4);
         assert_eq!(parts, vec![(0, 4), (4, 8), (8, 12), (12, 16)]);
@@ -146,7 +142,7 @@ mod tests {
 
     #[test]
     fn one_heavy_item_does_not_starve_the_tail() {
-        // A huge first extent must not swallow the whole table when more
+        // A huge first item must not swallow the whole list when more
         // lanes are available.
         let parts = partition_by_weight(&[100, 1, 1, 1], 2);
         assert_eq!(parts, vec![(0, 1), (1, 4)]);

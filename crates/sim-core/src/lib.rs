@@ -21,7 +21,7 @@
 //!   benchmark harness.
 //! * [`metrics`] — the off-by-default fleet [`MetricsRegistry`] and the
 //!   mergeable [`LogHistogram`] behind windowed telemetry rollups.
-//! * [`table`] — plain-text / CSV table rendering for the figure binaries.
+//! * [`table`] — plain-text / CSV table rendering for the figure subcommands.
 //!
 //! # Example
 //!
@@ -51,7 +51,7 @@ pub mod time;
 pub use deadline::{Deadline, TokenBucket};
 pub use events::EventQueue;
 pub use hash::{fnv1a64, Fnv1a64};
-pub use lanes::{effective_lanes, partition_by_weight, MAX_PREFETCH_LANES};
+pub use lanes::{effective_lanes, partition_by_weight, MAX_SERVING_LANES};
 pub use metrics::{LogHistogram, MetricsRegistry};
 pub use parcopy::{copy_par, extend_par, extend_scatter};
 pub use resource::{MultiServer, TokenPool};

@@ -15,8 +15,7 @@
 //! This is a *bandwidth* utility, deliberately dumb: lanes are scoped
 //! `std::thread`s that die at the end of the call. Architectural
 //! parallelism lives above this layer: see [`crate::lanes`] for the lane
-//! arithmetic the cluster's shard lanes and the modeled prefetch pipeline
-//! (`vhive-core`'s `TimedStep::PipelinedPrefetch`) share.
+//! arithmetic that deals the cluster's shards into serving threads.
 
 use std::mem::MaybeUninit;
 

@@ -1,9 +1,9 @@
 //! Statistics utilities for the benchmark harness.
 //!
-//! Every figure binary reports means, geometric means (the paper's "3.7× on
-//! average" speedup is a geometric mean across functions), percentiles, and
-//! occasionally distributions; this module provides those without external
-//! dependencies.
+//! Every figure subcommand reports means, geometric means (the paper's
+//! "3.7× on average" speedup is a geometric mean across functions),
+//! percentiles, and occasionally distributions; this module provides
+//! those without external dependencies.
 
 use std::fmt;
 

@@ -4,7 +4,7 @@
 //! a single 4 KB read achieves 32 MB/s, sixteen concurrent 4 KB reads reach
 //! 360 MB/s, and the peak (large sequential) is 850 MB/s. These routines
 //! reproduce that experiment against a [`Disk`] and are used both by the
-//! `fio` figure binary and by calibration tests.
+//! `vhive-bench fio` subcommand and by calibration tests.
 
 use sim_core::{DetRng, SimTime, TokenPool};
 

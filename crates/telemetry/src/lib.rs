@@ -22,7 +22,7 @@
 //! 3. **Query** — [`scan`]/[`for_each_span`] stream the spans back
 //!    (dropping corrupt or truncated batches, never panicking), and
 //!    [`latency_report`] aggregates exact Min/P50/P95/P99/Max latency
-//!    per `(function, policy, shard)` — `metrics_report --exact` prints
+//!    per `(function, policy, shard)` — `vhive-bench metrics --exact` prints
 //!    that table; the programmatic [`LatencyReport`] is what a fleet
 //!    router would consume.
 //!

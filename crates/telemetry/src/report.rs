@@ -1,5 +1,5 @@
 //! Percentile reports over flushed spans — the programmatic query API the
-//! fleet router consumes, and the table `metrics_report` prints (exact
+//! fleet router consumes, and the table `vhive-bench metrics` prints (exact
 //! here, windowed estimates in [`crate::rollup`]; one row type, one table).
 
 use std::collections::BTreeMap;

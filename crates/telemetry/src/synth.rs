@@ -1,6 +1,6 @@
 //! Deterministic synthetic span generation.
 //!
-//! `metrics_report --exact` and the report-scan bench need *millions*
+//! `vhive-bench metrics --exact` and the report-scan bench need *millions*
 //! of spans; running that many real functional passes would take hours.
 //! This generator emits a [`DetRng`]-driven stream whose shape mirrors
 //! the reproduction (the Fig 7 policy ladder as per-policy base

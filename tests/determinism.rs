@@ -1,5 +1,5 @@
 //! Reproducibility: identical seeds must regenerate identical experiments,
-//! bit for bit — the property every figure binary relies on.
+//! bit for bit — the property every figure subcommand relies on.
 
 use functionbench::FunctionId;
 use vhive_core::{ColdPolicy, Orchestrator};

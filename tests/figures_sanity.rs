@@ -1,6 +1,9 @@
-//! Shape assertions for every figure the benchmark harness regenerates:
-//! lighter-weight versions of the `vhive-bench` binaries that run in the
-//! test suite, pinning the qualitative results the paper reports.
+//! Shape assertions for the paper's figures: lighter-weight versions of
+//! the `vhive-bench` figure subcommands (Fig 2-5, 7, 8) that run in the
+//! test suite, pinning the qualitative results the paper reports. The
+//! exact bytes of every paper-facing subcommand's `--quick` output are
+//! pinned separately, by `vhive-bench paper --quick` against
+//! `PAPER_golden.txt`.
 
 use functionbench::FunctionId;
 use vhive_core::detect::contiguity;
