@@ -30,7 +30,9 @@
 //! [`FileStore`]: a hit aliases the cached extent's refcounted bytes
 //! straight into guest memory ([`Uffd::alias_run`], zero copies, no
 //! store read), a miss reads the store once and populates the cache for
-//! every later cold start of the same function — on any shard.
+//! every later cold start of the same function — on any shard. A miss the
+//! cache bypasses at its budget, like one whose file died mid-pass, is
+//! copied in from a borrow of the store ([`FileStore::try_with_range`]).
 //! [`MonitorStats`] and [`guest_mem::UffdStats`] are arithmetically
 //! identical with and without the cache (pinned by proptests).
 
@@ -38,7 +40,7 @@ use std::fmt;
 
 use guest_mem::{push_coalesced, FaultEvent, MemError, PageIdx, PageRun, Uffd, PAGE_SIZE};
 use microvm::{FaultHandler, Snapshot};
-use sim_storage::{FileStore, FrameCacheDelta, SnapshotFrameCache, StorageError};
+use sim_storage::{FileStore, FrameCacheDelta, FrameLookup, SnapshotFrameCache, StorageError};
 
 use crate::ws_file::{read_ws_layout, write_reap_files_runs, ReapFiles, WsError};
 
@@ -204,39 +206,29 @@ impl<'a> Monitor<'a> {
     /// serve the artifact (dead file, injected fault, blackout).
     pub fn prefetch(&mut self, uffd: &mut Uffd, files: &ReapFiles) -> Result<u64, PrefetchError> {
         let layout = read_ws_layout(self.fs, files.ws_file).map_err(PrefetchError::from_ws)?;
-        for (run, data_at) in layout.extents {
-            let install = if let Some(cache) = self.cache {
-                // Frame-cache path: first cold start of this WS file
-                // loads the extent once; every later one aliases the
-                // cached bytes into the guest — zero copies, no store
-                // read.
-                match cache.get_or_load_tracked(
-                    self.fs,
-                    files.ws_file,
-                    data_at,
-                    run.byte_len(),
-                    &mut self.cache_delta,
-                ) {
-                    Ok(src) => uffd.alias_run(run, &src, 0),
-                    // The WS file died mid-pass (an unregister racing
-                    // this cold start, or a blackout): degrade to a plain
-                    // store read; if that is gone too, fail the prefetch
-                    // cleanly — with the *typed* storage fault — instead
-                    // of poisoning the serving thread.
-                    Err(_gone) => {
-                        match self.fs.checked_read_at(files.ws_file, data_at, run.byte_len() as usize) {
-                            Ok(src) => uffd.copy_run(run, &src),
-                            Err(e) => return Err(PrefetchError::Storage(e)),
-                        }
-                    }
-                }
-            } else {
+        let file = files.ws_file;
+        for (run, at) in layout.extents {
+            let len = run.byte_len();
+            let lookup = self.cache.map(|cache| {
+                cache.get_or_load_tracked(self.fs, file, at, len, false, &mut self.cache_delta)
+            });
+            let install = match lookup {
+                // Frame-cache path: first cold start of this WS file loads
+                // the extent once; every later one aliases the cached bytes
+                // into the guest — zero copies, no store read.
+                Some(Ok(FrameLookup::Frames(src))) => uffd.alias_run(run, &src, 0),
                 // Install straight from the WS file's bytes: one copy per
                 // extent, no staging buffer.
-                self.fs
-                    .with_range(files.ws_file, data_at, run.byte_len(), |src| {
-                        uffd.copy_run(run, src)
-                    })
+                None => self.fs.with_range(file, at, len, |src| uffd.copy_run(run, src)),
+                // Bypassed (the cache is at its budget), or the WS file
+                // died mid-pass (an unregister racing this cold start, or
+                // a blackout): read the store directly; if it is gone, fail
+                // the prefetch cleanly — with the *typed* storage fault —
+                // instead of poisoning the serving thread.
+                Some(_) => self
+                    .fs
+                    .try_with_range(file, at, len, |src| uffd.copy_run(run, src))
+                    .map_err(PrefetchError::Storage)?,
             }
             .map_err(PrefetchError::Install)?;
             self.stats.prefetched += install.installed;
@@ -276,35 +268,23 @@ impl Monitor<'_> {
     /// file: install straight from the file's bytes under the store's
     /// read lock — one copy, no per-page buffers on the serve path.
     fn serve_run(&mut self, uffd: &mut Uffd, run: PageRun) -> Result<(), MemError> {
-        let install = if let Some(cache) = self.cache {
-            // Demand faults repeat across cold starts of the same
-            // function (deterministic replay): alias the cached run.
-            match cache.get_or_load_tracked(
-                self.fs,
-                self.snapshot.mem_file,
-                run.file_offset(),
-                run.byte_len(),
-                &mut self.cache_delta,
-            ) {
-                Ok(src) => uffd.alias_run(run, &src, 0)?,
-                // Snapshot file unregistered mid-serve: degrade to a
-                // plain store read; if the file is truly gone, the run
-                // stays missing and the serve fails cleanly instead of
-                // poisoning the serving thread.
-                Err(_gone) => match self.fs.try_read_at(
-                    self.snapshot.mem_file,
-                    run.file_offset(),
-                    run.byte_len() as usize,
-                ) {
-                    Some(src) => uffd.copy_run(run, &src)?,
-                    None => return Err(MemError::NotResident(run.first)),
-                },
-            }
-        } else {
-            self.fs
-                .with_range(self.snapshot.mem_file, run.file_offset(), run.byte_len(), |src| {
-                    uffd.copy_run(run, src)
-                })?
+        let (file, at, len) = (self.snapshot.mem_file, run.file_offset(), run.byte_len());
+        let lookup = self.cache.map(|cache| {
+            cache.get_or_load_tracked(self.fs, file, at, len, false, &mut self.cache_delta)
+        });
+        let install = match lookup {
+            // Demand faults repeat across cold starts of the same function
+            // (deterministic replay): alias the cached run.
+            Some(Ok(FrameLookup::Frames(src))) => uffd.alias_run(run, &src, 0)?,
+            None => self.fs.with_range(file, at, len, |src| uffd.copy_run(run, src))?,
+            // Bypassed, or the snapshot file was unregistered mid-serve:
+            // read the store directly; if the file is truly gone, the run
+            // stays missing and the serve fails cleanly instead of
+            // poisoning the serving thread.
+            Some(_) => self
+                .fs
+                .try_with_range(file, at, len, |src| uffd.copy_run(run, src))
+                .unwrap_or(Err(MemError::NotResident(run.first)))?,
         };
         if install.eexist > 0 {
             // A faulted run must have been missing; surface the monitor

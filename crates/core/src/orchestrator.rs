@@ -379,7 +379,8 @@ impl Orchestrator {
 
     /// Caps the frame cache's deduplicated content bytes (`None` =
     /// unbounded, the default). Over-budget content entries are evicted
-    /// (bimodal insertion) immediately and on every later admission; evicted
+    /// (bimodal insertion) immediately and on later admissions, and misses
+    /// the cache would evict next bypass it; evicted and bypassed
     /// extents simply re-read the store on their next cold start, so simulated
     /// outcomes are byte-identical at any budget (pinned by the
     /// cache-equivalence proptests) — only resident cache bytes and

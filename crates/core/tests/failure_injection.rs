@@ -7,12 +7,18 @@
 use std::sync::Arc;
 
 use functionbench::FunctionId;
+use guest_mem::{MemError, PageIdx, TouchOutcome, Uffd};
+use microvm::{verify_restored_cached, FaultHandler, MicroVm, Snapshot, VmConfig};
 use sim_core::metrics::labeled;
 use sim_core::{Deadline, MetricsRegistry, SimDuration, SimTime};
-use sim_storage::{FaultInjector, FaultKind, FaultPlan, FaultRule, FaultScope, FileStore};
+use sim_storage::{
+    FaultInjector, FaultKind, FaultPlan, FaultRule, FaultScope, FileId, FileStore,
+    SnapshotFrameCache, StorageError,
+};
 use vhive_core::{
     BreakerPolicy, BreakerState, ColdAbort, ColdPolicy, ColdRequest, Disposition,
-    InvocationOutcome, Orchestrator, RecoveryReport, ShedReason,
+    InvocationOutcome, Monitor, MonitorMode, Orchestrator, PrefetchError, RecoveryReport,
+    ShedReason,
 };
 use vhive_telemetry::{scan, TelemetrySink};
 
@@ -489,4 +495,107 @@ fn breaker_trips_on_quarantine_fallbacks_sheds_then_closes_on_a_clean_probe() {
     assert_eq!(sheds.len(), 1);
     assert_eq!(sheds[0].vt_ns, at(11).arrival.as_nanos());
     assert_eq!(spans.len(), 5, "two fallbacks, the shed, the re-record, the probe");
+}
+
+/// Faults `page` in and hands the event to `m`.
+fn fault(m: &mut Monitor<'_>, uffd: &mut Uffd, page: u64) -> Result<(), MemError> {
+    let TouchOutcome::Faulted(ev) = uffd.touch_page(PageIdx::new(page)) else {
+        panic!("page {page} already resident");
+    };
+    assert_eq!(uffd.poll(), Some(ev));
+    m.handle_fault(uffd, ev)
+}
+
+/// Blacks out `file` from its `skip`-th store operation on, for every
+/// `skip` until `op` gets through, on a cache whose zero budget bypasses
+/// every miss. Each failure must be `typed`; at least one must come after
+/// a bypass, i.e. from the bypass's own borrow of the store.
+fn blackout_sweep<T, E: std::fmt::Debug>(
+    fs: &FileStore,
+    file: FileId,
+    mut op: impl FnMut(&SnapshotFrameCache) -> Result<T, E>,
+    typed: impl Fn(&E) -> bool,
+) {
+    let mut bypass_failed = false;
+    for skip in 0.. {
+        assert!(skip < 64, "still blacked out after {skip} operations");
+        let cache = SnapshotFrameCache::new();
+        cache.set_budget(Some(0));
+        let rule = FaultRule::new(FaultScope::Files(vec![file]), FaultKind::Blackout).skip(skip);
+        fs.attach_injector(Arc::new(FaultInjector::new(FaultPlan::new().rule(rule))));
+        let result = op(&cache);
+        fs.detach_injector();
+        match result {
+            Ok(_) => break,
+            Err(e) => {
+                assert!(typed(&e), "skip {skip}: {e:?}");
+                bypass_failed |= cache.stats().bypassed > 0;
+            }
+        }
+    }
+    assert!(bypass_failed, "no blackout landed on a bypassed read");
+}
+
+#[test]
+fn bypassed_reads_surface_blackouts_as_typed_errors() {
+    let fs = FileStore::new();
+    let (mut vm, _) = MicroVm::boot(F, VmConfig::default());
+    vm.pause();
+    let snap = Snapshot::capture(&vm, &fs, "snap");
+    let handshake = |m: &mut Monitor<'_>, vm: &mut MicroVm| {
+        let first = vm.uffd_mut().inject_first_fault();
+        vm.uffd_mut().poll().expect("injected fault queued");
+        m.handle_fault(vm.uffd_mut(), first)
+    };
+    let files = {
+        let mut vm = snap.restore_shell(&fs).unwrap();
+        let mut m = Monitor::new(&snap, &fs, MonitorMode::Record);
+        handshake(&mut m, &mut vm).unwrap();
+        for page in [10, 11, 50, 200] {
+            fault(&mut m, vm.uffd_mut(), page).unwrap();
+        }
+        m.finish_record("snap")
+    };
+    let unavailable = |e: &StorageError| matches!(e, StorageError::Unavailable { .. });
+
+    // Prefetch: the WS file's layout reads, then each extent's lookup and
+    // its bypassed borrow.
+    blackout_sweep(
+        &fs,
+        files.ws_file,
+        |cache| {
+            let mut vm = snap.restore_shell(&fs).unwrap();
+            Monitor::with_cache(&snap, &fs, MonitorMode::Prefetch, Some(cache))
+                .prefetch(vm.uffd_mut(), &files)
+        },
+        |e| matches!(e, PrefetchError::Storage(se) if unavailable(se)),
+    );
+
+    // Demand serves from the memory file (the first-fault handshake, then
+    // page 100): the run stays missing.
+    blackout_sweep(
+        &fs,
+        snap.mem_file,
+        |cache| {
+            let mut vm = snap.restore_shell(&fs).unwrap();
+            let mut m = Monitor::with_cache(&snap, &fs, MonitorMode::OnDemand, Some(cache));
+            handshake(&mut m, &mut vm)?;
+            fault(&mut m, vm.uffd_mut(), 100)
+        },
+        |e| matches!(e, MemError::NotResident(_)),
+    );
+
+    // Verify: every resident page compared against a borrow of the
+    // memory file.
+    let mut restored = snap.restore_shell(&fs).unwrap();
+    let cache = SnapshotFrameCache::new();
+    cache.set_budget(Some(0));
+    let mut m = Monitor::with_cache(&snap, &fs, MonitorMode::Prefetch, Some(&cache));
+    m.prefetch(restored.uffd_mut(), &files).unwrap();
+    blackout_sweep(
+        &fs,
+        snap.mem_file,
+        |cache| verify_restored_cached(&restored, &snap, &fs, Some(cache)),
+        |e| e.starts_with("verify source vanished"),
+    );
 }

@@ -403,18 +403,44 @@ impl FileStore {
     /// as `None`: a blacked-out shard's files present exactly like
     /// unregistered ones.
     pub fn try_read_at(&self, id: FileId, offset: u64, len: usize) -> Option<Vec<u8>> {
+        self.try_with_range(id, offset, len as u64, |src| read_zero_padded(src, 0, len))
+            .ok()
+    }
+
+    /// Borrowing twin of [`try_read_at`](Self::try_read_at), with its
+    /// checks: a dead file is [`StorageError::DeadFile`], a blacked-out
+    /// one [`StorageError::Unavailable`], and one read is counted. `f`
+    /// sees exactly `len` bytes under the store's read lock — borrowed in
+    /// place, or a zero-padded copy where the range runs past EOF — and
+    /// must not call mutating store methods (deadlock).
+    pub fn try_with_range<R>(
+        &self,
+        id: FileId,
+        offset: u64,
+        len: u64,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, StorageError> {
         let injector = self.injector();
         let inner = self.inner.read();
-        let fd = inner.files.get(&id)?;
+        let fd = inner
+            .files
+            .get(&id)
+            .ok_or(StorageError::DeadFile { op: "read from", id })?;
         if let Some(inj) = &injector {
             if inj.blacked_out(id, &fd.name) {
                 self.metric_fault();
-                return None;
+                return Err(StorageError::Unavailable { id });
             }
         }
         self.counters.reads.fetch_add(1, Ordering::Relaxed);
-        self.metric_read(len as u64);
-        Some(read_zero_padded(&fd.data, offset, len))
+        self.metric_read(len);
+        let in_file = offset
+            .checked_add(len)
+            .filter(|&end| end <= fd.data.len() as u64);
+        Ok(match in_file {
+            Some(end) => f(&fd.data[offset as usize..end as usize]),
+            None => f(&read_zero_padded(&fd.data, offset, len as usize)),
+        })
     }
 
     /// Fault-aware read: like [`read_at`](Self::read_at) but returns a
@@ -859,6 +885,17 @@ mod tests {
         assert_eq!(got, 5);
         let got = fs.with_range(id, 100, 5, |s| s.len());
         assert_eq!(got, 0);
+        // The fallible borrow zero-fills instead, counting one read; a dead
+        // file is a typed error.
+        let reads = fs.read_calls();
+        let got = fs.try_with_range(id, 6, 8, |s| s.to_vec());
+        assert_eq!(got, Ok(b"world\0\0\0".to_vec()));
+        assert_eq!(fs.read_calls(), reads + 1);
+        fs.delete(id);
+        assert_eq!(
+            fs.try_with_range(id, 0, 1, |_| ()),
+            Err(StorageError::DeadFile { op: "read from", id })
+        );
     }
 
     #[test]
@@ -1085,6 +1122,10 @@ mod tests {
             FaultRule::new(FaultScope::Namespace(3), FaultKind::Blackout),
         ))));
         assert!(fs.try_read_at(id, 0, 2).is_none(), "blackout reads as dead");
+        assert_eq!(
+            fs.try_with_range(id, 0, 2, |_| ()),
+            Err(StorageError::Unavailable { id })
+        );
         assert_eq!(fs.generation(id), None, "blackout hides the generation");
         assert!(matches!(
             fs.checked_read_at(id, 0, 2),

@@ -32,20 +32,36 @@
 //! ## Bounded growth
 //!
 //! The content store is capacity-budgeted
-//! ([`SnapshotFrameCache::set_budget`]): when deduped bytes exceed the
-//! budget, whole content entries are evicted by **bimodal insertion**
-//! (BIP, Qureshi et al., ISCA 2007) over an admission-order queue. A new
-//! content entry goes in at the queue's evict-first end, except every
-//! 32nd admission (a counter, not a coin), which goes in at its protected
-//! end. Eviction pops the evict-first end: an entry hit since it was
-//! queued loses its reference bit and moves to the protected end, any
-//! other entry goes.
+//! ([`SnapshotFrameCache::set_budget`]) by **bimodal insertion** with
+//! **bypass** (BIP, Qureshi et al., ISCA 2007) over an admission-order
+//! queue. Every admission and every bypass takes a *turn*, and every 32nd
+//! turn (a counter, not a coin) is protected. A new content entry goes in
+//! at the queue's evict-first end, or at its protected end on a protected
+//! turn. When deduped bytes exceed the budget, eviction pops the
+//! evict-first end: an entry hit since it was queued loses its reference
+//! bit and moves to the protected end, any other entry goes.
+//!
+//! A miss whose bytes would push the cache over its budget is
+//! *bypassed* ([`FrameLookup::Bypass`]) unless its turn is protected:
+//! admitted at the evict-first end, it would be evicted by the very next
+//! admission without serving a hit. A bypass reads, hashes, locks
+//! exclusively, queues and evicts nothing; the caller reads the store
+//! itself ([`FileStore::try_with_range`]). So the ε counter counts
+//! over-budget misses, not just admissions; counting admissions alone, the
+//! protected admission would never arrive. Below the budget, and on an
+//! unbounded cache, nothing is bypassed. Two misses always load: a key
+//! whose entry went stale (the reload replaces its old bytes), and an
+//! `aliased` lookup, whose caller's frames already alias a buffer of this
+//! cache: its content is resident under another key, so the load
+//! deduplicates instead of growing the cache. That is how the verify
+//! pass's memory-file key attaches to the content the prefetch aliased
+//! from the WS file, keeping later verifies of it identity checks.
 //!
 //! Why: every invocation of a function touches the same working set (the
 //! paper's §4), so a budget below the footprint sees a *loop* over working
 //! sets, on which any recency order evicts each function's extents just
-//! before its next turn. Under BIP a streaming admission evicts itself and
-//! the resident working sets stay, keeping about budget / footprint of a
+//! before its next turn. Under BIP a streaming miss passes through and the
+//! resident working sets stay, keeping about budget / footprint of a
 //! loop, as Belady's MIN does (`tests/belady.rs`); the protected
 //! admissions are what let a *new* loop displace a stale resident set.
 //!
@@ -73,7 +89,8 @@
 //! *shared* lock, validates the generation, sets the entry's reference
 //! bit (one relaxed store, skipped when already set), bumps an atomic
 //! counter and clones the `Arc`: concurrent lanes never queue on each
-//! other and nothing is relinked. Misses, dedup, invalidation, budget
+//! other and nothing is relinked. A bypass also takes only the shared lock
+//! (its turn is an atomic). Populating misses, dedup, invalidation, budget
 //! changes and eviction take the exclusive lock.
 //!
 //! ## Staleness is structurally impossible
@@ -113,9 +130,14 @@ use crate::file_store::{FileId, FileStore};
 pub struct FrameCacheStats {
     /// Lookups served from a live cached extent (zero-copy).
     pub hits: u64,
-    /// Lookups that read the backing store and populated an index entry
-    /// (includes generation-mismatch reloads).
+    /// Lookups that missed: those that read the backing store and
+    /// populated an index entry (including generation-mismatch reloads),
+    /// plus the [`bypassed`](Self::bypassed) ones.
+    /// `admitted + deduped + bypassed == misses`.
     pub misses: u64,
+    /// Misses the budget bypassed: the cache read nothing and the caller
+    /// read the store itself.
+    pub bypassed: u64,
     /// Lookups that read the store but did **not** populate: the load
     /// lost either to a concurrent identical load (coalesced onto the
     /// winner's entry) or to a concurrent rewrite of the backing file
@@ -157,7 +179,8 @@ pub struct FrameCacheStats {
 pub struct FrameCacheDelta {
     /// Lookups this request served from a live cached extent.
     pub hits: u64,
-    /// Lookups this request resolved by reading the store and populating.
+    /// Lookups this request resolved by reading the store and populating,
+    /// or by a bypass.
     pub misses: u64,
     /// Lookups this request resolved by a raced (coalesced or
     /// rewrite-raced) store read.
@@ -201,12 +224,28 @@ impl fmt::Display for FrameCacheGone {
 
 impl std::error::Error for FrameCacheGone {}
 
+/// How [`SnapshotFrameCache::get_or_load_tracked`] resolved a lookup.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FrameLookup {
+    /// The extent's bytes, refcounted and immutable: alias them into guest
+    /// memory (`Uffd::alias_run`) instead of copying.
+    Frames(FrameBytes),
+    /// Bypassed: the cache is at its budget and would have evicted this
+    /// extent next, so it read nothing. Read the store directly.
+    Bypass,
+}
+
 /// An extent's identity: `(file, byte offset, byte len)`.
 type ExtentKey = (FileId, u64, u64);
 
-/// One admission in this many goes in at the protected end of the
-/// eviction queue (BIP's ε = 1/32); the rest go in at the evict-first end.
+/// One turn in this many is protected (BIP's ε = 1/32): its admission goes
+/// in at the protected end of the eviction queue and it is never
+/// bypassed. The rest go in at the evict-first end, or bypass.
 const PROTECTED_EVERY: u64 = 32;
+
+fn protected_turn(turn: u64) -> bool {
+    (turn + 1).is_multiple_of(PROTECTED_EVERY)
+}
 
 /// One deduplicated byte string: the bytes, the extents mapping onto
 /// them (the refcount is `keys.len()`), and its reference bit.
@@ -226,8 +265,8 @@ struct ContentEntry {
     referenced: AtomicBool,
 }
 
-/// Everything but the hit counter, behind the reader-writer lock: hits
-/// only read it.
+/// Everything but the hit and bypass counters, behind the reader-writer
+/// lock: hits and bypasses only read it.
 #[derive(Debug)]
 struct Inner {
     /// Extent -> (content generation at load time, content slab index).
@@ -247,6 +286,11 @@ struct Inner {
     bytes: u64,
     /// Capacity budget in bytes; `u64::MAX` = unbounded.
     budget: u64,
+    /// Admissions plus bypasses so far (module docs, "Bounded growth").
+    /// Atomic because a bypass takes its turn under the shared lock; it
+    /// only orders eviction and publishes no data, hence `Relaxed`.
+    turns: AtomicU64,
+    /// Populating misses (a bypass counts in the cache's `bypassed`).
     misses: u64,
     raced: u64,
     invalidated: u64,
@@ -274,6 +318,19 @@ impl Inner {
             entry.referenced.store(true, Ordering::Relaxed);
         }
         entry.bytes.clone()
+    }
+
+    /// Whether a miss of `len` new bytes bypasses: they would push the
+    /// bytes over the budget and its turn is not protected. A bypass takes
+    /// its turn; a protected miss leaves it to the admission it loads.
+    fn bypass(&self, len: u64) -> bool {
+        self.bytes.saturating_add(len) > self.budget
+            && self
+                .turns
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |turn| {
+                    (!protected_turn(turn)).then_some(turn + 1)
+                })
+                .is_ok()
     }
 
     /// Drops `key`'s index entry (if any); the content entry goes with it
@@ -363,11 +420,13 @@ impl Inner {
                     }
                 };
                 self.by_hash.entry(bucket_key).or_default().push(idx);
-                if (stamp + 1).is_multiple_of(PROTECTED_EVERY) {
+                let turn = self.turns.get_mut();
+                if protected_turn(*turn) {
                     self.queue.push_back((idx, stamp));
                 } else {
                     self.queue.push_front((idx, stamp));
                 }
+                *turn += 1;
                 self.admitted += 1;
                 idx
             }
@@ -384,8 +443,8 @@ impl Inner {
     /// stale slots are dropped, an entry looked up since it was queued
     /// loses its reference bit and moves to the protected end, and any
     /// other entry is evicted with all of its extent mappings. The entry
-    /// just returned to a caller usually evicts itself — the caller holds
-    /// its own `Arc`, so that is a pass-through serve, not a correctness
+    /// just returned to a caller may evict itself — the caller holds its
+    /// own `Arc`, so that is a pass-through serve, not a correctness
     /// hazard.
     fn evict_to_budget(&mut self) {
         // `bytes > budget >= 0` means a live entry exists, every live
@@ -420,9 +479,10 @@ impl Inner {
 #[derive(Debug)]
 pub struct SnapshotFrameCache {
     inner: RwLock<Inner>,
-    /// Lookups served from a live cached extent; outside the lock so a
-    /// hit never needs it exclusively.
+    /// Lookups served from a live cached extent, and misses bypassed;
+    /// outside the lock so neither ever needs it exclusively.
     hits: AtomicU64,
+    bypassed: AtomicU64,
 }
 
 impl Default for SnapshotFrameCache {
@@ -436,6 +496,7 @@ impl Default for SnapshotFrameCache {
                 queue: VecDeque::new(),
                 bytes: 0,
                 budget: u64::MAX,
+                turns: AtomicU64::new(0),
                 misses: 0,
                 raced: 0,
                 invalidated: 0,
@@ -444,6 +505,7 @@ impl Default for SnapshotFrameCache {
                 evicted: 0,
             }),
             hits: AtomicU64::new(0),
+            bypassed: AtomicU64::new(0),
         }
     }
 }
@@ -475,7 +537,9 @@ impl SnapshotFrameCache {
     /// generation still matches the store's. On a miss the bytes are read
     /// from `fs` once (zero-filled past EOF, like
     /// [`FileStore::read_at`]); identical bytes already cached under any
-    /// other extent are shared instead of duplicated.
+    /// other extent are shared instead of duplicated. A miss the budget
+    /// bypasses (module docs, "Bounded growth") is served by an uncached
+    /// store read.
     ///
     /// The returned buffer is refcounted and immutable: callers alias it
     /// into guest memory (`Uffd::alias_run`) instead of copying.
@@ -494,34 +558,55 @@ impl SnapshotFrameCache {
         len: u64,
     ) -> Result<FrameBytes, FrameCacheGone> {
         let mut scratch = FrameCacheDelta::default();
-        self.get_or_load_tracked(fs, file, offset, len, &mut scratch)
+        match self.get_or_load_tracked(fs, file, offset, len, false, &mut scratch)? {
+            FrameLookup::Frames(bytes) => Ok(bytes),
+            FrameLookup::Bypass => fs
+                .try_read_at(file, offset, len as usize)
+                .map(std::sync::Arc::new)
+                .ok_or(FrameCacheGone(file)),
+        }
     }
 
-    /// [`get_or_load`](SnapshotFrameCache::get_or_load) that additionally
-    /// attributes the lookup's resolution (hit / populating miss / raced)
-    /// to the caller's [`FrameCacheDelta`], so per-invocation telemetry
-    /// spans report real counts even when the cache is shared by
-    /// concurrent requests. The global counters are updated identically
-    /// either way.
+    /// The lookup behind [`get_or_load`](SnapshotFrameCache::get_or_load):
+    /// a bypassed miss is returned as [`FrameLookup::Bypass`] for the
+    /// caller to read the store itself, borrowing instead of copying.
+    /// `aliased` says the caller's guest frames for this extent already
+    /// alias a buffer of this cache, so a miss loads (and deduplicates)
+    /// even at the budget. The lookup's resolution (hit / miss / raced) is
+    /// attributed to the caller's [`FrameCacheDelta`], so per-invocation
+    /// telemetry spans report real counts even when the cache is shared by
+    /// concurrent requests.
+    ///
+    /// # Errors
+    ///
+    /// As [`get_or_load`](SnapshotFrameCache::get_or_load).
     pub fn get_or_load_tracked(
         &self,
         fs: &FileStore,
         file: FileId,
         offset: u64,
         len: u64,
+        aliased: bool,
         delta: &mut FrameCacheDelta,
-    ) -> Result<FrameBytes, FrameCacheGone> {
+    ) -> Result<FrameLookup, FrameCacheGone> {
         let key = (file, offset, len);
         let generation = fs.generation(file).ok_or(FrameCacheGone(file))?;
         {
-            // The hit path: shared lock only, nothing relinked.
+            // The hit and bypass paths: shared lock only, nothing relinked.
             let inner = self.inner.read();
-            if let Some(&(cached_gen, idx)) = inner.index.get(&key) {
-                if cached_gen == generation {
+            match inner.index.get(&key) {
+                Some(&(cached_gen, idx)) if cached_gen == generation => {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     delta.hits += 1;
-                    return Ok(inner.reference(idx));
+                    return Ok(FrameLookup::Frames(inner.reference(idx)));
                 }
+                None if !aliased && inner.bypass(len) => {
+                    self.bypassed.fetch_add(1, Ordering::Relaxed);
+                    delta.misses += 1;
+                    return Ok(FrameLookup::Bypass);
+                }
+                // A stale entry reloads in place, replacing its old bytes.
+                _ => {}
             }
         }
         // Miss (or stale generation): read and hash outside the cache
@@ -540,7 +625,7 @@ impl SnapshotFrameCache {
             // lookup reloads under the new generation.
             self.inner.write().raced += 1;
             delta.raced += 1;
-            return Ok(bytes);
+            return Ok(FrameLookup::Frames(bytes));
         }
         let mut inner = self.inner.write();
         if let Some(&(cached_gen, idx)) = inner.index.get(&key) {
@@ -549,12 +634,12 @@ impl SnapshotFrameCache {
                 // onto its entry so both lanes serve one allocation.
                 inner.raced += 1;
                 delta.raced += 1;
-                return Ok(inner.reference(idx));
+                return Ok(FrameLookup::Frames(inner.reference(idx)));
             }
         }
         inner.misses += 1;
         delta.misses += 1;
-        Ok(inner.attach(key, generation, bytes, hash))
+        Ok(FrameLookup::Frames(inner.attach(key, generation, bytes, hash)))
     }
 
     /// Looks up an extent without loading on miss (tests/introspection);
@@ -609,9 +694,11 @@ impl SnapshotFrameCache {
     /// Current counters.
     pub fn stats(&self) -> FrameCacheStats {
         let inner = self.inner.read();
+        let bypassed = self.bypassed.load(Ordering::Relaxed);
         FrameCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
-            misses: inner.misses,
+            misses: inner.misses + bypassed,
+            bypassed,
             raced: inner.raced,
             invalidated: inner.invalidated,
             admitted: inner.admitted,
@@ -662,8 +749,8 @@ mod tests {
         // only its own resolution while the global stats see both.
         let mut a = FrameCacheDelta::default();
         let mut b = FrameCacheDelta::default();
-        cache.get_or_load_tracked(&fs, f, 0, 8, &mut a).unwrap();
-        cache.get_or_load_tracked(&fs, f, 0, 8, &mut b).unwrap();
+        cache.get_or_load_tracked(&fs, f, 0, 8, false, &mut a).unwrap();
+        cache.get_or_load_tracked(&fs, f, 0, 8, false, &mut b).unwrap();
         assert_eq!(a, FrameCacheDelta { hits: 0, misses: 1, raced: 0 });
         assert_eq!(b, FrameCacheDelta { hits: 1, misses: 0, raced: 0 });
         assert_eq!(a.total(), 1);
@@ -770,12 +857,15 @@ mod tests {
         cache.set_budget(Some(32));
         let a = cache.get_or_load(&fs, f, 0, 16).unwrap();
         cache.get_or_load(&fs, f, 16, 16).unwrap();
-        // The cache is full: the next admission goes in at the
-        // evict-first end and, never hit, is the victim — a stream passes
-        // through without displacing what is resident.
-        cache.get_or_load(&fs, f, 32, 16).unwrap();
+        // The cache is full: admitted, the next miss would go in at the
+        // evict-first end and, never hit, be the next victim. It bypasses
+        // instead, served by one uncached read — a stream passes through
+        // without displacing what is resident.
+        let reads = fs.read_calls();
+        assert_eq!(&cache.get_or_load(&fs, f, 32, 16).unwrap()[..], &[3u8; 16]);
+        assert_eq!(fs.read_calls() - reads, 1);
         let st = cache.stats();
-        assert_eq!(st.evicted, 1);
+        assert_eq!((st.misses, st.bypassed, st.evicted), (3, 1, 0));
         assert!(st.bytes <= 32, "budget bounds deduped bytes");
         assert!(resident(0) && resident(1) && !resident(2));
         // Extent 1, the newer, is at the evict-first end; hit it and
@@ -783,23 +873,23 @@ mod tests {
         // extent 0 goes.
         cache.get_or_load(&fs, f, 16, 16).unwrap();
         cache.set_budget(Some(16));
-        assert_eq!(cache.stats().evicted, 2);
+        assert_eq!(cache.stats().evicted, 1);
         assert!(resident(1) && !resident(0));
-        // The evicted extent reloads as a fresh miss; the caller's old
-        // buffer was never freed or mutated (it holds its own Arc).
+        // The evicted extent reloads as a fresh miss once it fits; the
+        // caller's old buffer was never freed or mutated (it holds its own
+        // Arc).
         assert_eq!(&a[..], &[1u8; 16]);
         let misses = cache.stats().misses;
         cache.set_budget(Some(32));
         cache.get_or_load(&fs, f, 0, 16).unwrap();
         assert_eq!(cache.stats().misses, misses + 1);
-        // Lifting the budget stops eviction.
+        assert!(resident(0));
+        // Lifting the budget stops eviction and bypass.
         cache.set_budget(None);
         cache.get_or_load(&fs, f, 48, 16).unwrap();
-        assert_eq!(
-            cache.stats().evicted,
-            2,
-            "unbounded again: no new evictions"
-        );
+        let st = cache.stats();
+        assert_eq!((st.evicted, st.bypassed), (1, 1), "unbounded again");
+        assert!(resident(3));
     }
 
     #[test]
@@ -812,18 +902,54 @@ mod tests {
         }
         let resident = |e: u64| cache.peek(f, e * 8, 8).is_some();
         cache.set_budget(Some(2 * 8));
-        // Admissions 1-31 go in at the evict-first end: two fill the
-        // cache, the other 29 stream through, each evicting itself.
+        // Turns 1-31 are unprotected: two admissions fill the cache, and
+        // the other 29 misses bypass it.
         for e in 0..31 {
             cache.get_or_load(&fs, f, e * 8, 8).unwrap();
         }
         assert!(resident(0) && resident(1));
-        assert_eq!(cache.stats().evicted, 29);
-        // The 32nd goes in at the protected end and displaces the
-        // resident entry at the evict-first end (the newer of the two):
+        let st = cache.stats();
+        assert_eq!((st.admitted, st.bypassed, st.evicted), (2, 29, 0));
+        // The 32nd turn is protected — bypasses count as turns, or it would
+        // never come. Its miss goes in at the protected end and displaces
+        // the resident entry at the evict-first end (the newer of the two):
         // this is how a new loop takes the cache from a stale one.
         cache.get_or_load(&fs, f, 31 * 8, 8).unwrap();
         assert!(resident(31) && resident(0) && !resident(1));
+        assert_eq!(cache.stats().evicted, 1);
+    }
+
+    #[test]
+    fn an_aliased_miss_at_the_budget_deduplicates_instead_of_bypassing() {
+        let fs = FileStore::new();
+        let cache = SnapshotFrameCache::new();
+        // One cold start's view of an extent: the WS file's copy, which
+        // the prefetch aliased, and the memory file's, which verify reads.
+        let (ws, mem) = (fs.create("ws"), fs.create("mem"));
+        fs.write_at(ws, 0, &[1u8; 16]);
+        fs.write_at(mem, 0, &[1u8; 16]);
+        cache.set_budget(Some(16));
+        let mut delta = FrameCacheDelta::default();
+        let mut lookup = |file, aliased| {
+            cache
+                .get_or_load_tracked(&fs, file, 0, 16, aliased, &mut delta)
+                .unwrap()
+        };
+        let FrameLookup::Frames(prefetched) = lookup(ws, false) else {
+            panic!("a miss that fits the budget is admitted");
+        };
+        // The cache is full: a plain miss of the memory-file key bypasses
+        // without reading, while an aliased one loads and attaches to the
+        // content it aliases, holding no new bytes.
+        let reads = fs.read_calls();
+        assert_eq!(lookup(mem, false), FrameLookup::Bypass);
+        assert_eq!(fs.read_calls(), reads, "a bypass reads nothing");
+        assert_eq!(lookup(mem, true), FrameLookup::Frames(prefetched.clone()));
+        assert_eq!(lookup(mem, false), FrameLookup::Frames(prefetched));
+        assert_eq!(delta, FrameCacheDelta { hits: 1, misses: 3, raced: 0 });
+        let st = cache.stats();
+        assert_eq!((st.admitted, st.deduped, st.bypassed, st.misses), (1, 1, 1, 3));
+        assert_eq!((st.bytes, st.evicted), (16, 0));
     }
 
     #[test]
@@ -1036,8 +1162,8 @@ mod tests {
 
     /// Lanes doing everything at once to one cache: lookups, in-place
     /// rewrites, invalidations, budget changes — flipped between tiny and
-    /// none, or (`flip_budget` false) held tiny throughout so eviction
-    /// runs beside every other operation. Seeded per thread; the
+    /// none, or (`flip_budget` false) held tiny throughout so bypass and
+    /// eviction run beside every other operation. Seeded per thread; the
     /// interleaving is whatever the scheduler makes of it, which is why CI
     /// runs these ten times. Each extent holds its file's version counter
     /// at its last rewrite, repeated as `u64` words, and a writer
@@ -1106,7 +1232,22 @@ mod tests {
                                 ),
                                 _ => {
                                     let floor = published[f][e as usize].load(Ordering::SeqCst);
-                                    let got = cache.get_or_load(fs, files[f], e * LEN, LEN).unwrap();
+                                    // One lookup in eight says its caller
+                                    // aliases the extent, so it never
+                                    // bypasses; a bypass reads the store.
+                                    let aliased = rng.gen_range(8) == 0;
+                                    let (file, at) = (files[f], e * LEN);
+                                    let mut delta = FrameCacheDelta::default();
+                                    let got = match cache
+                                        .get_or_load_tracked(fs, file, at, LEN, aliased, &mut delta)
+                                        .unwrap()
+                                    {
+                                        FrameLookup::Frames(bytes) => bytes.to_vec(),
+                                        FrameLookup::Bypass => {
+                                            assert!(!aliased, "an aliased lookup bypassed");
+                                            fs.try_read_at(file, at, LEN as usize).unwrap()
+                                        }
+                                    };
                                     let served = version_of(&got);
                                     assert!(served >= floor, "stale: served {served}, floor {floor}");
                                     lookups += 1;
@@ -1122,9 +1263,9 @@ mod tests {
 
         let st = cache.stats();
         assert_eq!(st.hits + st.misses + st.raced, lookups, "{st:?}");
-        assert_eq!(st.admitted + st.deduped, st.misses, "{st:?}");
+        assert_eq!(st.admitted + st.deduped + st.bypassed, st.misses, "{st:?}");
         assert!(
-            flip_budget || (st.bytes <= TINY_BUDGET && st.evicted > 0),
+            flip_budget || (st.bytes <= TINY_BUDGET && st.evicted > 0 && st.bypassed > 0),
             "{st:?}"
         );
         // Quiescent: the budget binds, the structure is consistent, and

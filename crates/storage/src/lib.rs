@@ -47,7 +47,9 @@ pub use fault::{
     StorageError,
 };
 pub use file_store::{FileId, FileStore};
-pub use frame_cache::{FrameCacheDelta, FrameCacheGone, FrameCacheStats, SnapshotFrameCache};
+pub use frame_cache::{
+    FrameCacheDelta, FrameCacheGone, FrameCacheStats, FrameLookup, SnapshotFrameCache,
+};
 pub use page_cache::PageCache;
 
 /// Page size used throughout the reproduction (x86-64 base pages).

@@ -54,17 +54,19 @@ struct NaiveContent {
 }
 
 /// The reference [`SnapshotFrameCache`] is checked against: bimodal
-/// insertion over a deque of live content in eviction order (front =
-/// evict-first end, back = protected end), every lookup, dedup and byte
-/// count a linear scan. Content dropped by invalidation leaves the deque
-/// at once, where the cache leaves a stale slot to skip.
+/// insertion with bypass over a deque of live content in eviction order
+/// (front = evict-first end, back = protected end), every lookup, dedup
+/// and byte count a linear scan. Content dropped by invalidation leaves
+/// the deque at once, where the cache leaves a stale slot to skip.
 #[derive(Default)]
 struct NaiveBimodal {
     queue: VecDeque<NaiveContent>,
-    admitted: u64,
+    /// Admissions plus bypasses; every 32nd is protected.
+    turns: u64,
     budget: Option<u64>,
     hits: u64,
     misses: u64,
+    bypassed: u64,
     evicted: u64,
 }
 
@@ -100,6 +102,16 @@ impl NaiveBimodal {
             return;
         }
         self.misses += 1;
+        // A key with no entry, stale or live, whose bytes would push the
+        // cache over its budget bypasses on an unprotected turn.
+        let over = self
+            .budget
+            .is_some_and(|b| self.bytes() + content.len() as u64 > b);
+        if over && !self.keys().contains(&key) && !(self.turns + 1).is_multiple_of(32) {
+            self.turns += 1;
+            self.bypassed += 1;
+            return;
+        }
         self.detach(key);
         match self.queue.iter_mut().find(|c| c.bytes == content) {
             // A dedup maps one more extent onto live bytes; it neither
@@ -111,8 +123,8 @@ impl NaiveBimodal {
                     keys: vec![(key, version)],
                     referenced: false,
                 };
-                self.admitted += 1;
-                if self.admitted.is_multiple_of(32) {
+                self.turns += 1;
+                if self.turns.is_multiple_of(32) {
                     self.queue.push_back(fresh);
                 } else {
                     self.queue.push_front(fresh);
@@ -304,12 +316,12 @@ proptest! {
     }
 
     /// The reader-writer-locked, stamp-queued frame cache is observably
-    /// the naive bimodal insertion: same resident extents, bytes,
-    /// evictions and counters after every lookup, in-place rewrite,
-    /// invalidation and budget change. Fill bytes come from a pool of four
-    /// and lengths from two, so content deduplicates across extents and
-    /// files; a rewrite makes every cached extent of its file stale at
-    /// once.
+    /// the naive bimodal insertion with bypass: same resident extents,
+    /// bytes, bypasses, evictions and counters after every lookup, in-place
+    /// rewrite, invalidation and budget change. Fill bytes come from a
+    /// pool of four and lengths from two, so content deduplicates across
+    /// extents and files; a rewrite makes every cached extent of its file
+    /// stale at once.
     #[test]
     fn frame_cache_matches_naive_bimodal(
         ops in proptest::collection::vec((0u8..16, 0usize..3, 0u64..6, 0u8..4, any::<bool>()), 1..250)
@@ -358,6 +370,8 @@ proptest! {
             }
             let st = cache.stats();
             prop_assert_eq!((st.hits, st.misses, st.raced), (naive.hits, naive.misses, 0));
+            prop_assert_eq!(st.bypassed, naive.bypassed);
+            prop_assert_eq!(st.admitted + st.deduped + st.bypassed, st.misses);
             prop_assert_eq!(st.hits + st.misses + st.raced, lookups);
             prop_assert_eq!((st.bytes, st.evicted), (naive.bytes(), naive.evicted));
             prop_assert_eq!(st.content_entries as usize, naive.queue.len());

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use functionbench::FunctionId;
 use guest_mem::{PageIdx, PageRun, PAGE_SIZE};
 use sim_storage::fault::retry_idempotent;
-use sim_storage::{FaultClass, FileId, FileStore, StorageError};
+use sim_storage::{FaultClass, FileId, FileStore, FrameLookup, StorageError};
 
 use crate::vm::{GuestShell, MicroVm, VmConfig};
 use crate::vmm::VmmState;
@@ -255,20 +255,23 @@ pub fn verify_restored_tracked(
         // aliases. Identity never trusts the WS file: the cache resolves
         // this key from the *memory file* at its current generation, and
         // two keys share an allocation only because `attach` byte-compared
-        // them when it deduplicated.
+        // them when it deduplicated. A chunk aliasing a buffer from its
+        // first page is never bypassed, so at the budget its key still
+        // attaches to that buffer and later verifies stay identity checks.
         for chunk in mem.run_chunks(run) {
-            let expected = cache
-                .get_or_load_tracked(
-                    fs,
-                    snapshot.mem_file,
-                    chunk.run.file_offset(),
-                    chunk.run.byte_len(),
-                    delta,
-                )
-                .map_err(|gone| format!("verify source vanished: {gone}"))?;
-            verified += match chunk.source {
-                Some((src, 0)) if Arc::ptr_eq(src, &expected) => chunk.run.len,
-                _ => compare(chunk.run, &expected)?,
+            let (at, len) = (chunk.run.file_offset(), chunk.run.byte_len());
+            let aliased = matches!(chunk.source, Some((_, 0)));
+            let lookup = cache.get_or_load_tracked(fs, snapshot.mem_file, at, len, aliased, delta);
+            verified += match lookup {
+                Ok(FrameLookup::Frames(expected)) => match chunk.source {
+                    Some((src, 0)) if Arc::ptr_eq(src, &expected) => chunk.run.len,
+                    _ => compare(chunk.run, &expected)?,
+                },
+                // Bypassed, or the memory file died mid-pass: compare
+                // against a borrow of the file, if it is still there.
+                _ => fs
+                    .try_with_range(snapshot.mem_file, at, len, |expect| compare(chunk.run, expect))
+                    .map_err(|e| format!("verify source vanished: {e}"))??,
             };
         }
     }
