@@ -63,7 +63,7 @@ pub fn boot_vs_snapshot(a: &Args) -> Result<(), String> {
 pub fn fio(_: &Args) -> Result<(), String> {
     let fs = FileStore::new();
     let bytes = 512 * 1024 * 1024u64;
-    let file = make_test_file(&fs, bytes);
+    let file = make_test_file(&fs, bytes).map_err(|e| e.to_string())?;
 
     let mut t = Table::new(&["workload", "throughput (MB/s)", "paper (MB/s)"]);
     t.numeric();

@@ -73,7 +73,7 @@ fn chaos_case(seed: u64) {
         // Stored corruption: scribble the WS header magic in place.
         let fs = c.shard(c.route_of(f)).fs();
         let ws = fs.open(&format!("snapshots/{f}/ws_pages")).unwrap();
-        fs.write_at(ws, 0, &[0xA5, 0x5A, 0xA5, 0x5A]);
+        fs.write_at(ws, 0, &[0xA5, 0x5A, 0xA5, 0x5A]).unwrap();
     }
     let mut plan = FaultPlan::new();
     if transients > 0 {
@@ -140,7 +140,7 @@ fn chaos_telemetry_case(seed: u64) {
     if let Some(f) = corrupt {
         let fs = c.shard(c.route_of(f)).fs();
         let ws = fs.open(&format!("snapshots/{f}/ws_pages")).unwrap();
-        fs.write_at(ws, 0, &[0xA5, 0x5A, 0xA5, 0x5A]);
+        fs.write_at(ws, 0, &[0xA5, 0x5A, 0xA5, 0x5A]).unwrap();
     }
     let mut plan = FaultPlan::new();
     if transients > 0 {
@@ -209,7 +209,7 @@ fn corrupted_v1_case(seed: u64, bad_magic: bool, hit_trace: bool) {
                 hdr.extend_from_slice(if hit_trace { b"REAPTRC2" } else { b"REAPWSF2" });
                 hdr.extend_from_slice(&(1u64 << 32).to_le_bytes());
             }
-            fs.write_at(id, 0, &hdr);
+            fs.write_at(id, 0, &hdr).unwrap();
         }
         let batch = c.invoke_concurrent(&reap_batch());
         for out in &batch.outcomes {

@@ -32,7 +32,8 @@
 //! store read), a miss reads the store once and populates the cache for
 //! every later cold start of the same function — on any shard. A miss the
 //! cache bypasses at its budget, like one whose file died mid-pass, is
-//! copied in from a borrow of the store ([`FileStore::try_with_range`]).
+//! copied in from a borrow of the store ([`FileStore::read`]), as is
+//! every run when no cache is attached.
 //! [`MonitorStats`] and [`guest_mem::UffdStats`] are arithmetically
 //! identical with and without the cache (pinned by proptests).
 
@@ -217,17 +218,15 @@ impl<'a> Monitor<'a> {
                 // the extent once; every later one aliases the cached bytes
                 // into the guest — zero copies, no store read.
                 Some(Ok(FrameLookup::Frames(src))) => uffd.alias_run(run, &src, 0),
-                // Install straight from the WS file's bytes: one copy per
-                // extent, no staging buffer.
-                None => self.fs.with_range(file, at, len, |src| uffd.copy_run(run, src)),
-                // Bypassed (the cache is at its budget), or the WS file
-                // died mid-pass (an unregister racing this cold start, or
-                // a blackout): read the store directly; if it is gone, fail
-                // the prefetch cleanly — with the *typed* storage fault —
-                // instead of poisoning the serving thread.
-                Some(_) => self
+                // No cache, a bypass (the cache is at its budget), or a WS
+                // file that died mid-pass (an unregister racing this cold
+                // start, or a blackout): install straight from the WS
+                // file's bytes, one copy per extent. If the file is gone,
+                // fail the prefetch cleanly — with the *typed* storage
+                // fault — instead of poisoning the serving thread.
+                _ => self
                     .fs
-                    .try_with_range(file, at, len, |src| uffd.copy_run(run, src))
+                    .read(file, at, len, |src| uffd.copy_run(run, src))
                     .map_err(PrefetchError::Storage)?,
             }
             .map_err(PrefetchError::Install)?;
@@ -276,14 +275,13 @@ impl Monitor<'_> {
             // Demand faults repeat across cold starts of the same function
             // (deterministic replay): alias the cached run.
             Some(Ok(FrameLookup::Frames(src))) => uffd.alias_run(run, &src, 0)?,
-            None => self.fs.with_range(file, at, len, |src| uffd.copy_run(run, src))?,
-            // Bypassed, or the snapshot file was unregistered mid-serve:
-            // read the store directly; if the file is truly gone, the run
-            // stays missing and the serve fails cleanly instead of
-            // poisoning the serving thread.
-            Some(_) => self
+            // No cache, a bypass, or a snapshot file that was unregistered
+            // (or blacked out) mid-serve: read the store directly; if the
+            // file is gone, the run stays missing and the serve fails
+            // cleanly instead of poisoning the serving thread.
+            _ => self
                 .fs
-                .try_with_range(file, at, len, |src| uffd.copy_run(run, src))
+                .read(file, at, len, |src| uffd.copy_run(run, src))
                 .unwrap_or(Err(MemError::NotResident(run.first)))?,
         };
         if install.eexist > 0 {

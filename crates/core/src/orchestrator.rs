@@ -907,7 +907,7 @@ impl Orchestrator {
             // pinned so a surviving shard can replay this exact recording.
             st.quarantined = false;
             st.recorded_seq = Some(seq);
-            st.artifact_digest = Some(digest);
+            st.artifact_digest = digest;
         }
 
         if let Some(m) = &self.metrics {
@@ -933,21 +933,25 @@ impl Orchestrator {
     }
 
     /// Digests of the (trace, ws) artifact bytes, hashed where they lie
-    /// through the plain (injection-free) read path — these hash what is
-    /// *stored*, so injected wire faults never poison the reference
-    /// digests. They never leave the process and are only ever compared
-    /// with a recomputation by this function, so the word-wise feed does.
-    fn artifact_digests(&self, reap: ReapFiles) -> (u64, u64) {
-        let digest = |file| self.fs.with_range(file, 0, self.fs.len(file), fnv1a64_words);
-        (digest(reap.trace_file), digest(reap.ws_file))
+    /// through [`FileStore::read`], which never corrupts the wire — these
+    /// hash what is *stored*, so injected wire faults never poison the
+    /// reference digests. `None` if either artifact is unreadable (dead or
+    /// blacked out). They never leave the process and are only ever
+    /// compared with a recomputation by this function, so the word-wise
+    /// feed does.
+    fn artifact_digests(&self, reap: ReapFiles) -> Option<(u64, u64)> {
+        let digest = |file| self.fs.read(file, 0, self.fs.len(file), fnv1a64_words).ok();
+        Some((digest(reap.trace_file)?, digest(reap.ws_file)?))
     }
 
     /// True if `f`'s stored artifacts still hash to their record-time
-    /// digests (vacuously true with nothing recorded).
+    /// digests (vacuously true with nothing recorded). An unreadable
+    /// artifact counts as intact: the prefetch that reads it next reports
+    /// the typed storage error.
     fn artifacts_intact(&self, f: FunctionId) -> bool {
         let st = self.state(f);
         match (st.reap, st.artifact_digest) {
-            (Some(reap), Some(digest)) => self.artifact_digests(reap) == digest,
+            (Some(reap), Some(digest)) => self.artifact_digests(reap).is_none_or(|d| d == digest),
             _ => true,
         }
     }
@@ -1185,7 +1189,7 @@ impl Orchestrator {
         st.reap = Some(files);
         // The padded artifacts are freshly written: re-baseline the
         // corruption digests and lift any quarantine.
-        st.artifact_digest = Some(digest);
+        st.artifact_digest = digest;
         st.quarantined = false;
         files
     }
@@ -1650,12 +1654,12 @@ mod tests {
         o.invoke_record(f);
         assert!(o.has_ws(f));
         let mem_old = o.fs().open(&format!("snapshots/{f}/guest_mem")).unwrap();
-        let page_old = o.fs().read_at(mem_old, 0, 4096);
+        let page_old = o.fs().read(mem_old, 0, 4096, <[u8]>::to_vec).unwrap();
 
         o.regenerate_snapshot(f);
         assert!(!o.has_ws(f), "stale WS files must be dropped");
         let mem_new = o.fs().open(&format!("snapshots/{f}/guest_mem")).unwrap();
-        let page_new = o.fs().read_at(mem_new, 0, 4096);
+        let page_new = o.fs().read(mem_new, 0, 4096, <[u8]>::to_vec).unwrap();
         assert_ne!(page_old, page_new, "regeneration must change contents");
 
         // The pipeline still works end-to-end on the new generation.
@@ -1680,9 +1684,12 @@ mod tests {
         let fresh = Snapshot::capture(&vm, &fresh_fs, "fresh");
         let reused = o.state(f).snapshot.mem_file;
         assert_eq!(o.fs().len(reused), fresh.mem_bytes);
-        let same = o.fs().with_range(reused, 0, fresh.mem_bytes, |got| {
-            fresh_fs.with_range(fresh.mem_file, 0, fresh.mem_bytes, |want| got == want)
-        });
+        let same = o
+            .fs()
+            .read(reused, 0, fresh.mem_bytes, |got| {
+                fresh_fs.read(fresh.mem_file, 0, fresh.mem_bytes, |want| got == want).unwrap()
+            })
+            .unwrap();
         assert!(same, "re-capture must equal a capture into an empty store");
     }
 

@@ -253,7 +253,7 @@ mod tests {
     fn files() -> (FileStore, sim_storage::FileId) {
         let fs = FileStore::new();
         let f = fs.create("mem");
-        fs.set_len(f, 65536 * PAGE_SIZE);
+        fs.set_len(f, 65536 * PAGE_SIZE).unwrap();
         (fs, f)
     }
 

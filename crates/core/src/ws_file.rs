@@ -130,7 +130,7 @@ fn extent_table(magic: &[u8; 8], runs: &[PageRun], total_bytes: u64) -> Vec<u8> 
 
 /// Writes the trace + WS files for `runs` (recorded fault order, already
 /// coalesced). The page data lands via one scatter-gather store operation
-/// ([`FileStore::try_gather_into`]) straight from the guest memory file — a
+/// ([`FileStore::gather_into`]) straight from the guest memory file — a
 /// single destination copy, no intermediate buffer and no per-page reads.
 ///
 /// Returns the stored file handles. Existing files under the same prefix
@@ -165,17 +165,17 @@ fn try_write_reap_files_runs(
     };
 
     let trace_buf = extent_table(TRACE_MAGIC, runs, files.trace_bytes());
-    retry_idempotent(|| fs.try_write_at(files.trace_file, 0, &trace_buf))?;
+    retry_idempotent(|| fs.write_at(files.trace_file, 0, &trace_buf))?;
 
     // WS file: same header + extent table, then the page data gathered
     // from the memory file in one store operation.
     let header = extent_table(WS_MAGIC, runs, files.trace_bytes());
-    retry_idempotent(|| fs.try_write_at(files.ws_file, 0, &header))?;
+    retry_idempotent(|| fs.write_at(files.ws_file, 0, &header))?;
     let parts: Vec<(FileId, u64, u64)> = runs
         .iter()
         .map(|r| (mem_file, r.file_offset(), r.byte_len()))
         .collect();
-    retry_idempotent(|| fs.try_gather_into(files.ws_file, header.len() as u64, &parts))?;
+    retry_idempotent(|| fs.gather_into(files.ws_file, header.len() as u64, &parts))?;
     Ok(files)
 }
 
@@ -328,17 +328,15 @@ pub fn read_ws_layout(fs: &FileStore, ws_file: FileId) -> Result<WsLayout, WsErr
 ///
 /// # Errors
 ///
-/// Returns [`WsError`] on magic/length/alignment/extent violations.
+/// Returns [`WsError`] on magic/length/alignment/extent violations, and
+/// [`WsError::Io`] when an extent cannot be read.
 fn read_ws_extents(fs: &FileStore, ws_file: FileId) -> Result<Vec<(PageRun, Vec<u8>)>, WsError> {
     let layout = read_ws_layout(fs, ws_file)?;
-    Ok(layout
+    layout
         .extents
         .into_iter()
-        .map(|(run, at)| {
-            let data = fs.read_at(ws_file, at, run.byte_len() as usize);
-            (run, data)
-        })
-        .collect())
+        .map(|(run, at)| Ok((run, fs.read(ws_file, at, run.byte_len(), <[u8]>::to_vec)?)))
+        .collect()
 }
 
 /// Parses a WS file into per-page `(page, contents)` pairs.
@@ -365,7 +363,7 @@ mod tests {
         for &p in pages {
             let mut data = vec![0u8; PAGE_SIZE];
             guest_mem::checksum::fill_deterministic(&mut data, 11, p);
-            fs.write_at(mem, p * PAGE_SIZE as u64, &data);
+            fs.write_at(mem, p * PAGE_SIZE as u64, &data).unwrap();
         }
         mem
     }
@@ -387,7 +385,9 @@ mod tests {
         assert_eq!(ws.len(), 5);
         for (i, (page, data)) in ws.iter().enumerate() {
             assert_eq!(*page, trace[i]);
-            let expect = fs.read_at(mem, page.file_offset(), PAGE_SIZE);
+            let expect = fs
+                .read(mem, page.file_offset(), PAGE_SIZE as u64, <[u8]>::to_vec)
+                .unwrap();
             assert_eq!(data, &expect, "page {page} contents");
         }
     }
@@ -418,7 +418,9 @@ mod tests {
         for (run, data) in &extents {
             assert_eq!(data.len() as u64, run.byte_len());
             for (i, page) in run.iter().enumerate() {
-                let expect = fs.read_at(mem, page.file_offset(), PAGE_SIZE);
+                let expect = fs
+                    .read(mem, page.file_offset(), PAGE_SIZE as u64, <[u8]>::to_vec)
+                    .unwrap();
                 assert_eq!(&data[i * PAGE_SIZE..(i + 1) * PAGE_SIZE], &expect[..]);
             }
         }
@@ -453,8 +455,8 @@ mod tests {
         let mem = mem_with_pages(&fs, &[8, 9, 3]);
         let trace = vec![PageIdx::new(8), PageIdx::new(9), PageIdx::new(3)];
         let files = write_reap_files(&fs, "s", mem, &trace);
-        fs.write_at(files.trace_file, 7, b"1");
-        fs.write_at(files.ws_file, 7, b"1");
+        fs.write_at(files.trace_file, 7, b"1").unwrap();
+        fs.write_at(files.ws_file, 7, b"1").unwrap();
         assert_eq!(read_trace_runs(&fs, files.trace_file), Err(WsError::BadMagic));
         assert_eq!(read_ws_layout(&fs, files.ws_file), Err(WsError::BadMagic));
     }
@@ -463,7 +465,7 @@ mod tests {
     fn bad_magic_detected() {
         let fs = FileStore::new();
         let f = fs.create("junk");
-        fs.write_at(f, 0, b"NOTMAGIC\0\0\0\0\0\0\0\0");
+        fs.write_at(f, 0, b"NOTMAGIC\0\0\0\0\0\0\0\0").unwrap();
         assert_eq!(read_trace_file(&fs, f), Err(WsError::BadMagic));
         assert_eq!(read_ws_file(&fs, f), Err(WsError::BadMagic));
     }
@@ -473,18 +475,18 @@ mod tests {
         let fs = FileStore::new();
         let mem = mem_with_pages(&fs, &[1]);
         let files = write_reap_files(&fs, "s", mem, &[PageIdx::new(1)]);
-        fs.set_len(files.ws_file, 100);
+        fs.set_len(files.ws_file, 100).unwrap();
         assert!(matches!(
             read_ws_file(&fs, files.ws_file),
             Err(WsError::Truncated { .. })
         ));
-        fs.set_len(files.trace_file, 17);
+        fs.set_len(files.trace_file, 17).unwrap();
         assert!(matches!(
             read_trace_file(&fs, files.trace_file),
             Err(WsError::Truncated { .. })
         ));
         let tiny = fs.create("tiny");
-        fs.write_at(tiny, 0, b"ab");
+        fs.write_at(tiny, 0, b"ab").unwrap();
         assert!(matches!(
             read_trace_file(&fs, tiny),
             Err(WsError::Truncated { .. })
@@ -498,7 +500,7 @@ mod tests {
         let trace = vec![PageIdx::new(1), PageIdx::new(2), PageIdx::new(3)];
         let files = write_reap_files(&fs, "s", mem, &trace);
         // Keep the extent table intact but drop half the page data.
-        fs.set_len(files.ws_file, files.ws_bytes() - 2 * PAGE_SIZE as u64);
+        fs.set_len(files.ws_file, files.ws_bytes() - 2 * PAGE_SIZE as u64).unwrap();
         assert!(matches!(
             read_ws_extents(&fs, files.ws_file),
             Err(WsError::Truncated { .. })
@@ -514,7 +516,7 @@ mod tests {
         put_u64(&mut buf, 8, 1);
         put_u64(&mut buf, 16, 123); // not page aligned
         put_u64(&mut buf, 24, 1);
-        fs.write_at(f, 0, &buf);
+        fs.write_at(f, 0, &buf).unwrap();
         assert_eq!(read_trace_file(&fs, f), Err(WsError::MisalignedOffset(123)));
     }
 
@@ -527,7 +529,7 @@ mod tests {
         put_u64(&mut buf, 8, 1);
         put_u64(&mut buf, 16, 5 * PAGE_SIZE as u64);
         put_u64(&mut buf, 24, 0); // empty extent
-        fs.write_at(f, 0, &buf);
+        fs.write_at(f, 0, &buf).unwrap();
         assert_eq!(
             read_trace_runs(&fs, f),
             Err(WsError::EmptyExtent(5 * PAGE_SIZE as u64))
@@ -535,7 +537,7 @@ mod tests {
         // Same rule guards WS files.
         let w = fs.create("badws");
         buf[..8].copy_from_slice(WS_MAGIC);
-        fs.write_at(w, 0, &buf);
+        fs.write_at(w, 0, &buf).unwrap();
         assert_eq!(
             read_ws_extents(&fs, w),
             Err(WsError::EmptyExtent(5 * PAGE_SIZE as u64))
@@ -554,14 +556,14 @@ mod tests {
         put_u64(&mut buf, 8, 1);
         put_u64(&mut buf, 16, 0);
         put_u64(&mut buf, 24, u64::MAX / 2);
-        fs.write_at(f, 0, &buf);
+        fs.write_at(f, 0, &buf).unwrap();
         assert!(matches!(
             read_trace_runs(&fs, f),
             Err(WsError::Truncated { .. })
         ));
         let w = fs.create("badws");
         buf[..8].copy_from_slice(WS_MAGIC);
-        fs.write_at(w, 0, &buf);
+        fs.write_at(w, 0, &buf).unwrap();
         assert!(matches!(
             read_ws_layout(&fs, w),
             Err(WsError::Truncated { .. })
@@ -580,7 +582,7 @@ mod tests {
         put_u64(&mut buf, 24, 4);
         put_u64(&mut buf, 32, 12 * PAGE_SIZE as u64);
         put_u64(&mut buf, 40, 1);
-        fs.write_at(f, 0, &buf);
+        fs.write_at(f, 0, &buf).unwrap();
         assert_eq!(
             read_trace_runs(&fs, f),
             Err(WsError::OverlappingExtents(
@@ -590,7 +592,7 @@ mod tests {
         );
         // Abutting extents are fine (e.g. a re-coalesced trace).
         put_u64(&mut buf, 32, 14 * PAGE_SIZE as u64);
-        fs.write_at(f, 0, &buf);
+        fs.write_at(f, 0, &buf).unwrap();
         assert_eq!(
             read_trace_runs(&fs, f).unwrap(),
             vec![

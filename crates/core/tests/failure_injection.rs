@@ -17,8 +17,8 @@ use sim_storage::{
 };
 use vhive_core::{
     BreakerPolicy, BreakerState, ColdAbort, ColdPolicy, ColdRequest, Disposition,
-    InvocationOutcome, Monitor, MonitorMode, Orchestrator, PrefetchError, RecoveryReport,
-    ShedReason,
+    InvocationOutcome, Monitor, MonitorMode, Orchestrator, PrefetchError, ReapFiles,
+    RecoveryReport, ShedReason,
 };
 use vhive_telemetry::{scan, TelemetrySink};
 
@@ -126,8 +126,8 @@ fn stored_corruption_of_vmm_state_surrenders_the_shard() {
     // snapshot itself is bad, so there is nothing to fall back to here.
     let mut o = prepared(13);
     let vmm = o.fs().open(&format!("snapshots/{F}/vmm_state")).unwrap();
-    let byte = o.fs().read_at(vmm, 32, 1)[0];
-    o.fs().write_at(vmm, 32, &[byte ^ 0xFF]);
+    let byte = o.fs().read(vmm, 32, 1, |b| b[0]).unwrap();
+    o.fs().write_at(vmm, 32, &[byte ^ 0xFF]).unwrap();
     let err = o
         .prepare(&ColdRequest::shared(F, ColdPolicy::Reap))
         .expect_err("a corrupt snapshot cannot restore");
@@ -140,7 +140,7 @@ fn stored_corruption_of_vmm_state_surrenders_the_shard() {
     // The seq was surrendered: the function's next request (here after the
     // file is repaired; in a cluster, on the shard it was rebuilt on) runs
     // with it and matches the fault-free run.
-    o.fs().write_at(vmm, 32, &[byte]);
+    o.fs().write_at(vmm, 32, &[byte]).unwrap();
     let replayed = o.invoke_cold(F, ColdPolicy::Reap);
     assert_eq!(replayed.seq, baseline.seq);
     assert_eq!(normalized(&replayed), normalized(&baseline));
@@ -157,7 +157,7 @@ fn stored_corruption_quarantines_and_falls_back_to_vanilla() {
     let faulted = scribbles.map(|(at, bytes)| {
         let mut o = prepared(13);
         let ws = o.fs().open(&format!("snapshots/{F}/ws_pages")).unwrap();
-        o.fs().write_at(ws, at, bytes);
+        o.fs().write_at(ws, at, bytes).unwrap();
         let faulted = o.invoke_cold(F, ColdPolicy::Reap);
 
         assert_eq!(faulted.recovery.corrupt_reloads, 1, "one reload attempted");
@@ -185,8 +185,8 @@ fn digest_verification_catches_silent_payload_corruption() {
     // poisoned pages into guest memory.
     let ws = o.fs().open(&format!("snapshots/{F}/ws_pages")).unwrap();
     let tail = o.fs().len(ws) - 1;
-    let byte = o.fs().read_at(ws, tail, 1)[0];
-    o.fs().write_at(ws, tail, &[byte ^ 0xFF]);
+    let byte = o.fs().read(ws, tail, 1, |b| b[0]).unwrap();
+    o.fs().write_at(ws, tail, &[byte ^ 0xFF]).unwrap();
     let faulted = o.invoke_cold(F, ColdPolicy::Reap);
 
     assert!(faulted.recovery.quarantined);
@@ -206,8 +206,8 @@ fn unverified_silent_payload_corruption_fails_stop() {
     let mut o = prepared(15);
     let ws = o.fs().open(&format!("snapshots/{F}/ws_pages")).unwrap();
     let tail = o.fs().len(ws) - 1;
-    let byte = o.fs().read_at(ws, tail, 1)[0];
-    o.fs().write_at(ws, tail, &[byte ^ 0xFF]);
+    let byte = o.fs().read(ws, tail, 1, |b| b[0]).unwrap();
+    o.fs().write_at(ws, tail, &[byte ^ 0xFF]).unwrap();
     let _ = o.invoke_cold(F, ColdPolicy::Reap);
 }
 
@@ -225,7 +225,7 @@ fn auto_rerecord_heals_a_quarantined_working_set() {
     let mut o = prepared(16);
     o.set_auto_rerecord(true, 0.5);
     let ws = o.fs().open(&format!("snapshots/{F}/ws_pages")).unwrap();
-    o.fs().write_at(ws, 0, &[0xA5, 0x5A, 0xA5, 0x5A]);
+    o.fs().write_at(ws, 0, &[0xA5, 0x5A, 0xA5, 0x5A]).unwrap();
 
     let fell_back = o.invoke_cold(F, ColdPolicy::Reap);
     assert!(fell_back.recovery.fallback_vanilla);
@@ -411,8 +411,8 @@ fn vmm_checksum_mismatch_stays_fatal() {
     // fails loudly.
     let mut o = prepared(19);
     let vmm = o.fs().open(&format!("snapshots/{F}/vmm_state")).unwrap();
-    let byte = o.fs().read_at(vmm, 32, 1)[0];
-    o.fs().write_at(vmm, 32, &[byte ^ 0xFF]);
+    let byte = o.fs().read(vmm, 32, 1, |b| b[0]).unwrap();
+    o.fs().write_at(vmm, 32, &[byte ^ 0xFF]).unwrap();
     let _ = o.invoke_cold(F, ColdPolicy::Reap);
 }
 
@@ -437,7 +437,7 @@ fn breaker_trips_on_quarantine_fallbacks_sheds_then_closes_on_a_clean_probe() {
     // Reference world, no breaker: the same served requests, in order.
     let mut b = prepared(27);
     let ws = b.fs().open(&format!("snapshots/{F}/ws_pages")).unwrap();
-    b.fs().write_at(ws, 0, &[0xA5, 0x5A, 0xA5, 0x5A]);
+    b.fs().write_at(ws, 0, &[0xA5, 0x5A, 0xA5, 0x5A]).unwrap();
     let b1 = b.invoke_cold(F, ColdPolicy::Reap);
     let b2 = b.invoke_cold(F, ColdPolicy::Reap);
     b.invoke_record(F);
@@ -450,7 +450,7 @@ fn breaker_trips_on_quarantine_fallbacks_sheds_then_closes_on_a_clean_probe() {
     o.set_telemetry(Some(sink.clone()));
     o.set_breaker(Some(policy));
     let ws = o.fs().open(&format!("snapshots/{F}/ws_pages")).unwrap();
-    o.fs().write_at(ws, 0, &[0xA5, 0x5A, 0xA5, 0x5A]);
+    o.fs().write_at(ws, 0, &[0xA5, 0x5A, 0xA5, 0x5A]).unwrap();
 
     // Stored corruption: the first request quarantines and falls back,
     // the second finds the quarantine standing. Two failures trip it.
@@ -536,26 +536,69 @@ fn blackout_sweep<T, E: std::fmt::Debug>(
     assert!(bypass_failed, "no blackout landed on a bypassed read");
 }
 
-#[test]
-fn bypassed_reads_surface_blackouts_as_typed_errors() {
+/// The cache-off twin of [`blackout_sweep`]: blacks out `file` from its
+/// `skip`-th store operation on, for every `skip` until `op` (on a fresh
+/// restore of `snap`) gets through. Each failure must be `typed`, and `op`
+/// may get through only once the blackout lets through at least as many
+/// operations as a clean run reads: every read of `file` honours it.
+fn blackout_sweep_uncached<T, E: std::fmt::Debug>(
+    fs: &FileStore,
+    snap: &Snapshot,
+    file: FileId,
+    mut op: impl FnMut(&mut MicroVm) -> Result<T, E>,
+    typed: impl Fn(&E) -> bool,
+) {
+    let mut vm = snap.restore_shell(fs).unwrap();
+    let before = fs.read_calls();
+    op(&mut vm).expect("a clean run gets through");
+    let reads = fs.read_calls() - before;
+    for skip in 0.. {
+        assert!(skip < 64, "still blacked out after {skip} operations");
+        let mut vm = snap.restore_shell(fs).unwrap();
+        let rule = FaultRule::new(FaultScope::Files(vec![file]), FaultKind::Blackout).skip(skip);
+        fs.attach_injector(Arc::new(FaultInjector::new(FaultPlan::new().rule(rule))));
+        let result = op(&mut vm);
+        fs.detach_injector();
+        match result {
+            Ok(_) => {
+                assert!(
+                    skip >= reads,
+                    "{reads} reads, but a blackout from operation {skip} let them through"
+                );
+                break;
+            }
+            Err(e) => assert!(typed(&e), "skip {skip}: {e:?}"),
+        }
+    }
+}
+
+/// A captured snapshot of `F` and its WS recording: the first-fault
+/// handshake plus pages 10, 11, 50 and 200, four extents.
+fn recorded() -> (FileStore, Snapshot, ReapFiles) {
     let fs = FileStore::new();
     let (mut vm, _) = MicroVm::boot(F, VmConfig::default());
     vm.pause();
     let snap = Snapshot::capture(&vm, &fs, "snap");
-    let handshake = |m: &mut Monitor<'_>, vm: &mut MicroVm| {
-        let first = vm.uffd_mut().inject_first_fault();
-        vm.uffd_mut().poll().expect("injected fault queued");
-        m.handle_fault(vm.uffd_mut(), first)
-    };
-    let files = {
-        let mut vm = snap.restore_shell(&fs).unwrap();
-        let mut m = Monitor::new(&snap, &fs, MonitorMode::Record);
-        handshake(&mut m, &mut vm).unwrap();
-        for page in [10, 11, 50, 200] {
-            fault(&mut m, vm.uffd_mut(), page).unwrap();
-        }
-        m.finish_record("snap")
-    };
+    let mut vm = snap.restore_shell(&fs).unwrap();
+    let mut m = Monitor::new(&snap, &fs, MonitorMode::Record);
+    handshake(&mut m, &mut vm).unwrap();
+    for page in [10, 11, 50, 200] {
+        fault(&mut m, vm.uffd_mut(), page).unwrap();
+    }
+    let files = m.finish_record("snap");
+    (fs, snap, files)
+}
+
+/// The hypervisor's first-fault injection, served by `m`.
+fn handshake(m: &mut Monitor<'_>, vm: &mut MicroVm) -> Result<(), MemError> {
+    let first = vm.uffd_mut().inject_first_fault();
+    vm.uffd_mut().poll().expect("injected fault queued");
+    m.handle_fault(vm.uffd_mut(), first)
+}
+
+#[test]
+fn bypassed_reads_surface_blackouts_as_typed_errors() {
+    let (fs, snap, files) = recorded();
     let unavailable = |e: &StorageError| matches!(e, StorageError::Unavailable { .. });
 
     // Prefetch: the WS file's layout reads, then each extent's lookup and
@@ -598,4 +641,52 @@ fn bypassed_reads_surface_blackouts_as_typed_errors() {
         |cache| verify_restored_cached(&restored, &snap, &fs, Some(cache)),
         |e| e.starts_with("verify source vanished"),
     );
+}
+
+#[test]
+fn cache_off_reads_surface_dead_files_and_blackouts_as_typed_errors() {
+    // With no frame cache every read goes to the store, so the store's
+    // typed errors must reach the caller exactly as on the cached path's
+    // bypass arm (`bypassed_reads_surface_blackouts_as_typed_errors`).
+    let (fs, snap, files) = recorded();
+    let unavailable = |e: &StorageError| matches!(e, StorageError::Unavailable { .. });
+
+    // Prefetch: the WS file's layout reads, then one read per extent.
+    blackout_sweep_uncached(
+        &fs,
+        &snap,
+        files.ws_file,
+        |vm| Monitor::new(&snap, &fs, MonitorMode::Prefetch).prefetch(vm.uffd_mut(), &files),
+        |e| matches!(e, PrefetchError::Storage(se) if unavailable(se)),
+    );
+
+    // Demand serves from the memory file (the first-fault handshake, then
+    // page 100): the run stays missing.
+    let demand = |vm: &mut MicroVm| {
+        let mut m = Monitor::new(&snap, &fs, MonitorMode::OnDemand);
+        handshake(&mut m, vm)?;
+        fault(&mut m, vm.uffd_mut(), 100)
+    };
+    blackout_sweep_uncached(&fs, &snap, snap.mem_file, demand, |e| {
+        matches!(e, MemError::NotResident(_))
+    });
+
+    // Verify: every resident run compared against a read of the memory
+    // file.
+    let mut restored = snap.restore_shell(&fs).unwrap();
+    Monitor::new(&snap, &fs, MonitorMode::Prefetch)
+        .prefetch(restored.uffd_mut(), &files)
+        .unwrap();
+    blackout_sweep_uncached(
+        &fs,
+        &snap,
+        snap.mem_file,
+        |_| verify_restored_cached(&restored, &snap, &fs, None),
+        |e| e.starts_with("verify source vanished"),
+    );
+
+    // A deleted memory file: the demand serve fails cleanly, no panic.
+    fs.delete(snap.mem_file);
+    let mut vm = snap.restore_shell(&fs).unwrap();
+    assert!(matches!(demand(&mut vm), Err(MemError::NotResident(_))));
 }

@@ -25,7 +25,7 @@ proptest! {
         for &p in &pages {
             let mut data = vec![0u8; PAGE_SIZE];
             guest_mem::checksum::fill_deterministic(&mut data, 99, p);
-            fs.write_at(mem, p * PAGE_SIZE as u64, &data);
+            fs.write_at(mem, p * PAGE_SIZE as u64, &data).unwrap();
         }
         let trace: Vec<PageIdx> = pages.iter().map(|&p| PageIdx::new(p)).collect();
         let files = write_reap_files(&fs, "t", mem, &trace);
@@ -43,7 +43,7 @@ proptest! {
         prop_assert_eq!(ws.len(), trace.len());
         for (i, (page, data)) in ws.iter().enumerate() {
             prop_assert_eq!(*page, trace[i]);
-            let expect = fs.read_at(mem, page.file_offset(), PAGE_SIZE);
+            let expect = fs.read(mem, page.file_offset(), PAGE_SIZE as u64, <[u8]>::to_vec).unwrap();
             prop_assert_eq!(data, &expect);
         }
     }
@@ -54,9 +54,9 @@ proptest! {
         let fs = FileStore::new();
         let mem = fs.create("mem");
         let files = write_reap_files(&fs, "t", mem, &[PageIdx::new(1)]);
-        let original = fs.read_at(files.ws_file, byte as u64, 1)[0];
+        let original = fs.read(files.ws_file, byte as u64, 1, |b| b[0]).unwrap();
         prop_assume!(original != value);
-        fs.write_at(files.ws_file, byte as u64, &[value]);
+        fs.write_at(files.ws_file, byte as u64, &[value]).unwrap();
         prop_assert!(read_ws_file(&fs, files.ws_file).is_err());
     }
 

@@ -101,13 +101,17 @@ impl Deployed {
             .enumerate()
             .skip(1)
             .map(|(i, page)| (page, data_at + (i * PAGE_SIZE) as u64))
-            .find(|&(page, _)| self.snap.read_page(&self.fs, page).iter().any(|&b| b != 0))
+            .find(|&(page, _)| {
+                let nonzero = |bytes: &[u8]| bytes.iter().any(|&b| b != 0);
+                let at = page.file_offset();
+                self.fs.read(self.snap.mem_file, at, PAGE_SIZE as u64, nonzero).unwrap()
+            })
             .expect("a non-zero page inside the extent")
     }
 
     fn flip_stored_byte(&self, file: FileId, at: u64) {
-        let byte = self.fs.read_at(file, at, 1)[0];
-        self.fs.write_at(file, at, &[byte ^ 0xFF]);
+        let byte = self.fs.read(file, at, 1, |b| b[0]).unwrap();
+        self.fs.write_at(file, at, &[byte ^ 0xFF]).unwrap();
     }
 }
 
@@ -150,8 +154,9 @@ const CASES: [Case; 7] = [
         before: |_| {},
         after: |d, _| {
             let (run, _) = d.big_extent();
-            let same = d.fs.read_at(d.snap.mem_file, run.file_offset(), run.byte_len() as usize);
-            d.fs.write_at(d.snap.mem_file, run.file_offset(), &same);
+            let (at, len) = (run.file_offset(), run.byte_len());
+            let same = d.fs.read(d.snap.mem_file, at, len, <[u8]>::to_vec).unwrap();
+            d.fs.write_at(d.snap.mem_file, at, &same).unwrap();
         },
         refused: false,
     },
@@ -184,7 +189,7 @@ const CASES: [Case; 7] = [
         name: "memory file truncated mid-run",
         before: |_| {},
         after: |d, _| {
-            d.fs.try_set_len(d.snap.mem_file, d.victim().0.file_offset()).unwrap();
+            d.fs.set_len(d.snap.mem_file, d.victim().0.file_offset()).unwrap();
         },
         refused: true,
     },

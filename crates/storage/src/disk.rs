@@ -269,7 +269,7 @@ mod tests {
     fn setup() -> (Disk, FileId) {
         let fs = FileStore::new();
         let f = fs.create("mem");
-        fs.set_len(f, 64 * 1024 * 1024);
+        fs.set_len(f, 64 * 1024 * 1024).unwrap();
         (Disk::ssd(), f)
     }
 

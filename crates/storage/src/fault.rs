@@ -11,15 +11,15 @@
 //! themselves issued in a deterministic order (scope rules to one file or
 //! one lane to guarantee this).
 //!
-//! The injector only intercepts the *checked* store entry points
-//! ([`crate::FileStore::checked_read_at`],
-//! [`crate::FileStore::checked_len`], the `try_*` write family) plus the
-//! dead-file-aware readers ([`crate::FileStore::try_read_at`],
-//! [`crate::FileStore::generation`]) for
-//! [`FaultKind::Blackout`]. The panicking legacy paths (`read_at`,
-//! `with_range`, …) bypass injection entirely: they are the
-//! known-infallible interior of the demand-paging hot loop, where a fault
-//! could only surface as a guest-visible panic.
+//! The injector intercepts every fallible store operation, in two
+//! strengths. The mutations ([`crate::FileStore::write_at`],
+//! [`crate::FileStore::set_len`], [`crate::FileStore::gather_into`]) and
+//! the checked reads ([`crate::FileStore::checked_read_at`],
+//! [`crate::FileStore::checked_len`]) consult the whole plan.
+//! [`crate::FileStore::read`] and [`crate::FileStore::generation`] consult
+//! only [`FaultKind::Blackout`], so a blacked-out file reads as gone while
+//! the demand-paging hot loop pays nothing for transient, corrupt or delay
+//! rules.
 //!
 //! [`FileStore`]: crate::FileStore
 
@@ -32,7 +32,7 @@ use sim_core::SimDuration;
 
 use crate::file_store::FileId;
 
-/// Typed storage failure, as surfaced by the `try_*`/`checked_*` methods of
+/// Typed storage failure, as surfaced by the fallible methods of
 /// [`crate::FileStore`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageError {

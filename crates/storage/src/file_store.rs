@@ -38,9 +38,9 @@ impl fmt::Display for FileId {
 struct FileData {
     name: String,
     data: Vec<u8>,
-    /// Bumped on every content mutation (write, append, truncate,
-    /// gather). The snapshot frame cache validates this at lookup, so a
-    /// rewritten file can never be served from stale cached bytes.
+    /// Bumped on every content mutation (write, truncate, gather). The
+    /// snapshot frame cache validates this at lookup, so a rewritten file
+    /// can never be served from stale cached bytes.
     generation: u64,
 }
 
@@ -91,9 +91,10 @@ fn read_zero_padded(data: &[u8], offset: u64, len: usize) -> Vec<u8> {
 ///
 /// let fs = FileStore::new();
 /// let f = fs.create("snapshots/helloworld.mem");
-/// fs.write_at(f, 0, b"hello");
-/// assert_eq!(fs.read_at(f, 0, 5), b"hello");
+/// fs.write_at(f, 0, b"hello")?;
+/// assert_eq!(fs.read(f, 0, 5, <[u8]>::to_vec)?, b"hello");
 /// assert_eq!(fs.len(f), 5);
+/// # Ok::<(), sim_storage::StorageError>(())
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FileStore {
@@ -117,10 +118,10 @@ impl FileStore {
         FileStore::default()
     }
 
-    /// Attaches a fault injector: from now on the `try_*`/`checked_*`
-    /// entry points (and the dead-file-aware readers, for blackouts)
-    /// consult it. Replaces any previous injector; all handles to this
-    /// store (clones) see it.
+    /// Attaches a fault injector: from now on the mutations and the
+    /// `checked_*` entry points consult it, and [`read`](Self::read) and
+    /// [`generation`](Self::generation) consult its blackouts. Replaces
+    /// any previous injector; all handles to this store (clones) see it.
     pub fn attach_injector(&self, injector: Arc<FaultInjector>) {
         *self.injector.write() = Some(injector);
         self.injecting.store(true, Ordering::Release);
@@ -267,20 +268,13 @@ impl FileStore {
 
     /// Writes `bytes` at `offset`, zero-extending the file if needed.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `id` does not refer to a live file.
-    pub fn write_at(&self, id: FileId, offset: u64, bytes: &[u8]) {
-        self.try_write_at(id, offset, bytes)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible twin of [`write_at`](Self::write_at): returns a typed
-    /// [`StorageError`] on a dead file or an injected fault instead of
-    /// panicking. An injected torn write applies a prefix of `bytes`
-    /// (and bumps the generation) before failing; retrying the identical
-    /// call repairs the file.
-    pub fn try_write_at(&self, id: FileId, offset: u64, bytes: &[u8]) -> Result<(), StorageError> {
+    /// A typed [`StorageError`] on a dead file or an injected fault. An
+    /// injected torn write applies a prefix of `bytes` (and bumps the
+    /// generation) before failing; retrying the identical call repairs
+    /// the file.
+    pub fn write_at(&self, id: FileId, offset: u64, bytes: &[u8]) -> Result<(), StorageError> {
         self.counters.writes.fetch_add(1, Ordering::Relaxed);
         let injector = self.injector();
         let mut inner = self.inner.write();
@@ -333,87 +327,19 @@ impl FileStore {
         }
     }
 
-    /// Appends `bytes` and returns the offset they were written at.
+    /// Reads `[offset, offset + len)`: `f` sees exactly `len` bytes under
+    /// the store's read lock — borrowed in place, or a zero-padded copy
+    /// where the range runs past EOF (sparse-file semantics) — and must not
+    /// call mutating store methods (deadlock). One read is counted. This
+    /// is the read for page data: it checks only for a dead file and a
+    /// blackout, never the plan's transient, corrupt or delay rules (see
+    /// [`checked_read_at`](Self::checked_read_at)).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `id` does not refer to a live file.
-    pub fn append(&self, id: FileId, bytes: &[u8]) -> u64 {
-        self.try_append(id, bytes).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`append`](Self::append). Under an injected torn
-    /// write a *prefix* of `bytes` is appended before the error — callers
-    /// that retry must rewrite at a known offset
-    /// ([`try_write_at`](Self::try_write_at)) rather than blindly
-    /// re-append.
-    pub fn try_append(&self, id: FileId, bytes: &[u8]) -> Result<u64, StorageError> {
-        self.counters.writes.fetch_add(1, Ordering::Relaxed);
-        let injector = self.injector();
-        let mut inner = self.inner.write();
-        let fd = inner
-            .files
-            .get_mut(&id)
-            .ok_or(StorageError::DeadFile { op: "append to", id })?;
-        let mut torn: Option<u64> = None;
-        if let Some(inj) = &injector {
-            torn = match inj.on_write("append", id, &fd.name, bytes.len() as u64) {
-                Ok(t) => t,
-                Err(e) => {
-                    self.metric_fault();
-                    return Err(e);
-                }
-            };
-            if torn.is_some() {
-                self.metric_fault();
-            }
-        }
-        let applied = torn.map_or(bytes.len(), |n| n as usize);
-        self.metric_write(applied as u64);
-        fd.generation += 1;
-        let offset = fd.data.len() as u64;
-        fd.data.extend_from_slice(&bytes[..applied]);
-        match torn {
-            Some(written) => Err(StorageError::ShortWrite {
-                id,
-                written,
-                requested: bytes.len() as u64,
-            }),
-            None => Ok(offset),
-        }
-    }
-
-    /// Reads `len` bytes at `offset`. Reads past EOF return zeros, matching
-    /// the sparse-file semantics snapshot memory files rely on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not refer to a live file.
-    pub fn read_at(&self, id: FileId, offset: u64, len: usize) -> Vec<u8> {
-        self.counters.reads.fetch_add(1, Ordering::Relaxed);
-        self.metric_read(len as u64);
-        let inner = self.inner.read();
-        read_zero_padded(&inner.files[&id].data, offset, len)
-    }
-
-    /// Non-panicking twin of [`read_at`](Self::read_at): returns `None`
-    /// when `id` is dead (deleted) instead of panicking — the plain-read
-    /// fallback for callers racing an unregister (the frame cache's
-    /// dead-file path). A file covered by an injected blackout also reads
-    /// as `None`: a blacked-out shard's files present exactly like
-    /// unregistered ones.
-    pub fn try_read_at(&self, id: FileId, offset: u64, len: usize) -> Option<Vec<u8>> {
-        self.try_with_range(id, offset, len as u64, |src| read_zero_padded(src, 0, len))
-            .ok()
-    }
-
-    /// Borrowing twin of [`try_read_at`](Self::try_read_at), with its
-    /// checks: a dead file is [`StorageError::DeadFile`], a blacked-out
-    /// one [`StorageError::Unavailable`], and one read is counted. `f`
-    /// sees exactly `len` bytes under the store's read lock — borrowed in
-    /// place, or a zero-padded copy where the range runs past EOF — and
-    /// must not call mutating store methods (deadlock).
-    pub fn try_with_range<R>(
+    /// [`StorageError::DeadFile`] for a dead file,
+    /// [`StorageError::Unavailable`] for a blacked-out one.
+    pub fn read<R>(
         &self,
         id: FileId,
         offset: u64,
@@ -443,11 +369,12 @@ impl FileStore {
         })
     }
 
-    /// Fault-aware read: like [`read_at`](Self::read_at) but returns a
-    /// typed [`StorageError`] for dead files and injected faults, and
-    /// applies injected payload corruption to the returned bytes (the
-    /// stored bytes stay pristine — a verify-and-reread heals). Recovery
-    /// paths (snapshot restore, REAP artifact loads) read through this.
+    /// Fault-aware owned read: like [`read`](Self::read), but it consults
+    /// the whole fault plan — transients, blackouts and delays are typed
+    /// [`StorageError`]s or ledger entries, and injected payload
+    /// corruption is applied to the returned bytes (the stored bytes stay
+    /// pristine — a verify-and-reread heals). Recovery paths (snapshot
+    /// restore, REAP artifact loads) read through this.
     pub fn checked_read_at(
         &self,
         id: FileId,
@@ -500,21 +427,11 @@ impl FileStore {
         Ok(fd.data.len() as u64)
     }
 
-    /// Borrows `[offset, offset + len)` of the file's bytes zero-copy,
-    /// clamped to EOF, and passes the slice to `f` under the store's read
-    /// lock. `f` must not call mutating store methods (deadlock).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not refer to a live file.
+    // Pinned by benchmark/src/layers.rs:640 (`guest_mem.install_gbps`);
+    // leaves with the next `benchmark/`-only PR.
+    #[doc(hidden)]
     pub fn with_range<R>(&self, id: FileId, offset: u64, len: u64, f: impl FnOnce(&[u8]) -> R) -> R {
-        self.counters.reads.fetch_add(1, Ordering::Relaxed);
-        self.metric_read(len);
-        let inner = self.inner.read();
-        let data = &inner.files[&id].data;
-        let start = (offset as usize).min(data.len());
-        let end = (offset as usize).saturating_add(len as usize).min(data.len());
-        f(&data[start..end])
+        self.read(id, offset, len, f).unwrap_or_else(|e| panic!("{e}"))
     }
 
     // Pinned by benchmark/src/layers.rs:659 (`storage.range_read_gbps`);
@@ -546,7 +463,7 @@ impl FileStore {
     /// operation with a single destination copy — the `writev` of the WS
     /// file builder. The destination is truncated at `dst_offset` first.
     /// Source ranges past EOF read as zeros (sparse-file semantics, as
-    /// [`read_at`](Self::read_at)).
+    /// [`read`](Self::read)).
     ///
     /// # Errors
     ///
@@ -559,7 +476,7 @@ impl FileStore {
     ///
     /// Panics if `dst_offset` is past the destination's EOF or if `dst`
     /// appears among the sources (contract violations, not faults).
-    pub fn try_gather_into(
+    pub fn gather_into(
         &self,
         dst: FileId,
         dst_offset: u64,
@@ -662,15 +579,10 @@ impl FileStore {
 
     /// Truncates (or zero-extends) the file to exactly `len` bytes.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `id` does not refer to a live file.
-    pub fn set_len(&self, id: FileId, len: u64) {
-        self.try_set_len(id, len).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible twin of [`set_len`](Self::set_len).
-    pub fn try_set_len(&self, id: FileId, len: u64) -> Result<(), StorageError> {
+    /// A typed [`StorageError`] on a dead file or an injected fault.
+    pub fn set_len(&self, id: FileId, len: u64) -> Result<(), StorageError> {
         let injector = self.injector();
         let mut inner = self.inner.write();
         let fd = inner.files.get_mut(&id).ok_or(StorageError::DeadFile {
@@ -688,9 +600,9 @@ impl FileStore {
     }
 
     /// The file's content generation: bumped on every mutation
-    /// ([`write_at`](Self::write_at), [`append`](Self::append),
-    /// [`set_len`](Self::set_len), [`try_gather_into`](Self::try_gather_into) and
-    /// re-[`create`](Self::create) truncation). `None` if the file was
+    /// ([`write_at`](Self::write_at), [`set_len`](Self::set_len),
+    /// [`gather_into`](Self::gather_into) and re-[`create`](Self::create)
+    /// truncation). `None` if the file was
     /// deleted — or covered by an injected blackout, so cache layers treat
     /// a blacked-out shard's files exactly like unregistered ones. Cache
     /// layers compare generations at lookup so rewritten contents can
@@ -732,15 +644,18 @@ impl FileStore {
         inner.files.values().map(|f| f.data.len() as u64).sum()
     }
 
-    /// Write operations (`write_at` + `append`) issued so far, across all
-    /// handles to this store. Batching tests assert on deltas of this.
+    /// Write operations ([`write_at`](Self::write_at) +
+    /// [`gather_into`](Self::gather_into)) issued so far, across all
+    /// handles to this store — a failed write counts too. Batching tests
+    /// assert on deltas of this.
     pub fn write_calls(&self) -> u64 {
         self.counters.writes.load(Ordering::Relaxed)
     }
 
-    /// Read operations (`read_at` + `with_range`, one per
+    /// Read operations ([`read`](Self::read) +
+    /// [`checked_read_at`](Self::checked_read_at), one per
     /// `read_ranges_into` job) issued so far, across all handles to this
-    /// store.
+    /// store. A failed read is not counted.
     pub fn read_calls(&self) -> u64 {
         self.counters.reads.load(Ordering::Relaxed)
     }
@@ -750,23 +665,28 @@ impl FileStore {
 mod tests {
     use super::*;
 
+    /// Owned copy of `[offset, offset + len)` of a live file.
+    fn bytes(fs: &FileStore, id: FileId, offset: u64, len: u64) -> Vec<u8> {
+        fs.read(id, offset, len, <[u8]>::to_vec).unwrap()
+    }
+
     #[test]
     fn metrics_attach_counts_bytes_and_faults() {
         let fs = FileStore::new();
         let id = fs.create("m/file");
-        fs.write_at(id, 0, b"before"); // unattached: not counted
+        fs.write_at(id, 0, b"before").unwrap(); // unattached: not counted
         let m = MetricsRegistry::new();
         fs.set_metrics(Some(m.clone()));
-        fs.write_at(id, 0, b"0123456789");
-        let _ = fs.read_at(id, 0, 4);
-        fs.with_range(id, 1, 3, |_| ());
+        fs.write_at(id, 0, b"0123456789").unwrap();
+        let _ = fs.checked_read_at(id, 0, 4);
+        fs.read(id, 1, 3, |_| ()).unwrap();
         assert_eq!(m.counter("storage_write_bytes_total"), 10);
         assert_eq!(m.counter("storage_read_bytes_total"), 7);
         assert_eq!(m.counter("storage_faults_injected_total"), 0);
         // Detach: counters freeze.
         fs.set_metrics(None);
         assert!(fs.metrics().is_none());
-        fs.write_at(id, 0, b"xxxx");
+        fs.write_at(id, 0, b"xxxx").unwrap();
         assert_eq!(m.counter("storage_write_bytes_total"), 10);
     }
 
@@ -785,7 +705,7 @@ mod tests {
     fn create_truncates_existing() {
         let fs = FileStore::new();
         let id = fs.create("f");
-        fs.write_at(id, 0, b"data");
+        fs.write_at(id, 0, b"data").unwrap();
         let id2 = fs.create("f");
         assert_eq!(id, id2, "same name keeps same id");
         assert_eq!(fs.len(id), 0, "recreate truncates");
@@ -795,19 +715,19 @@ mod tests {
     fn write_read_with_extension() {
         let fs = FileStore::new();
         let id = fs.create("f");
-        fs.write_at(id, 10, b"xyz");
+        fs.write_at(id, 10, b"xyz").unwrap();
         assert_eq!(fs.len(id), 13);
-        assert_eq!(fs.read_at(id, 0, 10), vec![0; 10]);
-        assert_eq!(fs.read_at(id, 10, 3), b"xyz");
+        assert_eq!(bytes(&fs, id, 0, 10), vec![0; 10]);
+        assert_eq!(bytes(&fs, id, 10, 3), b"xyz");
     }
 
     #[test]
     fn read_past_eof_is_zeros() {
         let fs = FileStore::new();
         let id = fs.create("f");
-        fs.write_at(id, 0, b"ab");
-        assert_eq!(fs.read_at(id, 0, 4), vec![b'a', b'b', 0, 0]);
-        assert_eq!(fs.read_at(id, 100, 2), vec![0, 0]);
+        fs.write_at(id, 0, b"ab").unwrap();
+        assert_eq!(bytes(&fs, id, 0, 4), vec![b'a', b'b', 0, 0]);
+        assert_eq!(bytes(&fs, id, 100, 2), vec![0, 0]);
         let mut buf = [0xFFu8; 4];
         fs.read_ranges_into(id, vec![(1, &mut buf[..])], 1);
         assert_eq!(buf, [b'b', 0, 0, 0]);
@@ -817,38 +737,26 @@ mod tests {
     fn reads_at_absurd_offsets_return_zeros() {
         let fs = FileStore::new();
         let id = fs.create("f");
-        fs.write_at(id, 0, b"abcde");
+        fs.write_at(id, 0, b"abcde").unwrap();
         for offset in [u64::MAX, u64::MAX - 3, usize::MAX as u64 - 1] {
-            assert_eq!(fs.read_at(id, offset, 4), vec![0; 4]);
-            assert_eq!(fs.try_read_at(id, offset, 4), Some(vec![0; 4]));
+            assert_eq!(bytes(&fs, id, offset, 4), vec![0; 4]);
             assert_eq!(fs.checked_read_at(id, offset, 4), Ok(vec![0; 4]));
-            fs.with_range(id, offset, 4, |src| assert!(src.is_empty()));
+            fs.with_range(id, offset, 4, |src| assert_eq!(src, [0; 4]));
             let mut buf = [0xFFu8; 4];
             fs.read_ranges_into(id, vec![(offset, &mut buf[..])], 1);
             assert_eq!(buf, [0; 4]);
         }
-        // A length that overflows from inside the file clamps to EOF.
-        fs.with_range(id, 3, u64::MAX, |src| assert_eq!(src, b"de"));
-    }
-
-    #[test]
-    fn append_returns_offsets() {
-        let fs = FileStore::new();
-        let id = fs.create("f");
-        assert_eq!(fs.append(id, b"1234"), 0);
-        assert_eq!(fs.append(id, b"56"), 4);
-        assert_eq!(fs.len(id), 6);
     }
 
     #[test]
     fn set_len_truncates_and_extends() {
         let fs = FileStore::new();
         let id = fs.create("f");
-        fs.write_at(id, 0, b"abcdef");
-        fs.set_len(id, 3);
-        assert_eq!(fs.read_at(id, 0, 3), b"abc");
-        fs.set_len(id, 5);
-        assert_eq!(fs.read_at(id, 0, 5), vec![b'a', b'b', b'c', 0, 0]);
+        fs.write_at(id, 0, b"abcdef").unwrap();
+        fs.set_len(id, 3).unwrap();
+        assert_eq!(bytes(&fs, id, 0, 3), b"abc");
+        fs.set_len(id, 5).unwrap();
+        assert_eq!(bytes(&fs, id, 0, 5), vec![b'a', b'b', b'c', 0, 0]);
     }
 
     #[test]
@@ -868,34 +776,23 @@ mod tests {
         let fs = FileStore::new();
         let fs2 = fs.clone();
         let id = fs.create("shared");
-        fs2.write_at(id, 0, b"via clone");
-        assert_eq!(fs.read_at(id, 0, 9), b"via clone");
+        fs2.write_at(id, 0, b"via clone").unwrap();
+        assert_eq!(bytes(&fs, id, 0, 9), b"via clone");
         assert_eq!(fs.total_bytes(), 9);
     }
 
     #[test]
-    fn with_range_borrows_and_clamps() {
+    fn read_borrows_and_zero_fills() {
         let fs = FileStore::new();
         let id = fs.create("f");
-        fs.write_at(id, 0, b"hello world");
-        let got = fs.with_range(id, 6, 5, |s| s.to_vec());
-        assert_eq!(got, b"world");
-        // Past-EOF range clamps instead of zero-filling.
-        let got = fs.with_range(id, 6, 100, |s| s.len());
-        assert_eq!(got, 5);
-        let got = fs.with_range(id, 100, 5, |s| s.len());
-        assert_eq!(got, 0);
-        // The fallible borrow zero-fills instead, counting one read; a dead
-        // file is a typed error.
+        fs.write_at(id, 0, b"hello world").unwrap();
         let reads = fs.read_calls();
-        let got = fs.try_with_range(id, 6, 8, |s| s.to_vec());
-        assert_eq!(got, Ok(b"world\0\0\0".to_vec()));
-        assert_eq!(fs.read_calls(), reads + 1);
-        fs.delete(id);
-        assert_eq!(
-            fs.try_with_range(id, 0, 1, |_| ()),
-            Err(StorageError::DeadFile { op: "read from", id })
-        );
+        assert_eq!(bytes(&fs, id, 6, 5), b"world");
+        // A range past EOF is zero-filled to exactly `len` bytes.
+        assert_eq!(bytes(&fs, id, 6, 8), b"world\0\0\0");
+        assert_eq!(bytes(&fs, id, 100, 5), [0; 5]);
+        assert_eq!(fs.read(id, 3, 0, <[u8]>::len), Ok(0));
+        assert_eq!(fs.read_calls(), reads + 4, "one read counted per call");
     }
 
     #[test]
@@ -904,17 +801,17 @@ mod tests {
         let a = fs.create("a");
         let b = fs.create("b");
         let dst = fs.create("dst");
-        fs.write_at(a, 0, b"0123456789");
-        fs.write_at(b, 0, b"abcdef");
-        fs.write_at(dst, 0, b"HDR:");
+        fs.write_at(a, 0, b"0123456789").unwrap();
+        fs.write_at(b, 0, b"abcdef").unwrap();
+        fs.write_at(dst, 0, b"HDR:").unwrap();
         let writes_before = fs.write_calls();
-        fs.try_gather_into(dst, 4, &[(a, 2, 3), (b, 0, 2), (a, 0, 1)]).unwrap();
+        fs.gather_into(dst, 4, &[(a, 2, 3), (b, 0, 2), (a, 0, 1)]).unwrap();
         assert_eq!(fs.write_calls() - writes_before, 1, "one store op");
-        assert_eq!(fs.read_at(dst, 0, 10), b"HDR:234ab0");
+        assert_eq!(bytes(&fs, dst, 0, 10), b"HDR:234ab0");
         assert_eq!(fs.len(dst), 10);
         // Gather replaces everything from the offset on.
-        fs.try_gather_into(dst, 4, &[(b, 5, 1)]).unwrap();
-        assert_eq!(fs.read_at(dst, 0, 5), b"HDR:f");
+        fs.gather_into(dst, 4, &[(b, 5, 1)]).unwrap();
+        assert_eq!(bytes(&fs, dst, 0, 5), b"HDR:f");
         assert_eq!(fs.len(dst), 5);
     }
 
@@ -923,22 +820,22 @@ mod tests {
         let fs = FileStore::new();
         let a = fs.create("a");
         let dst = fs.create("dst");
-        fs.write_at(a, 0, b"xy");
-        fs.try_gather_into(dst, 0, &[(a, 0, 4), (a, 10, 2)]).unwrap();
-        assert_eq!(fs.read_at(dst, 0, 6), b"xy\0\0\0\0");
+        fs.write_at(a, 0, b"xy").unwrap();
+        fs.gather_into(dst, 0, &[(a, 0, 4), (a, 10, 2)]).unwrap();
+        assert_eq!(bytes(&fs, dst, 0, 6), b"xy\0\0\0\0");
     }
 
     #[test]
     fn write_at_extending_and_gapped() {
         let fs = FileStore::new();
         let id = fs.create("f");
-        fs.write_at(id, 0, b"abcdef");
+        fs.write_at(id, 0, b"abcdef").unwrap();
         // Overwrite tail + extend in one call.
-        fs.write_at(id, 4, b"XYZW");
-        assert_eq!(fs.read_at(id, 0, 8), b"abcdXYZW");
+        fs.write_at(id, 4, b"XYZW").unwrap();
+        assert_eq!(bytes(&fs, id, 0, 8), b"abcdXYZW");
         // Write past EOF zero-fills the gap.
-        fs.write_at(id, 10, b"!!");
-        assert_eq!(fs.read_at(id, 0, 12), b"abcdXYZW\0\0!!");
+        fs.write_at(id, 10, b"!!").unwrap();
+        assert_eq!(bytes(&fs, id, 0, 12), b"abcdXYZW\0\0!!");
     }
 
     #[test]
@@ -946,7 +843,7 @@ mod tests {
         let fs = FileStore::new();
         let id = fs.create("f");
         let data: Vec<u8> = (0..10_000u32).map(|i| (i * 7) as u8).collect();
-        fs.write_at(id, 0, &data);
+        fs.write_at(id, 0, &data).unwrap();
         // Mixed in-bounds / cross-EOF / past-EOF ranges.
         let ranges = [(0u64, 100usize), (4096, 4096), (9_990, 100), (20_000, 8)];
         let mut bufs: Vec<Vec<u8>> = ranges.iter().map(|&(_, l)| vec![0xFF; l]).collect();
@@ -959,7 +856,7 @@ mod tests {
         fs.read_ranges_into(id, jobs, 1);
         assert_eq!(fs.read_calls() - reads_before, ranges.len() as u64);
         for (&(off, len), buf) in ranges.iter().zip(&bufs) {
-            assert_eq!(buf, &fs.read_at(id, off, len), "range at {off}");
+            assert_eq!(buf, &bytes(&fs, id, off, len as u64), "range at {off}");
         }
         // Empty batch is a no-op.
         fs.read_ranges_into(id, Vec::new(), 1);
@@ -992,18 +889,18 @@ mod tests {
         let fs = FileStore::new();
         let id = fs.create("f");
         let g0 = fs.generation(id).unwrap();
-        fs.write_at(id, 0, b"abc");
+        fs.write_at(id, 0, b"abc").unwrap();
         let g1 = fs.generation(id).unwrap();
         assert!(g1 > g0);
-        fs.append(id, b"d");
+        fs.write_at(id, fs.len(id), b"d").unwrap();
         let g2 = fs.generation(id).unwrap();
         assert!(g2 > g1);
-        fs.set_len(id, 2);
+        fs.set_len(id, 2).unwrap();
         let g3 = fs.generation(id).unwrap();
         assert!(g3 > g2);
         let src = fs.create("src");
-        fs.write_at(src, 0, b"xy");
-        fs.try_gather_into(id, 0, &[(src, 0, 2)]).unwrap();
+        fs.write_at(src, 0, b"xy").unwrap();
+        fs.gather_into(id, 0, &[(src, 0, 2)]).unwrap();
         let g4 = fs.generation(id).unwrap();
         assert!(g4 > g3);
         // Re-creating (truncating) the same name bumps too.
@@ -1011,51 +908,76 @@ mod tests {
         assert_eq!(same, id);
         assert!(fs.generation(id).unwrap() > g4);
         // Reads never bump.
-        let _ = fs.read_at(id, 0, 2);
+        let _ = fs.checked_read_at(id, 0, 2);
         let g5 = fs.generation(id).unwrap();
-        fs.with_range(id, 0, 2, |_| ());
+        fs.read(id, 0, 2, |_| ()).unwrap();
         assert_eq!(fs.generation(id), Some(g5));
         fs.delete(id);
         assert_eq!(fs.generation(id), None);
     }
 
+    /// Every fallible operation on `id`, with `live` as its other file
+    /// (gather's source, or its destination when `id` is the source).
+    fn every_operation(fs: &FileStore, id: FileId, live: FileId) -> Vec<(&'static str, StorageError)> {
+        let err = |name, r: Result<(), StorageError>| (name, r.unwrap_err());
+        vec![
+            err("read", fs.read(id, 0, 1, |_| ())),
+            err("checked_read_at", fs.checked_read_at(id, 0, 1).map(drop)),
+            err("checked_len", fs.checked_len(id).map(drop)),
+            err("write_at", fs.write_at(id, 0, b"x")),
+            err("set_len", fs.set_len(id, 4)),
+            err("gather_into (dst)", fs.gather_into(id, 0, &[(live, 0, 1)])),
+            err("gather_into (src)", fs.gather_into(live, 0, &[(id, 0, 1)])),
+        ]
+    }
+
     #[test]
     fn try_variants_report_dead_files_with_legacy_messages() {
+        // Each operation names its verb, reproducing the historical panic
+        // messages byte-for-byte.
         let fs = FileStore::new();
         let id = fs.create("f");
-        let src = fs.create("src");
+        let live = fs.create("live");
+        fs.write_at(live, 0, b"keep").unwrap();
         fs.delete(id);
-        assert_eq!(
-            fs.try_write_at(id, 0, b"x").unwrap_err().to_string(),
-            format!("write to dead {id}")
-        );
-        assert_eq!(
-            fs.try_append(id, b"x").unwrap_err().to_string(),
-            format!("append to dead {id}")
-        );
-        assert_eq!(
-            fs.try_gather_into(id, 0, &[(src, 0, 1)])
-                .unwrap_err()
-                .to_string(),
-            format!("gather into dead {id}")
-        );
-        assert_eq!(
-            fs.try_set_len(id, 4).unwrap_err().to_string(),
-            format!("set_len on dead {id}")
-        );
-        assert_eq!(
-            fs.checked_read_at(id, 0, 1).unwrap_err().to_string(),
-            format!("read from dead {id}")
-        );
-        assert!(fs.checked_len(id).is_err());
-        // Dead *source* leaves the destination untouched.
-        let dst = fs.create("dst");
-        fs.write_at(dst, 0, b"keep");
-        let g = fs.generation(dst).unwrap();
-        let err = fs.try_gather_into(dst, 0, &[(id, 0, 1)]).unwrap_err();
-        assert_eq!(err.to_string(), format!("gather from dead {id}"));
-        assert_eq!(fs.read_at(dst, 0, 4), b"keep");
-        assert_eq!(fs.generation(dst), Some(g));
+        let g = fs.generation(live);
+        let verbs = [
+            "read from",
+            "read from",
+            "stat of",
+            "write to",
+            "set_len on",
+            "gather into",
+            "gather from",
+        ];
+        for ((name, err), verb) in every_operation(&fs, id, live).into_iter().zip(verbs) {
+            assert_eq!(err.to_string(), format!("{verb} dead {id}"), "{name}");
+        }
+        // A dead *source* left the destination untouched.
+        assert_eq!(bytes(&fs, live, 0, 4), b"keep");
+        assert_eq!(fs.generation(live), g);
+    }
+
+    #[test]
+    fn blackout_presents_files_as_gone() {
+        use crate::fault::{FaultKind, FaultPlan, FaultRule, FaultScope};
+        // Every operation is `Unavailable` (a namespace blackout covers
+        // gather's other file too) and the generation is hidden, so cache
+        // layers treat the file as gone.
+        let fs = FileStore::with_namespace(3);
+        let id = fs.create("snapshots/pyaes/ws_pages");
+        let live = fs.create("snapshots/pyaes/trace");
+        fs.write_at(id, 0, b"ws").unwrap();
+        fs.attach_injector(Arc::new(FaultInjector::new(FaultPlan::new().rule(
+            FaultRule::new(FaultScope::Namespace(3), FaultKind::Blackout),
+        ))));
+        for (name, err) in every_operation(&fs, id, live) {
+            assert!(matches!(err, StorageError::Unavailable { .. }), "{name}: {err}");
+        }
+        assert_eq!(fs.generation(id), None, "blackout hides the generation");
+        fs.detach_injector();
+        assert_eq!(bytes(&fs, id, 0, 2), b"ws");
+        assert!(fs.generation(id).is_some());
     }
 
     #[test]
@@ -1063,7 +985,7 @@ mod tests {
         use crate::fault::{FaultInjector, FaultKind, FaultPlan, FaultRule, FaultScope};
         let fs = FileStore::new();
         let id = fs.create("f");
-        fs.write_at(id, 0, b"hello");
+        fs.write_at(id, 0, b"hello").unwrap();
         fs.attach_injector(Arc::new(FaultInjector::new(FaultPlan::new().rule(
             FaultRule::new(FaultScope::Files(vec![id]), FaultKind::TransientError).count(1),
         ))));
@@ -1079,7 +1001,7 @@ mod tests {
         use crate::fault::{FaultInjector, FaultKind, FaultPlan, FaultRule, FaultScope};
         let fs = FileStore::new();
         let id = fs.create("f");
-        fs.write_at(id, 0, b"payload!");
+        fs.write_at(id, 0, b"payload!").unwrap();
         fs.attach_injector(Arc::new(FaultInjector::new(FaultPlan::new().rule(
             FaultRule::new(FaultScope::Files(vec![id]), FaultKind::CorruptRead).count(1),
         ))));
@@ -1097,7 +1019,7 @@ mod tests {
         fs.attach_injector(Arc::new(FaultInjector::new(FaultPlan::new().rule(
             FaultRule::new(FaultScope::Files(vec![id]), FaultKind::ShortWrite).count(1),
         ))));
-        let err = fs.try_write_at(id, 0, b"abcdefgh").unwrap_err();
+        let err = fs.write_at(id, 0, b"abcdefgh").unwrap_err();
         match err {
             StorageError::ShortWrite {
                 written, requested, ..
@@ -1107,34 +1029,8 @@ mod tests {
             }
             other => panic!("expected torn write, got {other}"),
         }
-        fs.try_write_at(id, 0, b"abcdefgh").unwrap();
-        assert_eq!(fs.read_at(id, 0, 8), b"abcdefgh");
-    }
-
-    #[test]
-    fn blackout_presents_files_as_gone() {
-        use crate::fault::{FaultInjector, FaultKind, FaultPlan, FaultRule, FaultScope};
-        let fs = FileStore::with_namespace(3);
-        let id = fs.create("snapshots/pyaes/ws_pages");
-        fs.write_at(id, 0, b"ws");
-        assert!(fs.try_read_at(id, 0, 2).is_some());
-        fs.attach_injector(Arc::new(FaultInjector::new(FaultPlan::new().rule(
-            FaultRule::new(FaultScope::Namespace(3), FaultKind::Blackout),
-        ))));
-        assert!(fs.try_read_at(id, 0, 2).is_none(), "blackout reads as dead");
-        assert_eq!(
-            fs.try_with_range(id, 0, 2, |_| ()),
-            Err(StorageError::Unavailable { id })
-        );
-        assert_eq!(fs.generation(id), None, "blackout hides the generation");
-        assert!(matches!(
-            fs.checked_read_at(id, 0, 2),
-            Err(StorageError::Unavailable { .. })
-        ));
-        assert!(fs.try_write_at(id, 0, b"xy").is_err());
-        fs.detach_injector();
-        assert_eq!(fs.try_read_at(id, 0, 2).unwrap(), b"ws");
-        assert!(fs.generation(id).is_some());
+        fs.write_at(id, 0, b"abcdefgh").unwrap();
+        assert_eq!(bytes(&fs, id, 0, 8), b"abcdefgh");
     }
 
     #[test]
@@ -1143,11 +1039,11 @@ mod tests {
         let fs2 = fs.clone();
         let id = fs.create("f");
         assert_eq!((fs.write_calls(), fs.read_calls()), (0, 0));
-        fs.write_at(id, 0, b"abc");
-        fs2.append(id, b"d");
+        fs.write_at(id, 0, b"abc").unwrap();
+        fs2.write_at(id, 3, b"d").unwrap();
         assert_eq!(fs.write_calls(), 2, "clone's ops are counted too");
-        let _ = fs.read_at(id, 0, 4);
-        fs2.with_range(id, 0, 2, |_| ());
+        let _ = fs.checked_read_at(id, 0, 4);
+        fs2.read(id, 0, 2, |_| ()).unwrap();
         assert_eq!(fs.read_calls(), 2);
     }
 }

@@ -9,6 +9,7 @@
 use sim_core::{DetRng, SimTime, TokenPool};
 
 use crate::disk::{Access, Disk};
+use crate::fault::StorageError;
 use crate::file_store::{FileId, FileStore};
 use crate::PAGE_SIZE;
 
@@ -33,10 +34,14 @@ impl FioResult {
 }
 
 /// Creates a scratch file of `bytes` for I/O benchmarking.
-pub fn make_test_file(fs: &FileStore, bytes: u64) -> FileId {
+///
+/// # Errors
+///
+/// The store's error if it cannot size the file (an injected fault).
+pub fn make_test_file(fs: &FileStore, bytes: u64) -> Result<FileId, StorageError> {
     let f = fs.create("fio/testfile");
-    fs.set_len(f, bytes);
-    f
+    fs.set_len(f, bytes)?;
+    Ok(f)
 }
 
 /// Closed-loop random 4 KB `O_DIRECT` reads at the given queue depth.
@@ -114,7 +119,7 @@ mod tests {
     fn rig() -> (Disk, FileId, u64) {
         let fs = FileStore::new();
         let bytes = 256 * 1024 * 1024u64;
-        let f = make_test_file(&fs, bytes);
+        let f = make_test_file(&fs, bytes).unwrap();
         (Disk::ssd(), f, bytes)
     }
 
@@ -209,7 +214,7 @@ mod tests {
     #[test]
     fn hdd_sequential_far_faster_than_random() {
         let fs = FileStore::new();
-        let f = make_test_file(&fs, 64 * 1024 * 1024);
+        let f = make_test_file(&fs, 64 * 1024 * 1024).unwrap();
         let mut d = Disk::hdd();
         let seq = large_sequential_read(&mut d, f, 8 * 1024 * 1024, true);
         let mut d2 = Disk::hdd();

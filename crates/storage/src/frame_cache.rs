@@ -46,7 +46,7 @@
 //! admitted at the evict-first end, it would be evicted by the very next
 //! admission without serving a hit. A bypass reads, hashes, locks
 //! exclusively, queues and evicts nothing; the caller reads the store
-//! itself ([`FileStore::try_with_range`]). So the ε counter counts
+//! itself ([`FileStore::read`]). So the ε counter counts
 //! over-budget misses, not just admissions; counting admissions alone, the
 //! protected admission would never arrive. Below the budget, and on an
 //! unbounded cache, nothing is bypassed. Two misses always load: a key
@@ -223,6 +223,17 @@ impl fmt::Display for FrameCacheGone {
 }
 
 impl std::error::Error for FrameCacheGone {}
+
+/// An owned copy of `[offset, offset + len)` of `file`, zero-filled past
+/// EOF: one store read, copied out of the borrow at memory bandwidth.
+fn load(fs: &FileStore, file: FileId, offset: u64, len: u64) -> Result<Vec<u8>, FrameCacheGone> {
+    fs.read(file, offset, len, |src| {
+        let mut out = Vec::new();
+        sim_core::extend_par(&mut out, src);
+        out
+    })
+    .map_err(|_| FrameCacheGone(file))
+}
 
 /// How [`SnapshotFrameCache::get_or_load_tracked`] resolved a lookup.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -536,7 +547,7 @@ impl SnapshotFrameCache {
     /// from the cache when a live entry exists and its recorded content
     /// generation still matches the store's. On a miss the bytes are read
     /// from `fs` once (zero-filled past EOF, like
-    /// [`FileStore::read_at`]); identical bytes already cached under any
+    /// [`FileStore::read`]); identical bytes already cached under any
     /// other extent are shared instead of duplicated. A miss the budget
     /// bypasses (module docs, "Bounded growth") is served by an uncached
     /// store read.
@@ -560,10 +571,7 @@ impl SnapshotFrameCache {
         let mut scratch = FrameCacheDelta::default();
         match self.get_or_load_tracked(fs, file, offset, len, false, &mut scratch)? {
             FrameLookup::Frames(bytes) => Ok(bytes),
-            FrameLookup::Bypass => fs
-                .try_read_at(file, offset, len as usize)
-                .map(std::sync::Arc::new)
-                .ok_or(FrameCacheGone(file)),
+            FrameLookup::Bypass => load(fs, file, offset, len).map(std::sync::Arc::new),
         }
     }
 
@@ -611,9 +619,7 @@ impl SnapshotFrameCache {
         }
         // Miss (or stale generation): read and hash outside the cache
         // lock, then re-validate before publishing.
-        let raw = fs
-            .try_read_at(file, offset, len as usize)
-            .ok_or(FrameCacheGone(file))?;
+        let raw = load(fs, file, offset, len)?;
         // Dedup key: in-process only and byte-compared on every match, so
         // the cheap word feed does — every missed extent is hashed.
         let hash = sim_core::hash::fnv1a64_words(&raw);
@@ -726,7 +732,7 @@ mod tests {
         let fs = FileStore::new();
         let cache = SnapshotFrameCache::new();
         let f = fs.create("snap/mem");
-        fs.write_at(f, 0, b"0123456789");
+        fs.write_at(f, 0, b"0123456789").unwrap();
         let reads_before = fs.read_calls();
         let a = cache.get_or_load(&fs, f, 2, 4).unwrap();
         assert_eq!(&a[..], b"2345");
@@ -744,7 +750,7 @@ mod tests {
         let fs = FileStore::new();
         let cache = SnapshotFrameCache::new();
         let f = fs.create("snap/mem");
-        fs.write_at(f, 0, b"0123456789");
+        fs.write_at(f, 0, b"0123456789").unwrap();
         // Request A populates, request B is served zero-copy; each sees
         // only its own resolution while the global stats see both.
         let mut a = FrameCacheDelta::default();
@@ -766,11 +772,11 @@ mod tests {
         let fs = FileStore::new();
         let cache = SnapshotFrameCache::new();
         let f = fs.create("snap/ws");
-        fs.write_at(f, 0, b"old bytes!");
+        fs.write_at(f, 0, b"old bytes!").unwrap();
         let stale = cache.get_or_load(&fs, f, 0, 9).unwrap();
         assert_eq!(&stale[..], b"old bytes");
         // Rewrite in place (what re-record / pad_working_set do).
-        fs.write_at(f, 0, b"new bytes!");
+        fs.write_at(f, 0, b"new bytes!").unwrap();
         let fresh = cache.get_or_load(&fs, f, 0, 9).unwrap();
         assert_eq!(&fresh[..], b"new bytes", "generation mismatch reloads");
         assert!(!FrameBytes::ptr_eq(&stale, &fresh));
@@ -795,7 +801,7 @@ mod tests {
         let files: Vec<_> = (0..4)
             .map(|i| {
                 let f = fs.create(&format!("snap/fn{i}"));
-                fs.write_at(f, 0, image);
+                fs.write_at(f, 0, image).unwrap();
                 f
             })
             .collect();
@@ -832,8 +838,8 @@ mod tests {
         let fs = FileStore::new();
         let cache = SnapshotFrameCache::new();
         let (a, b) = (fs.create("a"), fs.create("b"));
-        fs.write_at(a, 0, b"same prefix 0");
-        fs.write_at(b, 0, b"same prefix 1");
+        fs.write_at(a, 0, b"same prefix 0").unwrap();
+        fs.write_at(b, 0, b"same prefix 1").unwrap();
         let got_a = cache.get_or_load(&fs, a, 0, 13).unwrap();
         let got_b = cache.get_or_load(&fs, b, 0, 13).unwrap();
         assert_eq!(&got_a[..], b"same prefix 0");
@@ -851,7 +857,7 @@ mod tests {
         let f = fs.create("f");
         // Five 16-byte extents with distinct contents.
         for i in 0..5u8 {
-            fs.write_at(f, i as u64 * 16, &[i + 1; 16]);
+            fs.write_at(f, i as u64 * 16, &[i + 1; 16]).unwrap();
         }
         let resident = |e: u64| cache.peek(f, e * 16, 16).is_some();
         cache.set_budget(Some(32));
@@ -898,7 +904,7 @@ mod tests {
         let cache = SnapshotFrameCache::new();
         let f = fs.create("f");
         for e in 0..32u64 {
-            fs.write_at(f, e * 8, &e.to_le_bytes());
+            fs.write_at(f, e * 8, &e.to_le_bytes()).unwrap();
         }
         let resident = |e: u64| cache.peek(f, e * 8, 8).is_some();
         cache.set_budget(Some(2 * 8));
@@ -926,8 +932,8 @@ mod tests {
         // One cold start's view of an extent: the WS file's copy, which
         // the prefetch aliased, and the memory file's, which verify reads.
         let (ws, mem) = (fs.create("ws"), fs.create("mem"));
-        fs.write_at(ws, 0, &[1u8; 16]);
-        fs.write_at(mem, 0, &[1u8; 16]);
+        fs.write_at(ws, 0, &[1u8; 16]).unwrap();
+        fs.write_at(mem, 0, &[1u8; 16]).unwrap();
         cache.set_budget(Some(16));
         let mut delta = FrameCacheDelta::default();
         let mut lookup = |file, aliased| {
@@ -959,9 +965,9 @@ mod tests {
         // One cold start's view of an extent: the WS file's copy and the
         // memory file's, byte-identical.
         let (ws, mem) = (fs.create("ws"), fs.create("mem"));
-        fs.write_at(ws, 0, &[1u8; 16]);
-        fs.write_at(mem, 0, &[1u8; 16]);
-        fs.write_at(mem, 16, &[2u8; 16]);
+        fs.write_at(ws, 0, &[1u8; 16]).unwrap();
+        fs.write_at(mem, 0, &[1u8; 16]).unwrap();
+        fs.write_at(mem, 16, &[2u8; 16]).unwrap();
         // Prefetch admits, verify deduplicates onto it: two keys, one
         // content entry, and no hit. Then an entry admitted later, and hit.
         cache.get_or_load(&fs, ws, 0, 16).unwrap();
@@ -989,14 +995,14 @@ mod tests {
         let fs = FileStore::new();
         let cache = SnapshotFrameCache::new();
         let (churned, kept) = (fs.create("churned"), fs.create("kept"));
-        fs.write_at(kept, 0, &[7u8; 16]);
+        fs.write_at(kept, 0, &[7u8; 16]).unwrap();
         cache.get_or_load(&fs, kept, 0, 16).unwrap();
         // `deploy_churn`'s shape under an unbounded budget, which never
         // pops the queue: a re-record drops a file's extents, and the next
         // cold start reloads them as new content.
         for round in 0..10_000u64 {
             let words: Vec<u8> = (0..8).flat_map(|w| (round * 8 + w).to_le_bytes()).collect();
-            fs.write_at(churned, 0, &words);
+            fs.write_at(churned, 0, &words).unwrap();
             cache.invalidate_file(churned);
             for e in 0..4 {
                 cache.get_or_load(&fs, churned, e * 16, 16).unwrap();
@@ -1016,8 +1022,8 @@ mod tests {
         let fs = FileStore::new();
         let cache = SnapshotFrameCache::new();
         let f = fs.create("f");
-        fs.write_at(f, 0, &[8u8; 32]);
-        fs.write_at(f, 32, &[9u8; 32]);
+        fs.write_at(f, 0, &[8u8; 32]).unwrap();
+        fs.write_at(f, 32, &[9u8; 32]).unwrap();
         cache.get_or_load(&fs, f, 0, 32).unwrap();
         cache.get_or_load(&fs, f, 32, 32).unwrap();
         assert_eq!(cache.stats().bytes, 64);
@@ -1036,7 +1042,7 @@ mod tests {
         let f = fs.create("snap/mem");
         let mut page = vec![0u8; 2 * PAGE_SIZE];
         guest_mem::checksum::fill_deterministic(&mut page, 0xA11A5, 0);
-        fs.write_at(f, 0, &page);
+        fs.write_at(f, 0, &page).unwrap();
         let src = cache
             .get_or_load(&fs, f, 0, 2 * PAGE_SIZE as u64)
             .unwrap();
@@ -1068,8 +1074,8 @@ mod tests {
         let cache = SnapshotFrameCache::new();
         let a = fs.create("a");
         let b = fs.create("b");
-        fs.write_at(a, 0, b"aaaa");
-        fs.write_at(b, 0, b"bbbb");
+        fs.write_at(a, 0, b"aaaa").unwrap();
+        fs.write_at(b, 0, b"bbbb").unwrap();
         cache.get_or_load(&fs, a, 0, 2).unwrap();
         cache.get_or_load(&fs, a, 2, 2).unwrap();
         cache.get_or_load(&fs, b, 0, 4).unwrap();
@@ -1088,7 +1094,7 @@ mod tests {
         let fs = FileStore::new();
         let cache = SnapshotFrameCache::new();
         let f = fs.create("f");
-        fs.write_at(f, 0, &[7u8; 64]);
+        fs.write_at(f, 0, &[7u8; 64]).unwrap();
         let whole = cache.get_or_load(&fs, f, 0, 64).unwrap();
         let head = cache.get_or_load(&fs, f, 0, 32).unwrap();
         assert!(!FrameBytes::ptr_eq(&whole, &head));
@@ -1102,7 +1108,7 @@ mod tests {
         let fs = FileStore::new();
         let cache = SnapshotFrameCache::new();
         let f = fs.create("f");
-        fs.write_at(f, 0, b"xy");
+        fs.write_at(f, 0, b"xy").unwrap();
         let got = cache.get_or_load(&fs, f, 1, 4).unwrap();
         assert_eq!(&got[..], &[b'y', 0, 0, 0]);
     }
@@ -1112,7 +1118,7 @@ mod tests {
         let fs = FileStore::new();
         let cache = SnapshotFrameCache::new();
         let f = fs.create("f");
-        fs.write_at(f, 0, b"abcd");
+        fs.write_at(f, 0, b"abcd").unwrap();
         cache.get_or_load(&fs, f, 0, 4).unwrap();
         fs.delete(f);
         // An unregister racing a cold start degrades to a clean error the
@@ -1128,7 +1134,7 @@ mod tests {
         let fs = Arc::new(FileStore::new());
         let cache = Arc::new(SnapshotFrameCache::new());
         let f = fs.create("f");
-        fs.write_at(f, 0, &[42u8; 4096]);
+        fs.write_at(f, 0, &[42u8; 4096]).unwrap();
         const THREADS: u64 = 8;
         const ITERS: u64 = 50;
         std::thread::scope(|s| {
@@ -1186,7 +1192,7 @@ mod tests {
         }
         let files: Vec<FileId> = (0..FILES).map(|i| fs.create(&format!("f{i}"))).collect();
         for &f in &files {
-            fs.write_at(f, 0, &fill(0).repeat(EXTENTS as usize));
+            fs.write_at(f, 0, &fill(0).repeat(EXTENTS as usize)).unwrap();
         }
         // Per file: the writers' version counter, and per extent the last
         // version whose write has completed.
@@ -1221,7 +1227,7 @@ mod tests {
                                 0..=1 => {
                                     let mut version = versions[f].lock().unwrap();
                                     *version += 1;
-                                    fs.write_at(files[f], e * LEN, &fill(*version));
+                                    fs.write_at(files[f], e * LEN, &fill(*version)).unwrap();
                                     published[f][e as usize].store(*version, Ordering::SeqCst);
                                 }
                                 2 => {
@@ -1245,7 +1251,7 @@ mod tests {
                                         FrameLookup::Frames(bytes) => bytes.to_vec(),
                                         FrameLookup::Bypass => {
                                             assert!(!aliased, "an aliased lookup bypassed");
-                                            fs.try_read_at(file, at, LEN as usize).unwrap()
+                                            fs.read(file, at, LEN, <[u8]>::to_vec).unwrap()
                                         }
                                     };
                                     let served = version_of(&got);

@@ -43,7 +43,7 @@ fn fleet(fs: &FileStore, private: &[u64]) -> Vec<WorkingSet> {
                 .map(|c| {
                     let at = offset;
                     offset += len_of(c);
-                    fs.write_at(file, at, &c.to_le_bytes().repeat((len_of(c) / 8) as usize));
+                    fs.write_at(file, at, &c.to_le_bytes().repeat((len_of(c) / 8) as usize)).unwrap();
                     (at, c)
                 })
                 .collect();

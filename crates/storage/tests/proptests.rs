@@ -221,15 +221,15 @@ proptest! {
                 model.resize(end, 0);
             }
             model[*off as usize..end].copy_from_slice(bytes);
-            fs.write_at(f, *off, bytes);
+            fs.write_at(f, *off, bytes).unwrap();
         }
         prop_assert_eq!(fs.len(f), model.len() as u64);
-        let got = fs.read_at(f, 0, model.len());
+        let got = fs.read(f, 0, model.len() as u64, <[u8]>::to_vec).unwrap();
         prop_assert_eq!(got, model);
     }
 
-    /// Appends never overlap: each append's bytes are recoverable at the
-    /// offset it returned.
+    /// Writes at EOF never overlap: each one's bytes are recoverable at
+    /// the length the file had before it.
     #[test]
     fn file_store_appends_are_disjoint(
         chunks in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..64), 1..30)
@@ -238,11 +238,12 @@ proptest! {
         let f = fs.create("t");
         let mut placed = Vec::new();
         for c in &chunks {
-            let off = fs.append(f, c);
+            let off = fs.len(f);
+            fs.write_at(f, off, c).unwrap();
             placed.push((off, c.clone()));
         }
         for (off, c) in placed {
-            prop_assert_eq!(fs.read_at(f, off, c.len()), c);
+            prop_assert_eq!(fs.read(f, off, c.len() as u64, <[u8]>::to_vec).unwrap(), c);
         }
     }
 
@@ -334,7 +335,7 @@ proptest! {
         let mut contents = vec![vec![0u8; (SLOT * SLOTS) as usize]; files.len()];
         let mut versions = [0u64; 3];
         for &f in &files {
-            fs.set_len(f, SLOT * SLOTS);
+            fs.set_len(f, SLOT * SLOTS).unwrap();
         }
         let cache = SnapshotFrameCache::new();
         let mut naive = NaiveBimodal::default();
@@ -353,7 +354,7 @@ proptest! {
                 9..=11 => {
                     let at = (slot * SLOT) as usize;
                     contents[file][at..at + len as usize].fill(fill);
-                    fs.write_at(files[file], slot * SLOT, &vec![fill; len as usize]);
+                    fs.write_at(files[file], slot * SLOT, &vec![fill; len as usize]).unwrap();
                     versions[file] += 1;
                 }
                 12 => {
@@ -401,7 +402,7 @@ proptest! {
         let fs = FileStore::new();
         let f = fs.create("mem");
         let file_bytes = 4096 * PAGE_SIZE;
-        fs.set_len(f, file_bytes);
+        fs.set_len(f, file_bytes).unwrap();
         let mut d = Disk::ssd();
         let mut now = SimTime::ZERO;
         for p in pages {
@@ -424,7 +425,7 @@ proptest! {
     fn repeated_fault_hits_cache(page in 0u64..1000) {
         let fs = FileStore::new();
         let f = fs.create("mem");
-        fs.set_len(f, 1000 * PAGE_SIZE);
+        fs.set_len(f, 1000 * PAGE_SIZE).unwrap();
         let mut d = Disk::ssd();
         let a = d.fault_read_page(SimTime::ZERO, f, page, 1000);
         prop_assert!(!a.cache_hit);
@@ -441,7 +442,7 @@ proptest! {
     fn buffered_read_caches_range(first in 0u64..512, count in 1u64..64) {
         let fs = FileStore::new();
         let f = fs.create("mem");
-        fs.set_len(f, 1024 * PAGE_SIZE);
+        fs.set_len(f, 1024 * PAGE_SIZE).unwrap();
         let mut d = Disk::ssd();
         let out = d.read_buffered(SimTime::ZERO, f, first * PAGE_SIZE, count * PAGE_SIZE);
         prop_assert!(!out.cache_hit);
@@ -474,7 +475,7 @@ proptest! {
         let mut files = Vec::new();
         for (i, &sel) in selectors.iter().enumerate() {
             let f = fs.create(&format!("fn{i}/mem"));
-            fs.write_at(f, 0, &pool[sel]);
+            fs.write_at(f, 0, &pool[sel]).unwrap();
             let src = cache.get_or_load(&fs, f, 0, PAGE_SIZE as u64).unwrap();
             mem.alias_run(PageRun::new(PageIdx::new(i as u64), 1), &src, 0)
                 .unwrap();
@@ -524,7 +525,7 @@ proptest! {
         let cache = SnapshotFrameCache::new();
         for (i, &sel) in assignment.iter().enumerate() {
             let f = fs.create(&format!("f{i}"));
-            fs.write_at(f, 0, &images[sel]);
+            fs.write_at(f, 0, &images[sel]).unwrap();
             cache.get_or_load(&fs, f, 0, images[sel].len() as u64).unwrap();
         }
         // Random images may coincide byte-for-byte, so count distinct

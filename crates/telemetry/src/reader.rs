@@ -37,10 +37,12 @@ impl ScanStats {
     }
 }
 
-/// Reads every file named `prefix…` whole, in name order, and hands it
-/// to `decode`, which visits the batch's rows and returns how many there
-/// were — or `None` to drop the batch. Unreadable files are dropped too;
-/// the scan never panics and never stops early.
+/// Reads every file named `prefix…` whole, in name order, and lends its
+/// bytes to `decode` in place (no copy; `decode` runs under the store's
+/// read lock, so it must not write to the store). `decode` visits the
+/// batch's rows and returns how many there were — or `None` to drop the
+/// batch. Unreadable files (dead, blacked out) are dropped too; the scan
+/// never panics and never stops early.
 pub(crate) fn for_each_batch_file(
     store: &FileStore,
     prefix: &str,
@@ -53,8 +55,7 @@ pub(crate) fn for_each_batch_file(
         }
         let rows = store
             .open(&name)
-            .and_then(|id| store.try_read_at(id, 0, store.len(id) as usize))
-            .and_then(|blob| decode(&blob));
+            .and_then(|id| store.read(id, 0, store.len(id), &mut decode).ok().flatten());
         match rows {
             Some(n) => {
                 stats.batches_ok += 1;
@@ -108,7 +109,7 @@ mod tests {
         let store = two_span_batches(6);
         // Corrupt the middle batch in place.
         let id = store.open("telemetry/batch-00000001").unwrap();
-        store.write_at(id, 9, &[0xA5]);
+        store.write_at(id, 9, &[0xA5]).unwrap();
         let (spans, stats) = scan(&store);
         assert_eq!(stats.batches_ok, 2);
         assert_eq!(stats.batches_dropped, 1);
@@ -122,7 +123,7 @@ mod tests {
         assert_eq!(clean.drop_warning(), None, "clean scans stay quiet");
         // Poison one batch: its checksum no longer matches.
         let id = store.open("telemetry/batch-00000001").unwrap();
-        store.write_at(id, 13, &[0xFF]);
+        store.write_at(id, 13, &[0xFF]).unwrap();
         let (_, stats) = scan(&store);
         assert_eq!(stats.batches_dropped, 1);
         let warn = stats.drop_warning().expect("drop must warn");
@@ -135,7 +136,7 @@ mod tests {
         // A writer died mid-flush: the last batch lost its footer.
         let id = store.open("telemetry/batch-00000001").unwrap();
         let len = store.len(id);
-        store.set_len(id, len - 7);
+        store.set_len(id, len - 7).unwrap();
         let (spans, stats) = scan(&store);
         assert_eq!(stats.batches_ok, 1);
         assert_eq!(stats.batches_dropped, 1);

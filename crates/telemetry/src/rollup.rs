@@ -526,7 +526,7 @@ mod tests {
             write_batch_file(&store, ROLLUP_PREFIX, i as u64, &blob).unwrap();
         }
         let id = store.open(&format!("{ROLLUP_PREFIX}{:08}", 1)).unwrap();
-        store.write_at(id, 30, &[0x5A]);
+        store.write_at(id, 30, &[0x5A]).unwrap();
         let dropped_count: u64 = rows[rows.len() / 3..2 * (rows.len() / 3)]
             .iter()
             .map(|(_, c)| c.latency.count())

@@ -36,7 +36,7 @@ pub(crate) fn write_batch_file(
     blob: &[u8],
 ) -> Result<(), StorageError> {
     let id = store.create(&format!("{prefix}{index:08}"));
-    retry_idempotent(|| store.try_write_at(id, 0, blob))
+    retry_idempotent(|| store.write_at(id, 0, blob))
 }
 
 #[derive(Debug)]

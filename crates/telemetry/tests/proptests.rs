@@ -137,10 +137,10 @@ proptest! {
         let len = store.len(id);
         if corrupt_not_truncate {
             let pos = rng.gen_range(len);
-            let byte = store.read_at(id, pos, 1)[0];
-            store.write_at(id, pos, &[byte ^ 0xA5]);
+            let byte = store.read(id, pos, 1, |b| b[0]).unwrap();
+            store.write_at(id, pos, &[byte ^ 0xA5]).unwrap();
         } else {
-            store.set_len(id, rng.gen_range(len));
+            store.set_len(id, rng.gen_range(len)).unwrap();
         }
         let (survivors, stats) = scan(&store);
         prop_assert_eq!(stats.batches_ok, 4);

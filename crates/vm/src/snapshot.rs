@@ -22,7 +22,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use functionbench::FunctionId;
-use guest_mem::{PageIdx, PageRun, PAGE_SIZE};
+use guest_mem::{PageRun, PAGE_SIZE};
 use sim_storage::fault::retry_idempotent;
 use sim_storage::{FaultClass, FileId, FileStore, FrameLookup, StorageError};
 
@@ -99,7 +99,7 @@ impl Snapshot {
         assert!(vm.is_paused(), "snapshot requires a paused VM");
         let vmm = vm.vmm_state();
         let vmm_file = fs.create(&format!("{prefix}/vmm_state"));
-        capture_op(|| fs.try_write_at(vmm_file, 0, vmm.as_bytes()));
+        capture_op(|| fs.write_at(vmm_file, 0, vmm.as_bytes()));
 
         let mem = vm.memory();
         let mem_file = fs.create(&format!("{prefix}/guest_mem"));
@@ -108,10 +108,10 @@ impl Snapshot {
         // copy, no byte written twice.
         for run in mem.resident_runs() {
             for chunk in mem.run_chunks(run) {
-                capture_op(|| fs.try_write_at(mem_file, chunk.run.file_offset(), chunk.bytes));
+                capture_op(|| fs.write_at(mem_file, chunk.run.file_offset(), chunk.bytes));
             }
         }
-        capture_op(|| fs.try_set_len(mem_file, mem.size_bytes()));
+        capture_op(|| fs.set_len(mem_file, mem.size_bytes()));
         Snapshot {
             function: vm.function(),
             config: vm.config(),
@@ -146,12 +146,6 @@ impl Snapshot {
             return Err(RestoreError::Corrupt("VMM state checksum mismatch".to_string()));
         }
         Ok(state)
-    }
-
-    /// Reads one page's bytes from the guest memory file (what a monitor
-    /// installs when serving a fault).
-    pub fn read_page(&self, fs: &FileStore, page: PageIdx) -> Vec<u8> {
-        fs.read_at(self.mem_file, page.file_offset(), PAGE_SIZE)
     }
 
     /// Builds the restored VM shell: VMM state read and validated, the
@@ -220,34 +214,34 @@ pub fn verify_restored_tracked(
 ) -> Result<u64, String> {
     let mem = vm.memory();
     // The comparison is per page so the error names the exact mismatching
-    // frame. `expect` may stop short of the run (a borrow clamps at EOF):
-    // bytes past its end are zeros, as every read past EOF is.
+    // frame. `expect` is always exactly the run's bytes: store reads and
+    // the cache's loads both zero-fill past EOF.
     let compare = |run: PageRun, expect: &[u8]| -> Result<u64, String> {
-        for (i, page) in run.iter().enumerate() {
+        debug_assert_eq!(expect.len() as u64, run.byte_len());
+        for (page, want) in run.iter().zip(expect.chunks(PAGE_SIZE)) {
             let got = mem.page_bytes(page).expect("resident page");
-            let start = (i * PAGE_SIZE).min(expect.len());
-            let want = &expect[start..(start + PAGE_SIZE).min(expect.len())];
-            let (head, tail) = got.split_at(want.len());
-            if head != want || tail.iter().any(|&b| b != 0) {
-                let mut file_page = [0u8; PAGE_SIZE];
-                file_page[..want.len()].copy_from_slice(want);
+            if got != want {
                 return Err(format!(
                     "page {page} differs from snapshot (restored checksum {:x}, file {:x})",
                     guest_mem::fnv1a64(got),
-                    guest_mem::fnv1a64(&file_page),
+                    guest_mem::fnv1a64(want),
                 ));
             }
         }
         Ok(run.len)
     };
+    // Compares `run` against a borrow of the memory file, if it is still
+    // there (not deleted, not blacked out).
+    let from_store = |run: PageRun| -> Result<u64, String> {
+        let (at, len) = (run.file_offset(), run.byte_len());
+        fs.read(snapshot.mem_file, at, len, |expect| compare(run, expect))
+            .map_err(|e| format!("verify source vanished: {e}"))?
+    };
     let mut verified = 0;
     for run in mem.resident_runs() {
         let Some(cache) = cache else {
-            // One file read per maximal resident run, compared where the
-            // store holds it.
-            verified += fs.with_range(snapshot.mem_file, run.file_offset(), run.byte_len(), |expect| {
-                compare(run, expect)
-            })?;
+            // One file read per maximal resident run.
+            verified += from_store(run)?;
             continue;
         };
         // One lookup per chunk, keyed like the install that produced it, so
@@ -267,11 +261,8 @@ pub fn verify_restored_tracked(
                     Some((src, 0)) if Arc::ptr_eq(src, &expected) => chunk.run.len,
                     _ => compare(chunk.run, &expected)?,
                 },
-                // Bypassed, or the memory file died mid-pass: compare
-                // against a borrow of the file, if it is still there.
-                _ => fs
-                    .try_with_range(snapshot.mem_file, at, len, |expect| compare(chunk.run, expect))
-                    .map_err(|e| format!("verify source vanished: {e}"))??,
+                // Bypassed, or the memory file died mid-pass.
+                _ => from_store(chunk.run)?,
             };
         }
     }
@@ -283,7 +274,7 @@ mod tests {
     use super::*;
     use crate::vcpu::{run_lazy, FaultHandler};
     use functionbench::{FunctionId, InputGenerator};
-    use guest_mem::{FaultEvent, MemError, Uffd};
+    use guest_mem::{FaultEvent, MemError, PageIdx, Uffd};
     use sim_storage::{FaultInjector, FaultKind, FaultPlan, FaultRule, FaultScope};
 
     /// A minimal baseline monitor: serves each fault from the memory file.
@@ -294,9 +285,10 @@ mod tests {
     impl FaultHandler for FileBacked<'_> {
         fn handle_fault(&mut self, uffd: &mut Uffd, ev: FaultEvent) -> Result<(), MemError> {
             let page = uffd.page_of_fault(ev);
-            let bytes = self.snapshot.read_page(self.fs, page);
-            uffd.copy(page, &bytes)?;
-            Ok(())
+            let at = page.file_offset();
+            self.fs
+                .read(self.snapshot.mem_file, at, PAGE_SIZE as u64, |bytes| uffd.copy(page, bytes))
+                .expect("memory file is live")
         }
     }
 
@@ -343,7 +335,8 @@ mod tests {
         let total = snap.mem_pages();
         let mut found_zero = false;
         for p in (0..total).step_by(97) {
-            let bytes = snap.read_page(&fs, PageIdx::new(p));
+            let at = PageIdx::new(p).file_offset();
+            let bytes = fs.read(snap.mem_file, at, PAGE_SIZE as u64, <[u8]>::to_vec).unwrap();
             if bytes.iter().all(|&b| b == 0) {
                 found_zero = true;
                 break;
@@ -354,9 +347,10 @@ mod tests {
 
     /// True if the two stores hold byte-identical memory files.
     fn same_image((a, a_fs): (&Snapshot, &FileStore), (b, b_fs): (&Snapshot, &FileStore)) -> bool {
-        a_fs.with_range(a.mem_file, 0, a.mem_bytes, |x| {
-            b_fs.with_range(b.mem_file, 0, b.mem_bytes, |y| x == y)
+        a_fs.read(a.mem_file, 0, a.mem_bytes, |x| {
+            b_fs.read(b.mem_file, 0, b.mem_bytes, |y| x == y).unwrap()
         })
+        .unwrap()
     }
 
     #[test]
@@ -374,7 +368,7 @@ mod tests {
                 let fs = FileStore::new();
                 let snap = Snapshot::capture(&vm, &fs, "s");
                 assert_eq!(fs.len(snap.mem_file), mem.size_bytes());
-                fs.with_range(snap.mem_file, 0, mem.size_bytes(), |image| {
+                fs.read(snap.mem_file, 0, mem.size_bytes(), |image| {
                     for (p, got) in image.chunks(PAGE_SIZE).enumerate() {
                         let want = mem.page_bytes(PageIdx::new(p as u64));
                         assert!(
@@ -383,7 +377,8 @@ mod tests {
                             want.is_some()
                         );
                     }
-                });
+                })
+                .unwrap();
                 // One store write for the VMM state and one per arena
                 // chunk — for a fresh boot, one per resident run, so a
                 // fault plan's skip/count window over the memory file
@@ -564,7 +559,7 @@ mod tests {
         let run = *runs.iter().find(|r| r.len >= 2).expect("a multi-page run");
         let cut = PageIdx::new(run.first.as_u64() + run.len / 2);
         assert!(vm.memory().page_bytes(cut).unwrap().iter().any(|&b| b != 0));
-        fs.try_set_len(snap.mem_file, cut.file_offset()).unwrap();
+        fs.set_len(snap.mem_file, cut.file_offset()).unwrap();
         let err = verify_restored(&vm, &snap, &fs).unwrap_err();
         let zero_page = guest_mem::fnv1a64(&[0u8; PAGE_SIZE]);
         assert!(err.starts_with(&format!("page {cut} differs from snapshot")), "{err}");
@@ -574,7 +569,7 @@ mod tests {
     #[test]
     fn corrupt_vmm_state_detected() {
         let (snap, fs) = booted_snapshot(FunctionId::helloworld);
-        fs.write_at(snap.vmm_file, 10, b"corruption");
+        fs.write_at(snap.vmm_file, 10, b"corruption").unwrap();
         let err = snap.load_vmm_state(&fs).unwrap_err();
         assert_eq!(err, RestoreError::Corrupt("VMM state checksum mismatch".to_string()));
         assert_eq!(snap.restore_shell(&fs).unwrap_err(), err);

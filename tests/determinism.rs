@@ -55,8 +55,8 @@ fn snapshot_contents_are_deterministic_per_seed() {
     assert_eq!(a.fs().len(fa), b.fs().len(fb));
     // Spot-check a few pages.
     for page in [0u64, 1000, 30000, 65535] {
-        let pa = a.fs().read_at(fa, page * 4096, 4096);
-        let pb = b.fs().read_at(fb, page * 4096, 4096);
+        let pa = a.fs().read(fa, page * 4096, 4096, <[u8]>::to_vec).unwrap();
+        let pb = b.fs().read(fb, page * 4096, 4096, <[u8]>::to_vec).unwrap();
         assert_eq!(pa, pb, "page {page} differs between identical seeds");
     }
 }

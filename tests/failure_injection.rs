@@ -28,7 +28,7 @@ fn corrupt_ws_file_is_rejected() {
     }
     let overlap = WsError::OverlappingExtents(10 * PAGE_SIZE as u64, 12 * PAGE_SIZE as u64);
     for (bytes, expect) in [(b"GARBAGE!".to_vec(), WsError::BadMagic), (overlapping, overlap)] {
-        fs.write_at(ws, 0, &bytes);
+        fs.write_at(ws, 0, &bytes).unwrap();
         assert_eq!(read_ws_file(fs, ws), Err(expect.clone()));
         // Prefetch refuses it before any install.
         let files = ReapFiles { trace_file: ws, ws_file: ws, pages: 0, extents: 0 };
@@ -47,7 +47,7 @@ fn truncated_trace_file_is_rejected() {
     orch.register(f);
     orch.invoke_record(f);
     let trace = orch.fs().open(&format!("snapshots/{f}/ws_trace")).unwrap();
-    orch.fs().set_len(trace, 20);
+    orch.fs().set_len(trace, 20).unwrap();
     assert!(matches!(
         read_trace_file(orch.fs(), trace),
         Err(WsError::Truncated { .. })
@@ -61,7 +61,7 @@ fn prefetch_with_corrupt_ws_file_quarantines_and_falls_back() {
     orch.register(f);
     orch.invoke_record(f);
     let ws = orch.fs().open(&format!("snapshots/{f}/ws_pages")).unwrap();
-    orch.fs().write_at(ws, 0, b"GARBAGE!");
+    orch.fs().write_at(ws, 0, b"GARBAGE!").unwrap();
     // Stored corruption never crashes an in-flight request: the load is
     // validated, reloaded once, then the function is quarantined and the
     // request completes as Vanilla at the same seq (see
@@ -82,7 +82,7 @@ fn rerecord_replaces_corrupt_working_set() {
     orch.register(f);
     orch.invoke_record(f);
     let ws = orch.fs().open(&format!("snapshots/{f}/ws_pages")).unwrap();
-    orch.fs().write_at(ws, 0, b"GARBAGE!");
+    orch.fs().write_at(ws, 0, b"GARBAGE!").unwrap();
     // Re-record overwrites both files in place.
     orch.invoke_record(f);
     let entries = read_ws_file(orch.fs(), ws).expect("fresh WS file parses");
@@ -97,7 +97,7 @@ fn corrupt_vmm_state_fails_restore() {
     let mut orch = Orchestrator::new(35);
     orch.register(f);
     let vmm = orch.fs().open(&format!("snapshots/{f}/vmm_state")).unwrap();
-    orch.fs().write_at(vmm, 100, b"flipped bits");
+    orch.fs().write_at(vmm, 100, b"flipped bits").unwrap();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         orch.invoke_cold(f, ColdPolicy::Vanilla)
     }));
@@ -111,7 +111,7 @@ fn zero_length_ws_file_is_detected() {
     orch.register(f);
     orch.invoke_record(f);
     let ws = orch.fs().open(&format!("snapshots/{f}/ws_pages")).unwrap();
-    orch.fs().set_len(ws, 0);
+    orch.fs().set_len(ws, 0).unwrap();
     assert!(matches!(
         read_ws_file(orch.fs(), ws),
         Err(WsError::Truncated { .. })
