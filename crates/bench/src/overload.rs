@@ -42,7 +42,6 @@ struct RowCounts {
     shed_queue_full: usize,
     shed_rate_limited: usize,
     shed_brownout: usize,
-    shed_breaker_open: usize,
     deadline_exceeded: usize,
 }
 
@@ -52,7 +51,6 @@ fn tally(dispositions: &[Disposition]) -> RowCounts {
         shed_queue_full: 0,
         shed_rate_limited: 0,
         shed_brownout: 0,
-        shed_breaker_open: 0,
         deadline_exceeded: 0,
     };
     for d in dispositions {
@@ -63,7 +61,6 @@ fn tally(dispositions: &[Disposition]) -> RowCounts {
                 ShedReason::QueueFull => c.shed_queue_full += 1,
                 ShedReason::RateLimited => c.shed_rate_limited += 1,
                 ShedReason::Brownout => c.shed_brownout += 1,
-                ShedReason::BreakerOpen => c.shed_breaker_open += 1,
             },
         }
     }
@@ -143,7 +140,6 @@ pub fn run(a: &Args) -> Result<(), String> {
                 + counts.shed_queue_full
                 + counts.shed_rate_limited
                 + counts.shed_brownout
-                + counts.shed_breaker_open
                 + counts.deadline_exceeded,
             reqs.len(),
             "disposition table must account for every request"

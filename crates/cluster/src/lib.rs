@@ -15,9 +15,10 @@
 //! * **Sharding** — a function's home shard is a pure hash of its
 //!   [`FunctionId`] ([`shard_for`]), independent of seed and shard
 //!   count-stable per configuration. All single-function operations
-//!   (`register`, `invoke_record`, `invoke_cold`, `invoke_warm`,
-//!   `pad_working_set`, …) delegate to the home shard, so a **1-shard
-//!   cluster is bit-for-bit today's single `Orchestrator`**.
+//!   (`register`, `invoke_record`, `invoke_warm`, `pad_working_set`, …)
+//!   delegate to the home shard, and `invoke_cold` is a batch of one
+//!   served there, so a **1-shard cluster is bit-for-bit today's single
+//!   `Orchestrator`**.
 //! * **Per-shard stores** — each shard's `FileStore` draws its
 //!   [`FileId`](sim_storage::FileId)s from a disjoint namespace
 //!   ([`FileStore::with_namespace`](sim_storage::FileStore::with_namespace)),

@@ -239,21 +239,31 @@ impl ClusterOrchestrator {
         &self.shards[self.route_of(f)]
     }
 
-    fn home_mut(&mut self, f: FunctionId) -> &mut Orchestrator {
+    /// Routes `f` ([`route_of`](Self::route_of)) and returns the shard
+    /// with whether `f`'s state was rebuilt there. Routed off its hash
+    /// home (dead home, or brownout steering), the function's state
+    /// moves to the survivor first if it never lived there (same seed ⇒
+    /// bit-identical snapshot; the record replays at its pinned seq; a
+    /// fresh registration has no state anywhere to rebuild from), and
+    /// the placement is pinned so the function stays put once its state
+    /// lands there.
+    fn place(&mut self, f: FunctionId) -> (usize, bool) {
         let idx = self.route_of(f);
+        let mut rebuilt = false;
         if idx != self.shard_of(f) {
-            // Routed off its home shard (dead home, or brownout
-            // steering): move the function's state to the survivor
-            // first (no-op for fresh registrations — there is no state
-            // anywhere yet to rebuild from), and pin the placement so
-            // the function stays put once its state lands there.
             if !self.shards[idx].is_registered(f) {
                 if let Some(meta) = self.rebuild_meta_for(f, idx) {
                     self.shards[idx].rebuild_from(f, meta);
+                    rebuilt = true;
                 }
             }
             self.failover.insert(f, idx);
         }
+        (idx, rebuilt)
+    }
+
+    fn home_mut(&mut self, f: FunctionId) -> &mut Orchestrator {
+        let (idx, _) = self.place(f);
         &mut self.shards[idx]
     }
 
@@ -352,16 +362,16 @@ impl ClusterOrchestrator {
     }
 
     /// Attaches (or detaches, with `None`) one telemetry sink to every
-    /// shard, tagging each shard's spans with its index. Delegated single
-    /// invocations emit from their serving shard; concurrent batches emit
-    /// in request order after the shared timed pass, tagged with the
-    /// shard that actually served each request (failover included).
+    /// shard; each shard's spans carry its index (its store's
+    /// namespace). Delegated invocations emit from their serving shard;
+    /// cold batches emit in request order after the shared timed pass,
+    /// tagged with the shard that actually served each request
+    /// (failover included).
     /// Simulated outcomes are byte-identical with telemetry on or off
     /// (pinned by the invariance proptests).
     pub fn set_telemetry(&mut self, sink: Option<TelemetrySink>) {
-        for (k, shard) in self.shards.iter_mut().enumerate() {
+        for shard in &mut self.shards {
             shard.set_telemetry(sink.clone());
-            shard.set_telemetry_shard(k as u32);
         }
     }
 
@@ -416,13 +426,18 @@ impl ClusterOrchestrator {
         self.home_mut(f).invoke_record(f)
     }
 
-    /// One cold invocation on the home shard.
+    /// One cold invocation: a batch of one through
+    /// [`invoke_concurrent`](Self::invoke_concurrent), so a home shard
+    /// whose store is lost fails over exactly as in a batch.
     ///
     /// # Panics
     ///
-    /// As [`Orchestrator::invoke_cold`].
+    /// As [`invoke_concurrent`](Self::invoke_concurrent), or if attached
+    /// admission control sheds the request — there is no outcome to
+    /// return.
     pub fn invoke_cold(&mut self, f: FunctionId, policy: ColdPolicy) -> InvocationOutcome {
-        self.home_mut(f).invoke_cold(f, policy)
+        let mut batch = self.invoke_concurrent(&[ColdRequest::shared(f, policy)]);
+        batch.outcomes.pop().unwrap_or_else(|| panic!("{f}: {}", batch.dispositions[0]))
     }
 
     /// One warm invocation on the home shard.
@@ -475,8 +490,9 @@ impl ClusterOrchestrator {
     ///
     /// # Panics
     ///
-    /// As [`Orchestrator::invoke_cold`] for any individual request, or if
-    /// every shard dies before the batch can be placed.
+    /// Panics if a request's function is unregistered or uses a prefetch
+    /// policy before [`invoke_record`](Self::invoke_record), or if every
+    /// shard dies before the batch can be placed.
     pub fn invoke_concurrent(&mut self, reqs: &[ColdRequest]) -> ClusterBatch {
         let started = Instant::now();
         if reqs.is_empty() {
@@ -537,25 +553,9 @@ impl ClusterOrchestrator {
             let num_shards = self.shards.len();
             let mut per_shard: Vec<Vec<(usize, ColdRequest)>> = vec![Vec::new(); num_shards];
             for &i in &pending {
-                let f = reqs[i].function;
-                let dst = self.route_of(f);
-                if dst != self.shard_of(f) {
-                    // Served off its hash home (the home is dead, or the
-                    // function failed over in an earlier batch): pin the
-                    // placement and rebuild the function's state on the
-                    // survivor if it never lived there (same seed ⇒
-                    // bit-identical snapshot; the record replays at its
-                    // pinned seq).
-                    if !self.shards[dst].is_registered(f) {
-                        let meta = self.rebuild_meta_for(f, dst).unwrap_or_else(|| {
-                            panic!("{f} is registered on no shard; cannot rebuild")
-                        });
-                        self.shards[dst].rebuild_from(f, meta);
-                        rebuilt[i] = true;
-                        rerouted[i] = true;
-                    }
-                    self.failover.insert(f, dst);
-                }
+                let (dst, moved) = self.place(reqs[i].function);
+                rebuilt[i] |= moved;
+                rerouted[i] |= moved;
                 per_shard[dst].push((i, reqs[i]));
             }
             // Pair every busy shard with its work list, in shard order.
@@ -611,9 +611,8 @@ impl ClusterOrchestrator {
                         slots[i] = Some(p);
                     }
                     Err(abort) => match self.shards[shard_idx].finish_unserved(&reqs[i], abort) {
-                        // Shed by the shard's breaker or out of budget
-                        // mid-recovery: no seq is held, the request
-                        // resolves here (no requeue).
+                        // Out of budget mid-recovery: the seq was rolled
+                        // back, the request resolves here (no requeue).
                         Ok(unserved) => dispositions[i] = unserved,
                         Err(_) => {
                             // The shard's store is unreachable: declare it
@@ -699,8 +698,8 @@ impl ClusterOrchestrator {
 /// cannot serve (storage blackout, persistent faults) yields
 /// [`ColdAbort::Shard`] for the caller's failover round instead of
 /// panicking the lane; a request whose deadline budget runs out
-/// mid-recovery or that an open circuit breaker sheds yields the
-/// matching abort and resolves without a retry.
+/// mid-recovery yields [`ColdAbort::Deadline`] and resolves without a
+/// retry.
 fn prepare_lane(work: Vec<ShardWork<'_>>) -> Vec<(usize, usize, Result<PreparedCold, ColdAbort>)> {
     let mut out = Vec::with_capacity(work.iter().map(|(_, _, w)| w.len()).sum());
     for (shard_idx, shard, reqs) in work {

@@ -117,6 +117,29 @@ fn delegated_single_survives_home_shard_death() {
 }
 
 #[test]
+fn delegated_single_fails_over_when_its_home_store_goes_dark() {
+    let mut r = prepared_cluster(27, 3);
+    let mut c = prepared_cluster(27, 3);
+    let home = c.shard_of(FUNCS[0]);
+    // The store dies under the shard; nobody calls `fail_shard`. The
+    // single cold call must discover it, mark the shard dead and serve
+    // from a survivor, as a batch does.
+    attach(
+        &c,
+        home,
+        FaultRule::new(FaultScope::Namespace(home as u32), FaultKind::Blackout),
+    );
+    let out = c.invoke_cold(FUNCS[0], ColdPolicy::Reap);
+    assert!(out.recovery.rerouted && out.recovery.rebuilt);
+    assert_eq!(
+        normalized(&out),
+        normalized(&r.invoke_cold(FUNCS[0], ColdPolicy::Reap))
+    );
+    assert_eq!(c.shard_health(home), ShardHealth::Dead);
+    assert_ne!(c.route_of(FUNCS[0]), home);
+}
+
+#[test]
 fn transient_faults_mark_the_shard_degraded_not_dead() {
     let seed = 23;
     let mut r = prepared_cluster(seed, 2);

@@ -49,7 +49,6 @@
 //! assert!(record.verified_pages > 0);
 //! ```
 
-pub mod breaker;
 pub mod costs;
 pub mod detect;
 pub mod invocation;
@@ -64,7 +63,6 @@ pub mod scale;
 pub mod timeline;
 pub mod ws_file;
 
-pub use breaker::{BreakerPolicy, BreakerState, CircuitBreaker};
 pub use costs::HostCostModel;
 pub use detect::{contiguity, working_set_overlap, ContiguityStats, MispredictionReport, OverlapStats};
 pub use invocation::{Breakdown, ColdPolicy, InstanceFiles, InstanceProgram, Phase, TimedStep};

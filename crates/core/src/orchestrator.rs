@@ -25,7 +25,6 @@ use sim_storage::{
     SnapshotFrameCache,
 };
 
-use crate::breaker::{BreakerPolicy, BreakerState, CircuitBreaker};
 use crate::costs::HostCostModel;
 use crate::detect::MispredictionReport;
 use crate::invocation::{
@@ -33,7 +32,7 @@ use crate::invocation::{
     InstanceProgram,
 };
 use crate::monitor::{Monitor, MonitorMode, MonitorStats, PrefetchError};
-use crate::overload::{ColdAbort, ColdRequest, DeadlineExpired, Disposition, ShedReason};
+use crate::overload::{ColdAbort, ColdRequest, DeadlineExpired, Disposition};
 use crate::recovery::{AttemptError, RebuildMeta, RecoveryReport, RetryPolicy, ShardUnavailable};
 use crate::timeline::Timeline;
 use crate::ws_file::{read_trace_file, read_trace_runs, ReapFiles};
@@ -254,19 +253,11 @@ pub struct Orchestrator {
     /// outcomes only — simulated results are byte-identical with
     /// telemetry on or off.
     telemetry: Option<TelemetrySink>,
-    /// Shard index stamped on emitted spans (0 standalone; the cluster
-    /// layer sets each shard's index).
-    telemetry_shard: u32,
     /// Fleet metrics registry (off by default; see
     /// [`set_metrics`](Self::set_metrics)). Recording reads completed
     /// outcomes and per-instance counters only — simulated results are
     /// byte-identical with metrics on or off.
     metrics: Option<MetricsRegistry>,
-    /// Circuit-breaker policy (off by default; see
-    /// [`set_breaker`](Self::set_breaker)).
-    breaker_policy: Option<BreakerPolicy>,
-    /// Per-function breakers, created lazily under `breaker_policy`.
-    breakers: HashMap<FunctionId, CircuitBreaker>,
     functions: HashMap<FunctionId, FunctionState>,
 }
 
@@ -314,33 +305,9 @@ impl Orchestrator {
             frame_cache_enabled: true,
             verify_artifacts: false,
             telemetry: None,
-            telemetry_shard: 0,
             metrics: None,
-            breaker_policy: None,
-            breakers: HashMap::new(),
             functions: HashMap::new(),
         }
-    }
-
-    /// Arms (or disarms, with `None`) per-function circuit breakers in
-    /// [`prepare`](Self::prepare): after `failure_threshold` consecutive
-    /// failures — quarantine fallbacks, shard blackouts, mid-recovery
-    /// deadline aborts — the function trips open and sheds until the
-    /// virtual-time cooldown admits a half-open probe. Off by default.
-    pub fn set_breaker(&mut self, policy: Option<BreakerPolicy>) {
-        self.breaker_policy = policy;
-        self.breakers.clear();
-    }
-
-    /// `f`'s breaker state, if breakers are armed and `f` has been
-    /// requested since.
-    pub fn breaker_state(&self, f: FunctionId) -> Option<BreakerState> {
-        self.breakers.get(&f).map(|b| b.state())
-    }
-
-    /// Times `f`'s breaker has tripped open (0 if never seen).
-    pub fn breaker_trips(&self, f: FunctionId) -> u64 {
-        self.breakers.get(&f).map_or(0, |b| b.trips())
     }
 
     /// Enables digest verification of REAP artifacts before every
@@ -423,12 +390,6 @@ impl Orchestrator {
         self.telemetry.as_ref()
     }
 
-    /// Sets the shard index stamped on emitted spans (the cluster layer
-    /// tags each shard; standalone orchestrators stay at 0).
-    pub fn set_telemetry_shard(&mut self, shard: u32) {
-        self.telemetry_shard = shard;
-    }
-
     /// Attaches (or detaches, with `None`) a fleet metrics registry: every
     /// completed invocation then records per-phase latency histograms,
     /// recovery-event counters and frame-cache attribution, and the
@@ -504,7 +465,7 @@ impl Orchestrator {
         let span = SpanRecord {
             function: f.to_string(),
             policy,
-            shard: self.telemetry_shard,
+            shard: self.fs.namespace(),
             cold: true,
             vt_ns: vt.as_nanos(),
             disposition: disposition.label().to_string(),
@@ -1199,8 +1160,6 @@ impl Orchestrator {
     /// timed pass (see [`PreparedCold`]). Every cold start takes this
     /// path:
     ///
-    /// * `req.function`'s circuit breaker (if [armed](Self::set_breaker))
-    ///   is consulted before any work, and told afterwards how it went;
     /// * transient storage faults retry with bounded virtual-time backoff
     ///   ([`RetryPolicy`]); backoff and injected delays consume
     ///   `req.deadline`;
@@ -1218,60 +1177,24 @@ impl Orchestrator {
     ///
     /// # Errors
     ///
-    /// [`ColdAbort::Shed`] when the breaker was open (no seq consumed);
     /// [`ColdAbort::Deadline`] when the budget ran out mid-recovery;
     /// [`ColdAbort::Shard`] when the snapshot store itself is unreachable
-    /// (shard blackout), for the cluster layer to re-route. The last two
-    /// roll the consumed seq back.
+    /// (shard blackout), for the cluster layer to re-route. Both roll the
+    /// consumed seq back.
     ///
     /// # Panics
     ///
     /// Panics if the function is unregistered or a prefetch policy is
     /// used before [`invoke_record`](Self::invoke_record).
     pub fn prepare(&mut self, req: &ColdRequest) -> Result<PreparedCold, ColdAbort> {
-        let f = req.function;
-        if let Some(bp) = self.breaker_policy {
-            let breaker = self
-                .breakers
-                .entry(f)
-                .or_insert_with(|| CircuitBreaker::new(bp));
-            if let Err(retry_after) = breaker.admit(req.arrival) {
-                return Err(ColdAbort::Shed {
-                    reason: ShedReason::BreakerOpen,
-                    retry_after: Some(retry_after),
-                });
-            }
-        }
-        let res = self.prepare_admitted(req, false);
-        // `breakers` holds `f` exactly when a policy is armed.
-        if let Some(breaker) = self.breakers.get_mut(&f) {
-            // Quarantine fallbacks, shard blackouts and deadline aborts
-            // all count as failures; a clean (or merely retried) cold
-            // start resets the run.
-            let failure = match &res {
-                Ok(p) => p.recovery.fallback_vanilla || p.recovery.quarantined,
-                Err(ColdAbort::Shard(_) | ColdAbort::Deadline(_)) => true,
-                Err(ColdAbort::Shed { .. }) => false,
-            };
-            if !failure {
-                breaker.record_success();
-            } else if breaker.record_failure(req.arrival) {
-                // Tripped open on this failure.
-                if let Some(m) = &self.metrics {
-                    let fname = f.to_string();
-                    m.inc(&labeled("breaker_trips_total", &[("function", &fname)]));
-                }
-            }
-        }
-        res
+        self.prepare_pass(req, false)
     }
 
-    /// [`prepare`](Self::prepare) past the breaker: the recovery state
-    /// machine and the one place a [`PreparedCold`] is built. `record`
-    /// makes it a record pass — faults served on demand *and* the REAP
-    /// files written (§5.2.1), compiled as a Vanilla program plus the
-    /// record epilogue.
-    fn prepare_admitted(&mut self, req: &ColdRequest, record: bool) -> Result<PreparedCold, ColdAbort> {
+    /// The body of [`prepare`](Self::prepare): the recovery state machine
+    /// and the one place a [`PreparedCold`] is built. `record` makes it a
+    /// record pass — faults served on demand *and* the REAP files written
+    /// (§5.2.1), compiled as a Vanilla program plus the record epilogue.
+    fn prepare_pass(&mut self, req: &ColdRequest, record: bool) -> Result<PreparedCold, ColdAbort> {
         let &ColdRequest { function: f, policy, independent, arrival, deadline } = req;
         // §7.2 fallback: a stale working set is refreshed by the next
         // prefetch request of the function itself.
@@ -1417,9 +1340,8 @@ impl Orchestrator {
     }
 
     /// Resolves a request [`prepare`](Self::prepare) refused: its
-    /// explicit disposition and its unserved span — stamped at arrival
-    /// when shed, at the expiry instant when the deadline ran out
-    /// mid-recovery.
+    /// explicit disposition and its unserved span, stamped at the expiry
+    /// instant when the deadline ran out mid-recovery.
     ///
     /// # Errors
     ///
@@ -1429,7 +1351,6 @@ impl Orchestrator {
         let (vt, disposition) = match abort {
             ColdAbort::Shard(e) => return Err(e),
             ColdAbort::Deadline(e) => (req.arrival + e.budget, Disposition::DeadlineExceeded),
-            ColdAbort::Shed { reason, retry_after } => (req.arrival, Disposition::Shed { reason, retry_after }),
         };
         self.emit_unserved(req.function, req.policy, vt, disposition);
         Ok(disposition)
@@ -1437,11 +1358,10 @@ impl Orchestrator {
 
     /// The single-node serving sequence: a refused request resolves
     /// through [`finish_unserved`](Self::finish_unserved); a prepared one
-    /// runs alone on a fresh timeline and finishes. An explicit `record`
-    /// pass skips the breaker — it is what repairs a quarantined function.
+    /// runs alone on a fresh timeline and finishes. `record` makes it a
+    /// record pass.
     fn serve(&mut self, req: &ColdRequest, record: bool) -> (Disposition, Option<InvocationOutcome>) {
-        let prepared = if record { self.prepare_admitted(req, true) } else { self.prepare(req) };
-        let mut prepared = match prepared {
+        let mut prepared = match self.prepare_pass(req, record) {
             Ok(p) => p,
             // A single node has nowhere to re-route an unreachable store.
             Err(abort) => return (self.finish_unserved(req, abort).unwrap_or_else(|e| panic!("{e}")), None),
@@ -1457,7 +1377,7 @@ impl Orchestrator {
     /// the recorded files.
     pub fn invoke_record(&mut self, f: FunctionId) -> InvocationOutcome {
         let (_, outcome) = self.serve(&ColdRequest::shared(f, ColdPolicy::Vanilla), true);
-        outcome.expect("a record pass is never shed and carries no deadline")
+        outcome.expect("a record pass carries no deadline")
     }
 
     /// One cold invocation under `policy`.
@@ -1465,24 +1385,22 @@ impl Orchestrator {
     /// # Panics
     ///
     /// Panics if the function is unregistered, a prefetch policy is used
-    /// before [`invoke_record`](Self::invoke_record), the snapshot store
-    /// is unreachable (use the cluster layer for failover), or an armed
-    /// circuit breaker sheds the request — there is no outcome to return;
-    /// [`invoke_cold_within`](Self::invoke_cold_within) reports it.
+    /// before [`invoke_record`](Self::invoke_record), or the snapshot
+    /// store is unreachable (use the cluster layer for failover).
     pub fn invoke_cold(&mut self, f: FunctionId, policy: ColdPolicy) -> InvocationOutcome {
-        let (disposition, outcome) = self.invoke_cold_within(f, policy, None);
-        outcome.unwrap_or_else(|| panic!("{f}: {disposition}"))
+        let (_, outcome) = self.invoke_cold_within(f, policy, None);
+        outcome.expect("a request without a deadline always completes")
     }
 
     /// One cold invocation under `policy` with an optional virtual-time
     /// deadline. Always resolves to an explicit [`Disposition`]; there is
-    /// no outcome when the breaker shed the request or the budget ran out
-    /// mid-recovery, and a late completion keeps its outcome but is
-    /// `DeadlineExceeded`, not goodput.
+    /// no outcome when the budget ran out mid-recovery, and a late
+    /// completion keeps its outcome but is `DeadlineExceeded`, not
+    /// goodput.
     ///
     /// # Panics
     ///
-    /// As [`invoke_cold`](Self::invoke_cold), shedding aside.
+    /// As [`invoke_cold`](Self::invoke_cold).
     pub fn invoke_cold_within(&mut self, f: FunctionId, policy: ColdPolicy, deadline: Option<Deadline>) -> (Disposition, Option<InvocationOutcome>) {
         let arrival = deadline.map_or(SimTime::ZERO, |d| d.arrival);
         let req = ColdRequest { arrival, deadline: deadline.map(|d| d.budget), ..ColdRequest::shared(f, policy) };

@@ -9,7 +9,7 @@
 //!   (or with no deadline set);
 //! * [`Shed`](Disposition::Shed) — rejected before any work: the
 //!   admission queue was full, the function's token bucket was empty,
-//!   its circuit breaker was open, or its home shard was browning out.
+//!   or its home shard was browning out.
 //!   No input seq is consumed — a later run admitting the request
 //!   serves it with the seq it would have had;
 //! * [`DeadlineExceeded`](Disposition::DeadlineExceeded) — the
@@ -92,8 +92,6 @@ pub enum ShedReason {
     QueueFull,
     /// The function's token-bucket rate limiter was empty.
     RateLimited,
-    /// The function's circuit breaker was open.
-    BreakerOpen,
     /// The home shard is Degraded and the request's remaining budget
     /// could not absorb a degraded-path cold start.
     Brownout,
@@ -105,7 +103,6 @@ impl ShedReason {
         match self {
             ShedReason::QueueFull => "queue_full",
             ShedReason::RateLimited => "rate_limited",
-            ShedReason::BreakerOpen => "breaker_open",
             ShedReason::Brownout => "brownout",
         }
     }
@@ -125,7 +122,7 @@ pub enum Disposition {
     /// Served, and (if a deadline was set) finished within it.
     Completed,
     /// Rejected up front, with an optional virtual-time retry hint
-    /// (breaker cooldown remaining, brownout backoff).
+    /// (token-bucket refill, brownout backoff).
     Shed {
         /// Why admission rejected the request.
         reason: ShedReason,
@@ -154,10 +151,6 @@ impl Disposition {
                 reason: ShedReason::RateLimited,
                 ..
             } => "shed_rate_limited",
-            Disposition::Shed {
-                reason: ShedReason::BreakerOpen,
-                ..
-            } => "shed_breaker_open",
             Disposition::Shed {
                 reason: ShedReason::Brownout,
                 ..
@@ -209,13 +202,6 @@ pub enum ColdAbort {
     Shard(ShardUnavailable),
     /// The virtual-time budget ran out mid-recovery (seq rolled back).
     Deadline(DeadlineExpired),
-    /// Shed before any work (no seq consumed).
-    Shed {
-        /// Why admission rejected the request.
-        reason: ShedReason,
-        /// Virtual-time retry hint, when known.
-        retry_after: Option<SimDuration>,
-    },
 }
 
 impl fmt::Display for ColdAbort {
@@ -223,7 +209,6 @@ impl fmt::Display for ColdAbort {
         match self {
             ColdAbort::Shard(e) => e.fmt(f),
             ColdAbort::Deadline(e) => e.fmt(f),
-            ColdAbort::Shed { reason, .. } => write!(f, "shed: {reason}"),
         }
     }
 }
@@ -269,10 +254,5 @@ mod tests {
         });
         let s = e.to_string();
         assert!(s.contains("deadline exceeded"), "{s}");
-        let shed = ColdAbort::Shed {
-            reason: ShedReason::BreakerOpen,
-            retry_after: Some(SimDuration::from_millis(7)),
-        };
-        assert_eq!(shed.to_string(), "shed: breaker_open");
     }
 }

@@ -9,16 +9,14 @@ use std::sync::Arc;
 use functionbench::FunctionId;
 use guest_mem::{MemError, PageIdx, TouchOutcome, Uffd};
 use microvm::{verify_restored_cached, FaultHandler, MicroVm, Snapshot, VmConfig};
-use sim_core::metrics::labeled;
-use sim_core::{Deadline, MetricsRegistry, SimDuration, SimTime};
+use sim_core::{Deadline, SimDuration, SimTime};
 use sim_storage::{
     FaultInjector, FaultKind, FaultPlan, FaultRule, FaultScope, FileId, FileStore,
     SnapshotFrameCache, StorageError,
 };
 use vhive_core::{
-    BreakerPolicy, BreakerState, ColdAbort, ColdPolicy, ColdRequest, Disposition,
-    InvocationOutcome, Monitor, MonitorMode, Orchestrator, PrefetchError, ReapFiles,
-    RecoveryReport, ShedReason,
+    ColdAbort, ColdPolicy, ColdRequest, Disposition, InvocationOutcome, Monitor, MonitorMode,
+    Orchestrator, PrefetchError, ReapFiles, RecoveryReport,
 };
 use vhive_telemetry::{scan, TelemetrySink};
 
@@ -414,87 +412,6 @@ fn vmm_checksum_mismatch_stays_fatal() {
     let byte = o.fs().read(vmm, 32, 1, |b| b[0]).unwrap();
     o.fs().write_at(vmm, 32, &[byte ^ 0xFF]).unwrap();
     let _ = o.invoke_cold(F, ColdPolicy::Reap);
-}
-
-/// Serves `req` on `o` the way a caller with its own timeline does:
-/// `prepare`, the timed pass, `finish`.
-fn serve(o: &mut Orchestrator, req: &ColdRequest) -> Result<InvocationOutcome, ColdAbort> {
-    let mut prepared = o.prepare(req)?;
-    let (results, disk) = o.run_timed(vec![prepared.take_program()]);
-    Ok(o.finish(prepared, results[0], disk).1)
-}
-
-#[test]
-fn breaker_trips_on_quarantine_fallbacks_sheds_then_closes_on_a_clean_probe() {
-    let policy = BreakerPolicy {
-        failure_threshold: 2,
-        cooldown: SimDuration::from_millis(50),
-    };
-    let at = |ms: u64| ColdRequest {
-        arrival: SimTime::ZERO + SimDuration::from_millis(ms),
-        ..ColdRequest::shared(F, ColdPolicy::Reap)
-    };
-    // Reference world, no breaker: the same served requests, in order.
-    let mut b = prepared(27);
-    let ws = b.fs().open(&format!("snapshots/{F}/ws_pages")).unwrap();
-    b.fs().write_at(ws, 0, &[0xA5, 0x5A, 0xA5, 0x5A]).unwrap();
-    let b1 = b.invoke_cold(F, ColdPolicy::Reap);
-    let b2 = b.invoke_cold(F, ColdPolicy::Reap);
-    b.invoke_record(F);
-    let b3 = b.invoke_cold(F, ColdPolicy::Reap);
-
-    let mut o = prepared(27);
-    let metrics = MetricsRegistry::new();
-    let sink = TelemetrySink::new(FileStore::new());
-    o.set_metrics(Some(metrics.clone()));
-    o.set_telemetry(Some(sink.clone()));
-    o.set_breaker(Some(policy));
-    let ws = o.fs().open(&format!("snapshots/{F}/ws_pages")).unwrap();
-    o.fs().write_at(ws, 0, &[0xA5, 0x5A, 0xA5, 0x5A]).unwrap();
-
-    // Stored corruption: the first request quarantines and falls back,
-    // the second finds the quarantine standing. Two failures trip it.
-    let o1 = serve(&mut o, &at(0)).expect("falls back to Vanilla");
-    assert_eq!(o.breaker_state(F), Some(BreakerState::Closed));
-    let o2 = serve(&mut o, &at(1)).expect("falls back to Vanilla");
-    assert!(o1.recovery.fallback_vanilla && o2.recovery.fallback_vanilla);
-    assert_eq!(o.breaker_state(F), Some(BreakerState::Open));
-
-    // Open: shed before any work, with the cooldown left as the hint.
-    let shed = serve(&mut o, &at(11)).expect_err("breaker is open");
-    assert_eq!(
-        shed,
-        ColdAbort::Shed {
-            reason: ShedReason::BreakerOpen,
-            retry_after: Some(SimDuration::from_millis(40)),
-        }
-    );
-    let disposition = o.finish_unserved(&at(11), shed).expect("a shed resolves here");
-    assert!(!disposition.is_goodput());
-
-    // The operator re-records; past the cooldown one probe is admitted
-    // and, being clean, closes the breaker.
-    o.invoke_record(F);
-    let o3 = serve(&mut o, &at(51)).expect("half-open probe admitted");
-    assert!(o3.recovery.is_clean());
-    assert_eq!(o.breaker_state(F), Some(BreakerState::Closed));
-    assert_eq!(o.breaker_trips(F), 1);
-    assert_eq!(
-        metrics.counter(&labeled("breaker_trips_total", &[("function", &F.to_string())])),
-        1
-    );
-
-    // The shed consumed no seq: every served request matches the
-    // breaker-less world, seq included.
-    for (got, want) in [(&o1, &b1), (&o2, &b2), (&o3, &b3)] {
-        assert_eq!(format!("{got:?}"), format!("{want:?}"));
-    }
-    sink.flush();
-    let (spans, _) = scan(sink.store());
-    let sheds: Vec<_> = spans.iter().filter(|s| s.disposition == "shed_breaker_open").collect();
-    assert_eq!(sheds.len(), 1);
-    assert_eq!(sheds[0].vt_ns, at(11).arrival.as_nanos());
-    assert_eq!(spans.len(), 5, "two fallbacks, the shed, the re-record, the probe");
 }
 
 /// Faults `page` in and hands the event to `m`.

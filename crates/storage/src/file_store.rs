@@ -110,6 +110,9 @@ pub struct FileStore {
     /// attached every check is one relaxed load.
     metrics: Arc<RwLock<Option<MetricsRegistry>>>,
     metered: Arc<AtomicBool>,
+    /// The id-space namespace this store allocates from (0 unless built
+    /// by [`with_namespace`](Self::with_namespace)).
+    namespace: u32,
 }
 
 impl FileStore {
@@ -198,9 +201,16 @@ impl FileStore {
             (namespace as u64) < (1 << (u64::BITS - NAMESPACE_SHIFT)),
             "namespace {namespace} exceeds the id space"
         );
-        let store = FileStore::default();
+        let store = FileStore { namespace, ..FileStore::default() };
         store.inner.write().next_id = (namespace as u64) << NAMESPACE_SHIFT;
         store
+    }
+
+    /// The namespace this store's [`FileId`]s are drawn from (see
+    /// [`with_namespace`](Self::with_namespace); 0 for
+    /// [`FileStore::new`]). Cluster shard `k` is namespace `k`.
+    pub fn namespace(&self) -> u32 {
+        self.namespace
     }
 
     /// Creates (or truncates) a file with the given name and returns its id.
@@ -867,6 +877,7 @@ mod tests {
         let a = FileStore::with_namespace(0);
         let b = FileStore::with_namespace(1);
         let c = FileStore::with_namespace(2);
+        assert_eq!((FileStore::new().namespace(), c.namespace()), (0, 2));
         // Namespace 0 allocates exactly like a plain store.
         assert_eq!(a.create("x"), FileStore::new().create("x"));
         // Same names, different stores: ids must differ pairwise.

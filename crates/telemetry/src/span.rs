@@ -63,7 +63,7 @@ pub struct SpanRecord {
     /// The request was re-routed off its home shard.
     pub rerouted: bool,
     /// Overload disposition label: `completed`, `shed_queue_full`,
-    /// `shed_rate_limited`, `shed_breaker_open`, `shed_brownout`, or
+    /// `shed_rate_limited`, `shed_brownout`, or
     /// `deadline_exceeded` (`vhive_core::Disposition::label`). Shed and
     /// mid-recovery-expired requests emit zero-phase spans carrying only
     /// identity + this label. Empty on spans written before the column

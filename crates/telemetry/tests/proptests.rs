@@ -58,11 +58,10 @@ fn gen_spans(seed: u64, n: usize) -> Vec<SpanRecord> {
                     "completed",
                     "shed_queue_full",
                     "shed_rate_limited",
-                    "shed_breaker_open",
                     "shed_brownout",
                     "deadline_exceeded",
                     "",
-                ][rng.gen_range(7) as usize]
+                ][rng.gen_range(6) as usize]
                     .to_string(),
             }
         })
