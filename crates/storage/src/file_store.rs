@@ -1,11 +1,15 @@
 //! In-memory file store holding real bytes.
 //!
-//! Snapshots, working-set files, and trace files are real byte vectors so
+//! Snapshots, working-set files, and trace files hold their real bytes so
 //! the functional layer can verify that REAP installs exactly the contents
-//! the snapshot captured. Timing is *not* modelled here — that is
-//! [`crate::disk::Disk`]'s job; the store is the "platter".
+//! the snapshot captured. Files are sparse, as Firecracker's guest-memory
+//! file is on a real filesystem: each stores only the byte ranges written
+//! to it, packed into one arena, and every range below its length that was
+//! never written (or was cut by a truncation) is a hole that reads as
+//! zeros. Timing is *not* modelled here — that is [`crate::disk::Disk`]'s
+//! job; the store is the "platter".
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -34,14 +38,166 @@ impl fmt::Display for FileId {
     }
 }
 
+/// One file: a packed byte arena plus a sorted extent index. Every byte
+/// below `len` that no extent covers is a hole and reads as zeros, so a
+/// snapshot's memory file stores only the pages the guest touched.
 #[derive(Debug, Default)]
 struct FileData {
     name: String,
-    data: Vec<u8>,
+    len: u64,
+    /// The stored bytes. Extents point into it; bytes no extent points at
+    /// are dead until a compaction repacks the arena.
+    arena: Vec<u8>,
+    /// File offset -> (arena offset, length): disjoint, non-empty, all
+    /// below `len`.
+    extents: BTreeMap<u64, (usize, usize)>,
     /// Bumped on every content mutation (write, truncate, gather). The
     /// snapshot frame cache validates this at lookup, so a rewritten file
     /// can never be served from stale cached bytes.
     generation: u64,
+}
+
+/// Dead arena bytes tolerated beyond the live ones before a cut repacks
+/// the arena (one page), so small files never repack on every overwrite.
+const COMPACT_SLACK: usize = 4096;
+
+impl FileData {
+    /// Bytes the extents hold (holes excluded).
+    fn stored(&self) -> usize {
+        self.extents.values().map(|&(_, n)| n).sum()
+    }
+
+    /// Extents overlapping `[start, end)`, ascending, as
+    /// `(file offset, arena offset, length)`.
+    fn overlapping(&self, start: u64, end: u64) -> impl Iterator<Item = (u64, usize, usize)> + '_ {
+        let first = self
+            .extents
+            .range(..start)
+            .next_back()
+            .filter(|&(&k, &(_, n))| k + n as u64 > start);
+        first
+            .into_iter()
+            .chain(self.extents.range(start..end))
+            .map(|(&k, &(at, n))| (k, at, n))
+    }
+
+    /// Where `[offset, offset + len)` starts in the arena, if one extent
+    /// covers all of it.
+    fn locate(&self, offset: u64, len: u64) -> Option<usize> {
+        let end = offset.checked_add(len)?;
+        let (&k, &(at, n)) = self.extents.range(..=offset).next_back()?;
+        (end <= k + n as u64).then(|| at + (offset - k) as usize)
+    }
+
+    /// Fills `buf` with `[offset, offset + buf.len())`: stored bytes where
+    /// an extent covers them, zeros in holes and past EOF.
+    fn copy_out(&self, offset: u64, buf: &mut [u8]) {
+        let end = offset.saturating_add(buf.len() as u64);
+        let mut filled = 0;
+        for (k, at, n) in self.overlapping(offset, end) {
+            let from = k.max(offset);
+            let count = ((k + n as u64).min(end) - from) as usize;
+            let dst = (from - offset) as usize;
+            buf[filled..dst].fill(0);
+            let src = at + (from - k) as usize;
+            sim_core::copy_par(&mut buf[dst..dst + count], &self.arena[src..src + count]);
+            filled = dst + count;
+        }
+        buf[filled..].fill(0);
+    }
+
+    /// An owned, zero-padded copy of `[offset, offset + len)`.
+    fn copy(&self, offset: u64, len: usize) -> Vec<u8> {
+        let mut out = vec![0; len];
+        self.copy_out(offset, &mut out);
+        out
+    }
+
+    /// Drops the stored bytes in `[start, end)`, trimming the extents that
+    /// straddle its edges. A cut at the arena's end shrinks the arena;
+    /// anywhere else its bytes turn dead, and too many dead bytes repack
+    /// the arena.
+    fn cut(&mut self, start: u64, end: u64) {
+        let hit: Vec<(u64, usize, usize)> = self.overlapping(start, end).collect();
+        if hit.is_empty() {
+            return;
+        }
+        for &(k, at, n) in hit.iter().rev() {
+            self.extents.remove(&k);
+            let e_end = k + n as u64;
+            let (lo, hi) = (k.max(start), e_end.min(end));
+            if k < lo {
+                self.extents.insert(k, (at, (lo - k) as usize));
+            }
+            if hi < e_end {
+                self.extents.insert(hi, (at + (hi - k) as usize, (e_end - hi) as usize));
+            }
+            if at + (hi - k) as usize == self.arena.len() {
+                self.arena.truncate(at + (lo - k) as usize);
+            }
+        }
+        let stored = self.stored();
+        if self.arena.len() - stored > stored + COMPACT_SLACK {
+            self.compact(stored);
+        }
+    }
+
+    /// Repacks the arena in file order, merging file-adjacent extents.
+    fn compact(&mut self, stored: usize) {
+        let mut arena = Vec::with_capacity(stored);
+        let mut packed: Vec<(u64, usize, usize)> = Vec::new();
+        for (&k, &(at, n)) in &self.extents {
+            match packed.last_mut() {
+                Some((pk, _, pn)) if *pk + *pn as u64 == k => *pn += n,
+                _ => packed.push((k, arena.len(), n)),
+            }
+            arena.extend_from_slice(&self.arena[at..at + n]);
+        }
+        self.arena = arena;
+        self.extents = packed.into_iter().map(|(k, at, n)| (k, (at, n))).collect();
+    }
+
+    /// Stores the concatenation of `parts` at `offset`, where no extent
+    /// lies: appended to the arena, growing the extent that ends at
+    /// `offset` if its bytes end the arena.
+    fn append(&mut self, offset: u64, parts: &[&[u8]]) {
+        let n: usize = parts.iter().map(|p| p.len()).sum();
+        if n == 0 {
+            return;
+        }
+        let arena_end = self.arena.len();
+        match self.extents.range_mut(..offset).next_back() {
+            Some((&k, (at, len))) if k + *len as u64 == offset && *at + *len == arena_end => {
+                *len += n
+            }
+            _ => {
+                self.extents.insert(offset, (arena_end, n));
+            }
+        }
+        sim_core::extend_scatter(&mut self.arena, parts);
+    }
+
+    /// Writes `bytes` at `offset`: in place inside one extent, else cut
+    /// and appended. The file grows to cover the write's end.
+    fn write(&mut self, offset: u64, bytes: &[u8]) {
+        let end = offset + bytes.len() as u64;
+        match self.locate(offset, bytes.len() as u64) {
+            Some(at) => sim_core::copy_par(&mut self.arena[at..at + bytes.len()], bytes),
+            None => {
+                self.cut(offset, end);
+                self.append(offset, &[bytes]);
+            }
+        }
+        self.len = self.len.max(end);
+    }
+
+    /// Truncates, or extends with a hole, to exactly `len` bytes.
+    fn resize(&mut self, len: u64) {
+        if len < self.len {
+            self.cut(len, self.len);
+        }
+        self.len = len;
+    }
 }
 
 #[derive(Debug, Default)]
@@ -62,20 +218,6 @@ const NAMESPACE_SHIFT: u32 = 40;
 struct StoreCounters {
     writes: AtomicU64,
     reads: AtomicU64,
-}
-
-/// Owned copy of `[offset, offset + len)` of a file's bytes: the part
-/// inside the file is copied and everything past EOF reads as zeros
-/// (sparse-file semantics). The arithmetic saturates, so no offset or
-/// length can index out of range.
-fn read_zero_padded(data: &[u8], offset: u64, len: usize) -> Vec<u8> {
-    let offset = usize::try_from(offset).unwrap_or(usize::MAX);
-    let start = offset.min(data.len());
-    let end = offset.saturating_add(len).min(data.len());
-    let mut out = Vec::new();
-    sim_core::extend_par(&mut out, &data[start..end]);
-    out.resize(len, 0);
-    out
 }
 
 /// A shared, in-memory "filesystem".
@@ -221,7 +363,9 @@ impl FileStore {
                 .files
                 .get_mut(&id)
                 .expect("name index points at live file");
-            fd.data.clear();
+            fd.len = 0;
+            fd.arena.clear();
+            fd.extents.clear();
             fd.generation += 1;
             return id;
         }
@@ -231,8 +375,7 @@ impl FileStore {
             id,
             FileData {
                 name: name.to_string(),
-                data: Vec::new(),
-                generation: 0,
+                ..FileData::default()
             },
         );
         inner.by_name.insert(name.to_string(), id);
@@ -264,7 +407,7 @@ impl FileStore {
     ///
     /// Panics if `id` does not refer to a live file.
     pub fn len(&self, id: FileId) -> u64 {
-        self.inner.read().files[&id].data.len() as u64
+        self.inner.read().files[&id].len
     }
 
     /// True if the file is empty.
@@ -276,7 +419,8 @@ impl FileStore {
         self.len(id) == 0
     }
 
-    /// Writes `bytes` at `offset`, zero-extending the file if needed.
+    /// Writes `bytes` at `offset`, extending the file if needed; a gap
+    /// between the old EOF and `offset` becomes a hole.
     ///
     /// # Errors
     ///
@@ -309,24 +453,7 @@ impl FileStore {
         let applied = torn.map_or(bytes.len(), |n| n as usize);
         self.metric_write(applied as u64);
         fd.generation += 1;
-        let data = &mut fd.data;
-        let bytes = &bytes[..applied];
-        let offset = offset as usize;
-        let end = offset + bytes.len();
-        if end <= data.len() {
-            // In-place overwrite.
-            sim_core::copy_par(&mut data[offset..end], bytes);
-        } else if offset <= data.len() {
-            // Extending write: overwrite the tail in place, append the
-            // rest without the intermediate zero-fill `resize` would pay.
-            let keep = data.len() - offset;
-            sim_core::copy_par(&mut data[offset..], &bytes[..keep]);
-            sim_core::extend_par(data, &bytes[keep..]);
-        } else {
-            // Write past EOF: the gap really is zeros.
-            data.resize(offset, 0);
-            sim_core::extend_par(data, bytes);
-        }
+        fd.write(offset, &bytes[..applied]);
         match torn {
             Some(written) => Err(StorageError::ShortWrite {
                 id,
@@ -338,8 +465,9 @@ impl FileStore {
     }
 
     /// Reads `[offset, offset + len)`: `f` sees exactly `len` bytes under
-    /// the store's read lock — borrowed in place, or a zero-padded copy
-    /// where the range runs past EOF (sparse-file semantics) — and must not
+    /// the store's read lock — borrowed in place when one written range
+    /// holds them all, else a copy with holes and the part past EOF
+    /// reading as zeros (sparse-file semantics) — and must not
     /// call mutating store methods (deadlock). One read is counted. This
     /// is the read for page data: it checks only for a dead file and a
     /// blackout, never the plan's transient, corrupt or delay rules (see
@@ -370,12 +498,9 @@ impl FileStore {
         }
         self.counters.reads.fetch_add(1, Ordering::Relaxed);
         self.metric_read(len);
-        let in_file = offset
-            .checked_add(len)
-            .filter(|&end| end <= fd.data.len() as u64);
-        Ok(match in_file {
-            Some(end) => f(&fd.data[offset as usize..end as usize]),
-            None => f(&read_zero_padded(&fd.data, offset, len as usize)),
+        Ok(match fd.locate(offset, len) {
+            Some(at) => f(&fd.arena[at..at + len as usize]),
+            None => f(&fd.copy(offset, len as usize)),
         })
     }
 
@@ -413,7 +538,7 @@ impl FileStore {
         }
         self.counters.reads.fetch_add(1, Ordering::Relaxed);
         self.metric_read(len as u64);
-        let mut out = read_zero_padded(&fd.data, offset, len);
+        let mut out = fd.copy(offset, len);
         if corrupt {
             FaultInjector::corrupt(&mut out);
         }
@@ -434,7 +559,7 @@ impl FileStore {
                 return Err(e);
             }
         }
-        Ok(fd.data.len() as u64)
+        Ok(fd.len)
     }
 
     // Pinned by benchmark/src/layers.rs:640 (`guest_mem.install_gbps`);
@@ -456,15 +581,9 @@ impl FileStore {
         }
         self.metric_read(jobs.iter().map(|(_, b)| b.len() as u64).sum());
         let inner = self.inner.read();
-        let data = &inner.files[&id].data;
+        let fd = &inner.files[&id];
         for (offset, buf) in jobs {
-            let start = (offset as usize).min(data.len());
-            let end = (offset as usize)
-                .saturating_add(buf.len())
-                .min(data.len());
-            let covered = end - start;
-            buf[..covered].copy_from_slice(&data[start..end]);
-            buf[covered..].fill(0);
+            fd.copy_out(offset, buf);
         }
     }
 
@@ -472,8 +591,9 @@ impl FileStore {
     /// contiguously into `dst` starting at `dst_offset`, in one store
     /// operation with a single destination copy — the `writev` of the WS
     /// file builder. The destination is truncated at `dst_offset` first.
-    /// Source ranges past EOF read as zeros (sparse-file semantics, as
-    /// [`read`](Self::read)).
+    /// Source holes and ranges past EOF are written as zeros (they read as
+    /// zeros, as in [`read`](Self::read)), so the assembled bytes are
+    /// stored densely.
     ///
     /// # Errors
     ///
@@ -495,15 +615,32 @@ impl FileStore {
         self.counters.writes.fetch_add(1, Ordering::Relaxed);
         let injector = self.injector();
         let mut inner = self.inner.write();
-        // Take the destination out so sources can be borrowed freely.
-        let dst_fd = inner.files.get_mut(&dst).ok_or(StorageError::DeadFile {
+        // Take the destination out so sources can be borrowed freely; every
+        // outcome puts it back.
+        let mut dst_fd = inner.files.remove(&dst).ok_or(StorageError::DeadFile {
             op: "gather into",
             id: dst,
         })?;
+        let gathered = self.gather_locked(injector, &inner.files, &mut dst_fd, dst, dst_offset, parts);
+        inner.files.insert(dst, dst_fd);
+        gathered
+    }
+
+    /// [`gather_into`](Self::gather_into) under the store's write lock,
+    /// with the destination taken out of `files`.
+    fn gather_locked(
+        &self,
+        injector: Option<Arc<FaultInjector>>,
+        files: &HashMap<FileId, FileData>,
+        dst_fd: &mut FileData,
+        dst: FileId,
+        dst_offset: u64,
+        parts: &[(FileId, u64, u64)],
+    ) -> Result<(), StorageError> {
+        let requested: u64 = parts.iter().map(|&(_, _, len)| len).sum();
         let mut torn: Option<u64> = None;
         if let Some(inj) = &injector {
-            let total: u64 = parts.iter().map(|&(_, _, len)| len).sum();
-            torn = match inj.on_write("gather_into", dst, &dst_fd.name, total) {
+            torn = match inj.on_write("gather_into", dst, &dst_fd.name, requested) {
                 Ok(t) => t,
                 Err(e) => {
                     self.metric_fault();
@@ -514,80 +651,53 @@ impl FileStore {
                 self.metric_fault();
             }
         }
-        let mut dst_data = std::mem::take(&mut dst_fd.data);
-        assert!(
-            dst_offset as usize <= dst_data.len(),
-            "gather at {dst_offset} past EOF of {dst}"
-        );
-        // Validate sources (and size the shared zeros buffer) before any
-        // destination mutation, so a dead source leaves `dst` intact.
-        let mut max_shortfall = 0usize;
-        let mut dead_src: Option<FileId> = None;
+        assert!(dst_offset <= dst_fd.len, "gather at {dst_offset} past EOF of {dst}");
+        // Resolve every source range to stored slices, with holes borrowed
+        // from one shared zeros buffer, before any destination mutation, so
+        // a dead source leaves `dst` intact.
+        let zeros = vec![0u8; parts.iter().map(|&(_, _, len)| len).max().unwrap_or(0) as usize];
+        let mut slices: Vec<&[u8]> = Vec::with_capacity(parts.len());
         for &(src, offset, len) in parts {
-            match inner.files.get(&src) {
-                Some(fd) => {
-                    let file_len = fd.data.len() as u64;
-                    max_shortfall = max_shortfall
-                        .max(len.saturating_sub(file_len.saturating_sub(offset)) as usize);
-                }
-                None => {
-                    dead_src = Some(src);
-                    break;
-                }
-            }
-        }
-        if let Some(src) = dead_src {
-            inner
-                .files
-                .get_mut(&dst)
-                .expect("destination checked above")
-                .data = dst_data;
-            return Err(StorageError::DeadFile {
+            assert_ne!(src, dst, "gather source must differ from destination");
+            let fd = files.get(&src).ok_or(StorageError::DeadFile {
                 op: "gather from",
                 id: src,
-            });
-        }
-        dst_data.truncate(dst_offset as usize);
-        {
-            let inner = &*inner;
-            // Past-EOF stretches borrow from one shared zeros buffer.
-            let zeros = vec![0u8; max_shortfall];
-            let mut slices: Vec<&[u8]> = Vec::with_capacity(parts.len() * 2);
-            for &(src, offset, len) in parts {
-                assert_ne!(src, dst, "gather source must differ from destination");
-                let data = &inner.files[&src].data;
-                let start = (offset as usize).min(data.len());
-                let end = (offset as usize).saturating_add(len as usize).min(data.len());
-                slices.push(&data[start..end]);
-                let shortfall = len as usize - (end - start);
-                if shortfall > 0 {
-                    slices.push(&zeros[..shortfall]);
-                }
+            })?;
+            let (mut at, end) = (offset, offset.saturating_add(len));
+            for (k, a, n) in fd.overlapping(offset, end) {
+                let from = k.max(offset);
+                let to = (k + n as u64).min(end);
+                slices.push(&zeros[..(from - at) as usize]);
+                let src_at = a + (from - k) as usize;
+                slices.push(&fd.arena[src_at..src_at + (to - from) as usize]);
+                at = to;
             }
-            sim_core::extend_scatter(&mut dst_data, &slices);
+            slices.push(&zeros[..(len - (at - offset)) as usize]);
         }
-        let mut gathered: Result<(), StorageError> = Ok(());
-        if let Some(written) = torn {
-            // Torn gather: keep only a prefix of the assembled bytes.
-            let requested = (dst_data.len() as u64).saturating_sub(dst_offset);
-            dst_data.truncate(dst_offset as usize + written.min(requested) as usize);
-            gathered = Err(StorageError::ShortWrite {
-                id: dst,
-                written: written.min(requested),
-                requested,
-            });
+        // A torn gather keeps only a prefix of the assembled bytes.
+        let written = torn.map_or(requested, |w| w.min(requested));
+        let mut budget = written as usize;
+        for slice in &mut slices {
+            *slice = &slice[..slice.len().min(budget)];
+            budget -= slice.len();
         }
-        self.metric_write((dst_data.len() as u64).saturating_sub(dst_offset));
-        let dst_fd = inner
-            .files
-            .get_mut(&dst)
-            .expect("destination checked above");
+        dst_fd.resize(dst_offset);
+        dst_fd.append(dst_offset, &slices);
+        dst_fd.len = dst_offset + written;
         dst_fd.generation += 1;
-        dst_fd.data = dst_data;
-        gathered
+        self.metric_write(written);
+        match torn {
+            Some(_) => Err(StorageError::ShortWrite {
+                id: dst,
+                written,
+                requested,
+            }),
+            None => Ok(()),
+        }
     }
 
-    /// Truncates (or zero-extends) the file to exactly `len` bytes.
+    /// Truncates the file, or extends it with a hole, to exactly `len`
+    /// bytes.
     ///
     /// # Errors
     ///
@@ -605,7 +715,7 @@ impl FileStore {
             }
         }
         fd.generation += 1;
-        fd.data.resize(len as usize, 0);
+        fd.resize(len);
         Ok(())
     }
 
@@ -648,10 +758,11 @@ impl FileStore {
         names
     }
 
-    /// Total bytes stored across all files.
+    /// Total bytes stored across all files: written bytes only, holes
+    /// excluded.
     pub fn total_bytes(&self) -> u64 {
         let inner = self.inner.read();
-        inner.files.values().map(|f| f.data.len() as u64).sum()
+        inner.files.values().map(|f| f.stored() as u64).sum()
     }
 
     /// Write operations ([`write_at`](Self::write_at) +
@@ -711,14 +822,27 @@ mod tests {
         assert!(fs.is_empty(id));
     }
 
+    /// The file's arena, as `(stored bytes, arena length, arena capacity,
+    /// extent count)`.
+    fn arena(fs: &FileStore, id: FileId) -> (usize, usize, usize, usize) {
+        let inner = fs.inner.read();
+        let fd = &inner.files[&id];
+        (fd.stored(), fd.arena.len(), fd.arena.capacity(), fd.extents.len())
+    }
+
     #[test]
     fn create_truncates_existing() {
         let fs = FileStore::new();
         let id = fs.create("f");
-        fs.write_at(id, 0, b"data").unwrap();
+        fs.write_at(id, 0, &[7; 1 << 16]).unwrap();
+        let capacity = arena(&fs, id).2;
         let id2 = fs.create("f");
         assert_eq!(id, id2, "same name keeps same id");
         assert_eq!(fs.len(id), 0, "recreate truncates");
+        assert_eq!(fs.total_bytes(), 0);
+        // A redeploy rewrites a snapshot of about the same size: keeping
+        // the arena spares it from page-faulting fresh memory.
+        assert_eq!(arena(&fs, id), (0, 0, capacity, 0), "recreate keeps the arena's capacity");
     }
 
     #[test]
@@ -767,6 +891,16 @@ mod tests {
         assert_eq!(bytes(&fs, id, 0, 3), b"abc");
         fs.set_len(id, 5).unwrap();
         assert_eq!(bytes(&fs, id, 0, 5), vec![b'a', b'b', b'c', 0, 0]);
+        // Extending stores nothing: the new tail is a hole.
+        fs.set_len(id, 1 << 20).unwrap();
+        assert_eq!((fs.len(id), fs.total_bytes()), (1 << 20, 3));
+        // A cut through the middle of a written range keeps its head; a
+        // cut at the arena's end gives the bytes back.
+        fs.write_at(id, 100, b"ABCDEFGHIJ").unwrap();
+        fs.set_len(id, 104).unwrap();
+        assert_eq!(bytes(&fs, id, 98, 8), b"\0\0ABCD\0\0");
+        let (stored, arena_len, ..) = arena(&fs, id);
+        assert_eq!((stored, arena_len), (7, 7));
     }
 
     #[test]
@@ -833,6 +967,13 @@ mod tests {
         fs.write_at(a, 0, b"xy").unwrap();
         fs.gather_into(dst, 0, &[(a, 0, 4), (a, 10, 2)]).unwrap();
         assert_eq!(bytes(&fs, dst, 0, 6), b"xy\0\0\0\0");
+        // A source hole is gathered as zeros too, and the destination
+        // after its header stays one written range, readable in place.
+        fs.write_at(a, 6, b"z").unwrap();
+        fs.write_at(dst, 0, b"HDR").unwrap();
+        fs.gather_into(dst, 3, &[(a, 0, 8), (a, 6, 3)]).unwrap();
+        assert_eq!(bytes(&fs, dst, 0, 14), b"HDRxy\0\0\0\0z\0z\0\0");
+        assert_eq!(arena(&fs, dst).3, 1, "one extent");
     }
 
     #[test]
@@ -843,9 +984,46 @@ mod tests {
         // Overwrite tail + extend in one call.
         fs.write_at(id, 4, b"XYZW").unwrap();
         assert_eq!(bytes(&fs, id, 0, 8), b"abcdXYZW");
-        // Write past EOF zero-fills the gap.
+        // Write past EOF leaves the gap a hole that reads as zeros.
         fs.write_at(id, 10, b"!!").unwrap();
         assert_eq!(bytes(&fs, id, 0, 12), b"abcdXYZW\0\0!!");
+        assert_eq!(fs.total_bytes(), 10, "the gap stores nothing");
+        // A write across the hole joins both sides.
+        fs.write_at(id, 7, b"1234").unwrap();
+        assert_eq!(bytes(&fs, id, 0, 12), b"abcdXYZ1234!");
+        assert_eq!(fs.total_bytes(), 12);
+    }
+
+    #[test]
+    fn write_far_past_eof_stores_only_its_bytes() {
+        let fs = FileStore::new();
+        let id = fs.create("f");
+        fs.write_at(id, 1 << 40, b"xy").unwrap();
+        assert_eq!(fs.len(id), (1 << 40) + 2);
+        assert_eq!(fs.total_bytes(), 2);
+        assert_eq!(bytes(&fs, id, 0, 4), [0; 4]);
+        assert_eq!(bytes(&fs, id, (1 << 40) - 1, 4), b"\0xy\0");
+    }
+
+    #[test]
+    fn overwrites_keep_the_arena_bounded() {
+        let fs = FileStore::new();
+        let id = fs.create("f");
+        let mut model = vec![0u8; 3 * 4096];
+        for (off, fill) in [(0, 1), (8192, 2)] {
+            fs.write_at(id, off as u64, &[fill; 4096]).unwrap();
+            model[off..off + 4096].fill(fill);
+        }
+        for i in 0..1000 {
+            // Overlapping writes across both extents and the hole between.
+            let (off, fill) = (i * 37 % 8192, (i % 251) as u8 + 3);
+            fs.write_at(id, off as u64, &[fill; 4096]).unwrap();
+            model[off..off + 4096].fill(fill);
+            let (stored, arena_len, ..) = arena(&fs, id);
+            assert!(arena_len <= 2 * stored + COMPACT_SLACK, "write {i}: {arena_len} arena bytes for {stored}");
+        }
+        assert_eq!(bytes(&fs, id, 0, model.len() as u64), model);
+        assert_eq!(fs.total_bytes(), model.len() as u64);
     }
 
     #[test]
@@ -1042,6 +1220,7 @@ mod tests {
         }
         fs.write_at(id, 0, b"abcdefgh").unwrap();
         assert_eq!(bytes(&fs, id, 0, 8), b"abcdefgh");
+        assert_eq!(arena(&fs, id).1, 8, "the retry reclaims the torn prefix's bytes");
     }
 
     #[test]

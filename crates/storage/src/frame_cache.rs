@@ -224,8 +224,8 @@ impl fmt::Display for FrameCacheGone {
 
 impl std::error::Error for FrameCacheGone {}
 
-/// An owned copy of `[offset, offset + len)` of `file`, zero-filled past
-/// EOF: one store read, copied out of the borrow at memory bandwidth.
+/// An owned copy of `[offset, offset + len)` of `file`, zeros in holes and
+/// past EOF: one store read, copied out of the borrow at memory bandwidth.
 fn load(fs: &FileStore, file: FileId, offset: u64, len: u64) -> Result<Vec<u8>, FrameCacheGone> {
     fs.read(file, offset, len, |src| {
         let mut out = Vec::new();
@@ -546,7 +546,7 @@ impl SnapshotFrameCache {
     /// Returns the extent `[offset, offset + len)` of `file`, serving it
     /// from the cache when a live entry exists and its recorded content
     /// generation still matches the store's. On a miss the bytes are read
-    /// from `fs` once (zero-filled past EOF, like
+    /// from `fs` once (zeros in holes and past EOF, like
     /// [`FileStore::read`]); identical bytes already cached under any
     /// other extent are shared instead of duplicated. A miss the budget
     /// bypasses (module docs, "Bounded growth") is served by an uncached

@@ -205,27 +205,80 @@ fn disk_sequence_matches_the_parent_commit() {
 }
 
 proptest! {
-    /// Read-after-write always returns the written bytes, regardless of
-    /// interleaving and offsets.
+    /// The store is observably a dense byte vector per file: after every
+    /// mutation — overlapping, hole-spanning and past-EOF `write_at`s,
+    /// truncating and extending `set_len`s, gathers from sources with
+    /// holes and past-EOF ranges, re-`create` truncation — each file's
+    /// length and every read entry point (`read`, `checked_read_at`,
+    /// `read_ranges_into`) match the model over random ranges: inside a
+    /// written range, across several, in a hole and past EOF.
     #[test]
     fn file_store_read_after_write(
-        writes in proptest::collection::vec((0u64..10_000, proptest::collection::vec(any::<u8>(), 1..256)), 1..40)
+        ops in proptest::collection::vec((0u8..10, 0usize..3, 0u64..4096, 1usize..2048, any::<u8>()), 1..60),
+        probes in proptest::collection::vec((0u64..4700, 0u64..700), 1..6)
     ) {
         let fs = FileStore::new();
-        let f = fs.create("t");
-        // Model file contents independently.
-        let mut model: Vec<u8> = Vec::new();
-        for (off, bytes) in &writes {
-            let end = *off as usize + bytes.len();
-            if model.len() < end {
-                model.resize(end, 0);
+        let names = ["a", "b", "c"];
+        let files = names.map(|n| fs.create(n));
+        let mut model: [Vec<u8>; 3] = Default::default();
+        // `[offset, offset + len)` of model `m`, zeros past its end.
+        let range = |m: &[u8], offset: u64, len: u64| -> Vec<u8> {
+            (offset..offset + len).map(|p| m.get(p as usize).copied().unwrap_or(0)).collect()
+        };
+        for (kind, i, off, len, seed) in ops {
+            let f = files[i];
+            match kind {
+                0..=4 => {
+                    // Never-zero bytes, so a hole read as data shows.
+                    let bytes: Vec<u8> = (0..len).map(|j| seed.wrapping_add(j as u8) | 1).collect();
+                    fs.write_at(f, off, &bytes).unwrap();
+                    let end = off as usize + len;
+                    if model[i].len() < end {
+                        model[i].resize(end, 0);
+                    }
+                    model[i][off as usize..end].copy_from_slice(&bytes);
+                }
+                5 | 6 => {
+                    let new_len = (off + len as u64) % 4700;
+                    fs.set_len(f, new_len).unwrap();
+                    model[i].resize(new_len as usize, 0);
+                }
+                7 | 8 => {
+                    let dst_offset = off % (model[i].len() as u64 + 1);
+                    let (s1, s2) = ((i + 1) % 3, (i + 2) % 3);
+                    let parts = [
+                        (s1, off, len as u64),
+                        (s2, seed as u64 * 16, len as u64 / 2 + 1),
+                        (s1, dst_offset, 64),
+                    ];
+                    let mut want = model[i][..dst_offset as usize].to_vec();
+                    for &(s, o, l) in &parts {
+                        want.extend(range(&model[s], o, l));
+                    }
+                    let parts = parts.map(|(s, o, l)| (files[s], o, l));
+                    fs.gather_into(f, dst_offset, &parts).unwrap();
+                    model[i] = want;
+                }
+                _ => {
+                    prop_assert_eq!(fs.create(names[i]), f);
+                    model[i].clear();
+                }
             }
-            model[*off as usize..end].copy_from_slice(bytes);
-            fs.write_at(f, *off, bytes).unwrap();
+            for (&f, m) in files.iter().zip(&model) {
+                prop_assert_eq!(fs.len(f), m.len() as u64);
+                let mut ranges = probes.clone();
+                ranges.extend([(off, len as u64), (off + len as u64 / 4, len as u64 / 2), (0, m.len() as u64 + 8)]);
+                let mut bufs: Vec<Vec<u8>> = ranges.iter().map(|&(_, l)| vec![0xEE; l as usize]).collect();
+                let jobs = ranges.iter().zip(bufs.iter_mut()).map(|(&(o, _), b)| (o, b.as_mut_slice())).collect();
+                fs.read_ranges_into(f, jobs, 1);
+                for (&(o, l), buf) in ranges.iter().zip(&bufs) {
+                    let want = range(m, o, l);
+                    prop_assert_eq!(&fs.read(f, o, l, <[u8]>::to_vec).unwrap(), &want, "read at {}+{}", o, l);
+                    prop_assert_eq!(&fs.checked_read_at(f, o, l as usize).unwrap(), &want, "checked_read_at at {}+{}", o, l);
+                    prop_assert_eq!(buf, &want, "read_ranges_into at {}+{}", o, l);
+                }
+            }
         }
-        prop_assert_eq!(fs.len(f), model.len() as u64);
-        let got = fs.read(f, 0, model.len() as u64, <[u8]>::to_vec).unwrap();
-        prop_assert_eq!(got, model);
     }
 
     /// Writes at EOF never overlap: each one's bytes are recoverable at

@@ -2,12 +2,13 @@
 //!
 //! Capture writes the VMM state file and a *plain guest memory file* whose
 //! byte at offset `o` is the guest-physical byte at address `o` (zero for
-//! never-touched pages). The image is laid down in one ascending pass that
-//! writes each file byte once: every resident run goes to the store
-//! straight from the guest's frame arena
-//! ([`guest_mem::GuestMemory::run_chunks`]), the store zero-fills the gap
-//! before a run when that write lands past EOF, and one final `set_len`
-//! zero-fills the tail. Restore loads the VMM state, then maps guest memory
+//! never-touched pages). The file is sparse, as Firecracker's is: the image
+//! is laid down in one ascending pass that writes each resident run to the
+//! store straight from the guest's frame arena
+//! ([`guest_mem::GuestMemory::run_chunks`]), the gaps between runs stay
+//! holes, and one final `set_len` extends the file to the guest's size
+//! with a hole for the tail, so the store holds only the resident pages.
+//! Restore loads the VMM state, then maps guest memory
 //! *lazily*: no page content moves until a fault or a REAP prefetch asks
 //! for it.
 //!
@@ -103,9 +104,9 @@ impl Snapshot {
 
         let mem = vm.memory();
         let mem_file = fs.create(&format!("{prefix}/guest_mem"));
-        // Ascending, so each write lands at or past EOF: the store zero-fills
-        // the gap and appends the run, borrowed from the arena — no staging
-        // copy, no byte written twice.
+        // Ascending, so each write lands at or past EOF: the store appends
+        // the run, borrowed from the arena, and leaves the gap before it a
+        // hole — no staging copy, no zero stored.
         for run in mem.resident_runs() {
             for chunk in mem.run_chunks(run) {
                 capture_op(|| fs.write_at(mem_file, chunk.run.file_offset(), chunk.bytes));
@@ -379,6 +380,13 @@ mod tests {
                     }
                 })
                 .unwrap();
+                // The file is sparse: the store holds the resident pages
+                // and the VMM state, not one stored zero.
+                assert_eq!(
+                    fs.total_bytes(),
+                    snap.resident_at_capture * PAGE_SIZE as u64 + fs.len(snap.vmm_file),
+                    "{f} seed {seed}"
+                );
                 // One store write for the VMM state and one per arena
                 // chunk — for a fresh boot, one per resident run, so a
                 // fault plan's skip/count window over the memory file
@@ -411,7 +419,7 @@ mod tests {
         let last = vm.memory().resident_runs().len() as u64;
         for (kind, skip, count) in [
             // A torn *extending* write: the prefix is appended past the
-            // zero-filled gap, the retry overwrites it and appends the rest.
+            // hole, the retry overwrites it and appends the rest.
             (FaultKind::ShortWrite, 3, 1),
             (FaultKind::TransientError, 3, 2),
             // The final `set_len` is under the same retry policy.
