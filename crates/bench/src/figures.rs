@@ -4,7 +4,8 @@ use functionbench::FunctionId;
 use sim_core::Table;
 use vhive_core::detect::contiguity;
 use vhive_core::report::{faults_eliminated_pct, fmt_ms0, geo_mean_speedup, speedup};
-use vhive_core::{concurrency_sweep, working_set_overlap, ColdPolicy};
+use vhive_cluster::{cluster_concurrent, ClusterOrchestrator, ClusterScalePoint};
+use vhive_core::{working_set_overlap, ColdPolicy};
 
 use crate::cli::Args;
 use crate::{emit, orchestrator};
@@ -323,9 +324,11 @@ pub fn fig8(a: &Args) -> Result<(), String> {
 
 /// Fig 9: average instance cold-start delay while sweeping the number of
 /// concurrently-loading instances (independent helloworld-class
-/// functions), then the same REAP load through the cluster:
+/// functions), both through the cluster's request path:
 ///
-/// * **Fig 9** — the paper's sweep: baseline vs REAP over concurrency;
+/// * **Fig 9** — the paper's sweep: baseline vs REAP over concurrency,
+///   each level one batch of independent cold requests, each with its own
+///   input, on one cluster of `--shards` shards (1 by default);
 /// * **Fig 9c** — the cluster sweep over shard counts (all of them, or
 ///   the one `--shards` names). Shards move only the control plane's
 ///   *wall-clock* serving time — all shards' timed programs merge onto
@@ -339,13 +342,19 @@ pub fn fig8(a: &Args) -> Result<(), String> {
 pub fn fig9(a: &Args) -> Result<(), String> {
     let quick = a.quick;
     let f = FunctionId::helloworld;
-    let mut orch = orchestrator();
-    orch.register(f);
-    orch.invoke_record(f);
+    let mut cluster = ClusterOrchestrator::new(0xA5_1405, a.shards.unwrap_or(1) as usize);
+    cluster.register(f);
+    cluster.invoke_record(f);
 
     let levels: &[usize] = if quick { &[1, 8, 16] } else { &[1, 2, 4, 8, 16, 32, 64] };
-    let vanilla = concurrency_sweep(&mut orch, f, ColdPolicy::Vanilla, levels);
-    let reap = concurrency_sweep(&mut orch, f, ColdPolicy::Reap, levels);
+    let mut sweep = |policy| -> Vec<ClusterScalePoint> {
+        levels
+            .iter()
+            .map(|&n| cluster_concurrent(&mut cluster, &[f], policy, n))
+            .collect()
+    };
+    let vanilla = sweep(ColdPolicy::Vanilla);
+    let reap = sweep(ColdPolicy::Reap);
 
     let mut t = Table::new(&[
         "concurrency",
@@ -405,11 +414,12 @@ pub fn fig9(a: &Args) -> Result<(), String> {
     );
     // Wall-clock is inherently nondeterministic, so it goes to stderr —
     // figure stdout must stay byte-identical across runs.
-    for p in &points {
+    for p in vanilla.iter().chain(&reap).chain(&points) {
         eprintln!(
-            "(wall-clock: shards={} served {} instances in {:.1} ms)",
+            "(wall-clock: shards={} served {} {} instances in {:.1} ms)",
             p.shards,
             p.concurrency,
+            p.policy.name(),
             p.serve_wall.as_secs_f64() * 1e3,
         );
     }

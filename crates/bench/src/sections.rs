@@ -2,12 +2,11 @@
 //! subcommand each.
 
 use functionbench::FunctionId;
-use sim_core::{OnlineStats, Table};
+use sim_core::{OnlineStats, SimDuration, SimTime, Table};
 use sim_storage::fio::{large_sequential_read, make_test_file, random_4k_reads, sparse_fault_pattern};
 use sim_storage::{DeviceProfile, Disk, FileStore};
 use vhive_core::report::{fmt_ms0, geo_mean_speedup, speedup};
-use vhive_core::scale::with_warm_background;
-use vhive_core::{ColdPolicy, Orchestrator};
+use vhive_core::{ColdAbort, ColdPolicy, ColdRequest, InstanceProgram, Orchestrator, Phase, TimedStep};
 
 use crate::cli::Args;
 use crate::{emit, orchestrator};
@@ -156,7 +155,7 @@ pub fn warm_background(_: &Args) -> Result<(), String> {
     let mut t = Table::new(&["policy", "solo (ms)", "with 20 warm (ms)", "delta"]);
     t.numeric();
     for policy in [ColdPolicy::Vanilla, ColdPolicy::Reap] {
-        let (solo, bg) = with_warm_background(&mut orch, f, policy, 20);
+        let (solo, bg) = with_warm_background(&mut orch, f, policy, 20).map_err(|e| e.to_string())?;
         let delta = (bg.as_secs_f64() / solo.as_secs_f64() - 1.0) * 100.0;
         t.row(&[
             policy.name(),
@@ -172,6 +171,21 @@ pub fn warm_background(_: &Args) -> Result<(), String> {
         &t,
     );
     Ok(())
+}
+
+/// One cold request of `f` under `policy`, prepared on the request path
+/// and timed twice: alone, then beside `n_warm` warm, memory-resident
+/// instances spread over its first 50 ms. Warm instances never touch the
+/// disk, so they are compute only. Returns `(solo, with_background)`.
+fn with_warm_background(orch: &mut Orchestrator, f: FunctionId, policy: ColdPolicy, n_warm: usize) -> Result<(SimDuration, SimDuration), ColdAbort> {
+    let cold = orch.prepare(&ColdRequest::shared(f, policy))?.take_program();
+    let (solo, _) = orch.run_timed(vec![cold.clone()]);
+    let warm = (0..n_warm as u64).map(|i| InstanceProgram {
+        arrival: SimTime::ZERO + SimDuration::from_millis(i * 7 % 50),
+        steps: vec![TimedStep::Phase(Phase::Processing), TimedStep::Cpu(SimDuration::from_millis(2))],
+    });
+    let (bg, _) = orch.run_timed(std::iter::once(cold).chain(warm).collect());
+    Ok((solo[0].latency(), bg[0].latency()))
 }
 
 /// §6.4: the one-time cost of REAP's record phase.
@@ -432,4 +446,21 @@ pub fn ablation_record_window(_: &Args) -> Result<(), String> {
         &t,
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn warm_background_perturbs_little() {
+        let f = FunctionId::helloworld;
+        let mut o = Orchestrator::new(11);
+        o.register(f);
+        o.invoke_record(f);
+        let (solo, bg) = with_warm_background(&mut o, f, ColdPolicy::Reap, 20).unwrap();
+        let delta = (bg.as_secs_f64() - solo.as_secs_f64()).abs() / solo.as_secs_f64();
+        // §6.3: within 5%.
+        assert!(delta < 0.05, "warm background delta {delta:.3}");
+    }
 }

@@ -1,5 +1,6 @@
-//! Cluster-scale concurrency sweeps: the Fig 9 methodology (§6.5) run
-//! through the sharded control plane, sweeping the shard count.
+//! Concurrency sweeps through the sharded control plane: each point is
+//! one batch of independent cold requests (§6.5's methodology), swept
+//! over concurrency for Fig 9 and over the shard count for Fig 9c.
 //!
 //! Shards change only where control-plane work runs, so *simulated*
 //! latency is invariant (one shared disk either way — pinned by

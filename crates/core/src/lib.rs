@@ -59,7 +59,6 @@ pub mod policy;
 pub mod recovery;
 pub mod report;
 pub mod router;
-pub mod scale;
 pub mod timeline;
 pub mod ws_file;
 
@@ -72,7 +71,6 @@ pub use overload::{ColdAbort, ColdRequest, DeadlineExpired, Disposition, ShedRea
 pub use policy::{FunctionCosts, KeepWarmPolicy};
 pub use recovery::{AttemptError, RebuildMeta, RecoveryReport, RetryPolicy, ShardUnavailable};
 pub use router::{route_workload, RouterConfig, RouterReport};
-pub use scale::{concurrency_sweep, ScalePoint};
 pub use timeline::{InstanceResult, Timeline};
 pub use ws_file::{
     read_trace_file, read_trace_runs, read_ws_file, read_ws_layout, write_reap_files,

@@ -822,10 +822,10 @@ impl Orchestrator {
                 .prefetch(vm.uffd_mut(), &files)
                 .map_err(AttemptError::Prefetch)?;
             // The trace artifact feeds misprediction detection (and
-            // ParallelPF's timed program) through infallible readers
-            // downstream: validate it here, on the fault-aware path, so a
-            // corrupt or vanished trace quarantines + falls back instead
-            // of crashing mid-invocation.
+            // ParallelPF's timed program) after the pass: validate it
+            // here, on the path with retries and a corrupt reload, so a
+            // corrupt or vanished trace quarantines + falls back before
+            // the guest runs.
             read_trace_runs(&self.fs, files.trace_file)
                 .map_err(|e| AttemptError::Prefetch(PrefetchError::from_ws(e)))?;
         }
@@ -1040,18 +1040,32 @@ impl Orchestrator {
     }
 
     /// Compiles a cold invocation into a timed program.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `policy` is ParallelPF and `f`'s trace file is
+    /// unreadable ([`prepare`](Self::prepare) reads it fallibly).
     #[allow(clippy::too_many_arguments)]
     pub fn cold_program(&self, f: FunctionId, policy: ColdPolicy, record: bool, run: &FunctionalRun, files: InstanceFiles, reap: Option<ReapFiles>, arrival: SimTime) -> InstanceProgram {
-        let pf_pages = if policy == ColdPolicy::ParallelPF {
-            let real = self.state(f).reap.expect("ParallelPF needs a trace");
-            read_trace_file(&self.fs, real.trace_file)
-                .expect("trace file readable")
-                .into_iter()
-                .map(|p| p.as_u64())
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let pf_pages = self.pf_pages(f, policy).expect("trace file readable");
+        self.compile(policy, record, run, files, reap, pf_pages, arrival)
+    }
+
+    /// ParallelPF's page list, read from `f`'s recorded trace (empty for
+    /// every other policy).
+    fn pf_pages(&self, f: FunctionId, policy: ColdPolicy) -> Result<Vec<u64>, PrefetchError> {
+        if policy != ColdPolicy::ParallelPF {
+            return Ok(Vec::new());
+        }
+        let real = self.state(f).reap.expect("ParallelPF needs a trace");
+        let pages = read_trace_file(&self.fs, real.trace_file).map_err(PrefetchError::from_ws)?;
+        Ok(pages.into_iter().map(|p| p.as_u64()).collect())
+    }
+
+    /// The body of [`cold_program`](Self::cold_program), with ParallelPF's
+    /// page list already read.
+    #[allow(clippy::too_many_arguments)]
+    fn compile(&self, policy: ColdPolicy, record: bool, run: &FunctionalRun, files: InstanceFiles, reap: Option<ReapFiles>, pf_pages: Vec<u64>, arrival: SimTime) -> InstanceProgram {
         build_cold_program(&ColdRunSpec {
             policy,
             record,
@@ -1218,7 +1232,7 @@ impl Orchestrator {
             }
         }
         let seq = self.acquire_seq(f);
-        let run = loop {
+        let (run, misprediction, pf_pages) = loop {
             if effective.uses_ws() && self.state(f).quarantined {
                 // Quarantined — just now, or by an earlier request still
                 // awaiting re-record: serve this one Vanilla off the
@@ -1234,8 +1248,14 @@ impl Orchestrator {
             } else {
                 MonitorMode::OnDemand
             };
-            match self.recover(f, mode, seq, &mut recovery, budget) {
-                Ok(run) => break run,
+            let err = match self.recover(f, mode, seq, &mut recovery, budget) {
+                Ok(run) => {
+                    self.drain_injected_delay(f, &mut recovery);
+                    match self.trace_reads(f, effective, independent, &run) {
+                        Ok((misprediction, pf_pages)) => break (run, misprediction, pf_pages),
+                        Err(e) => e,
+                    }
+                }
                 Err(RecoverAbort::DeadlineExhausted) => {
                     self.surrender_seq(f, seq);
                     return Err(ColdAbort::Deadline(DeadlineExpired {
@@ -1253,44 +1273,26 @@ impl Orchestrator {
                         detail: e.to_string(),
                     }));
                 }
-                Err(RecoverAbort::Attempt(AttemptError::Prefetch(e))) => {
-                    // Artifact trouble (corrupt bytes survived the reload,
-                    // artifact storage gone, retries exhausted).
-                    assert!(
-                        effective.uses_ws(),
-                        "prefetch fault without a prefetch policy: {e}"
-                    );
-                    self.quarantine(f);
-                }
-            }
+                Err(RecoverAbort::Attempt(AttemptError::Prefetch(e))) => e,
+            };
+            // Artifact trouble (corrupt bytes survived the reload, artifact
+            // storage gone, retries exhausted, or the trace lost after the
+            // prefetch).
+            assert!(
+                effective.uses_ws(),
+                "prefetch fault without a prefetch policy: {err}"
+            );
+            self.quarantine(f);
         };
-        self.drain_injected_delay(f, &mut recovery);
+        if misprediction.as_ref().is_some_and(|r| r.should_rerecord(self.rerecord_threshold)) {
+            self.state_mut(f).needs_rerecord = true;
+        }
         let (files, reap) = if independent {
             self.shadow_files(f)
         } else {
             (self.instance_files(f), self.state(f).reap)
         };
-        let misprediction = if effective.uses_ws() && !independent {
-            let recorded_pages: BTreeSet<PageIdx> = read_trace_file(
-                &self.fs,
-                reap.expect("ws present").trace_file,
-            )
-            .expect("trace file readable")
-            .into_iter()
-            .collect();
-            let report = MispredictionReport::compute(
-                &recorded_pages,
-                &run.touched,
-                run.monitor_stats.residual_after_prefetch,
-            );
-            if report.should_rerecord(self.rerecord_threshold) {
-                self.state_mut(f).needs_rerecord = true;
-            }
-            Some(report)
-        } else {
-            None
-        };
-        let program = self.cold_program(f, effective, record, &run, files, reap, arrival);
+        let program = self.compile(effective, record, &run, files, reap, pf_pages, arrival);
         Ok(PreparedCold {
             program,
             function: f,
@@ -1301,6 +1303,22 @@ impl Orchestrator {
             recovery,
             deadline: deadline.map(|b| Deadline::new(arrival, b)),
         })
+    }
+
+    /// The trace reads that follow a completed pass, in store order: the
+    /// misprediction report of a shared prefetch request, then
+    /// ParallelPF's page list. Either read failing is artifact trouble
+    /// for [`prepare_pass`](Self::prepare_pass) to quarantine.
+    fn trace_reads(&self, f: FunctionId, policy: ColdPolicy, independent: bool, run: &FunctionalRun) -> Result<(Option<MispredictionReport>, Vec<u64>), PrefetchError> {
+        let misprediction = match self.state(f).reap {
+            Some(reap) if policy.uses_ws() && !independent => {
+                let recorded = read_trace_file(&self.fs, reap.trace_file).map_err(PrefetchError::from_ws)?;
+                let recorded: BTreeSet<PageIdx> = recorded.into_iter().collect();
+                Some(MispredictionReport::compute(&recorded, &run.touched, run.monitor_stats.residual_after_prefetch))
+            }
+            _ => None,
+        };
+        Ok((misprediction, self.pf_pages(f, policy)?))
     }
 
     /// [`prepare`](Self::prepare) for a shared request whose deadline is

@@ -260,6 +260,38 @@ fn restore_blackout_surrenders_the_request_and_rolls_back_seq() {
     assert_eq!(normalized(&replayed), normalized(&baseline));
 }
 
+/// Blacks out the trace file from its `skip`-th operation on, for every
+/// `skip` until a request gets through: whether the blackout lands on the
+/// prefetch's own read of the trace or on a read after the pass, the
+/// request resolves — quarantined and served Vanilla at its own seq —
+/// instead of panicking.
+#[test]
+fn trace_blackout_anywhere_in_prepare_falls_back_to_vanilla() {
+    let vanilla = normalized(&prepared(11).invoke_cold(F, ColdPolicy::Vanilla));
+    for policy in [ColdPolicy::Reap, ColdPolicy::ParallelPF, ColdPolicy::WsFileCached] {
+        let clean = normalized(&prepared(11).invoke_cold(F, policy));
+        for skip in 0.. {
+            assert!(skip < 64, "{policy}: still blacked out after {skip} operations");
+            let mut o = prepared(11);
+            attach(
+                &o,
+                FaultRule::new(FaultScope::NameContains("ws_trace".into()), FaultKind::Blackout)
+                    .skip(skip),
+            );
+            let (disposition, outcome) = o.invoke_cold_within(F, policy, None);
+            assert_eq!(disposition, Disposition::Completed, "{policy} skip {skip}");
+            let outcome = outcome.expect("completed with an outcome");
+            if !outcome.recovery.fallback_vanilla {
+                assert_eq!(normalized(&outcome), clean, "{policy} skip {skip}");
+                break;
+            }
+            assert!(outcome.recovery.quarantined && o.is_quarantined(F));
+            assert!(o.needs_rerecord(F), "quarantine schedules a re-record");
+            assert_eq!(normalized(&outcome), vanilla, "{policy} skip {skip}");
+        }
+    }
+}
+
 #[test]
 fn injected_delays_charge_virtual_time_only() {
     let baseline = prepared(18).invoke_cold(F, ColdPolicy::Reap);

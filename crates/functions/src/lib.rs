@@ -33,4 +33,4 @@ pub mod workload;
 pub use behavior::{FunctionProgram, GuestOp};
 pub use input::{InputGenerator, InvocationInput};
 pub use spec::{FunctionId, FunctionSpec, PaperTargets, INFRA_PAGES};
-pub use workload::{ArrivalKind, InvocationEvent, WorkloadGenerator};
+pub use workload::{InvocationEvent, WorkloadGenerator};

@@ -1,35 +1,16 @@
-//! Invocation arrival generation.
+//! Invocation arrivals.
 //!
 //! The paper motivates snapshotting with production behaviour from the
 //! Azure Functions study (§2.1): 90% of functions are invoked less than
 //! once per minute, >96% at least once per week, and providers deallocate
-//! idle instances after 8–20 minutes. This module generates arrival
-//! processes with those shapes for the colocation/keep-warm experiments.
+//! idle instances after 8–20 minutes. [`WorkloadGenerator`] samples a
+//! per-function invocation rate with that shape for the colocation
+//! experiment; [`InvocationEvent`] is one scheduled invocation, the unit a
+//! request replay consumes.
 
 use sim_core::{DetRng, SimDuration, SimTime};
 
 use crate::spec::FunctionId;
-
-/// The arrival process of one function's invocations.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ArrivalKind {
-    /// Poisson arrivals with the given mean inter-arrival time.
-    Poisson {
-        /// Mean gap between invocations.
-        mean_gap: SimDuration,
-    },
-    /// Fixed-rate arrivals.
-    Periodic {
-        /// Exact gap between invocations.
-        gap: SimDuration,
-    },
-    /// A burst of `n` simultaneous arrivals at time zero (the Fig 9
-    /// concurrency sweep).
-    Burst {
-        /// Number of simultaneous invocations.
-        n: u32,
-    },
-}
 
 /// One scheduled invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,22 +23,20 @@ pub struct InvocationEvent {
     pub seq: u64,
 }
 
-/// Deterministic arrival generator.
+/// Deterministic sampler of Azure-like invocation rates.
 ///
 /// # Example
 ///
 /// ```
-/// use functionbench::{ArrivalKind, FunctionId, WorkloadGenerator};
+/// use functionbench::WorkloadGenerator;
 /// use sim_core::SimDuration;
 ///
 /// let gen = WorkloadGenerator::new(42);
-/// let events = gen.arrivals(
-///     FunctionId::helloworld,
-///     ArrivalKind::Periodic { gap: SimDuration::from_secs(60) },
-///     3,
-/// );
-/// assert_eq!(events.len(), 3);
-/// assert_eq!(events[2].at.as_secs_f64(), 120.0);
+/// let gap = gen.azure_like_gap(3);
+/// // Every sampled mean gap lies between 100 ms and a day, and the same
+/// // seed and index always give the same one.
+/// assert!(gap >= SimDuration::from_millis(100) && gap <= SimDuration::from_secs(86_400));
+/// assert_eq!(gap, WorkloadGenerator::new(42).azure_like_gap(3));
 /// ```
 #[derive(Debug, Clone)]
 pub struct WorkloadGenerator {
@@ -68,35 +47,6 @@ impl WorkloadGenerator {
     /// Creates a generator with the given seed.
     pub fn new(seed: u64) -> Self {
         WorkloadGenerator { seed }
-    }
-
-    /// Generates `count` arrivals for `function`.
-    pub fn arrivals(&self, function: FunctionId, kind: ArrivalKind, count: u64) -> Vec<InvocationEvent> {
-        let mut rng = DetRng::new(self.seed ^ (function as u64).wrapping_mul(0x9E37));
-        let mut events = Vec::with_capacity(count as usize);
-        let mut now = SimTime::ZERO;
-        for seq in 0..count {
-            let at = match kind {
-                ArrivalKind::Poisson { mean_gap } => {
-                    let gap = SimDuration::from_secs_f64(
-                        rng.exp_f64(mean_gap.as_secs_f64().max(1e-9)),
-                    );
-                    now += gap;
-                    now
-                }
-                ArrivalKind::Periodic { gap } => {
-                    let at = now;
-                    now += gap;
-                    at
-                }
-                ArrivalKind::Burst { .. } => SimTime::ZERO,
-            };
-            events.push(InvocationEvent { at, function, seq });
-        }
-        if let ArrivalKind::Burst { n } = kind {
-            events.truncate(n as usize);
-        }
-        events
     }
 
     /// Samples an Azure-like per-function invocation rate (§2.1): 90% of
@@ -123,65 +73,6 @@ impl WorkloadGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn periodic_arrivals_are_evenly_spaced() {
-        let gen = WorkloadGenerator::new(1);
-        let ev = gen.arrivals(
-            FunctionId::pyaes,
-            ArrivalKind::Periodic {
-                gap: SimDuration::from_millis(500),
-            },
-            5,
-        );
-        for (i, e) in ev.iter().enumerate() {
-            assert_eq!(e.at.as_millis_f64() as u64, 500 * i as u64);
-            assert_eq!(e.seq, i as u64);
-        }
-    }
-
-    #[test]
-    fn poisson_mean_gap_tracks_request() {
-        let gen = WorkloadGenerator::new(2);
-        let mean = SimDuration::from_secs(60);
-        let n = 2000;
-        let ev = gen.arrivals(FunctionId::helloworld, ArrivalKind::Poisson { mean_gap: mean }, n);
-        let total = ev.last().unwrap().at.as_secs_f64();
-        let got = total / n as f64;
-        assert!(
-            (got - 60.0).abs() < 5.0,
-            "mean gap {got:.1}s should be near 60s"
-        );
-        // Arrival times strictly increase (exponential gaps are positive).
-        assert!(ev.windows(2).all(|w| w[0].at <= w[1].at));
-    }
-
-    #[test]
-    fn burst_is_simultaneous() {
-        let gen = WorkloadGenerator::new(3);
-        let ev = gen.arrivals(FunctionId::helloworld, ArrivalKind::Burst { n: 64 }, 64);
-        assert_eq!(ev.len(), 64);
-        assert!(ev.iter().all(|e| e.at == SimTime::ZERO));
-    }
-
-    #[test]
-    fn deterministic_across_generators() {
-        let a = WorkloadGenerator::new(7).arrivals(
-            FunctionId::chameleon,
-            ArrivalKind::Poisson {
-                mean_gap: SimDuration::from_secs(1),
-            },
-            50,
-        );
-        let b = WorkloadGenerator::new(7).arrivals(
-            FunctionId::chameleon,
-            ArrivalKind::Poisson {
-                mean_gap: SimDuration::from_secs(1),
-            },
-            50,
-        );
-        assert_eq!(a, b);
-    }
 
     #[test]
     fn azure_distribution_shape() {
