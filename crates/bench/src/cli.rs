@@ -9,8 +9,6 @@
 
 use functionbench::FunctionId;
 
-use crate::diff::DEFAULT_FACTOR;
-
 /// A subcommand body. `Err` is bad input (usage text, exit 2).
 pub type Run = fn(&Args) -> Result<(), String>;
 
@@ -34,16 +32,10 @@ const FLAGS: &[(&str, &str)] = &[
     ("--seed", "N"),
     ("--shards", "K"),
     ("--faults", "on|off"),
-    ("--admission", "on|off|both"),
     ("--exact", ""),
     ("--invoke", "N"),
     ("--expose", ""),
-    ("--diff", "A B"),
-    ("--factor", "F"),
     ("--synth", "N"),
-    ("--functions", "a,b,c"),
-    ("--window-ms", "W"),
-    ("--window", "A..B"),
 ];
 
 const SUITE: &[&str] = &["--quick"];
@@ -70,12 +62,12 @@ pub const COMMANDS: &[Command] = &[
     Command { name: "ablation_fallback", flags: &[], names: 0, about: "§7.2 re-record fallback on/off", run: crate::sections::ablation_fallback },
     Command { name: "ablation_record_window", flags: &[], names: 0, about: "§8.2 invocation-window recording vs profiling", run: crate::sections::ablation_record_window },
     Command { name: "chaos", flags: &["--quick", "--seed", "--faults"], names: 0, about: "fault-invariance witness (CSV byte-identical faults on/off)", run: crate::chaos::run },
-    Command { name: "overload", flags: &["--quick", "--seed", "--admission"], names: 0, about: "goodput vs offered load, admission on/off (OVERLOAD_golden.txt)", run: crate::overload::run },
+    Command { name: "overload", flags: &["--quick", "--seed"], names: 0, about: "goodput vs offered load, admission on/off (OVERLOAD_golden.txt)", run: crate::overload::run },
     Command {
         name: "metrics",
-        flags: &["--exact", "--invoke", "--expose", "--diff", "--factor", "--synth", "--seed", "--shards", "--functions", "--window-ms", "--window"],
+        flags: &["--exact", "--invoke", "--expose", "--synth", "--seed", "--shards"],
         names: 0,
-        about: "windowed rollups, --exact percentiles, --expose, report --diff (TELEMETRY/METRICS goldens)",
+        about: "windowed rollups, --exact percentiles, --expose (TELEMETRY/METRICS goldens)",
         run: crate::metrics::run,
     },
     Command { name: "wsdump", flags: &[], names: 1, about: "dump one function's REAP trace / WS file structure", run: crate::wsdump::run },
@@ -112,8 +104,6 @@ pub enum Mode {
     Exact,
     /// `--expose`: the registry's text exposition.
     Expose,
-    /// `--diff A B`: trend regressions between two saved reports.
-    Diff(String, String),
 }
 
 /// A parsed command line. Flags a subcommand does not take keep their
@@ -132,8 +122,6 @@ pub struct Args {
     pub shards: Option<u32>,
     /// `chaos --faults on|off` (default on).
     pub faults: bool,
-    /// `overload --admission on|off|both` (default both).
-    pub admission: &'static str,
     /// `metrics`' mode.
     pub mode: Mode,
     /// `metrics --synth N`: synthetic spans (10000 when neither this nor
@@ -141,14 +129,6 @@ pub struct Args {
     pub synth: Option<u64>,
     /// `metrics --exact --invoke N`: real cold invocations.
     pub invoke: Option<u64>,
-    /// `metrics --functions a,b,c`: the synthetic spans' function names.
-    pub span_functions: String,
-    /// `metrics --window-ms W`.
-    pub window_ms: u64,
-    /// `metrics --window A..B`: window-index range.
-    pub window: (u64, u64),
-    /// `metrics --factor F`: the `--diff` regression gate.
-    pub factor: f64,
 }
 
 impl Args {
@@ -161,14 +141,9 @@ impl Args {
             seed: None,
             shards: None,
             faults: true,
-            admission: "both",
             mode: Mode::Window,
             synth: None,
             invoke: None,
-            span_functions: "helloworld,chameleon,pyaes,json_serdes".into(),
-            window_ms: 1000,
-            window: (0, u64::MAX),
-            factor: DEFAULT_FACTOR,
         }
     }
 
@@ -195,7 +170,7 @@ fn num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
 
 fn set_mode(a: &mut Args, mode: Mode) -> Result<(), String> {
     if a.mode != Mode::Window {
-        return Err("--exact, --expose and --diff are mutually exclusive".into());
+        return Err("--exact and --expose are mutually exclusive".into());
     }
     a.mode = mode;
     Ok(())
@@ -235,37 +210,18 @@ pub fn parse(argv: &[String]) -> Result<Args, String> {
                     _ => return Err("--faults needs on|off".into()),
                 }
             }
-            "--admission" => {
-                a.admission = match value()?.as_str() {
-                    "on" => "on",
-                    "off" => "off",
-                    "both" => "both",
-                    _ => return Err("--admission needs on|off|both".into()),
-                }
-            }
             "--exact" => set_mode(&mut a, Mode::Exact)?,
             "--expose" => set_mode(&mut a, Mode::Expose)?,
-            "--diff" => set_mode(&mut a, Mode::Diff(value()?.clone(), value()?.clone()))?,
             "--synth" => a.synth = Some(num(arg, value()?)?),
             "--invoke" => a.invoke = Some(num(arg, value()?)?),
-            "--functions" => a.span_functions = value()?.clone(),
-            "--window-ms" => a.window_ms = num(arg, value()?)?,
-            "--window" => {
-                let (lo, hi) = value()?.split_once("..").ok_or("--window wants A..B")?;
-                a.window = (num(arg, lo)?, num(arg, hi)?);
-            }
-            "--factor" => a.factor = num(arg, value()?)?,
             other => return Err(format!("unknown argument {other}")),
         }
     }
     if a.invoke.is_some() && (a.synth.is_some() || a.mode != Mode::Exact) {
         return Err("--invoke needs --exact and excludes --synth".into());
     }
-    if a.shards == Some(0) || a.window_ms == 0 {
-        return Err("--shards and --window-ms must be at least 1".into());
-    }
-    if a.span_functions.split(',').all(str::is_empty) {
-        return Err("--functions needs at least one name".into());
+    if a.shards == Some(0) {
+        return Err("--shards must be at least 1".into());
     }
     Ok(a)
 }
@@ -321,10 +277,7 @@ mod tests {
     /// flag `--invoke` needs beside it).
     fn sample(flag: &str) -> &'static str {
         match flag {
-            "--faults" | "--admission" => "on",
-            "--diff" => "a.txt b.txt",
-            "--functions" => "helloworld",
-            "--window" => "2..5",
+            "--faults" => "on",
             "--invoke" => "3 --exact",
             _ => "3",
         }
@@ -394,7 +347,7 @@ mod tests {
                 }
             }
         }
-        for mode in ["", "--exact", "--expose", "--diff a.txt b.txt"] {
+        for mode in ["", "--exact", "--expose"] {
             let unknown = parse_str(&format!("metrics {mode} --sead 7")).unwrap_err();
             assert!(unknown.contains("--sead"), "{mode}: {unknown}");
             let missing = parse_str(&format!("metrics {mode} --seed")).unwrap_err();
@@ -403,11 +356,8 @@ mod tests {
         rejects(&[
             ("table1 --seed 3", "table1 does not take --seed"),
             ("wsdump --quick", "wsdump does not take --quick"),
-            ("metrics --diff only_one.txt", "--diff needs a value"),
             ("metrics --seed seven", "--seed: cannot parse"),
-            ("metrics --functions ,", "at least one name"),
             ("chaos --faults maybe", "--faults needs on|off"),
-            ("overload --admission sometimes", "--admission needs on|off|both"),
             ("fig9 --shards 0", "must be at least 1"),
         ]);
     }
@@ -442,7 +392,6 @@ mod tests {
         assert_eq!(parse_str("metrics --exact").unwrap(), exact);
         let golden = parse_str("metrics --exact --synth 1000000 --seed 7 --shards 4").unwrap();
         assert_eq!((golden.synth, golden.seed, golden.shards), (Some(1_000_000), Some(7), Some(4)));
-        assert_eq!(parse_str("metrics --window 2..5").unwrap().window, (2, 5));
     }
 
     #[test]

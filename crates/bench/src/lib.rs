@@ -31,7 +31,7 @@
 //! | `ablation_record_window` | §8.2 — invocation-window recording vs profiling-style estimation |
 //! | `chaos` | fault-invariance witness: seeded batches through a healing fault plan, CSV byte-identical faults on/off |
 //! | `overload` | goodput vs offered load with admission on/off (`OVERLOAD_golden.txt`) |
-//! | `metrics` | windowed rollup queries, `--exact` percentile tables over a telemetry store, registry exposition, report `--diff` (`TELEMETRY_golden.txt`, `METRICS*_golden.txt`) |
+//! | `metrics` | windowed rollup queries, `--exact` percentile tables over a telemetry store, registry exposition (`TELEMETRY_golden.txt`, `METRICS*_golden.txt`) |
 //! | `wsdump` | developer tool: dump a function's REAP trace / WS file structure |
 //!
 //! `bench-json` is a separate binary: the host-time micro gate for the
@@ -40,7 +40,6 @@
 
 pub mod chaos;
 pub mod cli;
-pub mod diff;
 pub mod figures;
 pub mod metrics;
 pub mod overload;

@@ -1,9 +1,10 @@
-//! `metrics`: the telemetry and fleet-metrics query surface, in four
+//! `metrics`: the telemetry and fleet-metrics query surface, in three
 //! modes:
 //!
 //! * **Windowed rollup query** (default) — synthesize a span store, build
-//!   the windowed rollup (`telemetry/rollup-` batches), and answer a
-//!   percentile query over a window range by merging histogram buckets —
+//!   the windowed rollup (`telemetry/rollup-` batches, one per
+//!   [`DEFAULT_WINDOW_NS`]), and answer a percentile query over every
+//!   window by merging histogram buckets —
 //!   the raw span batches are never rescanned (asserted with read
 //!   accounting). Prints the windowed percentile table and the
 //!   per-policy virtual-time attribution table.
@@ -18,15 +19,12 @@
 //! * **`--expose`** — run a small deterministic cluster workload with a
 //!   [`MetricsRegistry`] attached and print its Prometheus-style text
 //!   exposition (`golden-smoke` byte-diffs this output too).
-//! * **`--diff baseline.txt current.txt`** — compare two saved report
-//!   files group by group and flag P99 trend regressions (exit code 1 if
-//!   any; `--factor F` tunes the gate, default 1.25).
 //!
 //! Flags: `--synth N` (default 10000), `--seed S` (default 42),
-//! `--shards K` (default 3), `--functions a,b,c`, `--window-ms W`
-//! (default 1000), `--window A..B` (window-index range, default all),
-//! `--exact`, `--invoke N` (with `--exact`, instead of `--synth`),
-//! `--expose`, `--diff A B`, `--factor F`.
+//! `--shards K` (default 3), `--exact`, `--invoke N` (with `--exact`,
+//! instead of `--synth`), `--expose`. The synthetic spans always name
+//! the same four functions; a query over a narrower window range is
+//! [`window_report`]'s `lo..hi`.
 
 use functionbench::FunctionId;
 use sim_core::MetricsRegistry;
@@ -35,21 +33,23 @@ use vhive_cluster::ClusterOrchestrator;
 use vhive_core::ColdPolicy;
 use vhive_telemetry::{
     attribution_report, build_rollups, latency_report, synthesize, window_report, TelemetrySink,
+    DEFAULT_WINDOW_NS,
 };
 
 use crate::cli::{Args, Mode};
-use crate::diff::{diff_reports, parse_report_groups};
 
 const SEED: u64 = 42;
 const SHARDS: u32 = 3;
 
-/// `metrics [--exact [--invoke N] | --expose | --diff A B [--factor F]] [flags]`.
+/// The function names the synthetic spans carry.
+const SPAN_FUNCTIONS: &[&str] = &["helloworld", "chameleon", "pyaes", "json_serdes"];
+
+/// `metrics [--exact [--invoke N] | --expose] [flags]`.
 pub fn run(a: &Args) -> Result<(), String> {
-    match &a.mode {
+    match a.mode {
         Mode::Window => run_window_query(a),
         Mode::Exact => run_exact(a),
         Mode::Expose => run_expose(a),
-        Mode::Diff(baseline, current) => return run_diff(baseline, current, a.factor),
     }
     Ok(())
 }
@@ -58,43 +58,10 @@ pub fn run(a: &Args) -> Result<(), String> {
 /// length.
 fn synth_store(a: &Args) -> (FileStore, u64) {
     let store = FileStore::new();
-    let names: Vec<&str> = a.span_functions.split(',').filter(|s| !s.is_empty()).collect();
     let n = a.synth.unwrap_or(10_000);
     let (seed, shards) = (a.seed.unwrap_or(SEED), a.shards.unwrap_or(SHARDS));
-    synthesize(&TelemetrySink::new(store.clone()), seed, n, shards, &names);
+    synthesize(&TelemetrySink::new(store.clone()), seed, n, shards, SPAN_FUNCTIONS);
     (store, n)
-}
-
-/// `--diff baseline current [--factor F]`: trend regression between two
-/// saved reports.
-fn run_diff(baseline_path: &str, current_path: &str, factor: f64) -> Result<(), String> {
-    let read = |path: &str| {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let groups = parse_report_groups(&text);
-        if groups.is_empty() {
-            return Err(format!("{path}: no report CSV found"));
-        }
-        Ok(groups)
-    };
-    let baseline = read(baseline_path)?;
-    let current = read(current_path)?;
-    let out = diff_reports(&baseline, &current, factor);
-    println!(
-        "== Metrics diff: {} baseline groups vs {} current, factor {factor} ==",
-        baseline.len(),
-        current.len()
-    );
-    if out.lines.is_empty() {
-        println!("no changes beyond the gate");
-    }
-    for line in &out.lines {
-        println!("{line}");
-    }
-    if out.regressions > 0 {
-        println!("{} P99 regression(s) beyond x{factor}", out.regressions);
-        std::process::exit(1);
-    }
-    Ok(())
 }
 
 /// `--expose`: deterministic cluster workload → Prometheus exposition.
@@ -172,17 +139,18 @@ fn run_exact(a: &Args) {
     );
 }
 
-/// Default mode: windowed rollup query + attribution, no raw rescan.
+/// Default mode: windowed rollup query + attribution over every window,
+/// no raw rescan.
 fn run_window_query(a: &Args) {
-    let (seed, window_ms, (lo, hi)) = (a.seed.unwrap_or(SEED), a.window_ms, a.window);
+    let seed = a.seed.unwrap_or(SEED);
     let (store, synth) = synth_store(a);
 
-    let (built, scan) = build_rollups(&store, window_ms * 1_000_000);
+    let (built, scan) = build_rollups(&store, DEFAULT_WINDOW_NS);
     if let Some(warn) = scan.drop_warning() {
         println!("{warn}");
     }
     let reads_before = store.read_calls();
-    let report = window_report(&store, lo, hi);
+    let report = window_report(&store, 0, u64::MAX);
     let query_reads = store.read_calls() - reads_before;
     if let Some(warn) = report.scan.drop_warning() {
         println!("{warn}");
@@ -198,15 +166,11 @@ fn run_window_query(a: &Args) {
          rollup batches, no span rescan)",
         built.spans, built.cells, built.batches
     );
-    let window_label = if hi == u64::MAX {
-        format!("[{lo}..)")
-    } else {
-        format!("[{lo}..{hi})")
-    };
     crate::emit(
         &format!(
-            "Windowed metrics: {synth} spans, {window_ms} ms windows, range {window_label}, \
+            "Windowed metrics: {synth} spans, {} ms windows, range [0..), \
              {} of {} spans covered, seed {seed}",
+            DEFAULT_WINDOW_NS / 1_000_000,
             report.total_count(),
             built.spans
         ),
@@ -218,17 +182,10 @@ fn run_window_query(a: &Args) {
     );
     println!();
     let mut cells = Vec::new();
-    vhive_telemetry::for_each_rollup_row(&store, |k, c| {
-        if k.window >= lo && k.window < hi {
-            cells.push((k.clone(), c.clone()));
-        }
-    });
+    vhive_telemetry::for_each_rollup_row(&store, |k, c| cells.push((k.clone(), c.clone())));
     let attribution = attribution_report(cells.iter().map(|(k, c)| (k, c)));
     crate::emit(
-        &format!(
-            "Virtual-time attribution, range {window_label}: where each policy's \
-             latency goes"
-        ),
+        "Virtual-time attribution, range [0..): where each policy's latency goes",
         "Mean virtual milliseconds per invocation and phase. disk_ms =\n\
          load_vmm + fetch_ws (the REAP-serialized phases); overlap_ms =\n\
          serial phase sum minus observed latency (time won back by\n\

@@ -15,9 +15,8 @@
 //!   a golden).
 //!
 //! Flags: `--quick` (fewer functions/loads for CI smoke), `--seed N`
-//! (cluster seed, default `0xC0FFEE`), `--admission on|off|both`
-//! (default both; `both` prints paired rows and checks the goodput
-//! ratio).
+//! (cluster seed, default `0xC0FFEE`). Every load point prints a paired
+//! on/off row, and the last one checks the goodput ratio.
 
 use functionbench::FunctionId;
 use sim_core::{SimDuration, SimTime, Table};
@@ -78,12 +77,11 @@ fn burst(funcs: &[FunctionId], load: usize) -> Vec<ColdRequest> {
         .collect()
 }
 
-/// `overload [--quick] [--seed N] [--admission on|off|both]`.
+/// `overload [--quick] [--seed N]`.
 pub fn run(a: &Args) -> Result<(), String> {
-    let (quick, admission_arg) = (a.quick, a.admission);
     let seed = a.seed.unwrap_or(0xC0_FFEE);
 
-    let funcs: &[FunctionId] = if quick {
+    let funcs: &[FunctionId] = if a.quick {
         &[FunctionId::helloworld, FunctionId::pyaes]
     } else {
         &[
@@ -93,7 +91,7 @@ pub fn run(a: &Args) -> Result<(), String> {
             FunctionId::json_serdes,
         ]
     };
-    let loads: &[usize] = if quick { &[1, 10] } else { &[1, 2, 4, 10] };
+    let loads: &[usize] = if a.quick { &[1, 10] } else { &[1, 2, 4, 10] };
     let shards = 2;
     // Queue depth sized to what the shared disk serves inside BUDGET;
     // the token bucket caps any single function's share of a burst.
@@ -160,28 +158,19 @@ pub fn run(a: &Args) -> Result<(), String> {
         batch.goodput()
     };
 
-    let mut ratio_line = String::new();
+    let (mut on, mut off) = (0, 0);
     for &load in loads {
-        let (mut on, mut off) = (None, None);
-        if admission_arg != "off" {
-            on = Some(goodput_at(true, load));
-        }
-        if admission_arg != "on" {
-            off = Some(goodput_at(false, load));
-        }
-        if let (Some(on), Some(off)) = (on, off) {
-            if load == *loads.last().unwrap() {
-                assert!(
-                    on as f64 >= 1.5 * off as f64,
-                    "goodput with admission on ({on}) must be at least 1.5x \
-                     admission off ({off}) at {load}x load"
-                );
-                ratio_line = format!(
-                    "At {load}x load admission lifts goodput {on} vs {off} (>= 1.5x, asserted).",
-                );
-            }
-        }
+        on = goodput_at(true, load);
+        off = goodput_at(false, load);
     }
+    let load = loads[loads.len() - 1];
+    assert!(
+        on as f64 >= 1.5 * off as f64,
+        "goodput with admission on ({on}) must be at least 1.5x \
+         admission off ({off}) at {load}x load"
+    );
+    let ratio_line =
+        format!("At {load}x load admission lifts goodput {on} vs {off} (>= 1.5x, asserted).");
 
     crate::emit(
         &format!(

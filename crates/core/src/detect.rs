@@ -28,11 +28,6 @@ impl OverlapStats {
             self.same as f64 / a as f64
         }
     }
-
-    /// Fraction of the first set that is unique.
-    pub fn unique_fraction(&self) -> f64 {
-        1.0 - self.reuse_fraction()
-    }
 }
 
 /// Computes the overlap between two page sets.
@@ -162,7 +157,6 @@ mod tests {
         assert_eq!(o.only_a, 2);
         assert_eq!(o.only_b, 1);
         assert!((o.reuse_fraction() - 0.5).abs() < 1e-12);
-        assert!((o.unique_fraction() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -265,28 +265,23 @@ impl Orchestrator {
     /// Creates an orchestrator over the paper's default platform (local
     /// SSD, 48 cores).
     pub fn new(seed: u64) -> Self {
-        Orchestrator::with_store(seed, DeviceProfile::ssd_sata3(), FileStore::new())
+        Orchestrator::with_device(seed, DeviceProfile::ssd_sata3())
     }
 
     /// Same, with a different snapshot storage device (§6.3's HDD run,
     /// §7.1's remote storage).
     pub fn with_device(seed: u64, device: DeviceProfile) -> Self {
-        Orchestrator::with_store(seed, device, FileStore::new())
+        let frame_cache = Arc::new(SnapshotFrameCache::new());
+        Orchestrator::with_shared_cache(seed, device, FileStore::new(), frame_cache)
     }
 
     /// Creates an orchestrator over an externally supplied snapshot store
-    /// (the cluster layer passes one namespaced
-    /// [`FileStore`] per shard so file identities stay globally distinct
-    /// on the shared timed disk).
-    pub fn with_store(seed: u64, device: DeviceProfile, fs: FileStore) -> Self {
-        Orchestrator::with_shared_cache(seed, device, fs, Arc::new(SnapshotFrameCache::new()))
-    }
-
-    /// Creates an orchestrator over an externally supplied store *and* an
-    /// externally owned [`SnapshotFrameCache`]: the cluster layer hands
-    /// every shard one cache, so concurrent cold starts of the same
-    /// function hit it from every lane (per-shard store namespacing keeps
-    /// the `(FileId, extent)` keys disjoint across shards).
+    /// *and* an externally owned [`SnapshotFrameCache`]: the cluster layer
+    /// passes one namespaced [`FileStore`] per shard, so file identities
+    /// stay globally distinct on the shared timed disk, and hands every
+    /// shard one cache, so concurrent cold starts of the same function hit
+    /// it from every lane (the namespacing keeps the `(FileId, extent)`
+    /// keys disjoint across shards).
     pub fn with_shared_cache(
         seed: u64,
         device: DeviceProfile,

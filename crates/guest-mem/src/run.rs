@@ -226,21 +226,6 @@ impl PageBitmap {
         fresh
     }
 
-    /// Removes every page of `run`; returns how many were present.
-    pub fn clear_run(&mut self, run: PageRun) -> u64 {
-        assert!(
-            run.first.as_u64() + run.len <= self.pages,
-            "{run} out of bitmap range"
-        );
-        let mut removed = 0;
-        for (w, mask) in Self::run_words(run) {
-            removed += (mask & self.words[w]).count_ones() as u64;
-            self.words[w] &= !mask;
-        }
-        self.ones -= removed;
-        removed
-    }
-
     /// True if every page of `run` is a member.
     pub fn all_set_in(&self, run: PageRun) -> bool {
         run.first.as_u64() + run.len <= self.pages
@@ -259,11 +244,6 @@ impl PageBitmap {
     /// First member page at or after `from`, if any.
     pub fn next_set(&self, from: PageIdx) -> Option<PageIdx> {
         self.scan(from.as_u64(), false)
-    }
-
-    /// First non-member page at or after `from`, if any.
-    pub fn next_clear(&self, from: PageIdx) -> Option<PageIdx> {
-        self.scan(from.as_u64(), true)
     }
 
     fn scan(&self, mut p: u64, want_clear: bool) -> Option<PageIdx> {
@@ -404,11 +384,6 @@ mod tests {
         assert!(b.all_set_in(run));
         assert!(b.any_set_in(PageRun::new(PageIdx::new(0), 64)));
         assert!(!b.all_set_in(PageRun::new(PageIdx::new(59), 2)));
-        assert_eq!(b.clear_run(PageRun::new(PageIdx::new(62), 4)), 4);
-        assert_eq!(b.count(), 6);
-        assert!(!b.get(PageIdx::new(63)));
-        assert!(b.get(PageIdx::new(61)));
-        assert!(b.get(PageIdx::new(66)));
     }
 
     #[test]
@@ -427,7 +402,6 @@ mod tests {
         assert_eq!(b.next_set(PageIdx::new(0)), Some(PageIdx::new(10)));
         assert_eq!(b.next_set(PageIdx::new(15)), Some(PageIdx::new(100)));
         assert_eq!(b.next_set(PageIdx::new(103)), None);
-        assert_eq!(b.next_clear(PageIdx::new(10)), Some(PageIdx::new(15)));
         let all: Vec<u64> = b.iter().map(|p| p.as_u64()).collect();
         assert_eq!(all, vec![10, 11, 12, 13, 14, 100, 101, 102]);
         assert_eq!(
@@ -463,9 +437,9 @@ mod tests {
     fn bitmap_tail_word_is_bounded() {
         let mut b = PageBitmap::new(70); // tail word has 6 valid bits
         assert_eq!(b.set_run(PageRun::new(PageIdx::new(64), 6)), 6);
-        assert_eq!(b.next_clear(PageIdx::new(64)), None, "tail fully set");
         assert_eq!(b.next_set(PageIdx::new(70)), None);
         let window = PageRun::new(PageIdx::new(0), 70);
+        assert_eq!(b.next_clear_run_in(PageIdx::new(64), window), None, "tail fully set");
         assert_eq!(
             b.next_clear_run_in(PageIdx::new(60), window),
             Some(PageRun::new(PageIdx::new(60), 4))

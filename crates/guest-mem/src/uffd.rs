@@ -155,24 +155,6 @@ impl Uffd {
         }
     }
 
-    /// VM-side: attempts to access the byte range `[addr, addr + len)`,
-    /// returning the first fault if any page is missing.
-    pub fn touch_range(&mut self, addr: GuestAddr, len: u64) -> TouchOutcome {
-        let mut cur = addr.page();
-        let last = if len == 0 {
-            return TouchOutcome::Resident;
-        } else {
-            GuestAddr::new(addr.as_u64() + len - 1).page()
-        };
-        while cur <= last {
-            if !self.mem.is_resident(cur) {
-                return TouchOutcome::Faulted(self.raise(cur));
-            }
-            cur = cur.next();
-        }
-        TouchOutcome::Resident
-    }
-
     /// VM-side, batched: the maximal run of missing pages inside `window`
     /// starting at or after `from` — a pure residency query, no fault is
     /// raised yet.
@@ -445,19 +427,6 @@ mod tests {
         assert_eq!(u.stats().copy_eexist, 1);
         // Contents from the first copy survive.
         assert_eq!(u.memory().page_bytes(PageIdx::new(2)).unwrap()[0], 1);
-    }
-
-    #[test]
-    fn touch_range_faults_first_missing_page() {
-        let mut u = setup();
-        u.copy(PageIdx::new(0), &[0u8; PAGE_SIZE]).unwrap();
-        // Range spans pages 0..=2; page 1 missing.
-        let TouchOutcome::Faulted(ev) = u.touch_range(GuestAddr::new(100), 2 * 4096) else {
-            panic!("expected fault")
-        };
-        assert_eq!(u.page_of_fault(ev), PageIdx::new(1));
-        // Empty range never faults.
-        assert_eq!(u.touch_range(GuestAddr::new(0), 0), TouchOutcome::Resident);
     }
 
     #[test]

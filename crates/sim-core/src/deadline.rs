@@ -59,13 +59,6 @@ impl Deadline {
     pub fn expired_at(self, now: SimTime) -> bool {
         now > self.expires_at()
     }
-
-    /// True if spending `cost` starting at `now` would land past the
-    /// expiry instant — the check used before committing to a retry
-    /// backoff or an injected delay.
-    pub fn would_expire(self, now: SimTime, cost: SimDuration) -> bool {
-        self.expired_at(now + cost)
-    }
 }
 
 /// A virtual-time token bucket: the admission-control rate limiter.
@@ -179,14 +172,6 @@ mod tests {
         let d = Deadline::new(SimTime::ZERO, SimDuration::from_micros(1));
         assert_eq!(d.remaining(SimTime::from_nanos(500)).as_nanos(), 500);
         assert_eq!(d.remaining(SimTime::from_nanos(2_000)), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn would_expire_charges_the_cost_up_front() {
-        let d = Deadline::new(SimTime::ZERO, SimDuration::from_micros(10));
-        let now = SimTime::from_nanos(9_000);
-        assert!(!d.would_expire(now, SimDuration::from_nanos(1_000)));
-        assert!(d.would_expire(now, SimDuration::from_nanos(1_001)));
     }
 
     #[test]

@@ -118,12 +118,6 @@ impl MultiServer {
         done
     }
 
-    /// Earliest instant at which a new submission at `now` would start.
-    pub fn next_start(&self, now: SimTime) -> SimTime {
-        let Reverse(free) = *self.free_at.peek().expect("at least one server");
-        free.max(now)
-    }
-
     /// Total time servers spent busy.
     pub fn busy_time(&self) -> SimDuration {
         self.busy
@@ -291,15 +285,6 @@ mod tests {
         r.reset();
         assert_eq!(r.completed(), 0);
         assert_eq!(r.busy_time(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn next_start_matches_submit() {
-        let mut r = MultiServer::new("d", 1);
-        let t0 = SimTime::ZERO;
-        r.submit(t0, us(30));
-        assert_eq!(r.next_start(t0), t0 + us(30));
-        assert_eq!(r.next_start(t0 + us(100)), t0 + us(100));
     }
 
     #[test]

@@ -77,11 +77,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest observation (`None` if empty).
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)
@@ -327,7 +322,6 @@ mod tests {
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.variance() - 4.0).abs() < 1e-9);
-        assert!((s.std_dev() - 2.0).abs() < 1e-9);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
     }

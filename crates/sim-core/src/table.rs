@@ -182,11 +182,6 @@ impl fmt::Display for Table {
     }
 }
 
-/// Formats a float with `prec` decimal places (helper for table cells).
-pub fn fnum(v: f64, prec: usize) -> String {
-    format!("{v:.prec$}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,12 +232,6 @@ mod tests {
     fn width_mismatch_panics() {
         let mut t = Table::new(&["a", "b"]);
         t.row(&["only one"]);
-    }
-
-    #[test]
-    fn fnum_formats() {
-        assert_eq!(fnum(1.23456, 2), "1.23");
-        assert_eq!(fnum(2.0, 0), "2");
     }
 
     #[test]

@@ -136,16 +136,6 @@ impl SimDuration {
         SimDuration((ms * 1e6).round() as u64)
     }
 
-    /// Creates a span from fractional microseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `us` is negative or not finite.
-    pub fn from_micros_f64(us: f64) -> Self {
-        assert!(us.is_finite() && us >= 0.0, "invalid duration: {us}");
-        SimDuration((us * 1e3).round() as u64)
-    }
-
     /// Raw nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -194,20 +184,6 @@ impl SimDuration {
     /// The shorter of two spans.
     pub fn min(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.min(other.0))
-    }
-
-    /// Multiplies the span by a non-negative float factor, rounding to the
-    /// nearest nanosecond.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is negative or not finite.
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        assert!(
-            factor.is_finite() && factor >= 0.0,
-            "invalid factor: {factor}"
-        );
-        SimDuration((self.0 as f64 * factor).round() as u64)
     }
 }
 
@@ -319,7 +295,6 @@ mod tests {
         assert_eq!(SimDuration::from_secs(7).as_nanos(), 7_000_000_000);
         assert_eq!(SimDuration::from_secs_f64(0.5).as_millis(), 500);
         assert_eq!(SimDuration::from_millis_f64(1.5).as_micros(), 1500);
-        assert_eq!(SimDuration::from_micros_f64(2.5).as_nanos(), 2500);
     }
 
     #[test]
@@ -350,8 +325,6 @@ mod tests {
         let d = SimDuration::from_micros(10);
         assert_eq!((d * 3).as_micros(), 30);
         assert_eq!((d / 2).as_micros(), 5);
-        assert_eq!(d.mul_f64(2.5).as_micros(), 25);
-        assert_eq!(d.mul_f64(0.0), SimDuration::ZERO);
     }
 
     #[test]

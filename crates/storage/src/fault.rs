@@ -25,7 +25,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 use sim_core::SimDuration;
@@ -319,7 +319,6 @@ impl InjectorStats {
 #[derive(Debug)]
 pub struct FaultInjector {
     plan: FaultPlan,
-    enabled: AtomicBool,
     transient: AtomicU64,
     corrupted: AtomicU64,
     short_writes: AtomicU64,
@@ -332,11 +331,10 @@ pub struct FaultInjector {
 }
 
 impl FaultInjector {
-    /// Wraps a plan into an armed injector.
+    /// Wraps a plan into an injector.
     pub fn new(plan: FaultPlan) -> Self {
         FaultInjector {
             plan,
-            enabled: AtomicBool::new(true),
             transient: AtomicU64::new(0),
             corrupted: AtomicU64::new(0),
             short_writes: AtomicU64::new(0),
@@ -345,15 +343,6 @@ impl FaultInjector {
             per_site: Mutex::new(HashMap::new()),
             delay_ledger: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// Master switch (a disarmed injector matches nothing).
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    fn live(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     fn record(&self, site: &'static str, total: &AtomicU64) {
@@ -366,9 +355,6 @@ impl FaultInjector {
     /// operation actually transfers readable payload (`allow_corrupt`) —
     /// metadata probes and writes skip them.
     fn fire(&self, id: FileId, name: &str, allow_corrupt: bool) -> Option<&FaultKind> {
-        if !self.live() {
-            return None;
-        }
         for rule in &self.plan.rules {
             if !rule.scope.matches(id, name) {
                 continue;
@@ -470,9 +456,6 @@ impl FaultInjector {
     /// the dead-file-aware readers so a blacked-out file reports as gone
     /// (exactly the signature an unregister leaves behind).
     pub fn blacked_out(&self, id: FileId, name: &str) -> bool {
-        if !self.live() {
-            return false;
-        }
         self.plan
             .rules
             .iter()
@@ -662,19 +645,5 @@ mod tests {
         assert_eq!(inj.take_delay(id), SimDuration::from_micros(300));
         assert_eq!(inj.take_delay(id), SimDuration::ZERO, "drained");
         assert_eq!(inj.stats().delayed, 2);
-    }
-
-    #[test]
-    fn disarmed_injector_is_inert() {
-        let fs = FileStore::new();
-        let id = fs.create("f");
-        let inj = FaultInjector::new(
-            FaultPlan::new().rule(FaultRule::new(FaultScope::Any, FaultKind::Blackout)),
-        );
-        inj.set_enabled(false);
-        assert!(inj.on_read("read_at", id, "f").is_none());
-        assert!(!inj.blacked_out(id, "f"));
-        inj.set_enabled(true);
-        assert!(inj.on_read("read_at", id, "f").is_some());
     }
 }

@@ -54,22 +54,3 @@ pub use page_cache::PageCache;
 
 /// Page size used throughout the reproduction (x86-64 base pages).
 pub const PAGE_SIZE: u64 = 4096;
-
-/// Rounds `bytes` up to whole pages.
-pub fn pages_of(bytes: u64) -> u64 {
-    bytes.div_ceil(PAGE_SIZE)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pages_of_rounds_up() {
-        assert_eq!(pages_of(0), 0);
-        assert_eq!(pages_of(1), 1);
-        assert_eq!(pages_of(4096), 1);
-        assert_eq!(pages_of(4097), 2);
-        assert_eq!(pages_of(8 * 1024 * 1024), 2048);
-    }
-}
