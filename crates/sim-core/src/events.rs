@@ -85,11 +85,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.time, e.event))
     }
 
-    /// Time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -99,35 +94,11 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Drops all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        // next_seq deliberately *not* reset: determinism only needs FIFO
-        // within a queue's lifetime, and monotone seq keeps invariants simple.
-    }
-}
-
-impl<E> Extend<(SimTime, E)> for EventQueue<E> {
-    fn extend<I: IntoIterator<Item = (SimTime, E)>>(&mut self, iter: I) {
-        for (t, e) in iter {
-            self.push(t, e);
-        }
-    }
-}
-
-impl<E> FromIterator<(SimTime, E)> for EventQueue<E> {
-    fn from_iter<I: IntoIterator<Item = (SimTime, E)>>(iter: I) -> Self {
-        let mut q = EventQueue::new();
-        q.extend(iter);
-        q
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -160,12 +131,11 @@ mod tests {
     fn peek_len_empty() {
         let mut q: EventQueue<u8> = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
         q.push(t(9), 0);
         q.push(t(4), 1);
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(t(4)));
-        q.clear();
+        assert_eq!(q.pop(), Some((t(4), 1)));
+        assert_eq!(q.pop(), Some((t(9), 0)));
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
     }
@@ -182,17 +152,6 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, "c");
         assert_eq!(q.pop().unwrap().1, "b");
         assert_eq!(q.pop().unwrap().1, "d");
-    }
-
-    #[test]
-    fn from_iterator_and_extend() {
-        let base = SimTime::ZERO;
-        let mut q: EventQueue<usize> = (0..4)
-            .map(|i| (base + SimDuration::from_nanos(10 - i as u64), i))
-            .collect();
-        q.extend([(base + SimDuration::from_nanos(1), 99usize)]);
-        assert_eq!(q.pop().unwrap().1, 99);
-        assert_eq!(q.len(), 4);
     }
 
     #[test]

@@ -97,6 +97,25 @@ impl Fnv1a64 {
     }
 }
 
+/// Lets an in-process hash map key on FNV-1a
+/// (`HashMap<K, V, BuildHasherDefault<Fnv1a64>>`): each `u64` of the key
+/// is one [`write_u64_word`](Fnv1a64::write_u64_word) step, anything
+/// else goes byte by byte. Not for keys an outsider chooses: FNV has no
+/// seed, so colliding keys are easy to construct.
+impl std::hash::Hasher for Fnv1a64 {
+    fn finish(&self) -> u64 {
+        self.state
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        Fnv1a64::write(self, bytes);
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.write_u64_word(word);
+    }
+}
+
 /// Pure SplitMix64 mix of `x`: add the golden-ratio increment, then run the
 /// three xor-multiply finalization rounds.
 ///
@@ -197,6 +216,17 @@ mod tests {
         // not, so the word feed can never stand in for a persisted checksum.
         assert_eq!(fnv1a64_words(&data[..7]), fnv1a64(&data[..7]));
         assert_ne!(fnv1a64_words(&data[..8]), fnv1a64(&data[..8]));
+    }
+
+    #[test]
+    fn hasher_feeds_each_u64_as_one_word() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let key = (7u64, 0x1234_5678_9abc_def0u64);
+        let mut words = Fnv1a64::new();
+        words.write_u64_word(key.0);
+        words.write_u64_word(key.1);
+        let built = BuildHasherDefault::<Fnv1a64>::default().hash_one(key);
+        assert_eq!(built, words.finish());
     }
 
     #[test]

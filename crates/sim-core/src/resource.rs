@@ -9,7 +9,7 @@
 //!
 //! Both are [`MultiServer`]s: `k` servers, one FIFO queue. Work is submitted
 //! at the current simulation time with a service duration and the resource
-//! answers *when* that work completes, updating its busy/queue statistics.
+//! answers *when* that work completes.
 //! [`TokenPool`] is the same machinery exposed as acquire/release for
 //! bounded-concurrency sections (e.g. the 16-goroutine Parallel-PF fetcher).
 
@@ -40,12 +40,7 @@ pub struct MultiServer {
     name: &'static str,
     /// Earliest instant each server becomes free.
     free_at: BinaryHeap<Reverse<SimTime>>,
-    servers: usize,
-    busy: SimDuration,
-    queued: SimDuration,
-    completed: u64,
     last_submit: SimTime,
-    last_completion: SimTime,
 }
 
 impl MultiServer {
@@ -63,23 +58,8 @@ impl MultiServer {
         MultiServer {
             name,
             free_at,
-            servers,
-            busy: SimDuration::ZERO,
-            queued: SimDuration::ZERO,
-            completed: 0,
             last_submit: SimTime::ZERO,
-            last_completion: SimTime::ZERO,
         }
-    }
-
-    /// Resource name (for reports).
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Number of parallel servers.
-    pub fn servers(&self) -> usize {
-        self.servers
     }
 
     /// Submits one unit of work at `now` with the given service time and
@@ -89,16 +69,6 @@ impl MultiServer {
     /// event loop guarantees this); violating it would break FIFO fairness,
     /// so it is checked with a debug assertion.
     pub fn submit(&mut self, now: SimTime, service: SimDuration) -> SimTime {
-        self.submit_with(now, |_| service)
-    }
-
-    /// Like [`submit`](Self::submit), but the service time may depend on the
-    /// instant the request actually starts (e.g. cache state at start time).
-    pub fn submit_with(
-        &mut self,
-        now: SimTime,
-        service: impl FnOnce(SimTime) -> SimDuration,
-    ) -> SimTime {
         debug_assert!(
             now >= self.last_submit,
             "{}: submissions must be time-ordered ({now} < {})",
@@ -107,40 +77,9 @@ impl MultiServer {
         );
         self.last_submit = now;
         let Reverse(free) = self.free_at.pop().expect("at least one server");
-        let start = free.max(now);
-        let service = service(start);
-        let done = start + service;
+        let done = free.max(now) + service;
         self.free_at.push(Reverse(done));
-        self.busy += service;
-        self.queued += start - now;
-        self.completed += 1;
-        self.last_completion = self.last_completion.max(done);
         done
-    }
-
-    /// Total time servers spent busy.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
-    }
-
-    /// Total time requests spent waiting in the queue.
-    pub fn queued_time(&self) -> SimDuration {
-        self.queued
-    }
-
-    /// Number of completed requests.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Instant the last scheduled request completes.
-    pub fn last_completion(&self) -> SimTime {
-        self.last_completion
-    }
-
-    /// Resets queue state and statistics (servers all free at time zero).
-    pub fn reset(&mut self) {
-        *self = MultiServer::new(self.name, self.servers);
     }
 }
 
@@ -166,7 +105,6 @@ impl MultiServer {
 pub struct TokenPool {
     free_at: BinaryHeap<Reverse<SimTime>>,
     capacity: usize,
-    acquired: u64,
 }
 
 impl TokenPool {
@@ -181,18 +119,13 @@ impl TokenPool {
         for _ in 0..capacity {
             free_at.push(Reverse(SimTime::ZERO));
         }
-        TokenPool {
-            free_at,
-            capacity,
-            acquired: 0,
-        }
+        TokenPool { free_at, capacity }
     }
 
     /// Takes the earliest-available token; returns the instant the caller
     /// holds it (>= `now`). Must be paired with [`release`](Self::release).
     pub fn acquire(&mut self, now: SimTime) -> SimTime {
         let Reverse(free) = self.free_at.pop().expect("pool never empty on acquire");
-        self.acquired += 1;
         free.max(now)
     }
 
@@ -207,16 +140,6 @@ impl TokenPool {
             "token released without matching acquire"
         );
         self.free_at.push(Reverse(at));
-    }
-
-    /// Pool capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Total number of acquisitions so far.
-    pub fn acquired(&self) -> u64 {
-        self.acquired
     }
 }
 
@@ -238,9 +161,6 @@ mod tests {
         assert_eq!(c1, t0 + us(10));
         assert_eq!(c2, t0 + us(20));
         assert_eq!(c3, t0 + us(30));
-        assert_eq!(r.completed(), 3);
-        assert_eq!(r.busy_time(), us(30));
-        assert_eq!(r.queued_time(), us(10)); // second waited 10us
     }
 
     #[test]
@@ -250,7 +170,6 @@ mod tests {
         let completions: Vec<SimTime> = (0..8).map(|_| r.submit(t0, us(100))).collect();
         assert!(completions[..4].iter().all(|&c| c == t0 + us(100)));
         assert!(completions[4..].iter().all(|&c| c == t0 + us(200)));
-        assert_eq!(r.last_completion(), t0 + us(200));
     }
 
     #[test]
@@ -261,30 +180,6 @@ mod tests {
         let late = c1 + us(100);
         let c2 = r.submit(late, us(10));
         assert_eq!(c2, late + us(10));
-        assert_eq!(r.queued_time(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn submit_with_sees_start_time() {
-        let mut r = MultiServer::new("d", 1);
-        let t0 = SimTime::ZERO;
-        r.submit(t0, us(50));
-        // Second request starts at t=50us; make service depend on it.
-        let c = r.submit_with(t0, |start| {
-            assert_eq!(start, t0 + us(50));
-            us(5)
-        });
-        assert_eq!(c, t0 + us(55));
-    }
-
-    #[test]
-    fn reset_clears_statistics() {
-        let mut r = MultiServer::new("d", 2);
-        r.submit(SimTime::ZERO, us(100));
-        assert_eq!((r.completed(), r.busy_time()), (1, us(100)));
-        r.reset();
-        assert_eq!(r.completed(), 0);
-        assert_eq!(r.busy_time(), SimDuration::ZERO);
     }
 
     #[test]
@@ -299,8 +194,6 @@ mod tests {
         p.release(t0 + us(20));
         let c = p.acquire(t0);
         assert_eq!(c, t0 + us(10), "third waits for earliest release");
-        assert_eq!(p.acquired(), 3);
-        assert_eq!(p.capacity(), 2);
     }
 
     #[test]

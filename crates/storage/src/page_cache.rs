@@ -5,42 +5,66 @@
 //! binds, but we model LRU anyway so cache-pressure experiments are
 //! possible. Granularity is one 4 KB page of a given file.
 //!
-//! **Index.** Each file owns a chunked dense table: an ordered directory
-//! of 512-page leaves, allocated on first touch, whose `u32` slots hold
-//! the page's LRU node (or a null marker). A probe resolves the
-//! file (one hash of the [`FileId`]), then the leaf (one ordered lookup
-//! among the file's touched leaves), then indexes. A run admission —
-//! the 32-page readahead cluster behind every Vanilla fault miss —
-//! resolves the file once per call and the leaf once per 512 pages, so
-//! an admitted page costs one slot load, one node write and one list
-//! link: no per-page hashing.
+//! **Index.** Pages live in chunked dense tables: 512-page leaves,
+//! allocated on first touch, whose `u32` slots hold the page's last-touch
+//! stamp (0: not resident). A probe resolves its leaf with one FNV hash
+//! of ([`FileId`], leaf number), then indexes. A run admission — the
+//! 32-page readahead cluster behind every Vanilla fault miss — resolves
+//! the leaf once per 512 pages: no per-page hashing.
 //!
-//! **Recency** is an intrusive doubly-linked list threaded through a
-//! node slab: probe, insert and evict are O(1) per page, and a node
-//! remembers its table slot so eviction never consults the directory.
+//! **Recency** is a clock and a touch log. Every touch takes the next
+//! stamp, writes it into the page's slot and appends `(first slot, first
+//! stamp, count)` to the log, or extends the last record when the slot
+//! follows it. A hit therefore costs one slot write and, mostly, one
+//! record; a run admission that cannot evict writes its leaf slice of
+//! consecutive stamps in one loop and appends one record. The log is in
+//! stamp order, so eviction pops its front and skips entries whose slot
+//! has been touched since (or evicted): the first entry whose slot still
+//! holds its stamp is the least recently used page, the exact victim of a
+//! linked LRU list. When the log outgrows twice the resident pages (plus
+//! a small slack), or the clock nears `u32::MAX`, it is compacted in
+//! place: live entries keep their order and are renumbered from 1.
 //!
-//! **Memory** is bounded by what was touched, not by page numbers: 2 KB
-//! per leaf touched since the last [`PageCache::drop_caches`] plus 12
-//! bytes per resident page — page `1 << 40` costs one leaf. A fully
-//! touched 256 MB guest-memory file is 128 leaves, 256 KB.
+//! **Memory** is bounded by what was touched, not by page numbers: 4
+//! bytes per slot of a leaf touched since the last
+//! [`PageCache::drop_caches`] (2 KB a leaf) plus 12 bytes per log record,
+//! with no per-page node — page `1 << 40` costs one leaf. A fully touched
+//! 256 MB guest-memory file is 128 leaves, 256 KB; a 32-page readahead
+//! cluster is one record.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{HashMap, VecDeque};
+use std::hash::BuildHasherDefault;
+
+use sim_core::hash::Fnv1a64;
 
 use crate::file_store::FileId;
-
-/// Null link in the LRU list; also "not resident" in an index slot.
-const NIL: u32 = u32::MAX;
 
 /// Pages per index leaf (2 KB of `u32` slots).
 const LEAF_PAGES: u64 = 512;
 
-/// One LRU node: the index slot that points at it plus prev/next links
-/// (MRU towards `head`).
+/// Records the touch log may hold beyond twice the resident pages before
+/// it is compacted.
+const LOG_SLACK: usize = 64;
+
+/// Highest clock value an operation may start from: one leaf slice of
+/// stamps, and the end of its record, must still fit in a `u32`.
+const STAMP_LIMIT: u32 = u32::MAX - 2 * LEAF_PAGES as u32;
+
+/// Touches of `count` consecutive slots from `slot`, stamped `stamp`,
+/// `stamp + 1`, … in that order. Entry `i` is live while slot `slot + i`
+/// still holds `stamp + i`.
 #[derive(Debug, Clone, Copy)]
-struct Node {
+struct Touch {
     slot: u32,
-    prev: u32,
-    next: u32,
+    stamp: u32,
+    count: u32,
+}
+
+impl Touch {
+    /// True if the touch of slot `slot` stamped `stamp` extends this one.
+    fn continues_at(&self, slot: u32, stamp: u32) -> bool {
+        self.slot + self.count == slot && self.stamp + self.count == stamp
+    }
 }
 
 /// An LRU page cache over (file, page) pairs.
@@ -62,21 +86,17 @@ struct Node {
 #[derive(Debug, Clone)]
 pub struct PageCache {
     capacity_pages: usize,
-    /// file -> its leaf directory in `dirs`.
-    files: HashMap<FileId, u32>,
-    /// Per file: leaf number (`page / LEAF_PAGES`) -> first slot of that
-    /// leaf in `slots`.
-    dirs: Vec<BTreeMap<u64, u32>>,
-    /// The leaves, back to back: page slot -> node index in `nodes`, or
-    /// NIL when the page is not resident.
+    /// (file, leaf number `page / LEAF_PAGES`) -> first slot of that leaf
+    /// in `slots`.
+    leaves: HashMap<(FileId, u64), u32, BuildHasherDefault<Fnv1a64>>,
+    /// The leaves, back to back: page slot -> its last-touch stamp, or 0
+    /// when the page is not resident.
     slots: Vec<u32>,
-    nodes: Vec<Node>,
-    /// Recycled node indices.
-    free: Vec<u32>,
-    /// Most recently used node, or NIL.
-    head: u32,
-    /// Least recently used node (eviction victim), or NIL.
-    tail: u32,
+    /// Every touch since the last compaction, oldest first.
+    log: VecDeque<Touch>,
+    /// Last stamp handed out.
+    clock: u32,
+    resident: usize,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -92,13 +112,11 @@ impl PageCache {
         assert!(capacity_pages > 0, "page cache needs nonzero capacity");
         PageCache {
             capacity_pages,
-            files: HashMap::new(),
-            dirs: Vec::new(),
+            leaves: HashMap::default(),
             slots: Vec::new(),
-            nodes: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
+            log: VecDeque::new(),
+            clock: 0,
+            resident: 0,
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -110,101 +128,138 @@ impl PageCache {
         PageCache::new(1 << 20)
     }
 
-    /// Unlinks node `n` from the list (it must be linked).
-    fn unlink(&mut self, n: u32) {
-        let Node { prev, next, .. } = self.nodes[n as usize];
-        if prev != NIL {
-            self.nodes[prev as usize].next = next;
-        } else {
-            self.head = next;
-        }
-        if next != NIL {
-            self.nodes[next as usize].prev = prev;
-        } else {
-            self.tail = prev;
-        }
-    }
-
-    /// Links node `n` at the MRU end.
-    fn link_front(&mut self, n: u32) {
-        self.nodes[n as usize].prev = NIL;
-        self.nodes[n as usize].next = self.head;
-        if self.head != NIL {
-            self.nodes[self.head as usize].prev = n;
-        } else {
-            self.tail = n;
-        }
-        self.head = n;
-    }
-
-    /// Makes resident node `n` the most recently used.
-    fn refresh(&mut self, n: u32) {
-        if self.head != n {
-            self.unlink(n);
-            self.link_front(n);
-        }
-    }
-
-    /// Index of `file`'s leaf directory, created on first touch.
-    fn dir_of(&mut self, file: FileId) -> usize {
-        let dirs = &mut self.dirs;
-        *self.files.entry(file).or_insert_with(|| {
-            dirs.push(BTreeMap::new());
-            (dirs.len() - 1) as u32
-        }) as usize
-    }
-
-    /// First slot of leaf number `leaf` in directory `dir`, allocated on
-    /// first touch.
-    fn leaf_of(&mut self, dir: usize, leaf: u64) -> usize {
+    /// First slot of `file`'s leaf number `leaf`, allocated on first
+    /// touch.
+    fn leaf_of(&mut self, file: FileId, leaf: u64) -> usize {
         let slots = &mut self.slots;
-        *self.dirs[dir].entry(leaf).or_insert_with(|| {
+        *self.leaves.entry((file, leaf)).or_insert_with(|| {
             let base = u32::try_from(slots.len()).expect("page-cache index exceeds 2^32 slots");
-            slots.resize(slots.len() + LEAF_PAGES as usize, NIL);
+            slots.resize(slots.len() + LEAF_PAGES as usize, 0);
             base
         }) as usize
     }
 
-    /// LRU node of the page, if it is resident.
-    fn node_of(&self, file: FileId, page: u64) -> Option<u32> {
-        let dir = &self.dirs[*self.files.get(&file)? as usize];
-        let base = *dir.get(&(page / LEAF_PAGES))?;
-        let n = self.slots[base as usize + (page % LEAF_PAGES) as usize];
-        (n != NIL).then_some(n)
+    /// Slot of the page, if it is resident.
+    fn slot_of(&self, file: FileId, page: u64) -> Option<usize> {
+        let base = *self.leaves.get(&(file, page / LEAF_PAGES))?;
+        let slot = base as usize + (page % LEAF_PAGES) as usize;
+        (self.slots[slot] != 0).then_some(slot)
     }
 
-    /// Refreshes recency of the page at `slot` or admits it.
+    /// Renumbers the log if the clock has no room for one leaf slice.
+    fn make_stamp_room(&mut self) {
+        if self.clock > STAMP_LIMIT {
+            self.compact();
+        }
+    }
+
+    /// Appends the touch of `count` slots from `slot`, stamped from
+    /// `stamp`, extending the last record when it continues it; compacts
+    /// the log once it outgrows the resident set.
+    fn log_touch(&mut self, slot: usize, stamp: u32, count: u32) {
+        let slot = slot as u32;
+        match self.log.back_mut() {
+            Some(last) if last.continues_at(slot, stamp) => last.count += count,
+            _ => self.log.push_back(Touch { slot, stamp, count }),
+        }
+        if self.log.len() > 2 * self.resident + LOG_SLACK {
+            self.compact();
+        }
+    }
+
+    /// Drops dead entries from the log and renumbers the live ones from 1,
+    /// in order. The log is rotated through itself: each old record is
+    /// popped from the front and its live pieces pushed at the back.
+    fn compact(&mut self) {
+        let mut clock = 0;
+        let mut open: Option<Touch> = None;
+        for _ in 0..self.log.len() {
+            let old = self.log.pop_front().expect("counted above");
+            for i in 0..old.count {
+                let slot = old.slot + i;
+                let cell = &mut self.slots[slot as usize];
+                if *cell != old.stamp + i {
+                    continue;
+                }
+                clock += 1;
+                *cell = clock;
+                match &mut open {
+                    Some(run) if run.continues_at(slot, clock) => run.count += 1,
+                    _ => {
+                        let fresh = Touch {
+                            slot,
+                            stamp: clock,
+                            count: 1,
+                        };
+                        self.log.extend(open.replace(fresh));
+                    }
+                }
+            }
+        }
+        self.log.extend(open);
+        self.clock = clock;
+    }
+
+    /// Touches the page at `slot`: a new stamp, admitted if not resident.
+    /// Does not evict.
     fn touch(&mut self, slot: usize) {
-        let n = self.slots[slot];
-        if n != NIL {
-            self.refresh(n);
+        self.clock += 1;
+        let cell = &mut self.slots[slot];
+        self.resident += usize::from(*cell == 0);
+        *cell = self.clock;
+        self.log_touch(slot, self.clock, 1);
+    }
+
+    /// Touches `len` consecutive slots from `slot` (one leaf slice), in
+    /// ascending order, evicting as each admission overflows capacity.
+    fn touch_slice(&mut self, slot: usize, len: usize) {
+        self.make_stamp_room();
+        if self.resident + len <= self.capacity_pages {
+            // Nothing can be evicted: one loop of consecutive stamps.
+            let first = self.clock + 1;
+            for (cell, stamp) in self.slots[slot..slot + len].iter_mut().zip(first..) {
+                self.resident += usize::from(*cell == 0);
+                *cell = stamp;
+            }
+            self.clock += len as u32;
+            self.log_touch(slot, first, len as u32);
             return;
         }
-        let node = Node {
-            slot: slot as u32,
-            prev: NIL,
-            next: NIL,
-        };
-        let n = match self.free.pop() {
-            Some(n) => {
-                self.nodes[n as usize] = node;
-                n
+        for s in slot..slot + len {
+            self.touch(s);
+            if self.resident > self.capacity_pages {
+                self.evict_lru();
             }
-            None => {
-                self.nodes.push(node);
-                (self.nodes.len() - 1) as u32
+        }
+    }
+
+    /// Evicts the least recently used page: the first live log entry.
+    fn evict_lru(&mut self) {
+        loop {
+            let oldest = self.log.front_mut().expect("every resident page is logged");
+            let (slot, stamp) = (oldest.slot as usize, oldest.stamp);
+            if oldest.count == 1 {
+                self.log.pop_front();
+            } else {
+                oldest.slot += 1;
+                oldest.stamp += 1;
+                oldest.count -= 1;
             }
-        };
-        self.slots[slot] = n;
-        self.link_front(n);
-        self.evict_if_needed();
+            if self.slots[slot] == stamp {
+                self.slots[slot] = 0;
+                self.resident -= 1;
+                self.evictions += 1;
+                return;
+            }
+        }
     }
 
     /// True if the page is cached; updates recency and hit/miss counters.
     pub fn probe(&mut self, file: FileId, page: u64) -> bool {
-        match self.node_of(file, page) {
-            Some(n) => {
-                self.refresh(n);
+        match self.slot_of(file, page) {
+            Some(slot) => {
+                self.make_stamp_room();
+                self.touch(slot);
                 self.hits += 1;
                 true
             }
@@ -217,7 +272,7 @@ impl PageCache {
 
     /// True if the page is cached, without touching recency or counters.
     pub fn contains(&self, file: FileId, page: u64) -> bool {
-        self.node_of(file, page).is_some()
+        self.slot_of(file, page).is_some()
     }
 
     /// Inserts one page (refreshes recency if present).
@@ -227,54 +282,36 @@ impl PageCache {
 
     /// Inserts a contiguous run `[first, first + count)` of pages, most
     /// recent last — the bulk admission the readahead and buffered-read
-    /// paths use. The file is resolved once, each leaf the run crosses
-    /// once; pages are then admitted (and, at capacity, evicted) one by
-    /// one in ascending order, exactly as `count` single inserts would.
+    /// paths use. Each leaf the run crosses is resolved once; pages are
+    /// then admitted (and, at capacity, evicted) in ascending order,
+    /// exactly as `count` single inserts would.
     pub fn insert_run(&mut self, file: FileId, first: u64, count: u64) {
-        let dir = self.dir_of(file);
-        let room = self.capacity_pages.saturating_sub(self.resident_pages());
-        self.nodes.reserve(room.min(count as usize));
         let end = first + count;
         let mut page = first;
         while page < end {
             let leaf = page / LEAF_PAGES;
             let stop = end.min((leaf + 1) * LEAF_PAGES);
-            let slot = self.leaf_of(dir, leaf) + (page % LEAF_PAGES) as usize;
-            for s in slot..slot + (stop - page) as usize {
-                self.touch(s);
-            }
+            let slot = self.leaf_of(file, leaf) + (page % LEAF_PAGES) as usize;
+            self.touch_slice(slot, (stop - page) as usize);
             page = stop;
-        }
-    }
-
-    fn evict_if_needed(&mut self) {
-        while self.resident_pages() > self.capacity_pages {
-            let victim = self.tail;
-            debug_assert_ne!(victim, NIL, "nonempty cache over capacity");
-            self.unlink(victim);
-            self.slots[self.nodes[victim as usize].slot as usize] = NIL;
-            self.free.push(victim);
-            self.evictions += 1;
         }
     }
 
     /// Drops every cached page — the `echo 3 > /proc/sys/vm/drop_caches`
     /// step in the paper's methodology (§4.1). All structural state
-    /// (directories, leaves, node slab, free list, LRU links) is reset so
-    /// a drop→refill cycle starts from a pristine cache; counters survive.
+    /// (leaf index, leaves, touch log, clock) is reset so a drop→refill
+    /// cycle starts from a pristine cache; counters survive.
     pub fn drop_caches(&mut self) {
-        self.files.clear();
-        self.dirs.clear();
+        self.leaves.clear();
         self.slots.clear();
-        self.nodes.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
+        self.log.clear();
+        self.clock = 0;
+        self.resident = 0;
     }
 
     /// Number of cached pages.
     pub fn resident_pages(&self) -> usize {
-        self.nodes.len() - self.free.len()
+        self.resident
     }
 
     /// Probe hits so far.
@@ -303,6 +340,7 @@ impl Default for PageCache {
 mod tests {
     use super::*;
     use crate::file_store::FileStore;
+    use sim_core::hash::splitmix64_next;
 
     fn two_files() -> (FileId, FileId) {
         let fs = FileStore::new();
@@ -427,7 +465,7 @@ mod tests {
 
     #[test]
     fn heavy_churn_stays_consistent() {
-        // Regression guard for the O(1) eviction path: index and list must
+        // Regression guard for the eviction path: index and touch log must
         // stay in lockstep under sustained overflow.
         let (a, _) = two_files();
         let mut c = PageCache::new(64);
@@ -445,5 +483,81 @@ mod tests {
             }
         }
         assert_eq!(found, resident);
+    }
+
+    #[test]
+    fn stamps_renumber_before_they_wrap() {
+        // The clock starts just below the renumbering limit, so within a
+        // few operations the log is renumbered; without that the clock
+        // would pass `u32::MAX` after ~100 of them. Every operation is
+        // checked against a naive recency list, across the renumbering.
+        let (a, b) = two_files();
+        let mut c = PageCache::new(64);
+        c.clock = STAMP_LIMIT - 50;
+        let mut naive: Vec<(FileId, u64)> = Vec::new(); // LRU first
+        let touch = |naive: &mut Vec<(FileId, u64)>, key| {
+            naive.retain(|&k| k != key);
+            naive.push(key);
+            if naive.len() > 64 {
+                naive.remove(0);
+            }
+        };
+        let mut state = 11u64;
+        let mut stamps = 0u64;
+        for _ in 0..2_000 {
+            let r = splitmix64_next(&mut state);
+            let f = if r & 1 == 0 { a } else { b };
+            let page = (r >> 8) % 700; // straddles the 512-page leaf edge
+            if r & 2 == 0 {
+                let hit = naive.contains(&(f, page));
+                assert_eq!(c.probe(f, page), hit);
+                if hit {
+                    touch(&mut naive, (f, page));
+                    stamps += 1;
+                }
+            } else {
+                let len = (r >> 40) % 40 + 1;
+                c.insert_run(f, page, len);
+                (page..page + len).for_each(|p| touch(&mut naive, (f, p)));
+                stamps += len;
+            }
+            assert_eq!(c.resident_pages(), naive.len());
+            assert!(
+                naive.iter().all(|&(f, p)| c.contains(f, p)),
+                "LRU victims diverged"
+            );
+        }
+        assert!(stamps > 2 * LEAF_PAGES, "the run must cross the limit");
+        assert!(
+            c.clock < STAMP_LIMIT / 2,
+            "clock {} never renumbered",
+            c.clock
+        );
+    }
+
+    #[test]
+    fn touch_log_stays_within_twice_resident() {
+        // Random hits on 8 resident pages append a record each; compaction
+        // keeps the log at most twice the resident set plus the slack,
+        // and the recency it keeps still picks the true LRU victim.
+        let (a, _) = two_files();
+        let mut c = PageCache::new(8);
+        c.insert_run(a, 0, 8);
+        let mut last_touch = [0u64; 8];
+        let mut state = 5u64;
+        for i in 1..=100_000u64 {
+            let p = splitmix64_next(&mut state) % 8;
+            assert!(c.probe(a, p));
+            last_touch[p as usize] = i;
+            assert!(
+                c.log.len() <= 2 * 8 + LOG_SLACK,
+                "log {} records",
+                c.log.len()
+            );
+        }
+        let lru = (0..8).min_by_key(|&p| last_touch[p as usize]).unwrap();
+        c.insert(a, 8);
+        assert!(!c.contains(a, lru), "page {lru} was the LRU");
+        assert_eq!((c.resident_pages(), c.evictions()), (8, 1));
     }
 }

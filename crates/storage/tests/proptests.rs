@@ -3,6 +3,7 @@
 use std::collections::VecDeque;
 
 use proptest::prelude::*;
+use sim_core::hash::{splitmix64_next, Fnv1a64};
 use sim_core::SimTime;
 use sim_storage::{
     Access, Disk, DiskStats, FileId, FileStore, PageCache, ReadOutcome, SnapshotFrameCache,
@@ -200,6 +201,50 @@ fn disk_sequence_matches_the_parent_commit() {
             useful_bytes_read: 1_052_672,
             device_reads: 23,
             cache_hits: 76,
+        }
+    );
+}
+
+/// At host capacity the page cache evicts through the timed front end:
+/// 48 files of 32-42k pages (1.7 Mi pages against the 1 Mi-page host
+/// cache) take 200k bursts of one to six sequential faults at random
+/// offsets. The ~103k misses admit ~3.3 Mi pages, so the cache fills
+/// and evicts ~1.2 Mi of them. The stats and a fold of every outcome
+/// were recorded from the parent commit's linked-list LRU with this same
+/// stream.
+#[test]
+fn disk_eviction_at_host_capacity_matches_the_parent_commit() {
+    let fs = FileStore::new();
+    let files: Vec<(FileId, u64)> = (0..48u64)
+        .map(|i| (fs.create(&format!("mem{i}")), 32_000 + 211 * i))
+        .collect();
+    let mut d = Disk::ssd();
+    let mut now = SimTime::ZERO;
+    let mut fold = Fnv1a64::new();
+    let mut state = 0x5eed_u64;
+    for _ in 0..200_000 {
+        let r = splitmix64_next(&mut state);
+        let (file, pages) = files[(r % 48) as usize];
+        let start = (r >> 8) % pages;
+        for page in start..pages.min(start + (r >> 40) % 6 + 1) {
+            let out = d.fault_read_page(now, file, page, pages);
+            fold.write_u64_word(out.ready.as_nanos());
+            fold.write_u64_word(u64::from(out.cache_hit) << 32 | out.device_bytes);
+            now = out.ready;
+        }
+    }
+    assert_eq!(
+        (fold.finish(), now.as_nanos()),
+        (0xfd5a_b77b_5940_30b8, 16_060_207_777)
+    );
+    assert_eq!(
+        d.stats(),
+        DiskStats {
+            device_bytes_read: 13_479_960_576,
+            device_bytes_written: 0,
+            useful_bytes_read: 2_867_597_312,
+            device_reads: 102_879,
+            cache_hits: 597_218,
         }
     );
 }
