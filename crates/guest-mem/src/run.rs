@@ -243,20 +243,21 @@ impl PageBitmap {
 
     /// First member page at or after `from`, if any.
     pub fn next_set(&self, from: PageIdx) -> Option<PageIdx> {
-        self.scan(from.as_u64(), false)
+        self.scan(from.as_u64(), self.pages, false)
     }
 
-    fn scan(&self, mut p: u64, want_clear: bool) -> Option<PageIdx> {
-        while p < self.pages {
+    /// First page in `[p, limit)` that is a member (or, with
+    /// `want_clear`, a non-member). Reads only the words that range
+    /// covers; `limit` must not exceed `len()`.
+    fn scan(&self, mut p: u64, limit: u64, want_clear: bool) -> Option<PageIdx> {
+        debug_assert!(limit <= self.pages);
+        while p < limit {
             let w = (p / WORD_BITS) as usize;
             let mut word = if want_clear { !self.words[w] } else { self.words[w] };
             word &= u64::MAX << (p % WORD_BITS);
             if word != 0 {
                 let hit = w as u64 * WORD_BITS + word.trailing_zeros() as u64;
-                if hit < self.pages {
-                    return Some(PageIdx::new(hit));
-                }
-                return None;
+                return (hit < limit).then_some(PageIdx::new(hit));
             }
             p = (w as u64 + 1) * WORD_BITS;
         }
@@ -265,18 +266,14 @@ impl PageBitmap {
 
     /// The maximal run of *non-member* pages inside `window` starting at
     /// or after `from` — the core query of the batched fault path.
+    ///
+    /// Both of its scans stop at the window's end, so a query reads only
+    /// the words `window` covers, however large and empty the set behind it.
     pub fn next_clear_run_in(&self, from: PageIdx, window: PageRun) -> Option<PageRun> {
         let lo = from.as_u64().max(window.first.as_u64());
-        let hi = window.first.as_u64() + window.len;
-        let start = self.scan(lo, true)?.as_u64();
-        if start >= hi {
-            return None;
-        }
-        let end = self
-            .scan(start, false)
-            .map(|p| p.as_u64())
-            .unwrap_or(self.pages)
-            .min(hi);
+        let hi = (window.first.as_u64() + window.len).min(self.pages);
+        let start = self.scan(lo, hi, true)?.as_u64();
+        let end = self.scan(start, hi, false).map_or(hi, |p| p.as_u64());
         Some(PageRun::new(PageIdx::new(start), end - start))
     }
 
@@ -294,11 +291,10 @@ impl PageBitmap {
     pub fn runs(&self) -> Vec<PageRun> {
         let mut out = Vec::new();
         let mut cursor = 0u64;
-        while let Some(start) = self.scan(cursor, false) {
+        while let Some(start) = self.scan(cursor, self.pages, false) {
             let end = self
-                .scan(start.as_u64(), true)
-                .map(|p| p.as_u64())
-                .unwrap_or(self.pages);
+                .scan(start.as_u64(), self.pages, true)
+                .map_or(self.pages, |p| p.as_u64());
             out.push(PageRun::new(start, end - start.as_u64()));
             cursor = end;
         }
@@ -431,6 +427,26 @@ mod tests {
         // Fully-set window has no clear runs.
         b.set_run(window);
         assert_eq!(b.next_clear_run_in(PageIdx::new(0), window), None);
+    }
+
+    /// A window query's cost is set by its window, not by the empty
+    /// memory behind it: 4,096 three-page queries over a 2^28-page set
+    /// (32 MiB of words, lazily zeroed) read a few words each. Scanning on
+    /// to the end of the set instead reads ~2 M words per query — seconds.
+    #[test]
+    fn window_queries_read_only_their_window() {
+        let b = PageBitmap::new(1 << 28);
+        let stride = b.len() / 4096;
+        let t = std::time::Instant::now();
+        for i in 0..4096 {
+            let window = PageRun::new(PageIdx::new(i * stride), 3);
+            assert_eq!(b.next_clear_run_in(window.first, window), Some(window));
+        }
+        let took = t.elapsed();
+        assert!(
+            took < std::time::Duration::from_millis(200),
+            "4,096 window queries took {took:?}"
+        );
     }
 
     #[test]

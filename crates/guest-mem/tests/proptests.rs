@@ -3,7 +3,8 @@
 //! original per-page semantics.
 
 use guest_mem::{
-    fnv1a64, GuestAddr, GuestMemory, MemError, PageIdx, PageRun, TouchOutcome, Uffd, PAGE_SIZE,
+    fnv1a64, GuestAddr, GuestMemory, MemError, PageBitmap, PageIdx, PageRun, TouchOutcome, Uffd,
+    PAGE_SIZE,
 };
 use proptest::prelude::*;
 
@@ -71,6 +72,77 @@ fn window(pages: u64, start: u64, len: u64) -> PageRun {
     let first = start % pages;
     let len = len.clamp(1, pages - first);
     PageRun::new(PageIdx::new(first), len)
+}
+
+/// A `PageBitmap` and its per-bit model, both holding the pages of
+/// `runs` (each clipped to `pages`).
+fn bitmap_and_model(pages: u64, runs: &[(u64, u64)]) -> (PageBitmap, Vec<bool>) {
+    let mut bitmap = PageBitmap::new(pages);
+    let mut model = vec![false; pages as usize];
+    for &(first, len) in runs {
+        let first = first.min(pages);
+        let len = len.min(pages - first);
+        bitmap.set_run(PageRun::new(PageIdx::new(first), len));
+        model[first as usize..(first + len) as usize].fill(true);
+    }
+    (bitmap, model)
+}
+
+/// A query window over `pages` pages, shaped by `kind`: empty, ending at
+/// `len()`, straddling a word boundary, running past `len()` (the scans
+/// clip it), or anywhere inside the range.
+fn query_window(pages: u64, kind: u8, a: u64, b: u64) -> PageRun {
+    let first = a % (pages + 1);
+    match kind {
+        0 => PageRun::new(PageIdx::new(first), 0),
+        1 => PageRun::new(PageIdx::new(first), pages - first),
+        2 if pages > 64 => {
+            let boundary = 64 * (1 + a % ((pages - 1) / 64));
+            let first = boundary - 1 - b % 8;
+            PageRun::new(PageIdx::new(first), (2 + b % 90).min(pages - first))
+        }
+        3 => PageRun::new(PageIdx::new(first), pages - first + 1 + b % 70),
+        _ => PageRun::new(PageIdx::new(first), b % (pages - first + 1)),
+    }
+}
+
+/// Checks `next_clear_run_in`, `next_set`, `iter` and `runs` against a
+/// page-by-page walk of `model`.
+fn assert_scans_match_model(bitmap: &PageBitmap, model: &[bool], queries: &[(u64, u8, u64, u64)]) {
+    let pages = model.len() as u64;
+    let member = |p: u64| model[p as usize];
+    for &(from, kind, a, b) in queries {
+        let w = query_window(pages, kind, a, b);
+        // Mostly just before, inside or just past the window; past `len()`
+        // when the window ends there.
+        let from = w.first.as_u64().saturating_sub(3) + from % (w.len + 8);
+        let hi = w.end().as_u64().min(pages);
+        let want_run = (from.max(w.first.as_u64())..hi)
+            .find(|&p| !member(p))
+            .map(|start| {
+                let end = (start..hi).find(|&p| member(p)).unwrap_or(hi);
+                PageRun::new(PageIdx::new(start), end - start)
+            });
+        assert_eq!(
+            bitmap.next_clear_run_in(PageIdx::new(from), w),
+            want_run,
+            "from {from} in {w}"
+        );
+        for at in [from, a % (pages + 70)] {
+            let want = (at..pages).find(|&p| member(p)).map(PageIdx::new);
+            assert_eq!(bitmap.next_set(PageIdx::new(at)), want, "next_set({at})");
+        }
+    }
+    let members: Vec<u64> = (0..pages).filter(|&p| member(p)).collect();
+    assert_eq!(
+        bitmap.iter().map(|p| p.as_u64()).collect::<Vec<_>>(),
+        members
+    );
+    let mut want_runs = Vec::new();
+    for &p in &members {
+        guest_mem::push_coalesced(&mut want_runs, PageRun::single(PageIdx::new(p)));
+    }
+    assert_eq!(bitmap.runs(), want_runs);
 }
 
 proptest! {
@@ -285,5 +357,30 @@ proptest! {
                 "page {} contents must be identical", p
             );
         }
+    }
+
+    /// `PageBitmap`'s scans against a per-bit model on small sets whose
+    /// size need not be a multiple of 64: window queries (empty, crossing
+    /// a word boundary, ending at `len()`) from any start, `next_set`,
+    /// `iter` and `runs`.
+    #[test]
+    fn bitmap_scans_match_per_bit_model(
+        pages in 0u64..201,
+        runs in proptest::collection::vec((0u64..200, 0u64..70), 0..12),
+        queries in proptest::collection::vec((0u64..280, 0u8..5, 0u64..400, 0u64..400), 1..16),
+    ) {
+        let (bitmap, model) = bitmap_and_model(pages, &runs);
+        assert_scans_match_model(&bitmap, &model, &queries);
+    }
+
+    /// The same scans on a sparse guest-sized (65,536-page) set, where a
+    /// window's end is far from the end of the set.
+    #[test]
+    fn sparse_guest_bitmap_scans_match_per_bit_model(
+        runs in proptest::collection::vec((0u64..65_536, 1u64..300), 0..8),
+        queries in proptest::collection::vec((0u64..65_536, 0u8..5, 0u64..65_536, 0u64..600), 1..16),
+    ) {
+        let (bitmap, model) = bitmap_and_model(65_536, &runs);
+        assert_scans_match_model(&bitmap, &model, &queries);
     }
 }
