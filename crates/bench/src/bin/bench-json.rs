@@ -148,8 +148,8 @@ fn bench_cluster(r: &mut Report) {
 /// * `cluster/invoke_cold_64fn_1shard_dead` — the §6.5 64-request
 ///   concurrent batch served with one of four shards dead: requests
 ///   homed on the dead shard re-route to survivors (the warm-up batch
-///   pays the one-time state rebuild; measured batches ride the sticky
-///   failover table).
+///   pays the one-time state rebuild; measured batches are served from
+///   the survivors the placement map names).
 fn bench_fault_recovery(r: &mut Report) {
     let f = FunctionId::helloworld;
     let mut o = Orchestrator::new(0xFA_017);

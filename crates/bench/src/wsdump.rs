@@ -9,7 +9,7 @@ use functionbench::FunctionId;
 use guest_os::RegionKind;
 use sim_core::Table;
 use vhive_core::detect::contiguity;
-use vhive_core::{read_trace_file, Orchestrator};
+use vhive_core::{read_trace_runs, Orchestrator};
 
 use crate::cli::Args;
 
@@ -23,7 +23,8 @@ pub fn run(a: &Args) -> Result<(), String> {
     let fs = orch.fs();
     let trace_file = fs.open(&format!("snapshots/{f}/ws_trace")).expect("trace");
     let ws_file = fs.open(&format!("snapshots/{f}/ws_pages")).expect("ws");
-    let trace = read_trace_file(fs, trace_file).expect("parse trace");
+    let runs = read_trace_runs(fs, trace_file).expect("parse trace");
+    let trace: Vec<_> = runs.iter().flat_map(|r| r.iter()).collect();
 
     println!("== REAP artifacts for {f} ==");
     println!("trace file: {} bytes", fs.len(trace_file));

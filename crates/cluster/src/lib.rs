@@ -16,9 +16,19 @@
 //!   [`FunctionId`] ([`shard_for`]), independent of seed and shard
 //!   count-stable per configuration. All single-function operations
 //!   (`register`, `invoke_record`, `invoke_warm`, `pad_working_set`, …)
-//!   delegate to the home shard, and `invoke_cold` is a batch of one
-//!   served there, so a **1-shard cluster is bit-for-bit today's single
-//!   `Orchestrator`**.
+//!   delegate to the shard holding the function, and `invoke_cold` is a
+//!   batch of one served there, so a **1-shard cluster is bit-for-bit
+//!   today's single `Orchestrator`**.
+//! * **One holder per function** — one map records, for every placed
+//!   function, the one shard holding its state; a function is placed at
+//!   its home unless brownout steering picks a healthy neighbour
+//!   ([`ClusterOrchestrator::route_of`]). It stays there while that
+//!   shard lives. When the holder dies, the function's next use rebuilds
+//!   it on a survivor from the holder's in-memory registry (same seed ⇒
+//!   bit-identical snapshot, the record replayed at its pinned seq, the
+//!   input sequence resumed), and the dead holder drops its copy. No
+//!   stale copy is left to serve after a revival, so a re-routed request
+//!   completes exactly as its fault-free run would.
 //! * **Per-shard stores** — each shard's `FileStore` draws its
 //!   [`FileId`](sim_storage::FileId)s from a disjoint namespace
 //!   ([`FileStore::with_namespace`](sim_storage::FileStore::with_namespace)),

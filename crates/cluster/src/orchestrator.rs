@@ -85,9 +85,8 @@ pub struct ClusterOrchestrator {
     shards: Vec<Orchestrator>,
     seed: u64,
     health: Vec<ShardHealth>,
-    /// Functions moved off their (dead) home shard, and where they live
-    /// now.
-    failover: HashMap<FunctionId, usize>,
+    /// Every placed function and the one shard that holds its state.
+    placed: HashMap<FunctionId, usize>,
     /// Cluster-level metrics (health transitions, reroutes); off by
     /// default, broadcast to shards by [`Self::set_metrics`].
     metrics: Option<MetricsRegistry>,
@@ -137,7 +136,7 @@ impl ClusterOrchestrator {
             shards,
             seed,
             health,
-            failover: HashMap::new(),
+            placed: HashMap::new(),
             metrics: None,
             admission: None,
             rate_buckets: HashMap::new(),
@@ -177,51 +176,31 @@ impl ClusterOrchestrator {
         shard_for(f, self.shards.len())
     }
 
-    /// The shard `f` is actually served from: its failover placement if
-    /// it was moved off a dead home shard, else the first live shard
-    /// already holding its state at or after its hash home (state
-    /// gravity — a [`ShardHealth::Degraded`] shard keeps serving the
-    /// functions it owns), else — for *new* placements — the first
-    /// **healthy** shard probing forward from home (brownout steering:
-    /// Degraded shards receive no new work while a healthy alternative
-    /// exists), falling back to the first live shard when every
-    /// survivor is Degraded. Probes wrap around.
+    /// The shard `f` is served from: the shard holding its state while
+    /// that shard is alive. Otherwise — a new placement, or a dead
+    /// holder's rebuild — the first **healthy** shard probing forward
+    /// from its hash home (brownout steering: Degraded shards receive no
+    /// new work while a healthy alternative exists), else the first live
+    /// shard. Probes wrap around. A Degraded holder keeps serving its
+    /// functions: moving state is failover's job.
     ///
     /// # Panics
     ///
     /// Panics if every shard is dead.
     pub fn route_of(&self, f: FunctionId) -> usize {
-        if let Some(&s) = self.failover.get(&f) {
+        if let Some(&s) = self.placed.get(&f) {
             if self.health[s] != ShardHealth::Dead {
                 return s;
             }
         }
         let home = self.shard_of(f);
         let n = self.shards.len();
-        // State gravity: a live shard that already owns f's state
-        // serves it, Degraded or not — moving state is failover's job.
-        for k in 0..n {
-            let idx = (home + k) % n;
-            if self.health[idx] != ShardHealth::Dead && self.shards[idx].is_registered(f) {
-                return idx;
-            }
-        }
-        // New placement (fresh registration, or a dead home's rebuild):
-        // steer around Degraded shards while a Healthy one exists.
-        for k in 0..n {
-            let idx = (home + k) % n;
-            if self.health[idx] == ShardHealth::Healthy {
-                return idx;
-            }
-        }
-        // Every survivor is browned out: better Degraded than dead.
-        for k in 0..n {
-            let idx = (home + k) % n;
-            if self.health[idx] != ShardHealth::Dead {
-                return idx;
-            }
-        }
-        panic!("all {n} shards are dead; nowhere to route {f}")
+        let probe = |ok: fn(ShardHealth) -> bool| {
+            (0..n).map(|k| (home + k) % n).find(|&i| ok(self.health[i]))
+        };
+        probe(|h| h == ShardHealth::Healthy)
+            .or_else(|| probe(|h| h != ShardHealth::Dead))
+            .unwrap_or_else(|| panic!("all {n} shards are dead; nowhere to route {f}"))
     }
 
     /// The shard orchestrator at `index` (read-only).
@@ -239,41 +218,29 @@ impl ClusterOrchestrator {
         &self.shards[self.route_of(f)]
     }
 
-    /// Routes `f` ([`route_of`](Self::route_of)) and returns the shard
-    /// with whether `f`'s state was rebuilt there. Routed off its hash
-    /// home (dead home, or brownout steering), the function's state
-    /// moves to the survivor first if it never lived there (same seed ⇒
-    /// bit-identical snapshot; the record replays at its pinned seq; a
-    /// fresh registration has no state anywhere to rebuild from), and
-    /// the placement is pinned so the function stays put once its state
-    /// lands there.
+    /// Routes `f` ([`route_of`](Self::route_of)), records the shard as
+    /// its holder, and returns it with whether `f`'s state was rebuilt
+    /// there. State moves only off a dead holder: the new shard rebuilds
+    /// from the holder's in-memory registry (same seed ⇒ bit-identical
+    /// snapshot; the record replays at its pinned seq), and the dead
+    /// holder then drops `f`, so at most one shard ever holds a
+    /// function's state.
     fn place(&mut self, f: FunctionId) -> (usize, bool) {
         let idx = self.route_of(f);
         let mut rebuilt = false;
-        if idx != self.shard_of(f) {
-            if !self.shards[idx].is_registered(f) {
-                if let Some(meta) = self.rebuild_meta_for(f, idx) {
-                    self.shards[idx].rebuild_from(f, meta);
-                    rebuilt = true;
-                }
+        if let Some(src) = self.placed.insert(f, idx).filter(|&src| src != idx) {
+            if let Some(meta) = self.shards[src].export_rebuild_meta(f) {
+                self.shards[idx].rebuild_from(f, meta);
+                self.shards[src].unregister(f);
+                rebuilt = true;
             }
-            self.failover.insert(f, idx);
         }
         (idx, rebuilt)
     }
 
-    fn home_mut(&mut self, f: FunctionId) -> &mut Orchestrator {
+    fn holder_mut(&mut self, f: FunctionId) -> &mut Orchestrator {
         let (idx, _) = self.place(f);
         &mut self.shards[idx]
-    }
-
-    /// Rebuild directions for `f` from whichever shard still holds its
-    /// registry state in memory (a dead shard's registry survives its
-    /// storage blackout), excluding `dst` itself.
-    fn rebuild_meta_for(&self, f: FunctionId, dst: usize) -> Option<vhive_core::RebuildMeta> {
-        (0..self.shards.len())
-            .filter(|&k| k != dst)
-            .find_map(|k| self.shards[k].export_rebuild_meta(f))
     }
 
     /// Health of shard `index`.
@@ -304,8 +271,9 @@ impl ClusterOrchestrator {
     /// its snapshot store (every fault-aware access fails, files present
     /// as gone), exactly the signature of a worker losing its disk. Any
     /// injector previously attached to that store is replaced. The
-    /// router steers around the shard; queued requests re-route and its
-    /// functions are rebuilt on survivors on first use.
+    /// shard keeps its in-memory registry, which directs each of its
+    /// functions' rebuild on a survivor at the function's next use;
+    /// queued requests re-route.
     pub fn fail_shard(&mut self, index: usize) {
         self.health[index] = ShardHealth::Dead;
         self.note_health_transition("dead");
@@ -317,8 +285,9 @@ impl ClusterOrchestrator {
     }
 
     /// Revives shard `index`: detaches the blackout and marks it healthy
-    /// again. Functions moved off it keep their failover placement (their
-    /// state lives on the survivor now).
+    /// again. It serves the functions it still holds (those not used
+    /// while it was dead); the ones rebuilt elsewhere stay where their
+    /// state now lives.
     pub fn revive_shard(&mut self, index: usize) {
         self.shards[index].fs().detach_injector();
         self.health[index] = ShardHealth::Healthy;
@@ -403,12 +372,14 @@ impl ClusterOrchestrator {
 
     /// Registers `f` on its home shard (boot + snapshot capture).
     pub fn register(&mut self, f: FunctionId) -> RegisterInfo {
-        self.home_mut(f).register(f)
+        self.holder_mut(f).register(f)
     }
 
-    /// Removes `f` from its home shard, deleting its files.
+    /// Removes `f` from the shard holding it, deleting its files.
     pub fn unregister(&mut self, f: FunctionId) {
-        self.home_mut(f).unregister(f);
+        if let Some(idx) = self.placed.remove(&f) {
+            self.shards[idx].unregister(f);
+        }
     }
 
     /// True if `f` has a recorded working set on its home shard.
@@ -423,7 +394,7 @@ impl ClusterOrchestrator {
 
     /// Record-mode cold invocation on the home shard (§5.2.1).
     pub fn invoke_record(&mut self, f: FunctionId) -> InvocationOutcome {
-        self.home_mut(f).invoke_record(f)
+        self.holder_mut(f).invoke_record(f)
     }
 
     /// One cold invocation: a batch of one through
@@ -442,7 +413,7 @@ impl ClusterOrchestrator {
 
     /// One warm invocation on the home shard.
     pub fn invoke_warm(&mut self, f: FunctionId) -> InvocationOutcome {
-        self.home_mut(f).invoke_warm(f)
+        self.holder_mut(f).invoke_warm(f)
     }
 
     /// §8.2's working-set padding ablation, on the home shard.
@@ -451,13 +422,13 @@ impl ClusterOrchestrator {
     ///
     /// As [`Orchestrator::pad_working_set`].
     pub fn pad_working_set(&mut self, f: FunctionId, extra_pages: u64) -> ReapFiles {
-        self.home_mut(f).pad_working_set(f, extra_pages)
+        self.holder_mut(f).pad_working_set(f, extra_pages)
     }
 
     /// Fresh shadow identities for `f` from its home shard's namespaced
     /// allocator — globally collision-free across shards.
     pub fn shadow_files(&mut self, f: FunctionId) -> (InstanceFiles, Option<ReapFiles>) {
-        self.home_mut(f).shadow_files(f)
+        self.holder_mut(f).shadow_files(f)
     }
 
     /// Serves a batch of cold invocations concurrently.

@@ -72,8 +72,9 @@ fn dead_shard_reroutes_and_rebuilds_without_dropping_requests() {
         assert_eq!(normalized(out), normalized(rout), "{f}");
     }
 
-    // The failover placement is sticky: later delegated singles route to
-    // the survivor and serve cleanly, matching the fault-free world.
+    // The rebuilt function stays on the survivor: later delegated
+    // singles route there and serve cleanly, matching the fault-free
+    // world.
     assert_ne!(c.route_of(FUNCS[0]), dead);
     let single = c.invoke_cold(FUNCS[0], ColdPolicy::Reap);
     assert!(single.recovery.is_clean());
@@ -95,9 +96,71 @@ fn revived_shard_keeps_failover_placement() {
     c.revive_shard(dead);
     assert_eq!(c.shard_health(dead), ShardHealth::Healthy);
     // The function's live state (registry, artifacts, seq counters) moved
-    // to the survivor; routing must not snap back to the stale home.
+    // to the survivor; routing must not snap back to the revived home.
     assert_eq!(c.route_of(FUNCS[0]), survivor);
     assert!(c.invoke_cold(FUNCS[0], ColdPolicy::Reap).recovery.is_clean());
+}
+
+/// Moved off a dead home, a function's state must not be served again
+/// from the copy the home held before it died: once the survivor dies
+/// too, the revived home rebuilds from the survivor, and the input
+/// sequence runs on as in the fault-free run.
+#[test]
+fn second_failover_rebuilds_from_the_survivor_not_the_revived_home() {
+    let f = FUNCS[0];
+    let mut r = prepared_cluster(30, 3);
+    let reference: Vec<_> = (0..3).map(|_| r.invoke_cold(f, ColdPolicy::Reap)).collect();
+
+    let mut c = prepared_cluster(30, 3);
+    let home = c.shard_of(f);
+    let mut outs = vec![c.invoke_cold(f, ColdPolicy::Reap)];
+    c.fail_shard(home);
+    outs.push(c.invoke_cold(f, ColdPolicy::Reap));
+    let survivor = c.route_of(f);
+    assert_ne!(survivor, home);
+    c.revive_shard(home);
+    c.fail_shard(survivor);
+    outs.push(c.invoke_cold(f, ColdPolicy::Reap));
+
+    let seqs: Vec<u64> = outs.iter().map(|o| o.seq).collect();
+    assert_eq!(seqs, [1, 2, 3]);
+    assert!(outs[2].recovery.rebuilt);
+    for (out, rout) in outs.iter().zip(&reference) {
+        assert_eq!(normalized(out), normalized(rout));
+    }
+}
+
+/// A redeploy on the shard a function failed over to resets its state
+/// there; when that shard dies, the rebuild starts from the redeployed
+/// state, not from the dead home's older copy.
+#[test]
+fn redeploy_after_failover_rebuilds_from_the_new_holder() {
+    let f = FUNCS[0];
+    let redeploy = |c: &mut ClusterOrchestrator| {
+        c.register(f);
+        c.invoke_record(f);
+    };
+    let mut r = prepared_cluster(31, 3);
+    for _ in 0..2 {
+        r.invoke_cold(f, ColdPolicy::Reap);
+    }
+    redeploy(&mut r);
+    let reference = r.invoke_cold(f, ColdPolicy::Reap);
+
+    let mut c = prepared_cluster(31, 3);
+    let home = c.shard_of(f);
+    c.invoke_cold(f, ColdPolicy::Reap);
+    c.fail_shard(home);
+    c.invoke_cold(f, ColdPolicy::Reap);
+    redeploy(&mut c);
+    let holder = c.route_of(f);
+    assert_ne!(holder, home);
+    c.fail_shard(holder);
+    let out = c.invoke_cold(f, ColdPolicy::Reap);
+
+    assert_eq!(out.seq, reference.seq);
+    assert!(out.recovery.rebuilt);
+    assert_eq!(normalized(&out), normalized(&reference));
 }
 
 #[test]

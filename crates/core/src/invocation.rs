@@ -408,7 +408,6 @@ mod tests {
             ],
             uffd_faults: 1,
             minor_faults: 0,
-            pages_touched: 1,
             compute: SimDuration::from_micros(100),
         };
         let proc = ExecutionTrace {
@@ -421,7 +420,6 @@ mod tests {
             ],
             uffd_faults: 1,
             minor_faults: 3,
-            pages_touched: 4,
             compute: SimDuration::from_millis(1),
         };
         let reap = ReapFiles {
@@ -541,7 +539,6 @@ mod tests {
             ],
             uffd_faults: 0,
             minor_faults: 10,
-            pages_touched: 10,
             compute: SimDuration::from_millis(5),
         };
         let prog = build_warm_program(&costs, &proc, SimTime::ZERO);

@@ -69,10 +69,9 @@ pub use monitor::{Monitor, MonitorMode, MonitorStats, PrefetchError};
 pub use orchestrator::{InvocationOutcome, Orchestrator, PreparedCold, RegisterInfo};
 pub use overload::{ColdAbort, ColdRequest, DeadlineExpired, Disposition, ShedReason};
 pub use policy::{FunctionCosts, KeepWarmPolicy};
-pub use recovery::{AttemptError, RebuildMeta, RecoveryReport, RetryPolicy, ShardUnavailable};
+pub use recovery::{AttemptError, RebuildMeta, RecoveryReport, ShardUnavailable};
 pub use router::{route_workload, RouterConfig, RouterReport};
 pub use timeline::{InstanceResult, Timeline};
 pub use ws_file::{
-    read_trace_file, read_trace_runs, read_ws_file, read_ws_layout, write_reap_files,
-    write_reap_files_runs, ReapFiles, WsError, WsLayout,
+    read_trace_runs, read_ws_layout, write_reap_files_runs, ReapFiles, WsError, WsLayout,
 };

@@ -322,7 +322,7 @@ impl FaultHandler for Monitor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ws_file::read_trace_file;
+    use crate::ws_file::read_trace_runs;
     use functionbench::FunctionId;
     use guest_mem::TouchOutcome;
     use microvm::{MicroVm, VmConfig};
@@ -359,13 +359,16 @@ mod tests {
             let ev = fault_on(vm.uffd_mut(), p);
             m.handle_fault(vm.uffd_mut(), ev).unwrap();
         }
-        let expect: Vec<PageIdx> = [0u64, 7, 3, 42].iter().map(|&p| PageIdx::new(p)).collect();
+        let expect: Vec<PageRun> = [0u64, 7, 3, 42]
+            .iter()
+            .map(|&p| PageRun::single(PageIdx::new(p)))
+            .collect();
         assert_eq!(m.stats().demand_served, 4);
 
         let files = m.finish_record("snap/hw");
         assert_eq!(files.pages, 4);
         assert_eq!(files.extents, 4, "non-adjacent fault order");
-        assert_eq!(read_trace_file(&fs, files.trace_file).unwrap(), expect);
+        assert_eq!(read_trace_runs(&fs, files.trace_file).unwrap(), expect);
     }
 
     #[test]

@@ -33,9 +33,11 @@ use crate::invocation::{
 };
 use crate::monitor::{Monitor, MonitorMode, MonitorStats, PrefetchError};
 use crate::overload::{ColdAbort, ColdRequest, DeadlineExpired, Disposition};
-use crate::recovery::{AttemptError, RebuildMeta, RecoveryReport, RetryPolicy, ShardUnavailable};
+use crate::recovery::{
+    retry_delay, AttemptError, RebuildMeta, RecoveryReport, ShardUnavailable, MAX_RETRIES,
+};
 use crate::timeline::Timeline;
-use crate::ws_file::{read_trace_file, read_trace_runs, ReapFiles};
+use crate::ws_file::{read_trace_runs, ReapFiles};
 use vhive_telemetry::{SpanRecord, TelemetrySink};
 
 /// What `register` produced for a function.
@@ -189,8 +191,6 @@ struct FunctionState {
     next_seq: u64,
     needs_rerecord: bool,
     warm: Option<MicroVm>,
-    /// Snapshot generation (bumped by §7.3's periodic re-generation).
-    generation: u64,
     /// FNV-1a digests of the (trace, ws) artifact bytes at record time,
     /// for silent-corruption detection (see `set_verify_artifacts`).
     artifact_digest: Option<(u64, u64)>,
@@ -565,11 +565,11 @@ impl Orchestrator {
             .is_some_and(|s| s.needs_rerecord)
     }
 
-    fn vm_config(&self, f: FunctionId, generation: u64) -> VmConfig {
+    fn vm_config(&self, f: FunctionId) -> VmConfig {
         VmConfig {
             mem_mib: 256,
             vcpus: 1,
-            seed: self.seed ^ ((f as u64) << 8) ^ generation.wrapping_mul(0x9E37_79B9),
+            seed: self.seed ^ ((f as u64) << 8),
         }
     }
 
@@ -588,11 +588,7 @@ impl Orchestrator {
     /// Registers a function: boots it once, pauses, and captures its
     /// snapshot (the deployment path of §3.1).
     pub fn register(&mut self, f: FunctionId) -> RegisterInfo {
-        self.register_generation(f, 0)
-    }
-
-    fn register_generation(&mut self, f: FunctionId, generation: u64) -> RegisterInfo {
-        let config = self.vm_config(f, generation);
+        let config = self.vm_config(f);
         let (mut vm, boot_trace) = MicroVm::boot(f, config);
         let boot_latency = BootCostModel::default().total_latency(&boot_trace);
         let boot_footprint_bytes = vm.footprint_bytes();
@@ -600,7 +596,7 @@ impl Orchestrator {
         let snapshot = Snapshot::capture(&vm, &self.fs, &format!("snapshots/{f}"));
         drop(vm); // booted state lives on disk now; free the memory
         // Re-registering rewrites the snapshot files in place: any frames
-        // cached from a previous generation must go.
+        // cached from the previous capture must go.
         self.frame_cache.invalidate_file(snapshot.mem_file);
         self.frame_cache.invalidate_file(snapshot.vmm_file);
         self.functions.insert(
@@ -612,7 +608,6 @@ impl Orchestrator {
                 next_seq: 0,
                 needs_rerecord: false,
                 warm: None,
-                generation,
                 artifact_digest: None,
                 quarantined: false,
                 recorded_seq: None,
@@ -623,28 +618,6 @@ impl Orchestrator {
             boot_footprint_bytes,
             boot_latency,
         }
-    }
-
-    /// §7.3's security mitigation: periodically re-generate a function's
-    /// snapshot so VM clones stop sharing guest-physical layout and RNG
-    /// state. The new boot produces different page contents and placements;
-    /// stale REAP files are dropped (they describe the old layout) and must
-    /// be re-recorded.
-    pub fn regenerate_snapshot(&mut self, f: FunctionId) -> RegisterInfo {
-        let (generation, old_reap, next_seq) = {
-            let st = self.state(f);
-            (st.generation + 1, st.reap, st.next_seq)
-        };
-        if let Some(reap) = old_reap {
-            self.fs.delete(reap.trace_file);
-            self.fs.delete(reap.ws_file);
-            self.frame_cache.invalidate_file(reap.trace_file);
-            self.frame_cache.invalidate_file(reap.ws_file);
-        }
-        let info = self.register_generation(f, generation);
-        // Input sequence continues: the function's clients don't restart.
-        self.state_mut(f).next_seq = next_seq;
-        info
     }
 
     /// Removes a function, deleting its snapshot and REAP files (bounds
@@ -708,7 +681,7 @@ impl Orchestrator {
     /// The recovery loop around
     /// [`functional_attempt`](Self::functional_attempt): transient faults
     /// back off (virtual time, accumulated in `recovery.retry_delay`) up
-    /// to [`RetryPolicy`]'s bound; a corrupt read — of the WS artifacts
+    /// to [`MAX_RETRIES`] times; a corrupt read — of the WS artifacts
     /// or of the VMM state — gets one reload per invocation (wire
     /// corruption heals on a re-read, stored corruption persists into the
     /// caller's quarantine or shard-surrender path); everything else
@@ -728,7 +701,6 @@ impl Orchestrator {
         recovery: &mut RecoveryReport,
         budget: Option<SimDuration>,
     ) -> Result<FunctionalRun, RecoverAbort> {
-        let retry = RetryPolicy::default();
         let mut transient_attempts = 0u32;
         let mut corrupt_retried = false;
         loop {
@@ -751,8 +723,8 @@ impl Orchestrator {
                     if se.class() == FaultClass::Transient
             );
             if transient {
-                if transient_attempts < retry.max_retries {
-                    let backoff = retry.delay_for(transient_attempts);
+                if transient_attempts < MAX_RETRIES {
+                    let backoff = retry_delay(transient_attempts);
                     if budget.is_some_and(|b| recovery.retry_delay + backoff > b) {
                         return Err(RecoverAbort::DeadlineExhausted);
                     }
@@ -932,11 +904,6 @@ impl Orchestrator {
         self.functions.get(&f).is_some_and(|s| s.quarantined)
     }
 
-    /// True if `f` is registered on this orchestrator.
-    pub fn is_registered(&self, f: FunctionId) -> bool {
-        self.functions.contains_key(&f)
-    }
-
     /// Drains any injected device delays charged against `f`'s files into
     /// the recovery ledger (virtual time; simulated outcomes unchanged).
     fn drain_injected_delay(&self, f: FunctionId, recovery: &mut RecoveryReport) {
@@ -958,19 +925,18 @@ impl Orchestrator {
     /// blackout and can direct the rebuild.
     pub fn export_rebuild_meta(&self, f: FunctionId) -> Option<RebuildMeta> {
         self.functions.get(&f).map(|st| RebuildMeta {
-            generation: st.generation,
             next_seq: st.next_seq,
             recorded_seq: st.recorded_seq,
         })
     }
 
     /// Rebuilds `f` from another shard's exported metadata: re-registers
-    /// at the same snapshot generation (shards share one seed, so the
-    /// snapshot is bit-identical), replays the original record invocation
+    /// it (shards share one seed, so the snapshot is bit-identical),
+    /// replays the original record invocation
     /// at its pinned seq to reproduce the REAP artifacts, and resumes the
     /// input sequence where the lost shard left off.
     pub fn rebuild_from(&mut self, f: FunctionId, meta: RebuildMeta) -> RegisterInfo {
-        let info = self.register_generation(f, meta.generation);
+        let info = self.register(f);
         if let Some(recorded_seq) = meta.recorded_seq {
             self.state_mut(f).next_seq = recorded_seq;
             let _ = self.functional_cold(f, MonitorMode::Record);
@@ -1053,8 +1019,12 @@ impl Orchestrator {
             return Ok(Vec::new());
         }
         let real = self.state(f).reap.expect("ParallelPF needs a trace");
-        let pages = read_trace_file(&self.fs, real.trace_file).map_err(PrefetchError::from_ws)?;
-        Ok(pages.into_iter().map(|p| p.as_u64()).collect())
+        let runs = read_trace_runs(&self.fs, real.trace_file).map_err(PrefetchError::from_ws)?;
+        Ok(runs
+            .iter()
+            .flat_map(|r| r.iter())
+            .map(|p| p.as_u64())
+            .collect())
     }
 
     /// The body of [`cold_program`](Self::cold_program), with ParallelPF's
@@ -1170,7 +1140,7 @@ impl Orchestrator {
     /// path:
     ///
     /// * transient storage faults retry with bounded virtual-time backoff
-    ///   ([`RetryPolicy`]); backoff and injected delays consume
+    ///   (3 retries, doubling from 100 µs); backoff and injected delays consume
     ///   `req.deadline`;
     /// * corrupt or unreachable REAP artifacts are quarantined and the
     ///   request falls back to a Vanilla cold start off the intact
@@ -1307,8 +1277,9 @@ impl Orchestrator {
     fn trace_reads(&self, f: FunctionId, policy: ColdPolicy, independent: bool, run: &FunctionalRun) -> Result<(Option<MispredictionReport>, Vec<u64>), PrefetchError> {
         let misprediction = match self.state(f).reap {
             Some(reap) if policy.uses_ws() && !independent => {
-                let recorded = read_trace_file(&self.fs, reap.trace_file).map_err(PrefetchError::from_ws)?;
-                let recorded: BTreeSet<PageIdx> = recorded.into_iter().collect();
+                let runs =
+                    read_trace_runs(&self.fs, reap.trace_file).map_err(PrefetchError::from_ws)?;
+                let recorded: BTreeSet<PageIdx> = runs.iter().flat_map(|r| r.iter()).collect();
                 Some(MispredictionReport::compute(&recorded, &run.touched, run.monitor_stats.residual_after_prefetch))
             }
             _ => None,
@@ -1423,7 +1394,7 @@ impl Orchestrator {
     /// One warm invocation: the instance is memory-resident; no VMM load,
     /// no connection restoration, no uffd faults (Fig 2's warm bars).
     pub fn invoke_warm(&mut self, f: FunctionId) -> InvocationOutcome {
-        let config = self.vm_config(f, self.state(f).generation);
+        let config = self.vm_config(f);
         let seq = self.acquire_seq(f);
         let input = self.state(f).inputs.input(seq);
         // Boot (or reuse) the warm instance.
@@ -1576,90 +1547,34 @@ mod tests {
     }
 
     #[test]
-    fn regenerate_snapshot_rotates_layout_and_drops_ws() {
-        // §7.3: periodic snapshot re-generation as a mitigation for
-        // cloned-VM state. Contents and layout change; REAP files are
-        // invalidated and must be re-recorded.
-        let f = FunctionId::helloworld;
-        let mut o = orch_with(f);
-        o.invoke_record(f);
-        assert!(o.has_ws(f));
-        let mem_old = o.fs().open(&format!("snapshots/{f}/guest_mem")).unwrap();
-        let page_old = o.fs().read(mem_old, 0, 4096, <[u8]>::to_vec).unwrap();
-
-        o.regenerate_snapshot(f);
-        assert!(!o.has_ws(f), "stale WS files must be dropped");
-        let mem_new = o.fs().open(&format!("snapshots/{f}/guest_mem")).unwrap();
-        let page_new = o.fs().read(mem_new, 0, 4096, <[u8]>::to_vec).unwrap();
-        assert_ne!(page_old, page_new, "regeneration must change contents");
-
-        // The pipeline still works end-to-end on the new generation.
-        let vanilla = o.invoke_cold(f, ColdPolicy::Vanilla);
-        assert!(vanilla.verified_pages > 0);
-        o.invoke_record(f);
-        let reap = o.invoke_cold(f, ColdPolicy::Reap);
-        assert!(reap.latency < vanilla.latency);
-    }
-
-    #[test]
-    fn regenerated_memory_file_holds_nothing_of_the_previous_generation() {
-        // Capture lays the image down by extension over the capacity the
-        // store kept from generation 0; where generation 1 has a gap,
-        // generation 0's bytes must not show through.
-        let f = FunctionId::helloworld;
-        let mut o = orch_with(f);
-        o.regenerate_snapshot(f);
-        let (mut vm, _) = MicroVm::boot(f, o.vm_config(f, 1));
-        vm.pause();
-        let fresh_fs = FileStore::new();
-        let fresh = Snapshot::capture(&vm, &fresh_fs, "fresh");
-        let reused = o.state(f).snapshot.mem_file;
-        assert_eq!(o.fs().len(reused), fresh.mem_bytes);
-        let same = o
-            .fs()
-            .read(reused, 0, fresh.mem_bytes, |got| {
-                fresh_fs.read(fresh.mem_file, 0, fresh.mem_bytes, |want| got == want).unwrap()
-            })
-            .unwrap();
-        assert!(same, "re-capture must equal a capture into an empty store");
-    }
-
-    #[test]
-    fn regenerated_and_rebuilt_snapshots_carry_a_fresh_boot_shell() {
-        // Restores clone the shell their snapshot captured, so every
-        // path that replaces a snapshot must leave one that matches a
-        // boot at the new generation.
-        fn assert_fresh_boot_shell(o: &Orchestrator, f: FunctionId, generation: u64) {
-            let config = o.vm_config(f, generation);
-            let snapshot = &o.state(f).snapshot;
-            assert_eq!(snapshot.config, config);
-            let mut restored = snapshot.restore_shell(o.fs()).unwrap();
-            let mut oracle = MicroVm::restore_shell(f, config);
-            assert_eq!(restored.content_label(), oracle.content_label());
-            let (got, want) = (restored.guest_shell(), oracle.guest_shell());
-            assert_eq!(got.space.regions(), want.space.regions());
-            assert_eq!(
-                got.space.heap().state_fingerprint(),
-                want.space.heap().state_fingerprint()
-            );
-            let input = InputGenerator::new(f, 3).input(0);
-            assert_eq!(restored.invocation_ops(&input), oracle.invocation_ops(&input));
-        }
-
+    fn rebuilt_snapshot_carries_a_fresh_boot_shell() {
+        // Restores clone the shell their snapshot captured, so a rebuild
+        // on a survivor sharing the seed, directed by the lost shard's
+        // exported registry state, must leave one that matches a boot.
         let f = FunctionId::pyaes;
         let mut o = orch_with(f);
         o.invoke_record(f);
         o.invoke_cold(f, ColdPolicy::Reap);
-        o.regenerate_snapshot(f);
-        assert_fresh_boot_shell(&o, f, 1);
-
-        // Failover: a survivor sharing the seed rebuilds from the lost
-        // shard's exported registry state.
-        o.invoke_record(f);
-        let meta = o.export_rebuild_meta(f).unwrap();
         let mut survivor = Orchestrator::new(7);
-        survivor.rebuild_from(f, meta);
-        assert_fresh_boot_shell(&survivor, f, 1);
+        survivor.rebuild_from(f, o.export_rebuild_meta(f).unwrap());
+
+        let config = survivor.vm_config(f);
+        let snapshot = &survivor.state(f).snapshot;
+        assert_eq!(snapshot.config, config);
+        let mut restored = snapshot.restore_shell(survivor.fs()).unwrap();
+        let mut oracle = MicroVm::restore_shell(f, config);
+        assert_eq!(restored.content_label(), oracle.content_label());
+        let (got, want) = (restored.guest_shell(), oracle.guest_shell());
+        assert_eq!(got.space.regions(), want.space.regions());
+        assert_eq!(
+            got.space.heap().state_fingerprint(),
+            want.space.heap().state_fingerprint()
+        );
+        let input = InputGenerator::new(f, 3).input(0);
+        assert_eq!(
+            restored.invocation_ops(&input),
+            oracle.invocation_ops(&input)
+        );
         assert!(survivor.invoke_cold(f, ColdPolicy::Reap).verified_pages > 0);
     }
 
@@ -1671,7 +1586,11 @@ mod tests {
         let mut o = orch_with(f);
         o.invoke_record(f);
         let trace_file = o.fs().open(&format!("snapshots/{f}/ws_trace")).unwrap();
-        let before_pages = read_trace_file(o.fs(), trace_file).unwrap().len() as u64;
+        let before_pages: u64 = read_trace_runs(o.fs(), trace_file)
+            .unwrap()
+            .iter()
+            .map(|r| r.len)
+            .sum();
         let writes_before = o.fs().write_calls();
         let padded = o.pad_working_set(f, 500);
         assert_eq!(
@@ -1689,7 +1608,8 @@ mod tests {
         o.invoke_record(f);
         let total = o.state(f).snapshot.mem_pages();
         let padded = o.pad_working_set(f, 64);
-        let trace = read_trace_file(&o.fs().clone(), padded.trace_file).unwrap();
+        let runs = read_trace_runs(o.fs(), padded.trace_file).unwrap();
+        let trace: Vec<PageIdx> = runs.iter().flat_map(|r| r.iter()).collect();
         assert_eq!(trace.len() as u64, padded.pages);
         // No duplicates (the v2 format would reject overlaps anyway).
         let unique: BTreeSet<PageIdx> = trace.iter().copied().collect();

@@ -67,41 +67,25 @@ impl RecoveryReport {
     }
 }
 
-/// Bounded retry-with-backoff schedule for transient faults. Delays are
-/// [`SimDuration`]s on the simulated clock, exponentially doubled per
-/// attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries after the first failed attempt (so a transient fault site
-    /// is probed `max_retries + 1` times in total).
-    pub max_retries: u32,
-    /// Backoff before the first retry; doubles each further retry.
-    pub base_delay: SimDuration,
-}
+/// Retries of a transient fault after the first failed attempt (so a
+/// transient fault site is probed `MAX_RETRIES + 1` times in total).
+pub(crate) const MAX_RETRIES: u32 = 3;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            base_delay: SimDuration::from_micros(100),
-        }
-    }
-}
+/// Backoff before the first retry; doubles each further retry.
+const BASE_DELAY: SimDuration = SimDuration::from_micros(100);
 
-impl RetryPolicy {
-    /// Backoff charged before retry number `attempt` (0-based):
-    /// `base_delay * 2^attempt`.
-    pub fn delay_for(&self, attempt: u32) -> SimDuration {
-        SimDuration::from_nanos(
-            self.base_delay
-                .as_nanos()
-                .saturating_mul(1u64 << attempt.min(20)),
-        )
-    }
+/// Backoff charged before retry number `attempt` (0-based), on the
+/// simulated clock: `BASE_DELAY * 2^attempt`.
+pub(crate) fn retry_delay(attempt: u32) -> SimDuration {
+    SimDuration::from_nanos(
+        BASE_DELAY
+            .as_nanos()
+            .saturating_mul(1u64 << attempt.min(20)),
+    )
 }
 
 /// Why one functional-pass attempt failed. Transient variants are retried
-/// by the orchestrator's [`RetryPolicy`]; the rest select a recovery path
+/// with bounded backoff; the rest select a recovery path
 /// (quarantine + Vanilla fallback, or shard failover).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AttemptError {
@@ -150,13 +134,10 @@ impl std::error::Error for ShardUnavailable {}
 
 /// Everything a surviving shard needs to rebuild a lost function. Shards
 /// share one seed, so a function's snapshot depends only on
-/// `(seed, function, generation)` — re-registering at the same generation
-/// reproduces it bit-for-bit, and replaying the record at
-/// `recorded_seq` reproduces the REAP artifacts.
+/// `(seed, function)` — re-registering reproduces it bit-for-bit, and
+/// replaying the record at `recorded_seq` reproduces the REAP artifacts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RebuildMeta {
-    /// Snapshot generation to re-register at.
-    pub generation: u64,
     /// Input sequence cursor to resume from.
     pub next_seq: u64,
     /// Input seq of the (latest) record invocation, if the function had
@@ -179,10 +160,10 @@ mod tests {
 
     #[test]
     fn backoff_doubles_per_attempt() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.delay_for(0), SimDuration::from_micros(100));
-        assert_eq!(p.delay_for(1), SimDuration::from_micros(200));
-        assert_eq!(p.delay_for(2), SimDuration::from_micros(400));
+        assert_eq!(MAX_RETRIES, 3);
+        assert_eq!(retry_delay(0), SimDuration::from_micros(100));
+        assert_eq!(retry_delay(1), SimDuration::from_micros(200));
+        assert_eq!(retry_delay(2), SimDuration::from_micros(400));
     }
 
     #[test]

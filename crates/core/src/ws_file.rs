@@ -14,7 +14,7 @@
 //! other magic — the retired one-offset-per-page format included — is
 //! [`WsError::BadMagic`].
 
-use guest_mem::{coalesce_ordered, PageIdx, PageRun, PAGE_SIZE};
+use guest_mem::{PageIdx, PageRun, PAGE_SIZE};
 use sim_storage::fault::retry_idempotent;
 use sim_storage::{FileId, FileStore, StorageError};
 use std::fmt;
@@ -179,12 +179,6 @@ fn try_write_reap_files_runs(
     Ok(files)
 }
 
-/// Writes the trace + WS files for `trace` (recorded fault order),
-/// coalescing adjacent pages into extents first.
-pub fn write_reap_files(fs: &FileStore, prefix: &str, mem_file: FileId, trace: &[PageIdx]) -> ReapFiles {
-    write_reap_files_runs(fs, prefix, mem_file, &coalesce_ordered(trace.iter().copied()))
-}
-
 /// Validates the fixed header against `magic`; returns the extent count.
 fn parse_header(
     fs: &FileStore,
@@ -266,18 +260,6 @@ pub fn read_trace_runs(fs: &FileStore, trace_file: FileId) -> Result<Vec<PageRun
     read_extents(fs, trace_file, count)
 }
 
-/// Parses a trace file into page indices (fault order).
-///
-/// # Errors
-///
-/// Returns [`WsError`] on magic/length/alignment violations.
-pub fn read_trace_file(fs: &FileStore, trace_file: FileId) -> Result<Vec<PageIdx>, WsError> {
-    Ok(read_trace_runs(fs, trace_file)?
-        .into_iter()
-        .flat_map(|r| r.iter())
-        .collect())
-}
-
 /// The decoded *layout* of a WS file: each extent plus the byte offset
 /// of its page data inside the WS file itself. Fully validated; carries
 /// no page data — consumers read (or borrow) exactly the ranges they
@@ -323,37 +305,6 @@ pub fn read_ws_layout(fs: &FileStore, ws_file: FileId) -> Result<WsLayout, WsErr
     Ok(WsLayout { extents, pages })
 }
 
-/// Parses a WS file into `(extent, contents)` pairs — one
-/// buffer per extent.
-///
-/// # Errors
-///
-/// Returns [`WsError`] on magic/length/alignment/extent violations, and
-/// [`WsError::Io`] when an extent cannot be read.
-fn read_ws_extents(fs: &FileStore, ws_file: FileId) -> Result<Vec<(PageRun, Vec<u8>)>, WsError> {
-    let layout = read_ws_layout(fs, ws_file)?;
-    layout
-        .extents
-        .into_iter()
-        .map(|(run, at)| Ok((run, fs.read(ws_file, at, run.byte_len(), <[u8]>::to_vec)?)))
-        .collect()
-}
-
-/// Parses a WS file into per-page `(page, contents)` pairs.
-///
-/// # Errors
-///
-/// Returns [`WsError`] on magic/length/alignment violations.
-pub fn read_ws_file(fs: &FileStore, ws_file: FileId) -> Result<Vec<(PageIdx, Vec<u8>)>, WsError> {
-    let mut out = Vec::new();
-    for (run, data) in read_ws_extents(fs, ws_file)? {
-        for (i, page) in run.iter().enumerate() {
-            out.push((page, data[i * PAGE_SIZE..(i + 1) * PAGE_SIZE].to_vec()));
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,28 +319,44 @@ mod tests {
         mem
     }
 
+    /// `pages` (fault order) as the coalesced runs the recorder writes.
+    fn runs_of(pages: &[u64]) -> Vec<PageRun> {
+        guest_mem::coalesce_ordered(pages.iter().map(|&p| PageIdx::new(p)))
+    }
+
+    /// Every WS extent's page data equals the memory file's bytes there.
+    fn assert_ws_copies_mem(fs: &FileStore, ws_file: FileId, mem: FileId) {
+        for (run, at) in read_ws_layout(fs, ws_file).unwrap().extents {
+            let got = fs
+                .read(ws_file, at, run.byte_len(), <[u8]>::to_vec)
+                .unwrap();
+            let want = fs
+                .read(mem, run.file_offset(), run.byte_len(), <[u8]>::to_vec)
+                .unwrap();
+            assert_eq!(got, want, "extent {run} contents");
+        }
+    }
+
     #[test]
     fn round_trip_preserves_order_and_contents() {
         let fs = FileStore::new();
         let pages = [5u64, 2, 9, 100, 3];
         let mem = mem_with_pages(&fs, &pages);
-        let trace: Vec<PageIdx> = pages.iter().map(|&p| PageIdx::new(p)).collect();
-        let files = write_reap_files(&fs, "snap", mem, &trace);
+        let runs = runs_of(&pages);
+        let files = write_reap_files_runs(&fs, "snap", mem, &runs);
         assert_eq!(files.pages, 5);
         assert_eq!(files.extents, 5, "no adjacent pages in this order");
 
-        let trace_back = read_trace_file(&fs, files.trace_file).unwrap();
-        assert_eq!(trace_back, trace, "fault order preserved");
-
-        let ws = read_ws_file(&fs, files.ws_file).unwrap();
-        assert_eq!(ws.len(), 5);
-        for (i, (page, data)) in ws.iter().enumerate() {
-            assert_eq!(*page, trace[i]);
-            let expect = fs
-                .read(mem, page.file_offset(), PAGE_SIZE as u64, <[u8]>::to_vec)
-                .unwrap();
-            assert_eq!(data, &expect, "page {page} contents");
-        }
+        assert_eq!(
+            read_trace_runs(&fs, files.trace_file).unwrap(),
+            runs,
+            "fault order preserved"
+        );
+        let layout = read_ws_layout(&fs, files.ws_file).unwrap();
+        assert_eq!(layout.pages, 5);
+        let ws_runs: Vec<PageRun> = layout.extents.iter().map(|&(run, _)| run).collect();
+        assert_eq!(ws_runs, runs);
+        assert_ws_copies_mem(&fs, files.ws_file, mem);
     }
 
     #[test]
@@ -397,8 +364,7 @@ mod tests {
         let fs = FileStore::new();
         let pages = [10u64, 11, 12, 40, 41, 7];
         let mem = mem_with_pages(&fs, &pages);
-        let trace: Vec<PageIdx> = pages.iter().map(|&p| PageIdx::new(p)).collect();
-        let files = write_reap_files(&fs, "snap", mem, &trace);
+        let files = write_reap_files_runs(&fs, "snap", mem, &runs_of(&pages));
         assert_eq!(files.pages, 6);
         assert_eq!(files.extents, 3, "10-12, 40-41, 7");
         assert_eq!(
@@ -409,29 +375,15 @@ mod tests {
                 PageRun::new(PageIdx::new(7), 1)
             ]
         );
-        // Expanded view matches the original fault order.
-        assert_eq!(read_trace_file(&fs, files.trace_file).unwrap(), trace);
-        // Extent-shaped WS parse hands back one buffer per extent with the
-        // right contents.
-        let extents = read_ws_extents(&fs, files.ws_file).unwrap();
-        assert_eq!(extents.len(), 3);
-        for (run, data) in &extents {
-            assert_eq!(data.len() as u64, run.byte_len());
-            for (i, page) in run.iter().enumerate() {
-                let expect = fs
-                    .read(mem, page.file_offset(), PAGE_SIZE as u64, <[u8]>::to_vec)
-                    .unwrap();
-                assert_eq!(&data[i * PAGE_SIZE..(i + 1) * PAGE_SIZE], &expect[..]);
-            }
-        }
+        assert_eq!(read_ws_layout(&fs, files.ws_file).unwrap().extents.len(), 3);
+        assert_ws_copies_mem(&fs, files.ws_file, mem);
     }
 
     #[test]
     fn sizes_are_exact() {
         let fs = FileStore::new();
         let mem = mem_with_pages(&fs, &[1, 2]);
-        let trace = vec![PageIdx::new(1), PageIdx::new(2)];
-        let files = write_reap_files(&fs, "s", mem, &trace);
+        let files = write_reap_files_runs(&fs, "s", mem, &runs_of(&[1, 2]));
         assert_eq!(fs.len(files.ws_file), files.ws_bytes());
         assert_eq!(fs.len(files.trace_file), files.trace_bytes());
         assert_eq!(files.extents, 1);
@@ -442,9 +394,11 @@ mod tests {
     fn empty_trace_round_trips() {
         let fs = FileStore::new();
         let mem = fs.create("m");
-        let files = write_reap_files(&fs, "s", mem, &[]);
-        assert_eq!(read_trace_file(&fs, files.trace_file).unwrap(), vec![]);
-        assert!(read_ws_file(&fs, files.ws_file).unwrap().is_empty());
+        let files = write_reap_files_runs(&fs, "s", mem, &[]);
+        assert_eq!(read_trace_runs(&fs, files.trace_file).unwrap(), vec![]);
+        let layout = read_ws_layout(&fs, files.ws_file).unwrap();
+        assert!(layout.extents.is_empty());
+        assert_eq!(layout.pages, 0);
     }
 
     #[test]
@@ -453,8 +407,7 @@ mod tests {
         // digit; a file carrying it is not parsed, whatever follows.
         let fs = FileStore::new();
         let mem = mem_with_pages(&fs, &[8, 9, 3]);
-        let trace = vec![PageIdx::new(8), PageIdx::new(9), PageIdx::new(3)];
-        let files = write_reap_files(&fs, "s", mem, &trace);
+        let files = write_reap_files_runs(&fs, "s", mem, &runs_of(&[8, 9, 3]));
         fs.write_at(files.trace_file, 7, b"1").unwrap();
         fs.write_at(files.ws_file, 7, b"1").unwrap();
         assert_eq!(read_trace_runs(&fs, files.trace_file), Err(WsError::BadMagic));
@@ -466,29 +419,29 @@ mod tests {
         let fs = FileStore::new();
         let f = fs.create("junk");
         fs.write_at(f, 0, b"NOTMAGIC\0\0\0\0\0\0\0\0").unwrap();
-        assert_eq!(read_trace_file(&fs, f), Err(WsError::BadMagic));
-        assert_eq!(read_ws_file(&fs, f), Err(WsError::BadMagic));
+        assert_eq!(read_trace_runs(&fs, f), Err(WsError::BadMagic));
+        assert_eq!(read_ws_layout(&fs, f), Err(WsError::BadMagic));
     }
 
     #[test]
     fn truncation_detected() {
         let fs = FileStore::new();
         let mem = mem_with_pages(&fs, &[1]);
-        let files = write_reap_files(&fs, "s", mem, &[PageIdx::new(1)]);
+        let files = write_reap_files_runs(&fs, "s", mem, &runs_of(&[1]));
         fs.set_len(files.ws_file, 100).unwrap();
         assert!(matches!(
-            read_ws_file(&fs, files.ws_file),
+            read_ws_layout(&fs, files.ws_file),
             Err(WsError::Truncated { .. })
         ));
         fs.set_len(files.trace_file, 17).unwrap();
         assert!(matches!(
-            read_trace_file(&fs, files.trace_file),
+            read_trace_runs(&fs, files.trace_file),
             Err(WsError::Truncated { .. })
         ));
         let tiny = fs.create("tiny");
         fs.write_at(tiny, 0, b"ab").unwrap();
         assert!(matches!(
-            read_trace_file(&fs, tiny),
+            read_trace_runs(&fs, tiny),
             Err(WsError::Truncated { .. })
         ));
     }
@@ -497,12 +450,11 @@ mod tests {
     fn v2_ws_data_truncation_detected() {
         let fs = FileStore::new();
         let mem = mem_with_pages(&fs, &[1, 2, 3]);
-        let trace = vec![PageIdx::new(1), PageIdx::new(2), PageIdx::new(3)];
-        let files = write_reap_files(&fs, "s", mem, &trace);
+        let files = write_reap_files_runs(&fs, "s", mem, &runs_of(&[1, 2, 3]));
         // Keep the extent table intact but drop half the page data.
         fs.set_len(files.ws_file, files.ws_bytes() - 2 * PAGE_SIZE as u64).unwrap();
         assert!(matches!(
-            read_ws_extents(&fs, files.ws_file),
+            read_ws_layout(&fs, files.ws_file),
             Err(WsError::Truncated { .. })
         ));
     }
@@ -517,7 +469,7 @@ mod tests {
         put_u64(&mut buf, 16, 123); // not page aligned
         put_u64(&mut buf, 24, 1);
         fs.write_at(f, 0, &buf).unwrap();
-        assert_eq!(read_trace_file(&fs, f), Err(WsError::MisalignedOffset(123)));
+        assert_eq!(read_trace_runs(&fs, f), Err(WsError::MisalignedOffset(123)));
     }
 
     #[test]
@@ -539,7 +491,7 @@ mod tests {
         buf[..8].copy_from_slice(WS_MAGIC);
         fs.write_at(w, 0, &buf).unwrap();
         assert_eq!(
-            read_ws_extents(&fs, w),
+            read_ws_layout(&fs, w),
             Err(WsError::EmptyExtent(5 * PAGE_SIZE as u64))
         );
     }
@@ -606,15 +558,13 @@ mod tests {
     fn rerecord_replaces_files() {
         let fs = FileStore::new();
         let mem = mem_with_pages(&fs, &[1, 2, 3]);
-        let first = write_reap_files(&fs, "s", mem, &[PageIdx::new(1)]);
-        let second = write_reap_files(
-            &fs,
-            "s",
-            mem,
-            &[PageIdx::new(2), PageIdx::new(3)],
-        );
+        let first = write_reap_files_runs(&fs, "s", mem, &runs_of(&[1]));
+        let second = write_reap_files_runs(&fs, "s", mem, &runs_of(&[2, 3]));
         assert_eq!(first.trace_file, second.trace_file, "same path, same id");
-        assert_eq!(read_trace_file(&fs, second.trace_file).unwrap().len(), 2);
+        assert_eq!(
+            read_trace_runs(&fs, second.trace_file).unwrap(),
+            runs_of(&[2, 3])
+        );
     }
 
     #[test]

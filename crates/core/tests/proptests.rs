@@ -1,12 +1,12 @@
 //! Property tests for REAP's file formats and the timeline invariants.
 
-use guest_mem::{PageIdx, PAGE_SIZE};
+use guest_mem::{coalesce_ordered, PageIdx, PageRun, PAGE_SIZE};
 use proptest::prelude::*;
 use sim_core::{SimDuration, SimTime};
 use sim_storage::{Disk, FileStore};
 use vhive_core::{
-    read_trace_file, read_trace_runs, read_ws_file, write_reap_files,
-    InstanceProgram, Phase, TimedStep, Timeline,
+    read_trace_runs, read_ws_layout, write_reap_files_runs, InstanceProgram, Phase, TimedStep,
+    Timeline,
 };
 
 proptest! {
@@ -28,23 +28,25 @@ proptest! {
             fs.write_at(mem, p * PAGE_SIZE as u64, &data).unwrap();
         }
         let trace: Vec<PageIdx> = pages.iter().map(|&p| PageIdx::new(p)).collect();
-        let files = write_reap_files(&fs, "t", mem, &trace);
+        let files = write_reap_files_runs(&fs, "t", mem, &coalesce_ordered(trace.iter().copied()));
         prop_assert_eq!(files.pages, trace.len() as u64);
         prop_assert!(files.extents <= files.pages, "coalescing never grows");
 
-        let trace_back = read_trace_file(&fs, files.trace_file).unwrap();
-        prop_assert_eq!(&trace_back, &trace);
-        // The run view expands to the same fault order.
+        // The trace's runs expand to the same fault order.
         let runs = read_trace_runs(&fs, files.trace_file).unwrap();
         let expanded: Vec<PageIdx> = runs.iter().flat_map(|r| r.iter()).collect();
         prop_assert_eq!(&expanded, &trace);
 
-        let ws = read_ws_file(&fs, files.ws_file).unwrap();
-        prop_assert_eq!(ws.len(), trace.len());
-        for (i, (page, data)) in ws.iter().enumerate() {
-            prop_assert_eq!(*page, trace[i]);
-            let expect = fs.read(mem, page.file_offset(), PAGE_SIZE as u64, <[u8]>::to_vec).unwrap();
-            prop_assert_eq!(data, &expect);
+        // The WS file holds the same runs, each with the memory file's
+        // bytes for it.
+        let layout = read_ws_layout(&fs, files.ws_file).unwrap();
+        prop_assert_eq!(layout.pages, trace.len() as u64);
+        let ws_runs: Vec<PageRun> = layout.extents.iter().map(|&(run, _)| run).collect();
+        prop_assert_eq!(&ws_runs, &runs);
+        for (run, at) in layout.extents {
+            let data = fs.read(files.ws_file, at, run.byte_len(), <[u8]>::to_vec).unwrap();
+            let expect = fs.read(mem, run.file_offset(), run.byte_len(), <[u8]>::to_vec).unwrap();
+            prop_assert_eq!(data, expect);
         }
     }
 
@@ -53,11 +55,11 @@ proptest! {
     fn ws_header_corruption_detected(byte in 0usize..8, value in 0u8..255) {
         let fs = FileStore::new();
         let mem = fs.create("mem");
-        let files = write_reap_files(&fs, "t", mem, &[PageIdx::new(1)]);
+        let files = write_reap_files_runs(&fs, "t", mem, &[PageRun::single(PageIdx::new(1))]);
         let original = fs.read(files.ws_file, byte as u64, 1, |b| b[0]).unwrap();
         prop_assume!(original != value);
         fs.write_at(files.ws_file, byte as u64, &[value]).unwrap();
-        prop_assert!(read_ws_file(&fs, files.ws_file).is_err());
+        prop_assert!(read_ws_layout(&fs, files.ws_file).is_err());
     }
 
     /// Timeline: total latency always equals the sum of phase durations,

@@ -97,8 +97,8 @@
 //!
 //! Every index entry records the backing file's content generation at
 //! load time and re-validates it on each lookup: a rewritten file
-//! (re-record, `pad_working_set`, snapshot re-generation — anything that
-//! mutates bytes) makes all of its cached extents misses automatically,
+//! (re-register, re-record, `pad_working_set` — anything that mutates
+//! bytes) makes all of its cached extents misses automatically,
 //! so a stale byte can never be served even if a
 //! caller forgets to invalidate. The load path re-checks the generation
 //! *after* reading the store too, so a rewrite landing mid-read can
@@ -658,8 +658,8 @@ impl SnapshotFrameCache {
             .map(|&(_, idx)| inner.entry(idx).bytes.clone())
     }
 
-    /// Drops every cached extent of `file` (re-record, padding and
-    /// snapshot re-generation rewrite artifacts in place; generation
+    /// Drops every cached extent of `file` (re-register, re-record and
+    /// padding rewrite snapshot files and artifacts in place; generation
     /// validation already makes the old bytes unservable — this releases
     /// their memory too). Content shared with other files' extents stays
     /// as long as those mappings live. Returns the number of index

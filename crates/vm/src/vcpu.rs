@@ -18,7 +18,7 @@
 //! counters; per-page fault costs in the timed pass) is unchanged.
 
 use functionbench::GuestOp;
-use guest_mem::{FaultEvent, GuestMemory, MemError, PageBitmap, PageRun, Uffd, PAGE_SIZE};
+use guest_mem::{FaultEvent, GuestMemory, MemError, PageRun, Uffd, PAGE_SIZE};
 use sim_core::SimDuration;
 
 /// One entry of the timed trace consumed by the latency simulation.
@@ -50,8 +50,6 @@ pub struct ExecutionTrace {
     pub uffd_faults: u64,
     /// Anonymous-memory minor faults.
     pub minor_faults: u64,
-    /// Distinct pages the stream touched.
-    pub pages_touched: u64,
     /// Total guest compute in the stream.
     pub compute: SimDuration,
 }
@@ -113,7 +111,6 @@ pub trait FaultHandler {
 /// host I/O.
 pub fn run_resident(ops: &[GuestOp], memory: &mut GuestMemory, content_label: u64) -> ExecutionTrace {
     let mut trace = ExecutionTrace::default();
-    let mut touched = PageBitmap::new(memory.num_pages());
     for op in ops {
         match op {
             GuestOp::Compute(d) => {
@@ -122,7 +119,6 @@ pub fn run_resident(ops: &[GuestOp], memory: &mut GuestMemory, content_label: u6
             }
             GuestOp::Touch(chunk) => {
                 let window = PageRun::new(chunk.start, chunk.pages);
-                touched.set_run(window);
                 let mut installed = 0u64;
                 let mut cursor = window.first;
                 while let Some(missing) = memory.next_missing_run(cursor, window) {
@@ -147,7 +143,6 @@ pub fn run_resident(ops: &[GuestOp], memory: &mut GuestMemory, content_label: u6
             }
         }
     }
-    trace.pages_touched = touched.count();
     trace
 }
 
@@ -161,7 +156,6 @@ pub fn run_resident(ops: &[GuestOp], memory: &mut GuestMemory, content_label: u6
 /// hang forever on real hardware.
 pub fn run_lazy(ops: &[GuestOp], uffd: &mut Uffd, handler: &mut dyn FaultHandler) -> ExecutionTrace {
     let mut trace = ExecutionTrace::default();
-    let mut touched = PageBitmap::new(uffd.memory().num_pages());
     for op in ops {
         match op {
             GuestOp::Compute(d) => {
@@ -170,7 +164,6 @@ pub fn run_lazy(ops: &[GuestOp], uffd: &mut Uffd, handler: &mut dyn FaultHandler
             }
             GuestOp::Touch(chunk) => {
                 let window = PageRun::new(chunk.start, chunk.pages);
-                touched.set_run(window);
                 let mut cursor = window.first;
                 while let Some(missing) = uffd.next_missing_run(cursor, window) {
                     let ev = uffd.raise_run(missing);
@@ -189,7 +182,6 @@ pub fn run_lazy(ops: &[GuestOp], uffd: &mut Uffd, handler: &mut dyn FaultHandler
             }
         }
     }
-    trace.pages_touched = touched.count();
     trace
 }
 
@@ -222,7 +214,6 @@ mod tests {
         let mut mem = GuestMemory::new(16 * 4096);
         let trace = run_resident(&ops(), &mut mem, 99);
         assert_eq!(trace.minor_faults, 4, "pages 0..=3 populated once");
-        assert_eq!(trace.pages_touched, 4);
         assert_eq!(trace.uffd_faults, 0);
         assert_eq!(trace.compute, SimDuration::from_millis(3));
         assert_eq!(mem.resident_pages(), 4);
@@ -255,7 +246,6 @@ mod tests {
         let mut uffd = Uffd::register(mem, 0x7000_0000_0000);
         let trace = run_lazy(&ops(), &mut uffd, &mut ZeroFill);
         assert_eq!(trace.uffd_faults, 4);
-        assert_eq!(trace.pages_touched, 4);
         assert_eq!(trace.minor_faults, 0);
         assert_eq!(uffd.stats().wakes, 4);
         // The two chunks produced one coalesced run each: [0..3) and [3..4).

@@ -5,7 +5,7 @@ use functionbench::FunctionId;
 use guest_mem::PAGE_SIZE;
 use microvm::{MicroVm, Snapshot, VmConfig};
 use vhive_core::{
-    read_trace_file, read_ws_file, ColdPolicy, Monitor, MonitorMode, Orchestrator, PrefetchError,
+    read_trace_runs, read_ws_layout, ColdPolicy, Monitor, MonitorMode, Orchestrator, PrefetchError,
     ReapFiles, WsError,
 };
 
@@ -29,7 +29,7 @@ fn corrupt_ws_file_is_rejected() {
     let overlap = WsError::OverlappingExtents(10 * PAGE_SIZE as u64, 12 * PAGE_SIZE as u64);
     for (bytes, expect) in [(b"GARBAGE!".to_vec(), WsError::BadMagic), (overlapping, overlap)] {
         fs.write_at(ws, 0, &bytes).unwrap();
-        assert_eq!(read_ws_file(fs, ws), Err(expect.clone()));
+        assert_eq!(read_ws_layout(fs, ws), Err(expect.clone()));
         // Prefetch refuses it before any install.
         let files = ReapFiles { trace_file: ws, ws_file: ws, pages: 0, extents: 0 };
         let mut vm = snap.restore_shell(fs).unwrap();
@@ -49,7 +49,7 @@ fn truncated_trace_file_is_rejected() {
     let trace = orch.fs().open(&format!("snapshots/{f}/ws_trace")).unwrap();
     orch.fs().set_len(trace, 20).unwrap();
     assert!(matches!(
-        read_trace_file(orch.fs(), trace),
+        read_trace_runs(orch.fs(), trace),
         Err(WsError::Truncated { .. })
     ));
 }
@@ -85,8 +85,8 @@ fn rerecord_replaces_corrupt_working_set() {
     orch.fs().write_at(ws, 0, b"GARBAGE!").unwrap();
     // Re-record overwrites both files in place.
     orch.invoke_record(f);
-    let entries = read_ws_file(orch.fs(), ws).expect("fresh WS file parses");
-    assert!(entries.len() > 1000);
+    let layout = read_ws_layout(orch.fs(), ws).expect("fresh WS file parses");
+    assert!(layout.pages > 1000);
     let reap = orch.invoke_cold(f, ColdPolicy::Reap);
     assert!(reap.prefetched_pages > 1000);
 }
@@ -113,7 +113,7 @@ fn zero_length_ws_file_is_detected() {
     let ws = orch.fs().open(&format!("snapshots/{f}/ws_pages")).unwrap();
     orch.fs().set_len(ws, 0).unwrap();
     assert!(matches!(
-        read_ws_file(orch.fs(), ws),
+        read_ws_layout(orch.fs(), ws),
         Err(WsError::Truncated { .. })
     ));
 }
