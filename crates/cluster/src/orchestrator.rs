@@ -370,9 +370,15 @@ impl ClusterOrchestrator {
         self.metrics.as_ref()
     }
 
-    /// Registers `f` on its home shard (boot + snapshot capture).
+    /// Registers `f` on the shard [`route_of`](Self::route_of) picks
+    /// (boot + snapshot capture). A redeploy replaces `f`'s state, so a
+    /// dead holder's copy is dropped, not rebuilt on the new shard first.
     pub fn register(&mut self, f: FunctionId) -> RegisterInfo {
-        self.holder_mut(f).register(f)
+        let idx = self.route_of(f);
+        if let Some(src) = self.placed.insert(f, idx).filter(|&src| src != idx) {
+            self.shards[src].unregister(f);
+        }
+        self.shards[idx].register(f)
     }
 
     /// Removes `f` from the shard holding it, deleting its files.

@@ -163,6 +163,35 @@ fn redeploy_after_failover_rebuilds_from_the_new_holder() {
     assert_eq!(normalized(&out), normalized(&reference));
 }
 
+/// Redeploying a function whose holder died replaces its state: the
+/// survivor boots and captures it once, as a first deploy would, without
+/// first rebuilding the state the redeploy overwrites.
+#[test]
+fn redeploy_onto_a_dead_holder_registers_without_rebuilding() {
+    let f = FUNCS[0];
+    let plain_register_writes = {
+        let mut fresh = ClusterOrchestrator::new(32, 3);
+        let shard = fresh.route_of(f);
+        let before = fresh.shard(shard).fs().write_calls();
+        fresh.register(f);
+        fresh.shard(shard).fs().write_calls() - before
+    };
+
+    let mut c = prepared_cluster(32, 3);
+    let holder = c.route_of(f);
+    c.fail_shard(holder);
+    let survivor = c.route_of(f);
+    assert_ne!(survivor, holder);
+    let before = c.shard(survivor).fs().write_calls();
+    c.register(f);
+    assert_eq!(
+        c.shard(survivor).fs().write_calls() - before,
+        plain_register_writes
+    );
+    assert_eq!(c.route_of(f), survivor);
+    assert!(!c.has_ws(f), "a redeploy starts without a working set");
+}
+
 #[test]
 fn delegated_single_survives_home_shard_death() {
     let mut r = prepared_cluster(26, 3);

@@ -392,7 +392,7 @@ mod tests {
         let files = m.finish_record("snap/hw");
         assert_eq!((files.pages, files.extents), (5, 1));
         // Installed bytes match the snapshot exactly.
-        microvm::verify_restored(&vm, &snap, &fs).unwrap();
+        microvm::verify_restored_cached(&vm, &snap, &fs, None).unwrap();
     }
 
     #[test]
@@ -405,7 +405,7 @@ mod tests {
         m.handle_fault(vm.uffd_mut(), first).unwrap();
         let ev = fault_on(vm.uffd_mut(), 100);
         m.handle_fault(vm.uffd_mut(), ev).unwrap();
-        let verified = microvm::verify_restored(&vm, &snap, &fs).unwrap();
+        let verified = microvm::verify_restored_cached(&vm, &snap, &fs, None).unwrap();
         assert_eq!(verified, 2);
     }
 
@@ -454,7 +454,7 @@ mod tests {
         assert_eq!(st.residual_after_prefetch, 1);
         assert_eq!(st.prefetched, 4);
         assert_eq!(st.eexist_races, 0);
-        microvm::verify_restored(&vm, &snap, &fs).unwrap();
+        microvm::verify_restored_cached(&vm, &snap, &fs, None).unwrap();
     }
 
     #[test]
@@ -501,7 +501,7 @@ mod tests {
             let mut vm = snap.restore_shell(&fs).unwrap();
             let mut m = Monitor::with_cache(&snap, &fs, MonitorMode::Prefetch, cache);
             let installed = m.prefetch(vm.uffd_mut(), &files).unwrap();
-            let verified = microvm::verify_restored(&vm, &snap, &fs).unwrap();
+            let verified = microvm::verify_restored_cached(&vm, &snap, &fs, None).unwrap();
             (installed, m.stats(), vm.uffd().stats(), verified)
         };
 

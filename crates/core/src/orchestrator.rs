@@ -840,12 +840,10 @@ impl Orchestrator {
 
         if let Some(m) = &self.metrics {
             // Cold instances use a fresh VM, so the instance counters are
-            // exactly this invocation's fault-serve and CoW work.
+            // exactly this invocation's fault-serve and install work.
             let u = vm.uffd().stats();
             m.add("guest_uffd_fault_serves_total", u.faults);
             m.add("guest_uffd_copied_pages_total", u.copies);
-            m.add("guest_uffd_zero_pages_total", u.zero_pages);
-            m.add("guest_cow_breaks_total", vm.memory().cow_breaks());
         }
 
         Ok(FunctionalRun {
@@ -1707,7 +1705,7 @@ mod tests {
     fn pad_working_set_invalidates_stale_cache_entries() {
         // Padding rewrites the WS artifacts in place (same FileIds). A
         // stale cache would alias the old extent bytes at the new
-        // layout's offsets — verify_restored inside the cold start would
+        // layout's offsets — the verify inside the cold start would
         // blow up, and the prefetched count would miss the padding.
         let f = FunctionId::helloworld;
         let mut o = orch_with(f);

@@ -6,9 +6,7 @@
 
 use functionbench::{FunctionId, GuestOp, InputGenerator};
 use guest_mem::{FrameBytes, PageIdx, PageRun, PAGE_SIZE};
-use microvm::{
-    run_lazy, verify_restored, verify_restored_cached, FaultHandler, MicroVm, Snapshot, VmConfig,
-};
+use microvm::{run_lazy, verify_restored_cached, FaultHandler, MicroVm, Snapshot, VmConfig};
 use sim_storage::{FileId, FileStore, SnapshotFrameCache};
 use vhive_core::{read_ws_layout, Monitor, MonitorMode, ReapFiles};
 
@@ -121,16 +119,16 @@ struct Case {
     /// Applied to the stored artifacts before the cold start under test.
     before: fn(&Deployed),
     /// Applied between the cold start's replay and its verify.
-    after: fn(&Deployed, &mut MicroVm),
+    after: fn(&Deployed),
     /// Whether a byte-for-byte verify refuses the result.
     refused: bool,
 }
 
-const CASES: [Case; 7] = [
+const CASES: [Case; 5] = [
     Case {
         name: "intact restore",
         before: |_| {},
-        after: |_, _| {},
+        after: |_| {},
         refused: false,
     },
     // The WS parser does not checksum page data, so the wrong bytes are
@@ -138,7 +136,7 @@ const CASES: [Case; 7] = [
     Case {
         name: "byte flipped in a WS extent's data",
         before: |d| d.flip_stored_byte(d.reap.ws_file, d.victim().1 + 17),
-        after: |_, _| {},
+        after: |_| {},
         refused: true,
     },
     // A generation bump under an aliased extent: the cached expectation
@@ -146,13 +144,13 @@ const CASES: [Case; 7] = [
     Case {
         name: "memory file rewritten between prefetch and verify",
         before: |_| {},
-        after: |d, _| d.flip_stored_byte(d.snap.mem_file, d.victim().0.file_offset() + 5),
+        after: |d| d.flip_stored_byte(d.snap.mem_file, d.victim().0.file_offset() + 5),
         refused: true,
     },
     Case {
         name: "memory file rewritten with the same bytes",
         before: |_| {},
-        after: |d, _| {
+        after: |d| {
             let (run, _) = d.big_extent();
             let (at, len) = (run.file_offset(), run.byte_len());
             let same = d.fs.read(d.snap.mem_file, at, len, <[u8]>::to_vec).unwrap();
@@ -160,35 +158,11 @@ const CASES: [Case; 7] = [
         },
         refused: false,
     },
-    // A guest write breaks CoW: the page is private, whatever it aliased.
-    Case {
-        name: "aliased page overwritten through GuestMemory::write",
-        before: |_| {},
-        after: |d, vm| {
-            let at = d.victim().0.base_addr().add(9);
-            let mem = vm.uffd_mut().memory_mut();
-            let byte = mem.read(at, 1).unwrap()[0];
-            mem.write(at, &[byte ^ 0xFF]).unwrap();
-        },
-        refused: true,
-    },
-    Case {
-        name: "aliased page rewritten in place with its own bytes",
-        before: |_| {},
-        after: |d, vm| {
-            let at = d.victim().0.base_addr();
-            let mem = vm.uffd_mut().memory_mut();
-            let same = mem.read(at, PAGE_SIZE as u64).unwrap();
-            mem.write(at, &same).unwrap();
-            assert_eq!(mem.cow_breaks(), 1);
-        },
-        refused: false,
-    },
     // Reads past EOF are zeros, in every arm.
     Case {
         name: "memory file truncated mid-run",
         before: |_| {},
-        after: |d, _| {
+        after: |d| {
             d.fs.set_len(d.snap.mem_file, d.victim().0.file_offset()).unwrap();
         },
         refused: true,
@@ -212,10 +186,10 @@ fn identity_never_grants_what_bytes_would_refuse() {
             );
 
             (case.before)(&d);
-            let mut vm = d.reap_cold_start(2, &cache);
-            (case.after)(&d, &mut vm);
+            let vm = d.reap_cold_start(2, &cache);
+            (case.after)(&d);
 
-            let uncached = verify_restored(&vm, &d.snap, &d.fs);
+            let uncached = verify_restored_cached(&vm, &d.snap, &d.fs, None);
             let cold = SnapshotFrameCache::new();
             let on_cold_cache = verify_restored_cached(&vm, &d.snap, &d.fs, Some(&cold));
             let on_warm_cache = verify_restored_cached(&vm, &d.snap, &d.fs, Some(&cache));

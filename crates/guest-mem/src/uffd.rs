@@ -17,8 +17,10 @@
 //! every later file offset by subtraction (§5.2.1); [`Uffd::inject_first_fault`]
 //! models exactly that handshake.
 //!
-//! Besides the per-page API, the channel exposes a *run-length batched*
-//! path ([`Uffd::next_missing_run`], [`Uffd::raise_run`], [`Uffd::copy_run`],
+//! Besides the per-page API ([`Uffd::touch_page`], [`Uffd::poll`],
+//! [`Uffd::copy`], [`Uffd::wake`]), which the tests keep as the reference,
+//! the channel exposes a *run-length batched* path
+//! ([`Uffd::next_missing_run`], [`Uffd::raise_run`], [`Uffd::copy_run`],
 //! [`Uffd::wake_run`]) that serves a whole [`PageRun`] of consecutive
 //! faults with one residency scan and one install, while keeping
 //! [`UffdStats`] arithmetically identical to the per-page path.
@@ -66,8 +68,6 @@ pub struct UffdStats {
     pub copies: u64,
     /// Installs that hit an already-resident page (EEXIST).
     pub copy_eexist: u64,
-    /// `UFFDIO_ZEROPAGE` installs.
-    pub zero_pages: u64,
     /// vCPU wake-ups.
     pub wakes: u64,
 }
@@ -338,25 +338,6 @@ impl Uffd {
         }
     }
 
-    /// Monitor-side `UFFDIO_ZEROPAGE`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`copy`](Self::copy).
-    pub fn zeropage(&mut self, page: PageIdx) -> Result<(), MemError> {
-        match self.mem.install_zero_page(page) {
-            Ok(()) => {
-                self.stats.zero_pages += 1;
-                Ok(())
-            }
-            Err(e @ MemError::AlreadyResident(_)) => {
-                self.stats.copy_eexist += 1;
-                Err(e)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
     /// Monitor-side: wakes the faulting vCPU (`UFFDIO_WAKE`). The monitor
     /// may install any number of pages before waking (§5.2 — REAP installs
     /// the whole working set, then wakes once).
@@ -439,15 +420,6 @@ mod tests {
             .map(|ev| (ev.host_vaddr - 0x7f00_0000_0000) / 4096)
             .collect();
         assert_eq!(order, vec![5, 2, 9]);
-    }
-
-    #[test]
-    fn zeropage_counts() {
-        let mut u = setup();
-        u.zeropage(PageIdx::new(7)).unwrap();
-        assert_eq!(u.stats().zero_pages, 1);
-        assert!(u.zeropage(PageIdx::new(7)).is_err());
-        assert_eq!(u.stats().copy_eexist, 1);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! original per-page semantics.
 
 use guest_mem::{
-    fnv1a64, GuestAddr, GuestMemory, MemError, PageBitmap, PageIdx, PageRun, TouchOutcome, Uffd,
-    PAGE_SIZE,
+    fnv1a64, GuestMemory, MemError, PageBitmap, PageIdx, PageRun, TouchOutcome, Uffd, PAGE_SIZE,
 };
 use proptest::prelude::*;
 
@@ -163,21 +162,6 @@ proptest! {
             prop_assert_eq!(mem.page_bytes(PageIdx::new(p)).unwrap(), &expect[..]);
             prop_assert_eq!(mem.page_checksum(PageIdx::new(p)).unwrap(), fnv1a64(&expect));
         }
-    }
-
-    /// Reads spanning arbitrary resident ranges return exactly what writes
-    /// put there.
-    #[test]
-    fn write_read_any_span(
-        offset in 0u64..(8 * PAGE_SIZE as u64 - 512),
-        data in proptest::collection::vec(any::<u8>(), 1..512),
-    ) {
-        let mut mem = GuestMemory::new(8 * PAGE_SIZE as u64);
-        for p in 0..8 {
-            mem.install_zero_page(PageIdx::new(p)).unwrap();
-        }
-        mem.write(GuestAddr::new(offset), &data).unwrap();
-        prop_assert_eq!(mem.read(GuestAddr::new(offset), data.len() as u64).unwrap(), data);
     }
 
     /// The uffd fault/copy protocol always converges: touching any page

@@ -67,7 +67,6 @@ pub struct Disk {
     latency_stage: MultiServer,
     bus: MultiServer,
     cache: PageCache,
-    readahead_pages: u64,
     /// Per-page CPU cost of the buffered read path (page-cache allocation +
     /// copy-to-user); calibrated so a buffered 8 MB read lands at the
     /// paper's ≈275 MB/s.
@@ -87,7 +86,6 @@ impl Disk {
             latency_stage: MultiServer::new("disk-latency", profile.channels),
             bus: MultiServer::new("disk-bus", 1),
             cache: PageCache::host_default(),
-            readahead_pages: Self::readahead_for(profile.kind),
             page_path_cost: SimDuration::from_nanos(9_200),
             hit_cost: SimDuration::from_micros(2),
             direct_setup_cost: SimDuration::from_micros(5),
@@ -106,7 +104,7 @@ impl Disk {
         Disk::new(DeviceProfile::hdd_7200rpm())
     }
 
-    /// Creates a disk with the device-appropriate readahead window.
+    /// The device-appropriate readahead window in pages.
     fn readahead_for(kind: crate::device::DiskKind) -> u64 {
         match kind {
             // 128 KB, the Linux default.
@@ -123,16 +121,6 @@ impl Disk {
     /// Device profile in use.
     pub fn profile(&self) -> &DeviceProfile {
         &self.profile
-    }
-
-    /// Overrides the readahead window (in pages). `0` disables readahead.
-    pub fn set_readahead_pages(&mut self, pages: u64) {
-        self.readahead_pages = pages;
-    }
-
-    /// Current readahead window in pages.
-    pub fn readahead_pages(&self) -> u64 {
-        self.readahead_pages
     }
 
     fn latency_of(&self, access: Access) -> SimDuration {
@@ -159,7 +147,8 @@ impl Disk {
                 device_bytes: 0,
             };
         }
-        let cluster_end = (page + self.readahead_pages.max(1)).min(file_pages.max(page + 1));
+        let readahead = Self::readahead_for(self.profile.kind);
+        let cluster_end = (page + readahead).min(file_pages.max(page + 1));
         let cluster_pages = cluster_end - page;
         let cluster_bytes = cluster_pages * PAGE_SIZE;
 
@@ -310,16 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn readahead_disabled_reads_single_page() {
-        let (mut d, f) = setup();
-        d.set_readahead_pages(0);
-        let out = d.fault_read_page(SimTime::ZERO, f, 5, 1000);
-        assert_eq!(out.device_bytes, PAGE_SIZE);
-        let next = d.fault_read_page(out.ready, f, 6, 1000);
-        assert!(!next.cache_hit, "no readahead, adjacent page misses");
-    }
-
-    #[test]
     fn direct_large_read_near_peak_bandwidth() {
         let (mut d, f) = setup();
         let len = 8 * 1024 * 1024u64;
@@ -403,10 +382,10 @@ mod tests {
     #[test]
     fn concurrent_faults_overlap_in_channels() {
         let (mut d, f) = setup();
-        d.set_readahead_pages(0);
-        // Eleven concurrent single-page faults: all finish ~at the same time.
+        // Eleven concurrent single-page faults (each page ends its file, so
+        // readahead adds nothing): all finish ~at the same time.
         let outs: Vec<ReadOutcome> = (0..11)
-            .map(|i| d.fault_read_page(SimTime::ZERO, f, i * 1000, 16384))
+            .map(|i| d.fault_read_page(SimTime::ZERO, f, i * 1000, i * 1000 + 1))
             .collect();
         let first = outs[0].ready;
         let last = outs.last().unwrap().ready;

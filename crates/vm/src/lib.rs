@@ -14,7 +14,7 @@
 //!
 //! The functional layer is real: booted pages hold deterministic,
 //! checksummable contents; snapshot files capture those exact bytes;
-//! [`snapshot::verify_restored`] proves restoration is lossless.
+//! [`snapshot::verify_restored_cached`] proves restoration is lossless.
 
 pub mod boot;
 pub mod snapshot;
@@ -23,9 +23,7 @@ pub mod vm;
 pub mod vmm;
 
 pub use boot::BootCostModel;
-pub use snapshot::{
-    verify_restored, verify_restored_cached, verify_restored_tracked, RestoreError, Snapshot,
-};
+pub use snapshot::{verify_restored_cached, verify_restored_tracked, RestoreError, Snapshot};
 pub use vcpu::{run_lazy, run_resident, ExecutionTrace, FaultHandler, TimedOp};
 pub use vm::{GuestShell, MicroVm, VmConfig};
 pub use vmm::VmmState;

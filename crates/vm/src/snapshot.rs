@@ -167,26 +167,19 @@ impl Snapshot {
 /// the snapshot's memory file — the functional-correctness check behind
 /// every experiment. Returns the number of pages verified.
 ///
+/// With a shared [`sim_storage::SnapshotFrameCache`], the expected bytes
+/// are served through it: repeat cold starts of the same function verify
+/// the same extents, so the snapshot-file reads collapse to refcount bumps
+/// after the first pass — and a stretch of guest pages that aliases, from
+/// its first page on, the very buffer the cache resolves for that extent
+/// of the *memory file* is verified by identity, without reading a byte.
+/// Everything else (a copied page, an alias that starts mid-buffer,
+/// content that did not deduplicate) is compared page by page. Without a
+/// cache, every page is compared against a read of the memory file.
+///
 /// # Errors
 ///
 /// Returns a description of the first mismatching page.
-pub fn verify_restored(vm: &MicroVm, snapshot: &Snapshot, fs: &FileStore) -> Result<u64, String> {
-    verify_restored_cached(vm, snapshot, fs, None)
-}
-
-/// [`verify_restored`] with the expected bytes optionally served through a
-/// shared [`sim_storage::SnapshotFrameCache`]: repeat cold starts of the
-/// same function verify the same extents, so the snapshot-file reads
-/// collapse to refcount bumps after the first pass — and a stretch of guest
-/// pages that still aliases, from its first page on, the very buffer the
-/// cache resolves for that extent of the *memory file* is verified by
-/// identity, without reading a byte. Everything else (a CoW-broken or
-/// copied page, an alias that starts mid-buffer, content that did not
-/// deduplicate) is compared page by page.
-///
-/// # Errors
-///
-/// As [`verify_restored`].
 pub fn verify_restored_cached(
     vm: &MicroVm,
     snapshot: &Snapshot,
@@ -205,7 +198,7 @@ pub fn verify_restored_cached(
 ///
 /// # Errors
 ///
-/// As [`verify_restored`].
+/// As [`verify_restored_cached`].
 pub fn verify_restored_tracked(
     vm: &MicroVm,
     snapshot: &Snapshot,
@@ -430,7 +423,10 @@ mod tests {
                 same_image((&snap, &fs), (&clean, &clean_fs)),
                 "{kind:?} at op {skip}"
             );
-            assert_eq!(verify_restored(&vm, &snap, &fs), Ok(snap.resident_at_capture));
+            assert_eq!(
+                verify_restored_cached(&vm, &snap, &fs, None),
+                Ok(snap.resident_at_capture)
+            );
         }
     }
 
@@ -466,7 +462,7 @@ mod tests {
         assert!(trace.uffd_faults > 2000, "pyaes ws ~2800 pages");
         assert_eq!(trace.uffd_faults, vm.memory().resident_pages());
         // Every installed page matches the snapshot exactly.
-        let verified = verify_restored(&vm, &snap, &fs).expect("contents must match");
+        let verified = verify_restored_cached(&vm, &snap, &fs, None).expect("contents must match");
         assert_eq!(verified, trace.uffd_faults);
     }
 
@@ -556,7 +552,7 @@ mod tests {
         let runs = vm.memory().resident_runs();
 
         let reads_before = fs.read_calls();
-        let uncached = verify_restored(&vm, &snap, &fs).unwrap();
+        let uncached = verify_restored_cached(&vm, &snap, &fs, None).unwrap();
         assert_eq!(fs.read_calls() - reads_before, runs.len() as u64, "one read per resident run");
         let cache = sim_storage::SnapshotFrameCache::new();
         assert_eq!(verify_restored_cached(&vm, &snap, &fs, Some(&cache)), Ok(uncached));
@@ -568,10 +564,17 @@ mod tests {
         let cut = PageIdx::new(run.first.as_u64() + run.len / 2);
         assert!(vm.memory().page_bytes(cut).unwrap().iter().any(|&b| b != 0));
         fs.set_len(snap.mem_file, cut.file_offset()).unwrap();
-        let err = verify_restored(&vm, &snap, &fs).unwrap_err();
+        let err = verify_restored_cached(&vm, &snap, &fs, None).unwrap_err();
         let zero_page = guest_mem::fnv1a64(&[0u8; PAGE_SIZE]);
         assert!(err.starts_with(&format!("page {cut} differs from snapshot")), "{err}");
         assert!(err.ends_with(&format!("file {zero_page:x})")), "{err}");
+        // The frames here are private copies, so the cache verifies them by
+        // bytes too: its stale extents are re-resolved against the cut file,
+        // and it refuses with exactly the uncached error.
+        assert_eq!(
+            verify_restored_cached(&vm, &snap, &fs, Some(&cache)),
+            Err(err)
+        );
     }
 
     #[test]

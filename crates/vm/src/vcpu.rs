@@ -195,8 +195,7 @@ mod tests {
     impl FaultHandler for ZeroFill {
         fn handle_fault(&mut self, uffd: &mut Uffd, ev: FaultEvent) -> Result<(), MemError> {
             let page = uffd.page_of_fault(ev);
-            uffd.zeropage(page)?;
-            Ok(())
+            uffd.copy(page, &[0u8; PAGE_SIZE])
         }
     }
 
@@ -308,8 +307,7 @@ mod tests {
         impl FaultHandler for Recorder {
             fn handle_fault(&mut self, uffd: &mut Uffd, ev: FaultEvent) -> Result<(), MemError> {
                 self.0.push((ev.host_vaddr, ev.seq));
-                uffd.zeropage(uffd.page_of_fault(ev))?;
-                Ok(())
+                uffd.copy(uffd.page_of_fault(ev), &[0u8; PAGE_SIZE])
             }
         }
         let mem = GuestMemory::new(16 * 4096);
