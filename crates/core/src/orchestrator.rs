@@ -37,7 +37,7 @@ use crate::recovery::{
     retry_delay, AttemptError, RebuildMeta, RecoveryReport, ShardUnavailable, MAX_RETRIES,
 };
 use crate::timeline::Timeline;
-use crate::ws_file::{read_trace_runs, ReapFiles};
+use crate::ws_file::{read_trace_runs, reap_file_names, ReapFiles};
 use vhive_telemetry::{SpanRecord, TelemetrySink};
 
 /// What `register` produced for a function.
@@ -586,15 +586,20 @@ impl Orchestrator {
     }
 
     /// Registers a function: boots it once, pauses, and captures its
-    /// snapshot (the deployment path of §3.1).
+    /// snapshot (the deployment path of §3.1). Guest memory moves rather
+    /// than being copied: a redeploy boots into the arena of the previous
+    /// memory file, taken from the store, and the capture hands the booted
+    /// slab to the new memory file.
     pub fn register(&mut self, f: FunctionId) -> RegisterInfo {
         let config = self.vm_config(f);
-        let (mut vm, boot_trace) = MicroVm::boot(f, config);
+        let slab = self.functions.get(&f).map_or_else(Vec::new, |st| {
+            self.fs.swap_arena(st.snapshot.mem_file, Vec::new())
+        });
+        let (mut vm, boot_trace) = MicroVm::boot_into(f, config, slab);
         let boot_latency = BootCostModel::default().total_latency(&boot_trace);
         let boot_footprint_bytes = vm.footprint_bytes();
         vm.pause();
-        let snapshot = Snapshot::capture(&vm, &self.fs, &format!("snapshots/{f}"));
-        drop(vm); // booted state lives on disk now; free the memory
+        let snapshot = Snapshot::capture_into(vm, &self.fs, &format!("snapshots/{f}"));
         // Re-registering rewrites the snapshot files in place: any frames
         // cached from the previous capture must go.
         self.frame_cache.invalidate_file(snapshot.mem_file);
@@ -622,17 +627,19 @@ impl Orchestrator {
 
     /// Removes a function, deleting its snapshot and REAP files (bounds
     /// the memory the in-RAM file store holds across a long experiment).
+    /// The REAP files go by the names record writes, whether or not the
+    /// current state holds them: a re-register forgets its record but
+    /// leaves the files in the store, where a re-record rewrites them
+    /// under the same ids.
     pub fn unregister(&mut self, f: FunctionId) {
         if let Some(st) = self.functions.remove(&f) {
-            self.fs.delete(st.snapshot.mem_file);
-            self.fs.delete(st.snapshot.vmm_file);
-            self.frame_cache.invalidate_file(st.snapshot.mem_file);
-            self.frame_cache.invalidate_file(st.snapshot.vmm_file);
-            if let Some(reap) = st.reap {
-                self.fs.delete(reap.trace_file);
-                self.fs.delete(reap.ws_file);
-                self.frame_cache.invalidate_file(reap.trace_file);
-                self.frame_cache.invalidate_file(reap.ws_file);
+            let reap = reap_file_names(&format!("snapshots/{f}")).map(|name| self.fs.open(&name));
+            for file in [st.snapshot.mem_file, st.snapshot.vmm_file]
+                .into_iter()
+                .chain(reap.into_iter().flatten())
+            {
+                self.fs.delete(file);
+                self.frame_cache.invalidate_file(file);
             }
         }
     }
@@ -1542,6 +1549,46 @@ mod tests {
         o.unregister(FunctionId::helloworld);
         assert!(o.fs().list().len() < files_before);
         assert!(!o.has_ws(FunctionId::helloworld));
+    }
+
+    #[test]
+    fn unregister_after_a_redeploy_removes_the_old_record() {
+        // A re-register forgets the record; the files it wrote must still
+        // go with the function.
+        let f = FunctionId::helloworld;
+        let mut o = Orchestrator::new(1);
+        o.register(f);
+        o.invoke_record(f);
+        o.register(f);
+        assert!(!o.has_ws(f));
+        o.unregister(f);
+        assert_eq!(o.fs().list(), Vec::<String>::new());
+        assert_eq!(o.fs().total_bytes(), 0);
+    }
+
+    #[test]
+    fn a_redeploy_moves_the_same_bytes_as_the_first_deploy() {
+        // The redeploy boots into the old memory file's arena and hands it
+        // back: the store sees the same writes, bytes and extents.
+        let f = FunctionId::pyaes;
+        let mut o = Orchestrator::new(1);
+        let m = MetricsRegistry::new();
+        o.fs().set_metrics(Some(m.clone()));
+        let deploy = |o: &mut Orchestrator| {
+            let (writes, bytes) = (o.fs().write_calls(), m.counter("storage_write_bytes_total"));
+            o.register(f);
+            let mem_file = o.state(f).snapshot.mem_file;
+            let extents = o.fs().extents(mem_file);
+            (
+                o.fs().write_calls() - writes,
+                m.counter("storage_write_bytes_total") - bytes,
+                extents,
+                o.fs().total_bytes(),
+            )
+        };
+        let first = deploy(&mut o);
+        assert_eq!(deploy(&mut o), first);
+        assert_eq!(first.1, first.3, "every stored byte was metered once");
     }
 
     #[test]

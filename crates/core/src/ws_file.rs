@@ -144,6 +144,11 @@ pub fn write_reap_files_runs(
     try_write_reap_files_runs(fs, prefix, mem_file, runs).unwrap_or_else(|e| panic!("{e}"))
 }
 
+/// The names of the (trace, WS) files a record under `prefix` writes.
+pub(crate) fn reap_file_names(prefix: &str) -> [String; 2] {
+    [format!("{prefix}/ws_trace"), format!("{prefix}/ws_pages")]
+}
+
 /// Fallible twin of [`write_reap_files_runs`]: surfaces storage faults as
 /// typed errors instead of panicking. Transient and torn writes are
 /// reissued ([`retry_idempotent`]: every artifact write is idempotent —
@@ -157,9 +162,10 @@ fn try_write_reap_files_runs(
 ) -> Result<ReapFiles, StorageError> {
     let pages: u64 = runs.iter().map(|r| r.len).sum();
     let extents = runs.len() as u64;
+    let [trace_name, ws_name] = reap_file_names(prefix);
     let files = ReapFiles {
-        trace_file: fs.create(&format!("{prefix}/ws_trace")),
-        ws_file: fs.create(&format!("{prefix}/ws_pages")),
+        trace_file: fs.create(&trace_name),
+        ws_file: fs.create(&ws_name),
         pages,
         extents,
     };

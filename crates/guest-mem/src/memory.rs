@@ -115,11 +115,25 @@ impl GuestMemory {
     ///
     /// Panics if `bytes == 0`.
     pub fn new(bytes: u64) -> Self {
+        GuestMemory::with_slab(bytes, Vec::new())
+    }
+
+    /// [`new`](Self::new), with the frame arena grown in `slab`'s
+    /// allocation: a redeploy boots into the memory its previous snapshot
+    /// held, already faulted in, instead of faulting a fresh one. `slab`'s
+    /// bytes are dropped — every install hands out zeroed frames — only
+    /// its capacity is kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes == 0`.
+    pub fn with_slab(bytes: u64, mut slab: Vec<u8>) -> Self {
         assert!(bytes > 0, "guest memory must be non-empty");
         let pages = bytes.div_ceil(PAGE_SIZE as u64);
+        slab.clear();
         GuestMemory {
             slots: vec![NO_SLOT; pages as usize],
-            arena: Vec::new(),
+            arena: slab,
             shared: Vec::new(),
             resident: PageBitmap::new(pages),
         }
@@ -439,6 +453,50 @@ impl GuestMemory {
         })
     }
 
+    /// Consumes the memory for its frame arena, laid out so that each
+    /// resident run's bytes are one contiguous stretch of it — the move
+    /// half of snapshot capture. Returns the arena and, in ascending page
+    /// order, every chunk [`run_chunks`](Self::run_chunks) yields, each
+    /// with the arena offset its bytes now start at. A run that is one
+    /// private chunk keeps its place, so a booted VM's slab moves without
+    /// a byte copied; any other run (frames installed out of order, or
+    /// shared aliases) is copied chunk by chunk onto the arena's tail,
+    /// where its chunks end up adjacent.
+    pub fn into_slab(mut self) -> (Vec<u8>, Vec<(PageRun, usize)>) {
+        enum Source {
+            Arena(usize),
+            Shared(FrameBytes, usize),
+        }
+        let mut plan = Vec::new();
+        for run in self.resident_runs() {
+            let chunks: Vec<RunChunk<'_>> = self.run_chunks(run).collect();
+            let in_place = matches!(chunks[..], [RunChunk { source: None, .. }]);
+            for chunk in chunks {
+                let from = match chunk.source {
+                    Some((src, off)) => Source::Shared(src.clone(), off as usize * PAGE_SIZE),
+                    None => Source::Arena(
+                        self.slots[chunk.run.first.as_u64() as usize] as usize * PAGE_SIZE,
+                    ),
+                };
+                plan.push((chunk.run, from, in_place));
+            }
+        }
+        let mut arena = std::mem::take(&mut self.arena);
+        let chunks = plan
+            .into_iter()
+            .map(|(run, from, in_place)| {
+                let (tail, len) = (arena.len(), run.byte_len() as usize);
+                match from {
+                    Source::Arena(at) if in_place => return (run, at),
+                    Source::Arena(at) => arena.extend_from_within(at..at + len),
+                    Source::Shared(src, at) => arena.extend_from_slice(&src[at..at + len]),
+                }
+                (run, tail)
+            })
+            .collect();
+        (arena, chunks)
+    }
+
     /// Borrow of a resident page's bytes.
     pub fn page_bytes(&self, page: PageIdx) -> Option<&[u8]> {
         self.frame(page)
@@ -703,6 +761,82 @@ mod tests {
                 (12, 3, Some((false, 3)))
             ]
         );
+    }
+
+    #[test]
+    fn into_slab_keeps_whole_runs_in_place_and_moves_the_rest_to_the_tail() {
+        let mut mem = GuestMemory::new(32 * 4096);
+        // Run 0..2 is one bulk install; run 4..8 is installed out of
+        // order (two chunks); run 10..12 aliases a shared buffer.
+        mem.install_run(
+            PageRun::new(PageIdx::new(0), 2),
+            &[page_of(1), page_of(2)].concat(),
+        )
+        .unwrap();
+        mem.install_run(
+            PageRun::new(PageIdx::new(6), 2),
+            &[page_of(6), page_of(7)].concat(),
+        )
+        .unwrap();
+        mem.install_run(
+            PageRun::new(PageIdx::new(4), 2),
+            &[page_of(4), page_of(5)].concat(),
+        )
+        .unwrap();
+        let src = shared_buf(3, 0xAA);
+        mem.alias_run(PageRun::new(PageIdx::new(10), 2), &src, 1)
+            .unwrap();
+        let image: Vec<(PageRun, Vec<u8>)> = mem
+            .resident_runs()
+            .into_iter()
+            .flat_map(|run| {
+                mem.run_chunks(run)
+                    .map(|c| (c.run, c.bytes.to_vec()))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        let (slab, chunks) = mem.into_slab();
+        let run = |first, len| PageRun::new(PageIdx::new(first), len);
+        let p = PAGE_SIZE;
+        // The whole run stays put; the split and aliased runs land on the
+        // tail with their chunks adjacent, in page order.
+        assert_eq!(
+            chunks,
+            vec![
+                (run(0, 2), 0),
+                (run(4, 2), 6 * p),
+                (run(6, 2), 8 * p),
+                (run(10, 2), 10 * p)
+            ]
+        );
+        assert_eq!(slab.len(), 12 * p);
+        for ((pages, bytes), (chunk, at)) in image.iter().zip(&chunks) {
+            assert_eq!(*pages, *chunk);
+            assert!(slab[*at..*at + bytes.len()] == bytes[..], "{chunk}");
+        }
+        assert_eq!(
+            Arc::strong_count(&src),
+            1,
+            "the aliases went with the memory"
+        );
+    }
+
+    #[test]
+    fn a_recycled_slab_hands_out_zeroed_frames_in_its_own_allocation() {
+        let mut old = GuestMemory::new(8 * 4096);
+        old.install_run(PageRun::new(PageIdx::new(0), 4), &[0xEE; 4 * PAGE_SIZE])
+            .unwrap();
+        let (slab, _) = old.into_slab();
+        let ptr = slab.as_ptr();
+        let mut mem = GuestMemory::with_slab(8 * 4096, slab);
+        assert_eq!(mem.resident_pages(), 0);
+        mem.install_run_with(PageRun::new(PageIdx::new(5), 3), |buf| {
+            assert!(buf.iter().all(|&b| b == 0), "no byte of the old slab shows");
+        })
+        .unwrap();
+        let (slab, chunks) = mem.into_slab();
+        assert_eq!((slab.as_ptr(), slab.len()), (ptr, 3 * PAGE_SIZE));
+        assert_eq!(chunks, vec![(PageRun::new(PageIdx::new(5), 3), 0)]);
     }
 
     #[test]

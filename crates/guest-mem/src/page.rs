@@ -113,20 +113,6 @@ impl From<GuestAddr> for u64 {
     }
 }
 
-/// Iterates over the pages covering the byte range `[addr, addr + len)`.
-///
-/// Returns an empty iterator for `len == 0`.
-pub fn pages_covering(addr: GuestAddr, len: u64) -> impl Iterator<Item = PageIdx> {
-    let first = addr.page().as_u64();
-    let last = if len == 0 {
-        first // empty range below
-    } else {
-        GuestAddr::new(addr.as_u64() + len - 1).page().as_u64()
-    };
-    let end = if len == 0 { first } else { last + 1 };
-    (first..end).map(PageIdx::new)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,23 +140,6 @@ mod tests {
         assert_eq!(PageIdx::new(3).next(), PageIdx::new(4));
         assert_eq!(PageIdx::new(3).add(5), PageIdx::new(8));
         assert_eq!(GuestAddr::new(10).add(6), GuestAddr::new(16));
-    }
-
-    #[test]
-    fn pages_covering_ranges() {
-        let ps: Vec<u64> = pages_covering(GuestAddr::new(0), 1)
-            .map(|p| p.as_u64())
-            .collect();
-        assert_eq!(ps, vec![0]);
-        let ps: Vec<u64> = pages_covering(GuestAddr::new(4000), 200)
-            .map(|p| p.as_u64())
-            .collect();
-        assert_eq!(ps, vec![0, 1]);
-        let ps: Vec<u64> = pages_covering(GuestAddr::new(4096), 8192)
-            .map(|p| p.as_u64())
-            .collect();
-        assert_eq!(ps, vec![1, 2]);
-        assert_eq!(pages_covering(GuestAddr::new(123), 0).count(), 0);
     }
 
     #[test]

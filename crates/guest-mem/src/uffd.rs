@@ -129,6 +129,11 @@ impl Uffd {
         &mut self.mem
     }
 
+    /// Unregisters the region, handing back its memory.
+    pub fn into_memory(self) -> GuestMemory {
+        self.mem
+    }
+
     /// Fault counters.
     pub fn stats(&self) -> UffdStats {
         self.stats

@@ -11,6 +11,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -157,6 +158,18 @@ impl FileData {
         self.extents = packed.into_iter().map(|(k, at, n)| (k, (at, n))).collect();
     }
 
+    /// Points the `n > 0` file bytes at `offset`, where no extent lies, at
+    /// arena bytes `[at, at + n)`: grows the extent that ends at `offset`
+    /// if its bytes end at `at`, else starts one.
+    fn record(&mut self, offset: u64, at: usize, n: usize) {
+        match self.extents.range_mut(..offset).next_back() {
+            Some((&k, (a, len))) if k + *len as u64 == offset && *a + *len == at => *len += n,
+            _ => {
+                self.extents.insert(offset, (at, n));
+            }
+        }
+    }
+
     /// Stores the concatenation of `parts` at `offset`, where no extent
     /// lies: appended to the arena, growing the extent that ends at
     /// `offset` if its bytes end the arena.
@@ -165,16 +178,28 @@ impl FileData {
         if n == 0 {
             return;
         }
-        let arena_end = self.arena.len();
-        match self.extents.range_mut(..offset).next_back() {
-            Some((&k, (at, len))) if k + *len as u64 == offset && *at + *len == arena_end => {
-                *len += n
-            }
-            _ => {
-                self.extents.insert(offset, (arena_end, n));
+        self.record(offset, self.arena.len(), n);
+        sim_core::extend_scatter(&mut self.arena, parts);
+    }
+
+    /// Claims arena bytes `[at, at + n)` in place as the file's bytes at
+    /// `offset` (see [`FileStore::adopt_at`]). The only extent that may
+    /// overlap them is a torn earlier claim of the same bytes; it is
+    /// trimmed off first.
+    fn adopt(&mut self, offset: u64, at: usize, n: usize) {
+        assert!(at + n <= self.arena.len(), "adopted bytes leave the arena");
+        if let Some((&k, (_, len))) = self.extents.range_mut(..=offset).next_back() {
+            if k + *len as u64 > offset {
+                *len = (offset - k) as usize;
             }
         }
-        sim_core::extend_scatter(&mut self.arena, parts);
+        if self.extents.get(&offset).is_some_and(|&(_, len)| len == 0) {
+            self.extents.remove(&offset);
+        }
+        if n > 0 {
+            self.record(offset, at, n);
+        }
+        self.len = self.len.max(offset + n as u64);
     }
 
     /// Writes `bytes` at `offset`: in place inside one extent, else cut
@@ -325,6 +350,28 @@ impl FileStore {
         }
     }
 
+    /// Asks the injector, if attached, about a write of `requested` bytes
+    /// to `id`: `Ok(None)` applies it whole, `Ok(Some(n))` applies only
+    /// an `n`-byte prefix (a torn write), an error applies nothing. Every
+    /// injected fault is counted.
+    fn write_fault(
+        &self,
+        injector: Option<&FaultInjector>,
+        site: &'static str,
+        id: FileId,
+        name: &str,
+        requested: u64,
+    ) -> Result<Option<u64>, StorageError> {
+        let Some(inj) = injector else {
+            return Ok(None);
+        };
+        let fault = inj.on_write(site, id, name, requested);
+        if !matches!(fault, Ok(None)) {
+            self.metric_fault();
+        }
+        fault
+    }
+
     /// Creates an empty store whose [`FileId`]s are drawn from a disjoint
     /// per-namespace range, so handles from stores with *different*
     /// namespaces never compare equal. Cluster shards use one namespace
@@ -429,6 +476,53 @@ impl FileStore {
     /// generation) before failing; retrying the identical call repairs
     /// the file.
     pub fn write_at(&self, id: FileId, offset: u64, bytes: &[u8]) -> Result<(), StorageError> {
+        self.write_with(id, bytes.len() as u64, |fd, n| {
+            fd.write(offset, &bytes[..n])
+        })
+    }
+
+    /// Claims bytes `[arena.start, arena.end)` of the file's own arena, in
+    /// place, as its bytes at `offset` — a [`write_at`](Self::write_at)
+    /// whose bytes are already in the store, so none is copied. A snapshot
+    /// capture hands the guest's frame arena to its memory file with
+    /// [`swap_arena`](Self::swap_arena), then claims each resident run
+    /// with this. It counts, meters, bumps the generation and meets the
+    /// fault plan exactly as a `write_at` of those bytes does, and a
+    /// claim that continues the extent before it, in the file and in the
+    /// arena, grows that extent.
+    ///
+    /// The claimed bytes must be ones no extent points at: this moves
+    /// bytes into the file, it never shares them between two ranges.
+    ///
+    /// # Errors
+    ///
+    /// As [`write_at`](Self::write_at). An injected torn write claims a
+    /// prefix before failing; retrying the identical call claims the
+    /// rest.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range leaves the file's arena.
+    pub fn adopt_at(
+        &self,
+        id: FileId,
+        offset: u64,
+        arena: Range<usize>,
+    ) -> Result<(), StorageError> {
+        self.write_with(id, arena.len() as u64, |fd, n| {
+            fd.adopt(offset, arena.start, n)
+        })
+    }
+
+    /// One counted write of `requested` bytes to `id`: consults the fault
+    /// plan, meters the bytes applied, bumps the generation and has
+    /// `apply` store the first `n` bytes (all of them unless torn).
+    fn write_with(
+        &self,
+        id: FileId,
+        requested: u64,
+        apply: impl FnOnce(&mut FileData, usize),
+    ) -> Result<(), StorageError> {
         self.counters.writes.fetch_add(1, Ordering::Relaxed);
         let injector = self.injector();
         let mut inner = self.inner.write();
@@ -436,32 +530,30 @@ impl FileStore {
             .files
             .get_mut(&id)
             .ok_or(StorageError::DeadFile { op: "write to", id })?;
-        let mut torn: Option<u64> = None;
-        if let Some(inj) = &injector {
-            torn = match inj.on_write("write_at", id, &fd.name, bytes.len() as u64) {
-                Ok(t) => t,
-                Err(e) => {
-                    self.metric_fault();
-                    return Err(e);
-                }
-            };
-            if torn.is_some() {
-                self.metric_fault();
-            }
-        }
-        let requested = bytes.len() as u64;
-        let applied = torn.map_or(bytes.len(), |n| n as usize);
-        self.metric_write(applied as u64);
+        let torn = self.write_fault(injector.as_deref(), "write_at", id, &fd.name, requested)?;
+        let applied = torn.unwrap_or(requested);
+        self.metric_write(applied);
         fd.generation += 1;
-        fd.write(offset, &bytes[..applied]);
-        match torn {
-            Some(written) => Err(StorageError::ShortWrite {
-                id,
-                written,
-                requested,
-            }),
-            None => Ok(()),
-        }
+        apply(fd, applied as usize);
+        torn_result(id, torn, requested)
+    }
+
+    /// Empties the file, as re-[`create`](Self::create) does, and swaps
+    /// its arena for `arena`, whose bytes the file then holds unclaimed
+    /// (see [`adopt_at`](Self::adopt_at)). Returns the old arena emptied,
+    /// with its allocation kept, so the caller can reuse memory that is
+    /// already faulted in — or, for a dead `id`, `arena` itself.
+    pub fn swap_arena(&self, id: FileId, arena: Vec<u8>) -> Vec<u8> {
+        let mut inner = self.inner.write();
+        let Some(fd) = inner.files.get_mut(&id) else {
+            return arena;
+        };
+        fd.len = 0;
+        fd.extents.clear();
+        fd.generation += 1;
+        let mut old = std::mem::replace(&mut fd.arena, arena);
+        old.clear();
+        old
     }
 
     /// Reads `[offset, offset + len)`: `f` sees exactly `len` bytes under
@@ -638,20 +730,17 @@ impl FileStore {
         parts: &[(FileId, u64, u64)],
     ) -> Result<(), StorageError> {
         let requested: u64 = parts.iter().map(|&(_, _, len)| len).sum();
-        let mut torn: Option<u64> = None;
-        if let Some(inj) = &injector {
-            torn = match inj.on_write("gather_into", dst, &dst_fd.name, requested) {
-                Ok(t) => t,
-                Err(e) => {
-                    self.metric_fault();
-                    return Err(e);
-                }
-            };
-            if torn.is_some() {
-                self.metric_fault();
-            }
-        }
-        assert!(dst_offset <= dst_fd.len, "gather at {dst_offset} past EOF of {dst}");
+        let torn = self.write_fault(
+            injector.as_deref(),
+            "gather_into",
+            dst,
+            &dst_fd.name,
+            requested,
+        )?;
+        assert!(
+            dst_offset <= dst_fd.len,
+            "gather at {dst_offset} past EOF of {dst}"
+        );
         // Resolve every source range to stored slices, with holes borrowed
         // from one shared zeros buffer, before any destination mutation, so
         // a dead source leaves `dst` intact.
@@ -686,14 +775,7 @@ impl FileStore {
         dst_fd.len = dst_offset + written;
         dst_fd.generation += 1;
         self.metric_write(written);
-        match torn {
-            Some(_) => Err(StorageError::ShortWrite {
-                id: dst,
-                written,
-                requested,
-            }),
-            None => Ok(()),
-        }
+        torn_result(dst, torn.map(|_| written), requested)
     }
 
     /// Truncates the file, or extends it with a hole, to exactly `len`
@@ -750,6 +832,19 @@ impl FileStore {
         }
     }
 
+    /// The file's stored ranges as ascending `(offset, length)` pairs:
+    /// everything else below its length is a hole (the store's `FIEMAP`).
+    /// Empty for a dead file.
+    pub fn extents(&self, id: FileId) -> Vec<(u64, u64)> {
+        let inner = self.inner.read();
+        inner.files.get(&id).map_or_else(Vec::new, |fd| {
+            fd.extents
+                .iter()
+                .map(|(&k, &(_, n))| (k, n as u64))
+                .collect()
+        })
+    }
+
     /// All file names, sorted (for reports/debugging).
     pub fn list(&self) -> Vec<String> {
         let inner = self.inner.read();
@@ -779,6 +874,19 @@ impl FileStore {
     /// store. A failed read is not counted.
     pub fn read_calls(&self) -> u64 {
         self.counters.reads.load(Ordering::Relaxed)
+    }
+}
+
+/// A write's result: [`StorageError::ShortWrite`] if it was torn after
+/// `written` of its `requested` bytes.
+fn torn_result(id: FileId, torn: Option<u64>, requested: u64) -> Result<(), StorageError> {
+    match torn {
+        Some(written) => Err(StorageError::ShortWrite {
+            id,
+            written,
+            requested,
+        }),
+        None => Ok(()),
     }
 }
 
@@ -843,6 +951,96 @@ mod tests {
         // A redeploy rewrites a snapshot of about the same size: keeping
         // the arena spares it from page-faulting fresh memory.
         assert_eq!(arena(&fs, id), (0, 0, capacity, 0), "recreate keeps the arena's capacity");
+    }
+
+    #[test]
+    fn swap_arena_hands_the_allocation_over_both_ways() {
+        let fs = FileStore::new();
+        let id = fs.create("f");
+        fs.write_at(id, 0, &[7; 1 << 16]).unwrap();
+        let (g, stored) = (fs.generation(id).unwrap(), arena(&fs, id));
+        // Taking the arena empties the file, as re-create does, and hands
+        // back the allocation itself, emptied.
+        let taken = fs.swap_arena(id, Vec::new());
+        assert_eq!((taken.len(), taken.capacity()), (0, stored.2));
+        assert_eq!(
+            (fs.len(id), fs.total_bytes(), arena(&fs, id)),
+            (0, 0, (0, 0, 0, 0))
+        );
+        assert!(fs.generation(id).unwrap() > g);
+        // Handing one in stores nothing until its bytes are claimed.
+        let ptr = taken.as_ptr();
+        let back = fs.swap_arena(id, taken);
+        assert_eq!(back.capacity(), 0);
+        assert_eq!(
+            (fs.total_bytes(), fs.inner.read().files[&id].arena.as_ptr()),
+            (0, ptr)
+        );
+        // A dead file keeps nothing: the arena comes straight back.
+        fs.delete(id);
+        assert_eq!(fs.swap_arena(id, vec![1, 2, 3]), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn adopt_at_claims_arena_bytes_like_a_write() {
+        let m = MetricsRegistry::new();
+        let (copied, adopted) = (FileStore::new(), FileStore::new());
+        adopted.set_metrics(Some(m.clone()));
+        let (c, a) = (copied.create("f"), adopted.create("f"));
+        // The arena holds two runs, the second one stored ahead of the
+        // first, plus bytes no claim takes.
+        let slab: Vec<u8> = (0..40u8).collect();
+        adopted.swap_arena(a, slab.clone());
+        for (offset, bytes) in [(100u64, 20..30), (130, 0..10), (140, 10..15)] {
+            copied.write_at(c, offset, &slab[bytes.clone()]).unwrap();
+            adopted.adopt_at(a, offset, bytes).unwrap();
+        }
+        copied.set_len(c, 200).unwrap();
+        adopted.set_len(a, 200).unwrap();
+        assert_eq!(bytes(&adopted, a, 0, 200), bytes(&copied, c, 0, 200));
+        // Same write count, metered bytes and extents: a claim ending where
+        // the previous extent ends in the arena grows it.
+        assert_eq!(adopted.write_calls(), copied.write_calls());
+        assert_eq!(m.counter("storage_write_bytes_total"), 25);
+        assert_eq!(adopted.extents(a), vec![(100, 10), (130, 15)]);
+        assert_eq!(adopted.extents(a), copied.extents(c));
+        assert_eq!(adopted.total_bytes(), 25);
+        // Nothing was copied: the arena is the one handed in.
+        assert_eq!(arena(&adopted, a).1, 40);
+        assert_eq!(adopted.extents(FileId(99)), vec![]);
+    }
+
+    #[test]
+    fn torn_adopt_claims_a_prefix_and_retry_claims_the_rest() {
+        use crate::fault::{FaultKind, FaultPlan, FaultRule, FaultScope};
+        let fs = FileStore::new();
+        let id = fs.create("f");
+        fs.swap_arena(id, (0..64u8).collect());
+        fs.adopt_at(id, 0, 0..16).unwrap();
+        // A torn claim that continues the extent before it grows it by
+        // the prefix; one at a gap starts its own.
+        for (offset, range) in [(16, 16..32), (48, 32..40)] {
+            fs.attach_injector(Arc::new(FaultInjector::new(FaultPlan::new().rule(
+                FaultRule::new(FaultScope::Files(vec![id]), FaultKind::ShortWrite).count(1),
+            ))));
+            let g = fs.generation(id).unwrap();
+            let err = fs.adopt_at(id, offset, range.clone()).unwrap_err();
+            assert!(
+                matches!(err, StorageError::ShortWrite { written, requested, .. } if 2 * written == requested)
+            );
+            assert!(fs.generation(id).unwrap() > g);
+            fs.adopt_at(id, offset, range).unwrap();
+        }
+        assert_eq!(fs.extents(id), vec![(0, 32), (48, 8)]);
+        let want: Vec<u8> = (0..32).chain([0; 16]).chain(32..40).collect();
+        assert_eq!(bytes(&fs, id, 0, 56), want);
+        assert_eq!(fs.write_calls(), 5);
+        // A blackout or a dead file fails the claim as it fails a write.
+        fs.delete(id);
+        assert_eq!(
+            fs.adopt_at(id, 0, 0..1).unwrap_err().to_string(),
+            format!("write to dead {id}")
+        );
     }
 
     #[test]

@@ -3,11 +3,24 @@
 //! Capture writes the VMM state file and a *plain guest memory file* whose
 //! byte at offset `o` is the guest-physical byte at address `o` (zero for
 //! never-touched pages). The file is sparse, as Firecracker's is: the image
-//! is laid down in one ascending pass that writes each resident run to the
-//! store straight from the guest's frame arena
-//! ([`guest_mem::GuestMemory::run_chunks`]), the gaps between runs stay
-//! holes, and one final `set_len` extends the file to the guest's size
-//! with a hole for the tail, so the store holds only the resident pages.
+//! is laid down in one ascending pass over the resident runs, the gaps
+//! between runs stay holes, and one final `set_len` extends the file to
+//! the guest's size with a hole for the tail, so the store holds only the
+//! resident pages.
+//!
+//! The deployment path *moves* guest memory instead of copying it:
+//! [`Snapshot::capture_into`] consumes the paused VM, hands its frame
+//! arena to the memory file as the file's own arena
+//! ([`FileStore::swap_arena`]) and claims each resident run in place
+//! ([`FileStore::adopt_at`]), so a booted guest's bytes are never copied.
+//! The arena comes back the same way: a redeploy takes the previous memory
+//! file's arena out of the store and boots into it
+//! ([`crate::MicroVm::boot_into`]), so it fills memory that is already
+//! faulted in. [`Snapshot::capture`] borrows the VM and writes each run
+//! from its arena ([`guest_mem::GuestMemory::run_chunks`]); it is the
+//! reference the moving capture must match — same bytes, extents, store
+//! writes, metered bytes and fault-plan operations.
+//!
 //! Restore loads the VMM state, then maps guest memory
 //! *lazily*: no page content moves until a fault or a REAP prefetch asks
 //! for it.
@@ -88,7 +101,9 @@ fn capture_op(op: impl FnMut() -> Result<(), StorageError>) {
 }
 
 impl Snapshot {
-    /// Captures `vm` into two files under `prefix` in `fs`.
+    /// Captures `vm` into two files under `prefix` in `fs`, copying its
+    /// guest memory: the VM stays usable. [`capture_into`](Self::capture_into)
+    /// is the deployment path; this is its reference.
     ///
     /// The VM must be paused (Firecracker refuses to snapshot a running
     /// VM).
@@ -97,26 +112,58 @@ impl Snapshot {
     ///
     /// Panics if the VM is not paused.
     pub fn capture(vm: &MicroVm, fs: &FileStore, prefix: &str) -> Snapshot {
-        assert!(vm.is_paused(), "snapshot requires a paused VM");
-        let vmm = vm.vmm_state();
-        let vmm_file = fs.create(&format!("{prefix}/vmm_state"));
-        capture_op(|| fs.write_at(vmm_file, 0, vmm.as_bytes()));
-
+        let snapshot = Snapshot::begin(vm, fs, prefix);
         let mem = vm.memory();
-        let mem_file = fs.create(&format!("{prefix}/guest_mem"));
         // Ascending, so each write lands at or past EOF: the store appends
         // the run, borrowed from the arena, and leaves the gap before it a
         // hole — no staging copy, no zero stored.
         for run in mem.resident_runs() {
             for chunk in mem.run_chunks(run) {
-                capture_op(|| fs.write_at(mem_file, chunk.run.file_offset(), chunk.bytes));
+                capture_op(|| fs.write_at(snapshot.mem_file, chunk.run.file_offset(), chunk.bytes));
             }
         }
-        capture_op(|| fs.set_len(mem_file, mem.size_bytes()));
+        capture_op(|| fs.set_len(snapshot.mem_file, snapshot.mem_bytes));
+        snapshot
+    }
+
+    /// Captures `vm` like [`capture`](Self::capture), but consumes it and
+    /// *moves* its guest memory: the frame arena becomes the memory file's
+    /// arena as it stands ([`FileStore::swap_arena`]), and each chunk
+    /// `capture` would write is claimed in place instead
+    /// ([`FileStore::adopt_at`]). For a booted VM each resident run is one
+    /// stretch of the arena, so no guest byte is copied; any other run is
+    /// first copied onto the arena's tail
+    /// ([`guest_mem::GuestMemory::into_slab`]). The file ends up with the
+    /// bytes, extents, store-write count, metered bytes and fault-plan
+    /// operations of `capture`'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the VM is not paused.
+    pub fn capture_into(vm: MicroVm, fs: &FileStore, prefix: &str) -> Snapshot {
+        let snapshot = Snapshot::begin(&vm, fs, prefix);
+        let (slab, chunks) = vm.into_memory().into_slab();
+        fs.swap_arena(snapshot.mem_file, slab);
+        for (run, at) in chunks {
+            let bytes = at..at + run.byte_len() as usize;
+            capture_op(|| fs.adopt_at(snapshot.mem_file, run.file_offset(), bytes.clone()));
+        }
+        capture_op(|| fs.set_len(snapshot.mem_file, snapshot.mem_bytes));
+        snapshot
+    }
+
+    /// A capture's common part: the VMM state file written, the memory
+    /// file created empty, the metadata taken from the paused VM.
+    fn begin(vm: &MicroVm, fs: &FileStore, prefix: &str) -> Snapshot {
+        assert!(vm.is_paused(), "snapshot requires a paused VM");
+        let vmm = vm.vmm_state();
+        let vmm_file = fs.create(&format!("{prefix}/vmm_state"));
+        capture_op(|| fs.write_at(vmm_file, 0, vmm.as_bytes()));
+        let mem = vm.memory();
         Snapshot {
             function: vm.function(),
             config: vm.config(),
-            mem_file,
+            mem_file: fs.create(&format!("{prefix}/guest_mem")),
             vmm_file,
             mem_bytes: mem.size_bytes(),
             resident_at_capture: mem.resident_pages(),
@@ -394,39 +441,54 @@ mod tests {
         }
     }
 
-    fn capture_under(vm: &MicroVm, kind: FaultKind, skip: u64, count: u64) -> (Snapshot, FileStore) {
+    /// Runs `capture` against a fresh store whose plan injects `count`
+    /// faults of `kind` into memory-file operations after `skip` of them.
+    fn capture_under(
+        kind: FaultKind,
+        skip: u64,
+        count: u64,
+        capture: impl FnOnce(&FileStore) -> Snapshot,
+    ) -> (Snapshot, FileStore) {
         let fs = FileStore::new();
         let rule = FaultRule::new(FaultScope::NameContains("guest_mem".into()), kind);
         let plan = FaultPlan::new().rule(rule.skip(skip).count(count));
         fs.attach_injector(Arc::new(FaultInjector::new(plan)));
-        let snap = Snapshot::capture(vm, &fs, "s");
+        let snap = capture(&fs);
         assert_eq!(fs.injector().unwrap().stats().total(), count);
         (snap, fs)
     }
 
     #[test]
     fn capture_heals_torn_and_transient_faults() {
-        let vm = paused(FunctionId::helloworld, 1);
+        let f = FunctionId::helloworld;
+        let vm = paused(f, 1);
         let clean_fs = FileStore::new();
         let clean = Snapshot::capture(&vm, &clean_fs, "s");
         let last = vm.memory().resident_runs().len() as u64;
         for (kind, skip, count) in [
             // A torn *extending* write: the prefix is appended past the
-            // hole, the retry overwrites it and appends the rest.
+            // hole, the retry overwrites it and appends the rest. A torn
+            // claim of a moved run claims a prefix, the retry all of it.
             (FaultKind::ShortWrite, 3, 1),
             (FaultKind::TransientError, 3, 2),
             // The final `set_len` is under the same retry policy.
             (FaultKind::TransientError, last, 2),
         ] {
-            let (snap, fs) = capture_under(&vm, kind.clone(), skip, count);
-            assert!(
-                same_image((&snap, &fs), (&clean, &clean_fs)),
-                "{kind:?} at op {skip}"
-            );
-            assert_eq!(
-                verify_restored_cached(&vm, &snap, &fs, None),
-                Ok(snap.resident_at_capture)
-            );
+            for moved in [false, true] {
+                let (snap, fs) = capture_under(kind.clone(), skip, count, |fs| match moved {
+                    false => Snapshot::capture(&vm, fs, "s"),
+                    true => Snapshot::capture_into(paused(f, 1), fs, "s"),
+                });
+                assert!(
+                    same_image((&snap, &fs), (&clean, &clean_fs)),
+                    "{kind:?} at op {skip}, moved: {moved}"
+                );
+                assert_eq!(fs.extents(snap.mem_file), clean_fs.extents(clean.mem_file));
+                assert_eq!(
+                    verify_restored_cached(&vm, &snap, &fs, None),
+                    Ok(snap.resident_at_capture)
+                );
+            }
         }
     }
 
@@ -434,7 +496,9 @@ mod tests {
     #[should_panic(expected = "snapshot capture failed after 3 attempts")]
     fn capture_gives_up_after_the_retry_budget() {
         let vm = paused(FunctionId::helloworld, 1);
-        capture_under(&vm, FaultKind::TransientError, 3, 3);
+        capture_under(FaultKind::TransientError, 3, 3, |fs| {
+            Snapshot::capture(&vm, fs, "s")
+        });
     }
 
     #[test]
@@ -442,7 +506,43 @@ mod tests {
     fn capture_gives_up_on_a_set_len_that_never_heals() {
         let vm = paused(FunctionId::helloworld, 1);
         let last = vm.memory().resident_runs().len() as u64;
-        capture_under(&vm, FaultKind::TransientError, last, 3);
+        capture_under(FaultKind::TransientError, last, 3, |fs| {
+            Snapshot::capture_into(vm, fs, "s")
+        });
+    }
+
+    #[test]
+    fn a_boot_into_a_recycled_slab_matches_a_fresh_boot() {
+        // Every function boots into the slab the memory file of the one
+        // before it gave back: a different function's, so a stale byte
+        // would show.
+        let (fs, config) = (FileStore::new(), VmConfig::default());
+        let give_back = |vm: MicroVm| {
+            let snap = Snapshot::capture_into(vm, &fs, "s");
+            fs.swap_arena(snap.mem_file, Vec::new())
+        };
+        let mut slab = give_back(paused(FunctionId::video_processing, 7));
+        for f in FunctionId::ALL {
+            let (fresh, fresh_trace) = MicroVm::boot(f, config);
+            let (mut recycled, trace) = MicroVm::boot_into(f, config, slab);
+            assert_eq!(trace.minor_faults, fresh_trace.minor_faults, "{f}");
+            let (want, got) = (fresh.memory(), recycled.memory());
+            let runs = want.resident_runs();
+            assert_eq!(got.resident_runs(), runs, "{f}");
+            for page in runs.iter().flat_map(|r| r.iter()) {
+                assert!(got.page_bytes(page) == want.page_bytes(page), "{f}: {page}");
+            }
+            recycled.pause();
+            slab = give_back(recycled);
+        }
+        // A redeploy of the same function fits the slab it gave back, so
+        // the boot grows no fresh allocation.
+        let ptr = slab.as_ptr();
+        let last = FunctionId::ALL[FunctionId::ALL.len() - 1];
+        let (mut vm, _) = MicroVm::boot_into(last, config, slab);
+        vm.pause();
+        let slab = give_back(vm);
+        assert_eq!(slab.as_ptr(), ptr);
     }
 
     #[test]

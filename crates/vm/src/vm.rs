@@ -99,9 +99,22 @@ impl MicroVm {
     /// populating memory with deterministic contents. Returns the booted
     /// VM and the boot execution trace (for boot-latency experiments).
     pub fn boot(function: FunctionId, config: VmConfig) -> (MicroVm, ExecutionTrace) {
+        Self::boot_into(function, config, Vec::new())
+    }
+
+    /// [`boot`](Self::boot) into a recycled frame slab — the arena a
+    /// previous snapshot's memory file gave back
+    /// ([`sim_storage::FileStore::swap_arena`]) — so the boot fills memory
+    /// that is already faulted in. Only `slab`'s allocation is reused:
+    /// the booted VM is byte-for-byte the one [`boot`](Self::boot) makes.
+    pub fn boot_into(
+        function: FunctionId,
+        config: VmConfig,
+        slab: Vec<u8>,
+    ) -> (MicroVm, ExecutionTrace) {
         let (shell, boot_ops) = Self::shell(function, config);
         let label = content_label(function, config.seed);
-        let mem = GuestMemory::new(config.mem_mib * 1024 * 1024);
+        let mem = GuestMemory::with_slab(config.mem_mib * 1024 * 1024, slab);
         let mut uffd = Uffd::register(mem, region_base(function, config.seed));
         let trace = run_resident(&boot_ops, uffd.memory_mut(), label);
         let vm = MicroVm {
@@ -192,6 +205,11 @@ impl MicroVm {
     /// Guest memory, shared.
     pub fn memory(&self) -> &GuestMemory {
         self.uffd.memory()
+    }
+
+    /// Tears the VM down for its guest memory.
+    pub(crate) fn into_memory(self) -> GuestMemory {
+        self.uffd.into_memory()
     }
 
     /// Resident-set size in bytes (the `ps` footprint of Fig 4).
