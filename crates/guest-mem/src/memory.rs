@@ -120,9 +120,10 @@ impl GuestMemory {
 
     /// [`new`](Self::new), with the frame arena grown in `slab`'s
     /// allocation: a redeploy boots into the memory its previous snapshot
-    /// held, already faulted in, instead of faulting a fresh one. `slab`'s
-    /// bytes are dropped — every install hands out zeroed frames — only
-    /// its capacity is kept.
+    /// held, already faulted in, instead of faulting a fresh one. Only
+    /// `slab`'s capacity is kept: the arena starts empty, and every install
+    /// appends a frame's bytes whole — copied or generated — so no byte of
+    /// the old slab is ever readable.
     ///
     /// # Panics
     ///
@@ -201,15 +202,6 @@ impl GuestMemory {
         Some(&self.arena[base..base + PAGE_SIZE])
     }
 
-    /// Reserves `len` *contiguous* fresh slots at the arena tail and
-    /// returns the first slot index.
-    fn alloc_contiguous_slots(&mut self, len: u64) -> u32 {
-        let first = (self.arena.len() / PAGE_SIZE) as u32;
-        self.arena
-            .resize(self.arena.len() + len as usize * PAGE_SIZE, 0);
-        first
-    }
-
     fn check_installable(&self, run: PageRun) -> Result<(), MemError> {
         if !self.contains_run(run) {
             return Err(MemError::OutOfBounds(run.first.base_addr()));
@@ -236,12 +228,32 @@ impl GuestMemory {
     /// Panics if `data` is not exactly one page.
     pub fn install_page(&mut self, page: PageIdx, data: &[u8]) -> Result<(), MemError> {
         assert_eq!(data.len(), PAGE_SIZE, "install needs exactly one page");
-        self.check_installable(PageRun::single(page))?;
-        let slot = self.alloc_contiguous_slots(1);
-        let base = slot as usize * PAGE_SIZE;
-        self.arena[base..base + PAGE_SIZE].copy_from_slice(data);
-        self.slots[page.as_u64() as usize] = slot;
-        self.resident.set(page);
+        self.install_appended(PageRun::single(page), |arena| arena.extend_from_slice(data))
+    }
+
+    /// Installs `run` as fresh private frames at the arena tail: checks
+    /// the run, lets `append` write exactly its bytes onto the arena, then
+    /// maps its pages to the new slots in page order. Nothing is appended
+    /// or installed on error.
+    fn install_appended(
+        &mut self,
+        run: PageRun,
+        append: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), MemError> {
+        if run.is_empty() {
+            return Ok(());
+        }
+        self.check_installable(run)?;
+        let first_slot = (self.arena.len() / PAGE_SIZE) as u32;
+        append(&mut self.arena);
+        debug_assert_eq!(
+            self.arena.len(),
+            (first_slot as u64 + run.len) as usize * PAGE_SIZE
+        );
+        for (i, page) in run.iter().enumerate() {
+            self.slots[page.as_u64() as usize] = first_slot + i as u32;
+        }
+        self.resident.set_run(run);
         Ok(())
     }
 
@@ -266,46 +278,32 @@ impl GuestMemory {
             run.byte_len(),
             "install_run needs exactly the run's bytes"
         );
-        if run.is_empty() {
-            return Ok(());
-        }
-        self.check_installable(run)?;
         // The run's frames extend the arena contiguously; the install is
         // exactly one copy from `data`.
-        let first_slot = (self.arena.len() / PAGE_SIZE) as u32;
-        sim_core::extend_par(&mut self.arena, data);
-        for (i, page) in run.iter().enumerate() {
-            self.slots[page.as_u64() as usize] = first_slot + i as u32;
-        }
-        self.resident.set_run(run);
-        Ok(())
+        self.install_appended(run, |arena| sim_core::extend_par(arena, data))
     }
 
-    /// Bulk install with caller-filled contents: reserves the run's frames,
-    /// then hands `fill` one contiguous, zeroed buffer to populate (e.g.
-    /// straight from a file read, skipping the intermediate copy).
+    /// Bulk install of generated contents: each page `p` of `run` holds
+    /// what [`fill_deterministic`](crate::checksum::fill_deterministic)
+    /// writes for `(label, p)`, appended to the arena by
+    /// [`sim_core::hash::fill_pages`] — each byte written once, with no
+    /// zero-fill first. This is how a booting guest's kernel populates the
+    /// memory it touches.
     ///
     /// # Errors
     ///
     /// Same as [`install_run`](Self::install_run); nothing is installed on
-    /// error and `fill` is not called.
-    pub fn install_run_with(
-        &mut self,
-        run: PageRun,
-        fill: impl FnOnce(&mut [u8]),
-    ) -> Result<(), MemError> {
-        if run.is_empty() {
-            return Ok(());
-        }
-        self.check_installable(run)?;
-        let first_slot = self.alloc_contiguous_slots(run.len);
-        let base = first_slot as usize * PAGE_SIZE;
-        fill(&mut self.arena[base..base + run.len as usize * PAGE_SIZE]);
-        for (i, page) in run.iter().enumerate() {
-            self.slots[page.as_u64() as usize] = first_slot + i as u32;
-        }
-        self.resident.set_run(run);
-        Ok(())
+    /// error.
+    pub fn install_run_generated(&mut self, run: PageRun, label: u64) -> Result<(), MemError> {
+        self.install_appended(run, |arena| {
+            sim_core::hash::fill_pages(
+                arena,
+                PAGE_SIZE,
+                label,
+                run.first.as_u64(),
+                run.len as usize,
+            )
+        })
     }
 
     /// Zero-copy alias install: maps `run.len` pages straight onto the
@@ -600,7 +598,7 @@ mod tests {
     #[test]
     fn zero_page_and_checksum() {
         let mut mem = GuestMemory::new(2 * 4096);
-        mem.install_run_with(PageRun::single(PageIdx::new(1)), |_| {})
+        mem.install_run(PageRun::single(PageIdx::new(1)), &page_of(0))
             .unwrap();
         assert_eq!(mem.read(GuestAddr::new(4096), 3).unwrap(), vec![0, 0, 0]);
         let zeros = mem.page_checksum(PageIdx::new(1)).unwrap();
@@ -649,17 +647,35 @@ mod tests {
         mem.install_run(PageRun::new(PageIdx::new(0), 0), &[]).unwrap();
     }
 
+    /// `fill_deterministic`'s bytes for `label` over `run`, page by page.
+    fn generated(run: PageRun, label: u64) -> Vec<u8> {
+        let mut bytes = vec![0u8; run.byte_len() as usize];
+        for (page, frame) in run.iter().zip(bytes.chunks_mut(PAGE_SIZE)) {
+            crate::checksum::fill_deterministic(frame, label, page.as_u64());
+        }
+        bytes
+    }
+
     #[test]
-    fn install_run_with_fills_in_place() {
-        let mut mem = GuestMemory::new(8 * 4096);
-        mem.install_run_with(PageRun::new(PageIdx::new(1), 3), |buf| {
-            for (i, b) in buf.iter_mut().enumerate() {
-                *b = (i / PAGE_SIZE + 1) as u8;
-            }
-        })
-        .unwrap();
-        assert_eq!(mem.read(PageIdx::new(2).base_addr(), 2).unwrap(), vec![2, 2]);
-        assert_eq!(mem.resident_pages(), 3);
+    fn install_run_generated_fills_in_place() {
+        let mut mem = GuestMemory::new(16 * 4096);
+        let run = PageRun::new(PageIdx::new(1), 6);
+        mem.install_run_generated(run, 0xF00D).unwrap();
+        assert_eq!(mem.resident_pages(), 6);
+        assert_eq!(chunk_pages(&mem, run), vec![6]);
+        assert!(mem.run_chunks(run).next().unwrap().bytes == generated(run, 0xF00D));
+        // Errors match `install_run`'s, and install nothing.
+        assert_eq!(
+            mem.install_run_generated(PageRun::new(PageIdx::new(0), 2), 1),
+            Err(MemError::AlreadyResident(PageIdx::new(1)))
+        );
+        assert!(matches!(
+            mem.install_run_generated(PageRun::new(PageIdx::new(14), 4), 1),
+            Err(MemError::OutOfBounds(_))
+        ));
+        mem.install_run_generated(PageRun::new(PageIdx::new(0), 0), 1)
+            .unwrap();
+        assert_eq!((mem.resident_pages(), mem.arena.len()), (6, 6 * PAGE_SIZE));
     }
 
     /// The chunks of `run`, checked to tile it exactly and to concatenate
@@ -689,7 +705,7 @@ mod tests {
     fn run_chunks_of_a_bulk_install_is_one_borrowed_chunk() {
         let mut mem = GuestMemory::new(16 * 4096);
         let zeros = PageRun::new(PageIdx::new(9), 2);
-        mem.install_run_with(zeros, |_| {}).unwrap();
+        mem.install_run(zeros, &[0; 2 * PAGE_SIZE]).unwrap();
         let chunk = mem.run_chunks(zeros).next().unwrap();
         assert_eq!(chunk.bytes, &[0u8; 2 * PAGE_SIZE][..]);
         let data: Vec<u8> = (0..4 * PAGE_SIZE).map(|i| (i / PAGE_SIZE + 1) as u8).collect();
@@ -703,7 +719,7 @@ mod tests {
         assert_eq!(chunk_pages(&mem, PageRun::new(PageIdx::new(3), 2)), vec![2]);
         assert_eq!(mem.run_chunks(PageRun::new(PageIdx::new(3), 0)).count(), 0);
         // Two installs that happen to be adjacent in pages *and* arena merge.
-        mem.install_run_with(PageRun::new(PageIdx::new(6), 2), |_| {})
+        mem.install_run(PageRun::new(PageIdx::new(6), 2), &[0; 2 * PAGE_SIZE])
             .unwrap();
         assert_eq!(chunk_pages(&mem, PageRun::new(PageIdx::new(2), 6)), vec![6]);
     }
@@ -822,7 +838,7 @@ mod tests {
     }
 
     #[test]
-    fn a_recycled_slab_hands_out_zeroed_frames_in_its_own_allocation() {
+    fn a_recycled_slab_never_shows_an_old_byte() {
         let mut old = GuestMemory::new(8 * 4096);
         old.install_run(PageRun::new(PageIdx::new(0), 4), &[0xEE; 4 * PAGE_SIZE])
             .unwrap();
@@ -830,20 +846,21 @@ mod tests {
         let ptr = slab.as_ptr();
         let mut mem = GuestMemory::with_slab(8 * 4096, slab);
         assert_eq!(mem.resident_pages(), 0);
-        mem.install_run_with(PageRun::new(PageIdx::new(5), 3), |buf| {
-            assert!(buf.iter().all(|&b| b == 0), "no byte of the old slab shows");
-        })
-        .unwrap();
+        // A generated install over the 0xEE bytes reads exactly the
+        // generator's bytes, written where the old ones lay.
+        let run = PageRun::new(PageIdx::new(5), 3);
+        mem.install_run_generated(run, 0xA5).unwrap();
+        assert!(mem.run_chunks(run).next().unwrap().bytes == generated(run, 0xA5));
         let (slab, chunks) = mem.into_slab();
         assert_eq!((slab.as_ptr(), slab.len()), (ptr, 3 * PAGE_SIZE));
-        assert_eq!(chunks, vec![(PageRun::new(PageIdx::new(5), 3), 0)]);
+        assert_eq!(chunks, vec![(run, 0)]);
     }
 
     #[test]
     #[should_panic(expected = "not fully resident")]
     fn run_chunks_refuses_a_hole() {
         let mut mem = GuestMemory::new(8 * 4096);
-        mem.install_run_with(PageRun::new(PageIdx::new(2), 3), |_| {})
+        mem.install_run(PageRun::new(PageIdx::new(2), 3), &[0; 3 * PAGE_SIZE])
             .unwrap();
         let _ = mem.run_chunks(PageRun::new(PageIdx::new(4), 2));
     }
@@ -858,9 +875,9 @@ mod tests {
     #[test]
     fn resident_runs_and_missing_runs() {
         let mut mem = GuestMemory::new(16 * 4096);
-        mem.install_run_with(PageRun::new(PageIdx::new(0), 2), |_| {})
+        mem.install_run(PageRun::new(PageIdx::new(0), 2), &[0; 2 * PAGE_SIZE])
             .unwrap();
-        mem.install_run_with(PageRun::new(PageIdx::new(5), 3), |_| {})
+        mem.install_run(PageRun::new(PageIdx::new(5), 3), &[0; 3 * PAGE_SIZE])
             .unwrap();
         assert_eq!(
             mem.resident_runs(),

@@ -7,8 +7,11 @@
 //! cross-layer checksum comparisons, so the implementations live here once
 //! and every crate re-exports or delegates.
 //!
-//! Everything in this module is pure arithmetic: no allocation, no state
-//! beyond what the caller holds, identical output on every platform.
+//! Everything in this module is pure arithmetic: no allocation (beyond
+//! [`fill_pages`] growing the caller's `Vec`), no state beyond what the
+//! caller holds, identical output on every platform.
+
+use std::mem::MaybeUninit;
 
 /// 64-bit FNV-1a hash of a byte slice.
 ///
@@ -139,20 +142,113 @@ pub fn splitmix64_next(state: &mut u64) -> u64 {
     out
 }
 
+/// Golden-ratio increment: spreads a page index across the seed word.
+const SEED_SPREAD: u64 = 0x9E37_79B9_7F4A_7C15;
+/// xorshift64* output multiplier.
+const XORSHIFT_STAR: u64 = 0x2545_F491_4F6C_DD1D;
+
+/// The chain seed of page `index` under `label`: `fnv1a64(label)` — which
+/// a multi-page fill computes once as `label_hash` — mixed with the index.
+fn fill_seed(label_hash: u64, index: u64) -> u64 {
+    label_hash ^ index.wrapping_mul(SEED_SPREAD)
+}
+
+/// One xorshift64* step: advances `state` and returns the next output word.
+#[inline(always)]
+fn fill_step(state: &mut u64) -> u64 {
+    let mut s = *state;
+    s ^= s >> 12;
+    s ^= s << 25;
+    s ^= s >> 27;
+    *state = s;
+    s.wrapping_mul(XORSHIFT_STAR)
+}
+
 /// Deterministically fills `buf` with content derived from a label and an
 /// index — used to give every synthetic guest page distinctive, verifiable
-/// contents (an xorshift64* stream keyed by `fnv1a64(label) ^ f(index)`).
+/// contents (an xorshift64* stream keyed by `fnv1a64(label) ^ f(index)`,
+/// written eight little-endian bytes per step; a tail shorter than eight
+/// takes the head of one more step).
 pub fn fill_deterministic(buf: &mut [u8], label: u64, index: u64) {
-    let mut state = fnv1a64(&label.to_le_bytes()) ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    for chunk in buf.chunks_mut(8) {
-        // xorshift64* step per 8 bytes.
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        let v = state.wrapping_mul(0x2545_F491_4F6C_DD1D);
-        let bytes = v.to_le_bytes();
-        chunk.copy_from_slice(&bytes[..chunk.len()]);
+    let mut state = fill_seed(fnv1a64(&label.to_le_bytes()), index);
+    let mut words = buf.chunks_exact_mut(8);
+    for word in &mut words {
+        word.copy_from_slice(&fill_step(&mut state).to_le_bytes());
     }
+    let tail = words.into_remainder();
+    let len = tail.len();
+    tail.copy_from_slice(&fill_step(&mut state).to_le_bytes()[..len]);
+}
+
+/// Appends `pages` consecutive pages of `page_bytes` each to `vec`, page
+/// `i` byte for byte what [`fill_deterministic`] writes for
+/// `(label, first + i)`. The bytes go straight into `vec`'s spare capacity
+/// — no zero-fill first — and the page loop shares one label hash; the
+/// xorshift64* chains of different pages are independent, so groups of
+/// four pages advance theirs in lockstep (four multiplies in flight rather
+/// than one serial chain), and a tail of fewer than four is filled page by
+/// page.
+///
+/// # Panics
+///
+/// Panics if `page_bytes` is zero or not a multiple of eight.
+pub fn fill_pages(vec: &mut Vec<u8>, page_bytes: usize, label: u64, first: u64, pages: usize) {
+    assert!(
+        page_bytes > 0 && page_bytes.is_multiple_of(8),
+        "fill_pages needs pages of whole 8-byte words"
+    );
+    let total = page_bytes
+        .checked_mul(pages)
+        .expect("fill size overflows usize");
+    vec.reserve(total);
+    let start = vec.len();
+    let label_hash = fnv1a64(&label.to_le_bytes());
+    let spare = &mut vec.spare_capacity_mut()[..total];
+    let mut index = first;
+    // Four pages per group: the four split-offs below, the four states,
+    // and the remainder's `pages % 4` all follow from this one width.
+    let mut groups = spare.chunks_exact_mut(4 * page_bytes);
+    for group in &mut groups {
+        let mut states: [u64; 4] =
+            std::array::from_fn(|lane| fill_seed(label_hash, index.wrapping_add(lane as u64)));
+        let (p0, rest) = group.split_at_mut(page_bytes);
+        let (p1, rest) = rest.split_at_mut(page_bytes);
+        let (p2, p3) = rest.split_at_mut(page_bytes);
+        let words = p0
+            .chunks_exact_mut(8)
+            .zip(p1.chunks_exact_mut(8))
+            .zip(p2.chunks_exact_mut(8))
+            .zip(p3.chunks_exact_mut(8));
+        for (((w0, w1), w2), w3) in words {
+            for (lane, word) in [w0, w1, w2, w3].into_iter().enumerate() {
+                write_word(word, fill_step(&mut states[lane]));
+            }
+        }
+        index = index.wrapping_add(4);
+    }
+    for page in groups.into_remainder().chunks_exact_mut(page_bytes) {
+        let mut state = fill_seed(label_hash, index);
+        for word in page.chunks_exact_mut(8) {
+            write_word(word, fill_step(&mut state));
+        }
+        index = index.wrapping_add(1);
+    }
+    // SAFETY: `reserve` made room for `total` bytes past `start`. Those
+    // bytes, `spare`, are `pages` pages of `page_bytes`, a non-zero multiple
+    // of eight (asserted above): the groups hold four pages each, the
+    // remainder the last `pages % 4`, and each page splits into whole words
+    // (the four of a group equally long, so the zip visits every word of
+    // each). `write_word` initializes all eight bytes of every word it is
+    // given, so all of `start..start + total` is initialized.
+    unsafe { vec.set_len(start + total) };
+}
+
+/// Writes `value`'s little-endian bytes over one 8-byte word of spare
+/// capacity.
+#[inline(always)]
+fn write_word(word: &mut [MaybeUninit<u8>], value: u64) {
+    let word: &mut [MaybeUninit<u8>; 8] = word.try_into().expect("8-byte word");
+    *word = value.to_le_bytes().map(MaybeUninit::new);
 }
 
 #[cfg(test)]

@@ -36,6 +36,10 @@
 //! assert_eq!(t.as_millis_f64(), 1.0);
 //! ```
 
+// Every `unsafe` block in this crate (`parcopy`'s copies, `hash::fill_pages`'
+// `set_len`) states why it is sound; the clippy CI job holds that.
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod deadline;
 pub mod events;
 pub mod hash;

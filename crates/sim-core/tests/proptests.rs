@@ -1,6 +1,7 @@
 //! Property-based tests for the DES substrate invariants.
 
 use proptest::prelude::*;
+use sim_core::hash::{fill_deterministic, fill_pages};
 use sim_core::{DetRng, EventQueue, MultiServer, OnlineStats, Percentiles, SimDuration, SimTime};
 
 proptest! {
@@ -123,5 +124,35 @@ proptest! {
         let mut s = v.clone();
         s.sort_unstable();
         prop_assert_eq!(s, (0..n).collect::<Vec<_>>());
+    }
+
+    /// The page-batched fill appends exactly the per-page fill's bytes —
+    /// across the four-page groups and the tail — whether the `Vec` grows
+    /// from empty or writes over poisoned spare capacity, and leaves what
+    /// the `Vec` already held alone.
+    #[test]
+    fn fill_pages_matches_per_page_fill(
+        label in any::<u64>(),
+        first in any::<u64>(),
+        pages in 0usize..10,
+        kept in 0usize..64,
+    ) {
+        const PAGE: usize = 4096;
+        let mut want = Vec::with_capacity(pages * PAGE);
+        for i in 0..pages {
+            let mut page = [0u8; PAGE];
+            fill_deterministic(&mut page, label, first.wrapping_add(i as u64));
+            want.extend_from_slice(&page);
+        }
+        let mut fresh = Vec::new();
+        fill_pages(&mut fresh, PAGE, label, first, pages);
+        prop_assert!(fresh == want);
+        // A recycled buffer: every byte of its capacity poisoned, `kept`
+        // of them still live.
+        let mut poisoned = vec![0xEEu8; kept + pages * PAGE + 13];
+        poisoned.truncate(kept);
+        fill_pages(&mut poisoned, PAGE, label, first, pages);
+        prop_assert!(poisoned[..kept].iter().all(|&b| b == 0xEE));
+        prop_assert!(poisoned[kept..] == want[..]);
     }
 }

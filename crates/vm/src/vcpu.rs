@@ -108,7 +108,9 @@ pub trait FaultHandler {
 /// Replays `ops` on a *memory-resident* VM (freshly booted or warm).
 /// Missing pages are populated directly by the guest kernel with
 /// deterministic contents derived from `content_label` — minor faults, no
-/// host I/O.
+/// host I/O. Each maximal missing run of a touch is one
+/// [`GuestMemory::install_run_generated`]: the page-batched generator
+/// writes its bytes once, straight into the frame arena.
 pub fn run_resident(ops: &[GuestOp], memory: &mut GuestMemory, content_label: u64) -> ExecutionTrace {
     let mut trace = ExecutionTrace::default();
     for op in ops {
@@ -123,15 +125,7 @@ pub fn run_resident(ops: &[GuestOp], memory: &mut GuestMemory, content_label: u6
                 let mut cursor = window.first;
                 while let Some(missing) = memory.next_missing_run(cursor, window) {
                     memory
-                        .install_run_with(missing, |buf| {
-                            for (i, page) in missing.iter().enumerate() {
-                                guest_mem::checksum::fill_deterministic(
-                                    &mut buf[i * PAGE_SIZE..(i + 1) * PAGE_SIZE],
-                                    content_label,
-                                    page.as_u64(),
-                                );
-                            }
-                        })
+                        .install_run_generated(missing, content_label)
                         .expect("resident install cannot fail on a missing run");
                     installed += missing.len;
                     cursor = missing.end();

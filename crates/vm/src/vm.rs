@@ -307,6 +307,65 @@ mod tests {
         assert!(!vm.is_paused());
     }
 
+    /// One FNV-1a word digest over a booted VM's resident runs: each run's
+    /// first page and length, then its bytes eight at a time.
+    fn boot_digest(vm: &MicroVm) -> u64 {
+        let mut h = sim_core::Fnv1a64::new();
+        for run in vm.memory().resident_runs() {
+            h.write_u64_word(run.first.as_u64());
+            h.write_u64_word(run.len);
+            for chunk in vm.memory().run_chunks(run) {
+                for word in chunk.bytes.chunks_exact(8) {
+                    h.write_u64_word(u64::from_le_bytes(word.try_into().unwrap()));
+                }
+            }
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn booted_memory_matches_its_known_answers() {
+        // Digests of the boot bytes the per-page `fill_deterministic`
+        // loop produced, recorded before the page-batched fill replaced
+        // it: the generator may get faster, never different.
+        let config = VmConfig {
+            seed: 0xA5_1405,
+            ..VmConfig::default()
+        };
+        for (f, want) in [
+            (FunctionId::helloworld, 0x8843_10be_6c27_5045),
+            (FunctionId::chameleon, 0x36ad_cc36_bde4_caef),
+            (FunctionId::pyaes, 0xbe69_7b42_ae83_5ec9),
+            (FunctionId::json_serdes, 0xcf30_2ec8_d9c0_7a70),
+            (FunctionId::cnn_serving, 0x932c_cfd8_9468_de6b),
+        ] {
+            let (vm, _) = MicroVm::boot(f, config);
+            assert_eq!(boot_digest(&vm), want, "{f}");
+        }
+    }
+
+    #[test]
+    fn a_boot_into_a_poisoned_slab_equals_a_fresh_boot() {
+        let config = VmConfig::default();
+        for f in [FunctionId::helloworld, FunctionId::cnn_serving] {
+            let (fresh, fresh_trace) = MicroVm::boot(f, config);
+            // Every byte of the slab's capacity is stale, and it holds the
+            // whole footprint, so the boot writes over old bytes only.
+            let slab = vec![0xEE; fresh.footprint_bytes() as usize];
+            let within = slab.as_ptr_range();
+            let (booted, trace) = MicroVm::boot_into(f, config, slab);
+            assert_eq!(trace.minor_faults, fresh_trace.minor_faults, "{f}");
+            let runs = fresh.memory().resident_runs();
+            assert_eq!(booted.memory().resident_runs(), runs, "{f}");
+            assert_eq!(boot_digest(&booted), boot_digest(&fresh), "{f}");
+            for page in runs.iter().flat_map(|r| r.iter()).step_by(61) {
+                let bytes = booted.memory().page_bytes(page).unwrap();
+                assert!(Some(bytes) == fresh.memory().page_bytes(page), "{f}: {page}");
+                assert!(within.contains(&bytes.as_ptr()), "{f}: {page} left the slab");
+            }
+        }
+    }
+
     #[test]
     fn vmm_state_stable_per_vm() {
         let (vm, _) = MicroVm::boot(FunctionId::helloworld, VmConfig::default());
