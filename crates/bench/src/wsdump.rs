@@ -6,6 +6,7 @@
 //! prefetch over- or under-covers.
 
 use functionbench::FunctionId;
+use guest_mem::PageBitmap;
 use guest_os::RegionKind;
 use sim_core::Table;
 use vhive_core::detect::contiguity;
@@ -56,7 +57,11 @@ pub fn run(a: &Args) -> Result<(), String> {
     }
     println!("\n{t}");
 
-    let stats = contiguity(&trace.iter().copied().collect());
+    let mut recorded = PageBitmap::new(record.touched.len());
+    for run in &runs {
+        recorded.set_run(*run);
+    }
+    let stats = contiguity(&recorded);
     println!(
         "contiguity: mean region {:.2} pages over {} regions",
         stats.mean_run, stats.regions

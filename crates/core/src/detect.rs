@@ -1,9 +1,10 @@
 //! Working-set analysis: the measurements behind Figures 3 and 5 and the
 //! misprediction/fallback machinery of §7.1–7.2.
+//!
+//! Every page set here is a [`PageBitmap`]: overlaps are one AND plus
+//! popcount per word, and contiguity reads the set's maximal runs.
 
-use std::collections::BTreeSet;
-
-use guest_mem::PageIdx;
+use guest_mem::PageBitmap;
 use sim_core::Histogram;
 
 /// Overlap between two working sets (Fig 5's same/unique split).
@@ -30,13 +31,14 @@ impl OverlapStats {
     }
 }
 
-/// Computes the overlap between two page sets.
-pub fn working_set_overlap(a: &BTreeSet<PageIdx>, b: &BTreeSet<PageIdx>) -> OverlapStats {
-    let same = a.intersection(b).count() as u64;
+/// Computes the overlap between two page sets ([`PageBitmap::count_common`]
+/// for the shared pages; member counts, not range sizes, for the rest).
+pub fn working_set_overlap(a: &PageBitmap, b: &PageBitmap) -> OverlapStats {
+    let same = a.count_common(b);
     OverlapStats {
         same,
-        only_a: a.len() as u64 - same,
-        only_b: b.len() as u64 - same,
+        only_a: a.count() - same,
+        only_b: b.count() - same,
     }
 }
 
@@ -55,31 +57,16 @@ pub struct ContiguityStats {
 }
 
 /// Computes contiguous-region statistics over a set of faulted pages, as
-/// the paper does for Fig 3: sort the guest-physical pages and measure
-/// maximal runs of consecutive page numbers.
-pub fn contiguity(pages: &BTreeSet<PageIdx>) -> ContiguityStats {
+/// the paper does for Fig 3: the maximal runs of consecutive guest-physical
+/// pages, which [`PageBitmap::runs`] yields in ascending order.
+pub fn contiguity(pages: &PageBitmap) -> ContiguityStats {
     let mut histogram = Histogram::new(33); // runs of 32+ collapse
-    let mut regions = 0u64;
-    let mut run_len = 0u64;
-    let mut prev: Option<u64> = None;
-    for page in pages {
-        let p = page.as_u64();
-        match prev {
-            Some(q) if p == q + 1 => run_len += 1,
-            Some(_) => {
-                histogram.record(run_len);
-                regions += 1;
-                run_len = 1;
-            }
-            None => run_len = 1,
-        }
-        prev = Some(p);
+    let runs = pages.runs();
+    for run in &runs {
+        histogram.record(run.len);
     }
-    if run_len > 0 {
-        histogram.record(run_len);
-        regions += 1;
-    }
-    let pages_total = pages.len() as u64;
+    let regions = runs.len() as u64;
+    let pages_total = pages.count();
     ContiguityStats {
         mean_run: if regions == 0 {
             0.0
@@ -108,13 +95,14 @@ pub struct MispredictionReport {
 
 impl MispredictionReport {
     /// Builds the report from the recorded set, the touched set, and the
-    /// residual fault count.
-    pub fn compute(recorded: &BTreeSet<PageIdx>, touched: &BTreeSet<PageIdx>, residual_faults: u64) -> Self {
-        let used = recorded.intersection(touched).count() as u64;
+    /// residual fault count; `used` is their
+    /// [`count_common`](PageBitmap::count_common).
+    pub fn compute(recorded: &PageBitmap, touched: &PageBitmap, residual_faults: u64) -> Self {
+        let used = recorded.count_common(touched);
         MispredictionReport {
-            fetched: recorded.len() as u64,
+            fetched: recorded.count(),
             used,
-            wasted: recorded.len() as u64 - used,
+            wasted: recorded.count() - used,
             residual_faults,
         }
     }
@@ -144,8 +132,10 @@ impl MispredictionReport {
 mod tests {
     use super::*;
 
-    fn set(pages: &[u64]) -> BTreeSet<PageIdx> {
-        pages.iter().map(|&p| PageIdx::new(p)).collect()
+    fn set(pages: &[u64]) -> PageBitmap {
+        let mut set = PageBitmap::new(256);
+        pages.iter().for_each(|&p| assert!(set.set(guest_mem::PageIdx::new(p))));
+        set
     }
 
     #[test]

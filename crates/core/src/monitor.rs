@@ -179,12 +179,6 @@ impl<'a> Monitor<'a> {
         self.cache_delta
     }
 
-    /// Recorded trace as coalesced runs (fault order) — empty unless in
-    /// record mode.
-    pub fn trace_runs(&self) -> &[PageRun] {
-        &self.trace
-    }
-
     /// Translates a fault's host virtual address to a guest page using the
     /// base learned from the first (injected) fault.
     fn translate(&mut self, ev: FaultEvent) -> PageIdx {
@@ -387,10 +381,13 @@ mod tests {
         let ev = vm.uffd_mut().raise_run(run);
         m.handle_fault_run(vm.uffd_mut(), ev, run).unwrap();
         vm.uffd_mut().wake_run(run.len);
-        assert_eq!(m.trace_runs(), &[PageRun::new(PageIdx::new(0), 5)]);
         assert_eq!(m.stats().demand_served, 5);
         let files = m.finish_record("snap/hw");
         assert_eq!((files.pages, files.extents), (5, 1));
+        assert_eq!(
+            read_trace_runs(&fs, files.trace_file).unwrap(),
+            vec![PageRun::new(PageIdx::new(0), 5)]
+        );
         // Installed bytes match the snapshot exactly.
         microvm::verify_restored_cached(&vm, &snap, &fs, None).unwrap();
     }

@@ -8,7 +8,7 @@
 //! snapshot) followed by a *timed* pass (the [`Timeline`] DES), exactly as
 //! described in the crate docs.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use functionbench::{FunctionId, GuestOp, InputGenerator};
@@ -59,8 +59,9 @@ pub struct FunctionalRun {
     pub conn_trace: ExecutionTrace,
     /// Function-processing phase trace.
     pub proc_trace: ExecutionTrace,
-    /// Distinct pages the invocation touched (its working set, Fig 4 red).
-    pub touched: BTreeSet<PageIdx>,
+    /// Distinct pages the invocation touched (its working set, Fig 4 red),
+    /// as a set over the guest's pages.
+    pub touched: PageBitmap,
     /// Monitor counters.
     pub monitor_stats: MonitorStats,
     /// Pages verified byte-identical to the snapshot.
@@ -162,14 +163,17 @@ pub struct InvocationOutcome {
     pub prefetched_pages: u64,
     /// Faults after prefetch (working-set misses).
     pub residual_faults: u64,
-    /// Distinct pages touched by the invocation.
+    /// Distinct pages touched by the invocation: the member count of
+    /// [`touched`](Self::touched).
     pub ws_pages: u64,
     /// Pages verified byte-identical to the snapshot (functional pass).
     pub verified_pages: u64,
     /// Instance memory footprint after the invocation, bytes (Fig 4 red).
     pub footprint_bytes: u64,
-    /// The invocation's touched-page set (for Fig 3/5 analysis).
-    pub touched: BTreeSet<PageIdx>,
+    /// The invocation's touched-page set (for Fig 3/5 analysis), a set
+    /// over the guest's pages: its `len()` is the guest size, its
+    /// `count()` is [`ws_pages`](Self::ws_pages).
+    pub touched: PageBitmap,
     /// True if this run recorded (or re-recorded) the working set.
     pub recorded: bool,
     /// Prefetch accuracy (prefetch policies only).
@@ -824,7 +828,7 @@ impl Orchestrator {
             verify_restored_tracked(&vm, &snapshot, &fs, cache.as_deref(), &mut verify_delta)
                 .expect("lossless restoration");
 
-        let touched = functionbench::behavior::touched_pages(conn_ops.iter().chain(&ops));
+        let touched = functionbench::behavior::touched_pages(conn_ops.iter().chain(&ops), vm.memory().num_pages());
 
         if mode == MonitorMode::Record {
             let files = monitor.finish_record(&format!("snapshots/{f}"));
@@ -1284,8 +1288,20 @@ impl Orchestrator {
             Some(reap) if policy.uses_ws() && !independent => {
                 let runs =
                     read_trace_runs(&self.fs, reap.trace_file).map_err(PrefetchError::from_ws)?;
-                let recorded: BTreeSet<PageIdx> = runs.iter().flat_map(|r| r.iter()).collect();
-                Some(MispredictionReport::compute(&recorded, &run.touched, run.monitor_stats.residual_after_prefetch))
+                // The parser bounds extents, not the guest: pages a trace
+                // names past the guest are fetched, never used.
+                let guest = run.touched.len();
+                let mut recorded = PageBitmap::new(guest);
+                let mut beyond = 0;
+                for r in &runs {
+                    let inside = guest.saturating_sub(r.first.as_u64()).min(r.len);
+                    recorded.set_run(PageRun::new(r.first.min(PageIdx::new(guest)), inside));
+                    beyond += r.len - inside;
+                }
+                let mut report = MispredictionReport::compute(&recorded, &run.touched, run.monitor_stats.residual_after_prefetch);
+                report.fetched += beyond;
+                report.wasted += beyond;
+                Some(report)
             }
             _ => None,
         };
@@ -1412,7 +1428,7 @@ impl Orchestrator {
         let ops = vm.invocation_ops(&input);
         let label = vm.content_label();
         let trace = run_resident(&ops, vm.uffd_mut().memory_mut(), label);
-        let touched = functionbench::behavior::touched_pages(&ops);
+        let touched = functionbench::behavior::touched_pages(&ops, vm.memory().num_pages());
         let footprint = vm.footprint_bytes();
 
         let program = build_warm_program(&self.costs, &trace, SimTime::ZERO);
@@ -1448,7 +1464,7 @@ fn outcome_of(f: FunctionId, policy: Option<ColdPolicy>, recorded: bool, run: Fu
         uffd_faults: run.conn_trace.uffd_faults + run.proc_trace.uffd_faults,
         prefetched_pages: run.monitor_stats.prefetched,
         residual_faults: run.monitor_stats.residual_after_prefetch,
-        ws_pages: run.touched.len() as u64,
+        ws_pages: run.touched.count(),
         verified_pages: run.verified_pages,
         footprint_bytes: run.footprint_bytes,
         touched: run.touched,
@@ -1654,15 +1670,16 @@ mod tests {
         let total = o.state(f).snapshot.mem_pages();
         let padded = o.pad_working_set(f, 64);
         let runs = read_trace_runs(o.fs(), padded.trace_file).unwrap();
-        let trace: Vec<PageIdx> = runs.iter().flat_map(|r| r.iter()).collect();
-        assert_eq!(trace.len() as u64, padded.pages);
         // No duplicates (the v2 format would reject overlaps anyway).
-        let unique: BTreeSet<PageIdx> = trace.iter().copied().collect();
-        assert_eq!(unique.len(), trace.len());
+        let mut unique = PageBitmap::new(total);
+        for r in &runs {
+            assert_eq!(unique.set_run(*r), r.len, "{r} names a page twice");
+        }
+        assert_eq!(unique.count(), padded.pages);
         // The padding is the topmost free pages: with nothing recorded up
         // there, that is exactly the last 64 pages of guest memory.
         for p in total - 64..total {
-            assert!(unique.contains(&PageIdx::new(p)), "page {p} not padded");
+            assert!(unique.get(PageIdx::new(p)), "page {p} not padded");
         }
         // Padded artifacts still drive a working prefetch. Page 0 is
         // already resident from the first-fault handshake, so the eager

@@ -327,7 +327,10 @@ mod tests {
 
     /// `pages` (fault order) as the coalesced runs the recorder writes.
     fn runs_of(pages: &[u64]) -> Vec<PageRun> {
-        guest_mem::coalesce_ordered(pages.iter().map(|&p| PageIdx::new(p)))
+        pages.iter().fold(Vec::new(), |mut runs, &p| {
+            guest_mem::push_coalesced(&mut runs, PageRun::single(PageIdx::new(p)));
+            runs
+        })
     }
 
     /// Every WS extent's page data equals the memory file's bytes there.

@@ -1,6 +1,6 @@
 //! Property tests for REAP's file formats and the timeline invariants.
 
-use guest_mem::{coalesce_ordered, PageIdx, PageRun, PAGE_SIZE};
+use guest_mem::{push_coalesced, PageIdx, PageRun, PAGE_SIZE};
 use proptest::prelude::*;
 use sim_core::{SimDuration, SimTime};
 use sim_storage::{Disk, FileStore};
@@ -28,7 +28,11 @@ proptest! {
             fs.write_at(mem, p * PAGE_SIZE as u64, &data).unwrap();
         }
         let trace: Vec<PageIdx> = pages.iter().map(|&p| PageIdx::new(p)).collect();
-        let files = write_reap_files_runs(&fs, "t", mem, &coalesce_ordered(trace.iter().copied()));
+        let runs = trace.iter().fold(Vec::new(), |mut runs, &p| {
+            push_coalesced(&mut runs, PageRun::single(p));
+            runs
+        });
+        let files = write_reap_files_runs(&fs, "t", mem, &runs);
         prop_assert_eq!(files.pages, trace.len() as u64);
         prop_assert!(files.extents <= files.pages, "coalescing never grows");
 
@@ -210,5 +214,128 @@ proptest! {
         }
         prop_assert_eq!(run(None), reference.clone());
         prop_assert_eq!(run(Some(SimDuration::from_secs(3600))), reference);
+    }
+}
+
+/// The per-page reference the page-set analysis is checked against: the
+/// `BTreeSet<PageIdx>` code the touched, recorded and boot sets were built
+/// with before every page set became a `PageBitmap`.
+mod btree_reference {
+    use std::collections::BTreeSet;
+
+    use functionbench::GuestOp;
+    use guest_mem::PageIdx;
+    use sim_core::Histogram;
+    use vhive_core::{MispredictionReport, OverlapStats};
+
+    pub fn touched_pages<'a>(ops: impl IntoIterator<Item = &'a GuestOp>) -> BTreeSet<PageIdx> {
+        ops.into_iter()
+            .filter_map(|op| match op {
+                GuestOp::Touch(run) => Some(run),
+                GuestOp::Compute(_) => None,
+            })
+            .flat_map(|run| run.iter())
+            .collect()
+    }
+
+    pub fn working_set_overlap(a: &BTreeSet<PageIdx>, b: &BTreeSet<PageIdx>) -> OverlapStats {
+        let same = a.intersection(b).count() as u64;
+        OverlapStats {
+            same,
+            only_a: a.len() as u64 - same,
+            only_b: b.len() as u64 - same,
+        }
+    }
+
+    /// `(mean_run, regions, pages, histogram)`.
+    pub fn contiguity(pages: &BTreeSet<PageIdx>) -> (f64, u64, u64, Histogram) {
+        let mut histogram = Histogram::new(33);
+        let mut regions = 0u64;
+        let mut run_len = 0u64;
+        let mut prev: Option<u64> = None;
+        for page in pages {
+            let p = page.as_u64();
+            match prev {
+                Some(q) if p == q + 1 => run_len += 1,
+                Some(_) => {
+                    histogram.record(run_len);
+                    regions += 1;
+                    run_len = 1;
+                }
+                None => run_len = 1,
+            }
+            prev = Some(p);
+        }
+        if run_len > 0 {
+            histogram.record(run_len);
+            regions += 1;
+        }
+        let total = pages.len() as u64;
+        let mean = if regions == 0 { 0.0 } else { total as f64 / regions as f64 };
+        (mean, regions, total, histogram)
+    }
+
+    pub fn misprediction(recorded: &BTreeSet<PageIdx>, touched: &BTreeSet<PageIdx>, residual_faults: u64) -> MispredictionReport {
+        let used = recorded.intersection(touched).count() as u64;
+        MispredictionReport {
+            fetched: recorded.len() as u64,
+            used,
+            wasted: recorded.len() as u64 - used,
+            residual_faults,
+        }
+    }
+}
+
+/// A touch stream over a guest of `guest` pages: runs (some empty, many
+/// overlapping) clipped to the guest, each followed by a compute step.
+fn touch_stream(guest: u64, raw: &[(u64, u64)]) -> Vec<functionbench::GuestOp> {
+    use functionbench::GuestOp;
+    raw.iter()
+        .flat_map(|&(at, len)| {
+            let first = at % guest;
+            let run = PageRun::new(PageIdx::new(first), (len % 49).min(guest - first));
+            [GuestOp::Touch(run), GuestOp::Compute(SimDuration::from_micros(len))]
+        })
+        .collect()
+}
+
+proptest! {
+    /// The bitmap page sets equal the per-page `BTreeSet` reference on
+    /// random overlapping touch streams: members, `Debug` text, Fig 3
+    /// contiguity (histogram included), Fig 5 overlap and §7.1
+    /// misprediction all agree, across word boundaries and partial tail
+    /// words.
+    #[test]
+    fn page_bitmap_sets_match_btree_reference(
+        guest in 1u64..400,
+        a in proptest::collection::vec((0u64..400, 0u64..64), 0..40),
+        b in proptest::collection::vec((0u64..400, 0u64..64), 0..40),
+        residual in 0u64..100,
+    ) {
+        use functionbench::behavior::touched_pages;
+        use vhive_core::{contiguity, working_set_overlap, MispredictionReport};
+
+        let (ops_a, ops_b) = (touch_stream(guest, &a), touch_stream(guest, &b));
+        let (set_a, set_b) = (touched_pages(&ops_a, guest), touched_pages(&ops_b, guest));
+        let (ref_a, ref_b) = (btree_reference::touched_pages(&ops_a), btree_reference::touched_pages(&ops_b));
+
+        prop_assert_eq!(set_a.iter().collect::<Vec<_>>(), ref_a.iter().copied().collect::<Vec<_>>());
+        prop_assert_eq!(set_a.count(), ref_a.len() as u64);
+        prop_assert_eq!(set_a.len(), guest);
+        prop_assert_eq!(format!("{set_a:?}"), format!("{ref_a:?}"));
+        prop_assert_eq!(format!("{set_b:#?}"), format!("{ref_b:#?}"));
+
+        let c = contiguity(&set_a);
+        let (mean, regions, pages, histogram) = btree_reference::contiguity(&ref_a);
+        prop_assert_eq!(c.mean_run.to_bits(), mean.to_bits());
+        prop_assert_eq!((c.regions, c.pages), (regions, pages));
+        prop_assert_eq!(c.histogram, histogram);
+
+        prop_assert_eq!(working_set_overlap(&set_a, &set_b), btree_reference::working_set_overlap(&ref_a, &ref_b));
+        prop_assert_eq!(working_set_overlap(&set_b, &set_a), btree_reference::working_set_overlap(&ref_b, &ref_a));
+        prop_assert_eq!(
+            MispredictionReport::compute(&set_a, &set_b, residual),
+            btree_reference::misprediction(&ref_a, &ref_b, residual)
+        );
     }
 }

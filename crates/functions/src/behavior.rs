@@ -19,10 +19,8 @@
 //! Touches are emitted in short interleaved runs whose mean length is the
 //! spec's `contiguity_run`, reproducing Fig 3.
 
-use std::collections::BTreeSet;
-
-use guest_mem::PageIdx;
-use guest_os::{AddressSpace, GuestKernel, RegionKind, TouchChunk};
+use guest_mem::{PageBitmap, PageIdx, PageRun};
+use guest_os::{AddressSpace, GuestKernel, RegionKind};
 use sim_core::{DetRng, SimDuration};
 
 use crate::input::InvocationInput;
@@ -33,23 +31,23 @@ use crate::spec::{FunctionId, FunctionSpec};
 pub enum GuestOp {
     /// Access a run of guest-physical pages (read or write — both fault
     /// identically on first touch).
-    Touch(TouchChunk),
+    Touch(PageRun),
     /// Execute on the vCPU for the given duration without new page
     /// touches.
     Compute(SimDuration),
 }
 
-/// Collects the distinct pages a stream of ops touches.
-pub fn touched_pages<'a>(ops: impl IntoIterator<Item = &'a GuestOp>) -> BTreeSet<PageIdx> {
-    // One `collect`: std sorts the pages and bulk-builds the tree, several
-    // times cheaper than an insert per page.
-    ops.into_iter()
-        .filter_map(|op| match op {
-            GuestOp::Touch(chunk) => Some(chunk),
-            GuestOp::Compute(_) => None,
-        })
-        .flat_map(TouchChunk::iter)
-        .collect()
+/// The distinct pages a stream of ops touches, as a set over a guest of
+/// `guest_pages` pages: one [`PageBitmap::set_run`] per touch. Panics if a
+/// touch reaches past the guest.
+pub fn touched_pages<'a>(ops: impl IntoIterator<Item = &'a GuestOp>, guest_pages: u64) -> PageBitmap {
+    let mut set = PageBitmap::new(guest_pages);
+    for op in ops {
+        if let GuestOp::Touch(run) = op {
+            set.set_run(*run);
+        }
+    }
+    set
 }
 
 /// Total compute across a stream of ops.
@@ -72,11 +70,11 @@ pub fn total_compute(ops: &[GuestOp]) -> SimDuration {
 pub struct FunctionProgram {
     id: FunctionId,
     /// Runtime-code pages exercised on every invocation (stable).
-    stable_runtime: Vec<TouchChunk>,
+    stable_runtime: Vec<PageRun>,
     /// Persistent heap buffers (loaded models etc.; stable).
-    stable_heap: Vec<TouchChunk>,
+    stable_heap: Vec<PageRun>,
     /// Function handler code.
-    func_code: Vec<TouchChunk>,
+    func_code: Vec<PageRun>,
     /// Base and size (pages) of the input-data arena.
     input_arena: (PageIdx, u64),
     /// Base and size (pages) of the scratch/variance arena.
@@ -86,13 +84,13 @@ pub struct FunctionProgram {
 }
 
 /// Splits a chunk list into runs of at most `run` pages.
-fn rechunk(chunks: &[TouchChunk], run: u64) -> Vec<TouchChunk> {
+fn rechunk(chunks: &[PageRun], run: u64) -> Vec<PageRun> {
     let mut out = Vec::new();
     for c in chunks {
         let mut off = 0;
-        while off < c.pages {
-            let len = run.min(c.pages - off);
-            out.push(TouchChunk::new(c.start.add(off), len));
+        while off < c.len {
+            let len = run.min(c.len - off);
+            out.push(PageRun::new(c.first.add(off), len));
             off += len;
         }
     }
@@ -113,9 +111,9 @@ impl FunctionProgram {
     pub fn install(id: FunctionId, space: &mut AddressSpace, kernel: &GuestKernel) -> (Self, Vec<GuestOp>) {
         let spec = id.spec();
         let mut ops = Vec::new();
-        let mut boot_set: BTreeSet<PageIdx> = BTreeSet::new();
-        let emit = |ops: &mut Vec<GuestOp>, set: &mut BTreeSet<PageIdx>, chunk: TouchChunk| {
-            set.extend(chunk.iter());
+        let mut boot_set = PageBitmap::new(space.total_pages());
+        let emit = |ops: &mut Vec<GuestOp>, set: &mut PageBitmap, chunk: PageRun| {
+            set.set_run(chunk);
             ops.push(GuestOp::Touch(chunk));
         };
 
@@ -125,12 +123,12 @@ impl FunctionProgram {
         }
         // 2. Runtime import sweep: all of the runtime-code region.
         let runtime = space.region(RegionKind::RuntimeCode);
-        for c in rechunk(&[TouchChunk::new(runtime.first, runtime.pages)], 32) {
+        for c in rechunk(&[PageRun::new(runtime.first, runtime.pages)], 32) {
             emit(&mut ops, &mut boot_set, c);
         }
         // 3. Function handler code.
         let fc = space.region(RegionKind::FunctionCode);
-        let func_code = rechunk(&[TouchChunk::new(fc.first, fc.pages)], 16);
+        let func_code = rechunk(&[PageRun::new(fc.first, fc.pages)], 16);
         for c in &func_code {
             emit(&mut ops, &mut boot_set, *c);
         }
@@ -151,7 +149,7 @@ impl FunctionProgram {
             let start = space
                 .alloc_heap(take)
                 .expect("guest heap exhausted during function init");
-            stable_heap.push(TouchChunk::new(start, take));
+            stable_heap.push(PageRun::new(start, take));
             // Non-power-of-two runs leave a natural hole from buddy
             // rounding; power-of-two runs need an explicit spacer so
             // consecutive buffers do not merge into long physical runs.
@@ -208,11 +206,11 @@ impl FunctionProgram {
         //    allocator.
         let footprint_target = spec.boot_footprint_mb * 1024 * 1024 / 4096;
         let heap = space.region(RegionKind::Heap);
-        let already = boot_set.len() as u64;
+        let already = boot_set.count();
         let filler = footprint_target.saturating_sub(already).min(heap.pages);
         if filler > 0 {
             let filler_first = heap.end().as_u64() - filler;
-            for c in rechunk(&[TouchChunk::new(PageIdx::new(filler_first), filler)], 32) {
+            for c in rechunk(&[PageRun::new(PageIdx::new(filler_first), filler)], 32) {
                 emit(&mut ops, &mut boot_set, c);
             }
         }
@@ -228,7 +226,7 @@ impl FunctionProgram {
             func_code,
             input_arena: (input_base, input_arena_pages),
             scratch_arena: (scratch_base, scratch_pages),
-            boot_touched_pages: boot_set.len() as u64,
+            boot_touched_pages: boot_set.count(),
         };
         (program, ops)
     }
@@ -284,7 +282,7 @@ impl FunctionProgram {
             let mut off = start_off;
             while touched < p && off + stride_run <= arena {
                 let take = stride_run.min(p - touched);
-                chunks.push(TouchChunk::new(base.add(off), take));
+                chunks.push(PageRun::new(base.add(off), take));
                 touched += take;
                 off += stride_run + 1; // skip one page between runs
             }
@@ -298,7 +296,7 @@ impl FunctionProgram {
             while left > 0 {
                 let len = rng.run_length(1.5, 2).min(left);
                 let off = rng.gen_range(arena.saturating_sub(len).max(1));
-                chunks.push(TouchChunk::new(base.add(off), len));
+                chunks.push(PageRun::new(base.add(off), len));
                 left -= len;
             }
             chunks
@@ -307,7 +305,7 @@ impl FunctionProgram {
         // allocation order/size depends on the input's aspect ratio,
         // shifting guest-physical layout between invocations (§6.3). Mats
         // are touched in run/skip strides like input spans.
-        let mut transient: Vec<(PageIdx, Vec<TouchChunk>)> = Vec::new();
+        let mut transient: Vec<(PageIdx, Vec<PageRun>)> = Vec::new();
         if spec.layout_shift {
             // Mats are allocated in <=4 MB chunks (the guest buddy's max
             // order). Different aspect ratios stride the mats with a
@@ -321,7 +319,7 @@ impl FunctionProgram {
                         let mut chunks = Vec::new();
                         let mut off = phase;
                         while off + run <= pages {
-                            chunks.push(TouchChunk::new(start.add(off), run));
+                            chunks.push(PageRun::new(start.add(off), run));
                             off += run + 1;
                         }
                         transient.push((start, chunks));
@@ -334,7 +332,7 @@ impl FunctionProgram {
         // Interleave all sources round-robin, starting from a rotated
         // position: runs from different regions alternate, which is what
         // keeps faulted-page contiguity short (Fig 3).
-        let mut sources: Vec<Vec<TouchChunk>> = vec![infra, runtime, heap, code, input_chunks, scratch_chunks];
+        let mut sources: Vec<Vec<PageRun>> = vec![infra, runtime, heap, code, input_chunks, scratch_chunks];
         for (_, chunks) in &transient {
             sources.push(chunks.clone());
         }
@@ -371,7 +369,7 @@ impl FunctionProgram {
 
 /// Builds the stable runtime-code stripe: `pages` pages across the region
 /// in runs of `run`, evenly strided.
-fn stable_runtime_stripe(first: PageIdx, region_pages: u64, pages: u64, run: u64) -> Vec<TouchChunk> {
+fn stable_runtime_stripe(first: PageIdx, region_pages: u64, pages: u64, run: u64) -> Vec<PageRun> {
     if pages == 0 {
         return Vec::new();
     }
@@ -383,7 +381,7 @@ fn stable_runtime_stripe(first: PageIdx, region_pages: u64, pages: u64, run: u64
     let mut pos = 0;
     while emitted < pages && pos + run <= region_pages {
         let len = run.min(pages - emitted);
-        chunks.push(TouchChunk::new(first.add(pos), len));
+        chunks.push(PageRun::new(first.add(pos), len));
         emitted += len;
         pos += stride;
     }
@@ -391,7 +389,7 @@ fn stable_runtime_stripe(first: PageIdx, region_pages: u64, pages: u64, run: u64
     // remainder at the end of the region.
     if emitted < pages {
         let len = pages - emitted;
-        chunks.push(TouchChunk::new(first.add(region_pages - len), len));
+        chunks.push(PageRun::new(first.add(region_pages - len), len));
     }
     chunks
 }
@@ -435,6 +433,12 @@ mod tests {
     use crate::spec::INFRA_PAGES;
     use guest_os::LayoutSpec;
 
+    /// The touched set of one invocation.
+    fn ws(space: &mut AddressSpace, kernel: &GuestKernel, program: &FunctionProgram, input: &InvocationInput) -> PageBitmap {
+        let ops = program.invocation_ops(space, kernel, input);
+        touched_pages(&ops, space.total_pages())
+    }
+
     fn setup(id: FunctionId) -> (AddressSpace, GuestKernel, FunctionProgram, Vec<GuestOp>) {
         let mut space = AddressSpace::new(65536, LayoutSpec::default());
         let kernel = GuestKernel::new(&space);
@@ -461,7 +465,7 @@ mod tests {
             let (mut space, kernel, program, _) = setup(id);
             let input = InputGenerator::new(id, 1).input(1);
             let ops = program.invocation_ops(&mut space, &kernel, &input);
-            let ws = touched_pages(&ops).len() as u64;
+            let ws = touched_pages(&ops, space.total_pages()).count();
             let expect = id.spec().expected_ws_pages();
             let ratio = ws as f64 / expect as f64;
             assert!(
@@ -487,10 +491,10 @@ mod tests {
         for id in [FunctionId::helloworld, FunctionId::pyaes, FunctionId::cnn_serving] {
             let (mut space, kernel, program, _) = setup(id);
             let gen = InputGenerator::new(id, 2);
-            let ws1 = touched_pages(&program.invocation_ops(&mut space, &kernel, &gen.input(1)));
-            let ws2 = touched_pages(&program.invocation_ops(&mut space, &kernel, &gen.input(2)));
-            let same = ws1.intersection(&ws2).count() as f64;
-            let reuse = same / ws1.len() as f64;
+            let ws1 = ws(&mut space, &kernel, &program, &gen.input(1));
+            let ws2 = ws(&mut space, &kernel, &program, &gen.input(2));
+            let same = ws1.count_common(&ws2) as f64;
+            let reuse = same / ws1.count() as f64;
             assert!(
                 reuse > 0.93,
                 "{id}: reuse {reuse:.3} should be high for small-input functions"
@@ -503,10 +507,10 @@ mod tests {
         for id in [FunctionId::image_rotate, FunctionId::json_serdes, FunctionId::lr_training] {
             let (mut space, kernel, program, _) = setup(id);
             let gen = InputGenerator::new(id, 3);
-            let ws1 = touched_pages(&program.invocation_ops(&mut space, &kernel, &gen.input(1)));
-            let ws2 = touched_pages(&program.invocation_ops(&mut space, &kernel, &gen.input(2)));
-            let same = ws1.intersection(&ws2).count() as f64;
-            let reuse = same / ws1.len() as f64;
+            let ws1 = ws(&mut space, &kernel, &program, &gen.input(1));
+            let ws2 = ws(&mut space, &kernel, &program, &gen.input(2));
+            let same = ws1.count_common(&ws2) as f64;
+            let reuse = same / ws1.count() as f64;
             assert!(
                 (0.70..0.995).contains(&reuse),
                 "{id}: reuse {reuse:.3} should be lower but above the paper's 76% floor"
@@ -522,16 +526,16 @@ mod tests {
         // Find two inputs with different aspect classes.
         let a = (0..32).map(|s| gen.input(s)).find(|i| i.shape == 0).unwrap();
         let b = (0..32).map(|s| gen.input(s)).find(|i| i.shape == 1).unwrap();
-        let ws_a = touched_pages(&program.invocation_ops(&mut space, &kernel, &a));
-        let ws_b = touched_pages(&program.invocation_ops(&mut space, &kernel, &b));
-        let same = ws_a.intersection(&ws_b).count() as f64;
-        let reuse = same / ws_a.len().max(ws_b.len()) as f64;
+        let ws_a = ws(&mut space, &kernel, &program, &a);
+        let ws_b = ws(&mut space, &kernel, &program, &b);
+        let same = ws_a.count_common(&ws_b) as f64;
+        let reuse = same / ws_a.count().max(ws_b.count()) as f64;
         assert!(
             reuse < 0.92,
             "aspect shift should displace a noticeable page share, reuse {reuse:.3}"
         );
         // Buddy state restored: same input again gives identical set.
-        let ws_a2 = touched_pages(&program.invocation_ops(&mut space, &kernel, &a));
+        let ws_a2 = ws(&mut space, &kernel, &program, &a);
         assert_eq!(ws_a, ws_a2, "allocator state must recur after free");
     }
 
@@ -560,7 +564,7 @@ mod tests {
         let max_run = ops
             .iter()
             .filter_map(|op| match op {
-                GuestOp::Touch(c) => Some(c.pages),
+                GuestOp::Touch(c) => Some(c.len),
                 GuestOp::Compute(_) => None,
             })
             .max()
@@ -572,11 +576,11 @@ mod tests {
     fn infra_set_is_subset_of_every_invocation() {
         let (mut space, kernel, program, _) = setup(FunctionId::chameleon);
         let input = InputGenerator::new(FunctionId::chameleon, 8).input(1);
-        let ws = touched_pages(&program.invocation_ops(&mut space, &kernel, &input));
+        let ws = ws(&mut space, &kernel, &program, &input);
         let mut infra_pages = 0u64;
         for c in kernel.rpc_plan() {
             for p in c.iter() {
-                assert!(ws.contains(&p), "infra page {p} missing from ws");
+                assert!(ws.get(p), "infra page {p} missing from ws");
                 infra_pages += 1;
             }
         }
@@ -595,11 +599,11 @@ mod tests {
 
     #[test]
     fn rechunk_splits_exactly() {
-        let chunks = vec![TouchChunk::new(PageIdx::new(0), 10)];
+        let chunks = vec![PageRun::new(PageIdx::new(0), 10)];
         let out = rechunk(&chunks, 3);
-        let total: u64 = out.iter().map(|c| c.pages).sum();
+        let total: u64 = out.iter().map(|c| c.len).sum();
         assert_eq!(total, 10);
-        assert!(out.iter().all(|c| c.pages <= 3));
+        assert!(out.iter().all(|c| c.len <= 3));
         assert_eq!(out.len(), 4);
     }
 
@@ -607,7 +611,7 @@ mod tests {
     fn stripe_emits_exact_page_count() {
         for pages in [1u64, 7, 100, 819] {
             let chunks = stable_runtime_stripe(PageIdx::new(0), 8192, pages, 3);
-            let total: u64 = chunks.iter().map(|c| c.pages).sum();
+            let total: u64 = chunks.iter().map(|c| c.len).sum();
             assert_eq!(total, pages, "stripe must emit exactly {pages}");
         }
     }

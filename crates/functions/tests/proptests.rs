@@ -2,7 +2,7 @@
 //! paper's analysis rests on must hold for *any* seed and input sequence.
 
 use functionbench::behavior::touched_pages;
-use functionbench::{FunctionId, FunctionProgram, InputGenerator};
+use functionbench::{FunctionId, FunctionProgram, GuestOp, InputGenerator};
 use guest_os::{AddressSpace, GuestKernel, LayoutSpec};
 use proptest::prelude::*;
 
@@ -51,17 +51,19 @@ proptest! {
         let (mut space, kernel, program) = setup(id);
         let input = InputGenerator::new(id, seed).input(seq);
         let ops = program.invocation_ops(&mut space, &kernel, &input);
-        let ws = touched_pages(&ops).len() as u64;
+        // All touched pages lie inside guest memory.
+        for op in &ops {
+            if let GuestOp::Touch(run) = op {
+                prop_assert!(run.end().as_u64() <= 65536, "{run} past guest memory");
+            }
+        }
+        let ws = touched_pages(&ops, space.total_pages()).count();
         let expect = id.spec().expected_ws_pages();
         let ratio = ws as f64 / expect as f64;
         prop_assert!(
             (0.6..1.6).contains(&ratio),
             "{id}: ws {ws} vs expected {expect}"
         );
-        // All touched pages lie inside guest memory.
-        for p in touched_pages(&ops) {
-            prop_assert!(p.as_u64() < 65536);
-        }
     }
 
     /// Same input -> byte-identical op stream, no matter how many other
@@ -89,11 +91,12 @@ proptest! {
     fn infra_set_always_shared(id in any_function(), seed in any::<u64>()) {
         let (mut space, kernel, program) = setup(id);
         let gen = InputGenerator::new(id, seed);
-        let a = touched_pages(&program.invocation_ops(&mut space, &kernel, &gen.input(1)));
-        let b = touched_pages(&program.invocation_ops(&mut space, &kernel, &gen.input(2)));
+        let pages = space.total_pages();
+        let a = touched_pages(&program.invocation_ops(&mut space, &kernel, &gen.input(1)), pages);
+        let b = touched_pages(&program.invocation_ops(&mut space, &kernel, &gen.input(2)), pages);
         for chunk in kernel.rpc_plan() {
             for p in chunk.iter() {
-                prop_assert!(a.contains(&p) && b.contains(&p), "infra page {p} missing");
+                prop_assert!(a.get(p) && b.get(p), "infra page {p} missing");
             }
         }
     }

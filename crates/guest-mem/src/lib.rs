@@ -26,5 +26,5 @@ pub mod uffd;
 pub use checksum::fnv1a64;
 pub use memory::{FrameBytes, GuestMemory, MemError, RunChunk};
 pub use page::{GuestAddr, PageIdx, PAGE_SIZE};
-pub use run::{coalesce_ordered, push_coalesced, PageBitmap, PageRun};
+pub use run::{push_coalesced, PageBitmap, PageRun};
 pub use uffd::{FaultEvent, RunInstall, TouchOutcome, Uffd, UffdStats};

@@ -171,11 +171,6 @@ impl GuestMemory {
         self.resident.all_set_in(run)
     }
 
-    /// True if `page` lies within the region.
-    pub fn contains_page(&self, page: PageIdx) -> bool {
-        (page.as_u64() as usize) < self.slots.len()
-    }
-
     /// True if `run` lies entirely within the region.
     pub fn contains_run(&self, run: PageRun) -> bool {
         run.first.as_u64() + run.len <= self.num_pages()
@@ -584,8 +579,8 @@ mod tests {
         let mem = GuestMemory::new(2 * 4096);
         let err = mem.read(GuestAddr::new(2 * 4096 - 1), 2).unwrap_err();
         assert!(matches!(err, MemError::OutOfBounds(_)));
-        assert!(!mem.contains_page(PageIdx::new(2)));
-        assert!(mem.contains_page(PageIdx::new(1)));
+        assert!(!mem.contains_run(PageRun::single(PageIdx::new(2))));
+        assert!(mem.contains_run(PageRun::single(PageIdx::new(1))));
     }
 
     #[test]

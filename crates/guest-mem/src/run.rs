@@ -4,8 +4,8 @@
 //! by *per-page* round trips: thousands of userfaultfd faults, installs
 //! and file reads that could be one bulk operation each. [`PageRun`] is
 //! the vocabulary type for that batching — a contiguous range of guest
-//! pages — and [`PageBitmap`] is the word-packed set the memory and fault
-//! layers use to find maximal runs without touching per-page structures.
+//! pages, and a guest touch — and [`PageBitmap`] is the one page set, which
+//! every layer queries word-at-a-time, never through per-page structures.
 
 use std::fmt;
 
@@ -85,22 +85,9 @@ impl fmt::Display for PageRun {
     }
 }
 
-/// Coalesces pages into maximal runs, merging only *adjacent-in-order*
-/// neighbours so the original ordering (e.g. REAP fault order) survives:
-/// `[5, 6, 7, 2, 3, 9]` becomes `[5+3, 2+2, 9+1]`.
-pub fn coalesce_ordered<I: IntoIterator<Item = PageIdx>>(pages: I) -> Vec<PageRun> {
-    let mut runs: Vec<PageRun> = Vec::new();
-    for page in pages {
-        match runs.last_mut() {
-            Some(last) if last.abuts(PageRun::single(page)) => last.len += 1,
-            _ => runs.push(PageRun::single(page)),
-        }
-    }
-    runs
-}
-
-/// Appends `run` to `runs`, merging with the tail when contiguous — the
-/// incremental form of [`coalesce_ordered`] used by trace recording.
+/// Appends `run` to `runs`, merging with the tail when contiguous, so the
+/// original ordering (e.g. REAP fault order) survives: pushing `5+3, 8+1,
+/// 2+2` leaves `[5+4, 2+2]`. Trace recording builds its run list this way.
 pub fn push_coalesced(runs: &mut Vec<PageRun>, run: PageRun) {
     if run.is_empty() {
         return;
@@ -113,11 +100,11 @@ pub fn push_coalesced(runs: &mut Vec<PageRun>, run: PageRun) {
 
 const WORD_BITS: u64 = 64;
 
-/// A word-packed page set over a fixed range `[0, pages)`.
-///
-/// Membership, bulk marking and maximal-run queries are all word-at-a-time;
-/// nothing in it allocates per page.
-#[derive(Debug, Clone, Default)]
+/// A word-packed page set over a fixed range `[0, pages)`: residency, the
+/// touched, boot and recorded sets. Membership, bulk marking, intersection
+/// counts and maximal-run queries are word-at-a-time; nothing allocates
+/// per page. `Debug` prints the members as a sorted set does: `{p, q}`.
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct PageBitmap {
     words: Vec<u64>,
     pages: u64,
@@ -147,6 +134,16 @@ impl PageBitmap {
     /// Number of member pages.
     pub fn count(&self) -> u64 {
         self.ones
+    }
+
+    /// Number of pages that are members of both `self` and `other`: one
+    /// AND plus popcount per word over the shorter range.
+    pub fn count_common(&self, other: &PageBitmap) -> u64 {
+        self.words
+            .iter()
+            .zip(&other.words)
+            .map(|(a, b)| (a & b).count_ones() as u64)
+            .sum()
     }
 
     /// True if `page` is in the set (false when out of range).
@@ -302,6 +299,12 @@ impl PageBitmap {
     }
 }
 
+impl fmt::Debug for PageBitmap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,11 +327,10 @@ mod tests {
 
     #[test]
     fn coalesce_merges_adjacent_in_order_only() {
-        let pages: Vec<PageIdx> = [5u64, 6, 7, 2, 3, 9, 8]
-            .iter()
-            .map(|&p| PageIdx::new(p))
-            .collect();
-        let runs = coalesce_ordered(pages);
+        let mut runs = Vec::new();
+        for p in [5u64, 6, 7, 2, 3, 9, 8] {
+            push_coalesced(&mut runs, PageRun::single(PageIdx::new(p)));
+        }
         assert_eq!(
             runs,
             vec![
@@ -339,7 +341,6 @@ mod tests {
                 PageRun::new(PageIdx::new(8), 1),
             ]
         );
-        assert!(coalesce_ordered(std::iter::empty()).is_empty());
     }
 
     #[test]
@@ -380,6 +381,20 @@ mod tests {
         assert!(b.all_set_in(run));
         assert!(b.any_set_in(PageRun::new(PageIdx::new(0), 64)));
         assert!(!b.all_set_in(PageRun::new(PageIdx::new(59), 2)));
+    }
+
+    #[test]
+    fn count_common_is_an_and_popcount() {
+        // 150 pages: two full words and a 22-bit tail word.
+        let (mut a, mut b, empty) = (PageBitmap::new(150), PageBitmap::new(150), PageBitmap::new(150));
+        a.set_run(PageRun::new(PageIdx::new(60), 10)); // crosses word 0 -> 1
+        a.set_run(PageRun::new(PageIdx::new(140), 10)); // tail word, to the end
+        b.set_run(PageRun::new(PageIdx::new(62), 70)); // 62..132, words 0-2
+        b.set_run(PageRun::new(PageIdx::new(145), 5));
+        assert_eq!((a.count_common(&b), b.count_common(&a)), (8 + 5, 8 + 5));
+        assert_eq!((a.count_common(&a), b.count_common(&b)), (a.count(), b.count()));
+        assert_eq!((a.count_common(&empty), empty.count_common(&empty)), (0, 0));
+        assert_eq!(PageBitmap::default().count_common(&a), 0, "empty range");
     }
 
     #[test]

@@ -204,11 +204,6 @@ impl Uffd {
         self.pending.pop_front()
     }
 
-    /// Monitor-side: number of queued faults.
-    pub fn pending_faults(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Monitor-side: translates a fault's host virtual address into the
     /// guest page, given the region base learned from the injected first
     /// fault.
@@ -374,8 +369,7 @@ mod tests {
         };
         assert_eq!(ev.host_vaddr, 0x7f00_0000_0000 + 3 * 4096);
         assert_eq!(u.page_of_fault(ev), PageIdx::new(3));
-        assert_eq!(u.pending_faults(), 1);
-        assert_eq!(u.poll(), Some(ev));
+        assert_eq!(u.poll(), Some(ev), "exactly one fault queued");
         assert_eq!(u.poll(), None);
     }
 
@@ -433,7 +427,7 @@ mod tests {
         u.copy(PageIdx::new(0), &[0u8; PAGE_SIZE]).unwrap();
         assert_eq!(u.touch_page(PageIdx::new(0)), TouchOutcome::Resident);
         assert_eq!(u.stats().faults, 0);
-        assert_eq!(u.pending_faults(), 0);
+        assert_eq!(u.poll(), None);
     }
 
     #[test]
@@ -453,7 +447,7 @@ mod tests {
         u.wake_run(run.len);
         let st = u.stats();
         assert_eq!((st.faults, st.copies, st.wakes, st.copy_eexist), (4, 4, 4, 0));
-        assert_eq!(u.pending_faults(), 0, "batched path queues nothing");
+        assert_eq!(u.poll(), None, "batched path queues nothing");
         // Sequence numbers advanced per page: the next fault is seq 4.
         let TouchOutcome::Faulted(next) = u.touch_page(PageIdx::new(9)) else {
             panic!("page 9 missing");

@@ -10,37 +10,13 @@
 //!   gRPC server + TCP stack + agent pages touched on *every* invocation.
 //!   This set is stable across invocations, so REAP prefetches it and
 //!   connection restoration shrinks ~45× (§6.3).
+//!
+//! A plan is a list of [`PageRun`]s, the run type guest memory uses, so a
+//! vCPU replays each entry as one window with no conversion.
 
-use guest_mem::PageIdx;
+use guest_mem::PageRun;
 
 use crate::layout::{AddressSpace, RegionDesc, RegionKind};
-
-/// A contiguous run of pages to touch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TouchChunk {
-    /// First page of the run.
-    pub start: PageIdx,
-    /// Number of pages.
-    pub pages: u64,
-}
-
-impl TouchChunk {
-    /// Creates a chunk.
-    pub fn new(start: PageIdx, pages: u64) -> Self {
-        TouchChunk { start, pages }
-    }
-
-    /// Iterates the chunk's pages.
-    pub fn iter(&self) -> impl Iterator<Item = PageIdx> {
-        let first = self.start.as_u64();
-        (first..first + self.pages).map(PageIdx::new)
-    }
-}
-
-/// Total pages across chunks.
-pub fn total_pages(chunks: &[TouchChunk]) -> u64 {
-    chunks.iter().map(|c| c.pages).sum()
-}
 
 /// Selects runs of `run_len` pages every `stride` pages across a region,
 /// starting `offset` pages in — a deterministic "striping" used to model
@@ -49,14 +25,14 @@ pub fn total_pages(chunks: &[TouchChunk]) -> u64 {
 /// # Panics
 ///
 /// Panics if `run_len == 0` or `stride < run_len`.
-pub fn stripe(region: RegionDesc, offset: u64, run_len: u64, stride: u64) -> Vec<TouchChunk> {
+pub fn stripe(region: RegionDesc, offset: u64, run_len: u64, stride: u64) -> Vec<PageRun> {
     assert!(run_len > 0, "run length must be positive");
     assert!(stride >= run_len, "stride must cover the run");
     let mut chunks = Vec::new();
     let mut pos = offset;
     while pos < region.pages {
         let len = run_len.min(region.pages - pos);
-        chunks.push(TouchChunk::new(region.first.add(pos), len));
+        chunks.push(PageRun::new(region.first.add(pos), len));
         pos += stride;
     }
     chunks
@@ -86,7 +62,7 @@ impl GuestKernel {
     /// agents (Containerd agents, gRPC server): large, mostly-sequential
     /// sweeps. Touched once at boot; most are never needed again during
     /// invocation processing (§4.3).
-    pub fn boot_plan(&self) -> Vec<TouchChunk> {
+    pub fn boot_plan(&self) -> Vec<PageRun> {
         let mut plan = Vec::new();
         // Kernel decompression + init touches ~all of the text sequentially.
         plan.extend(stripe(self.kernel_text, 0, 32, 32));
@@ -105,7 +81,7 @@ impl GuestKernel {
     /// regions — the lack of spatial locality that defeats the host's
     /// readahead (§4.2). Identical on every invocation — stability is what
     /// makes REAP's record-once approach work.
-    pub fn rpc_plan(&self) -> Vec<TouchChunk> {
+    pub fn rpc_plan(&self) -> Vec<PageRun> {
         let mut plan = Vec::new();
         // Agent/gRPC server code+data actually exercised per request:
         // ~9% of the mapped region, in 3-page runs 32 pages apart — far
@@ -120,20 +96,15 @@ impl GuestKernel {
         plan
     }
 
-    /// Page count of the RPC plan.
-    pub fn rpc_pages(&self) -> u64 {
-        total_pages(&self.rpc_plan())
-    }
-
     /// The subset of the RPC plan touched while re-establishing the gRPC
     /// connection to the guest server (the paper's *Connection
     /// restoration* phase, Fig 2): the TCP/socket path plus the accept
     /// path through the agents. The remainder of the infrastructure set
     /// faults later, while the request itself is processed.
-    pub fn conn_plan(&self) -> Vec<TouchChunk> {
+    pub fn conn_plan(&self) -> Vec<PageRun> {
         let agents = stripe(self.agents, 0, 3, 32);
         let keep = agents.len() * 6 / 10;
-        let mut plan: Vec<TouchChunk> = agents.into_iter().take(keep).collect();
+        let mut plan: Vec<PageRun> = agents.into_iter().take(keep).collect();
         plan.extend(stripe(self.net_stack, 1, 2, 9));
         plan
     }
@@ -143,6 +114,10 @@ impl GuestKernel {
 mod tests {
     use super::*;
     use crate::layout::LayoutSpec;
+
+    fn plan_pages(plan: &[PageRun]) -> u64 {
+        plan.iter().map(|c| c.len).sum()
+    }
 
     fn kernel() -> GuestKernel {
         let space = AddressSpace::new(65536, LayoutSpec::default());
@@ -154,14 +129,14 @@ mod tests {
         let space = AddressSpace::new(65536, LayoutSpec::default());
         let agents = space.region(RegionKind::Agents);
         let chunks = stripe(agents, 0, 3, 5);
-        let n = total_pages(&chunks);
+        let n = plan_pages(&chunks);
         // 3 of every 5 pages = 60%.
         let frac = n as f64 / agents.pages as f64;
         assert!((frac - 0.6).abs() < 0.01, "got {n} pages ({frac:.2})");
         // All chunks inside the region.
         for c in &chunks {
-            assert!(agents.contains(c.start));
-            assert!(c.start.as_u64() + c.pages <= agents.end().as_u64());
+            assert!(agents.contains(c.first));
+            assert!(c.end() <= agents.end());
         }
     }
 
@@ -194,13 +169,13 @@ mod tests {
         let net = space.region(RegionKind::NetStack); // 512 pages
         let chunks = stripe(net, 510, 4, 8);
         assert_eq!(chunks.len(), 1);
-        assert_eq!(chunks[0].pages, 2, "tail clipped to the region end");
+        assert_eq!(chunks[0].len, 2, "tail clipped to the region end");
     }
 
     #[test]
     fn rpc_plan_is_about_8mb_and_stable() {
         let k = kernel();
-        let pages = k.rpc_pages();
+        let pages = plan_pages(&k.rpc_plan());
         let mb = pages as f64 * 4096.0 / 1e6;
         // §4.4: "up to 8MB" of infrastructure working set.
         assert!((6.0..9.0).contains(&mb), "rpc set should be ~8 MB, got {mb:.1}");
@@ -211,15 +186,15 @@ mod tests {
     #[test]
     fn rpc_plan_has_short_runs() {
         let k = kernel();
-        let max_run = k.rpc_plan().iter().map(|c| c.pages).max().unwrap();
+        let max_run = k.rpc_plan().iter().map(|c| c.len).max().unwrap();
         assert!(max_run <= 3, "infra touches come in short runs (Fig 3)");
     }
 
     #[test]
     fn boot_plan_is_superset_scale_of_rpc_plan() {
         let k = kernel();
-        let boot = total_pages(&k.boot_plan());
-        let rpc = k.rpc_pages();
+        let boot = plan_pages(&k.boot_plan());
+        let rpc = plan_pages(&k.rpc_plan());
         assert!(
             boot > 2 * rpc,
             "boot touches far more than an invocation: {boot} vs {rpc}"
@@ -228,9 +203,12 @@ mod tests {
 
     #[test]
     fn chunk_iter_yields_consecutive_pages() {
-        let c = TouchChunk::new(PageIdx::new(10), 3);
+        let space = AddressSpace::new(65536, LayoutSpec::default());
+        let net = space.region(RegionKind::NetStack);
+        let c = stripe(net, 10, 3, 8)[0];
         let pages: Vec<u64> = c.iter().map(|p| p.as_u64()).collect();
-        assert_eq!(pages, vec![10, 11, 12]);
+        let first = net.first.as_u64() + 10;
+        assert_eq!(pages, vec![first, first + 1, first + 2]);
     }
 
     #[test]

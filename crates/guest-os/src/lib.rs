@@ -28,5 +28,5 @@ pub mod kernel;
 pub mod layout;
 
 pub use buddy::{BuddyAllocator, BuddyError};
-pub use kernel::{GuestKernel, TouchChunk};
+pub use kernel::GuestKernel;
 pub use layout::{AddressSpace, LayoutSpec, RegionDesc, RegionKind};

@@ -568,7 +568,7 @@ mod tests {
 
     /// Everything of a VM's guest structures that later behaviour depends
     /// on, in comparable form.
-    fn shell_signature(vm: &MicroVm) -> (u64, Vec<guest_os::RegionDesc>, Vec<guest_os::TouchChunk>, Vec<guest_os::TouchChunk>) {
+    fn shell_signature(vm: &MicroVm) -> (u64, Vec<guest_os::RegionDesc>, Vec<PageRun>, Vec<PageRun>) {
         let shell = vm.guest_shell();
         (
             shell.space.heap().state_fingerprint(),

@@ -10,8 +10,9 @@
 //! is installed, which is exactly why serial page faults dominate cold
 //! invocations (§4.2).
 //!
-//! The replay is run-length batched: consecutive missing pages of a touch
-//! chunk are found with one bitmap scan and served as one [`PageRun`]
+//! The replay is run-length batched: a touch is itself a [`PageRun`], and
+//! the consecutive missing pages inside it are found with one bitmap scan
+//! and served as one run
 //! (one fault record, one bulk install, one wake batch) instead of
 //! thousands of per-page round trips — the optimization REAP itself makes
 //! on the host (§5.2.2). The per-page *accounting* (fault, copy and wake
@@ -119,8 +120,7 @@ pub fn run_resident(ops: &[GuestOp], memory: &mut GuestMemory, content_label: u6
                 trace.ops.push(TimedOp::Compute(*d));
                 trace.compute += *d;
             }
-            GuestOp::Touch(chunk) => {
-                let window = PageRun::new(chunk.start, chunk.pages);
+            &GuestOp::Touch(window) => {
                 let mut installed = 0u64;
                 let mut cursor = window.first;
                 while let Some(missing) = memory.next_missing_run(cursor, window) {
@@ -156,8 +156,7 @@ pub fn run_lazy(ops: &[GuestOp], uffd: &mut Uffd, handler: &mut dyn FaultHandler
                 trace.ops.push(TimedOp::Compute(*d));
                 trace.compute += *d;
             }
-            GuestOp::Touch(chunk) => {
-                let window = PageRun::new(chunk.start, chunk.pages);
+            &GuestOp::Touch(window) => {
                 let mut cursor = window.first;
                 while let Some(missing) = uffd.next_missing_run(cursor, window) {
                     let ev = uffd.raise_run(missing);
@@ -183,7 +182,6 @@ pub fn run_lazy(ops: &[GuestOp], uffd: &mut Uffd, handler: &mut dyn FaultHandler
 mod tests {
     use super::*;
     use guest_mem::PageIdx;
-    use guest_os::TouchChunk;
 
     struct ZeroFill;
     impl FaultHandler for ZeroFill {
@@ -195,9 +193,9 @@ mod tests {
 
     fn ops() -> Vec<GuestOp> {
         vec![
-            GuestOp::Touch(TouchChunk::new(PageIdx::new(0), 3)),
+            GuestOp::Touch(PageRun::new(PageIdx::new(0), 3)),
             GuestOp::Compute(SimDuration::from_millis(2)),
-            GuestOp::Touch(TouchChunk::new(PageIdx::new(1), 3)), // overlaps pages 1,2
+            GuestOp::Touch(PageRun::new(PageIdx::new(1), 3)), // overlaps pages 1,2
             GuestOp::Compute(SimDuration::from_millis(1)),
         ]
     }
@@ -241,7 +239,7 @@ mod tests {
         assert_eq!(trace.uffd_faults, 4);
         assert_eq!(trace.minor_faults, 0);
         assert_eq!(uffd.stats().wakes, 4);
-        // The two chunks produced one coalesced run each: [0..3) and [3..4).
+        // The two touches produced one coalesced run each: [0..3) and [3..4).
         assert_eq!(
             trace.faulted_runs(),
             vec![
@@ -270,7 +268,7 @@ mod tests {
         let mut uffd = Uffd::register(mem, 0);
         // Page 2 resident: touching [0, 5) must fault [0,2) and [3,5).
         uffd.copy(PageIdx::new(2), &[1u8; 4096]).unwrap();
-        let touch = vec![GuestOp::Touch(TouchChunk::new(PageIdx::new(0), 5))];
+        let touch = vec![GuestOp::Touch(PageRun::new(PageIdx::new(0), 5))];
         let trace = run_lazy(&touch, &mut uffd, &mut ZeroFill);
         assert_eq!(trace.uffd_faults, 4);
         assert_eq!(
@@ -307,7 +305,7 @@ mod tests {
         let mem = GuestMemory::new(16 * 4096);
         let mut uffd = Uffd::register(mem, 0x1000_0000);
         let mut rec = Recorder(Vec::new());
-        let touch = vec![GuestOp::Touch(TouchChunk::new(PageIdx::new(4), 3))];
+        let touch = vec![GuestOp::Touch(PageRun::new(PageIdx::new(4), 3))];
         run_lazy(&touch, &mut uffd, &mut rec);
         assert_eq!(
             rec.0,

@@ -293,7 +293,7 @@ mod tests {
         let input = InputGenerator::new(FunctionId::helloworld, 1).input(1);
         let ops = vm.invocation_ops(&input);
         assert!(!ops.is_empty());
-        let pages = functionbench::behavior::touched_pages(&ops).len();
+        let pages = functionbench::behavior::touched_pages(&ops, vm.memory().num_pages()).count();
         assert!(pages > 1500, "helloworld ws ~2000 pages, got {pages}");
     }
 

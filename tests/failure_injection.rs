@@ -54,6 +54,37 @@ fn truncated_trace_file_is_rejected() {
     ));
 }
 
+/// The trace parser bounds extents, not the guest: a well-formed trace
+/// that names pages past the guest (here one extent straddling its end and
+/// one wholly beyond it) counts them as fetched and wasted, never used, and
+/// the request completes.
+#[test]
+fn trace_pages_past_the_guest_are_fetched_never_used() {
+    let f = FunctionId::helloworld;
+    let serve = |extra: bool| {
+        let mut orch = Orchestrator::new(34);
+        orch.register(f);
+        let guest = orch.invoke_record(f).touched.len();
+        if extra {
+            let fs = orch.fs();
+            let trace = fs.open(&format!("snapshots/{f}/ws_trace")).unwrap();
+            let n = read_trace_runs(fs, trace).unwrap().len() as u64;
+            fs.write_at(trace, 8, &(n + 2).to_le_bytes()).unwrap();
+            let mut table = Vec::new();
+            for (first, len) in [(guest - 1, 2u64), (guest + 10, 3)] {
+                table.extend_from_slice(&(first * PAGE_SIZE as u64).to_le_bytes());
+                table.extend_from_slice(&len.to_le_bytes());
+            }
+            fs.write_at(trace, 16 + 16 * n, &table).unwrap();
+        }
+        orch.invoke_cold(f, ColdPolicy::Reap).misprediction.expect("REAP reports")
+    };
+    let (plain, extended) = (serve(false), serve(true));
+    assert_eq!(extended.fetched, plain.fetched + 5);
+    assert_eq!(extended.used, plain.used);
+    assert_eq!(extended.wasted, plain.wasted + 5);
+}
+
 #[test]
 fn prefetch_with_corrupt_ws_file_quarantines_and_falls_back() {
     let f = FunctionId::helloworld;
