@@ -211,7 +211,7 @@ impl<'a> Monitor<'a> {
                 // Frame-cache path: first cold start of this WS file loads
                 // the extent once; every later one aliases the cached bytes
                 // into the guest — zero copies, no store read.
-                Some(Ok(FrameLookup::Frames(src))) => uffd.alias_run(run, &src, 0),
+                Some(Ok(FrameLookup::Frames(src))) => uffd.alias_run(run, src, 0),
                 // No cache, a bypass (the cache is at its budget), or a WS
                 // file that died mid-pass (an unregister racing this cold
                 // start, or a blackout): install straight from the WS
@@ -268,7 +268,7 @@ impl Monitor<'_> {
         let install = match lookup {
             // Demand faults repeat across cold starts of the same function
             // (deterministic replay): alias the cached run.
-            Some(Ok(FrameLookup::Frames(src))) => uffd.alias_run(run, &src, 0)?,
+            Some(Ok(FrameLookup::Frames(src))) => uffd.alias_run(run, src, 0)?,
             // No cache, a bypass, or a snapshot file that was unregistered
             // (or blacked out) mid-serve: read the store directly; if the
             // file is gone, the run stays missing and the serve fails

@@ -51,9 +51,26 @@ impl std::error::Error for MemError {}
 /// Page has no frame slot assigned.
 const NO_SLOT: u32 = u32::MAX;
 
-/// Slot values with this bit set index the shared-frame table instead of
-/// the private arena ([`NO_SLOT`] is checked first and never aliases).
+/// Slot values with this bit set index the alias table instead of the
+/// private arena ([`NO_SLOT`] is checked first and never aliases).
 const SHARED_BIT: u32 = 1 << 31;
+
+/// One [`GuestMemory::alias_run`] install: every page of the run holds
+/// `SHARED_BIT | its index` in the alias table, and page `first + i`
+/// aliases page `src_page + i` of `src`.
+#[derive(Debug)]
+struct Alias {
+    src: FrameBytes,
+    src_page: u64,
+    first: u64,
+}
+
+impl Alias {
+    /// The page of `src` that guest page `page` of the run aliases.
+    fn src_page_of(&self, page: u64) -> u64 {
+        self.src_page + (page - self.first)
+    }
+}
 
 /// A refcounted, immutable buffer whose pages can back guest frames in
 /// many [`GuestMemory`] instances at once (the snapshot frame cache hands
@@ -101,9 +118,11 @@ pub struct GuestMemory {
     slots: Vec<u32>,
     /// Frame bytes; slot `s` occupies `[s * PAGE_SIZE, (s + 1) * PAGE_SIZE)`.
     arena: Vec<u8>,
-    /// Shared-frame table: entry `s` backs the page whose slot is
-    /// `SHARED_BIT | s` with page `offset` of the refcounted buffer.
-    shared: Vec<(FrameBytes, u32)>,
+    /// Alias table: entry `s` backs every page whose slot is
+    /// `SHARED_BIT | s` — one entry, and one refcount, per aliased run.
+    aliases: Vec<Alias>,
+    /// Pages the alias table backs.
+    aliased: u64,
     resident: PageBitmap,
 }
 
@@ -135,7 +154,8 @@ impl GuestMemory {
         GuestMemory {
             slots: vec![NO_SLOT; pages as usize],
             arena: slab,
-            shared: Vec::new(),
+            aliases: Vec::new(),
+            aliased: 0,
             resident: PageBitmap::new(pages),
         }
     }
@@ -189,9 +209,9 @@ impl GuestMemory {
             return None;
         }
         if slot & SHARED_BIT != 0 {
-            let (src, off) = &self.shared[(slot & !SHARED_BIT) as usize];
-            let base = *off as usize * PAGE_SIZE;
-            return Some(&src[base..base + PAGE_SIZE]);
+            let alias = &self.aliases[(slot & !SHARED_BIT) as usize];
+            let base = alias.src_page_of(page.as_u64()) as usize * PAGE_SIZE;
+            return Some(&alias.src[base..base + PAGE_SIZE]);
         }
         let base = slot as usize * PAGE_SIZE;
         Some(&self.arena[base..base + PAGE_SIZE])
@@ -307,7 +327,8 @@ impl GuestMemory {
     /// The pages become resident exactly like
     /// [`install_run`](Self::install_run)'s. This is how repeat cold
     /// starts share one cached snapshot extent across instances and
-    /// shards.
+    /// shards. The run holds `src` once, however many pages it has: the
+    /// install moves the caller's reference in (dropped on error).
     ///
     /// Nothing is installed unless the *entire* run is installable.
     ///
@@ -321,7 +342,7 @@ impl GuestMemory {
     pub fn alias_run(
         &mut self,
         run: PageRun,
-        src: &FrameBytes,
+        src: FrameBytes,
         src_page_offset: u64,
     ) -> Result<(), MemError> {
         assert!(
@@ -332,11 +353,15 @@ impl GuestMemory {
             return Ok(());
         }
         self.check_installable(run)?;
-        for (i, page) in run.iter().enumerate() {
-            let off = (src_page_offset + i as u64) as u32;
-            self.slots[page.as_u64() as usize] = SHARED_BIT | self.shared.len() as u32;
-            self.shared.push((src.clone(), off));
-        }
+        let first = run.first.as_u64();
+        let slot = SHARED_BIT | self.aliases.len() as u32;
+        self.slots[first as usize..(first + run.len) as usize].fill(slot);
+        self.aliases.push(Alias {
+            src,
+            src_page: src_page_offset,
+            first,
+        });
+        self.aliased += run.len;
         self.resident.set_run(run);
         Ok(())
     }
@@ -344,7 +369,7 @@ impl GuestMemory {
     /// Number of resident pages currently backed by shared (aliased)
     /// frames rather than private arena bytes.
     pub fn aliased_pages(&self) -> u64 {
-        self.shared.len() as u64
+        self.aliased
     }
 
     /// The refcounted buffer `page` currently aliases, if it is backed by
@@ -360,7 +385,7 @@ impl GuestMemory {
         if slot & SHARED_BIT == 0 {
             return None;
         }
-        Some(self.shared[(slot & !SHARED_BIT) as usize].0.clone())
+        Some(self.aliases[(slot & !SHARED_BIT) as usize].src.clone())
     }
 
     /// Reads `len` bytes at `addr`.
@@ -407,9 +432,11 @@ impl GuestMemory {
         assert!(self.resident.all_set_in(run), "{run} is not fully resident");
         let first = run.first.as_u64();
         let slots = &self.slots[first as usize..(first + run.len) as usize];
-        let shared_entry = |slot: u32| {
-            let (src, off) = &self.shared[(slot & !SHARED_BIT) as usize];
-            (src, *off)
+        // The buffer an aliased page at `at` in `slots` aliases, and the
+        // page of it.
+        let source_at = move |slot: u32, at: usize| {
+            let alias = &self.aliases[(slot & !SHARED_BIT) as usize];
+            (&alias.src, alias.src_page_of(first + at as u64) as u32)
         };
         let mut at = 0;
         std::iter::from_fn(move || {
@@ -419,12 +446,16 @@ impl GuestMemory {
             let start = at;
             at += 1;
             let (backing, base, source) = if slot & SHARED_BIT != 0 {
-                let (src, off) = shared_entry(slot);
+                let (src, off) = source_at(slot, start);
+                // A page of the same install continues the chunk; so does
+                // one of an adjacent install that goes on where it ended
+                // in the same buffer.
                 while slots.get(at).is_some_and(|&next| {
-                    next & SHARED_BIT != 0 && {
-                        let (next_src, next_off) = shared_entry(next);
-                        Arc::ptr_eq(src, next_src) && next_off == off + (at - start) as u32
-                    }
+                    next == slot
+                        || next & SHARED_BIT != 0 && {
+                            let (next_src, next_off) = source_at(next, at);
+                            Arc::ptr_eq(src, next_src) && next_off == off + (at - start) as u32
+                        }
                 }) {
                     at += 1;
                 }
@@ -729,11 +760,11 @@ mod tests {
         }
         // An alias in the middle.
         let src = shared_buf(2, 0xAA);
-        mem.alias_run(PageRun::new(PageIdx::new(6), 1), &src, 1).unwrap();
+        mem.alias_run(PageRun::new(PageIdx::new(6), 1), src.clone(), 1).unwrap();
         let run = PageRun::new(PageIdx::new(0), 8);
         assert_eq!(chunk_pages(&mem, run), vec![2, 1, 2, 1, 1, 1]);
         // Adjacent aliases of consecutive pages of one buffer are one chunk.
-        mem.alias_run(PageRun::new(PageIdx::new(8), 2), &src, 0).unwrap();
+        mem.alias_run(PageRun::new(PageIdx::new(8), 2), src.clone(), 0).unwrap();
         assert_eq!(chunk_pages(&mem, PageRun::new(PageIdx::new(7), 3)), vec![1, 2]);
     }
 
@@ -742,7 +773,7 @@ mod tests {
         let mut mem = GuestMemory::new(32 * 4096);
         let (a, b) = (shared_buf(6, 0xA1), shared_buf(6, 0xB2));
         let whole = PageRun::new(PageIdx::new(4), 6);
-        mem.alias_run(whole, &a, 0).unwrap();
+        mem.alias_run(whole, a.clone(), 0).unwrap();
         // Each chunk as (first page, pages, source: (is it `a`?, offset)).
         let sources = |mem: &GuestMemory, run| {
             chunk_pages(mem, run);
@@ -761,9 +792,9 @@ mod tests {
         );
         // A change of buffer splits, and so does a jump in the offset
         // within one buffer — even where the bytes are equal.
-        mem.alias_run(PageRun::new(PageIdx::new(10), 2), &b, 0).unwrap();
-        mem.alias_run(PageRun::new(PageIdx::new(12), 2), &b, 3).unwrap();
-        mem.alias_run(PageRun::new(PageIdx::new(14), 1), &b, 5).unwrap();
+        mem.alias_run(PageRun::new(PageIdx::new(10), 2), b.clone(), 0).unwrap();
+        mem.alias_run(PageRun::new(PageIdx::new(12), 2), b.clone(), 3).unwrap();
+        mem.alias_run(PageRun::new(PageIdx::new(14), 1), b.clone(), 5).unwrap();
         assert_eq!(
             sources(&mem, PageRun::new(PageIdx::new(8), 7)),
             vec![
@@ -795,7 +826,7 @@ mod tests {
         )
         .unwrap();
         let src = shared_buf(3, 0xAA);
-        mem.alias_run(PageRun::new(PageIdx::new(10), 2), &src, 1)
+        mem.alias_run(PageRun::new(PageIdx::new(10), 2), src.clone(), 1)
             .unwrap();
         let image: Vec<(PageRun, Vec<u8>)> = mem
             .resident_runs()
@@ -902,11 +933,12 @@ mod tests {
     fn alias_run_shares_without_copying() {
         let mut mem = GuestMemory::new(16 * 4096);
         let src = shared_buf(4, 0xA5);
-        mem.alias_run(PageRun::new(PageIdx::new(3), 4), &src, 0).unwrap();
+        mem.alias_run(PageRun::new(PageIdx::new(3), 4), src.clone(), 0).unwrap();
         assert_eq!(mem.resident_pages(), 4);
         assert_eq!(mem.aliased_pages(), 4);
         assert_eq!(mem.arena.len(), 0, "no private frame bytes allocated");
-        assert_eq!(Arc::strong_count(&src), 5, "one refcount per aliased page");
+        assert_eq!(Arc::strong_count(&src), 2, "one refcount per aliased run");
+        assert_eq!(mem.aliases.len(), 1, "one alias-table entry per run");
         assert_eq!(mem.read(PageIdx::new(4).base_addr(), 2).unwrap(), vec![0xA5, 0xA5]);
         // Aliased pages behave as resident everywhere.
         assert!(mem.is_run_resident(PageRun::new(PageIdx::new(3), 4)));
@@ -924,9 +956,38 @@ mod tests {
             chunk.fill(i as u8 + 1);
         }
         let src = Arc::new(bytes);
-        mem.alias_run(PageRun::new(PageIdx::new(8), 2), &src, 1).unwrap();
+        mem.alias_run(PageRun::new(PageIdx::new(8), 2), src.clone(), 1).unwrap();
         assert_eq!(mem.read(PageIdx::new(8).base_addr(), 1).unwrap(), vec![2]);
         assert_eq!(mem.read(PageIdx::new(9).base_addr(), 1).unwrap(), vec![3]);
+    }
+
+    #[test]
+    fn a_page_inside_an_aliased_run_finds_its_own_offset() {
+        let mut mem = GuestMemory::new(32 * 4096);
+        let mut bytes = vec![0u8; 8 * PAGE_SIZE];
+        for (i, page) in bytes.chunks_mut(PAGE_SIZE).enumerate() {
+            page.fill(i as u8 + 1);
+        }
+        let src = Arc::new(bytes);
+        // Pages 10..15 alias buffer pages 2..7; page 12 is buffer page 4.
+        let run = PageRun::new(PageIdx::new(10), 5);
+        mem.alias_run(run, src.clone(), 2).unwrap();
+        let mid = PageIdx::new(12);
+        assert_eq!(mem.page_bytes(mid), Some(&src[4 * PAGE_SIZE..5 * PAGE_SIZE]));
+        assert!(Arc::ptr_eq(&mem.aliased_source(mid).unwrap(), &src));
+        let chunk = mem.run_chunks(PageRun::new(mid, 2)).next().unwrap();
+        assert_eq!((chunk.run, chunk.source.unwrap().1), (PageRun::new(mid, 2), 4));
+        assert_eq!(chunk.bytes, &src[4 * PAGE_SIZE..6 * PAGE_SIZE]);
+        // A second run aliasing where the first ended in the same buffer
+        // continues its chunk: verify's identity check sees one extent.
+        mem.alias_run(PageRun::new(PageIdx::new(15), 1), src.clone(), 7)
+            .unwrap();
+        let whole = PageRun::new(PageIdx::new(10), 6);
+        let chunks: Vec<_> = mem.run_chunks(whole).collect();
+        assert_eq!(chunks.len(), 1);
+        assert_eq!((chunks[0].run, chunks[0].source.unwrap().1), (whole, 2));
+        assert_eq!(chunks[0].bytes, &src[2 * PAGE_SIZE..]);
+        assert_eq!((mem.aliased_pages(), Arc::strong_count(&src)), (6, 3));
     }
 
     #[test]
@@ -934,13 +995,13 @@ mod tests {
         let mut mem = GuestMemory::new(8 * 4096);
         let src = shared_buf(4, 1);
         mem.install_page(PageIdx::new(2), &page_of(9)).unwrap();
-        let err = mem.alias_run(PageRun::new(PageIdx::new(1), 3), &src, 0).unwrap_err();
+        let err = mem.alias_run(PageRun::new(PageIdx::new(1), 3), src.clone(), 0).unwrap_err();
         assert_eq!(err, MemError::AlreadyResident(PageIdx::new(2)));
         assert_eq!(mem.aliased_pages(), 0, "nothing aliased on error");
-        let err = mem.alias_run(PageRun::new(PageIdx::new(6), 4), &src, 0).unwrap_err();
+        let err = mem.alias_run(PageRun::new(PageIdx::new(6), 4), src.clone(), 0).unwrap_err();
         assert!(matches!(err, MemError::OutOfBounds(_)));
         // Empty run is a no-op.
-        mem.alias_run(PageRun::new(PageIdx::new(0), 0), &src, 0).unwrap();
+        mem.alias_run(PageRun::new(PageIdx::new(0), 0), src.clone(), 0).unwrap();
     }
 
     #[test]
@@ -948,16 +1009,16 @@ mod tests {
     fn alias_run_rejects_short_source() {
         let mut mem = GuestMemory::new(8 * 4096);
         let src = shared_buf(2, 0);
-        let _ = mem.alias_run(PageRun::new(PageIdx::new(0), 3), &src, 0);
+        let _ = mem.alias_run(PageRun::new(PageIdx::new(0), 3), src.clone(), 0);
     }
 
     #[test]
     fn dropping_the_memory_drops_every_alias() {
         let mut mem = GuestMemory::new(8 * 4096);
         let src = shared_buf(2, 7);
-        mem.alias_run(PageRun::new(PageIdx::new(0), 2), &src, 0).unwrap();
-        mem.alias_run(PageRun::new(PageIdx::new(4), 1), &src, 1).unwrap();
-        assert_eq!(Arc::strong_count(&src), 4);
+        mem.alias_run(PageRun::new(PageIdx::new(0), 2), src.clone(), 0).unwrap();
+        mem.alias_run(PageRun::new(PageIdx::new(4), 1), src.clone(), 1).unwrap();
+        assert_eq!(Arc::strong_count(&src), 3, "one refcount per aliased run");
         assert_eq!(mem.aliased_pages(), 3);
         drop(mem);
         assert_eq!(Arc::strong_count(&src), 1, "dropping the memory drops every alias");

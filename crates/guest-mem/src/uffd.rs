@@ -287,10 +287,11 @@ impl Uffd {
     /// [`copy_run`](Self::copy_run), but the run's frames become shared
     /// aliases of the refcounted `src` buffer (starting at page
     /// `src_page_offset`) instead of copies — the snapshot-frame-cache
-    /// serve path. Accounting is **arithmetically identical** to
-    /// `copy_run`: a fully-missing run counts `run.len` copies; a run
-    /// with resident holes falls back to per-page aliasing, counting each
-    /// resident page as one EEXIST, exactly as the copying fallback does.
+    /// serve path. A fully-missing run is one alias install that moves
+    /// `src` in; a run with resident holes aliases each missing stretch,
+    /// one refcount apiece. Accounting is **arithmetically identical** to
+    /// `copy_run`: every installed page counts one copy and every
+    /// resident page one EEXIST.
     ///
     /// # Errors
     ///
@@ -299,43 +300,37 @@ impl Uffd {
     ///
     /// # Panics
     ///
-    /// Panics if `src` does not cover the aliased range.
+    /// Panics if `src` does not cover a range it aliases.
     pub fn alias_run(
         &mut self,
         run: PageRun,
-        src: &FrameBytes,
+        src: FrameBytes,
         src_page_offset: u64,
     ) -> Result<RunInstall, MemError> {
-        match self.mem.alias_run(run, src, src_page_offset) {
-            Ok(()) => {
-                self.stats.copies += run.len;
-                Ok(RunInstall {
-                    installed: run.len,
-                    eexist: 0,
-                })
+        let holes = !run.is_empty()
+            && self.mem.contains_run(run)
+            && self.mem.next_missing_run(run.first, run) != Some(run);
+        let mut installed = 0;
+        if holes {
+            let mut from = run.first;
+            while let Some(gap) = self.mem.next_missing_run(from, run) {
+                let at = src_page_offset + (gap.first.as_u64() - run.first.as_u64());
+                self.mem.alias_run(gap, src.clone(), at)?;
+                installed += gap.len;
+                from = gap.end();
             }
-            Err(MemError::AlreadyResident(_)) => {
-                let mut result = RunInstall::default();
-                for (i, page) in run.iter().enumerate() {
-                    match self
-                        .mem
-                        .alias_run(PageRun::single(page), src, src_page_offset + i as u64)
-                    {
-                        Ok(()) => {
-                            self.stats.copies += 1;
-                            result.installed += 1;
-                        }
-                        Err(MemError::AlreadyResident(_)) => {
-                            self.stats.copy_eexist += 1;
-                            result.eexist += 1;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                Ok(result)
-            }
-            Err(e) => Err(e),
+        } else {
+            // Wholly missing, empty, or out of bounds (which errs).
+            self.mem.alias_run(run, src, src_page_offset)?;
+            installed = run.len;
         }
+        let result = RunInstall {
+            installed,
+            eexist: run.len - installed,
+        };
+        self.stats.copies += result.installed;
+        self.stats.copy_eexist += result.eexist;
+        Ok(result)
     }
 
     /// Monitor-side: wakes the faulting vCPU (`UFFDIO_WAKE`). The monitor
@@ -483,7 +478,7 @@ mod tests {
         let data = vec![0x55u8; run.byte_len() as usize];
         let src: FrameBytes = std::sync::Arc::new(data.clone());
         let a = by_copy.copy_run(run, &data).unwrap();
-        let b = by_alias.alias_run(run, &src, 0).unwrap();
+        let b = by_alias.alias_run(run, src, 0).unwrap();
         assert_eq!(a, b);
         assert_eq!(a, RunInstall { installed: 2, eexist: 1 });
         assert_eq!(by_copy.stats(), by_alias.stats());
@@ -498,7 +493,7 @@ mod tests {
         let run2 = PageRun::new(PageIdx::new(8), 2);
         let src2: FrameBytes = std::sync::Arc::new(vec![1u8; run2.byte_len() as usize]);
         assert_eq!(
-            by_alias.alias_run(run2, &src2, 0).unwrap(),
+            by_alias.alias_run(run2, src2, 0).unwrap(),
             RunInstall { installed: 2, eexist: 0 }
         );
         assert_eq!(by_alias.memory().aliased_pages(), 4);
@@ -510,7 +505,7 @@ mod tests {
         let run = PageRun::new(PageIdx::new(15), 4);
         let src: FrameBytes = std::sync::Arc::new(vec![0u8; run.byte_len() as usize]);
         assert!(matches!(
-            u.alias_run(run, &src, 0),
+            u.alias_run(run, src, 0),
             Err(MemError::OutOfBounds(_))
         ));
         assert_eq!(u.stats().copies, 0);

@@ -82,16 +82,32 @@
 //! through a tight budget to the protected end, ahead of the working sets
 //! that are actually reused.
 //!
-//! ## Hits do not write
+//! ## A hit takes only its own partition's lock
 //!
-//! The state sits behind a reader-writer lock. A hit — the only thing a
-//! steady-state cold start does here, ~2k times per request — takes the
-//! *shared* lock, validates the generation, sets the entry's reference
-//! bit (one relaxed store, skipped when already set), bumps an atomic
-//! counter and clones the `Arc`: concurrent lanes never queue on each
-//! other and nothing is relinked. A bypass also takes only the shared lock
-//! (its turn is an atomic). Populating misses, dedup, invalidation, budget
-//! changes and eviction take the exclusive lock.
+//! The extent index is split into `PARTITIONS` (16) partitions by the key's
+//! [`FileId::namespace`], so cluster shard `k`'s keys live in partition
+//! `k % PARTITIONS`. Each partition has its own reader-writer lock and
+//! its own hit counter, padded to a cache line of its own, and each of
+//! its entries holds everything a hit needs: the generation the extent
+//! was loaded at and a handle on the content entry's buffer and
+//! reference bit. A hit — the only thing a steady-state cold start does
+//! here, ~1.4k times per request — takes its partition's *shared* lock,
+//! validates the generation, sets the reference bit (one relaxed store,
+//! skipped when already set), bumps its partition's counter and clones
+//! the `Arc`. Two lanes serving different shards write no common cache
+//! line on a hit; they meet only on a buffer whose bytes both shards
+//! share, whose refcount each clone bumps.
+//!
+//! The content store (slab, dedup buckets, eviction queue, budget and
+//! turns) is one structure behind its own reader-writer lock, taken only
+//! off the hit path: shared for a bypass check (its turn is an atomic),
+//! exclusive for a populating miss, a dedup, an eviction, an
+//! invalidation, a `clear` or a budget change. Every index mutation holds
+//! the content lock exclusively and then the partition's lock
+//! exclusively — always content first, then one partition at a time,
+//! never the reverse — so an index entry exists exactly while its content
+//! entry lists the key, and a hit never waits on anything but a writer to
+//! its own partition.
 //!
 //! ## Staleness is structurally impossible
 //!
@@ -110,14 +126,19 @@
 //! memory eagerly (the orchestrator issues them on re-record,
 //! `pad_working_set` and `drop_caches`).
 //!
-//! One cache is shared across all shards of a cluster: per-shard
-//! [`FileStore`] namespacing already guarantees `(FileId, extent)` keys
-//! from different shards never collide — and identical bytes from
-//! *different* shards still collapse onto one content entry.
+//! ## One cache is shared across all shards
+//!
+//! Per-shard [`FileStore`] namespacing guarantees `(FileId, extent)` keys
+//! from different shards never collide, and the partitions follow the
+//! namespaces; the content store does not. Identical bytes from
+//! *different* shards still collapse onto one content entry, the budget
+//! bounds the whole cluster's bytes, and [`FrameCacheStats`] sums the
+//! partitions.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use guest_mem::FrameBytes;
 use parking_lot::RwLock;
@@ -258,30 +279,88 @@ fn protected_turn(turn: u64) -> bool {
     (turn + 1).is_multiple_of(PROTECTED_EVERY)
 }
 
-/// One deduplicated byte string: the bytes, the extents mapping onto
-/// them (the refcount is `keys.len()`), and its reference bit.
+/// Extent-index partitions: a key lives in partition
+/// `namespace % PARTITIONS` (module docs, "A hit takes only its own
+/// partition's lock"). More than a host has lanes, so concurrent shards
+/// rarely share one.
+const PARTITIONS: usize = 16;
+
+fn partition_of(file: FileId) -> usize {
+    file.namespace() as usize % PARTITIONS
+}
+
+/// The half of a content entry that every index entry mapping onto it
+/// holds too, so a hit reaches it without the content store's lock.
+#[derive(Debug)]
+struct Shared {
+    bytes: FrameBytes,
+    /// Set by every hit on an extent mapped here, cleared when eviction
+    /// pops the entry and moves it to the protected end. Only ever a hint
+    /// to eviction — it publishes no data — so hits set it `Relaxed`
+    /// under their partition's shared lock.
+    referenced: AtomicBool,
+}
+
+impl Shared {
+    /// Serves the content to a lookup that found its key: marks it
+    /// referenced and hands out its buffer. The load skips the store when
+    /// the bit is already set, so lanes hitting one entry share its cache
+    /// line read-only.
+    fn reference(&self) -> FrameBytes {
+        if !self.referenced.load(Ordering::Relaxed) {
+            self.referenced.store(true, Ordering::Relaxed);
+        }
+        self.bytes.clone()
+    }
+}
+
+/// One deduplicated byte string: its shared bytes and reference bit, and
+/// the extents mapping onto it (the refcount is `keys.len()`).
 #[derive(Debug)]
 struct ContentEntry {
     hash: u64,
-    bytes: FrameBytes,
+    shared: Arc<Shared>,
     keys: Vec<ExtentKey>,
     /// The entry's admission number: its queue slot is `(slab index,
     /// stamp)`, so a slot left behind by a dropped entry never matches
     /// the entry that later reuses its slab index.
     stamp: u64,
-    /// Set by every hit on an extent mapped here, cleared when eviction
-    /// pops the entry and moves it to the protected end. Only ever a hint
-    /// to eviction — it publishes no data — so hits set it `Relaxed`
-    /// under the shared lock.
-    referenced: AtomicBool,
 }
 
-/// Everything but the hit and bypass counters, behind the reader-writer
-/// lock: hits and bypasses only read it.
+/// An extent's index entry: what a hit needs, and the content slab index
+/// its removal detaches from.
 #[derive(Debug)]
-struct Inner {
-    /// Extent -> (content generation at load time, content slab index).
-    index: HashMap<ExtentKey, (u64, u32)>,
+struct IndexEntry {
+    /// The backing file's content generation at load time.
+    generation: u64,
+    slot: u32,
+    shared: Arc<Shared>,
+}
+
+type Index = HashMap<ExtentKey, IndexEntry>;
+
+/// One partition of the extent index. Aligned to a cache-line pair, so
+/// its lock word and hit counter share no line with another partition's.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct Partition {
+    index: RwLock<Index>,
+    /// Lookups served from this partition.
+    hits: AtomicU64,
+}
+
+impl Partition {
+    /// Counts a hit on `entry` and serves it.
+    fn serve(&self, entry: &IndexEntry) -> FrameBytes {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        entry.shared.reference()
+    }
+}
+
+/// The content store and every counter but the hit and bypass ones,
+/// behind its own reader-writer lock: a bypass check only reads it.
+#[derive(Debug)]
+struct Content {
     /// Content slab; freed slots are recycled via `free`.
     slab: Vec<Option<ContentEntry>>,
     /// (bytes hash, bytes len) -> slab indices (collision bucket; bytes
@@ -310,7 +389,7 @@ struct Inner {
     evicted: u64,
 }
 
-impl Inner {
+impl Content {
     fn entry(&self, n: u32) -> &ContentEntry {
         self.slab[n as usize].as_ref().expect("live entry")
     }
@@ -318,17 +397,6 @@ impl Inner {
     /// Live content entries: every slab slot is live or on the free list.
     fn live(&self) -> u64 {
         (self.slab.len() - self.free.len()) as u64
-    }
-
-    /// Serves content entry `n` to a lookup: marks it referenced and hands
-    /// out its buffer. The load skips the store when the bit is already
-    /// set, so lanes hitting one entry share its cache line read-only.
-    fn reference(&self, n: u32) -> FrameBytes {
-        let entry = self.entry(n);
-        if !entry.referenced.load(Ordering::Relaxed) {
-            entry.referenced.store(true, Ordering::Relaxed);
-        }
-        entry.bytes.clone()
     }
 
     /// Whether a miss of `len` new bytes bypasses: they would push the
@@ -344,14 +412,14 @@ impl Inner {
                 .is_ok()
     }
 
-    /// Drops `key`'s index entry (if any); the content entry goes with it
-    /// when its last extent mapping disappears. Returns true if an index
-    /// entry was removed.
-    fn detach(&mut self, key: ExtentKey) -> bool {
-        let Some((_, idx)) = self.index.remove(&key) else {
+    /// Drops `key`'s entry from `index`, its partition (if any); the
+    /// content entry goes with it when its last extent mapping
+    /// disappears. Returns true if an index entry was removed.
+    fn detach(&mut self, index: &mut Index, key: ExtentKey) -> bool {
+        let Some(IndexEntry { slot, .. }) = index.remove(&key) else {
             return false;
         };
-        let entry = self.slab[idx as usize].as_mut().expect("live entry");
+        let entry = self.slab[slot as usize].as_mut().expect("live entry");
         let pos = entry
             .keys
             .iter()
@@ -359,7 +427,7 @@ impl Inner {
             .expect("index entry has a back-reference");
         entry.keys.swap_remove(pos);
         if entry.keys.is_empty() {
-            self.drop_content(idx);
+            self.drop_content(slot);
         }
         true
     }
@@ -373,13 +441,14 @@ impl Inner {
     fn drop_content(&mut self, idx: u32) {
         let entry = self.slab[idx as usize].take().expect("live entry");
         debug_assert!(entry.keys.is_empty(), "content freed while mapped");
-        let bucket_key = (entry.hash, entry.bytes.len() as u64);
+        let len = entry.shared.bytes.len() as u64;
+        let bucket_key = (entry.hash, len);
         let bucket = self.by_hash.get_mut(&bucket_key).expect("hash bucket");
         bucket.retain(|&i| i != idx);
         if bucket.is_empty() {
             self.by_hash.remove(&bucket_key);
         }
-        self.bytes -= entry.bytes.len() as u64;
+        self.bytes -= len;
         self.free.push(idx);
         if self.queue.len() as u64 > 2 * self.live() {
             let slab = &self.slab;
@@ -388,20 +457,28 @@ impl Inner {
         }
     }
 
-    /// Maps `key` (valid at `generation`) onto `bytes`, deduplicating
-    /// against identical live content, then enforces the budget. Returns
-    /// the canonical buffer (the already-cached one on a dedup).
-    fn attach(&mut self, key: ExtentKey, generation: u64, bytes: FrameBytes, hash: u64) -> FrameBytes {
+    /// Maps `key` (valid at `generation`) onto `bytes` in `index`, its
+    /// partition, deduplicating against identical live content. Returns
+    /// the canonical buffer (the already-cached one on a dedup). The
+    /// caller enforces the budget once it has released the partition.
+    fn attach(
+        &mut self,
+        index: &mut Index,
+        key: ExtentKey,
+        generation: u64,
+        bytes: FrameBytes,
+        hash: u64,
+    ) -> FrameBytes {
         // A stale mapping for this extent (old generation) dies first.
-        self.detach(key);
+        self.detach(index, key);
         let bucket_key = (hash, bytes.len() as u64);
         let existing = self.by_hash.get(&bucket_key).and_then(|bucket| {
             bucket
                 .iter()
                 .copied()
-                .find(|&i| self.entry(i).bytes[..] == bytes[..])
+                .find(|&i| self.entry(i).shared.bytes[..] == bytes[..])
         });
-        let idx = match existing {
+        let slot = match existing {
             Some(idx) => {
                 // Neither the reference bit nor the queue moves: only a
                 // lookup that finds its key earns anything (module docs,
@@ -415,10 +492,12 @@ impl Inner {
                 let stamp = self.admitted;
                 let entry = ContentEntry {
                     hash,
-                    bytes,
+                    shared: Arc::new(Shared {
+                        bytes,
+                        referenced: AtomicBool::new(false),
+                    }),
                     keys: Vec::new(),
                     stamp,
-                    referenced: AtomicBool::new(false),
                 };
                 let idx = match self.free.pop() {
                     Some(i) => {
@@ -442,22 +521,29 @@ impl Inner {
                 idx
             }
         };
-        let entry = self.slab[idx as usize].as_mut().expect("live entry");
+        let entry = self.slab[slot as usize].as_mut().expect("live entry");
         entry.keys.push(key);
-        let out = entry.bytes.clone();
-        self.index.insert(key, (generation, idx));
-        self.evict_to_budget();
+        let shared = entry.shared.clone();
+        let out = shared.bytes.clone();
+        index.insert(
+            key,
+            IndexEntry {
+                generation,
+                slot,
+                shared,
+            },
+        );
         out
     }
 
     /// Pops the evict-first end until the deduped bytes fit the budget:
     /// stale slots are dropped, an entry looked up since it was queued
     /// loses its reference bit and moves to the protected end, and any
-    /// other entry is evicted with all of its extent mappings. The entry
-    /// just returned to a caller may evict itself — the caller holds its
-    /// own `Arc`, so that is a pass-through serve, not a correctness
-    /// hazard.
-    fn evict_to_budget(&mut self) {
+    /// other entry is evicted with all of its extent mappings, each
+    /// removed under its own partition's lock. The entry just returned to
+    /// a caller may evict itself — the caller holds its own `Arc`, so that
+    /// is a pass-through serve, not a correctness hazard.
+    fn evict_to_budget(&mut self, parts: &[Partition]) {
         // `bytes > budget >= 0` means a live entry exists, every live
         // entry is queued once, and one lap clears every reference bit,
         // so this ends within two laps.
@@ -469,12 +555,12 @@ impl Inner {
             else {
                 continue;
             };
-            if std::mem::take(entry.referenced.get_mut()) {
+            if entry.shared.referenced.swap(false, Ordering::Relaxed) {
                 self.queue.push_back((idx, stamp));
                 continue;
             }
             for k in std::mem::take(&mut entry.keys) {
-                self.index.remove(&k);
+                parts[partition_of(k.0)].index.write().remove(&k);
             }
             self.drop_content(idx);
             self.evicted += 1;
@@ -489,18 +575,18 @@ impl Inner {
 /// `Arc`.
 #[derive(Debug)]
 pub struct SnapshotFrameCache {
-    inner: RwLock<Inner>,
-    /// Lookups served from a live cached extent, and misses bypassed;
-    /// outside the lock so neither ever needs it exclusively.
-    hits: AtomicU64,
+    /// Locked before any partition, never after one.
+    content: RwLock<Content>,
+    parts: [Partition; PARTITIONS],
+    /// Misses bypassed; outside the lock so a bypass never needs it
+    /// exclusively.
     bypassed: AtomicU64,
 }
 
 impl Default for SnapshotFrameCache {
     fn default() -> Self {
         SnapshotFrameCache {
-            inner: RwLock::new(Inner {
-                index: HashMap::new(),
+            content: RwLock::new(Content {
                 slab: Vec::new(),
                 by_hash: HashMap::new(),
                 free: Vec::new(),
@@ -515,7 +601,7 @@ impl Default for SnapshotFrameCache {
                 deduped: 0,
                 evicted: 0,
             }),
-            hits: AtomicU64::new(0),
+            parts: Default::default(),
             bypassed: AtomicU64::new(0),
         }
     }
@@ -532,14 +618,14 @@ impl SnapshotFrameCache {
     /// restores the unbounded default. Shrinking below the current
     /// occupancy evicts content entries immediately.
     pub fn set_budget(&self, budget_bytes: Option<u64>) {
-        let mut inner = self.inner.write();
-        inner.budget = budget_bytes.unwrap_or(u64::MAX);
-        inner.evict_to_budget();
+        let mut content = self.content.write();
+        content.budget = budget_bytes.unwrap_or(u64::MAX);
+        content.evict_to_budget(&self.parts);
     }
 
     /// The current budget (`None` = unbounded).
     pub fn budget(&self) -> Option<u64> {
-        let budget = self.inner.read().budget;
+        let budget = self.content.read().budget;
         (budget != u64::MAX).then_some(budget)
     }
 
@@ -571,7 +657,7 @@ impl SnapshotFrameCache {
         let mut scratch = FrameCacheDelta::default();
         match self.get_or_load_tracked(fs, file, offset, len, false, &mut scratch)? {
             FrameLookup::Frames(bytes) => Ok(bytes),
-            FrameLookup::Bypass => load(fs, file, offset, len).map(std::sync::Arc::new),
+            FrameLookup::Bypass => load(fs, file, offset, len).map(Arc::new),
         }
     }
 
@@ -599,16 +685,26 @@ impl SnapshotFrameCache {
     ) -> Result<FrameLookup, FrameCacheGone> {
         let key = (file, offset, len);
         let generation = fs.generation(file).ok_or(FrameCacheGone(file))?;
+        let part = &self.parts[partition_of(file)];
+        // The hit path: this partition's shared lock and nothing else.
+        if let Some(entry) = part.index.read().get(&key) {
+            if entry.generation == generation {
+                delta.hits += 1;
+                return Ok(FrameLookup::Frames(part.serve(entry)));
+            }
+        }
         {
-            // The hit and bypass paths: shared lock only, nothing relinked.
-            let inner = self.inner.read();
-            match inner.index.get(&key) {
-                Some(&(cached_gen, idx)) if cached_gen == generation => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
+            // The bypass path: the content store's shared lock, then the
+            // partition's again, since another lane may have populated
+            // the key in between.
+            let content = self.content.read();
+            let index = part.index.read();
+            match index.get(&key) {
+                Some(entry) if entry.generation == generation => {
                     delta.hits += 1;
-                    return Ok(FrameLookup::Frames(inner.reference(idx)));
+                    return Ok(FrameLookup::Frames(part.serve(entry)));
                 }
-                None if !aliased && inner.bypass(len) => {
+                None if !aliased && content.bypass(len) => {
                     self.bypassed.fetch_add(1, Ordering::Relaxed);
                     delta.misses += 1;
                     return Ok(FrameLookup::Bypass);
@@ -618,44 +714,49 @@ impl SnapshotFrameCache {
             }
         }
         // Miss (or stale generation): read and hash outside the cache
-        // lock, then re-validate before publishing.
+        // locks, then re-validate before publishing.
         let raw = load(fs, file, offset, len)?;
         // Dedup key: in-process only and byte-compared on every match, so
         // the cheap word feed does — every missed extent is hashed.
         let hash = sim_core::hash::fnv1a64_words(&raw);
-        let bytes: FrameBytes = std::sync::Arc::new(raw);
+        let bytes: FrameBytes = Arc::new(raw);
         if fs.generation(file) != Some(generation) {
             // A rewrite landed between the generation check and the read:
             // publishing would pin possibly-new bytes under the old
             // generation. Serve what we read, cache nothing; the next
             // lookup reloads under the new generation.
-            self.inner.write().raced += 1;
+            self.content.write().raced += 1;
             delta.raced += 1;
             return Ok(FrameLookup::Frames(bytes));
         }
-        let mut inner = self.inner.write();
-        if let Some(&(cached_gen, idx)) = inner.index.get(&key) {
-            if cached_gen == generation {
+        let mut content = self.content.write();
+        let mut index = part.index.write();
+        if let Some(entry) = index.get(&key) {
+            if entry.generation == generation {
                 // A concurrent identical load won the publish; coalesce
                 // onto its entry so both lanes serve one allocation.
-                inner.raced += 1;
+                content.raced += 1;
                 delta.raced += 1;
-                return Ok(FrameLookup::Frames(inner.reference(idx)));
+                return Ok(FrameLookup::Frames(entry.shared.reference()));
             }
         }
-        inner.misses += 1;
+        content.misses += 1;
         delta.misses += 1;
-        Ok(FrameLookup::Frames(inner.attach(key, generation, bytes, hash)))
+        let out = content.attach(&mut index, key, generation, bytes, hash);
+        // Eviction may detach keys of this partition too.
+        drop(index);
+        content.evict_to_budget(&self.parts);
+        Ok(FrameLookup::Frames(out))
     }
 
     /// Looks up an extent without loading on miss (tests/introspection);
     /// reference bits and counters are untouched.
     pub fn peek(&self, file: FileId, offset: u64, len: u64) -> Option<FrameBytes> {
-        let inner = self.inner.read();
-        inner
+        self.parts[partition_of(file)]
             .index
+            .read()
             .get(&(file, offset, len))
-            .map(|&(_, idx)| inner.entry(idx).bytes.clone())
+            .map(|entry| entry.shared.bytes.clone())
     }
 
     /// Drops every cached extent of `file` (re-register, re-record and
@@ -665,19 +766,19 @@ impl SnapshotFrameCache {
     /// as long as those mappings live. Returns the number of index
     /// entries dropped.
     pub fn invalidate_file(&self, file: FileId) -> u64 {
-        let mut inner = self.inner.write();
+        let mut content = self.content.write();
+        let mut index = self.parts[partition_of(file)].index.write();
         // Hash-map order is fine: eviction follows the queue's admission
         // order, so nothing observable depends on which slots free first.
-        let keys: Vec<ExtentKey> = inner
-            .index
+        let keys: Vec<ExtentKey> = index
             .keys()
             .filter(|&&(f, _, _)| f == file)
             .copied()
             .collect();
         for &k in &keys {
-            inner.detach(k);
+            content.detach(&mut index, k);
         }
-        inner.invalidated += keys.len() as u64;
+        content.invalidated += keys.len() as u64;
         keys.len() as u64
     }
 
@@ -687,39 +788,47 @@ impl SnapshotFrameCache {
     /// slab, hash buckets, eviction queue) is reset; counters and the
     /// budget survive.
     pub fn clear(&self) {
-        let mut inner = self.inner.write();
-        inner.invalidated += inner.index.len() as u64;
-        inner.index.clear();
-        inner.slab.clear();
-        inner.by_hash.clear();
-        inner.free.clear();
-        inner.queue.clear();
-        inner.bytes = 0;
+        let mut content = self.content.write();
+        for part in &self.parts {
+            let mut index = part.index.write();
+            content.invalidated += index.len() as u64;
+            index.clear();
+        }
+        content.slab.clear();
+        content.by_hash.clear();
+        content.free.clear();
+        content.queue.clear();
+        content.bytes = 0;
     }
 
-    /// Current counters.
+    /// Current counters, summed over the partitions.
     pub fn stats(&self) -> FrameCacheStats {
-        let inner = self.inner.read();
+        let content = self.content.read();
         let bypassed = self.bypassed.load(Ordering::Relaxed);
+        let (mut hits, mut entries) = (0, 0);
+        for part in &self.parts {
+            hits += part.hits.load(Ordering::Relaxed);
+            entries += part.index.read().len() as u64;
+        }
         FrameCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: inner.misses + bypassed,
+            hits,
+            misses: content.misses + bypassed,
             bypassed,
-            raced: inner.raced,
-            invalidated: inner.invalidated,
-            admitted: inner.admitted,
-            deduped: inner.deduped,
-            evicted: inner.evicted,
-            entries: inner.index.len() as u64,
-            content_entries: inner.live(),
-            bytes: inner.bytes,
+            raced: content.raced,
+            invalidated: content.invalidated,
+            admitted: content.admitted,
+            deduped: content.deduped,
+            evicted: content.evicted,
+            entries,
+            content_entries: content.live(),
+            bytes: content.bytes,
         }
     }
 
     /// Eviction-queue slots, live and stale.
     #[cfg(test)]
     fn queue_len(&self) -> usize {
-        self.inner.read().queue.len()
+        self.content.read().queue.len()
     }
 }
 
@@ -1048,7 +1157,7 @@ mod tests {
             .unwrap();
         // A live guest memory aliases the cached extent.
         let mut mem = GuestMemory::new(16 * PAGE_SIZE as u64);
-        mem.alias_run(PageRun::new(guest_mem::PageIdx::new(0), 2), &src, 0)
+        mem.alias_run(PageRun::new(guest_mem::PageIdx::new(0), 2), src.clone(), 0)
             .unwrap();
         let refs_before = FrameBytes::strong_count(&src);
         // Evict it (budget 0 keeps nothing).
@@ -1156,14 +1265,108 @@ mod tests {
         assert_eq!((st.entries, st.content_entries, st.bytes), (1, 1, 4096));
     }
 
+    /// One scripted sequence over two shards' namespaces: prefetch-like
+    /// loads that deduplicate across shards, verify-like aliased loads,
+    /// hits, a stale rewrite, an invalidation, and budgets that bypass,
+    /// evict across namespaces and reach a protected turn. Its counters
+    /// are a known answer: partitioning the index must not move one.
+    #[test]
+    fn a_scripted_two_namespace_sequence_gives_known_stats() {
+        let shards = [FileStore::with_namespace(0), FileStore::with_namespace(1)];
+        let cache = SnapshotFrameCache::new();
+        // Per shard a memory file and a WS file of eight 16-byte extents;
+        // the first four hold runtime bytes common to both shards.
+        let files: Vec<(FileId, FileId)> = shards
+            .iter()
+            .enumerate()
+            .map(|(s, fs)| {
+                let (mem, ws) = (fs.create("mem"), fs.create("ws"));
+                for e in 0..8u8 {
+                    let byte = if e < 4 { e + 1 } else { 0x10 * (s as u8 + 1) + e };
+                    fs.write_at(mem, e as u64 * 16, &[byte; 16]).unwrap();
+                    fs.write_at(ws, e as u64 * 16, &[byte; 16]).unwrap();
+                }
+                (mem, ws)
+            })
+            .collect();
+        let mut delta = FrameCacheDelta::default();
+        // Extent `e` of shard `s`'s WS file (`ws`) or memory file.
+        let mut look = |s: usize, ws: bool, e: u64, aliased: bool| {
+            let file = if ws { files[s].1 } else { files[s].0 };
+            let got = cache.get_or_load_tracked(&shards[s], file, e * 16, 16, aliased, &mut delta);
+            drop(got.unwrap());
+        };
+        for s in 0..2 {
+            (0..8).for_each(|e| look(s, true, e, false));
+            (0..8).for_each(|e| look(s, false, e, true));
+        }
+        for _ in 0..2 {
+            for s in 0..2 {
+                (0..8).for_each(|e| look(s, true, e, false));
+            }
+        }
+        shards[1].write_at(files[1].1, 5 * 16, &[0x77; 16]).unwrap();
+        look(1, true, 5, false);
+        assert_eq!(cache.invalidate_file(files[0].0), 8);
+        cache.set_budget(Some(6 * 16));
+        for s in 0..2 {
+            (0..8).for_each(|e| look(s, false, e, false));
+            (0..8).for_each(|e| look(s, true, e, false));
+        }
+        cache.set_budget(Some(2 * 16));
+        for round in 0..40 {
+            look(round % 2, false, round as u64 % 8, false);
+            look(round % 2, true, round as u64 % 3, false);
+        }
+        cache.set_budget(None);
+        for s in 0..2 {
+            (0..8).for_each(|e| look(s, false, e, s == 1));
+        }
+        // The counters one unpartitioned index gives for this sequence.
+        let known = FrameCacheStats {
+            hits: 81,
+            misses: 112,
+            bypassed: 59,
+            raced: 0,
+            invalidated: 8,
+            admitted: 25,
+            deduped: 28,
+            evicted: 13,
+            entries: 20,
+            content_entries: 12,
+            bytes: 192,
+        };
+        assert_eq!(cache.stats(), known);
+        assert_eq!(delta, FrameCacheDelta { hits: 81, misses: 112, raced: 0 });
+        cache.clear();
+        let cleared = FrameCacheStats {
+            invalidated: 28,
+            entries: 0,
+            content_entries: 0,
+            bytes: 0,
+            ..known
+        };
+        assert_eq!(cache.stats(), cleared);
+    }
+
     #[test]
     fn frame_cache_stress() {
-        stress(true);
+        stress(true, 1);
     }
 
     #[test]
     fn frame_cache_stress_budgeted() {
-        stress(false);
+        stress(false, 1);
+    }
+
+    /// Lanes over two shards' stores at once under the tiny budget: most
+    /// lookups go to a few hot extents that fit it, so a miss in one
+    /// namespace evicts and detaches keys of the other's partition while
+    /// that partition serves hits, and equal versions deduplicate across
+    /// the two.
+    #[test]
+    fn frame_cache_stress_namespaces() {
+        stress(false, 2);
     }
 
     /// Lanes doing everything at once to one cache: lookups, in-place
@@ -1175,29 +1378,34 @@ mod tests {
     /// at its last rewrite, repeated as `u64` words, and a writer
     /// publishes that version only once the write has landed — so any
     /// lookup begun after the publish must serve it or something newer.
-    fn stress(flip_budget: bool) {
+    /// With more than one namespace, file `f` lives in store
+    /// `f % namespaces` and three lookups in four go to a hot set of two
+    /// extents per file.
+    fn stress(flip_budget: bool, namespaces: u32) {
         use std::sync::{Barrier, Mutex};
         const THREADS: u64 = 4;
         const OPS: u64 = 4000;
-        const FILES: usize = 3;
+        let files_n = if namespaces > 1 { 4 } else { 3 };
+        const HOT: u64 = 2;
         const EXTENTS: u64 = 64;
         const LEN: u64 = 64;
         const TINY_BUDGET: u64 = 8 * LEN;
 
         let fill = |version: u64| version.to_le_bytes().repeat(LEN as usize / 8);
-        let fs = FileStore::new();
+        let stores: Vec<FileStore> = (0..namespaces).map(FileStore::with_namespace).collect();
+        let store = |f: usize| &stores[f % namespaces as usize];
         let cache = SnapshotFrameCache::new();
         if !flip_budget {
             cache.set_budget(Some(TINY_BUDGET));
         }
-        let files: Vec<FileId> = (0..FILES).map(|i| fs.create(&format!("f{i}"))).collect();
-        for &f in &files {
-            fs.write_at(f, 0, &fill(0).repeat(EXTENTS as usize)).unwrap();
+        let files: Vec<FileId> = (0..files_n).map(|i| store(i).create(&format!("f{i}"))).collect();
+        for (i, &f) in files.iter().enumerate() {
+            store(i).write_at(f, 0, &fill(0).repeat(EXTENTS as usize)).unwrap();
         }
         // Per file: the writers' version counter, and per extent the last
         // version whose write has completed.
-        let versions: Vec<Mutex<u64>> = (0..FILES).map(|_| Mutex::new(0)).collect();
-        let published: Vec<Vec<AtomicU64>> = (0..FILES)
+        let versions: Vec<Mutex<u64>> = (0..files_n).map(|_| Mutex::new(0)).collect();
+        let published: Vec<Vec<AtomicU64>> = (0..files_n)
             .map(|_| (0..EXTENTS).map(|_| AtomicU64::new(0)).collect())
             .collect();
         // The uniform version an extent's bytes carry.
@@ -1214,15 +1422,20 @@ mod tests {
         let lookups: u64 = std::thread::scope(|s| {
             let lanes: Vec<_> = (0..THREADS)
                 .map(|t| {
-                    let (fs, cache, files, start) = (&fs, &cache, &files, &start);
+                    let (cache, files, start) = (&cache, &files, &start);
                     let (versions, published) = (&versions, &published);
                     s.spawn(move || {
                         let mut rng = sim_core::DetRng::new(0x57E55).fork(t);
                         let mut lookups = 0;
                         start.wait();
                         for _ in 0..OPS {
-                            let f = rng.gen_range(FILES as u64) as usize;
-                            let e = rng.gen_range(EXTENTS);
+                            let f = rng.gen_range(files_n as u64) as usize;
+                            let fs = store(f);
+                            let e = if namespaces > 1 && rng.gen_range(4) != 0 {
+                                rng.gen_range(HOT)
+                            } else {
+                                rng.gen_range(EXTENTS)
+                            };
                             match rng.gen_range(128) {
                                 0..=1 => {
                                     let mut version = versions[f].lock().unwrap();
@@ -1274,6 +1487,7 @@ mod tests {
             flip_budget || (st.bytes <= TINY_BUDGET && st.evicted > 0 && st.bypassed > 0),
             "{st:?}"
         );
+        assert!(namespaces == 1 || (st.hits > 0 && st.deduped > 0), "{st:?}");
         // Quiescent: the budget binds, the structure is consistent, and
         // every extent serves exactly what its file now holds.
         cache.set_budget(Some(TINY_BUDGET));
@@ -1282,12 +1496,12 @@ mod tests {
         cache.set_budget(None);
         for (f, &file) in files.iter().enumerate() {
             for e in 0..EXTENTS {
-                let got = cache.get_or_load(&fs, file, e * LEN, LEN).unwrap();
+                let got = cache.get_or_load(store(f), file, e * LEN, LEN).unwrap();
                 assert_eq!(version_of(&got), published[f][e as usize].load(Ordering::SeqCst));
             }
         }
         let st = cache.stats();
-        assert_eq!(st.entries, FILES as u64 * EXTENTS);
+        assert_eq!(st.entries, files_n as u64 * EXTENTS);
         assert_eq!(st.bytes, st.content_entries * LEN);
     }
 }

@@ -575,7 +575,7 @@ proptest! {
             let f = fs.create(&format!("fn{i}/mem"));
             fs.write_at(f, 0, &pool[sel]).unwrap();
             let src = cache.get_or_load(&fs, f, 0, PAGE_SIZE as u64).unwrap();
-            mem.alias_run(PageRun::new(PageIdx::new(i as u64), 1), &src, 0)
+            mem.alias_run(PageRun::new(PageIdx::new(i as u64), 1), src, 0)
                 .unwrap();
             files.push(f);
         }
